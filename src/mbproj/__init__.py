@@ -4,17 +4,15 @@ convergence rates and minibatch-size effects."""
 
 from .oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle, OracleError,
                      ProblemSpec, SimpleSet, ValidationReport, distance_family,
-                     empty_family, linear_family, positive_part_value_and_dir,
-                     validate_assumptions)
+                     empty_family, linear_family, validate_assumptions)
 from .geometry import (DistanceOracleError, PolyhedronSpec, TOL_ASSERT, TOL_METRIC,
                        distance_oracle, estimate_regularity_c, max_violation,
-                       project_intersection, project_simple)
-from .sampling import Sampler, SamplerConfigError, draw_minibatch
+                       project_intersection)
+from .sampling import Sampler, SamplerConfigError
 from .solver import (BatchStepDiagnostics, BetaPolicy, ConfigError, IterateState,
                      PolyhedralContext, RunRecord, RunResult, SolverAbort,
                      SolverConfig, alpha_schedule, analysis_constants,
-                     averages_identity_gap, gamma_schedule, objective_step,
-                     parallel_feasibility_update, polyak_step, run,
+                     objective_step, parallel_feasibility_update, run,
                      sequential_feasibility_update)
 from .problems import (BenchmarkInstance, LNScheme, exact_ln_linear, load_instance,
                        make_builtin, make_duplicated_benchmark, make_orthant2,

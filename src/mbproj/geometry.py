@@ -71,11 +71,6 @@ def normalize_rows(A, b):
     return A / norms[:, None], b / norms
 
 
-def project_simple(simple_set: SimpleSet, v: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection onto a supported simple set."""
-    return simple_set.project(v)
-
-
 def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:
     """Largest positive part over the linear constraints; 0 iff all satisfied."""
     if poly.m == 0:

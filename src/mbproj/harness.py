@@ -4,11 +4,10 @@ minibatch sweeps and the command-line interface.
 CSV files carry the effective configuration as leading ``#`` comment lines
 and exactly the columns seed,k,f_gap,max_violation,dist_X,LN_k,beta_k,
 elapsed_ns (a field is empty when the metric is unavailable).  The header
-echoes only the settings that determine the numbers: ``out_dir`` and
-``workers``, which only control how a run executes, are left out.  By default
-the elapsed_ns column is written as 0 so repeated identical invocations
-produce byte-identical files; enable ``timing`` to record wall-clock times
-instead.
+echoes only the settings that determine the numbers: ``out_dir``, which
+only says where files go, is left out.  By default the elapsed_ns column is
+written as 0 so repeated identical invocations produce byte-identical files;
+enable ``timing`` to record wall-clock times instead.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ class RunConfig:
     sampler: str = "without-replacement"
     init: str = "gaussian"
     init_scale: float = 1.0
-    workers: int = 1
     assertions: str = "off"
     cadence: object = "geometric"
     timing: bool = False
@@ -81,20 +79,19 @@ class RunConfig:
                 raise ConfigError("extrapolated beta requires ln_hint")
             policy = BetaPolicy.extrapolated(self.delta, self.ln_hint)
         elif self.beta_policy == "adaptive":
-            policy = BetaPolicy.adaptive(self.delta)
+            # keeps the hint so that validation rejects it: nothing checks it
+            policy = BetaPolicy("adaptive", delta=float(self.delta), ln=self.ln_hint)
         else:
             raise ConfigError(f"unknown beta policy {self.beta_policy!r}")
         return SolverConfig(variant=self.variant, batch_size=self.batch_size,
                             beta_policy=policy, iterations=self.iterations,
                             sampler_variant=self.sampler, seed=seed,
                             init=self.init, init_scale=self.init_scale,
-                            log_cadence=self.cadence, assertions=self.assertions,
-                            workers=self.workers)
+                            log_cadence=self.cadence, assertions=self.assertions)
 
     def echo_items(self):
         """Stable key order for the effective-config CSV header (settings
-        that determine the numbers only; ``out_dir`` and ``workers`` are
-        left out)."""
+        that determine the numbers only; ``out_dir`` is left out)."""
         items = [
             ("problem.builtin", self.builtin or ""),
             ("problem.instance", self.instance or ""),
@@ -131,6 +128,17 @@ def parse_seeds(text: str) -> tuple:
     return (int(text),)
 
 
+def parse_cadence(text: str):
+    """Log cadence: 'geometric' or an integer step."""
+    if text == "geometric":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(
+            f"cadence must be 'geometric' or an integer, got {text!r}") from None
+
+
 def format_seeds(seeds) -> str:
     seeds = list(seeds)
     if len(seeds) > 1 and seeds == list(range(seeds[0], seeds[-1] + 1)):
@@ -144,8 +152,8 @@ _SECTION_KEYS = {
     "solver": {"variant": str, "batch_size": int, "beta_policy": str,
                "beta": float, "delta": float, "ln_hint": float,
                "iterations": int, "sampler": str, "init": str,
-               "init_scale": float, "workers": int, "assertions": str},
-    "logging": {"cadence": str, "timing": bool},
+               "init_scale": float, "assertions": str},
+    "logging": {"cadence": parse_cadence, "timing": bool},
     "output": {"seeds": parse_seeds, "out_dir": str},
 }
 
@@ -173,8 +181,6 @@ def load_config_file(path: str) -> RunConfig:
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(
                     f"bad value for {section}.{key} in {path}: {exc}") from exc
-            if key == "cadence" and isinstance(parsed, str) and parsed != "geometric":
-                parsed = int(parsed)
             setattr(cfg, key, parsed)
     return cfg
 
@@ -471,7 +477,6 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sampler",
                    choices=("iid-uniform", "without-replacement", "partition"))
     p.add_argument("--init", choices=("zero", "gaussian"))
-    p.add_argument("--workers", type=int)
     p.add_argument("--assertions", choices=("off", "lemma-checks"))
     p.add_argument("--cadence", help="'geometric' or an integer step")
     p.add_argument("--timing", action="store_true", default=None,
@@ -484,14 +489,13 @@ def _cfg_from_args(args) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
     for name in ("builtin", "instance", "n", "m", "problem_seed", "variant",
                  "batch_size", "beta", "beta_policy", "delta", "ln_hint",
-                 "iterations", "sampler", "init", "workers", "assertions",
+                 "iterations", "sampler", "init", "assertions",
                  "timing", "out_dir"):
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
     if getattr(args, "cadence", None) is not None:
-        cfg.cadence = args.cadence if args.cadence == "geometric" \
-            else int(args.cadence)
+        cfg.cadence = parse_cadence(args.cadence)
     if getattr(args, "seeds", None):
         cfg.seeds = parse_seeds(args.seeds)
     if not cfg.seeds:

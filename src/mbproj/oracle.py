@@ -2,8 +2,7 @@
 
 Points are plain 1-D float64 numpy arrays of a fixed dimension; they are
 treated as immutable by every routine in this package.  Oracles carry no
-mutable state and are safe for concurrent read-only use -- random state
-always lives with the caller.
+mutable state; random state always lives with the caller.
 """
 
 from __future__ import annotations
@@ -129,15 +128,29 @@ class ConstraintFamily:
     0..size-1); ``None`` marks a generator-keyed infinite family, in which
     case callers supply index values themselves.  ``subgradient_plus`` must
     return a subgradient of max(g_w, 0) wherever g_w > 0 and any fixed
-    nonzero vector elsewhere.  ``batch`` is an optional vectorized fast path
-    ``(indices, v) -> (values, directions)`` that must agree exactly with the
-    scalar oracles.
+    nonzero vector elsewhere.  ``batch`` maps ``(indices, v)`` to the values
+    and the directions (one row per index) in index order; it is the only
+    path the solver queries.  A family may give a vectorized ``batch`` that
+    agrees with the scalar oracles; otherwise one is derived that calls
+    ``evaluate`` and ``subgradient_plus`` once per index.
     """
 
     size: Optional[int]
     evaluate: Callable[[object, np.ndarray], float]
     subgradient_plus: Callable[[object, np.ndarray], np.ndarray]
     batch: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+
+    def __post_init__(self):
+        if self.batch is None:
+            evaluate, subgradient_plus = self.evaluate, self.subgradient_plus
+
+            def batch(indices, v):
+                ws = np.asarray(indices).tolist()
+                return (np.array([evaluate(w, v) for w in ws], dtype=np.float64),
+                        np.array([subgradient_plus(w, v) for w in ws],
+                                 dtype=np.float64))
+
+            object.__setattr__(self, "batch", batch)
 
     @property
     def is_empty(self) -> bool:
@@ -226,26 +239,6 @@ class ProblemSpec:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def positive_part_value_and_dir(family: ConstraintFamily, omega, v: np.ndarray):
-    """Evaluate (max(g_w(v), 0), direction) for one constraint index.
-
-    When the positive part is zero the returned direction is the fixed
-    fallback unit vector, under which the relaxed projection step is a no-op.
-    """
-    check_finite("query point", v)
-    g = family.evaluate(omega, v)
-    check_finite(f"constraint value g[{omega}]", g)
-    if g <= 0.0:
-        return 0.0, fallback_direction(v.size)
-    d = np.asarray(family.subgradient_plus(omega, v), dtype=np.float64)
-    check_finite(f"constraint subgradient d[{omega}]", d)
-    if not np.any(d):
-        raise OracleError(
-            f"zero subgradient returned for violated constraint {omega!r} "
-            f"(positive part {g}); the feasibility step is undefined")
-    return float(g), d
 
 
 @dataclass

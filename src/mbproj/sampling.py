@@ -1,9 +1,8 @@
 """Random index selection for constraint minibatches.
 
 All randomness flows through numpy's PCG64 generator.  A sampler is owned by
-one run; minibatch draws happen on the coordinator thread and the resulting
-indices are handed to workers, so a fixed seed reproduces the exact index
-stream regardless of how the inner steps are executed.
+one run and draws every minibatch before its feasibility pass, so a fixed seed
+reproduces the exact index stream.
 """
 
 from __future__ import annotations
@@ -95,8 +94,3 @@ class Sampler:
         else:
             w[:] = 1.0 / self.m
         return w
-
-
-def draw_minibatch(sampler: Sampler, batch_size: int) -> np.ndarray:
-    """Draw one minibatch from the sampler (thin functional wrapper)."""
-    return sampler.draw(batch_size)

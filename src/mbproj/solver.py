@@ -12,8 +12,8 @@ iterates, on which all reported metrics are computed.
 
 from __future__ import annotations
 
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,8 +21,7 @@ import numpy as np
 
 from .geometry import (PolyhedronSpec, TOL_ASSERT, TOL_METRIC, distance_oracle,
                        max_violation)
-from .oracle import (ConstraintFamily, OracleError, ProblemSpec,
-                     fallback_direction, positive_part_value_and_dir)
+from .oracle import OracleError, ProblemSpec
 from .sampling import Sampler, SamplerConfigError
 
 # relative slack on a declared L_N: with the exact bound, the realized ratio of
@@ -35,8 +34,9 @@ class ConfigError(ValueError):
 
 
 class SolverAbort(RuntimeError):
-    """Run aborted: a non-finite iterate, a failed per-iteration check, or a
-    realized batch ratio L_N,k above the declared L_N."""
+    """Run aborted: a non-finite iterate, a constraint oracle fault, a failed
+    per-iteration check, or a realized batch ratio L_N,k above the declared
+    L_N."""
 
     def __init__(self, message: str, snapshot: Optional[dict] = None):
         super().__init__(message)
@@ -46,22 +46,6 @@ class SolverAbort(RuntimeError):
 def alpha_schedule(mu: float, index: int) -> float:
     """Diminishing objective stepsize 4 / (mu * (index + 1)) for index >= 0."""
     return 4.0 / (mu * (index + 1))
-
-
-def gamma_schedule(index: int) -> float:
-    """Normalized stepsize 2 / (index + 1); alpha = (2 / mu) * gamma."""
-    return 2.0 / (index + 1)
-
-
-def averages_identity_gap(points: np.ndarray, w: np.ndarray) -> float:
-    """Residual of the mean-square identity
-    |mean - w|^2 = avg |u_i - w|^2 - avg |u_j - mean|^2 for a point cloud."""
-    points = np.atleast_2d(points)
-    mean = points.mean(axis=0)
-    lhs = float(np.linalg.norm(mean - w)) ** 2
-    rhs = float(np.mean(np.sum((points - w) ** 2, axis=1))
-                - np.mean(np.sum((points - mean) ** 2, axis=1)))
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +58,9 @@ class BetaPolicy:
     batch alignment bound, or adapted online from the per-batch value.
 
     A declared ``ln`` is a claim that every realized batch ratio L_N,k is at
-    most L_N; the parallel variant checks it at every violated batch.
+    most L_N; the parallel variant checks it at every violated batch.  Nothing
+    checks it under the adaptive rule or in the sequential variant, so there
+    it is rejected.
     """
 
     kind: str                      # "fixed" | "extrapolated" | "adaptive"
@@ -97,6 +83,10 @@ class BetaPolicy:
     def validate(self, variant: str) -> None:
         if self.kind not in ("fixed", "extrapolated", "adaptive"):
             raise ConfigError(f"unknown beta policy {self.kind!r}")
+        if self.ln is not None and (variant == "sequential" or self.kind == "adaptive"):
+            raise ConfigError(
+                "a declared L_N is checked only by the parallel variant under "
+                "the fixed or extrapolated beta policy; drop it here")
         if variant == "sequential" and self.kind != "fixed":
             raise ConfigError(
                 "the sequential variant supports only a fixed beta; the "
@@ -123,6 +113,12 @@ class BetaPolicy:
             return (2.0 - self.delta) / self.ln
         return 2.0 - self.delta  # adaptive fallback before any violated batch
 
+    def step_beta(self, ln_k: float) -> float:
+        """Stepsize for a violated batch whose realized ratio is ``ln_k``."""
+        if self.kind == "adaptive":
+            return (2.0 - self.delta) / ln_k
+        return self.initial_beta()
+
     def describe(self) -> str:
         if self.kind == "fixed":
             return f"fixed({self.beta:g})"
@@ -144,7 +140,6 @@ class SolverConfig:
     init_scale: float = 1.0
     log_cadence: object = "geometric"  # "geometric" or positive int step
     assertions: str = "off"           # "off" | "lemma-checks"
-    workers: int = 1
     capture_iterates: bool = False
 
     def validate(self, spec: ProblemSpec) -> None:
@@ -154,8 +149,6 @@ class SolverConfig:
             raise ConfigError("iterations must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.init not in ("zero", "gaussian"):
             raise ConfigError(f"unknown init rule {self.init!r}")
         if self.assertions not in ("off", "lemma-checks"):
@@ -197,10 +190,8 @@ class IterateState:
 
     k: int
     x: np.ndarray
-    v: Optional[np.ndarray]
     weighted_sum_x: np.ndarray
     S: int                              # exact integer sum of (j+1)^2, j=1..k
-    last_ln_k: Optional[float] = None
 
     def x_hat(self) -> np.ndarray:
         if self.S == 0:
@@ -212,8 +203,8 @@ class IterateState:
 class BatchStepDiagnostics:
     ln_k: Optional[float]              # in (0, 1] when some constraint is violated
     v_n: float                         # spread of the weighted step directions, >= 0
-    mean_sq_violation: float
     per_index_gplus: np.ndarray
+    beta: Optional[float]              # stepsize taken; None when the batch is feasible
 
 
 @dataclass
@@ -244,69 +235,6 @@ class RunResult:
 # elementary steps
 
 
-def polyak_step(g_plus: float, d: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
-    """Relaxed projection step v - beta * (g_plus / |d|^2) * d.
-
-    Exactly returns v when the positive part is zero; with beta = 1 and an
-    affine constraint the step lands on the constraint boundary.
-    """
-    if beta <= 0:
-        raise ConfigError("beta must be positive")
-    if g_plus == 0.0:
-        return v
-    nsq = float(d @ d)
-    if nsq == 0.0:
-        raise OracleError("zero direction with positive violation: step undefined")
-    return v - (beta * g_plus / nsq) * d
-
-
-def _batch_values(family: ConstraintFamily, indices: np.ndarray, v: np.ndarray,
-                  workers: int = 1):
-    """Constraint values and directions for a minibatch, in index order.
-
-    Uses the family's vectorized path when present; otherwise per-index oracle
-    calls, optionally fanned out to threads.  The reduction order is always
-    the index order, so the worker count never changes results.
-    """
-    if family.batch is not None:
-        gvals, dirs = family.batch(indices, v)
-        gvals = np.asarray(gvals, dtype=np.float64)
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    else:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pairs = list(pool.map(
-                    lambda w: (family.evaluate(w, v), family.subgradient_plus(w, v)),
-                    [int(w) for w in indices]))
-        else:
-            pairs = [(family.evaluate(int(w), v), family.subgradient_plus(int(w), v))
-                     for w in indices]
-        gvals = np.array([p[0] for p in pairs], dtype=np.float64)
-        dirs = np.array([np.asarray(p[1], dtype=np.float64) for p in pairs])
-    if not (np.all(np.isfinite(gvals)) and np.all(np.isfinite(dirs))):
-        raise OracleError("constraint oracle returned a non-finite value")
-    return gvals, dirs
-
-
-def _eval_single(family: ConstraintFamily, omega, z: np.ndarray):
-    """Positive part and direction for one index, through the batch fast path
-    when present so that single-index batches and chained steps round
-    identically (the two variants must coincide bit-for-bit at batch size 1)."""
-    if family.batch is None:
-        return positive_part_value_and_dir(family, omega, z)
-    gvals, dirs = family.batch(np.asarray([omega]), z)
-    g = float(gvals[0])
-    d = np.asarray(dirs[0], dtype=np.float64)
-    if not (np.isfinite(g) and np.all(np.isfinite(d))):
-        raise OracleError(f"constraint oracle returned a non-finite value at {omega!r}")
-    if g <= 0.0:
-        return 0.0, fallback_direction(z.size)
-    if not np.any(d):
-        raise OracleError(
-            f"zero subgradient returned for violated constraint {omega!r}")
-    return g, d
-
-
 def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
     """Alignment ratio and direction spread of one minibatch.
 
@@ -329,58 +257,95 @@ def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
 
 
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
-                                v: np.ndarray, beta: float, workers: int = 1):
+                                v: np.ndarray, policy: BetaPolicy,
+                                checker: Optional["_LemmaChecker"] = None,
+                                k: int = 0):
     """One parallel minibatch feasibility pass at the common point v.
 
     Each sampled constraint gets an independent relaxed projection step; the
     results are averaged (fixed index order) and projected onto the simple
-    set.  Returns the next iterate and the batch diagnostics.  When the whole
-    batch is feasible the iterate is returned unchanged.
+    set.  The stepsize is ``policy.step_beta`` of the batch's realized ratio
+    L_N,k.  A declared ``policy.ln`` that L_N,k exceeds by more than a
+    relative ``LN_RTOL`` raises ``SolverAbort`` before the step, since
+    beta < 2 / L_N no longer certifies it.  When the whole batch is feasible
+    the iterate is returned unchanged.  ``checker`` (None when checks are off)
+    verifies the step's decrease inequalities; ``k`` labels its reports.
+    Returns the next iterate and the batch diagnostics; an oracle fault raises
+    ``OracleError``.
     """
     indices = np.asarray(indices)
     if indices.size < 1:
         raise ConfigError("minibatch must contain at least one index")
-    gvals, dirs = _batch_values(spec.constraints, indices, v, workers)
+    gvals, dirs = spec.constraints.batch(indices, v)
+    gvals = np.asarray(gvals, dtype=np.float64)
+    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    if not (np.all(np.isfinite(gvals)) and np.all(np.isfinite(dirs))):
+        raise OracleError("constraint oracle returned a non-finite value")
     gplus = np.maximum(gvals, 0.0)
     nsq = np.einsum("ij,ij->i", dirs, dirs)
     if np.any((nsq == 0.0) & (gplus > 0.0)):
         raise OracleError("zero direction with positive violation: step undefined")
-    ln_k, v_n = batch_diagnostics(gplus, dirs, np.where(nsq > 0, nsq, 1.0))
-    diag = BatchStepDiagnostics(ln_k=ln_k, v_n=v_n,
-                                mean_sq_violation=float(np.mean(gplus ** 2)),
-                                per_index_gplus=gplus)
+    nsq = np.where(nsq > 0, nsq, 1.0)
+    ln_k, v_n = batch_diagnostics(gplus, dirs, nsq)
     if ln_k is None:
-        return v, diag
-    coeff = np.where(gplus > 0.0, beta * gplus / np.where(nsq > 0, nsq, 1.0), 0.0)
-    z_bar = v - (coeff @ dirs) / indices.size
-    x_next = spec.simple_set.project(z_bar)
-    return x_next, diag
+        return v, BatchStepDiagnostics(None, v_n, gplus, None)
+    beta = policy.step_beta(ln_k)
+    if policy.ln is not None and ln_k > policy.ln * (1.0 + LN_RTOL):
+        raise SolverAbort(
+            f"realized L_N,k {ln_k:g} exceeds the declared L_N {policy.ln:g} "
+            f"at k={k} (beta {beta:g})",
+            snapshot={"k": k, "ln_k": ln_k, "ln": policy.ln, "beta": beta})
+    coeff = np.where(gplus > 0.0, beta * gplus / nsq, 0.0)
+    x_next = spec.simple_set.project(v - (coeff @ dirs) / indices.size)
+    if checker is not None:
+        checker.single_steps(k, v, gplus, dirs, nsq, beta)
+        checker.parallel_batch(k, v, x_next, gplus, beta, ln_k)
+    return x_next, BatchStepDiagnostics(ln_k, v_n, gplus, beta)
 
 
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
-                                  v: np.ndarray, beta: float):
+                                  v: np.ndarray, beta: float,
+                                  checker: Optional["_LemmaChecker"] = None,
+                                  k: int = 0):
     """Chained relaxed projection steps, one per sampled constraint.
 
     Each constraint is evaluated at the current inner point; every step is
-    followed by projection onto the simple set.  Returns the final inner point
-    and the sequence of positive parts seen by the steps.
+    followed by projection onto the simple set.  ``checker`` (None when checks
+    are off) verifies every inner step and the chain's distance decreases;
+    ``k`` labels its reports.  Returns the final inner point and the sequence
+    of positive parts seen by the steps; an oracle fault raises
+    ``OracleError``.
     """
     indices = np.asarray(indices)
     if indices.size < 1:
         raise ConfigError("minibatch must contain at least one index")
     if not 0.0 < beta < 2.0:
         raise ConfigError("sequential feasibility steps require beta in (0, 2)")
-    fam = spec.constraints
+    batch, project = spec.constraints.batch, spec.simple_set.project
     z = v
+    inner = [v] if checker is not None else None
     gplus_seq = np.zeros(indices.size)
-    for i, w in enumerate(indices):
-        g, d = _eval_single(fam, int(w), z)
-        gplus_seq[i] = g
+    for i in range(indices.size):
+        gvals, dirs = batch(indices[i:i + 1], z)
+        g = float(gvals[0])
+        dirs = np.asarray(dirs, dtype=np.float64)
+        if not (math.isfinite(g) and np.all(np.isfinite(dirs))):
+            raise OracleError("constraint oracle returned a non-finite value")
         if g > 0.0:
             # row-shaped norm so the arithmetic rounds exactly as in the
-            # batched parallel path (bit-identical variants at batch size 1)
-            nsq = float(np.einsum("ij,ij->i", d[None, :], d[None, :])[0])
-            z = spec.simple_set.project(z - (beta * g / nsq) * d)
+            # parallel pass (bit-identical variants at batch size 1)
+            nsq = np.einsum("ij,ij->i", dirs, dirs)
+            if nsq[0] == 0.0:
+                raise OracleError(
+                    "zero direction with positive violation: step undefined")
+            gplus_seq[i] = g
+            if checker is not None:
+                checker.single_steps(k, z, gplus_seq[i:i + 1], dirs, nsq, beta)
+            z = project(z - (beta * g / float(nsq[0])) * dirs[0])
+        if inner is not None:
+            inner.append(z)
+    if checker is not None:
+        checker.sequential_chain(k, inner, gplus_seq, beta)
     return z, gplus_seq
 
 
@@ -509,14 +474,14 @@ def run(spec: ProblemSpec, config: SolverConfig,
     """Execute the configured variant for the full iteration budget.
 
     Deterministic given the seed: the index stream, the initial point and all
-    arithmetic are reproducible, and the worker count never changes results.
-    Metrics in the emitted records are computed on the weighted running
-    average of the iterates.  A non-finite iterate aborts the run with a
-    diagnostic naming the step that produced it.  In the parallel variant, a
-    declared L_N (extrapolated policy, or fixed with ``ln``) is enforced: a
-    batch whose realized L_N,k exceeds it by more than a relative ``LN_RTOL``
-    aborts before its step is taken, since beta < 2 / L_N no longer certifies
-    the step.
+    arithmetic are reproducible.  Each iteration takes an objective step and
+    then one call of ``parallel_feasibility_update`` or
+    ``sequential_feasibility_update``, with the lemma checker when
+    ``assertions`` is ``lemma-checks``.  Metrics in the emitted records are
+    computed on the weighted running average of the iterates.  A non-finite
+    iterate, a constraint oracle fault (reported with ``k`` and the batch
+    indices) and, in the parallel variant, a realized L_N,k above the declared
+    L_N abort the run with ``SolverAbort``.
     """
     config.validate(spec)
     if config.assertions == "lemma-checks" and context is None:
@@ -530,13 +495,10 @@ def run(spec: ProblemSpec, config: SolverConfig,
     sampler = _build_sampler(spec, config, np.random.default_rng(ss_sampler))
 
     fam = spec.constraints
-    n_batch = config.batch_size
     policy = config.beta_policy
     beta_k = policy.initial_beta()
-    ln_cap = None if policy.ln is None else policy.ln * (1.0 + LN_RTOL)
 
-    state = IterateState(k=0, x=x, v=None,
-                         weighted_sum_x=np.zeros(spec.dimension), S=0)
+    state = IterateState(k=0, x=x, weighted_sum_x=np.zeros(spec.dimension), S=0)
     records = []
     iterates = [] if config.capture_iterates else None
     log_ks = _log_points(config.iterations, config.log_cadence)
@@ -554,60 +516,28 @@ def run(spec: ProblemSpec, config: SolverConfig,
         ln_k = None
         if sampler is None:
             x_next = v
-        elif config.variant == "parallel":
-            indices = sampler.draw(n_batch)
-            gvals, dirs = _batch_values(fam, indices, v, config.workers)
-            gplus = np.maximum(gvals, 0.0)
-            nsq = np.einsum("ij,ij->i", dirs, dirs)
-            if np.any((nsq == 0.0) & (gplus > 0.0)):
-                raise SolverAbort(
-                    f"zero direction with positive violation at k={k}",
-                    snapshot={"k": k, "indices": indices})
-            nsq_safe = np.where(nsq > 0, nsq, 1.0)
-            ln_k, _ = batch_diagnostics(gplus, dirs, nsq_safe)
-            if ln_cap is not None and ln_k is not None and ln_k > ln_cap:
-                raise SolverAbort(
-                    f"realized L_N,k {ln_k:g} exceeds the declared L_N "
-                    f"{policy.ln:g} at k={k} (beta {beta_k:g})",
-                    snapshot={"k": k, "ln_k": ln_k, "ln": policy.ln,
-                              "beta": beta_k})
-            if policy.kind == "adaptive" and ln_k is not None:
-                beta_k = (2.0 - policy.delta) / ln_k
-            if ln_k is None:
-                x_next = v
-            else:
-                coeff = np.where(gplus > 0.0, beta_k * gplus / nsq_safe, 0.0)
-                z_bar = v - (coeff @ dirs) / n_batch
-                x_next = spec.simple_set.project(z_bar)
-            if checker is not None:
-                checker.single_steps(k, v, gplus, dirs, nsq_safe, beta_k)
-                checker.parallel_batch(k, v, x_next, gplus, beta_k, ln_k)
         else:
-            indices = sampler.draw(n_batch)
-            if checker is not None:
-                inner = [v]
-                z = v
-                gplus_seq = np.zeros(n_batch)
-                for i, w in enumerate(indices):
-                    g, d = _eval_single(fam, int(w), z)
-                    gplus_seq[i] = g
-                    if g > 0.0:
-                        nsq = float(np.einsum("ij,ij->i", d[None, :], d[None, :])[0])
-                        checker.single_steps(k, z, np.array([g]),
-                                             d[None, :], np.array([nsq]), beta_k)
-                        z = spec.simple_set.project(z - (beta_k * g / nsq) * d)
-                    inner.append(z)
-                checker.sequential_chain(k, inner, gplus_seq, beta_k)
-                x_next = z
-            else:
-                x_next, _ = sequential_feasibility_update(spec, indices, v, beta_k)
+            indices = sampler.draw(config.batch_size)
+            try:
+                if config.variant == "parallel":
+                    x_next, diag = parallel_feasibility_update(
+                        spec, indices, v, policy, checker, k)
+                    ln_k = diag.ln_k
+                    if diag.beta is not None:
+                        beta_k = diag.beta
+                else:
+                    x_next, _ = sequential_feasibility_update(
+                        spec, indices, v, beta_k, checker, k)
+            except OracleError as exc:
+                raise SolverAbort(f"constraint oracle fault at k={k}: {exc}",
+                                  snapshot={"k": k, "indices": indices}) from exc
 
         if not np.all(np.isfinite(x_next)):
             raise SolverAbort(
                 f"feasibility update produced a non-finite iterate at k={k}",
                 snapshot={"k": k, "v": v})
 
-        state.k, state.x, state.v, state.last_ln_k = k, x_next, v, ln_k
+        state.k, state.x = k, x_next
         weight = (k + 1) * (k + 1)
         state.S += weight
         state.weighted_sum_x += weight * x_next

@@ -6,7 +6,7 @@ import pytest
 from mbproj.geometry import (DistanceOracleError, PolyhedronSpec,
                              RegularityEstimationError, distance_oracle,
                              estimate_regularity_c, max_violation, normalize_rows,
-                             project_intersection, project_simple)
+                             project_intersection)
 from mbproj.oracle import OracleError, SimpleSet
 from mbproj.sampling import Sampler
 
@@ -127,13 +127,6 @@ class TestDistanceOracle:
             d = distance_oracle(poly, ball, v)
             feas = max_violation(poly, v) <= 1e-8
             assert (d <= 1e-7) == feas
-
-
-class TestProjectSimple:
-    def test_delegates(self):
-        ball = SimpleSet.ball(np.zeros(2), 1.0)
-        np.testing.assert_allclose(project_simple(ball, np.array([3.0, 4.0])),
-                                   [0.6, 0.8])
 
 
 class TestRegularityEstimate:

@@ -9,6 +9,7 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             parse_seeds, rate_check, read_csv, solve_experiment,
                             write_csv)
 from mbproj.problems import make_polyhedral_benchmark
+from mbproj.solver import ConfigError
 
 
 class TestSeedsAndConfig:
@@ -113,21 +114,56 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_SOLVER
 
-    def test_byte_identical_outputs_across_invocations_and_workers(self, tmp_path):
+    def test_byte_identical_outputs_across_invocations_and_seed_splits(self, tmp_path):
         args = ["solve", "--builtin", "benchmark", "--n", "4", "--m", "6",
                 "--variant", "parallel", "--N", "2", "--beta", "1.0",
-                "--iters", "200", "--seeds", "1..3"]
+                "--iters", "200"]
         blobs = []
-        for tag, extra in (("a", []), ("b", []), ("c", ["--workers", "4"])):
+        for tag in ("a", "b"):
             out = tmp_path / tag
-            assert main(args + ["--out", str(out)] + extra) == EXIT_OK
+            assert main(args + ["--seeds", "1..3", "--out", str(out)]) == EXIT_OK
             blob = {}
             for name in sorted(os.listdir(out)):
                 with open(out / name, "rb") as fh:
                     blob[name] = fh.read()
             blobs.append(blob)
         assert blobs[0] == blobs[1]
-        assert blobs[0] == blobs[2]
+
+        def data_rows(path):
+            with open(path) as fh:
+                return [line for line in fh if not line.startswith("#")]
+
+        # a seed's rows do not depend on the other seeds of its invocation
+        for seed in (1, 2, 3):
+            out = tmp_path / f"single{seed}"
+            assert main(args + ["--seeds", str(seed), "--out", str(out)]) == EXIT_OK
+            name = f"run_seed{seed}.csv"
+            assert data_rows(out / name) == data_rows(tmp_path / "a" / name)
+
+    @pytest.mark.parametrize("extra", [
+        ["--variant", "parallel", "--beta-policy", "adaptive"],
+        ["--variant", "sequential", "--beta", "1.0"],
+    ], ids=["adaptive", "sequential"])
+    def test_unchecked_ln_hint_is_config_error(self, tmp_path, extra):
+        # neither run checks a declared L_N, so the hint must not be accepted
+        # (every batch of the duplicated rows has L_N,k = 1)
+        code = main(["solve", "--builtin", "duplicated", "--n", "4", "--m", "6",
+                     "--N", "2", "--ln-hint", "0.001", "--iters", "200",
+                     "--seeds", "1", "--out", str(tmp_path / "x")] + extra)
+        assert code == EXIT_CONFIG
+
+    def test_non_integer_cadence_is_config_error(self, tmp_path):
+        code = main(["solve", "--builtin", "orthant2", "--iters", "50",
+                     "--cadence", "ten", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        path = tmp_path / "run.ini"
+        path.write_text("[problem]\nbuiltin = orthant2\n\n"
+                        "[logging]\ncadence = ten\n")
+        with pytest.raises(ConfigError, match="cadence"):
+            load_config_file(path)
+        code = main(["solve", "--config", str(path), "--iters", "50",
+                     "--out", str(tmp_path / "y")])
+        assert code == EXIT_CONFIG
 
     def test_timing_flag_records_wall_clock(self, tmp_path):
         out = tmp_path / "timed"

@@ -4,8 +4,9 @@ import pytest
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet, distance_family,
                            empty_family, fallback_direction, linear_family,
-                           positive_part_value_and_dir, validate_assumptions)
-from mbproj.solver import polyak_step
+                           validate_assumptions)
+from mbproj.solver import (BetaPolicy, parallel_feasibility_update,
+                           sequential_feasibility_update)
 
 
 def quadratic_spec(m_f=2.0, with_optimum=True):
@@ -68,20 +69,50 @@ class TestSimpleSet:
             assert slack >= -1e-9
 
 
+def single_index_steps(family, dimension=2):
+    """Constraint 0's feasibility step through each pass, as callables
+    ``(v, beta) -> (next point, positive parts seen)``."""
+    spec = ProblemSpec(dimension=dimension,
+                       objective=ObjectiveOracle(evaluate=lambda x: 0.0,
+                                                 subgradient=lambda x: 0.0 * x),
+                       constraints=family,
+                       simple_set=SimpleSet.whole_space(dimension),
+                       mu=1.0, M_f=1.0, M_g=1.0)
+    index = np.array([0])
+
+    def parallel(v, beta=1.0):
+        x, diag = parallel_feasibility_update(spec, index, v, BetaPolicy.fixed(beta))
+        return x, diag.per_index_gplus
+
+    def sequential(v, beta=1.0):
+        return sequential_feasibility_update(spec, index, v, beta)
+
+    return parallel, sequential
+
+
 class TestPositivePart:
+    """max(g_w, 0) and its direction as the feasibility passes see them."""
+
     def affine(self):
         # g(x) = x1 - 1
         return linear_family(np.array([[1.0, 0.0]]), np.array([-1.0]))
 
     def test_violated_affine(self):
-        g, d = positive_part_value_and_dir(self.affine(), 0, np.array([3.0, 0.0]))
-        assert g == pytest.approx(2.0)
-        np.testing.assert_array_equal(d, [1.0, 0.0])
+        for step in single_index_steps(self.affine()):
+            x, gplus = step(np.array([3.0, 0.0]))
+            np.testing.assert_array_equal(gplus, [2.0])
+            np.testing.assert_array_equal(x, [1.0, 0.0])  # moved along (1, 0)
 
     def test_interior_returns_fallback(self):
-        g, d = positive_part_value_and_dir(self.affine(), 0, np.array([0.0, 0.0]))
-        assert g == 0.0
-        np.testing.assert_array_equal(d, fallback_direction(2))
+        fam = distance_family([SimpleSet.ball(np.zeros(2), 1.0).project], 2)
+        v = np.array([0.2, 0.1])
+        gvals, dirs = fam.batch(np.array([0]), v)
+        np.testing.assert_array_equal(gvals, [0.0])
+        np.testing.assert_array_equal(dirs, [fallback_direction(2)])
+        for step in single_index_steps(fam):
+            x, gplus = step(v)
+            np.testing.assert_array_equal(gplus, [0.0])
+            assert x is v
 
     def test_norm_constraint(self):
         # g(x) = |x| - 1
@@ -89,23 +120,26 @@ class TestPositivePart:
             size=1,
             evaluate=lambda w, v: float(np.linalg.norm(v)) - 1.0,
             subgradient_plus=lambda w, v: v / np.linalg.norm(v))
-        g, d = positive_part_value_and_dir(fam, 0, np.array([0.0, 2.0]))
-        assert g == pytest.approx(1.0)
-        np.testing.assert_allclose(d, [0.0, 1.0])
+        for step in single_index_steps(fam):
+            x, gplus = step(np.array([0.0, 2.0]))
+            np.testing.assert_allclose(gplus, [1.0])
+            np.testing.assert_allclose(x, [0.0, 1.0])
 
     def test_zero_direction_is_hard_error(self):
         fam = ConstraintFamily(size=1,
                                evaluate=lambda w, v: 1.0,
                                subgradient_plus=lambda w, v: np.zeros(2))
-        with pytest.raises(OracleError, match="zero subgradient"):
-            positive_part_value_and_dir(fam, 0, np.array([0.0, 0.0]))
+        for step in single_index_steps(fam):
+            with pytest.raises(OracleError, match="zero direction"):
+                step(np.zeros(2))
 
     def test_nonfinite_value_is_error(self):
         fam = ConstraintFamily(size=1,
                                evaluate=lambda w, v: float("nan"),
                                subgradient_plus=lambda w, v: np.ones(2))
-        with pytest.raises(OracleError, match="non-finite"):
-            positive_part_value_and_dir(fam, 0, np.zeros(2))
+        for step in single_index_steps(fam):
+            with pytest.raises(OracleError, match="non-finite"):
+                step(np.zeros(2))
 
     def test_feasible_step_is_noop_for_any_direction(self):
         # whenever the positive part is zero the step must return v exactly
@@ -114,8 +148,12 @@ class TestPositivePart:
             v = rng.standard_normal(4)
             beta = rng.uniform(0.1, 1.9)
             d = rng.standard_normal(4)
-            out = polyak_step(0.0, d, v, beta)
-            assert out is v
+            g = -rng.uniform(0.0, 2.0)
+            fam = ConstraintFamily(size=1, evaluate=lambda w, x: g,
+                                   subgradient_plus=lambda w, x: d)
+            for step in single_index_steps(fam, dimension=4):
+                out, _ = step(v, beta)
+                assert out is v
 
 
 class TestLinearFamilyBatch:
@@ -131,6 +169,24 @@ class TestLinearFamilyBatch:
         for pos, w in enumerate(idx):
             assert gvals[pos] == pytest.approx(fam.evaluate(int(w), v), abs=0)
             np.testing.assert_array_equal(dirs[pos], fam.subgradient_plus(int(w), v))
+
+    def test_derived_batch_calls_scalar_oracles_in_index_order(self):
+        calls = []
+
+        def evaluate(w, v):
+            calls.append(("g", w))
+            return float(w) - v[0]
+
+        def subgradient_plus(w, v):
+            calls.append(("d", w))
+            return np.array([1.0, float(w)])
+
+        fam = ConstraintFamily(size=5, evaluate=evaluate,
+                               subgradient_plus=subgradient_plus)
+        gvals, dirs = fam.batch(np.array([3, 0, 4]), np.array([0.5, 0.0]))
+        np.testing.assert_array_equal(gvals, [2.5, -0.5, 3.5])
+        np.testing.assert_array_equal(dirs, [[1.0, 3.0], [1.0, 0.0], [1.0, 4.0]])
+        assert calls == [("g", 3), ("g", 0), ("g", 4), ("d", 3), ("d", 0), ("d", 4)]
 
 
 class TestValidateAssumptions:

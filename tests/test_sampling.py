@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbproj.sampling import Sampler, SamplerConfigError, draw_minibatch
+from mbproj.sampling import Sampler, SamplerConfigError
 
 
 class TestDeterminism:
@@ -83,9 +83,3 @@ class TestMarginals:
             Sampler.without_replacement(4, seed=0).first_draw_weights(), [0.25] * 4)
         w = Sampler.partition([[1, 2], [0, 3]], seed=0).first_draw_weights()
         np.testing.assert_allclose(w, [0.0, 0.5, 0.5, 0.0])
-
-
-def test_draw_minibatch_wrapper():
-    a = Sampler.iid_uniform(9, seed=11)
-    b = Sampler.iid_uniform(9, seed=11)
-    np.testing.assert_array_equal(draw_minibatch(a, 4), b.draw(4))

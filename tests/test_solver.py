@@ -11,12 +11,12 @@ from mbproj.problems import (LNScheme, exact_ln_linear, make_duplicated_benchmar
                              make_polyhedral_benchmark)
 from mbproj.solver import (BetaPolicy, ConfigError, PolyhedralContext, SolverAbort,
                            SolverConfig, alpha_schedule, analysis_constants,
-                           averages_identity_gap, batch_diagnostics, gamma_schedule,
-                           objective_step, parallel_feasibility_update, polyak_step,
-                           run, sequential_feasibility_update)
+                           batch_diagnostics, objective_step,
+                           parallel_feasibility_update, run,
+                           sequential_feasibility_update)
 
 
-def corner_spec(simple_set=None):
+def corner_spec(simple_set=None, constraints=None):
     """Constraints x1 <= 0, x2 <= 0 with a quadratic objective pulling to (1, 1)."""
     A = np.eye(2)
     b = np.zeros(2)
@@ -24,35 +24,60 @@ def corner_spec(simple_set=None):
     objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
                                 subgradient=lambda x: x - center)
     return ProblemSpec(dimension=2, objective=objective,
-                       constraints=linear_family(A, b),
+                       constraints=constraints or linear_family(A, b),
                        simple_set=simple_set or SimpleSet.whole_space(2),
                        mu=1.0, M_f=10.0, M_g=1.0,
                        known_optimum=KnownOptimum(f_star=1.0, x_star=np.zeros(2)))
 
 
+def relaxed_step_both_passes(spec, index, v, beta):
+    """The relaxed projection step of one constraint, through both passes."""
+    xp, _ = parallel_feasibility_update(spec, np.array([index]), v,
+                                        BetaPolicy.fixed(beta))
+    xs, _ = sequential_feasibility_update(spec, np.array([index]), v, beta)
+    return xp, xs
+
+
+def scalar_only_spec(evaluate, subgradient_plus, size=1):
+    """Corner problem data around a family with no vectorized ``batch``."""
+    family = ConstraintFamily(size=size, evaluate=evaluate,
+                              subgradient_plus=subgradient_plus)
+    return corner_spec(constraints=family)
+
+
 class TestPolyakStep:
+    """The relaxed projection (Polyak) step v - beta * g+ / |d|^2 * d."""
+
     def test_exact_projection_at_beta_one(self):
-        out = polyak_step(2.0, np.array([1.0, 0.0]), np.array([2.0, 0.0]), 1.0)
-        np.testing.assert_array_equal(out, [0.0, 0.0])
+        v = np.array([2.0, 0.0])
+        for x in relaxed_step_both_passes(corner_spec(), 0, v, 1.0):
+            np.testing.assert_array_equal(x, [0.0, 0.0])
 
     def test_zero_positive_part_is_identity(self):
-        v = np.array([5.0, 5.0])
-        assert polyak_step(0.0, np.array([0.3, -0.4]), v, 1.7) is v
+        v = np.array([-5.0, -5.0])
+        for x in relaxed_step_both_passes(corner_spec(), 1, v, 1.7):
+            assert x is v
 
     def test_half_step(self):
-        out = polyak_step(2.0, np.array([1.0, 0.0]), np.array([2.0, 0.0]), 0.5)
-        np.testing.assert_array_equal(out, [1.0, 0.0])
+        v = np.array([2.0, 0.0])
+        for x in relaxed_step_both_passes(corner_spec(), 0, v, 0.5):
+            np.testing.assert_array_equal(x, [1.0, 0.0])
 
     def test_zero_direction_error(self):
-        with pytest.raises(OracleError):
-            polyak_step(1.0, np.zeros(2), np.ones(2), 1.0)
+        spec = scalar_only_spec(lambda w, v: 1.0, lambda w, v: np.zeros(2))
+        with pytest.raises(OracleError, match="zero direction"):
+            parallel_feasibility_update(spec, np.array([0]), np.ones(2),
+                                        BetaPolicy.fixed(1.0))
+        with pytest.raises(OracleError, match="zero direction"):
+            sequential_feasibility_update(spec, np.array([0]), np.ones(2), 1.0)
 
 
 class TestParallelUpdate:
     def test_two_orthogonal_constraints(self):
         spec = corner_spec()
         x, diag = parallel_feasibility_update(spec, np.array([0, 1]),
-                                              np.array([2.0, 2.0]), beta=1.0)
+                                              np.array([2.0, 2.0]),
+                                              BetaPolicy.fixed(1.0))
         np.testing.assert_allclose(x, [1.0, 1.0])
         np.testing.assert_allclose(diag.per_index_gplus, [2.0, 2.0])
 
@@ -64,24 +89,29 @@ class TestParallelUpdate:
         assert num / den == 0.5
         spec = corner_spec()
         _, diag = parallel_feasibility_update(spec, np.array([0, 1]),
-                                              np.array([2.0, 2.0]), beta=1.0)
+                                              np.array([2.0, 2.0]),
+                                              BetaPolicy.fixed(1.0))
         assert diag.ln_k == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
         ball = SimpleSet.ball(np.zeros(2), 1.5)
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
-        x, _ = parallel_feasibility_update(spec, np.array([0]), v, beta=1.0)
-        expected = ball.project(polyak_step(1.2, np.array([1.0, 0.0]), v, 1.0))
+        x, _ = parallel_feasibility_update(spec, np.array([0]), v,
+                                           BetaPolicy.fixed(1.0))
+        # g+ = 1.2 along d = (1, 0), |d| = 1
+        expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
         np.testing.assert_array_equal(x, expected)
 
     def test_feasible_batch_returns_v_exactly(self):
         spec = corner_spec()
         v = np.array([-1.0, -2.0])
-        x, diag = parallel_feasibility_update(spec, np.array([0, 1, 0]), v, beta=1.3)
+        x, diag = parallel_feasibility_update(spec, np.array([0, 1, 0]), v,
+                                              BetaPolicy.fixed(1.3))
         assert x is v
         assert diag.ln_k is None
         assert diag.v_n == 0.0
+        assert diag.beta is None
 
 
 class TestSequentialUpdate:
@@ -103,7 +133,8 @@ class TestSequentialUpdate:
         ball = SimpleSet.ball(np.zeros(2), 2.0)
         spec = corner_spec(simple_set=ball)
         v = np.array([1.5, 1.2])
-        xp, _ = parallel_feasibility_update(spec, np.array([1]), v, beta=0.8)
+        xp, _ = parallel_feasibility_update(spec, np.array([1]), v,
+                                            BetaPolicy.fixed(0.8))
         xs, _ = sequential_feasibility_update(spec, np.array([1]), v, beta=0.8)
         np.testing.assert_array_equal(xp, xs)
 
@@ -171,23 +202,28 @@ class TestBatchQuantities:
         assert v_n > 1e-8
 
     def test_mean_square_identity(self):
+        # |mean - w|^2 = avg |u_i - w|^2 - avg |u_j - mean|^2 for a point cloud
         rng = np.random.default_rng(23)
         for _ in range(200):
             pts = rng.standard_normal((rng.integers(2, 8), 6))
             w = rng.standard_normal(6)
-            assert averages_identity_gap(pts, w) <= 1e-12
+            mean = pts.mean(axis=0)
+            lhs = float(np.linalg.norm(mean - w)) ** 2
+            rhs = float(np.mean(np.sum((pts - w) ** 2, axis=1))
+                        - np.mean(np.sum((pts - mean) ** 2, axis=1)))
+            assert abs(lhs - rhs) <= 1e-12
 
 
 class TestSchedules:
     def test_gamma_and_alpha_identities(self):
+        # alpha = (2 / mu) * gamma with the normalized stepsize gamma = 2 / (k + 1)
         for mu in (0.5, 1.0, 3.0):
             for k in range(0, 50):
-                gamma = gamma_schedule(k)
-                assert gamma == 2.0 / (k + 1)
-                assert alpha_schedule(mu, k) == pytest.approx((2.0 / mu) * gamma)
-        # from the second step on the normalized stepsize stays below 2/3
-        # (at index 1 the schedule gives exactly 1, so the bound starts at 2)
-        assert all(1.0 - gamma_schedule(k) >= 1.0 / 3.0 for k in range(2, 1000))
+                assert alpha_schedule(mu, k) == pytest.approx((2.0 / mu) * 2.0 / (k + 1))
+            # from the second step on the normalized stepsize stays below 2/3
+            # (at index 1 it is exactly 1, so the bound starts at 2)
+            assert all(1.0 - mu * alpha_schedule(mu, k) / 2.0 >= 1.0 / 3.0 - 1e-15
+                       for k in range(2, 1000))
 
 
 class TestAnalysisConstants:
@@ -313,28 +349,30 @@ class TestRunLoop:
         assert np.linalg.norm(x_hat - result.final_x_hat) <= 1e-10
         assert result.state.S == int(weights.sum())
 
-    def test_worker_count_never_changes_results(self):
-        # generic (non-vectorized) family exercises the thread fan-out path
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_scalar_only_family_matches_linear_family(self, variant):
+        # the derived batch (one scalar oracle call per index) against the
+        # vectorized rows of linear_family; the parallel pass's matrix-vector
+        # product and the per-row dot products may differ in the last bit
         inst = self.small_benchmark()
         A, b = inst.poly.A, inst.poly.b
-        generic = ConstraintFamily(
+        scalar_only = ConstraintFamily(
             size=A.shape[0],
             evaluate=lambda w, v: float(A[w] @ v + b[w]),
             subgradient_plus=lambda w, v: A[w])
-        spec = ProblemSpec(dimension=inst.spec.dimension,
-                           objective=inst.spec.objective, constraints=generic,
-                           simple_set=inst.spec.simple_set, mu=1.0,
-                           M_f=inst.spec.M_f, M_g=1.0,
-                           known_optimum=inst.spec.known_optimum)
         outs = []
-        for workers in (1, 4):
-            cfg = SolverConfig(variant="parallel", batch_size=3,
+        for family in (inst.spec.constraints, scalar_only):
+            spec = ProblemSpec(dimension=inst.spec.dimension,
+                               objective=inst.spec.objective, constraints=family,
+                               simple_set=inst.spec.simple_set, mu=1.0,
+                               M_f=inst.spec.M_f, M_g=1.0,
+                               known_optimum=inst.spec.known_optimum)
+            cfg = SolverConfig(variant=variant, batch_size=3,
                                beta_policy=BetaPolicy.fixed(1.0), iterations=120,
-                               seed=4, init="gaussian", workers=workers,
-                               capture_iterates=True)
+                               seed=4, init="gaussian", capture_iterates=True)
             outs.append(run(spec, cfg))
         for xa, xb in zip(outs[0].iterates, outs[1].iterates):
-            np.testing.assert_array_equal(xa, xb)
+            np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
 
     def test_adaptive_beta_follows_batch_ratio(self):
         inst = self.small_benchmark()
@@ -396,14 +434,32 @@ class TestRunLoop:
                                seed=1, init="gaussian", assertions="lemma-checks")
             run(inst.spec, cfg, context=inst.context())  # must not abort
 
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_lemma_checks_catch_a_wrong_direction(self, variant):
+        # the family reports the true values of x1 <= 0, x2 <= 0 but points
+        # every step away from the quadrant, so the first step breaks the
+        # single-step decrease toward the feasible origin
+        spec = scalar_only_spec(lambda w, v: float(v[w]),
+                                lambda w, v: -np.eye(2)[w], size=2)
+        context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
+                                    simple_set=spec.simple_set,
+                                    feasible_point=np.zeros(2))
+        cfg = SolverConfig(variant=variant, batch_size=2,
+                           beta_policy=BetaPolicy.fixed(1.0), iterations=20,
+                           seed=1, init="zero", assertions="lemma-checks")
+        with pytest.raises(SolverAbort, match="single-step-decrease") as info:
+            run(spec, cfg, context=context)
+        assert info.value.snapshot["k"] == 1
+
     def test_single_constraint_exact_projection_slack_zero(self):
         # with beta = 1 on an affine constraint the step lands on the boundary,
         # so the decrease inequality toward the landing point holds with
         # equality
         v = np.array([2.0, 0.0])
         d = np.array([1.0, 0.0])
-        g = 2.0
-        z_bar = polyak_step(g, d, v, 1.0)
+        g = 2.0  # constraint x1 <= 0 of the corner problem at v
+        z_bar, _ = sequential_feasibility_update(corner_spec(), np.array([0]), v, 1.0)
+        assert z_bar[0] == 0.0
         lhs = np.linalg.norm(z_bar - z_bar) ** 2
         rhs = np.linalg.norm(v - z_bar) ** 2 - 1.0 * (2.0 - 1.0) * g ** 2 / (d @ d)
         assert abs(lhs - rhs) <= 1e-12
@@ -420,6 +476,34 @@ class TestRunLoop:
                            seed=0, log_cadence=7)
         ks = [r.k for r in run(inst.spec, cfg, context=inst.context()).records]
         assert ks == [7, 14, 20]
+
+
+class TestOracleFaults:
+    """A constraint oracle fault inside a run aborts either variant with the
+    iteration and the batch it happened in."""
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    @pytest.mark.parametrize("fault", ["zero-direction", "nan-value"])
+    def test_fault_is_solver_abort_with_k_and_indices(self, variant, fault):
+        # from x0 = 0 the first objective step lands at (4, 4), where both
+        # constraints x1 <= 0, x2 <= 0 are violated
+        if fault == "zero-direction":
+            spec = scalar_only_spec(lambda w, v: float(v[w]),
+                                    lambda w, v: np.zeros(2), size=2)
+        else:
+            spec = scalar_only_spec(
+                lambda w, v: float("nan") if v[w] > 0 else float(v[w]),
+                lambda w, v: np.eye(2)[w], size=2)
+        cfg = SolverConfig(variant=variant, batch_size=2,
+                           beta_policy=BetaPolicy.fixed(1.0), iterations=50,
+                           seed=1, init="zero")
+        with pytest.raises(SolverAbort, match="constraint oracle fault at k=1"
+                           ) as info:
+            run(spec, cfg)
+        snap = info.value.snapshot
+        assert set(snap) == {"k", "indices"}
+        assert snap["k"] == 1
+        assert sorted(snap["indices"].tolist()) == [0, 1]
 
 
 class TestDeclaredLN:
@@ -446,6 +530,14 @@ class TestDeclaredLN:
         assert snap["ln"] == 0.001
         assert snap["ln_k"] == pytest.approx(1.0, abs=1e-12)
         assert snap["beta"] == policy.initial_beta()
+
+    def test_unchecked_ln_rejected(self):
+        # only the parallel variant under a fixed or extrapolated beta checks it
+        BetaPolicy.fixed(1.0, ln=0.5).validate("parallel")
+        with pytest.raises(ConfigError, match="declared L_N"):
+            BetaPolicy.fixed(1.0, ln=0.5).validate("sequential")
+        with pytest.raises(ConfigError, match="declared L_N"):
+            BetaPolicy("adaptive", delta=0.1, ln=0.5).validate("parallel")
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4])
     @pytest.mark.parametrize("name", ["benchmark", "duplicated"])
