@@ -61,16 +61,6 @@ class PolyhedronSpec:
         return self.A.shape[1]
 
 
-def normalize_rows(A, b):
-    """Rescale rows of (A, b) so every row of A has unit norm."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    b = as_point(b).copy()
-    norms = np.linalg.norm(A, axis=1)
-    if np.any(norms == 0):
-        raise OracleError("cannot normalize a zero row")
-    return A / norms[:, None], b / norms
-
-
 def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:
     """Largest positive part over the linear constraints; 0 iff all satisfied."""
     if poly.m == 0:

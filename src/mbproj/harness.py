@@ -117,15 +117,20 @@ class RunConfig:
 def parse_seeds(text: str) -> tuple:
     """Parse seed lists: '1..20', '1,2,5' or a single integer."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty seed range {text!r}")
-        return tuple(range(lo, hi + 1))
-    if "," in text:
-        return tuple(int(t) for t in text.split(",") if t.strip())
-    return (int(text),)
+    try:
+        if ".." in text:
+            lo, hi = (int(t) for t in text.split("..", 1))
+            if hi < lo:
+                raise ConfigError(f"empty seed range {text!r}")
+            return tuple(range(lo, hi + 1))
+        return parse_int_list(text)
+    except ValueError:
+        raise ConfigError(f"seeds must be integers, got {text!r}") from None
+
+
+def parse_int_list(text: str) -> tuple:
+    """Comma-separated integers, e.g. '1,2,4'; raises ValueError otherwise."""
+    return tuple(int(t) for t in text.split(",") if t.strip())
 
 
 def parse_cadence(text: str):
@@ -550,7 +555,11 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "sweep":
             cfg = _cfg_from_args(args)
-            n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
+            try:
+                n_list = list(parse_int_list(args.n_list))
+            except ValueError:
+                raise ConfigError("--N-list must be comma-separated integers, "
+                                  f"got {args.n_list!r}") from None
             _, rows = minibatch_sweep(cfg, n_list, c_hat=args.c_hat)
             print("N,final_dist_mean,ci_lo,ci_hi,predicted_b,predicted_ratio,outside_theory")
             for r in rows:

@@ -152,10 +152,6 @@ class ConstraintFamily:
 
             object.__setattr__(self, "batch", batch)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.size == 0
-
 
 def empty_family() -> ConstraintFamily:
     """Family with no constraints; every point is feasible."""
@@ -197,18 +193,30 @@ def distance_family(projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
     """
     projectors = list(projectors)
 
-    def evaluate(w, v):
-        return float(np.linalg.norm(v - projectors[w](v)))
-
-    def subgradient_plus(w, v):
+    def residual(w, v):
         r = v - projectors[w](v)
-        dist = np.linalg.norm(r)
+        return r, np.linalg.norm(r)
+
+    def direction(r, dist):
         if dist == 0.0:
             return fallback_direction(dimension)
         return r / dist
 
+    def evaluate(w, v):
+        return float(residual(w, v)[1])
+
+    def subgradient_plus(w, v):
+        return direction(*residual(w, v))
+
+    def batch(indices, v):
+        # one projection per index serves both the value and the direction
+        pairs = [residual(w, v) for w in np.asarray(indices).tolist()]
+        return (np.array([dist for _, dist in pairs], dtype=np.float64),
+                np.array([direction(r, dist) for r, dist in pairs],
+                         dtype=np.float64))
+
     return ConstraintFamily(size=len(projectors), evaluate=evaluate,
-                            subgradient_plus=subgradient_plus)
+                            subgradient_plus=subgradient_plus, batch=batch)
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,6 @@ class GenerationError(RuntimeError):
     """Benchmark generation failed (degenerate geometry after all retries)."""
 
 
-class EigenComputationError(RuntimeError):
-    """Power iteration failed to converge."""
-
-
 @dataclass
 class BenchmarkInstance:
     """A generated problem plus the polyhedral data the harness needs."""
@@ -238,48 +234,17 @@ def make_builtin(name: str, n: int = 10, m: int = 20, seed: int = 0) -> Benchmar
 # exact batch-alignment analysis for linear constraints
 
 
-def lambda_max_power(G: np.ndarray, rel_tol: float = 1e-10,
-                     max_steps: int = 10 ** 5) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
+def lambda_max_power(G: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix (0.0 for a 0x0 matrix).
 
-    Deterministic: runs from two fixed start vectors (a ramp and a
-    fixed-seeded Gaussian, so symmetry of the ramp cannot trap the
-    iteration in an invariant subspace) and returns the larger estimate.
+    Computed by ``np.linalg.eigvalsh``.  The name is kept although no power
+    iteration runs: the benchmark's tracer times this module attribute as
+    ``problems.lambda_max_power``, once per subset of ``exact_ln_linear``.
     """
     G = np.asarray(G, dtype=np.float64)
-    k = G.shape[0]
-    if k == 0:
+    if G.shape[0] == 0:
         return 0.0
-    starts = [np.arange(1.0, k + 1.0)]
-    if k > 1:
-        starts.append(np.random.default_rng(20260810).standard_normal(k))
-    best = 0.0
-    for v in starts:
-        v = v / np.linalg.norm(v)
-        lam = 0.0
-        diff_prev = np.inf
-        for step in range(max_steps):
-            w = G @ v
-            norm_w = float(np.linalg.norm(w))
-            if norm_w == 0.0:
-                lam = 0.0
-                break
-            lam_new = float(v @ w)
-            v = w / norm_w
-            diff = abs(lam_new - lam)
-            lam = lam_new
-            # Rayleigh estimates converge geometrically; bound the remaining
-            # error by diff * r / (1 - r) with r the observed contraction
-            ratio = diff / diff_prev if diff_prev > 0 else 0.0
-            remaining = diff * ratio / (1.0 - ratio) if ratio < 1.0 else np.inf
-            if max(diff, remaining) <= rel_tol * max(1.0, abs(lam)):
-                break
-            diff_prev = diff
-        else:
-            raise EigenComputationError(
-                f"power iteration did not converge in {max_steps} steps")
-        best = max(best, lam)
-    return best
+    return float(np.linalg.eigvalsh(G)[-1])
 
 
 @dataclass(frozen=True)
@@ -316,6 +281,12 @@ def exact_ln_linear(poly: PolyhedronSpec, scheme: LNScheme) -> float:
     which bounds every realized per-batch ratio.  The value lies in (0, 1];
     it reaches 1 only when some admissible subset has rank <= 1 (duplicated
     directions), which is flagged with a warning.
+
+    Each subset's Gram matrix goes through one ``lambda_max_power`` call,
+    looked up as a module global so the benchmark's tracer counts it.  The
+    Gram matrices are not stacked into one batched ``eigvalsh``: that would
+    change the traced call count and, at the ``MAX_ENUMERATION`` cap, hold
+    every subset's matrix in memory at once.
     """
     m = poly.m
     if scheme.kind == "exhaustive":

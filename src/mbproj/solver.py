@@ -119,13 +119,6 @@ class BetaPolicy:
             return (2.0 - self.delta) / ln_k
         return self.initial_beta()
 
-    def describe(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed({self.beta:g})"
-        if self.kind == "extrapolated":
-            return f"extrapolated(delta={self.delta:g},LN={self.ln:g})"
-        return f"adaptive(delta={self.delta:g})"
-
 
 @dataclass
 class SolverConfig:

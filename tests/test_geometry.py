@@ -5,7 +5,7 @@ import pytest
 
 from mbproj.geometry import (DistanceOracleError, PolyhedronSpec,
                              RegularityEstimationError, distance_oracle,
-                             estimate_regularity_c, max_violation, normalize_rows,
+                             estimate_regularity_c, max_violation,
                              project_intersection)
 from mbproj.oracle import OracleError, SimpleSet
 from mbproj.sampling import Sampler
@@ -60,15 +60,6 @@ class TestPolyhedronSpec:
     def test_rejects_non_unit_rows(self):
         with pytest.raises(OracleError, match="unit"):
             PolyhedronSpec(A=np.array([[2.0, 0.0]]), b=np.array([0.0]))
-
-    def test_normalize_rows(self):
-        A, b = normalize_rows(np.array([[3.0, 4.0]]), np.array([10.0]))
-        np.testing.assert_allclose(A, [[0.6, 0.8]])
-        np.testing.assert_allclose(b, [2.0])
-        # normalization preserves the constraint set
-        v = np.array([0.5, -2.0])
-        assert (3.0 * v[0] + 4.0 * v[1] + 10.0 <= 0) == \
-            (A[0] @ v + b[0] <= 0)
 
 
 class TestDistanceOracle:

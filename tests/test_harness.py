@@ -165,6 +165,17 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "y")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--seeds", "a"],
+        ["solve", "--seeds", "1..a"],
+        ["sweep", "--seeds", "1", "--N-list", "1,x"],
+    ], ids=["seeds", "seed-range", "N-list"])
+    def test_non_integer_list_is_config_error(self, tmp_path, capsys, argv):
+        code = main(argv + ["--builtin", "orthant2", "--iters", "5",
+                            "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
     def test_timing_flag_records_wall_clock(self, tmp_path):
         out = tmp_path / "timed"
         code = main(["solve", "--builtin", "orthant2", "--N", "2",

@@ -189,6 +189,41 @@ class TestLinearFamilyBatch:
         assert calls == [("g", 3), ("g", 0), ("g", 4), ("d", 3), ("d", 0), ("d", 4)]
 
 
+class TestDistanceFamilyBatch:
+    def counting_family(self):
+        sets = [SimpleSet.ball(np.zeros(2), 1.0),
+                SimpleSet.halfspace(np.array([0.6, 0.8]), 0.5),
+                SimpleSet.box([-1.0, -1.0], [2.0, 2.0])]
+        calls = []
+
+        def counted(w, project):
+            def proj(v):
+                calls.append(w)
+                return project(v)
+            return proj
+
+        fam = distance_family([counted(w, s.project) for w, s in enumerate(sets)], 2)
+        return fam, calls
+
+    def test_one_projection_per_index(self):
+        fam, calls = self.counting_family()
+        fam.batch(np.array([2, 0, 1]), np.array([1.5, 1.0]))
+        assert calls == [2, 0, 1]
+
+    def test_batch_equals_scalar_oracles(self):
+        fam, _ = self.counting_family()
+        rng = np.random.default_rng(5)
+        # the box contains every point below, so index 2 takes the fallback
+        for v in rng.uniform(-0.9, 1.9, size=(20, 2)):
+            idx = np.array([2, 0, 1, 0])
+            gvals, dirs = fam.batch(idx, v)
+            assert gvals.dtype == np.float64 and dirs.shape == (4, 2)
+            for pos, w in enumerate(idx.tolist()):
+                assert gvals[pos] == fam.evaluate(w, v)
+                np.testing.assert_array_equal(dirs[pos], fam.subgradient_plus(w, v))
+            np.testing.assert_array_equal(dirs[0], fallback_direction(2))
+
+
 class TestValidateAssumptions:
     def test_well_posed_problem_passes(self):
         report = validate_assumptions(quadratic_spec(), n_samples=1000, seed=0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -106,6 +107,20 @@ class TestLambdaMax:
         # recover the true top eigenvalue 1.5
         gram = np.array([[1.0, -0.5], [-0.5, 1.0]])
         assert lambda_max_power(gram) == pytest.approx(1.5, abs=1e-9)
+
+    def test_every_4_subset_matches_squared_spectral_norm(self):
+        # independent route: the largest singular value of the rows (SVD)
+        A = make_builtin("benchmark", n=10, m=20, seed=0).poly.A
+        subsets = list(itertools.combinations(range(A.shape[0]), 4))
+        assert len(subsets) == 4845
+        for subset in subsets:
+            rows = A[list(subset)]
+            expected = np.linalg.norm(rows, 2) ** 2
+            assert lambda_max_power(rows @ rows.T) == \
+                pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_empty_matrix_is_zero(self):
+        assert lambda_max_power(np.zeros((0, 0))) == 0.0
 
 
 class TestExactLN:
@@ -262,4 +277,4 @@ class TestBuiltins:
     def test_unconstrained_has_no_rows(self):
         inst = make_unconstrained(n=3, seed=1)
         assert inst.poly.m == 0
-        assert inst.spec.constraints.is_empty
+        assert inst.spec.constraints.size == 0
