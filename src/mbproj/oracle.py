@@ -7,6 +7,7 @@ mutable state; random state always lives with the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -30,13 +31,6 @@ def as_point(v) -> np.ndarray:
 def check_finite(name: str, value) -> None:
     if not np.all(np.isfinite(value)):
         raise OracleError(f"{name} produced a non-finite value: {value!r}")
-
-
-def fallback_direction(n: int) -> np.ndarray:
-    """Fixed nonzero direction (first unit vector) used when the positive part is zero."""
-    d = np.zeros(n)
-    d[0] = 1.0
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -122,44 +116,27 @@ class ObjectiveOracle:
 
 @dataclass(frozen=True)
 class ConstraintFamily:
-    """Constraint collection {x : g_w(x) <= 0}, one convex g_w per index w.
+    """Constraint collection {x : g_w(x) <= 0}, one convex g_w per index
+    w in 0..size-1, reached only through the first-order oracle ``batch``.
 
-    ``size`` is the number of indices for a finite family (indices are
-    0..size-1); ``None`` marks a generator-keyed infinite family, in which
-    case callers supply index values themselves.  ``subgradient_plus`` must
-    return a subgradient of max(g_w, 0) wherever g_w > 0 and any fixed
-    nonzero vector elsewhere.  ``batch`` maps ``(indices, v)`` to the values
-    and the directions (one row per index) in index order; it is the only
-    path the solver queries.  A family may give a vectorized ``batch`` that
-    agrees with the scalar oracles; otherwise one is derived that calls
-    ``evaluate`` and ``subgradient_plus`` once per index.
+    ``batch(indices, v)`` returns ``(values, rows)`` in index order: the
+    float64 values g_w(v), shape (k,), and one row per index, shape (k, n).
+    Where g_w(v) > 0 the row must be a subgradient of max(g_w, 0) at v;
+    elsewhere it may be any finite row, since both feasibility passes ignore
+    the rows of satisfied constraints.
     """
 
-    size: Optional[int]
-    evaluate: Callable[[object, np.ndarray], float]
-    subgradient_plus: Callable[[object, np.ndarray], np.ndarray]
-    batch: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
-
-    def __post_init__(self):
-        if self.batch is None:
-            evaluate, subgradient_plus = self.evaluate, self.subgradient_plus
-
-            def batch(indices, v):
-                ws = np.asarray(indices).tolist()
-                return (np.array([evaluate(w, v) for w in ws], dtype=np.float64),
-                        np.array([subgradient_plus(w, v) for w in ws],
-                                 dtype=np.float64))
-
-            object.__setattr__(self, "batch", batch)
+    size: int
+    batch: Callable[[np.ndarray, np.ndarray], tuple]
 
 
 def empty_family() -> ConstraintFamily:
     """Family with no constraints; every point is feasible."""
 
-    def _no_index(w, v):
+    def batch(indices, v):
         raise OracleError("empty constraint family has no indices")
 
-    return ConstraintFamily(size=0, evaluate=_no_index, subgradient_plus=_no_index)
+    return ConstraintFamily(size=0, batch=batch)
 
 
 def linear_family(A, b) -> ConstraintFamily:
@@ -169,18 +146,11 @@ def linear_family(A, b) -> ConstraintFamily:
     if A.shape[0] != b.size:
         raise OracleError("row count of A must match length of b")
 
-    def evaluate(w, v):
-        return float(A[w] @ v + b[w])
-
-    def subgradient_plus(w, v):
-        return A[w]
-
     def batch(indices, v):
         rows = A[indices]
         return rows @ v + b[indices], rows
 
-    return ConstraintFamily(size=A.shape[0], evaluate=evaluate,
-                            subgradient_plus=subgradient_plus, batch=batch)
+    return ConstraintFamily(size=A.shape[0], batch=batch)
 
 
 def distance_family(projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
@@ -190,33 +160,19 @@ def distance_family(projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
     Each set with projection P becomes g(x) = dist(x, set) = ||x - P(x)||,
     whose positive-part subgradient is (x - P(x)) / dist(x, set) away from the
     set; subgradients have norm 1, so the family satisfies the bound M_g = 1.
+    Inside a set the row is the zero residual.  One projection per index
+    serves both the value and the row.
     """
     projectors = list(projectors)
 
-    def residual(w, v):
-        r = v - projectors[w](v)
-        return r, np.linalg.norm(r)
-
-    def direction(r, dist):
-        if dist == 0.0:
-            return fallback_direction(dimension)
-        return r / dist
-
-    def evaluate(w, v):
-        return float(residual(w, v)[1])
-
-    def subgradient_plus(w, v):
-        return direction(*residual(w, v))
-
     def batch(indices, v):
-        # one projection per index serves both the value and the direction
-        pairs = [residual(w, v) for w in np.asarray(indices).tolist()]
-        return (np.array([dist for _, dist in pairs], dtype=np.float64),
-                np.array([direction(r, dist) for r, dist in pairs],
-                         dtype=np.float64))
+        residuals = np.array([v - projectors[w](v)
+                              for w in np.asarray(indices).tolist()],
+                             dtype=np.float64).reshape(-1, dimension)
+        dists = np.array([np.linalg.norm(r) for r in residuals])
+        return dists, residuals / np.where(dists > 0.0, dists, 1.0)[:, None]
 
-    return ConstraintFamily(size=len(projectors), evaluate=evaluate,
-                            subgradient_plus=subgradient_plus, batch=batch)
+    return ConstraintFamily(size=len(projectors), batch=batch)
 
 
 @dataclass(frozen=True)
@@ -239,10 +195,18 @@ class ProblemSpec:
     known_optimum: Optional[KnownOptimum] = None
 
     def __post_init__(self):
-        if self.mu <= 0 or self.M_f <= 0 or self.M_g <= 0:
-            raise OracleError("constants mu, M_f, M_g must be positive")
+        for name in ("mu", "M_f", "M_g"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise OracleError(f"constant {name} must be finite and positive, "
+                                  f"got {value!r}")
         if self.simple_set.dimension != self.dimension:
             raise OracleError("simple set dimension does not match problem dimension")
+        if self.known_optimum is not None and \
+                np.shape(self.known_optimum.x_star) != (self.dimension,):
+            raise OracleError(
+                f"x_star has shape {np.shape(self.known_optimum.x_star)}, "
+                f"expected ({self.dimension},)")
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +317,22 @@ def validate_assumptions(spec: ProblemSpec, n_samples: int, seed: int) -> Valida
     except OracleError as exc:
         report.checks.append(CheckResult("objective_convexity", False, -np.inf, str(exc)))
 
-    # constraint family checks (finite families only)
+    # constraint family checks, one index per oracle call
     fam = spec.constraints
-    if fam.size is None:
-        report.checks.append(CheckResult(
-            "constraint_checks", True, np.inf,
-            "skipped: infinite index space, sampling law is the caller's burden"))
-    elif fam.size > 0:
+    if fam.size > 0:
         idx = rng.integers(0, fam.size, size=len(points))
+
+        def query(w, x):
+            gvals, rows = fam.batch(np.array([w]), x)
+            g, d = float(gvals[0]), np.asarray(rows[0], dtype=np.float64)
+            check_finite("constraint value", g)
+            check_finite("constraint subgradient", d)
+            return g, d
+
         margin, detail = np.inf, ""
         try:
             for w, x in zip(idx, points):
-                d = np.asarray(fam.subgradient_plus(int(w), x), dtype=np.float64)
-                check_finite("constraint subgradient", d)
-                m = spec.M_g - float(np.linalg.norm(d))
+                m = spec.M_g - float(np.linalg.norm(query(w, x)[1]))
                 if m < margin:
                     margin, detail = m, f"constraint index {int(w)}"
             add("constraint_subgradient_bound", margin, detail)
@@ -378,16 +344,14 @@ def validate_assumptions(spec: ProblemSpec, n_samples: int, seed: int) -> Valida
             for i in range(len(points) - 1):
                 w = int(idx[i])
                 x, y = points[i], points[i + 1]
-                gx = float(fam.evaluate(w, x))
-                gy = float(fam.evaluate(w, y))
-                check_finite("constraint value", [gx, gy])
+                gx, d = query(w, x)
+                gy = query(w, y)[0]
                 if gx <= 0.0:
-                    continue  # direction is only a subgradient where g > 0
-                d = np.asarray(fam.subgradient_plus(w, x), dtype=np.float64)
+                    continue  # the row is only a subgradient where g > 0
                 m = max(gy, 0.0) - gx - float(d @ (y - x))
                 if m < margin:
                     margin, detail = m, f"constraint index {w}"
-            add("constraint_convexity", margin if margin < np.inf else np.inf, detail)
+            add("constraint_convexity", margin, detail)
         except OracleError as exc:
             report.checks.append(CheckResult("constraint_convexity", False, -np.inf, str(exc)))
 
@@ -423,8 +387,8 @@ def validate_assumptions(spec: ProblemSpec, n_samples: int, seed: int) -> Valida
         opt = spec.known_optimum
         viol = float(np.linalg.norm(ss.project(opt.x_star) - opt.x_star))
         if fam.size:
-            for w in range(fam.size):
-                viol = max(viol, max(float(fam.evaluate(w, opt.x_star)), 0.0))
+            gvals, _ = fam.batch(np.arange(fam.size), opt.x_star)
+            viol = float(np.max(gvals, initial=viol))  # a NaN value fails the check
         add("optimum_feasible", 1e-6 - viol, "tolerance 1e-6 on constraint violation")
 
         margin, detail = np.inf, ""

@@ -8,6 +8,27 @@ optimum x* = P_X[x_c] sits on the boundary of at least one constraint and the
 feasibility machinery is exercised on every run.  The optimum and its value
 are computed by the independent distance oracle, making rate measurement
 exact.
+
+Instance format (``save_instance`` / ``load_instance``): plain text, one
+record per line, tokens separated by whitespace, blank lines ignored.  The
+first line is the header, then come the m constraint rows, then keyed lines
+in any order::
+
+    n m                       dimension and number of constraints
+    a_1 ... a_n b             m rows, one per constraint a^T x + b <= 0
+    objective quadratic       f(x) = 0.5 * |x - center|^2
+    center c_1 ... c_n        the objective's pull center
+    set ball y_1 ... y_n r    simple set: the ball of center y and radius r,
+    set whole                 or the whole space
+    mu <value>                strong convexity constant of f
+    Mf <value>                bound on the objective subgradients
+    Mg <value>                bound on the constraint subgradients
+    fstar <value>             optional: the optimal value
+    xstar x_1 ... x_n         optional: the optimum (used only with fstar)
+    anchor p_1 ... p_n        optional: a strictly feasible point (default 0)
+
+Every number must be finite and every vector must have n entries.  Numbers
+are written with 17 significant digits, so a round trip is exact.
 """
 
 from __future__ import annotations
@@ -385,7 +406,7 @@ def _fmt(x: float) -> str:
 
 
 def save_instance(instance: BenchmarkInstance, path) -> None:
-    """Write an instance in the plain-text matrix format (see README)."""
+    """Write an instance in the plain-text format of the module docstring."""
     spec = instance.spec
     poly = instance.poly
     ss = spec.simple_set
@@ -414,17 +435,28 @@ def save_instance(instance: BenchmarkInstance, path) -> None:
 
 
 def load_instance(path) -> BenchmarkInstance:
-    """Read an instance written by :func:`save_instance`."""
+    """Read an instance in the plain-text format of the module docstring.
+
+    A malformed file, a non-finite number or a vector of the wrong length
+    raises ``OracleError`` naming the offending line's field.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+
+    def numbers(name, text, count):
+        values = np.array([float(t) for t in text.split()])
+        if values.size != count:
+            raise ValueError(f"{name} has {values.size} values, expected {count}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} has a non-finite value")
+        return values
+
     try:
         n, m = (int(t) for t in lines[0].split())
         A = np.zeros((m, n))
         b = np.zeros(m)
         for i in range(m):
-            vals = [float(t) for t in lines[1 + i].split()]
-            if len(vals) != n + 1:
-                raise ValueError(f"row {i} has {len(vals)} values, expected {n + 1}")
+            vals = numbers(f"row {i}", lines[1 + i], n + 1)
             A[i], b[i] = vals[:n], vals[n]
         fields = {}
         for line in lines[1 + m:]:
@@ -432,25 +464,22 @@ def load_instance(path) -> BenchmarkInstance:
             fields[key] = rest
         if fields.get("objective") != "quadratic":
             raise ValueError("unsupported objective block")
-        pull = np.array([float(t) for t in fields["center"].split()])
-        set_parts = fields["set"].split()
-        if set_parts[0] == "ball":
-            center = np.array([float(t) for t in set_parts[1:1 + n]])
-            radius = float(set_parts[1 + n])
-            simple_set = SimpleSet.ball(center, radius)
-        elif set_parts[0] == "whole":
+        pull = numbers("center", fields["center"], n)
+        kind, _, rest = fields["set"].partition(" ")
+        if kind == "ball":
+            ball = numbers("set ball", rest, n + 1)
+            simple_set = SimpleSet.ball(ball[:n], ball[n])
+        elif kind == "whole":
             simple_set = SimpleSet.whole_space(n)
         else:
-            raise ValueError(f"unsupported set variant {set_parts[0]!r}")
-        mu = float(fields["mu"])
-        mf = float(fields["Mf"])
-        mg = float(fields["Mg"])
+            raise ValueError(f"unsupported set variant {kind!r}")
+        mu, mf, mg = (float(numbers(key, fields[key], 1)[0])
+                      for key in ("mu", "Mf", "Mg"))
         known = None
         if "fstar" in fields and "xstar" in fields:
-            known = KnownOptimum(
-                f_star=float(fields["fstar"]),
-                x_star=np.array([float(t) for t in fields["xstar"].split()]))
-        anchor = np.array([float(t) for t in fields["anchor"].split()]) \
+            known = KnownOptimum(f_star=float(numbers("fstar", fields["fstar"], 1)[0]),
+                                 x_star=numbers("xstar", fields["xstar"], n))
+        anchor = numbers("anchor", fields["anchor"], n) \
             if "anchor" in fields else np.zeros(n)
     except (KeyError, IndexError, ValueError) as exc:
         raise OracleError(f"malformed instance file {path}: {exc}") from exc

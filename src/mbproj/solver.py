@@ -550,7 +550,8 @@ def run(spec: ProblemSpec, config: SolverConfig,
                 dist = distance_oracle(context.poly, context.simple_set,
                                        x_hat, context.dist_tol)
             elif fam.size:
-                viol = max(max(float(fam.evaluate(w, x_hat)) for w in range(fam.size)), 0.0)
+                gvals, _ = fam.batch(np.arange(fam.size), x_hat)
+                viol = max(float(np.max(gvals)), 0.0)
             records.append(RunRecord(seed=config.seed, k=k, f_gap=f_gap,
                                      max_violation=viol, dist_x=dist, ln_k=ln_k,
                                      beta_k=beta_k,

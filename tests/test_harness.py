@@ -8,7 +8,7 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             bootstrap_ci, load_config_file, main, minibatch_sweep,
                             parse_seeds, rate_check, read_csv, solve_experiment,
                             write_csv)
-from mbproj.problems import make_polyhedral_benchmark
+from mbproj.problems import make_builtin, make_polyhedral_benchmark, save_instance
 from mbproj.solver import ConfigError
 
 
@@ -175,6 +175,31 @@ class TestSolveCommand:
                             "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,key,text", [
+        ("row 0", None, None),
+        ("center", "center", "center 0.4 0.0"),
+        ("xstar", "xstar", "xstar 0.2 0.2"),
+        ("anchor", "anchor", "anchor 0"),
+        ("mu", "mu", "mu nan"),
+    ], ids=["b-nan", "short-center", "short-xstar", "short-anchor", "mu-nan"])
+    def test_malformed_instance_is_config_error(self, tmp_path, capsys, field,
+                                                key, text):
+        # a saved 3x4 instance with one line edited; key None puts nan in
+        # the first row's b entry
+        path = tmp_path / "instance.txt"
+        save_instance(make_builtin("benchmark", n=3, m=4, seed=0), path)
+        lines = path.read_text().splitlines()
+        if key is None:
+            lines[1] = lines[1].rsplit(" ", 1)[0] + " nan"
+        else:
+            lines = [text if ln.split()[0] == key else ln for ln in lines]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["solve", "--instance", str(path), "--iters", "50",
+                     "--N", "2", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
 
     def test_timing_flag_records_wall_clock(self, tmp_path):
         out = tmp_path / "timed"

@@ -3,8 +3,7 @@ import pytest
 
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet, distance_family,
-                           empty_family, fallback_direction, linear_family,
-                           validate_assumptions)
+                           empty_family, linear_family, validate_assumptions)
 from mbproj.solver import (BetaPolicy, parallel_feasibility_update,
                            sequential_feasibility_update)
 
@@ -103,12 +102,14 @@ class TestPositivePart:
             np.testing.assert_array_equal(gplus, [2.0])
             np.testing.assert_array_equal(x, [1.0, 0.0])  # moved along (1, 0)
 
-    def test_interior_returns_fallback(self):
+    def test_interior_zero_row_is_noop(self):
+        # inside the set the distance family's row is its zero residual; both
+        # passes ignore the rows of satisfied constraints and return v itself
         fam = distance_family([SimpleSet.ball(np.zeros(2), 1.0).project], 2)
         v = np.array([0.2, 0.1])
         gvals, dirs = fam.batch(np.array([0]), v)
         np.testing.assert_array_equal(gvals, [0.0])
-        np.testing.assert_array_equal(dirs, [fallback_direction(2)])
+        np.testing.assert_array_equal(dirs, [[0.0, 0.0]])
         for step in single_index_steps(fam):
             x, gplus = step(v)
             np.testing.assert_array_equal(gplus, [0.0])
@@ -118,25 +119,23 @@ class TestPositivePart:
         # g(x) = |x| - 1
         fam = ConstraintFamily(
             size=1,
-            evaluate=lambda w, v: float(np.linalg.norm(v)) - 1.0,
-            subgradient_plus=lambda w, v: v / np.linalg.norm(v))
+            batch=lambda idx, v: (np.array([np.linalg.norm(v) - 1.0]),
+                                  np.array([v / np.linalg.norm(v)])))
         for step in single_index_steps(fam):
             x, gplus = step(np.array([0.0, 2.0]))
             np.testing.assert_allclose(gplus, [1.0])
             np.testing.assert_allclose(x, [0.0, 1.0])
 
     def test_zero_direction_is_hard_error(self):
-        fam = ConstraintFamily(size=1,
-                               evaluate=lambda w, v: 1.0,
-                               subgradient_plus=lambda w, v: np.zeros(2))
+        fam = ConstraintFamily(
+            size=1, batch=lambda idx, v: (np.array([1.0]), np.zeros((1, 2))))
         for step in single_index_steps(fam):
             with pytest.raises(OracleError, match="zero direction"):
                 step(np.zeros(2))
 
     def test_nonfinite_value_is_error(self):
-        fam = ConstraintFamily(size=1,
-                               evaluate=lambda w, v: float("nan"),
-                               subgradient_plus=lambda w, v: np.ones(2))
+        fam = ConstraintFamily(
+            size=1, batch=lambda idx, v: (np.array([np.nan]), np.ones((1, 2))))
         for step in single_index_steps(fam):
             with pytest.raises(OracleError, match="non-finite"):
                 step(np.zeros(2))
@@ -149,51 +148,54 @@ class TestPositivePart:
             beta = rng.uniform(0.1, 1.9)
             d = rng.standard_normal(4)
             g = -rng.uniform(0.0, 2.0)
-            fam = ConstraintFamily(size=1, evaluate=lambda w, x: g,
-                                   subgradient_plus=lambda w, x: d)
+            fam = ConstraintFamily(
+                size=1, batch=lambda idx, x: (np.array([g]), d[None, :]))
             for step in single_index_steps(fam, dimension=4):
                 out, _ = step(v, beta)
                 assert out is v
 
 
-class TestLinearFamilyBatch:
-    def test_batch_matches_scalar_oracles(self):
+SETS = [SimpleSet.ball(np.zeros(2), 1.0),
+        SimpleSet.halfspace(np.array([0.6, 0.8]), 0.5),
+        SimpleSet.box([-1.0, -1.0], [2.0, 2.0])]
+
+
+class TestFamilyBatch:
+    """``batch`` against values and rows computed directly from the data."""
+
+    @pytest.mark.parametrize("kind", ["linear", "distance"])
+    def test_values_and_rows_in_index_order(self, kind):
         rng = np.random.default_rng(2)
-        A = rng.standard_normal((6, 3))
-        A /= np.linalg.norm(A, axis=1)[:, None]
-        b = rng.standard_normal(6)
-        fam = linear_family(A, b)
-        v = rng.standard_normal(3)
-        idx = np.array([4, 0, 2])
-        gvals, dirs = fam.batch(idx, v)
-        for pos, w in enumerate(idx):
-            assert gvals[pos] == pytest.approx(fam.evaluate(int(w), v), abs=0)
-            np.testing.assert_array_equal(dirs[pos], fam.subgradient_plus(int(w), v))
+        if kind == "linear":
+            A = rng.standard_normal((6, 2))
+            A /= np.linalg.norm(A, axis=1)[:, None]
+            b = rng.standard_normal(6)
+            fam = linear_family(A, b)
 
-    def test_derived_batch_calls_scalar_oracles_in_index_order(self):
-        calls = []
+            def expected(w, v):
+                return A[w] @ v + b[w], A[w]
+        else:
+            fam = distance_family([s.project for s in SETS], 2)
 
-        def evaluate(w, v):
-            calls.append(("g", w))
-            return float(w) - v[0]
+            def expected(w, v):
+                r = v - SETS[w].project(v)
+                dist = np.linalg.norm(r)
+                return dist, r / dist
 
-        def subgradient_plus(w, v):
-            calls.append(("d", w))
-            return np.array([1.0, float(w)])
-
-        fam = ConstraintFamily(size=5, evaluate=evaluate,
-                               subgradient_plus=subgradient_plus)
-        gvals, dirs = fam.batch(np.array([3, 0, 4]), np.array([0.5, 0.0]))
-        np.testing.assert_array_equal(gvals, [2.5, -0.5, 3.5])
-        np.testing.assert_array_equal(dirs, [[1.0, 3.0], [1.0, 0.0], [1.0, 4.0]])
-        assert calls == [("g", 3), ("g", 0), ("g", 4), ("d", 3), ("d", 0), ("d", 4)]
+        idx = np.array([2, 0, 1, 0])
+        # violated points: outside the ball, the halfspace and the box
+        for v in (np.array([3.0, 2.5]), np.array([2.2, 4.0])):
+            gvals, rows = fam.batch(idx, v)
+            assert gvals.dtype == rows.dtype == np.float64
+            assert gvals.shape == (4,) and rows.shape == (4, 2)
+            for pos, w in enumerate(idx.tolist()):
+                g, d = expected(w, v)
+                assert gvals[pos] == pytest.approx(g, rel=1e-15, abs=1e-15)
+                np.testing.assert_array_equal(rows[pos], d)
 
 
 class TestDistanceFamilyBatch:
-    def counting_family(self):
-        sets = [SimpleSet.ball(np.zeros(2), 1.0),
-                SimpleSet.halfspace(np.array([0.6, 0.8]), 0.5),
-                SimpleSet.box([-1.0, -1.0], [2.0, 2.0])]
+    def test_one_projection_per_index(self):
         calls = []
 
         def counted(w, project):
@@ -202,26 +204,27 @@ class TestDistanceFamilyBatch:
                 return project(v)
             return proj
 
-        fam = distance_family([counted(w, s.project) for w, s in enumerate(sets)], 2)
-        return fam, calls
-
-    def test_one_projection_per_index(self):
-        fam, calls = self.counting_family()
+        fam = distance_family([counted(w, s.project) for w, s in enumerate(SETS)], 2)
         fam.batch(np.array([2, 0, 1]), np.array([1.5, 1.0]))
         assert calls == [2, 0, 1]
 
-    def test_batch_equals_scalar_oracles(self):
-        fam, _ = self.counting_family()
-        rng = np.random.default_rng(5)
-        # the box contains every point below, so index 2 takes the fallback
-        for v in rng.uniform(-0.9, 1.9, size=(20, 2)):
-            idx = np.array([2, 0, 1, 0])
-            gvals, dirs = fam.batch(idx, v)
-            assert gvals.dtype == np.float64 and dirs.shape == (4, 2)
-            for pos, w in enumerate(idx.tolist()):
-                assert gvals[pos] == fam.evaluate(w, v)
-                np.testing.assert_array_equal(dirs[pos], fam.subgradient_plus(w, v))
-            np.testing.assert_array_equal(dirs[0], fallback_direction(2))
+
+class TestProblemSpec:
+    @pytest.mark.parametrize("change,match", [
+        ({"mu": float("nan")}, "mu"),
+        ({"M_f": float("inf")}, "M_f"),
+        ({"M_g": float("nan")}, "M_g"),
+        ({"M_g": 0.0}, "M_g"),
+        ({"known_optimum": KnownOptimum(f_star=0.0, x_star=np.zeros(3))}, "x_star"),
+    ], ids=["mu-nan", "Mf-inf", "Mg-nan", "Mg-zero", "xstar-length"])
+    def test_rejects_bad_constants_and_optimum(self, change, match):
+        fields = dict(dimension=2, objective=quadratic_spec().objective,
+                      constraints=empty_family(),
+                      simple_set=SimpleSet.ball(np.zeros(2), 2.0),
+                      mu=1.0, M_f=2.0, M_g=1.0)
+        ProblemSpec(**fields)
+        with pytest.raises(OracleError, match=match):
+            ProblemSpec(**{**fields, **change})
 
 
 class TestValidateAssumptions:
@@ -261,6 +264,17 @@ class TestValidateAssumptions:
                            mu=1.0, M_f=2.0, M_g=1.0)
         report = validate_assumptions(spec, n_samples=50, seed=0)
         assert not report.check("objective_convexity").passed
+
+    def test_nan_constraint_value_fails_optimum_feasible(self):
+        fam = ConstraintFamily(
+            size=2, batch=lambda idx, v: (np.full(len(idx), np.nan),
+                                          np.ones((len(idx), 2))))
+        spec = quadratic_spec()
+        spec = ProblemSpec(dimension=2, objective=spec.objective, constraints=fam,
+                           simple_set=spec.simple_set, mu=1.0, M_f=2.0, M_g=2.0,
+                           known_optimum=spec.known_optimum)
+        report = validate_assumptions(spec, n_samples=20, seed=0)
+        assert not report.check("optimum_feasible").passed
 
     def test_n_samples_must_be_positive(self):
         with pytest.raises(OracleError):

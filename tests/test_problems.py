@@ -103,8 +103,8 @@ class TestLambdaMax:
             assert lambda_max_power(gram) == pytest.approx(target, abs=1e-9)
 
     def test_symmetric_start_does_not_trap(self):
-        # the ramp start is symmetric for this matrix; the second start must
-        # recover the true top eigenvalue 1.5
+        # the top eigenvalue of this symmetric matrix is 1.5, with eigenvector
+        # (1, -1); the other eigenvalue is 0.5
         gram = np.array([[1.0, -0.5], [-0.5, 1.0]])
         assert lambda_max_power(gram) == pytest.approx(1.5, abs=1e-9)
 

@@ -38,11 +38,9 @@ def relaxed_step_both_passes(spec, index, v, beta):
     return xp, xs
 
 
-def scalar_only_spec(evaluate, subgradient_plus, size=1):
-    """Corner problem data around a family with no vectorized ``batch``."""
-    family = ConstraintFamily(size=size, evaluate=evaluate,
-                              subgradient_plus=subgradient_plus)
-    return corner_spec(constraints=family)
+def batch_spec(batch, size=1):
+    """Corner problem data around a family given only by its ``batch``."""
+    return corner_spec(constraints=ConstraintFamily(size=size, batch=batch))
 
 
 class TestPolyakStep:
@@ -64,7 +62,7 @@ class TestPolyakStep:
             np.testing.assert_array_equal(x, [1.0, 0.0])
 
     def test_zero_direction_error(self):
-        spec = scalar_only_spec(lambda w, v: 1.0, lambda w, v: np.zeros(2))
+        spec = batch_spec(lambda idx, v: (np.ones(len(idx)), np.zeros((len(idx), 2))))
         with pytest.raises(OracleError, match="zero direction"):
             parallel_feasibility_update(spec, np.array([0]), np.ones(2),
                                         BetaPolicy.fixed(1.0))
@@ -349,31 +347,6 @@ class TestRunLoop:
         assert np.linalg.norm(x_hat - result.final_x_hat) <= 1e-10
         assert result.state.S == int(weights.sum())
 
-    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
-    def test_scalar_only_family_matches_linear_family(self, variant):
-        # the derived batch (one scalar oracle call per index) against the
-        # vectorized rows of linear_family; the parallel pass's matrix-vector
-        # product and the per-row dot products may differ in the last bit
-        inst = self.small_benchmark()
-        A, b = inst.poly.A, inst.poly.b
-        scalar_only = ConstraintFamily(
-            size=A.shape[0],
-            evaluate=lambda w, v: float(A[w] @ v + b[w]),
-            subgradient_plus=lambda w, v: A[w])
-        outs = []
-        for family in (inst.spec.constraints, scalar_only):
-            spec = ProblemSpec(dimension=inst.spec.dimension,
-                               objective=inst.spec.objective, constraints=family,
-                               simple_set=inst.spec.simple_set, mu=1.0,
-                               M_f=inst.spec.M_f, M_g=1.0,
-                               known_optimum=inst.spec.known_optimum)
-            cfg = SolverConfig(variant=variant, batch_size=3,
-                               beta_policy=BetaPolicy.fixed(1.0), iterations=120,
-                               seed=4, init="gaussian", capture_iterates=True)
-            outs.append(run(spec, cfg))
-        for xa, xb in zip(outs[0].iterates, outs[1].iterates):
-            np.testing.assert_allclose(xa, xb, rtol=0, atol=1e-12)
-
     def test_adaptive_beta_follows_batch_ratio(self):
         inst = self.small_benchmark()
         delta = 0.1
@@ -439,8 +412,7 @@ class TestRunLoop:
         # the family reports the true values of x1 <= 0, x2 <= 0 but points
         # every step away from the quadrant, so the first step breaks the
         # single-step decrease toward the feasible origin
-        spec = scalar_only_spec(lambda w, v: float(v[w]),
-                                lambda w, v: -np.eye(2)[w], size=2)
+        spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
         context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
                                     simple_set=spec.simple_set,
                                     feasible_point=np.zeros(2))
@@ -488,12 +460,12 @@ class TestOracleFaults:
         # from x0 = 0 the first objective step lands at (4, 4), where both
         # constraints x1 <= 0, x2 <= 0 are violated
         if fault == "zero-direction":
-            spec = scalar_only_spec(lambda w, v: float(v[w]),
-                                    lambda w, v: np.zeros(2), size=2)
+            spec = batch_spec(lambda idx, v: (v[idx], np.zeros((len(idx), 2))),
+                              size=2)
         else:
-            spec = scalar_only_spec(
-                lambda w, v: float("nan") if v[w] > 0 else float(v[w]),
-                lambda w, v: np.eye(2)[w], size=2)
+            spec = batch_spec(
+                lambda idx, v: (np.where(v[idx] > 0, np.nan, v[idx]), np.eye(2)[idx]),
+                size=2)
         cfg = SolverConfig(variant=variant, batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=50,
                            seed=1, init="zero")
