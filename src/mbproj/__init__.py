@@ -3,18 +3,17 @@ many functional constraints, plus the experiment harness that measures their
 convergence rates and minibatch-size effects."""
 
 from .oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle, OracleError,
-                     ProblemSpec, SimpleSet, ValidationReport, distance_family,
-                     empty_family, linear_family, validate_assumptions)
+                     ProblemSpec, SimpleSet, distance_family, empty_family,
+                     linear_family)
 from .geometry import (DistanceOracleError, PolyhedronSpec, TOL_ASSERT, TOL_METRIC,
-                       distance_oracle, estimate_regularity_c, max_violation,
-                       project_intersection)
+                       distance_oracle, max_violation, project_intersection)
 from .sampling import Sampler, SamplerConfigError
 from .solver import (BatchStepDiagnostics, BetaPolicy, ConfigError, IterateState,
                      PolyhedralContext, RunRecord, RunResult, SolverAbort,
                      SolverConfig, alpha_schedule, analysis_constants,
                      objective_step, parallel_feasibility_update, run,
                      sequential_feasibility_update)
-from .problems import (BenchmarkInstance, LNScheme, exact_ln_linear, load_instance,
+from .problems import (BenchmarkInstance, exact_ln_linear, load_instance,
                        make_builtin, make_duplicated_benchmark, make_orthant2,
                        make_orthonormal_benchmark, make_polyhedral_benchmark,
                        make_unconstrained, qb_curves, save_instance)

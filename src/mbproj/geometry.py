@@ -1,5 +1,5 @@
-"""Polyhedral geometry: exact simple-set projections, a high-accuracy
-distance-to-feasible-set oracle, and empirical regularity estimation.
+"""Polyhedral geometry: linear constraint systems with unit rows and a
+high-accuracy distance-to-feasible-set oracle.
 
 The distance oracle runs Dykstra's alternating projection scheme over the
 halfspaces and the simple set, which converges to the true Euclidean
@@ -118,63 +118,3 @@ def distance_oracle(poly: PolyhedronSpec, simple_set: SimpleSet,
                     v: np.ndarray, tol: float = TOL_METRIC) -> float:
     """Distance from v to the feasible intersection, within tol."""
     return float(np.linalg.norm(project_intersection(poly, simple_set, v, tol) - v))
-
-
-class RegularityEstimationError(RuntimeError):
-    """The sampler's index marginal cannot see the violated constraints."""
-
-
-def estimate_regularity_c(poly: PolyhedronSpec, simple_set: SimpleSet, sampler,
-                          n_probe: int, seed: int, probes=None) -> float:
-    """Estimate the regularity ratio c_hat linking squared feasibility distance
-    to the expected squared single-constraint violation.
-
-    Probes are Gaussian points at three radii around a feasible anchor,
-    projected into the simple set (explicit probe points may be supplied
-    instead).  For each infeasible probe y the ratio
-    dist^2(y, X) / E[(g_w^+(y))^2] is computed with the expectation taken
-    exactly under the sampler's first-draw index marginal; the estimate is the
-    maximum ratio, a lower estimate of the true supremum.  Overestimating the
-    contraction derived from it is conservative for rate predictions.
-    """
-    if n_probe < 1 and probes is None:
-        raise OracleError("n_probe must be >= 1")
-    weights = np.asarray(sampler.first_draw_weights(), dtype=np.float64)
-    if weights.size != poly.m:
-        raise OracleError("sampler index space does not match the polyhedron")
-
-    if probes is None:
-        rng = np.random.default_rng(seed)
-        if simple_set.variant == "ball":
-            scale = simple_set.radius
-            center = simple_set.center
-        else:
-            center = np.zeros(poly.n)
-            scale = 1.0
-        anchor = project_intersection(poly, simple_set, center)
-        radii = np.array([0.25, 1.0, 4.0]) * max(scale / 4.0, 1e-3)
-        probes = []
-        for i in range(n_probe):
-            g = rng.standard_normal(poly.n)
-            g /= np.linalg.norm(g)
-            probes.append(simple_set.project(anchor + radii[i % 3] * g))
-
-    best = 0.0
-    usable = 0
-    for y in probes:
-        y = as_point(y)
-        dist = distance_oracle(poly, simple_set, y)
-        if dist <= 10.0 * TOL_METRIC:
-            continue  # feasible probe carries no ratio information
-        gplus = np.maximum(poly.A @ y + poly.b, 0.0)
-        expected_sq = float(weights @ (gplus ** 2))
-        if expected_sq == 0.0:
-            raise RegularityEstimationError(
-                "probe has positive distance but zero expected squared violation; "
-                "the sampler marginal cannot see the violated constraints")
-        usable += 1
-        best = max(best, dist ** 2 / expected_sq)
-    if usable == 0:
-        raise RegularityEstimationError(
-            "all probes were feasible; cannot estimate the regularity ratio")
-    return best

@@ -24,9 +24,9 @@ import numpy as np
 from .geometry import TOL_METRIC
 from .oracle import OracleError
 from .problems import (BenchmarkInstance, load_instance, make_builtin, qb_curves)
-from .sampling import SamplerConfigError
-from .solver import (BetaPolicy, ConfigError, PolyhedralContext, RunResult,
-                     SolverAbort, SolverConfig, run)
+from .sampling import Sampler, SamplerConfigError
+from .solver import (BetaPolicy, ConfigError, RunResult, SolverAbort,
+                     SolverConfig, run)
 
 CSV_COLUMNS = ("seed", "k", "f_gap", "max_violation", "dist_X", "LN_k",
                "beta_k", "elapsed_ns")
@@ -118,14 +118,14 @@ def parse_seeds(text: str) -> tuple:
     """Parse seed lists: '1..20', '1,2,5' or a single integer."""
     text = text.strip()
     try:
-        if ".." in text:
-            lo, hi = (int(t) for t in text.split("..", 1))
-            if hi < lo:
-                raise ConfigError(f"empty seed range {text!r}")
-            return tuple(range(lo, hi + 1))
-        return parse_int_list(text)
+        if ".." not in text:
+            return parse_int_list(text)
+        lo, hi = (int(t) for t in text.split("..", 1))
     except ValueError:
         raise ConfigError(f"seeds must be integers, got {text!r}") from None
+    if hi < lo:
+        raise ConfigError(f"empty seed range {text!r}")
+    return tuple(range(lo, hi + 1))
 
 
 def parse_int_list(text: str) -> tuple:
@@ -353,6 +353,11 @@ def rate_check(run_dir: str, k_min: float, k_max: float,
     over-seeds percentile bootstrap.  Points below the metric floor
     (1e-8) auto-truncate the window with a note.
     """
+    if not (np.isfinite(k_min) and np.isfinite(k_max) and 0 < k_min < k_max):
+        raise WindowError(f"rate window [{k_min}, {k_max}] must be finite "
+                          "with 0 < k_min < k_max")
+    if not os.path.isdir(run_dir):
+        raise ConfigError(f"run directory {run_dir!r} is not a directory")
     if k_max / k_min < 100:
         raise WindowError("rate window must span at least two decades "
                           "(k_max / k_min >= 100)")
@@ -428,8 +433,8 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     predictions = {}
     if c_hat is not None and instance.poly.m:
         try:
-            rows = qb_curves(instance.poly, "exhaustive", c_hat,
-                             instance.spec.M_g, cfg.beta, n_list)
+            rows = qb_curves(instance.poly, c_hat, instance.spec.M_g, cfg.beta,
+                             n_list, with_replacement=cfg.sampler == "iid-uniform")
             predictions = {r.batch_size: r for r in rows}
         except (ConfigError, OracleError):
             predictions = {}
@@ -479,8 +484,7 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float)
     p.add_argument("--ln-hint", type=float, dest="ln_hint")
     p.add_argument("--iters", type=int, dest="iterations")
-    p.add_argument("--sampler",
-                   choices=("iid-uniform", "without-replacement", "partition"))
+    p.add_argument("--sampler", choices=Sampler.VARIANTS)
     p.add_argument("--init", choices=("zero", "gaussian"))
     p.add_argument("--assertions", choices=("off", "lemma-checks"))
     p.add_argument("--cadence", help="'geometric' or an integer step")

@@ -8,12 +8,10 @@ mutable state; random state always lives with the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-VALIDATION_TOL = 1e-9  # absolute slack allowed on sampled inequality checks
 
 
 class OracleError(ValueError):
@@ -28,11 +26,6 @@ def as_point(v) -> np.ndarray:
     return a
 
 
-def check_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
-        raise OracleError(f"{name} produced a non-finite value: {value!r}")
-
-
 # ---------------------------------------------------------------------------
 # simple sets
 
@@ -41,29 +34,18 @@ def check_finite(name: str, value) -> None:
 class SimpleSet:
     """A closed convex set with a cheap exact Euclidean projection.
 
-    Variants: ``whole-space``, ``box`` (per-coordinate bounds), ``ball``
-    (center + radius) and ``halfspace`` ({x : <normal, x> + offset <= 0}).
+    Variants: ``whole-space`` and ``ball`` (center + radius), the two sets
+    that the builtins and the instance format can name.
     """
 
     variant: str
     dimension: int
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
     center: Optional[np.ndarray] = None
     radius: Optional[float] = None
-    normal: Optional[np.ndarray] = None
-    offset: Optional[float] = None
 
     @staticmethod
     def whole_space(dimension: int) -> "SimpleSet":
         return SimpleSet("whole-space", dimension)
-
-    @staticmethod
-    def box(lower, upper) -> "SimpleSet":
-        lower, upper = as_point(lower), as_point(upper)
-        if lower.shape != upper.shape or np.any(lower > upper):
-            raise OracleError("box bounds must satisfy lower <= upper componentwise")
-        return SimpleSet("box", lower.size, lower=lower, upper=upper)
 
     @staticmethod
     def ball(center, radius: float) -> "SimpleSet":
@@ -72,30 +54,16 @@ class SimpleSet:
             raise OracleError("ball radius must be positive")
         return SimpleSet("ball", center.size, center=center, radius=float(radius))
 
-    @staticmethod
-    def halfspace(normal, offset: float) -> "SimpleSet":
-        normal = as_point(normal)
-        if np.linalg.norm(normal) == 0:
-            raise OracleError("halfspace normal must be nonzero")
-        return SimpleSet("halfspace", normal.size, normal=normal, offset=float(offset))
-
     def project(self, v: np.ndarray) -> np.ndarray:
         """Exact Euclidean projection; returns ``v`` itself when already inside."""
         if self.variant == "whole-space":
             return v
-        if self.variant == "box":
-            return np.clip(v, self.lower, self.upper)
         if self.variant == "ball":
             d = v - self.center
             r = np.linalg.norm(d)
             if r <= self.radius:
                 return v
             return self.center + d * (self.radius / r)
-        if self.variant == "halfspace":
-            s = float(self.normal @ v) + self.offset
-            if s <= 0.0:
-                return v
-            return v - (s / float(self.normal @ self.normal)) * self.normal
         raise OracleError(f"unknown simple-set variant {self.variant!r}")
 
     def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
@@ -207,196 +175,3 @@ class ProblemSpec:
             raise OracleError(
                 f"x_star has shape {np.shape(self.known_optimum.x_star)}, "
                 f"expected ({self.dimension},)")
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    margin: float
-    detail: str = ""
-
-
-@dataclass
-class ValidationReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def summary(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            lines.append(f"{status}  {c.name}  worst margin {c.margin:+.3e}  {c.detail}")
-        return "\n".join(lines)
-
-
-def _sample_points(spec: ProblemSpec, n_samples: int, rng: np.random.Generator):
-    """Seeded sample cloud in Y: projected Gaussians at a few radii."""
-    ss = spec.simple_set
-    if ss.variant == "ball":
-        base, scale = ss.center, ss.radius
-    elif ss.variant == "box":
-        base = 0.5 * (ss.lower + ss.upper)
-        scale = max(float(np.linalg.norm(ss.upper - ss.lower)) / 2.0, 1.0)
-    else:
-        base, scale = np.zeros(spec.dimension), 1.0
-    radii = np.array([0.1, 0.5, 1.0])
-    points = []
-    for i in range(n_samples):
-        g = rng.standard_normal(spec.dimension)
-        r = radii[i % radii.size] * scale
-        points.append(ss.project(base + r * g))
-    return points
-
-
-def validate_assumptions(spec: ProblemSpec, n_samples: int, seed: int) -> ValidationReport:
-    """Empirically spot-check the declared problem assumptions on seeded samples.
-
-    Checks subgradient bounds and convexity witnesses for the objective and
-    the constraint family, projection idempotence / non-expansiveness / the
-    projection decrease inequality, and, when an optimum is declared, its
-    feasibility plus the strong-convexity-toward-the-optimum inequality.
-    Each check reports its worst margin; a margin below -1e-9 fails.
-    """
-    if n_samples < 1:
-        raise OracleError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    report = ValidationReport()
-    tol = VALIDATION_TOL
-
-    try:
-        points = _sample_points(spec, n_samples, rng)
-    except OracleError as exc:
-        report.checks.append(CheckResult("sampling", False, -np.inf, str(exc)))
-        return report
-
-    def add(name, margin, detail=""):
-        report.checks.append(CheckResult(name, margin >= -tol, float(margin), detail))
-
-    # objective subgradient bound and convexity
-    margin, detail = np.inf, ""
-    try:
-        for x in points:
-            s = np.asarray(spec.objective.subgradient(x), dtype=np.float64)
-            check_finite("objective subgradient", s)
-            m = spec.M_f - float(np.linalg.norm(s))
-            if m < margin:
-                margin, detail = m, f"witness point with |x| = {np.linalg.norm(x):.6g}"
-        add("objective_subgradient_bound", margin, detail)
-    except OracleError as exc:
-        report.checks.append(CheckResult("objective_subgradient_bound", False, -np.inf, str(exc)))
-
-    margin, detail = np.inf, ""
-    try:
-        for i in range(len(points) - 1):
-            x, y = points[i], points[i + 1]
-            fx = float(spec.objective.evaluate(x))
-            fy = float(spec.objective.evaluate(y))
-            check_finite("objective value", [fx, fy])
-            s = np.asarray(spec.objective.subgradient(x), dtype=np.float64)
-            m = fy - fx - float(s @ (y - x))
-            if m < margin:
-                margin, detail = m, f"pair index {i}"
-        add("objective_convexity", margin, detail)
-    except OracleError as exc:
-        report.checks.append(CheckResult("objective_convexity", False, -np.inf, str(exc)))
-
-    # constraint family checks, one index per oracle call
-    fam = spec.constraints
-    if fam.size > 0:
-        idx = rng.integers(0, fam.size, size=len(points))
-
-        def query(w, x):
-            gvals, rows = fam.batch(np.array([w]), x)
-            g, d = float(gvals[0]), np.asarray(rows[0], dtype=np.float64)
-            check_finite("constraint value", g)
-            check_finite("constraint subgradient", d)
-            return g, d
-
-        margin, detail = np.inf, ""
-        try:
-            for w, x in zip(idx, points):
-                m = spec.M_g - float(np.linalg.norm(query(w, x)[1]))
-                if m < margin:
-                    margin, detail = m, f"constraint index {int(w)}"
-            add("constraint_subgradient_bound", margin, detail)
-        except OracleError as exc:
-            report.checks.append(CheckResult("constraint_subgradient_bound", False, -np.inf, str(exc)))
-
-        margin, detail = np.inf, ""
-        try:
-            for i in range(len(points) - 1):
-                w = int(idx[i])
-                x, y = points[i], points[i + 1]
-                gx, d = query(w, x)
-                gy = query(w, y)[0]
-                if gx <= 0.0:
-                    continue  # the row is only a subgradient where g > 0
-                m = max(gy, 0.0) - gx - float(d @ (y - x))
-                if m < margin:
-                    margin, detail = m, f"constraint index {w}"
-            add("constraint_convexity", margin, detail)
-        except OracleError as exc:
-            report.checks.append(CheckResult("constraint_convexity", False, -np.inf, str(exc)))
-
-    # projection properties of Y
-    ss = spec.simple_set
-    margin = np.inf
-    for x in points:
-        p = ss.project(x)
-        margin = min(margin, tol - float(np.linalg.norm(ss.project(p) - p)))
-    add("projection_idempotent", margin)
-
-    margin = np.inf
-    raw = [p + 0.5 * rng.standard_normal(spec.dimension) for p in points]
-    for i in range(len(raw) - 1):
-        u, v = raw[i], raw[i + 1]
-        margin = min(margin, float(np.linalg.norm(u - v))
-                     - float(np.linalg.norm(ss.project(u) - ss.project(v))))
-    add("projection_nonexpansive", margin)
-
-    margin = np.inf
-    for i in range(len(raw)):
-        v = raw[i]
-        y = ss.project(points[-1 - (i % len(points))])  # a member point
-        pv = ss.project(v)
-        slack = (float(np.linalg.norm(v - y)) ** 2
-                 - float(np.linalg.norm(pv - v)) ** 2
-                 - float(np.linalg.norm(pv - y)) ** 2)
-        margin = min(margin, slack)
-    add("projection_decrease", margin)
-
-    # declared optimum
-    if spec.known_optimum is not None:
-        opt = spec.known_optimum
-        viol = float(np.linalg.norm(ss.project(opt.x_star) - opt.x_star))
-        if fam.size:
-            gvals, _ = fam.batch(np.arange(fam.size), opt.x_star)
-            viol = float(np.max(gvals, initial=viol))  # a NaN value fails the check
-        add("optimum_feasible", 1e-6 - viol, "tolerance 1e-6 on constraint violation")
-
-        margin, detail = np.inf, ""
-        for x in points:
-            fx = float(spec.objective.evaluate(x))
-            m = fx - opt.f_star - 0.5 * spec.mu * float(np.linalg.norm(x - opt.x_star)) ** 2
-            if m < margin:
-                margin, detail = m, f"witness at distance {np.linalg.norm(x - opt.x_star):.6g} from optimum"
-        add("strong_convexity_toward_optimum", margin, detail)
-
-    return report

@@ -41,8 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (PolyhedronSpec, distance_oracle, max_violation,
-                       project_intersection)
+from .geometry import PolyhedronSpec, max_violation, project_intersection
 from .oracle import (KnownOptimum, ObjectiveOracle, OracleError,
                      ProblemSpec, SimpleSet, empty_family, linear_family)
 from .solver import PolyhedralContext, analysis_constants, ConfigError
@@ -179,6 +178,8 @@ def make_duplicated_benchmark(n: int, m: int, seed: int, margin: float = 0.3,
     Every admissible row subset is rank one, so the exact batch alignment
     bound is 1 and the rate theory predicts no gain from parallel averaging.
     """
+    if m < 1 or n < 1:
+        raise OracleError("need m >= 1 and n >= 1")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(n)
     a /= np.linalg.norm(a)
@@ -212,6 +213,8 @@ def make_unconstrained(n: int = 4, seed: int = 3) -> BenchmarkInstance:
     The feasible set is the simple set itself; the optimum is the pull center
     (kept inside the ball), so distance metrics are identically zero.
     """
+    if n < 1:
+        raise OracleError("need n >= 1")
     rng = np.random.default_rng(seed)
     pull = rng.standard_normal(n)
     anchor = np.zeros(n)
@@ -268,40 +271,17 @@ def lambda_max_power(G: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(G)[-1])
 
 
-@dataclass(frozen=True)
-class LNScheme:
-    """Sampling scheme for the exact alignment bound.
-
-    ``exhaustive``: every distinct index subset of the given size is
-    admissible (covers without-replacement and slot-partition draws).
-    ``partition``: the admissible subsets are exactly the given disjoint
-    equal-size cells, one of which forms the whole minibatch.
-    """
-
-    kind: str                          # "exhaustive" | "partition"
-    batch_size: Optional[int] = None
-    cells: Optional[tuple] = None
-
-    @staticmethod
-    def exhaustive(batch_size: int) -> "LNScheme":
-        return LNScheme("exhaustive", batch_size=int(batch_size))
-
-    @staticmethod
-    def partition(cells) -> "LNScheme":
-        cells = tuple(tuple(int(i) for i in c) for c in cells)
-        return LNScheme("partition", batch_size=len(cells[0]), cells=cells)
-
-
 MAX_ENUMERATION = 10 ** 6
 
 
-def exact_ln_linear(poly: PolyhedronSpec, scheme: LNScheme) -> float:
-    """Exact supremum of the batch alignment ratio for linear constraints.
+def exact_ln_linear(poly: PolyhedronSpec, batch_size: int) -> float:
+    """Exact supremum of the batch alignment ratio for linear constraints
+    under sampling without replacement.
 
-    Returns max over admissible index sets J of lambda_max(A_J A_J^T) / |J|,
-    which bounds every realized per-batch ratio.  The value lies in (0, 1];
-    it reaches 1 only when some admissible subset has rank <= 1 (duplicated
-    directions), which is flagged with a warning.
+    Returns max over the index sets J of ``batch_size`` distinct rows of
+    lambda_max(A_J A_J^T) / |J|, which bounds every realized per-batch ratio.
+    The value lies in (0, 1]; it reaches 1 only when some subset has rank
+    <= 1 (duplicated directions), which is flagged with a warning.
 
     Each subset's Gram matrix goes through one ``lambda_max_power`` call,
     looked up as a module global so the benchmark's tracer counts it.  The
@@ -310,35 +290,21 @@ def exact_ln_linear(poly: PolyhedronSpec, scheme: LNScheme) -> float:
     every subset's matrix in memory at once.
     """
     m = poly.m
-    if scheme.kind == "exhaustive":
-        size = scheme.batch_size
-        if not 1 <= size <= m:
-            raise OracleError(f"batch size {size} out of range for m={m}")
-        if math.comb(m, size) > MAX_ENUMERATION:
-            raise OracleError(
-                f"exhaustive enumeration of {math.comb(m, size)} subsets exceeds "
-                f"the {MAX_ENUMERATION} cap; use a partition scheme")
-        subsets = itertools.combinations(range(m), size)
-    elif scheme.kind == "partition":
-        cells = scheme.cells
-        sizes = {len(c) for c in cells}
-        if len(sizes) != 1:
-            raise OracleError("partition cells must have equal size")
-        flat = [i for c in cells for i in c]
-        if len(set(flat)) != len(flat) or any(not 0 <= i < m for i in flat):
-            raise OracleError("partition cells must be disjoint subsets of the rows")
-        size = sizes.pop()
-        subsets = iter(cells)
-    else:
-        raise OracleError(f"unknown scheme kind {scheme.kind!r}")
+    size = int(batch_size)
+    if not 1 <= size <= m:
+        raise OracleError(f"batch size {size} out of range for m={m}")
+    if math.comb(m, size) > MAX_ENUMERATION:
+        raise OracleError(
+            f"exhaustive enumeration of {math.comb(m, size)} subsets exceeds "
+            f"the {MAX_ENUMERATION} cap")
 
     best = 0.0
-    for subset in subsets:
+    for subset in itertools.combinations(range(m), size):
         rows = poly.A[list(subset)]
         gram = rows @ rows.T
         best = max(best, lambda_max_power(gram) / size)
     if size >= 2 and best >= 1.0 - 1e-12:
-        warnings.warn("an admissible subset has rank <= 1 (duplicated "
+        warnings.warn("a row subset has rank <= 1 (duplicated "
                       "directions): the alignment bound reaches 1 and parallel "
                       "averaging gives no predicted gain", stacklevel=2)
     return min(best, 1.0)
@@ -358,11 +324,13 @@ class QBRow:
     note: str = ""
 
 
-def qb_curves(poly: PolyhedronSpec, scheme: str, c_hat: float, mg: float,
-              beta_policy, n_range) -> list:
+def qb_curves(poly: PolyhedronSpec, c_hat: float, mg: float, beta_policy,
+              n_range, with_replacement: bool = False) -> list:
     """Contraction and gain factors as a function of the minibatch size.
 
-    ``scheme`` is "exhaustive" or a mapping batch_size -> partition cells.
+    L_N is ``exact_ln_linear`` for batches of distinct indices.  With
+    ``with_replacement`` (iid sampling) a batch may repeat one index N times,
+    whose ratio is exactly 1 for unit rows, so L_N = 1 for every N.
     ``beta_policy`` is "optimal" (beta = 1/L_N parallel, beta = 1 sequential)
     or a fixed float used for both variants.  Rows whose parallel regime is
     not covered by the rate theory are flagged, not rejected.
@@ -371,10 +339,7 @@ def qb_curves(poly: PolyhedronSpec, scheme: str, c_hat: float, mg: float,
         raise ConfigError("need c_hat * M_g^2 > 1 for the gain predictions")
     rows = []
     for size in n_range:
-        if scheme == "exhaustive":
-            ln = exact_ln_linear(poly, LNScheme.exhaustive(size))
-        else:
-            ln = exact_ln_linear(poly, LNScheme.partition(scheme[size]))
+        ln = 1.0 if with_replacement else exact_ln_linear(poly, size)
         beta_p = 1.0 / ln if beta_policy == "optimal" else float(beta_policy)
         beta_s = 1.0 if beta_policy == "optimal" else float(beta_policy)
         note = ""

@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import (PolyhedronSpec, TOL_ASSERT, TOL_METRIC, distance_oracle,
                        max_violation)
 from .oracle import OracleError, ProblemSpec
-from .sampling import Sampler, SamplerConfigError
+from .sampling import Sampler
 
 # relative slack on a declared L_N: with the exact bound, the realized ratio of
 # a single-index batch still rounds to 1 + 4.4e-16
@@ -92,9 +92,13 @@ class BetaPolicy:
                 "the sequential variant supports only a fixed beta; the "
                 "extrapolated and adaptive rules are defined through the "
                 "common-point batch ratio of the parallel variant")
+        if self.ln is not None and not (math.isfinite(self.ln) and self.ln > 0):
+            raise ConfigError(f"a declared L_N must be finite and positive, "
+                              f"got {self.ln!r}")
         if self.kind == "fixed":
-            if self.beta is None or self.beta <= 0:
-                raise ConfigError("fixed beta must be positive")
+            if self.beta is None or not (math.isfinite(self.beta) and self.beta > 0):
+                raise ConfigError(f"fixed beta must be finite and positive, "
+                                  f"got {self.beta!r}")
             upper = 2.0 / self.ln if (variant == "parallel" and self.ln) else 2.0
             if self.beta >= upper:
                 raise ConfigError(
@@ -103,7 +107,7 @@ class BetaPolicy:
         else:
             if self.delta is None or not 0.0 < self.delta < 1.0:
                 raise ConfigError("delta must lie in (0, 1)")
-            if self.kind == "extrapolated" and (self.ln is None or self.ln <= 0):
+            if self.kind == "extrapolated" and self.ln is None:
                 raise ConfigError("extrapolated beta requires a known positive L_N")
 
     def initial_beta(self) -> float:
@@ -127,7 +131,6 @@ class SolverConfig:
     beta_policy: BetaPolicy
     iterations: int
     sampler_variant: str = "without-replacement"
-    partition_blocks: Optional[tuple] = None
     seed: int = 0
     init: str = "zero"                # "zero" | "gaussian"
     init_scale: float = 1.0
@@ -146,21 +149,17 @@ class SolverConfig:
             raise ConfigError(f"unknown init rule {self.init!r}")
         if self.assertions not in ("off", "lemma-checks"):
             raise ConfigError(f"unknown assertions mode {self.assertions!r}")
+        if not math.isfinite(self.init_scale):
+            raise ConfigError(f"init_scale must be finite, got {self.init_scale!r}")
         if isinstance(self.log_cadence, int) and self.log_cadence < 1:
             raise ConfigError("log cadence step must be >= 1")
+        if self.sampler_variant not in Sampler.VARIANTS:
+            raise ConfigError(f"unknown sampler variant {self.sampler_variant!r}")
         self.beta_policy.validate(self.variant)
         m = spec.constraints.size
-        if m:
-            if self.sampler_variant not in Sampler.VARIANTS:
-                raise ConfigError(f"unknown sampler variant {self.sampler_variant!r}")
-            if self.sampler_variant == "without-replacement" and self.batch_size > m:
-                raise ConfigError(
-                    f"cannot draw {self.batch_size} distinct indices from {m}")
-            if self.sampler_variant == "partition":
-                if not self.partition_blocks:
-                    raise ConfigError("partition sampler requires blocks")
-                if len(self.partition_blocks) != self.batch_size:
-                    raise ConfigError("partition needs one block per batch slot")
+        if m and self.sampler_variant == "without-replacement" and self.batch_size > m:
+            raise ConfigError(
+                f"cannot draw {self.batch_size} distinct indices from {m}")
 
 
 @dataclass
@@ -449,19 +448,6 @@ def _initial_point(spec: ProblemSpec, config: SolverConfig,
     return np.asarray(spec.simple_set.project(raw), dtype=np.float64)
 
 
-def _build_sampler(spec: ProblemSpec, config: SolverConfig,
-                   rng: np.random.Generator) -> Optional[Sampler]:
-    m = spec.constraints.size
-    if m == 0:
-        return None
-    try:
-        if config.sampler_variant == "partition":
-            return Sampler("partition", m, blocks=config.partition_blocks, seed=rng)
-        return Sampler(config.sampler_variant, m, seed=rng)
-    except SamplerConfigError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def run(spec: ProblemSpec, config: SolverConfig,
         context: Optional[PolyhedralContext] = None) -> RunResult:
     """Execute the configured variant for the full iteration budget.
@@ -485,7 +471,9 @@ def run(spec: ProblemSpec, config: SolverConfig,
     root = np.random.SeedSequence(config.seed)
     ss_init, ss_sampler = root.spawn(2)
     x = _initial_point(spec, config, np.random.default_rng(ss_init))
-    sampler = _build_sampler(spec, config, np.random.default_rng(ss_sampler))
+    m = spec.constraints.size
+    sampler = Sampler(config.sampler_variant, m,
+                      seed=np.random.default_rng(ss_sampler)) if m else None
 
     fam = spec.constraints
     policy = config.beta_policy

@@ -1,14 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from mbproj.geometry import (DistanceOracleError, PolyhedronSpec,
-                             RegularityEstimationError, distance_oracle,
-                             estimate_regularity_c, max_violation,
-                             project_intersection)
+from mbproj.geometry import (DistanceOracleError, PolyhedronSpec, distance_oracle,
+                             max_violation, project_intersection)
 from mbproj.oracle import OracleError, SimpleSet
-from mbproj.sampling import Sampler
 
 QUADRANT = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))  # x1 <= 0, x2 <= 0
 PLANE = SimpleSet.whole_space(2)
@@ -118,48 +113,6 @@ class TestDistanceOracle:
             d = distance_oracle(poly, ball, v)
             feas = max_violation(poly, v) <= 1e-8
             assert (d <= 1e-7) == feas
-
-
-class TestRegularityEstimate:
-    def test_single_halfspace_ratio_is_one(self):
-        poly = PolyhedronSpec(A=np.array([[1.0, 0.0]]), b=np.array([0.0]))
-        sampler = Sampler.iid_uniform(1, seed=0)
-        c_hat = estimate_regularity_c(poly, PLANE, sampler, n_probe=30, seed=4)
-        assert c_hat == pytest.approx(1.0, abs=1e-6)
-
-    def test_orthogonal_halfspaces_diagonal_probes(self):
-        # dist((t,t), quadrant)^2 = 2 t^2 while the uniform expectation of the
-        # squared violation is t^2, so every diagonal probe gives ratio 2
-        # (frozen from the brute-force evaluation below).
-        sampler = Sampler.iid_uniform(2, seed=0)
-        probes = [np.array([t, t]) for t in (0.5, 1.0, 2.0)]
-        for y in probes:
-            d_sq = brute_force_distance(QUADRANT, y) ** 2
-            exp_sq = np.mean(np.maximum(QUADRANT.A @ y + QUADRANT.b, 0.0) ** 2)
-            assert d_sq / exp_sq == pytest.approx(2.0, abs=1e-6)
-        c_hat = estimate_regularity_c(QUADRANT, PLANE, sampler, n_probe=0,
-                                      seed=0, probes=probes)
-        assert c_hat == pytest.approx(2.0, abs=1e-6)
-
-    def test_lower_bound_against_subgradient_norm(self):
-        # c_hat * M_g^2 >= 1 with M_g = 1 for unit rows
-        rng = np.random.default_rng(9)
-        A = rng.standard_normal((6, 3))
-        A /= np.linalg.norm(A, axis=1)[:, None]
-        poly = PolyhedronSpec(A=A, b=-rng.uniform(0.2, 0.6, size=6))
-        ball = SimpleSet.ball(np.zeros(3), 6.0)
-        sampler = Sampler.without_replacement(6, seed=1)
-        c_hat = estimate_regularity_c(poly, ball, sampler, n_probe=30, seed=2)
-        assert c_hat >= 1.0 - 1e-9
-
-    def test_blind_sampler_raises(self):
-        # partition marginal sees only block 0 = constraint {x1 <= 0} while the
-        # probe violates only the other constraint
-        sampler = Sampler.partition([[0], [1]], seed=0)
-        probes = [np.array([-1.0, 3.0])]
-        with pytest.raises(RegularityEstimationError):
-            estimate_regularity_c(QUADRANT, PLANE, sampler, n_probe=0, seed=0,
-                                  probes=probes)
 
     def test_violation_bounded_by_distance(self):
         # each positive part is at most M_g times the distance to the full

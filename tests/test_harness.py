@@ -1,13 +1,14 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
 from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
-                            EXIT_WINDOW, RunConfig, WindowError, aggregate_rows,
-                            bootstrap_ci, load_config_file, main, minibatch_sweep,
-                            parse_seeds, rate_check, read_csv, solve_experiment,
-                            write_csv)
+                            EXIT_WINDOW, RunConfig, WindowError, _add_solve_flags,
+                            aggregate_rows, bootstrap_ci, load_config_file, main,
+                            minibatch_sweep, parse_seeds, rate_check, read_csv,
+                            solve_experiment, write_csv)
 from mbproj.problems import make_builtin, make_polyhedral_benchmark, save_instance
 from mbproj.solver import ConfigError
 
@@ -17,6 +18,10 @@ class TestSeedsAndConfig:
         assert parse_seeds("1..5") == (1, 2, 3, 4, 5)
         assert parse_seeds("3,5,8") == (3, 5, 8)
         assert parse_seeds("7") == (7,)
+
+    def test_empty_seed_range_names_its_cause(self):
+        with pytest.raises(ConfigError, match="empty seed range"):
+            parse_seeds("5..1")
 
     def test_config_file_and_cli_override(self, tmp_path):
         path = tmp_path / "run.ini"
@@ -45,6 +50,44 @@ class TestSeedsAndConfig:
         path.write_text("[solver]\nbogus = 1\n")
         with pytest.raises(Exception):
             load_config_file(path)
+
+    def test_unknown_sampler_in_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.ini"
+        path.write_text("[problem]\nbuiltin = orthant2\n\n"
+                        "[solver]\nsampler = partition\n")
+        code = main(["solve", "--config", str(path), "--iters", "5",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert "unknown sampler variant" in capsys.readouterr().err
+
+
+def _choice_cases():
+    """(flag, value, companion flags) for every value of every solve flag
+    that has ``choices``."""
+    parser = argparse.ArgumentParser()
+    _add_solve_flags(parser)
+    companions = {"extrapolated": ["--variant", "parallel", "--ln-hint", "1.0"],
+                  "adaptive": ["--variant", "parallel"]}
+    return [(action.option_strings[0], value, companions.get(value, []))
+            for action in parser._actions if action.choices
+            for value in action.choices]
+
+
+CHOICE_CASES = _choice_cases()
+
+
+class TestEveryChoiceRuns:
+    @pytest.mark.parametrize("flag,value,extra", CHOICE_CASES,
+                             ids=[f"{f}={v}" for f, v, _ in CHOICE_CASES])
+    def test_tiny_solve_exits_ok(self, tmp_path, flag, value, extra):
+        code = main(["solve", "--builtin", "orthant2", "--N", "1", "--iters", "5",
+                     "--seeds", "1", "--out", str(tmp_path / "x"), flag, value]
+                    + extra)
+        assert code == EXIT_OK
+
+    def test_sampler_choices(self):
+        assert {(f, v) for f, v, _ in CHOICE_CASES if f == "--sampler"} == \
+            {("--sampler", "iid-uniform"), ("--sampler", "without-replacement")}
 
 
 class TestSolveCommand:
@@ -201,6 +244,29 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and field in err
 
+    @pytest.mark.parametrize("argv,ini", [
+        (["--beta", "nan"], ""),
+        (["--beta-policy", "extrapolated", "--ln-hint", "nan"], ""),
+        ([], "[solver]\ninit_scale = nan\n"),
+    ], ids=["beta", "ln-hint", "init-scale"])
+    def test_nonfinite_setting_is_config_error(self, tmp_path, capsys, argv, ini):
+        path = tmp_path / "run.ini"
+        path.write_text("[problem]\nbuiltin = orthant2\n\n" + ini)
+        code = main(["solve", "--config", str(path), "--N", "2", "--iters", "5",
+                     "--seeds", "1", "--out", str(tmp_path / "x")] + argv)
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "duplicated", "--m", "0"],
+        ["--builtin", "unconstrained", "--n", "0"],
+    ], ids=["duplicated-m0", "unconstrained-n0"])
+    def test_unbuildable_builtin_size_is_config_error(self, tmp_path, capsys, argv):
+        code = main(["solve", "--iters", "5", "--seeds", "1",
+                     "--out", str(tmp_path / "x")] + argv)
+        assert code == EXIT_CONFIG
+        assert "need" in capsys.readouterr().err
+
     def test_timing_flag_records_wall_clock(self, tmp_path):
         out = tmp_path / "timed"
         code = main(["solve", "--builtin", "orthant2", "--N", "2",
@@ -262,6 +328,23 @@ class TestRateCheck:
         assert main(["rate-check", "--dir", d, "--k-min", "100",
                      "--k-max", "40000"]) == EXIT_OK
 
+    @pytest.mark.parametrize("k_min,k_max", [
+        ("0", "40000"), ("-1", "40000"), ("nan", "40000"), ("100", "inf"),
+        ("40000", "100"),
+    ])
+    def test_degenerate_window_is_window_error(self, tmp_path, capsys, k_min,
+                                               k_max):
+        d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 / k)
+        assert main(["rate-check", "--dir", d, "--k-min", k_min,
+                     "--k-max", k_max]) == EXIT_WINDOW
+        assert "0 < k_min < k_max" in capsys.readouterr().err
+
+    def test_dir_that_is_a_file_is_config_error(self, tmp_path):
+        path = tmp_path / "not_a_dir.csv"
+        path.write_text("")
+        assert main(["rate-check", "--dir", str(path)]) == EXIT_CONFIG
+        assert main(["rate-check", "--dir", str(tmp_path / "missing")]) == EXIT_CONFIG
+
 
 class TestSweep:
     def test_sweep_rows_and_cli(self, tmp_path):
@@ -281,6 +364,14 @@ class TestSweep:
                      "--iters", "200", "--seeds", "1..4", "--N-list", "1,2",
                      "--out", str(tmp_path / "cli_sweep")])
         assert code == EXIT_OK
+
+    def test_iid_sweep_predicts_no_gain(self, tmp_path):
+        # an iid batch may repeat one index N times, with ratio exactly 1, so
+        # L_N = 1 and the predicted gain is flat in N (N = 4 > m = 2 included)
+        cfg = RunConfig(builtin="orthant2", sampler="iid-uniform", beta=1.0,
+                        iterations=50, seeds=(1, 2), out_dir=str(tmp_path / "s"))
+        _, rows = minibatch_sweep(cfg, [1, 2, 4], c_hat=2.0)
+        assert [r.predicted_ratio for r in rows] == [1.0, 1.0, 1.0]
 
     def test_sweep_needs_two_sizes(self, tmp_path):
         cfg = RunConfig(builtin="orthant2", iterations=50, seeds=(1, 2),

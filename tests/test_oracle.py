@@ -3,19 +3,9 @@ import pytest
 
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet, distance_family,
-                           empty_family, linear_family, validate_assumptions)
+                           empty_family, linear_family)
 from mbproj.solver import (BetaPolicy, parallel_feasibility_update,
                            sequential_feasibility_update)
-
-
-def quadratic_spec(m_f=2.0, with_optimum=True):
-    """f(x) = 0.5 |x|^2 over the radius-2 ball, no functional constraints."""
-    objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
-                                subgradient=lambda x: x)
-    known = KnownOptimum(f_star=0.0, x_star=np.zeros(2)) if with_optimum else None
-    return ProblemSpec(dimension=2, objective=objective, constraints=empty_family(),
-                       simple_set=SimpleSet.ball(np.zeros(2), 2.0), mu=1.0,
-                       M_f=m_f, M_g=1.0, known_optimum=known)
 
 
 class TestSimpleSet:
@@ -24,21 +14,10 @@ class TestSimpleSet:
         np.testing.assert_allclose(ball.project(np.array([3.0, 4.0])),
                                    [0.6, 0.8], rtol=0, atol=1e-15)
 
-    def test_box_projection(self):
-        box = SimpleSet.box([-1.0, -1.0], [1.0, 1.0])
-        np.testing.assert_array_equal(box.project(np.array([2.0, -0.5])),
-                                      [1.0, -0.5])
-
     def test_whole_space_identity(self):
         ws = SimpleSet.whole_space(2)
         v = np.array([7.0, -3.0])
         assert ws.project(v) is v
-
-    def test_halfspace_projection(self):
-        hs = SimpleSet.halfspace(np.array([1.0, 0.0]), -1.0)  # x1 <= 1
-        np.testing.assert_allclose(hs.project(np.array([3.0, 2.0])), [1.0, 2.0])
-        inside = np.array([0.5, 9.0])
-        assert hs.project(inside) is inside
 
     def test_inside_point_unchanged(self):
         ball = SimpleSet.ball(np.ones(3), 2.0)
@@ -47,8 +26,9 @@ class TestSimpleSet:
 
     @pytest.mark.parametrize("make_set", [
         lambda: SimpleSet.ball(np.array([0.3, -0.2, 0.1]), 1.5),
-        lambda: SimpleSet.box([-1.0, -2.0, 0.0], [1.0, 0.5, 3.0]),
-        lambda: SimpleSet.halfspace(np.array([1.0, 1.0, 0.0]) / np.sqrt(2), -0.5),
+        lambda: SimpleSet.whole_space(3),
+        # every sample lies outside this ball
+        lambda: SimpleSet.ball(np.array([20.0, 0.0, 0.0]), 0.1),
     ])
     def test_projection_properties(self, make_set):
         ss = make_set()
@@ -155,9 +135,15 @@ class TestPositivePart:
                 assert out is v
 
 
-SETS = [SimpleSet.ball(np.zeros(2), 1.0),
-        SimpleSet.halfspace(np.array([0.6, 0.8]), 0.5),
-        SimpleSet.box([-1.0, -1.0], [2.0, 2.0])]
+def halfspace_projector(normal, offset):
+    """Projection onto {x : <normal, x> + offset <= 0} for a unit normal."""
+    return lambda v: v - max(float(normal @ v) + offset, 0.0) * normal
+
+
+# projectors of a ball, the halfspace 0.6 x1 + 0.8 x2 <= -0.5 and a box
+PROJECTORS = [SimpleSet.ball(np.zeros(2), 1.0).project,
+              halfspace_projector(np.array([0.6, 0.8]), 0.5),
+              lambda v: np.clip(v, -1.0, 2.0)]
 
 
 class TestFamilyBatch:
@@ -175,10 +161,10 @@ class TestFamilyBatch:
             def expected(w, v):
                 return A[w] @ v + b[w], A[w]
         else:
-            fam = distance_family([s.project for s in SETS], 2)
+            fam = distance_family(PROJECTORS, 2)
 
             def expected(w, v):
-                r = v - SETS[w].project(v)
+                r = v - PROJECTORS[w](v)
                 dist = np.linalg.norm(r)
                 return dist, r / dist
 
@@ -204,9 +190,22 @@ class TestDistanceFamilyBatch:
                 return project(v)
             return proj
 
-        fam = distance_family([counted(w, s.project) for w, s in enumerate(SETS)], 2)
+        fam = distance_family([counted(w, p) for w, p in enumerate(PROJECTORS)], 2)
         fam.batch(np.array([2, 0, 1]), np.array([1.5, 1.0]))
         assert calls == [2, 0, 1]
+
+    def test_distance_family_has_unit_subgradient_bound(self):
+        # away from its set every row is a unit vector, so M_g = 1
+        fam = distance_family(PROJECTORS, 2)
+        rng = np.random.default_rng(1)
+        violated = 0
+        for _ in range(200):
+            v = 4.0 * rng.standard_normal(2)
+            gvals, rows = fam.batch(np.arange(3), v)
+            norms = np.linalg.norm(rows[gvals > 0.0], axis=1)
+            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
+            violated += norms.size
+        assert violated > 100
 
 
 class TestProblemSpec:
@@ -218,64 +217,12 @@ class TestProblemSpec:
         ({"known_optimum": KnownOptimum(f_star=0.0, x_star=np.zeros(3))}, "x_star"),
     ], ids=["mu-nan", "Mf-inf", "Mg-nan", "Mg-zero", "xstar-length"])
     def test_rejects_bad_constants_and_optimum(self, change, match):
-        fields = dict(dimension=2, objective=quadratic_spec().objective,
+        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
+                                    subgradient=lambda x: x)
+        fields = dict(dimension=2, objective=objective,
                       constraints=empty_family(),
                       simple_set=SimpleSet.ball(np.zeros(2), 2.0),
                       mu=1.0, M_f=2.0, M_g=1.0)
         ProblemSpec(**fields)
         with pytest.raises(OracleError, match=match):
             ProblemSpec(**{**fields, **change})
-
-
-class TestValidateAssumptions:
-    def test_well_posed_problem_passes(self):
-        report = validate_assumptions(quadratic_spec(), n_samples=1000, seed=0)
-        assert report.passed, report.summary()
-
-    def test_understated_subgradient_bound_fails_with_witness(self):
-        report = validate_assumptions(quadratic_spec(m_f=0.5), n_samples=1000, seed=0)
-        check = report.check("objective_subgradient_bound")
-        assert not check.passed
-        assert check.margin < -0.25  # some sampled point has |x| well above 0.5
-        assert "witness" in check.detail
-
-    def test_distance_family_has_unit_subgradient_bound(self):
-        # projectable sets wrapped as distance constraints: directions are unit
-        sets = [SimpleSet.halfspace(np.array([1.0, 0.0]), 0.0),
-                SimpleSet.ball(np.array([2.0, 2.0]), 0.5)]
-        fam = distance_family([s.project for s in sets], dimension=2)
-        spec = ProblemSpec(
-            dimension=2,
-            objective=ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
-                                      subgradient=lambda x: x),
-            constraints=fam,
-            simple_set=SimpleSet.ball(np.zeros(2), 4.0),
-            mu=1.0, M_f=4.0, M_g=1.0)
-        report = validate_assumptions(spec, n_samples=500, seed=1)
-        assert report.check("constraint_subgradient_bound").passed
-        assert report.check("constraint_convexity").passed
-
-    def test_nonfinite_oracle_fails_validation(self):
-        objective = ObjectiveOracle(evaluate=lambda x: float("inf"),
-                                    subgradient=lambda x: x)
-        spec = ProblemSpec(dimension=2, objective=objective,
-                           constraints=empty_family(),
-                           simple_set=SimpleSet.ball(np.zeros(2), 2.0),
-                           mu=1.0, M_f=2.0, M_g=1.0)
-        report = validate_assumptions(spec, n_samples=50, seed=0)
-        assert not report.check("objective_convexity").passed
-
-    def test_nan_constraint_value_fails_optimum_feasible(self):
-        fam = ConstraintFamily(
-            size=2, batch=lambda idx, v: (np.full(len(idx), np.nan),
-                                          np.ones((len(idx), 2))))
-        spec = quadratic_spec()
-        spec = ProblemSpec(dimension=2, objective=spec.objective, constraints=fam,
-                           simple_set=spec.simple_set, mu=1.0, M_f=2.0, M_g=2.0,
-                           known_optimum=spec.known_optimum)
-        report = validate_assumptions(spec, n_samples=20, seed=0)
-        assert not report.check("optimum_feasible").passed
-
-    def test_n_samples_must_be_positive(self):
-        with pytest.raises(OracleError):
-            validate_assumptions(quadratic_spec(), n_samples=0, seed=0)

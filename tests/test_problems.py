@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mbproj.geometry import PolyhedronSpec, distance_oracle, max_violation
-from mbproj.oracle import OracleError, validate_assumptions
-from mbproj.problems import (BenchmarkInstance, LNScheme, exact_ln_linear,
+from mbproj.oracle import OracleError
+from mbproj.problems import (BenchmarkInstance, exact_ln_linear,
                              lambda_max_power, load_instance, make_builtin,
                              make_duplicated_benchmark, make_orthant2,
                              make_orthonormal_benchmark, make_polyhedral_benchmark,
@@ -50,22 +50,11 @@ class TestGeneratedBenchmark:
     def test_pull_center_infeasible(self, instance):
         assert max_violation(instance.poly, instance.pull_center) > 0.1
 
-    def test_validator_on_generated_instance(self, instance):
-        # Everything checks out except strong convexity toward the optimum on
-        # the whole simple set: an objective whose constrained optimum has a
-        # nonzero gradient cannot satisfy that inequality near the optimum on
-        # the pull side, so the generated family trades it for boundary
-        # activity.  The inequality does hold on the feasible side (below).
-        report = validate_assumptions(instance.spec, n_samples=400, seed=0)
-        for check in report.checks:
-            if check.name == "strong_convexity_toward_optimum":
-                assert not check.passed
-            else:
-                assert check.passed, f"{check.name}: {check.detail}"
-
     def test_strong_convexity_on_feasible_side(self, instance):
         # project samples into the feasible set and verify the declared
-        # inequality there, where the analysis actually applies it
+        # inequality there, where the analysis actually applies it; on the
+        # pull side of a boundary optimum, where the gradient is nonzero, it
+        # fails near x*
         from mbproj.geometry import project_intersection
         spec = instance.spec
         opt = spec.known_optimum
@@ -126,14 +115,13 @@ class TestLambdaMax:
 class TestExactLN:
     def test_orthonormal_pair(self):
         poly = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
-        assert exact_ln_linear(poly, LNScheme.exhaustive(2)) == \
-            pytest.approx(0.5, abs=1e-10)
+        assert exact_ln_linear(poly, 2) == pytest.approx(0.5, abs=1e-10)
 
     def test_duplicated_rows_reach_one(self):
         poly = PolyhedronSpec(A=np.array([[1.0, 0.0], [1.0, 0.0]]),
                               b=np.zeros(2))
         with pytest.warns(UserWarning, match="rank"):
-            value = exact_ln_linear(poly, LNScheme.exhaustive(2))
+            value = exact_ln_linear(poly, 2)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_random_full_rank_strictly_below_one(self):
@@ -142,7 +130,7 @@ class TestExactLN:
         A /= np.linalg.norm(A, axis=1)[:, None]
         poly = PolyhedronSpec(A=A, b=np.zeros(8))
         for size in (2, 3, 4):
-            value = exact_ln_linear(poly, LNScheme.exhaustive(size))
+            value = exact_ln_linear(poly, size)
             assert 0.0 < value < 1.0
 
     def test_single_index_always_one(self):
@@ -150,28 +138,7 @@ class TestExactLN:
         A = rng.standard_normal((4, 3))
         A /= np.linalg.norm(A, axis=1)[:, None]
         poly = PolyhedronSpec(A=A, b=np.zeros(4))
-        assert exact_ln_linear(poly, LNScheme.exhaustive(1)) == \
-            pytest.approx(1.0, abs=1e-12)
-
-    def test_partition_maximizes_over_cells_only(self):
-        # rows 0, 1 orthogonal; rows 2, 3 nearly parallel: the cell bound
-        # differs from the exhaustive bound that also sees mixed subsets
-        c, s = np.cos(0.1), np.sin(0.1)
-        A = np.array([[1.0, 0.0], [0.0, 1.0], [c, s], [c, -s]])
-        poly = PolyhedronSpec(A=A, b=np.zeros(4))
-        cells = [(0, 1), (2, 3)]
-        ln_cells = exact_ln_linear(poly, LNScheme.partition(cells))
-        gram_23 = A[2:] @ A[2:].T
-        expected = lambda_max_power(gram_23) / 2.0
-        assert ln_cells == pytest.approx(expected, abs=1e-10)
-        assert exact_ln_linear(poly, LNScheme.exhaustive(2)) >= ln_cells - 1e-12
-
-    def test_partition_cells_must_be_equal_size_disjoint(self):
-        poly = PolyhedronSpec(A=np.eye(3), b=np.zeros(3))
-        with pytest.raises(OracleError):
-            exact_ln_linear(poly, LNScheme.partition([(0, 1), (2,)]))
-        with pytest.raises(OracleError):
-            exact_ln_linear(poly, LNScheme.partition([(0, 1), (1, 2)]))
+        assert exact_ln_linear(poly, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_cap(self):
         rng = np.random.default_rng(12)
@@ -180,11 +147,11 @@ class TestExactLN:
         poly = PolyhedronSpec(A=A, b=np.zeros(60))
         assert math.comb(60, 20) > 10 ** 6
         with pytest.raises(OracleError, match="cap"):
-            exact_ln_linear(poly, LNScheme.exhaustive(20))
+            exact_ln_linear(poly, 20)
 
     def test_online_ratio_never_exceeds_exact_bound(self):
         inst = make_orthonormal_benchmark(6, seed=2, n_active=3)
-        exact = exact_ln_linear(inst.poly, LNScheme.exhaustive(2))
+        exact = exact_ln_linear(inst.poly, 2)
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=500,
                            seed=3, init="gaussian",
@@ -198,7 +165,7 @@ class TestQBCurves:
     def test_flat_gain_when_alignment_bound_is_one(self):
         inst = make_duplicated_benchmark(4, 8, seed=1)
         with pytest.warns(UserWarning):
-            rows = qb_curves(inst.poly, "exhaustive", c_hat=2.0, mg=1.0,
+            rows = qb_curves(inst.poly, c_hat=2.0, mg=1.0,
                              beta_policy=1.0, n_range=(1, 2, 4))
         b_values = [r.b_parallel for r in rows]
         assert all(b == pytest.approx(b_values[0]) for b in b_values)
@@ -206,7 +173,7 @@ class TestQBCurves:
     def test_sequential_doubling_pattern(self):
         inst = make_duplicated_benchmark(4, 8, seed=1)
         with pytest.warns(UserWarning):
-            rows = qb_curves(inst.poly, "exhaustive", c_hat=2.0, mg=1.0,
+            rows = qb_curves(inst.poly, c_hat=2.0, mg=1.0,
                              beta_policy=1.0, n_range=(1, 2, 3, 4))
         # q = 1 * (2 - 1) / 2 = 0.5 for every N, so gains run 1, 3, 7, 15
         for row, expected in zip(rows, (1.0, 3.0, 7.0, 15.0)):
@@ -217,7 +184,7 @@ class TestQBCurves:
         # c_hat must exceed the largest batch size for the optimal-stepsize
         # contraction q_N = N / (c M_g^2) to stay below one
         inst = make_orthonormal_benchmark(6, seed=2)
-        rows = qb_curves(inst.poly, "exhaustive", c_hat=6.0, mg=1.0,
+        rows = qb_curves(inst.poly, c_hat=6.0, mg=1.0,
                          beta_policy="optimal", n_range=(1, 2, 4))
         for row, size in zip(rows, (1, 2, 4)):
             assert row.ln == pytest.approx(1.0 / size, abs=1e-9)
@@ -228,7 +195,7 @@ class TestQBCurves:
     def test_outside_theory_flagged_not_raised(self):
         inst = make_orthonormal_benchmark(6, seed=2)
         # c_hat M_g^2 L_N = 1.05 / 4 < 1 at N = 4: flagged, still reported
-        rows = qb_curves(inst.poly, "exhaustive", c_hat=1.05, mg=1.0,
+        rows = qb_curves(inst.poly, c_hat=1.05, mg=1.0,
                          beta_policy=1.0, n_range=(1, 4))
         assert not rows[0].outside_theory
         assert rows[1].outside_theory

@@ -7,7 +7,7 @@ from mbproj.geometry import PolyhedronSpec
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet, empty_family,
                            linear_family)
-from mbproj.problems import (LNScheme, exact_ln_linear, make_duplicated_benchmark,
+from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
                              make_polyhedral_benchmark)
 from mbproj.solver import (BetaPolicy, ConfigError, PolyhedralContext, SolverAbort,
                            SolverConfig, alpha_schedule, analysis_constants,
@@ -518,7 +518,7 @@ class TestDeclaredLN:
         with warnings.catch_warnings():
             # the duplicated rows reach the bound 1, which is warned about
             warnings.simplefilter("ignore")
-            ln = exact_ln_linear(inst.poly, LNScheme.exhaustive(batch_size))
+            ln = exact_ln_linear(inst.poly, batch_size)
         for seed in (1, 2, 3):
             cfg = SolverConfig(variant="parallel", batch_size=batch_size,
                                beta_policy=BetaPolicy.extrapolated(0.1, ln),
