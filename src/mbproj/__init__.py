@@ -5,8 +5,9 @@ convergence rates and minibatch-size effects."""
 from .oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle, OracleError,
                      ProblemSpec, SimpleSet, distance_family, empty_family,
                      linear_family)
-from .geometry import (DistanceOracleError, PolyhedronSpec, TOL_ASSERT, TOL_METRIC,
-                       distance_oracle, max_violation, project_intersection)
+from .geometry import (DistanceOracleError, EmptyFeasibleSetError, PolyhedronSpec,
+                       TOL_ASSERT, TOL_METRIC, distance_oracle, max_violation,
+                       project_intersection)
 from .sampling import Sampler, SamplerConfigError
 from .solver import (BatchStepDiagnostics, BetaPolicy, ConfigError, IterateState,
                      PolyhedralContext, RunRecord, RunResult, SolverAbort,

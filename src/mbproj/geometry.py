@@ -1,10 +1,25 @@
-"""Polyhedral geometry: linear constraint systems with unit rows and a
-high-accuracy distance-to-feasible-set oracle.
+"""Polyhedral geometry: linear constraint systems with unit rows and an exact,
+certified distance-to-feasible-set oracle.
 
-The distance oracle runs Dykstra's alternating projection scheme over the
-halfspaces and the simple set, which converges to the true Euclidean
-projection onto the intersection.  It is the reference metric used by the
-benchmark harness and by the per-iteration inequality checks.
+``project_intersection`` computes the Euclidean projection of v onto
+{x : Ax + b <= 0} intersected with the simple set Y (a ball or the whole
+space).  The polyhedral part is the Goldfarb-Idnani dual active-set method
+with identity Hessian (Goldfarb & Idnani, Math. Programming 27, 1983): start
+at x = v with no active rows, add the most violated row, and drop an active
+row whose multiplier would turn negative on the way.  The active rows stay
+linearly independent, so m > n is not degenerate, and a violated row in the
+span of the active ones with no multiplier to release proves the polyhedron
+empty.  When the polyhedral projection leaves the ball, the ball multiplier
+nu comes from bisection on the nonincreasing |P_P((v + 2 nu c)/(1 + 2 nu)) - c|
+= r, run in theta = 2 nu / (1 + 2 nu) over [0, 1).
+
+Every projection is certified before it is returned: the KKT residuals
+(stationarity, primal violation, ball excess, negative multipliers,
+complementarity) must lie below ``TOL_METRIC`` times s = 1 + the largest
+coordinate of v or x in magnitude (s^2 for complementarity, a product of two
+lengths), or ``DistanceOracleError`` is raised with them.  An empty feasible set raises
+``EmptyFeasibleSetError``.  The oracle is the reference metric of the harness
+and of the per-iteration inequality checks.
 """
 
 from __future__ import annotations
@@ -15,18 +30,24 @@ import numpy as np
 
 from .oracle import OracleError, SimpleSet, as_point
 
-TOL_METRIC = 1e-8   # default tolerance for metric computations
+TOL_METRIC = 1e-8   # certificate bound on the projection's KKT residuals
 TOL_ASSERT = 1e-7   # slack allowed by per-iteration inequality assertions
 
-MAX_SWEEPS = 10 ** 6
+# A row is violated above EPS times 1 + |v|_inf; a step direction of norm
+# below EPS, or a multiplier rate below EPS, counts as zero.
+EPS = 1e-12
 
 
 class DistanceOracleError(RuntimeError):
-    """Distance iteration hit the sweep cap; carries the best estimate found."""
+    """A projection failed its KKT certificate; carries the residuals."""
 
-    def __init__(self, message: str, best_estimate: float):
+    def __init__(self, message: str, residuals: dict):
         super().__init__(message)
-        self.best_estimate = best_estimate
+        self.residuals = residuals
+
+
+class EmptyFeasibleSetError(OracleError):
+    """The linear constraints and the simple set have no common point."""
 
 
 @dataclass(frozen=True)
@@ -68,53 +89,131 @@ def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:
     return float(max(np.max(poly.A @ v + poly.b), 0.0))
 
 
-def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
-                         v: np.ndarray, tol: float = TOL_METRIC,
-                         max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Project v onto (simple set) intersect (all halfspaces) via Dykstra sweeps.
+def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float):
+    """Projection of w onto {Ax + b <= 0} by the dual active-set method.
 
-    Deterministic given its inputs.  Stops once successive distance estimates
-    differ by less than tol/10 and all halfspace violations are below tol (the
-    iterate ends each sweep inside the simple set by construction).  Raises
-    DistanceOracleError with the best estimate when the sweep cap is reached.
+    Returns (x, active, mu) with x = w - A[active]^T mu, mu >= 0 and the
+    active rows linearly independent and tight at x.  Raises
+    ``EmptyFeasibleSetError`` when the polyhedron is empty.
     """
-    if tol <= 0:
-        raise OracleError("tol must be positive")
+    A, b = poly.A, poly.b
+    x = w.copy()
+    active = []
+    mu = np.zeros(0)
+    # the method is finite; the cap only guards against cycling in rounding
+    for _ in range(10 * (poly.m + poly.n)):
+        s = A @ x + b
+        p = int(np.argmax(s))
+        if s[p] <= EPS * scale:
+            return x, active, mu
+        a_p, mu_p = A[p], 0.0
+        while True:
+            if active:
+                N = A[active]
+                r = np.linalg.solve(N @ N.T, N @ a_p)
+                z = a_p - r @ N
+            else:
+                r, z = mu, a_p
+            zz = float(z @ z)
+            dependent = zz <= EPS * EPS    # a_p lies in the span of the active rows
+            full = np.inf if dependent else (float(a_p @ x) + b[p]) / zz
+            blocking = np.flatnonzero(r > EPS)
+            ratios = mu[blocking] / r[blocking]
+            partial = float(np.min(ratios, initial=np.inf))
+            t = min(full, partial)
+            if t == np.inf:
+                raise EmptyFeasibleSetError(
+                    f"feasible set is empty: row {p} is violated and in the "
+                    f"span of rows {sorted(active)} with no multiplier to release")
+            if not dependent:
+                x = x - t * z
+            mu = mu - t * r
+            mu_p += t
+            if full <= partial:
+                active.append(p)
+                mu = np.append(mu, mu_p)
+                break
+            k = int(blocking[np.argmin(ratios)])
+            del active[k]
+            mu = np.delete(mu, k)
+    raise DistanceOracleError(
+        f"active-set method did not terminate within {10 * (poly.m + poly.n)} steps",
+        residuals={})
+
+
+def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, v, x, active, lam,
+             nu: float, scale: float) -> None:
+    """Raise ``DistanceOracleError`` unless (x, lam, nu) satisfies the KKT
+    conditions of the projection of v within ``TOL_METRIC``."""
+    s = poly.A @ x + poly.b
+    grad = x - v + lam @ poly.A[active]
+    comp = float(np.max(np.abs(lam * s[active]), initial=0.0))
+    if nu > 0.0:
+        d = x - simple_set.center
+        grad = grad + 2.0 * nu * d
+        comp = max(comp, nu * abs(float(d @ d) - simple_set.radius ** 2))
+    residuals = {
+        "stationarity": float(np.linalg.norm(grad)),
+        "primal_violation": max(float(np.max(s)), 0.0),
+        "ball_excess": float(np.linalg.norm(simple_set.project(x) - x)),
+        "negative_multiplier": max(-float(np.min(lam, initial=0.0)), 0.0),
+        "complementarity": comp,
+    }
+    # complementarity is a product of two lengths
+    bound = TOL_METRIC * scale
+    failed = {key: val for key, val in residuals.items()
+              if not val <= (bound * scale if key == "complementarity" else bound)}
+    if failed:
+        raise DistanceOracleError(
+            f"projection certificate failed ({', '.join(failed)} above "
+            f"{bound:g} at scale {scale:g}); residuals {residuals}",
+            residuals=residuals)
+
+
+def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
+                         v: np.ndarray) -> np.ndarray:
+    """Exact Euclidean projection of v onto {Ax + b <= 0} intersect Y.
+
+    Deterministic given its inputs; certified as the module docstring
+    describes.  Raises ``EmptyFeasibleSetError`` when the set is empty and
+    ``DistanceOracleError`` when the certificate fails.
+    """
     v = as_point(v)
     if poly.m == 0:
         return simple_set.project(v)
+    scale = 1.0 + float(np.max(np.abs(v)))
+    x, active, lam = _project_polyhedron(poly, v, scale)
+    nu = 0.0
+    if not simple_set.contains(x):
+        c, radius = simple_set.center, simple_set.radius
 
-    A, b = poly.A, poly.b
-    m = poly.m
-    x = v.copy()
-    corrections = np.zeros((m + 1, v.size))  # one Dykstra increment per set
-    prev_dist = np.inf
-    for _ in range(max_sweeps):
-        for i in range(m):
-            y = x + corrections[i]
-            s = float(A[i] @ y) + b[i]
-            if s > 0.0:
-                proj = y - s * A[i]
+        def project_toward_center(theta):
+            return _project_polyhedron(poly, (1.0 - theta) * v + theta * c, scale)
+
+        # the largest theta below 1: nu stays finite, and the projection is
+        # as close to the center as it gets
+        lo, hi = 0.0, float(np.nextafter(1.0, 0.0))
+        y, _, _ = project_toward_center(hi)
+        if float(np.linalg.norm(y - c)) > radius:
+            raise EmptyFeasibleSetError(
+                "feasible set is empty: the ball does not meet the polyhedron")
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            y, _, _ = project_toward_center(mid)
+            if float(np.linalg.norm(y - c)) > radius:
+                lo = mid
             else:
-                proj = y
-            corrections[i] = y - proj
-            x = proj
-        y = x + corrections[m]
-        proj = simple_set.project(y)
-        corrections[m] = y - proj
-        x = proj
-
-        dist = float(np.linalg.norm(x - v))
-        if abs(dist - prev_dist) < tol / 10.0 and max_violation(poly, x) < tol:
-            return x
-        prev_dist = dist
-    raise DistanceOracleError(
-        f"projection did not stabilize within {max_sweeps} sweeps "
-        f"(ill-conditioned instance); best distance estimate {prev_dist}",
-        best_estimate=prev_dist)
+                hi = mid
+        x, active, mu = project_toward_center(hi)
+        # 1 + 2 nu = 1 / (1 - theta) rescales the polyhedral multipliers
+        nu = hi / (2.0 * (1.0 - hi))
+        lam = mu / (1.0 - hi)
+    _certify(poly, simple_set, v, x, active, lam, nu,
+             max(scale, 1.0 + float(np.max(np.abs(x)))))
+    return x
 
 
 def distance_oracle(poly: PolyhedronSpec, simple_set: SimpleSet,
-                    v: np.ndarray, tol: float = TOL_METRIC) -> float:
-    """Distance from v to the feasible intersection, within tol."""
-    return float(np.linalg.norm(project_intersection(poly, simple_set, v, tol) - v))
+                    v: np.ndarray) -> float:
+    """Certified distance from v to the feasible intersection."""
+    return float(np.linalg.norm(project_intersection(poly, simple_set, v) - v))

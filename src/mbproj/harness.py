@@ -4,8 +4,9 @@ minibatch sweeps and the command-line interface.
 CSV files carry the effective configuration as leading ``#`` comment lines
 and exactly the columns seed,k,f_gap,max_violation,dist_X,LN_k,beta_k,
 elapsed_ns (a field is empty when the metric is unavailable).  The header
-echoes only the settings that determine the numbers: ``out_dir``, which
-only says where files go, is left out.  By default the elapsed_ns column is
+echoes only the settings that determine the numbers, with ``problem.n`` and
+``problem.m`` read from the built instance: ``out_dir``, which only says
+where files go, is left out.  By default the elapsed_ns column is
 written as 0 so repeated identical invocations produce byte-identical files;
 enable ``timing`` to record wall-clock times instead.
 """
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import TOL_METRIC
+from .geometry import DistanceOracleError, TOL_METRIC
 from .oracle import OracleError
 from .problems import (BenchmarkInstance, load_instance, make_builtin, qb_curves)
 from .sampling import Sampler, SamplerConfigError
@@ -276,21 +277,24 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
 
     Returns (instance, results, paths).  Metrics use the instance's
     polyhedral context, so dist_X is the oracle distance to the feasible set.
+    The CSV headers echo the built instance's n and m, which a builtin such
+    as ``orthant2`` fixes whatever ``cfg`` asks for.
     """
     instance = instance or build_problem(cfg)
     context = instance.context() if instance.poly.m else None
+    echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
     os.makedirs(cfg.out_dir, exist_ok=True)
     results, per_seed_rows, paths = [], [], []
     for seed in cfg.seeds:
         result = run(instance.spec, cfg.solver_config(seed), context=context)
         rows = _records_to_rows(result, cfg.timing)
         path = os.path.join(cfg.out_dir, f"run_seed{seed}.csv")
-        write_csv(path, cfg, rows)
+        write_csv(path, echo, rows)
         results.append(result)
         per_seed_rows.append(rows)
         paths.append(path)
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
-    write_csv(agg_path, cfg, aggregate_rows(per_seed_rows))
+    write_csv(agg_path, echo, aggregate_rows(per_seed_rows))
     paths.append(agg_path)
     return instance, results, paths
 
@@ -426,14 +430,20 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     For each N the final mean oracle distance (with bootstrap CI) is measured
     over the configured seeds, next to the predicted gain factors; the
     harness juxtaposes measurement and prediction without asserting either.
+    Predictions use the runs' constant stepsize (``BetaPolicy.initial_beta``),
+    so ``c_hat`` is a configuration error under the adaptive policy.
     """
     if len(n_list) < 2:
         raise ConfigError("sweep needs at least two batch sizes")
+    if c_hat is not None and cfg.beta_policy == "adaptive":
+        raise ConfigError("--c-hat predictions need a constant stepsize; the "
+                          "adaptive beta policy has none")
     instance = instance or build_problem(cfg)
     predictions = {}
     if c_hat is not None and instance.poly.m:
+        beta = cfg.solver_config(cfg.seeds[0]).beta_policy.initial_beta()
         try:
-            rows = qb_curves(instance.poly, c_hat, instance.spec.M_g, cfg.beta,
+            rows = qb_curves(instance.poly, c_hat, instance.spec.M_g, beta,
                              n_list, with_replacement=cfg.sampler == "iid-uniform")
             predictions = {r.batch_size: r for r in rows}
         except (ConfigError, OracleError):
@@ -581,6 +591,9 @@ def main(argv=None) -> int:
         print(f"solver abort: {exc}", file=sys.stderr)
         if exc.snapshot:
             print(f"snapshot: {exc.snapshot}", file=sys.stderr)
+        return EXIT_SOLVER
+    except DistanceOracleError as exc:
+        print(f"distance oracle: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except WindowError as exc:
         print(f"window error: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import PolyhedronSpec, max_violation, project_intersection
+from .geometry import PolyhedronSpec, project_intersection
 from .oracle import (KnownOptimum, ObjectiveOracle, OracleError,
                      ProblemSpec, SimpleSet, empty_family, linear_family)
 from .solver import PolyhedralContext, analysis_constants, ConfigError
@@ -86,9 +86,7 @@ def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
     n = poly.n
     radius = radius_factor * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
     simple_set = SimpleSet.ball(anchor, radius)
-    x_star = project_intersection(poly, simple_set, pull_center, tol=1e-10)
-    if max_violation(poly, x_star) > 1e-8:
-        raise GenerationError("computed optimum is infeasible")
+    x_star = project_intersection(poly, simple_set, pull_center)
     active = float(np.max(poly.A @ x_star + poly.b))
     if active < -1e-6:
         raise GenerationError("optimum interior to all constraints")

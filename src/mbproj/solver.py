@@ -164,12 +164,16 @@ class SolverConfig:
 
 @dataclass
 class PolyhedralContext:
-    """Benchmark-side data enabling distance metrics and inequality checks."""
+    """The feasible set {Ax + b <= 0} intersected with Y, known explicitly.
+
+    With it a run logs max_violation and the certified distance dist_X of
+    the weighted average (``distance_oracle``), and the lemma checks measure
+    distances to the whole feasible set and steps toward ``feasible_point``.
+    """
 
     poly: PolyhedronSpec
     simple_set: object                 # the run's simple set Y
     feasible_point: np.ndarray         # known point of the full intersection
-    dist_tol: float = TOL_METRIC
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +371,7 @@ class _LemmaChecker:
             raise ConfigError("lemma-checks requires a feasible reference point")
 
     def _dist(self, v):
-        return distance_oracle(self.ctx.poly, self.ctx.simple_set, v, self.ctx.dist_tol)
+        return distance_oracle(self.ctx.poly, self.ctx.simple_set, v)
 
     def _fail(self, name, k, slack, extra=None):
         snap = {"check": name, "k": k, "slack": slack}
@@ -535,8 +539,7 @@ def run(spec: ProblemSpec, config: SolverConfig,
             viol = dist = None
             if context is not None:
                 viol = max_violation(context.poly, x_hat)
-                dist = distance_oracle(context.poly, context.simple_set,
-                                       x_hat, context.dist_tol)
+                dist = distance_oracle(context.poly, context.simple_set, x_hat)
             elif fam.size:
                 gvals, _ = fam.batch(np.arange(fam.size), x_hat)
                 viol = max(float(np.max(gvals)), 0.0)

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
-from mbproj.geometry import (DistanceOracleError, PolyhedronSpec, distance_oracle,
-                             max_violation, project_intersection)
+from mbproj import geometry
+from mbproj.geometry import (DistanceOracleError, EmptyFeasibleSetError,
+                             PolyhedronSpec, distance_oracle, max_violation,
+                             project_intersection)
 from mbproj.oracle import OracleError, SimpleSet
+from mbproj.problems import make_polyhedral_benchmark
 
 QUADRANT = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))  # x1 <= 0, x2 <= 0
 PLANE = SimpleSet.whole_space(2)
 
 
-def brute_force_distance(poly, v, half_width=6.0):
+def brute_force_distance(poly, v, ball=None, half_width=6.0):
     """Independent 2-D oracle: exhaustive grid search with zoom-in levels.
 
     Each level lays a full 81 x 81 grid over a square around the current best
-    feasible point and keeps the feasible grid point closest to v.  The grid
+    feasible point and keeps the feasible grid point closest to v; with a
+    ``ball`` (a SimpleSet) a feasible point must also lie in it.  The grid
     error per level is below half a spacing, so shrinking the square by 0.35
     keeps the true minimizer inside every subsequent square.
     """
@@ -24,6 +28,8 @@ def brute_force_distance(poly, v, half_width=6.0):
         g1, g2 = np.meshgrid(pts, pts, indexing="ij")
         cloud = np.column_stack([g1.ravel(), g2.ravel()]) + center
         feasible = np.all(cloud @ poly.A.T + poly.b <= 1e-12, axis=1)
+        if ball is not None:
+            feasible &= np.linalg.norm(cloud - ball.center, axis=1) <= ball.radius
         if np.any(feasible):
             pts_ok = cloud[feasible]
             dists = np.linalg.norm(pts_ok - v, axis=1)
@@ -33,6 +39,58 @@ def brute_force_distance(poly, v, half_width=6.0):
         center = best_p
         half_width *= 0.35
     return best_d
+
+
+def reference_dykstra(poly, simple_set, v, tol=1e-12):
+    """Dykstra's alternating projections over the rows, then the simple set,
+    stopped once a sweep moves the distance by less than tol / 10 and every
+    row holds within tol."""
+    x, prev = v.copy(), np.inf
+    increments = np.zeros((poly.m + 1, v.size))
+    while True:
+        for i in range(poly.m + 1):
+            y = x + increments[i]
+            if i < poly.m:
+                x = y - max(float(poly.A[i] @ y) + poly.b[i], 0.0) * poly.A[i]
+            else:
+                x = simple_set.project(y)
+            increments[i] = y - x
+        dist = float(np.linalg.norm(x - v))
+        if abs(dist - prev) < tol / 10 and max_violation(poly, x) < tol:
+            return dist
+        prev = dist
+
+
+def assert_kkt(poly, simple_set, v, x, tol=1e-9):
+    """x is the projection of v: feasible, and v - x is a nonnegative
+    combination of the tight rows and, on the sphere, of x - center."""
+    s = poly.A @ x + poly.b
+    assert s.max() <= tol
+    normals = [poly.A[s >= -tol]]
+    if simple_set.variant == "ball":
+        gap = float(np.linalg.norm(x - simple_set.center)) - simple_set.radius
+        assert gap <= tol
+        if gap >= -tol:
+            normals.append((x - simple_set.center)[None, :])
+    M = np.vstack(normals).T
+    mult, *_ = np.linalg.lstsq(M, v - x, rcond=None)
+    assert np.linalg.norm(M @ mult - (v - x)) <= tol
+    assert mult.min(initial=0.0) >= -tol
+
+
+def random_2d_ball_cases(seed, count):
+    """(poly, ball, v) triples whose polyhedral projection leaves the ball."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        A = rng.standard_normal((4, 2))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        poly = PolyhedronSpec(A=A, b=-rng.uniform(0.2, 0.8, size=4))
+        ball = SimpleSet.ball(rng.uniform(-0.5, 0.5, size=2), 1.0)
+        v = 3.0 * rng.standard_normal(2)
+        if not ball.contains(project_intersection(poly, PLANE, v)):
+            cases.append((poly, ball, v))
+    return cases
 
 
 class TestMaxViolation:
@@ -95,12 +153,67 @@ class TestDistanceOracle:
         d = distance_oracle(poly, ball, np.array([0.0, 0.0]))
         assert d == pytest.approx(2.0, abs=1e-7)
 
-    def test_sweep_cap_raises_with_estimate(self):
+    @pytest.mark.parametrize("simple_set", [PLANE, SimpleSet.ball(np.zeros(2), 10.0)],
+                             ids=["plane", "ball"])
+    def test_empty_intersection_raises(self, simple_set):
         poly = PolyhedronSpec(A=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                              b=np.array([0.0, 0.0]))  # the line x1 = 0
+                              b=np.array([0.0, 1.0]))  # x1 <= 0 and x1 >= 1
+        with pytest.raises(EmptyFeasibleSetError, match="feasible set is empty"):
+            project_intersection(poly, simple_set, np.array([0.3, 0.2]))
+
+    def test_ball_missing_the_polyhedron_raises(self):
+        poly = PolyhedronSpec(A=np.array([[-1.0, 0.0]]), b=np.array([20.0]))
+        with pytest.raises(EmptyFeasibleSetError, match="ball"):
+            project_intersection(poly, SimpleSet.ball(np.zeros(2), 10.0),
+                                 np.array([0.3, 0.2]))
+
+    def test_single_point_intersection(self):
+        # x1 >= 10 touches the radius-10 ball only at (10, 0); the ball
+        # multiplier grows without bound toward it
+        poly = PolyhedronSpec(A=np.array([[-1.0, 0.0]]), b=np.array([10.0]))
+        p = project_intersection(poly, SimpleSet.ball(np.zeros(2), 10.0),
+                                 np.array([0.3, 0.2]))
+        np.testing.assert_allclose(p, [10.0, 0.0], atol=1e-6)
+
+    def test_failed_certificate_carries_residuals(self, monkeypatch):
+        monkeypatch.setattr(geometry, "TOL_METRIC", -1.0)
         with pytest.raises(DistanceOracleError) as err:
-            project_intersection(poly, PLANE, np.array([5.0, 1.0]), max_sweeps=1)
-        assert np.isfinite(err.value.best_estimate)
+            project_intersection(QUADRANT, PLANE, np.array([3.0, 4.0]))
+        assert set(err.value.residuals) == {
+            "stationarity", "primal_violation", "ball_excess",
+            "negative_multiplier", "complementarity"}
+        assert err.value.residuals["primal_violation"] == 0.0
+
+    def test_ball_active_agrees_with_brute_force(self):
+        for poly, ball, v in random_2d_ball_cases(seed=11, count=6):
+            d_fast = distance_oracle(poly, ball, v)
+            assert d_fast == pytest.approx(brute_force_distance(poly, v, ball),
+                                           abs=1e-6)
+
+    @pytest.mark.parametrize("ball_active", [False, True])
+    def test_kkt_conditions_hold(self, ball_active):
+        if ball_active:
+            cases = random_2d_ball_cases(seed=12, count=8)
+        else:
+            inst = make_polyhedral_benchmark(10, 20, seed=4)
+            rng = np.random.default_rng(4)
+            x_star = inst.spec.known_optimum.x_star
+            cases = [(inst.poly, inst.spec.simple_set,
+                      x_star + 2.0 * rng.standard_normal(10)) for _ in range(8)]
+        for poly, simple_set, v in cases:
+            assert_kkt(poly, simple_set, v, project_intersection(poly, simple_set, v))
+
+    @pytest.mark.parametrize("n,m", [(10, 20), (50, 200)])
+    def test_agrees_with_reference_dykstra(self, n, m):
+        inst = make_polyhedral_benchmark(n, m, seed=0)
+        rng = np.random.default_rng(n)
+        x_star = inst.spec.known_optimum.x_star
+        points = [inst.pull_center] + [x_star + rng.standard_normal(n) / np.sqrt(n)
+                                       for _ in range(2)]
+        for v in points:
+            assert distance_oracle(inst.poly, inst.spec.simple_set, v) == \
+                pytest.approx(reference_dykstra(inst.poly, inst.spec.simple_set, v),
+                              abs=1e-8)
 
     def test_zero_iff_feasible(self):
         rng = np.random.default_rng(8)

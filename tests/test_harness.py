@@ -9,7 +9,9 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             aggregate_rows, bootstrap_ci, load_config_file, main,
                             minibatch_sweep, parse_seeds, rate_check, read_csv,
                             solve_experiment, write_csv)
-from mbproj.problems import make_builtin, make_polyhedral_benchmark, save_instance
+from mbproj import geometry
+from mbproj.problems import (make_builtin, make_polyhedral_benchmark, qb_curves,
+                             save_instance)
 from mbproj.solver import ConfigError
 
 
@@ -267,6 +269,44 @@ class TestSolveCommand:
         assert code == EXIT_CONFIG
         assert "need" in capsys.readouterr().err
 
+    def test_empty_feasible_set_is_config_error(self, tmp_path, capsys):
+        # x1 <= 0 and x1 >= 1 in a radius-10 ball: the first metric call
+        # proves the feasible set empty
+        path = tmp_path / "empty.txt"
+        path.write_text("2 2\n1 0 0\n-1 0 1\nobjective quadratic\n"
+                        "center 0.5 0\nset ball 0 0 10\nmu 1\nMf 20\nMg 1\n")
+        code = main(["solve", "--instance", str(path), "--N", "1", "--iters", "5",
+                     "--seeds", "1", "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "feasible set is empty" in err
+        assert err.count("\n") == 1
+
+    def test_failed_certificate_is_solver_exit(self, tmp_path, capsys, monkeypatch):
+        # a bound no residual can meet fails the first certificate, which is
+        # the build-time projection onto the feasible set
+        monkeypatch.setattr(geometry, "TOL_METRIC", -1.0)
+        code = main(["solve", "--builtin", "orthant2", "--iters", "5",
+                     "--seeds", "1", "--out", str(tmp_path / "x")])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "certificate failed" in err and "stationarity" in err
+
+    @pytest.mark.parametrize("argv,n,m", [
+        (["--builtin", "orthant2", "--n", "0", "--m", "0"], 2, 2),
+        (["--builtin", "orthonormal", "--n", "5", "--m", "9"], 5, 5),
+        (["--builtin", "unconstrained", "--n", "3", "--m", "9"], 3, 0),
+    ], ids=["orthant2", "orthonormal", "unconstrained"])
+    def test_header_echoes_built_size(self, tmp_path, argv, n, m):
+        out = tmp_path / "x"
+        code = main(["solve", "--N", "1", "--iters", "5", "--seeds", "1",
+                     "--out", str(out)] + argv)
+        assert code == EXIT_OK
+        for name in ("run_seed1.csv", "aggregate.csv"):
+            comments, _ = read_csv(out / name)
+            assert f"# problem.n = {n}" in comments
+            assert f"# problem.m = {m}" in comments
+
     def test_timing_flag_records_wall_clock(self, tmp_path):
         out = tmp_path / "timed"
         code = main(["solve", "--builtin", "orthant2", "--N", "2",
@@ -372,6 +412,24 @@ class TestSweep:
                         iterations=50, seeds=(1, 2), out_dir=str(tmp_path / "s"))
         _, rows = minibatch_sweep(cfg, [1, 2, 4], c_hat=2.0)
         assert [r.predicted_ratio for r in rows] == [1.0, 1.0, 1.0]
+
+    def test_predictions_use_the_runs_stepsize(self, tmp_path):
+        # extrapolated runs step with beta = (2 - 0.1) / 1.0 = 1.9, and the
+        # predictions are priced at that beta, not at the unused --beta
+        cfg = RunConfig(builtin="benchmark", n=4, m=6, variant="parallel",
+                        beta_policy="extrapolated", delta=0.1, ln_hint=1.0,
+                        iterations=50, seeds=(1, 2), out_dir=str(tmp_path / "s"))
+        inst, rows = minibatch_sweep(cfg, [1, 2], c_hat=4.0)
+        expected = qb_curves(inst.poly, 4.0, 1.0, 1.9, [1, 2])
+        assert [r.predicted_b for r in rows] == [e.b_parallel for e in expected]
+
+    def test_c_hat_under_adaptive_policy_is_config_error(self, tmp_path, capsys):
+        code = main(["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",
+                     "--variant", "parallel", "--beta-policy", "adaptive",
+                     "--iters", "20", "--seeds", "1..2", "--N-list", "1,2",
+                     "--c-hat", "4", "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert "adaptive" in capsys.readouterr().err
 
     def test_sweep_needs_two_sizes(self, tmp_path):
         cfg = RunConfig(builtin="orthant2", iterations=50, seeds=(1, 2),

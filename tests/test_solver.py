@@ -408,6 +408,15 @@ class TestRunLoop:
             run(inst.spec, cfg, context=inst.context())  # must not abort
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_lemma_checks_clean_over_a_block_of_seeds(self, variant):
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        for seed in range(1, 6):
+            cfg = SolverConfig(variant=variant, batch_size=4,
+                               beta_policy=BetaPolicy.fixed(1.0), iterations=200,
+                               seed=seed, init="gaussian", assertions="lemma-checks")
+            run(inst.spec, cfg, context=inst.context())  # must not abort
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     def test_lemma_checks_catch_a_wrong_direction(self, variant):
         # the family reports the true values of x1 <= 0, x2 <= 0 but points
         # every step away from the quadrant, so the first step breaks the
