@@ -10,8 +10,8 @@ from .geometry import (DistanceOracleError, EmptyFeasibleSetError, PolyhedronSpe
                        project_intersection)
 from .sampling import Sampler, SamplerConfigError
 from .solver import (BatchStepDiagnostics, BetaPolicy, ConfigError, IterateState,
-                     PolyhedralContext, RunRecord, RunResult, SolverAbort,
-                     SolverConfig, alpha_schedule, analysis_constants,
+                     OracleFault, PolyhedralContext, RunRecord, RunResult,
+                     SolverAbort, SolverConfig, alpha_schedule, analysis_constants,
                      objective_step, parallel_feasibility_update, run,
                      sequential_feasibility_update)
 from .problems import (BenchmarkInstance, exact_ln_linear, load_instance,

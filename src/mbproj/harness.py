@@ -8,7 +8,9 @@ echoes only the settings that determine the numbers, with ``problem.n`` and
 ``problem.m`` read from the built instance: ``out_dir``, which only says
 where files go, is left out.  By default the elapsed_ns column is
 written as 0 so repeated identical invocations produce byte-identical files;
-enable ``timing`` to record wall-clock times instead.
+enable ``timing`` to record wall-clock times instead.  All seeds of a
+``solve`` advance together as one block, so elapsed_ns is the block's time
+since its start, and a seed's row reports when the block reached its k.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class RunConfig:
     seeds: tuple = (1,)
     out_dir: str = "out"
 
-    def solver_config(self, seed: int) -> SolverConfig:
+    def solver_config(self) -> SolverConfig:
         if self.beta_policy == "fixed":
             policy = BetaPolicy.fixed(self.beta, ln=self.ln_hint)
         elif self.beta_policy == "extrapolated":
@@ -86,7 +88,7 @@ class RunConfig:
             raise ConfigError(f"unknown beta policy {self.beta_policy!r}")
         return SolverConfig(variant=self.variant, batch_size=self.batch_size,
                             beta_policy=policy, iterations=self.iterations,
-                            sampler_variant=self.sampler, seed=seed,
+                            sampler_variant=self.sampler, seeds=self.seeds,
                             init=self.init, init_scale=self.init_scale,
                             log_cadence=self.cadence, assertions=self.assertions)
 
@@ -273,24 +275,25 @@ def aggregate_rows(per_seed_rows) -> list:
 
 
 def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = None):
-    """Run the solver for every seed; write per-seed CSVs and the aggregate.
+    """Run every seed of ``cfg`` as one block through ``run``; write
+    per-seed CSVs and the aggregate.
 
     Returns (instance, results, paths).  Metrics use the instance's
     polyhedral context, so dist_X is the oracle distance to the feasible set.
     The CSV headers echo the built instance's n and m, which a builtin such
-    as ``orthant2`` fixes whatever ``cfg`` asks for.
+    as ``orthant2`` fixes whatever ``cfg`` asks for.  A ``SolverAbort`` stops
+    the whole block before any CSV is written.
     """
     instance = instance or build_problem(cfg)
     context = instance.context() if instance.poly.m else None
     echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    results, per_seed_rows, paths = [], [], []
-    for seed in cfg.seeds:
-        result = run(instance.spec, cfg.solver_config(seed), context=context)
+    results = run(instance.spec, cfg.solver_config(), context=context)
+    per_seed_rows, paths = [], []
+    for result in results:
         rows = _records_to_rows(result, cfg.timing)
-        path = os.path.join(cfg.out_dir, f"run_seed{seed}.csv")
+        path = os.path.join(cfg.out_dir, f"run_seed{result.seed}.csv")
         write_csv(path, echo, rows)
-        results.append(result)
         per_seed_rows.append(rows)
         paths.append(path)
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
@@ -441,7 +444,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     instance = instance or build_problem(cfg)
     predictions = {}
     if c_hat is not None and instance.poly.m:
-        beta = cfg.solver_config(cfg.seeds[0]).beta_policy.initial_beta()
+        beta = cfg.solver_config().beta_policy.initial_beta()
         try:
             rows = qb_curves(instance.poly, c_hat, instance.spec.M_g, beta,
                              n_list, with_replacement=cfg.sampler == "iid-uniform")

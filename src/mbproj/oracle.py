@@ -1,7 +1,10 @@
 """Problem data model: objective, constraint family and simple-set oracles.
 
-Points are plain 1-D float64 numpy arrays of a fixed dimension; they are
-treated as immutable by every routine in this package.  Oracles carry no
+A point is a 1-D float64 numpy array of a fixed dimension n.  The solver
+advances a block of S independent seeds at once, so the oracles it calls on
+every iteration take a leading seed axis: an (S, n) array holds one point per
+row, and ``SimpleSet.project`` treats a 1-D point as a single row.  Arrays
+are treated as immutable by every routine in this package.  Oracles carry no
 mutable state; random state always lives with the caller.
 """
 
@@ -55,15 +58,21 @@ class SimpleSet:
         return SimpleSet("ball", center.size, center=center, radius=float(radius))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        """Exact Euclidean projection; returns ``v`` itself when already inside."""
+        """Exact Euclidean projection of each row of ``v``, shape (..., n);
+        a 1-D point is one row.  Rows already inside are returned unchanged,
+        and ``v`` itself when every row is inside."""
         if self.variant == "whole-space":
             return v
         if self.variant == "ball":
             d = v - self.center
-            r = np.linalg.norm(d)
-            if r <= self.radius:
+            # one dot product per row, so a row rounds as np.linalg.norm of
+            # that row alone, whatever the number of rows
+            r = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+            inside = r <= self.radius
+            if inside.all():
                 return v
-            return self.center + d * (self.radius / r)
+            scale = self.radius / np.where(inside, 1.0, r)
+            return np.where(inside[..., None], v, self.center + d * scale[..., None])
         raise OracleError(f"unknown simple-set variant {self.variant!r}")
 
     def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
@@ -76,7 +85,11 @@ class SimpleSet:
 
 @dataclass(frozen=True)
 class ObjectiveOracle:
-    """Convex objective accessed through value and subgradient queries."""
+    """Convex objective accessed through value and subgradient queries.
+
+    ``evaluate`` takes one point.  ``subgradient`` works row-wise: given an
+    (S, n) array it returns one subgradient per row, shape (S, n).
+    """
 
     evaluate: Callable[[np.ndarray], float]
     subgradient: Callable[[np.ndarray], np.ndarray]
@@ -87,11 +100,14 @@ class ConstraintFamily:
     """Constraint collection {x : g_w(x) <= 0}, one convex g_w per index
     w in 0..size-1, reached only through the first-order oracle ``batch``.
 
-    ``batch(indices, v)`` returns ``(values, rows)`` in index order: the
-    float64 values g_w(v), shape (k,), and one row per index, shape (k, n).
-    Where g_w(v) > 0 the row must be a subgradient of max(g_w, 0) at v;
+    ``batch(indices, v)`` takes a leading seed axis: integer indices of shape
+    (S, k) and points of shape (S, n), seed s asking about its own point
+    v[s].  It returns ``(values, rows)`` in index order: the float64 values
+    g_w(v[s]), shape (S, k), and one row per index, shape (S, k, n).  Where
+    g_w(v[s]) > 0 the row must be a subgradient of max(g_w, 0) at v[s];
     elsewhere it may be any finite row, since both feasibility passes ignore
-    the rows of satisfied constraints.
+    the rows of satisfied constraints.  A seed's values and rows must not
+    depend on the other seeds of the block.
     """
 
     size: int
@@ -116,7 +132,9 @@ def linear_family(A, b) -> ConstraintFamily:
 
     def batch(indices, v):
         rows = A[indices]
-        return rows @ v + b[indices], rows
+        # stacked matrix-vector products: each seed's values round as its
+        # own ``rows @ v`` would, whatever the number of seeds
+        return np.matmul(rows, v[:, :, None])[:, :, 0] + b[indices], rows
 
     return ConstraintFamily(size=A.shape[0], batch=batch)
 
@@ -128,17 +146,21 @@ def distance_family(projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
     Each set with projection P becomes g(x) = dist(x, set) = ||x - P(x)||,
     whose positive-part subgradient is (x - P(x)) / dist(x, set) away from the
     set; subgradients have norm 1, so the family satisfies the bound M_g = 1.
-    Inside a set the row is the zero residual.  One projection per index
-    serves both the value and the row.
+    Inside a set the row is the zero residual.  The projectors take one 1-D
+    point, so ``batch`` loops over the seeds and their indices; one
+    projection per index serves both the value and the row.
     """
     projectors = list(projectors)
 
     def batch(indices, v):
-        residuals = np.array([v - projectors[w](v)
-                              for w in np.asarray(indices).tolist()],
-                             dtype=np.float64).reshape(-1, dimension)
-        dists = np.array([np.linalg.norm(r) for r in residuals])
-        return dists, residuals / np.where(dists > 0.0, dists, 1.0)[:, None]
+        indices = np.asarray(indices)
+        residuals = np.array([v[s] - projectors[w](v[s])
+                              for s, row in enumerate(indices.tolist())
+                              for w in row],
+                             dtype=np.float64).reshape(indices.shape + (dimension,))
+        dists = np.array([np.linalg.norm(r) for r in residuals.reshape(-1, dimension)]
+                         ).reshape(indices.shape)
+        return dists, residuals / np.where(dists > 0.0, dists, 1.0)[..., None]
 
     return ConstraintFamily(size=len(projectors), batch=batch)
 

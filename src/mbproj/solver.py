@@ -8,6 +8,13 @@ projects onto the simple set; the sequential variant chains the steps,
 re-evaluating each constraint at the current inner point and projecting after
 every step.  Both track the quadratically weighted running average of the
 iterates, on which all reported metrics are computed.
+
+One kernel, ``run``, advances a block of S independent seeds at once: the
+iterates are an (S, n) array with one row per seed, and every step below
+works on that seed axis.  The parallel pass is one vectorized step; the
+sequential pass is N chained steps, each vectorized over the seeds.  A seed's
+arithmetic does not depend on the other seeds of its block, so S = 1 and any
+larger block give the same numbers for it.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ from .sampling import Sampler
 # a single-index batch still rounds to 1 + 4.4e-16
 LN_RTOL = 1e-9
 
+# minibatches are drawn ahead for at most this many iterations per seed
+INDEX_BLOCK = 1024
+
 
 class ConfigError(ValueError):
     """Invalid solver configuration."""
@@ -36,11 +46,20 @@ class ConfigError(ValueError):
 class SolverAbort(RuntimeError):
     """Run aborted: a non-finite iterate, a constraint oracle fault, a failed
     per-iteration check, or a realized batch ratio L_N,k above the declared
-    L_N."""
+    L_N.  The snapshot names the failing ``seed``."""
 
     def __init__(self, message: str, snapshot: Optional[dict] = None):
         super().__init__(message)
         self.snapshot = snapshot or {}
+
+
+class OracleFault(OracleError):
+    """A feasibility pass met a non-finite value or direction, or a zero
+    direction on a violated constraint; ``row`` is the seed's row."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 def alpha_schedule(mu: float, index: int) -> float:
@@ -117,8 +136,9 @@ class BetaPolicy:
             return (2.0 - self.delta) / self.ln
         return 2.0 - self.delta  # adaptive fallback before any violated batch
 
-    def step_beta(self, ln_k: float) -> float:
-        """Stepsize for a violated batch whose realized ratio is ``ln_k``."""
+    def step_beta(self, ln_k):
+        """Stepsize for a violated batch whose realized ratio is ``ln_k``
+        (a number, or an array of them, one per seed)."""
         if self.kind == "adaptive":
             return (2.0 - self.delta) / ln_k
         return self.initial_beta()
@@ -131,16 +151,17 @@ class SolverConfig:
     beta_policy: BetaPolicy
     iterations: int
     sampler_variant: str = "without-replacement"
-    seed: int = 0
+    seeds: tuple = (0,)               # the block of seeds ``run`` advances
     init: str = "zero"                # "zero" | "gaussian"
     init_scale: float = 1.0
     log_cadence: object = "geometric"  # "geometric" or positive int step
     assertions: str = "off"           # "off" | "lemma-checks"
-    capture_iterates: bool = False
 
     def validate(self, spec: ProblemSpec) -> None:
         if self.variant not in ("parallel", "sequential"):
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if not self.seeds:
+            raise ConfigError("seed list must be nonempty")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.batch_size < 1:
@@ -182,7 +203,8 @@ class PolyhedralContext:
 
 @dataclass
 class IterateState:
-    """Mutable per-run state: current iterates plus streaming weighted sums."""
+    """Current iterates plus streaming weighted sums: arrays of shape (S, n)
+    while ``run`` advances a block, one row of them in a ``RunResult``."""
 
     k: int
     x: np.ndarray
@@ -197,10 +219,12 @@ class IterateState:
 
 @dataclass
 class BatchStepDiagnostics:
-    ln_k: Optional[float]              # in (0, 1] when some constraint is violated
-    v_n: float                         # spread of the weighted step directions, >= 0
-    per_index_gplus: np.ndarray
-    beta: Optional[float]              # stepsize taken; None when the batch is feasible
+    """Per-seed outcome of one parallel pass, one entry per seed row."""
+
+    ln_k: np.ndarray                   # in (0, 1]; NaN where the batch is feasible
+    v_n: np.ndarray                    # spread of the weighted step directions, >= 0
+    per_index_gplus: np.ndarray        # shape (S, N)
+    beta: np.ndarray                   # stepsize taken; NaN where the batch is feasible
 
 
 @dataclass
@@ -223,80 +247,120 @@ class RunResult:
     final_x: np.ndarray
     final_x_hat: np.ndarray
     max_ln_k: Optional[float]
-    iterates: Optional[list] = None
     state: Optional[IterateState] = None
 
 
 # ---------------------------------------------------------------------------
-# elementary steps
+# elementary steps, each on the seed axis
 
 
 def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
-    """Alignment ratio and direction spread of one minibatch.
+    """Alignment ratio and direction spread of each seed's minibatch.
 
-    The ratio |avg of weighted directions|^2 / avg of squared weighted
-    violations is at most 1 (mean-square inequality) and is undefined when the
-    whole batch is feasible.  The spread v_n equals the average squared
-    deviation of the weighted directions from their mean.
+    ``gplus`` and ``nsq`` have shape (S, N), ``dirs`` (S, N, n); both
+    results have shape (S,).  The ratio |avg of weighted directions|^2 / avg
+    of squared weighted violations is at most 1 (mean-square inequality) and
+    is undefined, NaN, where the whole batch is feasible.  The spread v_n
+    equals the average squared deviation of the weighted directions from
+    their mean.
     """
-    n = gplus.size
+    size = gplus.shape[1]
     active = gplus > 0.0
-    if not np.any(active):
-        return None, 0.0
     weights = np.where(active, gplus / nsq, 0.0)
-    mean_dir = (weights @ dirs) / n
-    num = float(mean_dir @ mean_dir)
-    den = float(np.sum(gplus * gplus / nsq)) / n
-    ln_k = num / den
-    v_n = den - num
-    return ln_k, max(v_n, 0.0)
+    mean_dir = np.matmul(weights[:, None, :], dirs)[:, 0] / size
+    num = np.matmul(mean_dir[:, None, :], mean_dir[:, :, None])[:, 0, 0]
+    den = (gplus * gplus / nsq).sum(axis=1) / size
+    violated = active.any(axis=1)
+    ln_k = np.where(violated, num / np.where(violated, den, 1.0), np.nan)
+    v_n = np.where(violated, np.maximum(den - num, 0.0), 0.0)
+    return ln_k, v_n
+
+
+def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
+    """The family's values and rows at the points v, checked finite; an
+    ``OracleFault`` names the first faulty seed."""
+    gvals, dirs = spec.constraints.batch(indices, v)
+    gvals = np.asarray(gvals, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    if gvals.shape != indices.shape or dirs.shape != indices.shape + v.shape[1:]:
+        raise OracleError(
+            f"constraint batch returned shapes {gvals.shape} and {dirs.shape} "
+            f"for indices {indices.shape} at points {v.shape}")
+    if not (np.isfinite(gvals).all() and np.isfinite(dirs).all()):
+        finite = np.isfinite(gvals).all(axis=1) & np.isfinite(dirs).all(axis=(1, 2))
+        raise OracleFault("constraint oracle returned a non-finite value",
+                          int(np.argmin(finite)))
+    return gvals, dirs
+
+
+def _squared_norms(gplus: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows, zeros read as 1; a zero row of a violated
+    constraint is an ``OracleFault``."""
+    # one row per (seed, index), each reduced as a lone row would be
+    flat = dirs.reshape(-1, dirs.shape[-1])
+    nsq = np.einsum("ij,ij->i", flat, flat).reshape(gplus.shape)
+    zero = (nsq == 0.0) & (gplus > 0.0)
+    if zero.any():
+        raise OracleFault("zero direction with positive violation: step undefined",
+                          int(np.argmax(zero.any(axis=1))))
+    return np.where(nsq > 0.0, nsq, 1.0)
+
+
+def _check_indices(indices) -> np.ndarray:
+    indices = np.asarray(indices)
+    if indices.ndim != 2 or indices.shape[1] < 1:
+        raise ConfigError("indices must hold one minibatch of at least one "
+                          f"index per seed, shape (S, N); got {indices.shape}")
+    return indices
 
 
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                 v: np.ndarray, policy: BetaPolicy,
                                 checker: Optional["_LemmaChecker"] = None,
-                                k: int = 0):
-    """One parallel minibatch feasibility pass at the common point v.
+                                k: int = 0, seeds=None):
+    """One parallel minibatch feasibility pass, seed by seed at its point.
 
-    Each sampled constraint gets an independent relaxed projection step; the
-    results are averaged (fixed index order) and projected onto the simple
-    set.  The stepsize is ``policy.step_beta`` of the batch's realized ratio
-    L_N,k.  A declared ``policy.ln`` that L_N,k exceeds by more than a
-    relative ``LN_RTOL`` raises ``SolverAbort`` before the step, since
-    beta < 2 / L_N no longer certifies it.  When the whole batch is feasible
-    the iterate is returned unchanged.  ``checker`` (None when checks are off)
-    verifies the step's decrease inequalities; ``k`` labels its reports.
-    Returns the next iterate and the batch diagnostics; an oracle fault raises
-    ``OracleError``.
+    ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).
+    Each sampled constraint gets an independent relaxed projection step from
+    its seed's point; the results are averaged (fixed index order) and
+    projected onto the simple set.  A seed's stepsize is ``policy.step_beta``
+    of its batch's realized ratio L_N,k.  A declared ``policy.ln`` that some
+    seed's L_N,k exceeds by more than a relative ``LN_RTOL`` raises
+    ``SolverAbort`` before the step, since beta < 2 / L_N no longer
+    certifies it.  A seed whose whole batch is feasible keeps its point, and
+    when no seed has a violated batch ``v`` itself is returned.  ``checker``
+    (None when checks are off) verifies each seed's decrease inequalities;
+    ``k`` and ``seeds`` (the seed of each row, by default the row number)
+    label the reports.  Returns the next points and the per-seed batch
+    diagnostics; an oracle fault raises ``OracleFault``.
     """
-    indices = np.asarray(indices)
-    if indices.size < 1:
-        raise ConfigError("minibatch must contain at least one index")
-    gvals, dirs = spec.constraints.batch(indices, v)
-    gvals = np.asarray(gvals, dtype=np.float64)
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-    if not (np.all(np.isfinite(gvals)) and np.all(np.isfinite(dirs))):
-        raise OracleError("constraint oracle returned a non-finite value")
+    indices = _check_indices(indices)
+    gvals, dirs = _checked_batch(spec, indices, v)
     gplus = np.maximum(gvals, 0.0)
-    nsq = np.einsum("ij,ij->i", dirs, dirs)
-    if np.any((nsq == 0.0) & (gplus > 0.0)):
-        raise OracleError("zero direction with positive violation: step undefined")
-    nsq = np.where(nsq > 0, nsq, 1.0)
+    nsq = _squared_norms(gplus, dirs)
     ln_k, v_n = batch_diagnostics(gplus, dirs, nsq)
-    if ln_k is None:
-        return v, BatchStepDiagnostics(None, v_n, gplus, None)
-    beta = policy.step_beta(ln_k)
-    if policy.ln is not None and ln_k > policy.ln * (1.0 + LN_RTOL):
-        raise SolverAbort(
-            f"realized L_N,k {ln_k:g} exceeds the declared L_N {policy.ln:g} "
-            f"at k={k} (beta {beta:g})",
-            snapshot={"k": k, "ln_k": ln_k, "ln": policy.ln, "beta": beta})
-    coeff = np.where(gplus > 0.0, beta * gplus / nsq, 0.0)
-    x_next = spec.simple_set.project(v - (coeff @ dirs) / indices.size)
+    violated = ~np.isnan(ln_k)
+    beta = np.where(violated, policy.step_beta(ln_k), np.nan)
+    diag = BatchStepDiagnostics(ln_k, v_n, gplus, beta)
+    if not violated.any():
+        return v, diag
+    if policy.ln is not None:
+        over = ln_k > policy.ln * (1.0 + LN_RTOL)
+        if over.any():
+            row = int(np.argmax(over))
+            seed = row if seeds is None else seeds[row]
+            raise SolverAbort(
+                f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
+                f"{policy.ln:g} at k={k}, seed {seed} (beta {beta[row]:g})",
+                snapshot={"seed": seed, "k": k, "ln_k": float(ln_k[row]),
+                          "ln": policy.ln, "beta": float(beta[row])})
+    coeff = np.where(gplus > 0.0, beta[:, None] * gplus / nsq, 0.0)
+    step = np.matmul(coeff[:, None, :], dirs)[:, 0] / indices.shape[1]
+    x_next = np.where(violated[:, None], spec.simple_set.project(v - step), v)
     if checker is not None:
         checker.single_steps(k, v, gplus, dirs, nsq, beta)
         checker.parallel_batch(k, v, x_next, gplus, beta, ln_k)
-    return x_next, BatchStepDiagnostics(ln_k, v_n, gplus, beta)
+    return x_next, diag
 
 
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
@@ -305,39 +369,33 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                   k: int = 0):
     """Chained relaxed projection steps, one per sampled constraint.
 
-    Each constraint is evaluated at the current inner point; every step is
-    followed by projection onto the simple set.  ``checker`` (None when checks
-    are off) verifies every inner step and the chain's distance decreases;
-    ``k`` labels its reports.  Returns the final inner point and the sequence
-    of positive parts seen by the steps; an oracle fault raises
-    ``OracleError``.
+    ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).  The
+    i-th step evaluates every seed's i-th constraint at that seed's current
+    inner point; each seed that violates it steps and is projected onto the
+    simple set, the others keep their point.  ``checker`` (None when checks
+    are off) verifies every inner step and each seed's chain of distance
+    decreases; ``k`` labels its reports.  Returns the final inner points and
+    the positive parts seen by the steps, shape (S, N); an oracle fault
+    raises ``OracleFault``.
     """
-    indices = np.asarray(indices)
-    if indices.size < 1:
-        raise ConfigError("minibatch must contain at least one index")
+    indices = _check_indices(indices)
     if not 0.0 < beta < 2.0:
         raise ConfigError("sequential feasibility steps require beta in (0, 2)")
-    batch, project = spec.constraints.batch, spec.simple_set.project
+    project = spec.simple_set.project
     z = v
     inner = [v] if checker is not None else None
-    gplus_seq = np.zeros(indices.size)
-    for i in range(indices.size):
-        gvals, dirs = batch(indices[i:i + 1], z)
-        g = float(gvals[0])
-        dirs = np.asarray(dirs, dtype=np.float64)
-        if not (math.isfinite(g) and np.all(np.isfinite(dirs))):
-            raise OracleError("constraint oracle returned a non-finite value")
-        if g > 0.0:
-            # row-shaped norm so the arithmetic rounds exactly as in the
-            # parallel pass (bit-identical variants at batch size 1)
-            nsq = np.einsum("ij,ij->i", dirs, dirs)
-            if nsq[0] == 0.0:
-                raise OracleError(
-                    "zero direction with positive violation: step undefined")
-            gplus_seq[i] = g
+    gplus_seq = np.zeros(indices.shape)
+    for i in range(indices.shape[1]):
+        gvals, dirs = _checked_batch(spec, indices[:, i:i + 1], z)
+        active = gvals[:, 0] > 0.0
+        if active.any():
+            gplus = np.maximum(gvals, 0.0)
+            nsq = _squared_norms(gplus, dirs)
+            gplus_seq[:, i] = gplus[:, 0]
             if checker is not None:
-                checker.single_steps(k, z, gplus_seq[i:i + 1], dirs, nsq, beta)
-            z = project(z - (beta * g / float(nsq[0])) * dirs[0])
+                checker.single_steps(k, z, gplus, dirs, nsq, beta)
+            step = (beta * gplus[:, 0] / nsq[:, 0])[:, None] * dirs[:, 0]
+            z = np.where(active[:, None], project(z - step), z)
         if inner is not None:
             inner.append(z)
     if checker is not None:
@@ -346,7 +404,8 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 
 
 def objective_step(spec: ProblemSpec, x_prev: np.ndarray, alpha: float) -> np.ndarray:
-    """Projected subgradient step on the objective."""
+    """Projected subgradient step on the objective, row by row of the
+    (S, n) points ``x_prev``."""
     if alpha < 0:
         raise ConfigError("alpha must be nonnegative")
     s = np.asarray(spec.objective.subgradient(x_prev), dtype=np.float64)
@@ -359,12 +418,14 @@ def objective_step(spec: ProblemSpec, x_prev: np.ndarray, alpha: float) -> np.nd
 
 class _LemmaChecker:
     """Verifies the per-iteration decrease inequalities on a polyhedral
-    benchmark, aborting with a snapshot on the first violation."""
+    benchmark, seed by seed, aborting with a snapshot on the first
+    violation."""
 
-    def __init__(self, context: PolyhedralContext, mg: float):
+    def __init__(self, context: PolyhedralContext, mg: float, seeds):
         self.ctx = context
         self.mg = mg
-        self.ln_running_max = 0.0
+        self.seeds = seeds
+        self.ln_running_max = np.zeros(len(seeds))
         p = context.feasible_point
         if max_violation(context.poly, p) > TOL_METRIC or \
                 not context.simple_set.contains(p, tol=TOL_METRIC):
@@ -373,55 +434,62 @@ class _LemmaChecker:
     def _dist(self, v):
         return distance_oracle(self.ctx.poly, self.ctx.simple_set, v)
 
-    def _fail(self, name, k, slack, extra=None):
-        snap = {"check": name, "k": k, "slack": slack}
+    def _fail(self, name, k, row, slack, extra=None):
+        seed = self.seeds[row]
+        snap = {"check": name, "seed": seed, "k": k, "slack": slack}
         snap.update(extra or {})
         raise SolverAbort(
-            f"iteration inequality '{name}' violated at k={k} (slack {slack:.3e})",
-            snapshot=snap)
+            f"iteration inequality '{name}' violated at k={k}, seed {seed} "
+            f"(slack {slack:.3e})", snapshot=snap)
 
     def single_steps(self, k, v, gplus, dirs, nsq, beta):
         """Per-constraint decrease toward the feasible reference point."""
         p = self.ctx.feasible_point
-        vp = float(np.linalg.norm(v - p)) ** 2
-        for i in range(gplus.size):
-            if gplus[i] == 0.0:
-                continue
-            z_i = v - (beta * gplus[i] / nsq[i]) * dirs[i]
-            lhs = float(np.linalg.norm(z_i - p)) ** 2
-            rhs = vp - beta * (2.0 - beta) * gplus[i] ** 2 / nsq[i]
-            if lhs - rhs > TOL_ASSERT:
-                self._fail("single-step-decrease", k, rhs - lhs, {"index": i})
+        beta = np.broadcast_to(beta, gplus.shape[:1])
+        for row in range(gplus.shape[0]):
+            vp = float(np.linalg.norm(v[row] - p)) ** 2
+            for i in range(gplus.shape[1]):
+                g = gplus[row, i]
+                if g == 0.0:
+                    continue
+                z_i = v[row] - (beta[row] * g / nsq[row, i]) * dirs[row, i]
+                lhs = float(np.linalg.norm(z_i - p)) ** 2
+                rhs = vp - beta[row] * (2.0 - beta[row]) * g ** 2 / nsq[row, i]
+                if lhs - rhs > TOL_ASSERT:
+                    self._fail("single-step-decrease", k, row, rhs - lhs,
+                               {"index": i})
 
     def parallel_batch(self, k, v, x, gplus, beta, ln_k):
-        if ln_k is not None:
-            self.ln_running_max = max(self.ln_running_max, ln_k)
-        ln = self.ln_running_max
-        if ln == 0.0:
-            return
-        dv = self._dist(v) ** 2
-        dx = self._dist(x) ** 2
-        decrease = beta * (2.0 - beta * ln) / (gplus.size * self.mg ** 2) \
-            * float(np.sum(gplus ** 2))
-        if dx - (dv - decrease) > TOL_ASSERT:
-            self._fail("batch-distance-decrease", k, (dv - decrease) - dx,
-                       {"dist_v": dv, "dist_x": dx})
+        for row in np.flatnonzero(~np.isnan(ln_k)):
+            self.ln_running_max[row] = max(self.ln_running_max[row], ln_k[row])
+            ln = self.ln_running_max[row]
+            if ln == 0.0:
+                continue
+            dv = self._dist(v[row]) ** 2
+            dx = self._dist(x[row]) ** 2
+            decrease = beta[row] * (2.0 - beta[row] * ln) \
+                / (gplus.shape[1] * self.mg ** 2) * float(np.sum(gplus[row] ** 2))
+            if dx - (dv - decrease) > TOL_ASSERT:
+                self._fail("batch-distance-decrease", k, row, (dv - decrease) - dx,
+                           {"dist_v": dv, "dist_x": dx})
 
     def sequential_chain(self, k, inner_points, gplus_seq, beta):
         """Inner-step and summed distance decreases for the chained variant."""
-        dists = [self._dist(z) for z in inner_points]
         factor = beta * (2.0 - beta) / self.mg ** 2
-        for i in range(1, len(inner_points)):
-            bound = dists[i - 1] ** 2 - factor * gplus_seq[i - 1] ** 2
-            if dists[i] ** 2 - bound > TOL_ASSERT:
-                self._fail("chain-step-distance-decrease", k,
-                           bound - dists[i] ** 2, {"inner_step": i})
-            if dists[i] - dists[i - 1] > TOL_ASSERT:
-                self._fail("chain-monotone-distance", k,
-                           dists[i - 1] - dists[i], {"inner_step": i})
-        total = dists[0] ** 2 - factor * float(np.sum(gplus_seq ** 2))
-        if dists[-1] ** 2 - total > TOL_ASSERT:
-            self._fail("chain-summed-distance-decrease", k, total - dists[-1] ** 2)
+        for row in range(gplus_seq.shape[0]):
+            dists = [self._dist(z[row]) for z in inner_points]
+            for i in range(1, len(inner_points)):
+                bound = dists[i - 1] ** 2 - factor * gplus_seq[row, i - 1] ** 2
+                if dists[i] ** 2 - bound > TOL_ASSERT:
+                    self._fail("chain-step-distance-decrease", k, row,
+                               bound - dists[i] ** 2, {"inner_step": i})
+                if dists[i] - dists[i - 1] > TOL_ASSERT:
+                    self._fail("chain-monotone-distance", k, row,
+                               dists[i - 1] - dists[i], {"inner_step": i})
+            total = dists[0] ** 2 - factor * float(np.sum(gplus_seq[row] ** 2))
+            if dists[-1] ** 2 - total > TOL_ASSERT:
+                self._fail("chain-summed-distance-decrease", k, row,
+                           total - dists[-1] ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -452,105 +520,137 @@ def _initial_point(spec: ProblemSpec, config: SolverConfig,
     return np.asarray(spec.simple_set.project(raw), dtype=np.float64)
 
 
-def run(spec: ProblemSpec, config: SolverConfig,
-        context: Optional[PolyhedralContext] = None) -> RunResult:
-    """Execute the configured variant for the full iteration budget.
+def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, seeds,
+                        name: str, before: np.ndarray) -> None:
+    if not np.isfinite(points).all():
+        row = int(np.argmin(np.isfinite(points).all(axis=1)))
+        raise SolverAbort(f"{what} produced a non-finite iterate at k={k}, "
+                          f"seed {seeds[row]}",
+                          snapshot={"seed": seeds[row], "k": k, name: before[row]})
 
-    Deterministic given the seed: the index stream, the initial point and all
-    arithmetic are reproducible.  Each iteration takes an objective step and
-    then one call of ``parallel_feasibility_update`` or
-    ``sequential_feasibility_update``, with the lemma checker when
-    ``assertions`` is ``lemma-checks``.  Metrics in the emitted records are
-    computed on the weighted running average of the iterates.  A non-finite
-    iterate, a constraint oracle fault (reported with ``k`` and the batch
-    indices) and, in the parallel variant, a realized L_N,k above the declared
-    L_N abort the run with ``SolverAbort``.
+
+def run(spec: ProblemSpec, config: SolverConfig,
+        context: Optional[PolyhedralContext] = None) -> list:
+    """Execute the configured variant for the full iteration budget, for
+    every seed of ``config.seeds`` at once; returns one ``RunResult`` per
+    seed, in that order.
+
+    The S seeds advance as the rows of one (S, n) array: each iteration
+    takes one objective step and one call of ``parallel_feasibility_update``
+    or ``sequential_feasibility_update`` for the whole block, with the lemma
+    checker when ``assertions`` is ``lemma-checks``.  Each seed keeps its own
+    ``SeedSequence``, hence its own initial point and ``Sampler``, whose
+    minibatches are drawn ahead ``INDEX_BLOCK`` iterations at a time.  So a
+    seed's index stream, initial point and arithmetic are reproducible and do
+    not depend on the other seeds of the block.  Metrics in the emitted
+    records are computed seed by seed on the weighted running average of the
+    iterates; ``elapsed_ns`` counts from the start of the block.  The first
+    iteration at which any seed meets a non-finite iterate, a constraint
+    oracle fault (reported with ``k``, the seed and its batch indices) or,
+    in the parallel variant, a realized L_N,k above the declared L_N aborts
+    the whole block with ``SolverAbort``.
     """
     config.validate(spec)
     if config.assertions == "lemma-checks" and context is None:
         raise ConfigError("lemma-checks mode requires a polyhedral context")
-    checker = _LemmaChecker(context, spec.M_g) \
+    seeds = tuple(config.seeds)
+    checker = _LemmaChecker(context, spec.M_g, seeds) \
         if config.assertions == "lemma-checks" else None
 
-    root = np.random.SeedSequence(config.seed)
-    ss_init, ss_sampler = root.spawn(2)
-    x = _initial_point(spec, config, np.random.default_rng(ss_init))
-    m = spec.constraints.size
-    sampler = Sampler(config.sampler_variant, m,
-                      seed=np.random.default_rng(ss_sampler)) if m else None
-
     fam = spec.constraints
-    policy = config.beta_policy
-    beta_k = policy.initial_beta()
+    m = fam.size
+    x = np.empty((len(seeds), spec.dimension))
+    samplers = []
+    for row, seed in enumerate(seeds):
+        ss_init, ss_sampler = np.random.SeedSequence(seed).spawn(2)
+        x[row] = _initial_point(spec, config, np.random.default_rng(ss_init))
+        if m:
+            samplers.append(Sampler(config.sampler_variant, m,
+                                    seed=np.random.default_rng(ss_sampler)))
 
-    state = IterateState(k=0, x=x, weighted_sum_x=np.zeros(spec.dimension), S=0)
-    records = []
-    iterates = [] if config.capture_iterates else None
+    policy = config.beta_policy
+    beta_k = np.full(len(seeds), policy.initial_beta())
+    no_ratio = np.full(len(seeds), np.nan)
+    max_ln = no_ratio
+
+    state = IterateState(k=0, x=x, weighted_sum_x=np.zeros_like(x), S=0)
+    records = [[] for _ in seeds]
     log_ks = _log_points(config.iterations, config.log_cadence)
     opt = spec.known_optimum
     t0 = time.perf_counter_ns()
-    max_ln = None
 
     for k in range(1, config.iterations + 1):
         alpha = alpha_schedule(spec.mu, k - 1)
         v = objective_step(spec, state.x, alpha)
-        if not np.all(np.isfinite(v)):
-            raise SolverAbort(f"objective step produced a non-finite iterate at k={k}",
-                              snapshot={"k": k, "x": state.x})
+        _abort_if_nonfinite(v, "objective step", k, seeds, "x", state.x)
 
-        ln_k = None
-        if sampler is None:
+        ln_k = no_ratio
+        if not samplers:
             x_next = v
         else:
-            indices = sampler.draw(config.batch_size)
+            ahead = (k - 1) % INDEX_BLOCK
+            if ahead == 0:
+                count = min(INDEX_BLOCK, config.iterations - k + 1)
+                drawn = np.empty((len(seeds), count, config.batch_size), dtype=np.int64)
+                for row, sampler in enumerate(samplers):
+                    for j in range(count):
+                        drawn[row, j] = sampler.draw(config.batch_size)
+            indices = drawn[:, ahead]
             try:
                 if config.variant == "parallel":
                     x_next, diag = parallel_feasibility_update(
-                        spec, indices, v, policy, checker, k)
+                        spec, indices, v, policy, checker, k, seeds)
                     ln_k = diag.ln_k
-                    if diag.beta is not None:
-                        beta_k = diag.beta
+                    beta_k = np.where(np.isnan(diag.beta), beta_k, diag.beta)
                 else:
                     x_next, _ = sequential_feasibility_update(
-                        spec, indices, v, beta_k, checker, k)
-            except OracleError as exc:
-                raise SolverAbort(f"constraint oracle fault at k={k}: {exc}",
-                                  snapshot={"k": k, "indices": indices}) from exc
+                        spec, indices, v, policy.initial_beta(), checker, k)
+            except OracleFault as exc:
+                seed = seeds[exc.row]
+                raise SolverAbort(
+                    f"constraint oracle fault at k={k}, seed {seed}: {exc}",
+                    snapshot={"seed": seed, "k": k,
+                              "indices": indices[exc.row]}) from exc
 
-        if not np.all(np.isfinite(x_next)):
-            raise SolverAbort(
-                f"feasibility update produced a non-finite iterate at k={k}",
-                snapshot={"k": k, "v": v})
+        _abort_if_nonfinite(x_next, "feasibility update", k, seeds, "v", v)
 
         state.k, state.x = k, x_next
         weight = (k + 1) * (k + 1)
         state.S += weight
         state.weighted_sum_x += weight * x_next
-        if ln_k is not None:
-            max_ln = ln_k if max_ln is None else max(max_ln, ln_k)
-        if iterates is not None:
-            iterates.append(x_next.copy())
+        max_ln = np.fmax(max_ln, ln_k)
 
         if k in log_ks:
             x_hat = state.x_hat()
-            f_gap = None
-            if opt is not None:
-                f_gap = float(spec.objective.evaluate(x_hat)) - opt.f_star
-            viol = dist = None
-            if context is not None:
-                viol = max_violation(context.poly, x_hat)
-                dist = distance_oracle(context.poly, context.simple_set, x_hat)
-            elif fam.size:
-                gvals, _ = fam.batch(np.arange(fam.size), x_hat)
-                viol = max(float(np.max(gvals)), 0.0)
-            records.append(RunRecord(seed=config.seed, k=k, f_gap=f_gap,
-                                     max_violation=viol, dist_x=dist, ln_k=ln_k,
-                                     beta_k=beta_k,
-                                     elapsed_ns=time.perf_counter_ns() - t0))
+            if context is None and m:
+                gvals, _ = fam.batch(np.broadcast_to(np.arange(m), (len(seeds), m)),
+                                     x_hat)
+                worst = np.maximum(np.max(gvals, axis=1), 0.0)
+            for row, seed in enumerate(seeds):
+                f_gap = None
+                if opt is not None:
+                    f_gap = float(spec.objective.evaluate(x_hat[row])) - opt.f_star
+                viol = dist = None
+                if context is not None:
+                    viol = max_violation(context.poly, x_hat[row])
+                    dist = distance_oracle(context.poly, context.simple_set,
+                                           x_hat[row])
+                elif m:
+                    viol = float(worst[row])
+                records[row].append(RunRecord(
+                    seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_x=dist,
+                    ln_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),
+                    beta_k=float(beta_k[row]),
+                    elapsed_ns=time.perf_counter_ns() - t0))
 
-    return RunResult(seed=config.seed, iterations=config.iterations,
-                     records=records, final_x=state.x, final_x_hat=state.x_hat(),
-                     max_ln_k=max_ln, iterates=iterates, state=state)
+    x_hat = state.x_hat()
+    return [RunResult(seed=seed, iterations=config.iterations, records=records[row],
+                      final_x=state.x[row], final_x_hat=x_hat[row],
+                      max_ln_k=None if np.isnan(max_ln[row]) else float(max_ln[row]),
+                      state=IterateState(k=state.k, x=state.x[row],
+                                         weighted_sum_x=state.weighted_sum_x[row],
+                                         S=state.S))
+            for row, seed in enumerate(seeds)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import argparse
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             aggregate_rows, bootstrap_ci, load_config_file, main,
                             minibatch_sweep, parse_seeds, rate_check, read_csv,
                             solve_experiment, write_csv)
-from mbproj import geometry
+from mbproj import geometry, harness
 from mbproj.problems import (make_builtin, make_polyhedral_benchmark, qb_curves,
                              save_instance)
 from mbproj.solver import ConfigError
@@ -159,14 +161,22 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_SOLVER
 
-    def test_byte_identical_outputs_across_invocations_and_seed_splits(self, tmp_path):
+    @pytest.mark.parametrize("extra", [
+        ["--variant", "parallel", "--beta", "1.0"],
+        ["--variant", "parallel", "--beta-policy", "adaptive"],
+        ["--variant", "sequential", "--beta", "1.0"],
+        ["--variant", "parallel", "--beta", "1.0", "--sampler", "iid-uniform"],
+        ["--variant", "sequential", "--beta", "1.0", "--assertions", "lemma-checks"],
+    ], ids=["parallel-fixed", "parallel-adaptive", "sequential", "iid-uniform",
+            "lemma-checks"])
+    def test_byte_identical_outputs_across_invocations_and_seed_splits(self, tmp_path,
+                                                                       extra):
         args = ["solve", "--builtin", "benchmark", "--n", "4", "--m", "6",
-                "--variant", "parallel", "--N", "2", "--beta", "1.0",
-                "--iters", "200"]
+                "--N", "2", "--iters", "200"] + extra
         blobs = []
         for tag in ("a", "b"):
             out = tmp_path / tag
-            assert main(args + ["--seeds", "1..3", "--out", str(out)]) == EXIT_OK
+            assert main(args + ["--seeds", "1..6", "--out", str(out)]) == EXIT_OK
             blob = {}
             for name in sorted(os.listdir(out)):
                 with open(out / name, "rb") as fh:
@@ -175,15 +185,70 @@ class TestSolveCommand:
         assert blobs[0] == blobs[1]
 
         def data_rows(path):
-            with open(path) as fh:
-                return [line for line in fh if not line.startswith("#")]
+            with open(path, "rb") as fh:
+                return [line for line in fh if not line.startswith(b"#")]
 
-        # a seed's rows do not depend on the other seeds of its invocation
-        for seed in (1, 2, 3):
+        # a seed's rows do not depend on the other seeds of its block: a
+        # 6-seed block, a 3-seed block and single seeds agree byte for byte
+        assert main(args + ["--seeds", "1..3", "--out", str(tmp_path / "three")]) \
+            == EXIT_OK
+        for seed in range(1, 7):
+            name = f"run_seed{seed}.csv"
             out = tmp_path / f"single{seed}"
             assert main(args + ["--seeds", str(seed), "--out", str(out)]) == EXIT_OK
-            name = f"run_seed{seed}.csv"
             assert data_rows(out / name) == data_rows(tmp_path / "a" / name)
+            if seed <= 3:
+                assert data_rows(tmp_path / "three" / name) == \
+                    data_rows(tmp_path / "a" / name)
+
+    @pytest.mark.parametrize("fault", ["understated-ln", "nan-value"])
+    def test_abort_in_a_block_names_the_failing_seed(self, tmp_path, capsys,
+                                                    monkeypatch, fault):
+        # seed 2 of the block fails first: alone it aborts at k=k2, and seeds
+        # 1 and 3 alone fail later or never; the block stops at k2 naming it
+        args = ["solve", "--builtin", "benchmark", "--n", "6", "--m", "10",
+                "--variant", "parallel", "--iters", "300"]
+        if fault == "understated-ln":
+            # realized ratios of 3-batches reach 0.87 on this instance
+            args += ["--N", "3", "--beta-policy", "extrapolated", "--delta", "0.1",
+                     "--ln-hint", "0.5"]
+            k2 = 3
+        else:
+            # the family reports NaN for constraint 8, which seed 2 draws first
+            args += ["--N", "1"]
+            k2 = 1
+            build = harness.build_problem
+
+            def poisoned(cfg):
+                inst = build(cfg)
+                fam = inst.spec.constraints
+
+                def batch(indices, v):
+                    values, rows = fam.batch(indices, v)
+                    return np.where(indices == 8, np.nan, values), rows
+
+                inst.spec = replace(inst.spec, constraints=replace(fam, batch=batch))
+                return inst
+
+            monkeypatch.setattr(harness, "build_problem", poisoned)
+
+        def abort_k(seeds, out):
+            code = main(args + ["--seeds", seeds, "--out", str(out)])
+            err = capsys.readouterr().err
+            if code == EXIT_OK:
+                return None
+            assert code == EXIT_SOLVER, err
+            return int(re.search(r"at k=(\d+), seed (\d+)", err).group(1)), err
+
+        k, err = abort_k("1..3", tmp_path / "block")
+        assert k == k2
+        assert "seed 2" in err and "'seed': 2" in err
+        # no seed of an aborted block finishes, so no CSV is written
+        assert not os.path.exists(tmp_path / "block" / "run_seed1.csv")
+        assert abort_k("2", tmp_path / "two")[0] == k2
+        for seed in ("1", "3"):
+            alone = abort_k(seed, tmp_path / seed)
+            assert alone is None or alone[0] > k2
 
     @pytest.mark.parametrize("extra", [
         ["--variant", "parallel", "--beta-policy", "adaptive"],

@@ -24,6 +24,19 @@ class TestSimpleSet:
         v = np.array([1.5, 1.0, 0.5])
         np.testing.assert_array_equal(ball.project(v), v)
 
+    def test_rows_project_as_lone_points(self):
+        # each row of a block is projected exactly as the 1-D point alone;
+        # rows inside stay as they are, and an all-inside block is returned
+        ball = SimpleSet.ball(np.array([0.3, -0.2, 0.1]), 1.5)
+        block = np.random.default_rng(4).standard_normal((12, 3))
+        out = ball.project(block)
+        assert out.shape == block.shape
+        for row, v in zip(out, block):
+            np.testing.assert_array_equal(row, ball.project(v))
+        inside = block[np.linalg.norm(block - ball.center, axis=1) <= 1.5]
+        assert 0 < len(inside) < len(block)
+        assert ball.project(inside) is inside
+
     @pytest.mark.parametrize("make_set", [
         lambda: SimpleSet.ball(np.array([0.3, -0.2, 0.1]), 1.5),
         lambda: SimpleSet.whole_space(3),
@@ -57,14 +70,20 @@ def single_index_steps(family, dimension=2):
                        constraints=family,
                        simple_set=SimpleSet.whole_space(dimension),
                        mu=1.0, M_f=1.0, M_g=1.0)
-    index = np.array([0])
+    index = np.array([[0]])
 
+    # both passes take a block of seeds; v runs as a one-seed block, and a
+    # pass that hands the block back unchanged hands back v itself
     def parallel(v, beta=1.0):
-        x, diag = parallel_feasibility_update(spec, index, v, BetaPolicy.fixed(beta))
-        return x, diag.per_index_gplus
+        block = v[None]
+        x, diag = parallel_feasibility_update(spec, index, block,
+                                              BetaPolicy.fixed(beta))
+        return (v if x is block else x[0]), diag.per_index_gplus[0]
 
     def sequential(v, beta=1.0):
-        return sequential_feasibility_update(spec, index, v, beta)
+        block = v[None]
+        x, gplus = sequential_feasibility_update(spec, index, block, beta)
+        return (v if x is block else x[0]), gplus[0]
 
     return parallel, sequential
 
@@ -87,20 +106,21 @@ class TestPositivePart:
         # passes ignore the rows of satisfied constraints and return v itself
         fam = distance_family([SimpleSet.ball(np.zeros(2), 1.0).project], 2)
         v = np.array([0.2, 0.1])
-        gvals, dirs = fam.batch(np.array([0]), v)
-        np.testing.assert_array_equal(gvals, [0.0])
-        np.testing.assert_array_equal(dirs, [[0.0, 0.0]])
+        gvals, dirs = fam.batch(np.array([[0]]), v[None])
+        np.testing.assert_array_equal(gvals, [[0.0]])
+        np.testing.assert_array_equal(dirs, [[[0.0, 0.0]]])
         for step in single_index_steps(fam):
             x, gplus = step(v)
             np.testing.assert_array_equal(gplus, [0.0])
             assert x is v
 
     def test_norm_constraint(self):
-        # g(x) = |x| - 1
-        fam = ConstraintFamily(
-            size=1,
-            batch=lambda idx, v: (np.array([np.linalg.norm(v) - 1.0]),
-                                  np.array([v / np.linalg.norm(v)])))
+        # g(x) = |x| - 1, one value and one row per seed
+        def batch(idx, v):
+            norm = np.linalg.norm(v, axis=1, keepdims=True)
+            return norm - 1.0, (v / norm)[:, None, :]
+
+        fam = ConstraintFamily(size=1, batch=batch)
         for step in single_index_steps(fam):
             x, gplus = step(np.array([0.0, 2.0]))
             np.testing.assert_allclose(gplus, [1.0])
@@ -108,14 +128,16 @@ class TestPositivePart:
 
     def test_zero_direction_is_hard_error(self):
         fam = ConstraintFamily(
-            size=1, batch=lambda idx, v: (np.array([1.0]), np.zeros((1, 2))))
+            size=1,
+            batch=lambda idx, v: (np.ones(idx.shape), np.zeros(idx.shape + (2,))))
         for step in single_index_steps(fam):
             with pytest.raises(OracleError, match="zero direction"):
                 step(np.zeros(2))
 
     def test_nonfinite_value_is_error(self):
         fam = ConstraintFamily(
-            size=1, batch=lambda idx, v: (np.array([np.nan]), np.ones((1, 2))))
+            size=1, batch=lambda idx, v: (np.full(idx.shape, np.nan),
+                                          np.ones(idx.shape + (2,))))
         for step in single_index_steps(fam):
             with pytest.raises(OracleError, match="non-finite"):
                 step(np.zeros(2))
@@ -129,7 +151,8 @@ class TestPositivePart:
             d = rng.standard_normal(4)
             g = -rng.uniform(0.0, 2.0)
             fam = ConstraintFamily(
-                size=1, batch=lambda idx, x: (np.array([g]), d[None, :]))
+                size=1, batch=lambda idx, x: (np.full(idx.shape, g),
+                                              np.broadcast_to(d, idx.shape + d.shape)))
             for step in single_index_steps(fam, dimension=4):
                 out, _ = step(v, beta)
                 assert out is v
@@ -168,16 +191,22 @@ class TestFamilyBatch:
                 dist = np.linalg.norm(r)
                 return dist, r / dist
 
-        idx = np.array([2, 0, 1, 0])
-        # violated points: outside the ball, the halfspace and the box
-        for v in (np.array([3.0, 2.5]), np.array([2.2, 4.0])):
-            gvals, rows = fam.batch(idx, v)
-            assert gvals.dtype == rows.dtype == np.float64
-            assert gvals.shape == (4,) and rows.shape == (4, 2)
-            for pos, w in enumerate(idx.tolist()):
+        # a block of two seeds, each with its own batch and point; the
+        # points are violated: outside the ball, the halfspace and the box
+        idx = np.array([[2, 0, 1, 0], [1, 1, 2, 0]])
+        points = np.array([[3.0, 2.5], [2.2, 4.0]])
+        gvals, rows = fam.batch(idx, points)
+        assert gvals.dtype == rows.dtype == np.float64
+        assert gvals.shape == (2, 4) and rows.shape == (2, 4, 2)
+        for s, v in enumerate(points):
+            for pos, w in enumerate(idx[s].tolist()):
                 g, d = expected(w, v)
-                assert gvals[pos] == pytest.approx(g, rel=1e-15, abs=1e-15)
-                np.testing.assert_array_equal(rows[pos], d)
+                assert gvals[s, pos] == pytest.approx(g, rel=1e-15, abs=1e-15)
+                np.testing.assert_array_equal(rows[s, pos], d)
+            # a seed's answer does not depend on the other seeds of the block
+            alone = fam.batch(idx[s:s + 1], points[s:s + 1])
+            np.testing.assert_array_equal(alone[0][0], gvals[s])
+            np.testing.assert_array_equal(alone[1][0], rows[s])
 
 
 class TestDistanceFamilyBatch:
@@ -191,7 +220,7 @@ class TestDistanceFamilyBatch:
             return proj
 
         fam = distance_family([counted(w, p) for w, p in enumerate(PROJECTORS)], 2)
-        fam.batch(np.array([2, 0, 1]), np.array([1.5, 1.0]))
+        fam.batch(np.array([[2, 0, 1]]), np.array([[1.5, 1.0]]))
         assert calls == [2, 0, 1]
 
     def test_distance_family_has_unit_subgradient_bound(self):
@@ -201,7 +230,7 @@ class TestDistanceFamilyBatch:
         violated = 0
         for _ in range(200):
             v = 4.0 * rng.standard_normal(2)
-            gvals, rows = fam.batch(np.arange(3), v)
+            gvals, rows = fam.batch(np.arange(3)[None], v[None])
             norms = np.linalg.norm(rows[gvals > 0.0], axis=1)
             np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
             violated += norms.size

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,13 +6,28 @@ import numpy as np
 import pytest
 
 from mbproj.geometry import PolyhedronSpec, distance_oracle, max_violation
-from mbproj.oracle import OracleError
+from mbproj.oracle import ObjectiveOracle, OracleError
 from mbproj.problems import (BenchmarkInstance, exact_ln_linear,
                              lambda_max_power, load_instance, make_builtin,
                              make_duplicated_benchmark, make_orthant2,
                              make_orthonormal_benchmark, make_polyhedral_benchmark,
                              make_unconstrained, qb_curves, save_instance)
 from mbproj.solver import BetaPolicy, ConfigError, SolverConfig, run
+
+
+def recording(spec):
+    """``spec`` with an objective that records, as 1-D copies, the points
+    its subgradient is asked about: x_0, ..., x_{K-1} of a one-seed run of K
+    iterations, whose x_K is the result's ``final_x``."""
+    seen = []
+
+    def subgradient(x):
+        seen.append(x[0].copy())
+        return spec.objective.subgradient(x)
+
+    objective = ObjectiveOracle(evaluate=spec.objective.evaluate,
+                                subgradient=subgradient)
+    return dataclasses.replace(spec, objective=objective), seen
 
 
 class TestOrthant2:
@@ -154,9 +170,9 @@ class TestExactLN:
         exact = exact_ln_linear(inst.poly, 2)
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=500,
-                           seed=3, init="gaussian",
+                           seeds=(3,), init="gaussian",
                            sampler_variant="without-replacement")
-        result = run(inst.spec, cfg)
+        (result,) = run(inst.spec, cfg)
         assert result.max_ln_k is not None
         assert result.max_ln_k <= exact + 1e-8
 
@@ -214,13 +230,18 @@ class TestInstanceFile:
         np.testing.assert_array_equal(loaded.pull_center, inst.pull_center)
         assert loaded.spec.M_f == inst.spec.M_f
         assert loaded.spec.known_optimum.f_star == inst.spec.known_optimum.f_star
-        # identical solver trajectories from the reloaded instance
+        # identical solver trajectories from the reloaded instance, read
+        # off the points each objective's subgradient is asked about
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=100,
-                           seed=1, init="gaussian", capture_iterates=True)
-        r1 = run(inst.spec, cfg)
-        r2 = run(loaded.spec, cfg)
-        for a, b in zip(r1.iterates, r2.iterates):
+                           seeds=(1,), init="gaussian")
+        trajectories = []
+        for spec in (inst.spec, loaded.spec):
+            spec, seen = recording(spec)
+            (result,) = run(spec, cfg)
+            trajectories.append(seen[1:] + [result.final_x])
+        assert len(trajectories[0]) == 100
+        for a, b in zip(*trajectories):
             np.testing.assert_array_equal(a, b)
 
     def test_malformed_file_raises(self, tmp_path):

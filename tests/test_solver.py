@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            linear_family)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
                              make_polyhedral_benchmark)
-from mbproj.solver import (BetaPolicy, ConfigError, PolyhedralContext, SolverAbort,
-                           SolverConfig, alpha_schedule, analysis_constants,
-                           batch_diagnostics, objective_step,
+from mbproj.solver import (BetaPolicy, ConfigError, OracleFault, PolyhedralContext,
+                           SolverAbort, SolverConfig, alpha_schedule,
+                           analysis_constants, batch_diagnostics, objective_step,
                            parallel_feasibility_update, run,
                            sequential_feasibility_update)
 
@@ -31,16 +32,39 @@ def corner_spec(simple_set=None, constraints=None):
 
 
 def relaxed_step_both_passes(spec, index, v, beta):
-    """The relaxed projection step of one constraint, through both passes."""
-    xp, _ = parallel_feasibility_update(spec, np.array([index]), v,
+    """The relaxed projection step of one constraint, through both passes,
+    with v as a one-seed block; a pass that hands the block back unchanged
+    hands back v itself."""
+    block = v[None]
+    xp, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
                                         BetaPolicy.fixed(beta))
-    xs, _ = sequential_feasibility_update(spec, np.array([index]), v, beta)
-    return xp, xs
+    xs, _ = sequential_feasibility_update(spec, np.array([[index]]), block, beta)
+    return [v if x is block else x[0] for x in (xp, xs)]
 
 
 def batch_spec(batch, size=1):
-    """Corner problem data around a family given only by its ``batch``."""
-    return corner_spec(constraints=ConstraintFamily(size=size, batch=batch))
+    """Corner problem data around a family given by a one-point ``batch``
+    (indices (N,) at a point (n,)), asked seed by seed of a block."""
+    def seed_batch(indices, points):
+        values, rows = zip(*(batch(idx, v) for idx, v in zip(indices, points)))
+        return np.array(values), np.array(rows)
+
+    return corner_spec(constraints=ConstraintFamily(size=size, batch=seed_batch))
+
+
+def recording(spec):
+    """``spec`` with an objective that records, as 1-D copies, the points
+    its subgradient is asked about: x_0, ..., x_{K-1} of a one-seed run of K
+    iterations, whose x_K is the result's ``final_x``."""
+    seen = []
+
+    def subgradient(x):
+        seen.append(x[0].copy())
+        return spec.objective.subgradient(x)
+
+    objective = ObjectiveOracle(evaluate=spec.objective.evaluate,
+                                subgradient=subgradient)
+    return dataclasses.replace(spec, objective=objective), seen
 
 
 class TestPolyakStep:
@@ -64,20 +88,20 @@ class TestPolyakStep:
     def test_zero_direction_error(self):
         spec = batch_spec(lambda idx, v: (np.ones(len(idx)), np.zeros((len(idx), 2))))
         with pytest.raises(OracleError, match="zero direction"):
-            parallel_feasibility_update(spec, np.array([0]), np.ones(2),
+            parallel_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
                                         BetaPolicy.fixed(1.0))
         with pytest.raises(OracleError, match="zero direction"):
-            sequential_feasibility_update(spec, np.array([0]), np.ones(2), 1.0)
+            sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)), 1.0)
 
 
 class TestParallelUpdate:
     def test_two_orthogonal_constraints(self):
         spec = corner_spec()
-        x, diag = parallel_feasibility_update(spec, np.array([0, 1]),
-                                              np.array([2.0, 2.0]),
+        x, diag = parallel_feasibility_update(spec, np.array([[0, 1]]),
+                                              np.array([[2.0, 2.0]]),
                                               BetaPolicy.fixed(1.0))
-        np.testing.assert_allclose(x, [1.0, 1.0])
-        np.testing.assert_allclose(diag.per_index_gplus, [2.0, 2.0])
+        np.testing.assert_allclose(x, [[1.0, 1.0]])
+        np.testing.assert_allclose(diag.per_index_gplus, [[2.0, 2.0]])
 
     def test_alignment_ratio_value(self):
         # frozen from the definition: |0.5*(2*(1,0) + 2*(0,1))|^2 / (0.5*(4+4))
@@ -86,60 +110,61 @@ class TestParallelUpdate:
         den = 0.5 * (4.0 + 4.0)
         assert num / den == 0.5
         spec = corner_spec()
-        _, diag = parallel_feasibility_update(spec, np.array([0, 1]),
-                                              np.array([2.0, 2.0]),
+        _, diag = parallel_feasibility_update(spec, np.array([[0, 1]]),
+                                              np.array([[2.0, 2.0]]),
                                               BetaPolicy.fixed(1.0))
-        assert diag.ln_k == pytest.approx(0.5, abs=1e-15)
+        assert diag.ln_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
         ball = SimpleSet.ball(np.zeros(2), 1.5)
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
-        x, _ = parallel_feasibility_update(spec, np.array([0]), v,
+        x, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
                                            BetaPolicy.fixed(1.0))
         # g+ = 1.2 along d = (1, 0), |d| = 1
         expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(x, expected)
+        np.testing.assert_array_equal(x[0], expected)
 
     def test_feasible_batch_returns_v_exactly(self):
         spec = corner_spec()
-        v = np.array([-1.0, -2.0])
-        x, diag = parallel_feasibility_update(spec, np.array([0, 1, 0]), v,
+        v = np.array([[-1.0, -2.0]])
+        x, diag = parallel_feasibility_update(spec, np.array([[0, 1, 0]]), v,
                                               BetaPolicy.fixed(1.3))
         assert x is v
-        assert diag.ln_k is None
-        assert diag.v_n == 0.0
-        assert diag.beta is None
+        assert np.isnan(diag.ln_k[0])     # no ratio: the batch is feasible
+        assert diag.v_n[0] == 0.0
+        assert np.isnan(diag.beta[0])     # no step taken
 
 
 class TestSequentialUpdate:
     def test_orthogonal_chain_projects_both(self):
         spec = corner_spec()
-        x, gplus = sequential_feasibility_update(spec, np.array([0, 1]),
-                                                 np.array([2.0, 2.0]), beta=1.0)
-        np.testing.assert_allclose(x, [0.0, 0.0])
-        np.testing.assert_allclose(gplus, [2.0, 2.0])
+        x, gplus = sequential_feasibility_update(spec, np.array([[0, 1]]),
+                                                 np.array([[2.0, 2.0]]), beta=1.0)
+        np.testing.assert_allclose(x, [[0.0, 0.0]])
+        np.testing.assert_allclose(gplus, [[2.0, 2.0]])
 
     def test_repeated_constraint_second_step_noop(self):
         spec = corner_spec()
-        x, gplus = sequential_feasibility_update(spec, np.array([0, 0]),
-                                                 np.array([2.0, 0.0]), beta=1.0)
-        np.testing.assert_allclose(x, [0.0, 0.0])
-        np.testing.assert_allclose(gplus, [2.0, 0.0])
+        x, gplus = sequential_feasibility_update(spec, np.array([[0, 0]]),
+                                                 np.array([[2.0, 0.0]]), beta=1.0)
+        np.testing.assert_allclose(x, [[0.0, 0.0]])
+        np.testing.assert_allclose(gplus, [[2.0, 0.0]])
 
     def test_single_index_matches_parallel(self):
         ball = SimpleSet.ball(np.zeros(2), 2.0)
         spec = corner_spec(simple_set=ball)
-        v = np.array([1.5, 1.2])
-        xp, _ = parallel_feasibility_update(spec, np.array([1]), v,
+        v = np.array([[1.5, 1.2]])
+        xp, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
                                             BetaPolicy.fixed(0.8))
-        xs, _ = sequential_feasibility_update(spec, np.array([1]), v, beta=0.8)
+        xs, _ = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8)
         np.testing.assert_array_equal(xp, xs)
 
     def test_beta_range_enforced(self):
         spec = corner_spec()
         with pytest.raises(ConfigError):
-            sequential_feasibility_update(spec, np.array([0]), np.ones(2), beta=2.0)
+            sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
+                                          beta=2.0)
 
 
 class TestObjectiveStep:
@@ -180,7 +205,7 @@ class TestBatchQuantities:
         rng = np.random.default_rng(21)
         for _ in range(300):
             gplus, dirs, nsq = self.rand_batch(rng)
-            ln_k, v_n = batch_diagnostics(gplus, dirs, nsq)
+            (ln_k,), (v_n,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
             assert 0.0 < ln_k <= 1.0 + 1e-12
             assert v_n >= 0.0
 
@@ -190,13 +215,13 @@ class TestBatchQuantities:
         dirs = np.tile(d, (5, 1))
         gplus = np.full(5, 1.3)
         nsq = np.einsum("ij,ij->i", dirs, dirs)
-        ln_k, v_n = batch_diagnostics(gplus, dirs, nsq)
+        (ln_k,), (v_n,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
         assert v_n <= 1e-12
         assert ln_k == pytest.approx(1.0, abs=1e-12)
         # distinct weighted directions give strictly positive spread
         dirs[0] = dirs[0] + np.array([1.0, 0, 0, 0])
         nsq = np.einsum("ij,ij->i", dirs, dirs)
-        _, v_n = batch_diagnostics(gplus, dirs, nsq)
+        _, (v_n,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
         assert v_n > 1e-8
 
     def test_mean_square_identity(self):
@@ -283,9 +308,9 @@ class TestRunLoop:
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=300,
-                           seed=9, init="gaussian")
-        r1 = run(inst.spec, cfg, context=inst.context())
-        r2 = run(inst.spec, cfg, context=inst.context())
+                           seeds=(9,), init="gaussian")
+        (r1,) = run(inst.spec, cfg, context=inst.context())
+        (r2,) = run(inst.spec, cfg, context=inst.context())
         assert len(r1.records) == len(r2.records)
         for a, b in zip(r1.records, r2.records):
             # everything except wall time must match exactly
@@ -296,13 +321,15 @@ class TestRunLoop:
 
     def test_single_batch_variants_bit_identical(self):
         inst = self.small_benchmark()
-        results = []
+        trajectories = []
         for variant in ("parallel", "sequential"):
             cfg = SolverConfig(variant=variant, batch_size=1,
                                beta_policy=BetaPolicy.fixed(1.0), iterations=200,
-                               seed=3, init="gaussian", capture_iterates=True)
-            results.append(run(inst.spec, cfg))
-        for xa, xb in zip(results[0].iterates, results[1].iterates):
+                               seeds=(3,), init="gaussian")
+            spec, seen = recording(inst.spec)
+            (result,) = run(spec, cfg)
+            trajectories.append(seen[1:] + [result.final_x])
+        for xa, xb in zip(*trajectories):
             np.testing.assert_array_equal(xa, xb)
 
     def test_empty_family_matches_plain_projected_gradient(self):
@@ -316,33 +343,37 @@ class TestRunLoop:
                            mu=1.0, M_f=10.0, M_g=1.0)
         cfg = SolverConfig(variant="parallel", batch_size=1,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=150,
-                           seed=5, init="zero", capture_iterates=True)
-        result = run(spec, cfg)
+                           seeds=(5,), init="zero")
+        spec, seen = recording(spec)
+        (result,) = run(spec, cfg)
+        iterates = seen[1:] + [result.final_x]
         # independently coded projected gradient recursion
         x = ball.project(np.zeros(3))
         for k in range(1, 151):
             alpha = 4.0 / k
             x = ball.project(x - alpha * (x - center))
-            assert np.linalg.norm(x - result.iterates[k - 1]) <= 1e-10
+            assert np.linalg.norm(x - iterates[k - 1]) <= 1e-10
 
     def test_iterates_stay_in_simple_set(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="sequential", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=300,
-                           seed=2, init="gaussian", capture_iterates=True)
-        result = run(inst.spec, cfg)
+                           seeds=(2,), init="gaussian")
+        spec, seen = recording(inst.spec)
+        (result,) = run(spec, cfg)
         ss = inst.spec.simple_set
-        for x in result.iterates[::10]:
+        for x in (seen[1:] + [result.final_x])[::10]:
             assert np.linalg.norm(ss.project(x) - x) <= 1e-9
 
     def test_streaming_average_matches_recomputation(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=400,
-                           seed=8, init="gaussian", capture_iterates=True)
-        result = run(inst.spec, cfg)
+                           seeds=(8,), init="gaussian")
+        spec, seen = recording(inst.spec)
+        (result,) = run(spec, cfg)
         weights = np.array([(k + 1) ** 2 for k in range(1, 401)], dtype=np.float64)
-        stacked = np.array(result.iterates)
+        stacked = np.array(seen[1:] + [result.final_x])
         x_hat = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
         assert np.linalg.norm(x_hat - result.final_x_hat) <= 1e-10
         assert result.state.S == int(weights.sum())
@@ -352,8 +383,8 @@ class TestRunLoop:
         delta = 0.1
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.adaptive(delta), iterations=50,
-                           seed=6, init="gaussian")
-        result = run(inst.spec, cfg, context=inst.context())
+                           seeds=(6,), init="gaussian")
+        (result,) = run(inst.spec, cfg, context=inst.context())
         for record in result.records:
             if record.ln_k is not None:
                 assert record.beta_k == pytest.approx((2.0 - delta) / record.ln_k)
@@ -380,7 +411,7 @@ class TestRunLoop:
                            simple_set=SimpleSet.whole_space(2),
                            mu=1.0, M_f=1.0, M_g=1.0)
         cfg = SolverConfig(variant="parallel", batch_size=1,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=5, seed=0)
+                           beta_policy=BetaPolicy.fixed(1.0), iterations=5, seeds=(0,))
         with pytest.raises(SolverAbort, match="objective step"):
             run(spec, cfg)
 
@@ -404,7 +435,7 @@ class TestRunLoop:
         for variant in ("parallel", "sequential"):
             cfg = SolverConfig(variant=variant, batch_size=2,
                                beta_policy=BetaPolicy.fixed(1.0), iterations=300,
-                               seed=1, init="gaussian", assertions="lemma-checks")
+                               seeds=(1,), init="gaussian", assertions="lemma-checks")
             run(inst.spec, cfg, context=inst.context())  # must not abort
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
@@ -413,7 +444,8 @@ class TestRunLoop:
         for seed in range(1, 6):
             cfg = SolverConfig(variant=variant, batch_size=4,
                                beta_policy=BetaPolicy.fixed(1.0), iterations=200,
-                               seed=seed, init="gaussian", assertions="lemma-checks")
+                               seeds=(seed,), init="gaussian",
+                               assertions="lemma-checks")
             run(inst.spec, cfg, context=inst.context())  # must not abort
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
@@ -427,10 +459,25 @@ class TestRunLoop:
                                     feasible_point=np.zeros(2))
         cfg = SolverConfig(variant=variant, batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=20,
-                           seed=1, init="zero", assertions="lemma-checks")
+                           seeds=(1,), init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="single-step-decrease") as info:
             run(spec, cfg, context=context)
         assert info.value.snapshot["k"] == 1
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_lemma_check_abort_names_the_seed(self, variant):
+        # the wrong-direction family of the test above, in a block of seeds
+        # 7 and 3 that start alike at x0 = 0: the first row, seed 7, fails
+        spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
+        context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
+                                    simple_set=spec.simple_set,
+                                    feasible_point=np.zeros(2))
+        cfg = SolverConfig(variant=variant, batch_size=2,
+                           beta_policy=BetaPolicy.fixed(1.0), iterations=20,
+                           seeds=(7, 3), init="zero", assertions="lemma-checks")
+        with pytest.raises(SolverAbort, match="k=1, seed 7") as info:
+            run(spec, cfg, context=context)
+        assert info.value.snapshot["seed"] == 7
 
     def test_single_constraint_exact_projection_slack_zero(self):
         # with beta = 1 on an affine constraint the step lands on the boundary,
@@ -439,7 +486,8 @@ class TestRunLoop:
         v = np.array([2.0, 0.0])
         d = np.array([1.0, 0.0])
         g = 2.0  # constraint x1 <= 0 of the corner problem at v
-        z_bar, _ = sequential_feasibility_update(corner_spec(), np.array([0]), v, 1.0)
+        (z_bar,), _ = sequential_feasibility_update(corner_spec(), np.array([[0]]),
+                                                    v[None], 1.0)
         assert z_bar[0] == 0.0
         lhs = np.linalg.norm(z_bar - z_bar) ** 2
         rhs = np.linalg.norm(v - z_bar) ** 2 - 1.0 * (2.0 - 1.0) * g ** 2 / (d @ d)
@@ -449,13 +497,13 @@ class TestRunLoop:
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=20,
-                           seed=0, log_cadence="geometric")
-        ks = [r.k for r in run(inst.spec, cfg, context=inst.context()).records]
+                           seeds=(0,), log_cadence="geometric")
+        ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
         assert ks == [1, 2, 4, 8, 16, 20]
         cfg = SolverConfig(variant="parallel", batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=20,
-                           seed=0, log_cadence=7)
-        ks = [r.k for r in run(inst.spec, cfg, context=inst.context()).records]
+                           seeds=(0,), log_cadence=7)
+        ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
         assert ks == [7, 14, 20]
 
 
@@ -477,14 +525,36 @@ class TestOracleFaults:
                 size=2)
         cfg = SolverConfig(variant=variant, batch_size=2,
                            beta_policy=BetaPolicy.fixed(1.0), iterations=50,
-                           seed=1, init="zero")
+                           seeds=(1,), init="zero")
         with pytest.raises(SolverAbort, match="constraint oracle fault at k=1"
                            ) as info:
             run(spec, cfg)
         snap = info.value.snapshot
-        assert set(snap) == {"k", "indices"}
+        assert set(snap) == {"seed", "k", "indices"}
+        assert snap["seed"] == 1
         assert snap["k"] == 1
         assert sorted(snap["indices"].tolist()) == [0, 1]
+
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    @pytest.mark.parametrize("fault", ["zero-direction", "nan-value"])
+    def test_fault_names_its_row_in_a_block(self, variant, fault):
+        # of three seeds only the second sits where x1 <= 0, x2 <= 0 fail
+        if fault == "zero-direction":
+            spec = batch_spec(lambda idx, v: (v[idx], np.zeros((len(idx), 2))),
+                              size=2)
+        else:
+            spec = batch_spec(
+                lambda idx, v: (np.where(v[idx] > 0, np.nan, v[idx]), np.eye(2)[idx]),
+                size=2)
+        block = np.array([[-1.0, -2.0], [4.0, 4.0], [-3.0, -1.0]])
+        indices = np.array([[0, 1]] * 3)
+        with pytest.raises(OracleFault) as info:
+            if variant == "parallel":
+                parallel_feasibility_update(spec, indices, block, BetaPolicy.fixed(1.0))
+            else:
+                sequential_feasibility_update(spec, indices, block, 1.0)
+        assert info.value.row == 1
 
 
 class TestDeclaredLN:
@@ -502,11 +572,12 @@ class TestDeclaredLN:
         # violated batch has L_N,k = 1, far above the declared 0.001
         inst = make_duplicated_benchmark(4, 6, seed=0)
         cfg = SolverConfig(variant="parallel", batch_size=2, beta_policy=policy,
-                           iterations=200, seed=1, init="gaussian")
+                           iterations=200, seeds=(1,), init="gaussian")
         with pytest.raises(SolverAbort, match="exceeds the declared L_N") as info:
             run(inst.spec, cfg, context=inst.context())
         snap = info.value.snapshot
-        assert set(snap) == {"k", "ln_k", "ln", "beta"}
+        assert set(snap) == {"seed", "k", "ln_k", "ln", "beta"}
+        assert snap["seed"] == 1
         assert 1 <= snap["k"] <= 200
         assert snap["ln"] == 0.001
         assert snap["ln_k"] == pytest.approx(1.0, abs=1e-12)
@@ -531,7 +602,7 @@ class TestDeclaredLN:
         for seed in (1, 2, 3):
             cfg = SolverConfig(variant="parallel", batch_size=batch_size,
                                beta_policy=BetaPolicy.extrapolated(0.1, ln),
-                               iterations=300, seed=seed, init="gaussian",
+                               iterations=300, seeds=(seed,), init="gaussian",
                                sampler_variant="without-replacement")
-            result = run(inst.spec, cfg, context=inst.context())  # must not abort
+            (result,) = run(inst.spec, cfg, context=inst.context())  # must not abort
             assert result.max_ln_k is not None  # the check saw violated batches
