@@ -8,11 +8,11 @@ from .oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle, OracleErro
 from .geometry import (DistanceOracleError, EmptyFeasibleSetError, PolyhedronSpec,
                        TOL_ASSERT, TOL_METRIC, distance_oracle, max_violation,
                        project_intersection)
-from .sampling import Sampler, SamplerConfigError
-from .solver import (BatchStepDiagnostics, BetaPolicy, ConfigError, IterateState,
-                     OracleFault, PolyhedralContext, RunRecord, RunResult,
-                     SolverAbort, SolverConfig, alpha_schedule, analysis_constants,
-                     objective_step, parallel_feasibility_update, run,
+from .sampling import Sampler
+from .solver import (BetaPolicy, ConfigError, OracleFault, PolyhedralContext,
+                     RunRecord, RunResult, SolverAbort, SolverConfig,
+                     alpha_schedule, analysis_constants, objective_step,
+                     parallel_feasibility_update, run,
                      sequential_feasibility_update)
 from .problems import (BenchmarkInstance, exact_ln_linear, load_instance,
                        make_builtin, make_duplicated_benchmark, make_orthant2,

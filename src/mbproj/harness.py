@@ -27,7 +27,7 @@ import numpy as np
 from .geometry import DistanceOracleError, TOL_METRIC
 from .oracle import OracleError
 from .problems import (BenchmarkInstance, load_instance, make_builtin, qb_curves)
-from .sampling import Sampler, SamplerConfigError
+from .sampling import Sampler
 from .solver import (BetaPolicy, ConfigError, RunResult, SolverAbort,
                      SolverConfig, run)
 
@@ -75,17 +75,11 @@ class RunConfig:
     out_dir: str = "out"
 
     def solver_config(self) -> SolverConfig:
-        if self.beta_policy == "fixed":
-            policy = BetaPolicy.fixed(self.beta, ln=self.ln_hint)
-        elif self.beta_policy == "extrapolated":
-            if self.ln_hint is None:
-                raise ConfigError("extrapolated beta requires ln_hint")
-            policy = BetaPolicy.extrapolated(self.delta, self.ln_hint)
-        elif self.beta_policy == "adaptive":
-            # keeps the hint so that validation rejects it: nothing checks it
-            policy = BetaPolicy("adaptive", delta=float(self.delta), ln=self.ln_hint)
-        else:
-            raise ConfigError(f"unknown beta policy {self.beta_policy!r}")
+        """The solver settings, unchecked: ``run`` validates them.  Every
+        policy gets every field, so a hint that its rule does not check
+        reaches ``BetaPolicy.validate`` and is rejected there."""
+        policy = BetaPolicy(self.beta_policy, beta=self.beta, delta=self.delta,
+                            ln=self.ln_hint)
         return SolverConfig(variant=self.variant, batch_size=self.batch_size,
                             beta_policy=policy, iterations=self.iterations,
                             sampler_variant=self.sampler, seeds=self.seeds,
@@ -281,14 +275,15 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     Returns (instance, results, paths).  Metrics use the instance's
     polyhedral context, so dist_X is the oracle distance to the feasible set.
     The CSV headers echo the built instance's n and m, which a builtin such
-    as ``orthant2`` fixes whatever ``cfg`` asks for.  A ``SolverAbort`` stops
-    the whole block before any CSV is written.
+    as ``orthant2`` fixes whatever ``cfg`` asks for.  ``out_dir`` is created
+    only after ``run`` returns, so a rejected configuration or a
+    ``SolverAbort``, which stops the whole block, leaves no directory.
     """
     instance = instance or build_problem(cfg)
     context = instance.context() if instance.poly.m else None
     echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     results = run(instance.spec, cfg.solver_config(), context=context)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed_rows, paths = [], []
     for result in results:
         rows = _records_to_rows(result, cfg.timing)
@@ -433,8 +428,12 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     For each N the final mean oracle distance (with bootstrap CI) is measured
     over the configured seeds, next to the predicted gain factors; the
     harness juxtaposes measurement and prediction without asserting either.
-    Predictions use the runs' constant stepsize (``BetaPolicy.initial_beta``),
-    so ``c_hat`` is a configuration error under the adaptive policy.
+    Every N's settings pass ``SolverConfig.validate`` before any prediction
+    is priced or any N runs.  Predictions use the runs' constant stepsize
+    (``BetaPolicy.initial_beta``), so ``c_hat`` is a configuration error
+    under the adaptive policy, as is a ``c_hat`` that ``qb_curves`` rejects.
+    Only an ``exact_ln_linear`` enumeration above its cap drops the
+    predictions.
     """
     if len(n_list) < 2:
         raise ConfigError("sweep needs at least two batch sizes")
@@ -442,6 +441,11 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
         raise ConfigError("--c-hat predictions need a constant stepsize; the "
                           "adaptive beta policy has none")
     instance = instance or build_problem(cfg)
+    subs = [replace(cfg, batch_size=size,
+                    out_dir=os.path.join(cfg.out_dir, f"N{size}"))
+            for size in n_list]
+    for sub in subs:
+        sub.solver_config().validate(instance.spec)
     predictions = {}
     if c_hat is not None and instance.poly.m:
         beta = cfg.solver_config().beta_policy.initial_beta()
@@ -449,13 +453,12 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
             rows = qb_curves(instance.poly, c_hat, instance.spec.M_g, beta,
                              n_list, with_replacement=cfg.sampler == "iid-uniform")
             predictions = {r.batch_size: r for r in rows}
-        except (ConfigError, OracleError):
+        except OracleError:
             predictions = {}
     out = []
     base_ratio = None
-    for size in n_list:
-        sub = replace(cfg, batch_size=size,
-                      out_dir=os.path.join(cfg.out_dir, f"N{size}"))
+    for sub in subs:
+        size = sub.batch_size
         _, results, _ = solve_experiment(sub, instance=instance)
         finals = [r.records[-1].dist_x for r in results]
         if any(f is None for f in finals):
@@ -520,10 +523,6 @@ def _cfg_from_args(args) -> RunConfig:
         cfg.cadence = parse_cadence(args.cadence)
     if getattr(args, "seeds", None):
         cfg.seeds = parse_seeds(args.seeds)
-    if not cfg.seeds:
-        raise ConfigError("seed list must be nonempty")
-    if cfg.iterations < 1:
-        raise ConfigError("iterations must be >= 1")
     return cfg
 
 
@@ -587,7 +586,7 @@ def main(argv=None) -> int:
                       f"{str(r.outside_theory).lower()}")
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, OracleError, SamplerConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OracleError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverAbort as exc:

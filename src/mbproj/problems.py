@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,8 +59,6 @@ class BenchmarkInstance:
     poly: PolyhedronSpec
     anchor: np.ndarray                # strictly feasible interior point
     pull_center: np.ndarray           # unconstrained minimizer x_c of the objective
-    params: dict = field(default_factory=dict)
-    analysis: Optional[dict] = None
 
     def context(self) -> PolyhedralContext:
         return PolyhedralContext(poly=self.poly, simple_set=self.spec.simple_set,
@@ -79,8 +77,7 @@ def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
 
 
 def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
-                    pull_center: np.ndarray, radius_factor: float,
-                    params: dict) -> BenchmarkInstance:
+                    pull_center: np.ndarray, radius_factor: float) -> BenchmarkInstance:
     """Assemble spec + instance around a pull center; boundary optimum required."""
     poly = PolyhedronSpec(A=A, b=b)
     n = poly.n
@@ -102,7 +99,7 @@ def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
         known_optimum=KnownOptimum(f_star=f_star, x_star=x_star),
     )
     return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor.copy(),
-                             pull_center=pull_center, params=dict(params))
+                             pull_center=pull_center)
 
 
 def make_polyhedral_benchmark(n: int, m: int, seed: int,
@@ -126,8 +123,6 @@ def make_polyhedral_benchmark(n: int, m: int, seed: int,
     b = -margins
     anchor = np.zeros(n)
 
-    params = {"kind": "benchmark", "n": n, "m": m, "seed": seed,
-              "overshoot": overshoot, "radius_factor": radius_factor}
     last_error = None
     for attempt in range(max_attempts):
         j = int(rng.integers(0, m))
@@ -136,7 +131,7 @@ def make_polyhedral_benchmark(n: int, m: int, seed: int,
         tangent -= (tangent @ A[j]) * A[j]
         pull = depth * A[j] + 0.3 * tangent
         try:
-            return _build_instance(A, b, anchor, pull, radius_factor, params)
+            return _build_instance(A, b, anchor, pull, radius_factor)
         except GenerationError as exc:
             last_error = exc
     raise GenerationError(
@@ -163,9 +158,7 @@ def make_orthonormal_benchmark(n: int, seed: int, n_active: int = 4,
     anchor = np.zeros(n)
     depths = margins[:n_active] + overshoot * rng.uniform(0.5, 1.5, size=n_active)
     pull = depths @ A[:n_active]
-    params = {"kind": "orthonormal", "n": n, "m": n, "seed": seed,
-              "n_active": n_active, "radius_factor": radius_factor}
-    return _build_instance(A, b, anchor, pull, radius_factor, params)
+    return _build_instance(A, b, anchor, pull, radius_factor)
 
 
 def make_duplicated_benchmark(n: int, m: int, seed: int, margin: float = 0.3,
@@ -187,9 +180,7 @@ def make_duplicated_benchmark(n: int, m: int, seed: int, margin: float = 0.3,
     tangent = rng.standard_normal(n)
     tangent -= (tangent @ a) * a
     pull = (margin + overshoot) * a + 0.3 * tangent
-    params = {"kind": "duplicated", "n": n, "m": m, "seed": seed,
-              "margin": margin, "radius_factor": radius_factor}
-    return _build_instance(A, b, anchor, pull, radius_factor, params)
+    return _build_instance(A, b, anchor, pull, radius_factor)
 
 
 def make_orthant2() -> BenchmarkInstance:
@@ -201,8 +192,7 @@ def make_orthant2() -> BenchmarkInstance:
     b = np.zeros(2)
     anchor = np.array([-0.5, -0.5])
     pull = np.array([1.0, 1.0])
-    params = {"kind": "orthant2", "n": 2, "m": 2, "seed": 0}
-    return _build_instance(A, b, anchor, pull, radius_factor=4.0, params=params)
+    return _build_instance(A, b, anchor, pull, radius_factor=4.0)
 
 
 def make_unconstrained(n: int = 4, seed: int = 3) -> BenchmarkInstance:
@@ -230,8 +220,7 @@ def make_unconstrained(n: int = 4, seed: int = 3) -> BenchmarkInstance:
     )
     poly = PolyhedronSpec(A=np.zeros((0, n)), b=np.zeros(0))
     return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor,
-                             pull_center=pull,
-                             params={"kind": "unconstrained", "n": n, "seed": seed})
+                             pull_center=pull)
 
 
 BUILTINS = {
@@ -331,10 +320,12 @@ def qb_curves(poly: PolyhedronSpec, c_hat: float, mg: float, beta_policy,
     whose ratio is exactly 1 for unit rows, so L_N = 1 for every N.
     ``beta_policy`` is "optimal" (beta = 1/L_N parallel, beta = 1 sequential)
     or a fixed float used for both variants.  Rows whose parallel regime is
-    not covered by the rate theory are flagged, not rejected.
+    not covered by the rate theory are flagged, not rejected; a ``c_hat``
+    that is not finite with c_hat * M_g^2 > 1 is a ``ConfigError``.
     """
-    if c_hat * mg ** 2 <= 1.0:
-        raise ConfigError("need c_hat * M_g^2 > 1 for the gain predictions")
+    if not (math.isfinite(c_hat) and c_hat * mg ** 2 > 1.0):
+        raise ConfigError(f"need a finite c_hat with c_hat * M_g^2 > 1 for the "
+                          f"gain predictions, got c_hat = {c_hat!r}")
     rows = []
     for size in n_range:
         ln = 1.0 if with_replacement else exact_ln_linear(poly, size)
@@ -452,5 +443,4 @@ def load_instance(path) -> BenchmarkInstance:
     spec = ProblemSpec(dimension=n, objective=_quadratic_objective(pull),
                        constraints=fam, simple_set=simple_set, mu=mu, M_f=mf,
                        M_g=mg, known_optimum=known)
-    return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor,
-                             pull_center=pull, params={"kind": "file", "n": n, "m": m})
+    return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor, pull_center=pull)

@@ -2,16 +2,15 @@
 
 All randomness flows through numpy's PCG64 generator.  A sampler is owned by
 one run and draws every minibatch before its feasibility pass, so a fixed seed
-reproduces the exact index stream.
+reproduces the exact index stream.  The sampler checks nothing: ``run``
+creates one only after ``SolverConfig.validate`` has accepted its variant,
+a nonempty index space and a batch size N >= 1, at most m under sampling
+without replacement.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class SamplerConfigError(ValueError):
-    """Invalid sampler configuration (unknown variant, N > m, ...)."""
 
 
 class Sampler:
@@ -25,10 +24,6 @@ class Sampler:
     VARIANTS = ("iid-uniform", "without-replacement")
 
     def __init__(self, variant: str, m: int, seed=None):
-        if variant not in self.VARIANTS:
-            raise SamplerConfigError(f"unknown sampler variant {variant!r}")
-        if m < 1:
-            raise SamplerConfigError("index space must be nonempty")
         self.variant = variant
         self.m = int(m)
         self._rng = seed if isinstance(seed, np.random.Generator) \
@@ -36,11 +31,6 @@ class Sampler:
 
     def draw(self, batch_size: int) -> np.ndarray:
         """Draw one minibatch of indices, advancing the stream deterministically."""
-        if batch_size < 1:
-            raise SamplerConfigError("batch size must be >= 1")
         if self.variant == "iid-uniform":
             return self._rng.integers(0, self.m, size=batch_size)
-        if batch_size > self.m:
-            raise SamplerConfigError(
-                f"cannot draw {batch_size} distinct indices from {self.m}")
         return self._rng.choice(self.m, size=batch_size, replace=False)

@@ -158,6 +158,9 @@ class SolverConfig:
     assertions: str = "off"           # "off" | "lemma-checks"
 
     def validate(self, spec: ProblemSpec) -> None:
+        """The one check of a run's settings: ``run`` calls it before any
+        work, and the sampler, both feasibility passes and the objective step
+        rely on it without checking again."""
         if self.variant not in ("parallel", "sequential"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not self.seeds:
@@ -198,33 +201,7 @@ class PolyhedralContext:
 
 
 # ---------------------------------------------------------------------------
-# state and records
-
-
-@dataclass
-class IterateState:
-    """Current iterates plus streaming weighted sums: arrays of shape (S, n)
-    while ``run`` advances a block, one row of them in a ``RunResult``."""
-
-    k: int
-    x: np.ndarray
-    weighted_sum_x: np.ndarray
-    S: int                              # exact integer sum of (j+1)^2, j=1..k
-
-    def x_hat(self) -> np.ndarray:
-        if self.S == 0:
-            return self.x
-        return self.weighted_sum_x / self.S
-
-
-@dataclass
-class BatchStepDiagnostics:
-    """Per-seed outcome of one parallel pass, one entry per seed row."""
-
-    ln_k: np.ndarray                   # in (0, 1]; NaN where the batch is feasible
-    v_n: np.ndarray                    # spread of the weighted step directions, >= 0
-    per_index_gplus: np.ndarray        # shape (S, N)
-    beta: np.ndarray                   # stepsize taken; NaN where the batch is feasible
+# records
 
 
 @dataclass
@@ -247,7 +224,6 @@ class RunResult:
     final_x: np.ndarray
     final_x_hat: np.ndarray
     max_ln_k: Optional[float]
-    state: Optional[IterateState] = None
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +282,6 @@ def _squared_norms(gplus: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.where(nsq > 0.0, nsq, 1.0)
 
 
-def _check_indices(indices) -> np.ndarray:
-    indices = np.asarray(indices)
-    if indices.ndim != 2 or indices.shape[1] < 1:
-        raise ConfigError("indices must hold one minibatch of at least one "
-                          f"index per seed, shape (S, N); got {indices.shape}")
-    return indices
-
-
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                 v: np.ndarray, policy: BetaPolicy,
                                 checker: Optional["_LemmaChecker"] = None,
@@ -331,19 +299,24 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     when no seed has a violated batch ``v`` itself is returned.  ``checker``
     (None when checks are off) verifies each seed's decrease inequalities;
     ``k`` and ``seeds`` (the seed of each row, by default the row number)
-    label the reports.  Returns the next points and the per-seed batch
-    diagnostics; an oracle fault raises ``OracleFault``.
+    label the reports.  Returns the next points, each seed's L_N,k and the
+    stepsize it took (both NaN where the batch is feasible); an oracle fault
+    raises ``OracleFault``.
+
+    Preconditions, which ``run`` guarantees through ``SolverConfig.validate``
+    and which the pass does not check again: N >= 1 indices per row, distinct
+    under sampling without replacement, and a ``policy`` that passed
+    ``BetaPolicy.validate("parallel")``, so a fixed beta lies in
+    (0, 2 / L_N) for a declared L_N and in (0, 2) otherwise.
     """
-    indices = _check_indices(indices)
     gvals, dirs = _checked_batch(spec, indices, v)
     gplus = np.maximum(gvals, 0.0)
     nsq = _squared_norms(gplus, dirs)
-    ln_k, v_n = batch_diagnostics(gplus, dirs, nsq)
+    ln_k, _ = batch_diagnostics(gplus, dirs, nsq)
     violated = ~np.isnan(ln_k)
     beta = np.where(violated, policy.step_beta(ln_k), np.nan)
-    diag = BatchStepDiagnostics(ln_k, v_n, gplus, beta)
     if not violated.any():
-        return v, diag
+        return v, ln_k, beta
     if policy.ln is not None:
         over = ln_k > policy.ln * (1.0 + LN_RTOL)
         if over.any():
@@ -360,7 +333,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     if checker is not None:
         checker.single_steps(k, v, gplus, dirs, nsq, beta)
         checker.parallel_batch(k, v, x_next, gplus, beta, ln_k)
-    return x_next, diag
+    return x_next, ln_k, beta
 
 
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
@@ -377,10 +350,12 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     decreases; ``k`` labels its reports.  Returns the final inner points and
     the positive parts seen by the steps, shape (S, N); an oracle fault
     raises ``OracleFault``.
+
+    Preconditions, which ``run`` guarantees through ``SolverConfig.validate``
+    and which the pass does not check again: N >= 1 indices per row, distinct
+    under sampling without replacement, and beta in (0, 2), the only
+    stepsizes ``BetaPolicy.validate("sequential")`` admits.
     """
-    indices = _check_indices(indices)
-    if not 0.0 < beta < 2.0:
-        raise ConfigError("sequential feasibility steps require beta in (0, 2)")
     project = spec.simple_set.project
     z = v
     inner = [v] if checker is not None else None
@@ -405,9 +380,11 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 
 def objective_step(spec: ProblemSpec, x_prev: np.ndarray, alpha: float) -> np.ndarray:
     """Projected subgradient step on the objective, row by row of the
-    (S, n) points ``x_prev``."""
-    if alpha < 0:
-        raise ConfigError("alpha must be nonnegative")
+    (S, n) points ``x_prev``.
+
+    Precondition, not checked here: alpha >= 0.  ``run`` passes
+    ``alpha_schedule(mu, k - 1)`` = 4 / (mu * k), positive because
+    ``ProblemSpec`` requires mu > 0."""
     s = np.asarray(spec.objective.subgradient(x_prev), dtype=np.float64)
     return spec.simple_set.project(x_prev - alpha * s)
 
@@ -573,7 +550,8 @@ def run(spec: ProblemSpec, config: SolverConfig,
     no_ratio = np.full(len(seeds), np.nan)
     max_ln = no_ratio
 
-    state = IterateState(k=0, x=x, weighted_sum_x=np.zeros_like(x), S=0)
+    weighted_sum = np.zeros_like(x)
+    weight_total = 0                   # exact integer sum of (j+1)^2, j=1..k
     records = [[] for _ in seeds]
     log_ks = _log_points(config.iterations, config.log_cadence)
     opt = spec.known_optimum
@@ -581,8 +559,8 @@ def run(spec: ProblemSpec, config: SolverConfig,
 
     for k in range(1, config.iterations + 1):
         alpha = alpha_schedule(spec.mu, k - 1)
-        v = objective_step(spec, state.x, alpha)
-        _abort_if_nonfinite(v, "objective step", k, seeds, "x", state.x)
+        v = objective_step(spec, x, alpha)
+        _abort_if_nonfinite(v, "objective step", k, seeds, "x", x)
 
         ln_k = no_ratio
         if not samplers:
@@ -598,10 +576,9 @@ def run(spec: ProblemSpec, config: SolverConfig,
             indices = drawn[:, ahead]
             try:
                 if config.variant == "parallel":
-                    x_next, diag = parallel_feasibility_update(
+                    x_next, ln_k, beta = parallel_feasibility_update(
                         spec, indices, v, policy, checker, k, seeds)
-                    ln_k = diag.ln_k
-                    beta_k = np.where(np.isnan(diag.beta), beta_k, diag.beta)
+                    beta_k = np.where(np.isnan(beta), beta_k, beta)
                 else:
                     x_next, _ = sequential_feasibility_update(
                         spec, indices, v, policy.initial_beta(), checker, k)
@@ -614,14 +591,14 @@ def run(spec: ProblemSpec, config: SolverConfig,
 
         _abort_if_nonfinite(x_next, "feasibility update", k, seeds, "v", v)
 
-        state.k, state.x = k, x_next
+        x = x_next
         weight = (k + 1) * (k + 1)
-        state.S += weight
-        state.weighted_sum_x += weight * x_next
+        weight_total += weight
+        weighted_sum += weight * x
         max_ln = np.fmax(max_ln, ln_k)
 
         if k in log_ks:
-            x_hat = state.x_hat()
+            x_hat = weighted_sum / weight_total
             if context is None and m:
                 gvals, _ = fam.batch(np.broadcast_to(np.arange(m), (len(seeds), m)),
                                      x_hat)
@@ -643,13 +620,10 @@ def run(spec: ProblemSpec, config: SolverConfig,
                     beta_k=float(beta_k[row]),
                     elapsed_ns=time.perf_counter_ns() - t0))
 
-    x_hat = state.x_hat()
+    x_hat = weighted_sum / weight_total
     return [RunResult(seed=seed, iterations=config.iterations, records=records[row],
-                      final_x=state.x[row], final_x_hat=x_hat[row],
-                      max_ln_k=None if np.isnan(max_ln[row]) else float(max_ln[row]),
-                      state=IterateState(k=state.k, x=state.x[row],
-                                         weighted_sum_x=state.weighted_sum_x[row],
-                                         S=state.S))
+                      final_x=x[row], final_x_hat=x_hat[row],
+                      max_ln_k=None if np.isnan(max_ln[row]) else float(max_ln[row]))
             for row, seed in enumerate(seeds)]
 
 

@@ -144,6 +144,26 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--N", "0"],
+        ["solve", "--builtin", "benchmark", "--n", "4", "--m", "3", "--N", "4"],
+        ["solve", "--iters", "0"],
+        ["solve", "--seeds", ","],
+        ["solve", "--beta-policy", "extrapolated"],
+        ["solve", "--variant", "sequential", "--beta", "2.0"],
+        ["sweep", "--builtin", "benchmark", "--n", "4", "--m", "3",
+         "--N-list", "1,4", "--iters", "20", "--seeds", "1"],
+    ], ids=["N0", "N-above-m", "iters0", "no-seeds", "extrapolated-no-hint",
+            "sequential-beta2", "sweep-N-above-m"])
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, argv):
+        # SolverConfig.validate is the one gate; it runs before the out
+        # directory is created, and a sweep passes every N through it first
+        code = main(argv + ["--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "x")
+
     def test_bad_builtin_is_config_error(self, tmp_path):
         code = main(["solve", "--builtin", "nope", "--iters", "5",
                      "--out", str(tmp_path / "x")])
@@ -243,8 +263,9 @@ class TestSolveCommand:
         k, err = abort_k("1..3", tmp_path / "block")
         assert k == k2
         assert "seed 2" in err and "'seed': 2" in err
-        # no seed of an aborted block finishes, so no CSV is written
-        assert not os.path.exists(tmp_path / "block" / "run_seed1.csv")
+        # no seed of an aborted block finishes, so no CSV, not even the
+        # out directory, is written
+        assert not os.path.exists(tmp_path / "block")
         assert abort_k("2", tmp_path / "two")[0] == k2
         for seed in ("1", "3"):
             alone = abort_k(seed, tmp_path / seed)
@@ -495,6 +516,25 @@ class TestSweep:
                      "--c-hat", "4", "--out", str(tmp_path / "s")])
         assert code == EXIT_CONFIG
         assert "adaptive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c_hat", ["0.5", "-3", "nan", "inf"])
+    def test_unusable_c_hat_is_config_error(self, tmp_path, capsys, c_hat):
+        # each used to exit 0 with empty, nan or zero predictions
+        code = main(["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",
+                     "--N-list", "1,2", "--c-hat", c_hat, "--iters", "50",
+                     "--seeds", "1..3", "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert "c_hat" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "s")
+
+    def test_extrapolated_without_hint_is_config_error(self, tmp_path, capsys):
+        # the policy is validated before the predictions are priced at its beta
+        code = main(["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",
+                     "--variant", "parallel", "--beta-policy", "extrapolated",
+                     "--iters", "20", "--seeds", "1..2", "--N-list", "1,2",
+                     "--c-hat", "4", "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert "requires a known positive L_N" in capsys.readouterr().err
 
     def test_sweep_needs_two_sizes(self, tmp_path):
         cfg = RunConfig(builtin="orthant2", iterations=50, seeds=(1, 2),

@@ -76,9 +76,10 @@ def single_index_steps(family, dimension=2):
     # pass that hands the block back unchanged hands back v itself
     def parallel(v, beta=1.0):
         block = v[None]
-        x, diag = parallel_feasibility_update(spec, index, block,
+        x, _, _ = parallel_feasibility_update(spec, index, block,
                                               BetaPolicy.fixed(beta))
-        return (v if x is block else x[0]), diag.per_index_gplus[0]
+        gplus = np.maximum(family.batch(index, block)[0], 0.0)
+        return (v if x is block else x[0]), gplus[0]
 
     def sequential(v, beta=1.0):
         block = v[None]

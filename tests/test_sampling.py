@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mbproj.sampling import Sampler, SamplerConfigError
+from mbproj.sampling import Sampler
 
 
 class TestDeterminism:
@@ -39,15 +39,6 @@ class TestVariantLaws:
         for _ in range(2000):
             batch = s.draw(4)
             assert len(set(batch.tolist())) == 4
-
-    def test_without_replacement_batch_too_large(self):
-        s = Sampler("without-replacement", 3, seed=0)
-        with pytest.raises(SamplerConfigError):
-            s.draw(4)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(SamplerConfigError, match="unknown sampler variant"):
-            Sampler("partition", 4)
 
 
 class TestMarginals:

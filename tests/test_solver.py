@@ -36,8 +36,8 @@ def relaxed_step_both_passes(spec, index, v, beta):
     with v as a one-seed block; a pass that hands the block back unchanged
     hands back v itself."""
     block = v[None]
-    xp, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
-                                        BetaPolicy.fixed(beta))
+    xp, _, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
+                                           BetaPolicy.fixed(beta))
     xs, _ = sequential_feasibility_update(spec, np.array([[index]]), block, beta)
     return [v if x is block else x[0] for x in (xp, xs)]
 
@@ -97,11 +97,12 @@ class TestPolyakStep:
 class TestParallelUpdate:
     def test_two_orthogonal_constraints(self):
         spec = corner_spec()
-        x, diag = parallel_feasibility_update(spec, np.array([[0, 1]]),
-                                              np.array([[2.0, 2.0]]),
+        indices, v = np.array([[0, 1]]), np.array([[2.0, 2.0]])
+        x, _, _ = parallel_feasibility_update(spec, indices, v,
                                               BetaPolicy.fixed(1.0))
         np.testing.assert_allclose(x, [[1.0, 1.0]])
-        np.testing.assert_allclose(diag.per_index_gplus, [[2.0, 2.0]])
+        gvals, _ = spec.constraints.batch(indices, v)
+        np.testing.assert_allclose(np.maximum(gvals, 0.0), [[2.0, 2.0]])
 
     def test_alignment_ratio_value(self):
         # frozen from the definition: |0.5*(2*(1,0) + 2*(0,1))|^2 / (0.5*(4+4))
@@ -110,30 +111,33 @@ class TestParallelUpdate:
         den = 0.5 * (4.0 + 4.0)
         assert num / den == 0.5
         spec = corner_spec()
-        _, diag = parallel_feasibility_update(spec, np.array([[0, 1]]),
-                                              np.array([[2.0, 2.0]]),
-                                              BetaPolicy.fixed(1.0))
-        assert diag.ln_k[0] == pytest.approx(0.5, abs=1e-15)
+        _, ln_k, _ = parallel_feasibility_update(spec, np.array([[0, 1]]),
+                                                 np.array([[2.0, 2.0]]),
+                                                 BetaPolicy.fixed(1.0))
+        assert ln_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
         ball = SimpleSet.ball(np.zeros(2), 1.5)
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
-        x, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
-                                           BetaPolicy.fixed(1.0))
+        x, _, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
+                                              BetaPolicy.fixed(1.0))
         # g+ = 1.2 along d = (1, 0), |d| = 1
         expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
         np.testing.assert_array_equal(x[0], expected)
 
     def test_feasible_batch_returns_v_exactly(self):
         spec = corner_spec()
-        v = np.array([[-1.0, -2.0]])
-        x, diag = parallel_feasibility_update(spec, np.array([[0, 1, 0]]), v,
-                                              BetaPolicy.fixed(1.3))
+        indices, v = np.array([[0, 1, 0]]), np.array([[-1.0, -2.0]])
+        x, ln_k, beta = parallel_feasibility_update(spec, indices, v,
+                                                    BetaPolicy.fixed(1.3))
         assert x is v
-        assert np.isnan(diag.ln_k[0])     # no ratio: the batch is feasible
-        assert diag.v_n[0] == 0.0
-        assert np.isnan(diag.beta[0])     # no step taken
+        assert np.isnan(ln_k[0])          # no ratio: the batch is feasible
+        assert np.isnan(beta[0])          # no step taken
+        gvals, dirs = spec.constraints.batch(indices, v)
+        nsq = np.einsum("...j,...j->...", dirs, dirs)
+        _, v_n = batch_diagnostics(np.maximum(gvals, 0.0), dirs, nsq)
+        assert v_n[0] == 0.0
 
 
 class TestSequentialUpdate:
@@ -155,16 +159,17 @@ class TestSequentialUpdate:
         ball = SimpleSet.ball(np.zeros(2), 2.0)
         spec = corner_spec(simple_set=ball)
         v = np.array([[1.5, 1.2]])
-        xp, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
-                                            BetaPolicy.fixed(0.8))
+        xp, _, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
+                                               BetaPolicy.fixed(0.8))
         xs, _ = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8)
         np.testing.assert_array_equal(xp, xs)
 
     def test_beta_range_enforced(self):
-        spec = corner_spec()
-        with pytest.raises(ConfigError):
-            sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
-                                          beta=2.0)
+        # the pass relies on run's validation for beta in (0, 2)
+        cfg = SolverConfig(variant="sequential", batch_size=1,
+                           beta_policy=BetaPolicy.fixed(2.0), iterations=10)
+        with pytest.raises(ConfigError, match="admissible interval"):
+            cfg.validate(corner_spec())
 
 
 class TestObjectiveStep:
@@ -376,7 +381,6 @@ class TestRunLoop:
         stacked = np.array(seen[1:] + [result.final_x])
         x_hat = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
         assert np.linalg.norm(x_hat - result.final_x_hat) <= 1e-10
-        assert result.state.S == int(weights.sum())
 
     def test_adaptive_beta_follows_batch_ratio(self):
         inst = self.small_benchmark()
