@@ -11,12 +11,11 @@ from .geometry import (DistanceOracleError, EmptyFeasibleSetError, PolyhedronSpe
 from .sampling import Sampler
 from .solver import (BetaPolicy, ConfigError, OracleFault, PolyhedralContext,
                      RunRecord, RunResult, SolverAbort, SolverConfig,
-                     alpha_schedule, analysis_constants, objective_step,
-                     parallel_feasibility_update, run,
-                     sequential_feasibility_update)
+                     alpha_schedule, objective_step, parallel_feasibility_update,
+                     run, sequential_feasibility_update)
 from .problems import (BenchmarkInstance, exact_ln_linear, load_instance,
                        make_builtin, make_duplicated_benchmark, make_orthant2,
                        make_orthonormal_benchmark, make_polyhedral_benchmark,
-                       make_unconstrained, qb_curves, save_instance)
+                       make_unconstrained, predicted_gains, save_instance)
 
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ import numpy as np
 
 from .geometry import DistanceOracleError, TOL_METRIC
 from .oracle import OracleError
-from .problems import (BenchmarkInstance, load_instance, make_builtin, qb_curves)
+from .problems import (BenchmarkInstance, load_instance, make_builtin,
+                       predicted_gains)
 from .sampling import Sampler
 from .solver import (BetaPolicy, ConfigError, RunResult, SolverAbort,
                      SolverConfig, run)
@@ -309,12 +310,11 @@ def final_metric_summary(results) -> dict:
     }
 
 
-def bootstrap_ci(values, n_resamples: int = BOOTSTRAP_RESAMPLES,
-                 seed: int = BOOTSTRAP_SEED):
+def bootstrap_ci(values):
     """Percentile bootstrap CI (2.5%, 97.5%) for the mean of ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, values.size, size=(n_resamples, values.size))
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
     means = values[idx].mean(axis=1)
     return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
 
@@ -331,12 +331,12 @@ class SlopeFit:
     note: str = ""
 
 
-def _fit_window(ks, values, k_min, k_max, metric_floor=TOL_METRIC):
+def _fit_window(ks, values, k_min, k_max):
     ks = np.asarray(ks, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     mask = (ks >= k_min) & (ks <= k_max)
     truncated = False
-    alive = values >= metric_floor
+    alive = values >= TOL_METRIC
     if not np.all(alive[mask]):
         truncated = True
         mask &= alive
@@ -346,8 +346,7 @@ def _fit_window(ks, values, k_min, k_max, metric_floor=TOL_METRIC):
     return float(slope), float(intercept), ks[mask], truncated
 
 
-def rate_check(run_dir: str, k_min: float, k_max: float,
-               n_resamples: int = BOOTSTRAP_RESAMPLES):
+def rate_check(run_dir: str, k_min: float, k_max: float):
     """Log-log slope estimates for mean |f_gap| and mean dist_X over a window.
 
     Loads the per-seed CSVs from ``run_dir``; the mean-over-seeds curves are
@@ -390,7 +389,7 @@ def rate_check(run_dir: str, k_min: float, k_max: float,
                                                            k_min, k_max)
         rng = np.random.default_rng(BOOTSTRAP_SEED)
         slopes = []
-        for _ in range(n_resamples):
+        for _ in range(BOOTSTRAP_RESAMPLES):
             pick = rng.integers(0, curves.shape[0], size=curves.shape[0])
             resampled = curves[pick].mean(axis=0)
             try:
@@ -426,14 +425,17 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     """Fixed-budget sweep over minibatch sizes.
 
     For each N the final mean oracle distance (with bootstrap CI) is measured
-    over the configured seeds, next to the predicted gain factors; the
-    harness juxtaposes measurement and prediction without asserting either.
-    Every N's settings pass ``SolverConfig.validate`` before any prediction
-    is priced or any N runs.  Predictions use the runs' constant stepsize
-    (``BetaPolicy.initial_beta``), so ``c_hat`` is a configuration error
-    under the adaptive policy, as is a ``c_hat`` that ``qb_curves`` rejects.
-    Only an ``exact_ln_linear`` enumeration above its cap drops the
-    predictions.
+    over the configured seeds, next to the predicted gain b(N) of the runs'
+    own variant; the harness juxtaposes measurement and prediction without
+    asserting either.  Every N's settings pass ``SolverConfig.validate``,
+    and the problem must have linear constraints for the distance metric,
+    before any prediction is priced or any N runs.  Predictions use the
+    runs' constant stepsize (``BetaPolicy.initial_beta``), so ``c_hat`` is a
+    configuration error under the adaptive policy, as is a ``c_hat`` that
+    ``predicted_gains`` rejects.  ``outside_theory`` marks an N whose b the
+    rate theory of the runs' variant does not cover; a sequential sweep
+    covers every N and computes no L_N.  Only an ``exact_ln_linear``
+    enumeration above its cap, in a parallel sweep, drops the predictions.
     """
     if len(n_list) < 2:
         raise ConfigError("sweep needs at least two batch sizes")
@@ -446,38 +448,36 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
             for size in n_list]
     for sub in subs:
         sub.solver_config().validate(instance.spec)
-    predictions = {}
-    if c_hat is not None and instance.poly.m:
+    if not instance.poly.m:
+        raise ConfigError("sweep requires polyhedral distance metrics, and "
+                          "the problem has no linear constraints")
+    gains = {}
+    if c_hat is not None:
         beta = cfg.solver_config().beta_policy.initial_beta()
         try:
-            rows = qb_curves(instance.poly, c_hat, instance.spec.M_g, beta,
-                             n_list, with_replacement=cfg.sampler == "iid-uniform")
-            predictions = {r.batch_size: r for r in rows}
-        except OracleError:
-            predictions = {}
+            gains = dict(zip(n_list, predicted_gains(
+                instance.poly, cfg.variant, beta, c_hat, instance.spec.M_g,
+                n_list, with_replacement=cfg.sampler == "iid-uniform")))
+        except OracleError:            # L_N enumeration above its cap
+            pass
     out = []
     base_ratio = None
     for sub in subs:
         size = sub.batch_size
         _, results, _ = solve_experiment(sub, instance=instance)
         finals = [r.records[-1].dist_x for r in results]
-        if any(f is None for f in finals):
-            raise ConfigError("sweep requires polyhedral distance metrics")
         lo, hi = bootstrap_ci(finals)
-        pred = predictions.get(size)
-        b_val = None
+        b_val = gains.get(size)
         ratio = None
-        if pred is not None:
-            b_val = pred.b_parallel if cfg.variant == "parallel" else pred.b_sequential
-            if b_val is not None and b_val > 0:
-                raw = 1.0 / np.sqrt(b_val)
-                if base_ratio is None:
-                    base_ratio = raw
-                ratio = raw / base_ratio
+        if b_val is not None and b_val > 0:
+            raw = 1.0 / np.sqrt(b_val)
+            if base_ratio is None:
+                base_ratio = raw
+            ratio = raw / base_ratio
         out.append(SweepRow(batch_size=size, final_dist_mean=float(np.mean(finals)),
                             ci_lo=lo, ci_hi=hi, predicted_b=b_val,
                             predicted_ratio=ratio,
-                            outside_theory=pred.outside_theory if pred else False))
+                            outside_theory=size in gains and b_val is None))
     return instance, out
 
 
@@ -545,7 +545,8 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--N-list", dest="n_list", required=True,
                          help="comma-separated batch sizes, e.g. 1,2,4,8")
     p_sweep.add_argument("--c-hat", type=float, dest="c_hat",
-                         help="regularity estimate for predictions")
+                         help="regularity constant c, with c * M_g^2 > 1, for "
+                         "the predicted gain b(N) of the run's variant")
 
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,11 @@
 """Built-in benchmark generators with analytically known constants, the exact
-batch-alignment analyzer for linear constraint systems, and a plain-text
-instance format so other implementations can consume identical problems.
+batch-alignment analyzer for linear constraint systems, the rate theory's
+predicted minibatch gain b(N), and a plain-text instance format so other
+implementations can consume identical problems.
+
+``predicted_gains`` prices b(N) for one variant, the runs' own: a sweep's
+``outside_theory`` flag refers to that variant's conditions, and a
+sequential sweep needs no L_N, so it enumerates no row subsets.
 
 Every generated instance uses the objective f(x) = 0.5 * |x - x_c|^2 with the
 pull center x_c placed outside the feasible region, so the constrained
@@ -37,18 +42,28 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .geometry import PolyhedronSpec, project_intersection
 from .oracle import (KnownOptimum, ObjectiveOracle, OracleError,
                      ProblemSpec, SimpleSet, empty_family, linear_family)
-from .solver import PolyhedralContext, analysis_constants, ConfigError
+from .solver import ConfigError, PolyhedralContext
 
 
 class GenerationError(RuntimeError):
     """Benchmark generation failed (degenerate geometry after all retries)."""
+
+
+# shape of the generated instances: constraint margins at the anchor, how far
+# the pull center overshoots the violated faces, the simple-set radius as a
+# multiple of the pull distance, the draws ``benchmark`` may retry and the
+# rows the ``orthonormal`` pull center violates
+MARGIN_RANGE = (0.1, 0.5)
+OVERSHOOT = 1.0
+RADIUS_FACTOR = 4.0
+MAX_ATTEMPTS = 100
+N_ACTIVE = 4
 
 
 @dataclass
@@ -77,11 +92,11 @@ def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
 
 
 def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
-                    pull_center: np.ndarray, radius_factor: float) -> BenchmarkInstance:
+                    pull_center: np.ndarray) -> BenchmarkInstance:
     """Assemble spec + instance around a pull center; boundary optimum required."""
     poly = PolyhedronSpec(A=A, b=b)
     n = poly.n
-    radius = radius_factor * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
+    radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
     simple_set = SimpleSet.ball(anchor, radius)
     x_star = project_intersection(poly, simple_set, pull_center)
     active = float(np.max(poly.A @ x_star + poly.b))
@@ -102,72 +117,66 @@ def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
                              pull_center=pull_center)
 
 
-def make_polyhedral_benchmark(n: int, m: int, seed: int,
-                              margin_range=(0.1, 0.5), overshoot: float = 1.0,
-                              radius_factor: float = 4.0,
-                              max_attempts: int = 100) -> BenchmarkInstance:
+def make_polyhedral_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
     """Random polytope benchmark with known optimum on the boundary.
 
     Rows are unit-norm Gaussian directions; offsets keep the origin strictly
-    feasible with margins drawn from ``margin_range``.  The pull center is
+    feasible with margins drawn from ``MARGIN_RANGE``.  The pull center is
     placed beyond a random face (plus a tangential perturbation), so the
     optimum computed by the distance oracle is boundary-active; degenerate
-    draws are regenerated with a shifted center, up to ``max_attempts``.
+    draws are regenerated with a shifted center, up to ``MAX_ATTEMPTS``.
     """
     if m < 1 or n < 2:
         raise OracleError("need m >= 1 and n >= 2")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m, n))
     A /= np.linalg.norm(A, axis=1)[:, None]
-    margins = rng.uniform(*margin_range, size=m)
+    margins = rng.uniform(*MARGIN_RANGE, size=m)
     b = -margins
     anchor = np.zeros(n)
 
     last_error = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         j = int(rng.integers(0, m))
-        depth = margins[j] + overshoot * rng.uniform(0.5, 1.5)
+        depth = margins[j] + OVERSHOOT * rng.uniform(0.5, 1.5)
         tangent = rng.standard_normal(n)
         tangent -= (tangent @ A[j]) * A[j]
         pull = depth * A[j] + 0.3 * tangent
         try:
-            return _build_instance(A, b, anchor, pull, radius_factor)
+            return _build_instance(A, b, anchor, pull)
         except GenerationError as exc:
             last_error = exc
     raise GenerationError(
-        f"no boundary-active optimum after {max_attempts} attempts: {last_error}")
+        f"no boundary-active optimum after {MAX_ATTEMPTS} attempts: {last_error}")
 
 
-def make_orthonormal_benchmark(n: int, seed: int, n_active: int = 4,
-                               margin_range=(0.1, 0.5), overshoot: float = 1.0,
-                               radius_factor: float = 4.0) -> BenchmarkInstance:
+def make_orthonormal_benchmark(n: int, seed: int) -> BenchmarkInstance:
     """Benchmark whose n constraint rows are orthonormal.
 
     Any size-N subset J of rows then has a Gram matrix equal to the identity,
     so the exact batch alignment bound is 1/N: the regime where averaging the
-    parallel steps provably helps.  The pull center violates ``n_active``
+    parallel steps provably helps.  The pull center violates ``N_ACTIVE``
     constraints at once.
     """
-    if not 1 <= n_active <= n:
-        raise OracleError("n_active must lie in 1..n")
+    if n < N_ACTIVE:
+        raise OracleError(f"need n >= {N_ACTIVE}, the number of violated rows")
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     A = Q.T.copy()
-    margins = rng.uniform(*margin_range, size=n)
+    margins = rng.uniform(*MARGIN_RANGE, size=n)
     b = -margins
     anchor = np.zeros(n)
-    depths = margins[:n_active] + overshoot * rng.uniform(0.5, 1.5, size=n_active)
-    pull = depths @ A[:n_active]
-    return _build_instance(A, b, anchor, pull, radius_factor)
+    depths = margins[:N_ACTIVE] + OVERSHOOT * rng.uniform(0.5, 1.5, size=N_ACTIVE)
+    pull = depths @ A[:N_ACTIVE]
+    return _build_instance(A, b, anchor, pull)
 
 
-def make_duplicated_benchmark(n: int, m: int, seed: int, margin: float = 0.3,
-                              overshoot: float = 1.0,
-                              radius_factor: float = 4.0) -> BenchmarkInstance:
+def make_duplicated_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
     """Benchmark with one constraint direction duplicated m times.
 
     Every admissible row subset is rank one, so the exact batch alignment
     bound is 1 and the rate theory predicts no gain from parallel averaging.
+    Every constraint has margin 0.3 at the anchor.
     """
     if m < 1 or n < 1:
         raise OracleError("need m >= 1 and n >= 1")
@@ -175,12 +184,13 @@ def make_duplicated_benchmark(n: int, m: int, seed: int, margin: float = 0.3,
     a = rng.standard_normal(n)
     a /= np.linalg.norm(a)
     A = np.tile(a, (m, 1))
+    margin = 0.3
     b = np.full(m, -margin)
     anchor = np.zeros(n)
     tangent = rng.standard_normal(n)
     tangent -= (tangent @ a) * a
-    pull = (margin + overshoot) * a + 0.3 * tangent
-    return _build_instance(A, b, anchor, pull, radius_factor)
+    pull = (margin + OVERSHOOT) * a + 0.3 * tangent
+    return _build_instance(A, b, anchor, pull)
 
 
 def make_orthant2() -> BenchmarkInstance:
@@ -192,7 +202,7 @@ def make_orthant2() -> BenchmarkInstance:
     b = np.zeros(2)
     anchor = np.array([-0.5, -0.5])
     pull = np.array([1.0, 1.0])
-    return _build_instance(A, b, anchor, pull, radius_factor=4.0)
+    return _build_instance(A, b, anchor, pull)
 
 
 def make_unconstrained(n: int = 4, seed: int = 3) -> BenchmarkInstance:
@@ -206,7 +216,7 @@ def make_unconstrained(n: int = 4, seed: int = 3) -> BenchmarkInstance:
     rng = np.random.default_rng(seed)
     pull = rng.standard_normal(n)
     anchor = np.zeros(n)
-    radius = 4.0 * max(float(np.linalg.norm(pull)), 1.0)
+    radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull)), 1.0)
     simple_set = SimpleSet.ball(anchor, radius)
     spec = ProblemSpec(
         dimension=n,
@@ -297,58 +307,44 @@ def exact_ln_linear(poly: PolyhedronSpec, batch_size: int) -> float:
     return min(best, 1.0)
 
 
-@dataclass
-class QBRow:
-    batch_size: int
-    ln: float
-    beta_parallel: float
-    q_parallel: Optional[float]
-    b_parallel: Optional[float]
-    beta_sequential: float
-    q_sequential: Optional[float]
-    b_sequential: Optional[float]
-    outside_theory: bool
-    note: str = ""
+def predicted_gains(poly: PolyhedronSpec, variant: str, beta: float,
+                    c_hat: float, mg: float, n_list,
+                    with_replacement: bool = False) -> list:
+    """The rate theory's gain factor b(N) of the given variant, one per N of
+    ``n_list``, or None where the theory does not cover that N.
 
+    With c = ``c_hat``:
 
-def qb_curves(poly: PolyhedronSpec, c_hat: float, mg: float, beta_policy,
-              n_range, with_replacement: bool = False) -> list:
-    """Contraction and gain factors as a function of the minibatch size.
+    - parallel: q = beta * (2 - beta * L_N) / (c * M_g^2) and
+      b = 1 / (1 - q) - 1, covered when c * M_g^2 * L_N > 1 and
+      beta < 2 / L_N.  L_N is ``exact_ln_linear`` for batches of distinct
+      indices, which raises ``OracleError`` above its enumeration cap; with
+      ``with_replacement`` (iid sampling) a batch may repeat one index N
+      times, whose ratio is exactly 1 for unit rows, so L_N = 1.
+    - sequential: q = beta * (2 - beta) / (c * M_g^2) and
+      b = (1 - q)^{-N} - 1, covered at every N; no L_N is computed.
 
-    L_N is ``exact_ln_linear`` for batches of distinct indices.  With
-    ``with_replacement`` (iid sampling) a batch may repeat one index N times,
-    whose ratio is exactly 1 for unit rows, so L_N = 1 for every N.
-    ``beta_policy`` is "optimal" (beta = 1/L_N parallel, beta = 1 sequential)
-    or a fixed float used for both variants.  Rows whose parallel regime is
-    not covered by the rate theory are flagged, not rejected; a ``c_hat``
-    that is not finite with c_hat * M_g^2 > 1 is a ``ConfigError``.
+    A ``c_hat`` that is not finite with c * M_g^2 > 1 is a ``ConfigError``,
+    raised before any L_N.  ``variant``, ``beta`` and the sizes are the
+    runs' own, checked by ``SolverConfig.validate``: beta lies in (0, 2) for
+    the sequential variant.
     """
-    if not (math.isfinite(c_hat) and c_hat * mg ** 2 > 1.0):
+    scale = c_hat * mg ** 2
+    if not (math.isfinite(c_hat) and scale > 1.0):
         raise ConfigError(f"need a finite c_hat with c_hat * M_g^2 > 1 for the "
                           f"gain predictions, got c_hat = {c_hat!r}")
-    rows = []
-    for size in n_range:
+    if variant == "sequential":
+        q = beta * (2.0 - beta) / scale
+        return [(1.0 - q) ** (-size) - 1.0 for size in n_list]
+    gains = []
+    for size in n_list:
         ln = 1.0 if with_replacement else exact_ln_linear(poly, size)
-        beta_p = 1.0 / ln if beta_policy == "optimal" else float(beta_policy)
-        beta_s = 1.0 if beta_policy == "optimal" else float(beta_policy)
-        note = ""
-        try:
-            q_p, b_p = analysis_constants(ln, c_hat, mg, beta_p, size, "parallel")
-            outside = False
-        except ConfigError as exc:
-            q_p = b_p = None
-            outside = True
-            note = str(exc)
-        try:
-            q_s, b_s = analysis_constants(ln, c_hat, mg, beta_s, size, "sequential")
-        except ConfigError as exc:
-            q_s = b_s = None
-            note = (note + "; " if note else "") + str(exc)
-        rows.append(QBRow(batch_size=size, ln=ln, beta_parallel=beta_p,
-                          q_parallel=q_p, b_parallel=b_p, beta_sequential=beta_s,
-                          q_sequential=q_s, b_sequential=b_s,
-                          outside_theory=outside, note=note))
-    return rows
+        if scale * ln > 1.0 and beta < 2.0 / ln:
+            q = beta * (2.0 - beta * ln) / scale
+            gains.append(1.0 / (1.0 - q) - 1.0)
+        else:
+            gains.append(None)
+    return gains
 
 
 # ---------------------------------------------------------------------------

@@ -87,18 +87,6 @@ class BetaPolicy:
     delta: Optional[float] = None  # safety gap for extrapolated / adaptive
     ln: Optional[float] = None     # declared L_N; run() aborts if a batch exceeds it
 
-    @staticmethod
-    def fixed(beta: float, ln: Optional[float] = None) -> "BetaPolicy":
-        return BetaPolicy("fixed", beta=float(beta), ln=ln)
-
-    @staticmethod
-    def extrapolated(delta: float, ln: float) -> "BetaPolicy":
-        return BetaPolicy("extrapolated", delta=float(delta), ln=float(ln))
-
-    @staticmethod
-    def adaptive(delta: float = 0.1) -> "BetaPolicy":
-        return BetaPolicy("adaptive", delta=float(delta))
-
     def validate(self, variant: str) -> None:
         if self.kind not in ("fixed", "extrapolated", "adaptive"):
             raise ConfigError(f"unknown beta policy {self.kind!r}")
@@ -230,15 +218,14 @@ class RunResult:
 # elementary steps, each on the seed axis
 
 
-def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
-    """Alignment ratio and direction spread of each seed's minibatch.
+def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray,
+                      nsq: np.ndarray) -> np.ndarray:
+    """Alignment ratio L_N,k of each seed's minibatch.
 
-    ``gplus`` and ``nsq`` have shape (S, N), ``dirs`` (S, N, n); both
-    results have shape (S,).  The ratio |avg of weighted directions|^2 / avg
-    of squared weighted violations is at most 1 (mean-square inequality) and
-    is undefined, NaN, where the whole batch is feasible.  The spread v_n
-    equals the average squared deviation of the weighted directions from
-    their mean.
+    ``gplus`` and ``nsq`` have shape (S, N), ``dirs`` (S, N, n); the result
+    has shape (S,).  The ratio |avg of weighted directions|^2 / avg of
+    squared weighted violations is at most 1 (mean-square inequality) and
+    is undefined, NaN, where the whole batch is feasible.
     """
     size = gplus.shape[1]
     active = gplus > 0.0
@@ -247,9 +234,7 @@ def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
     num = np.matmul(mean_dir[:, None, :], mean_dir[:, :, None])[:, 0, 0]
     den = (gplus * gplus / nsq).sum(axis=1) / size
     violated = active.any(axis=1)
-    ln_k = np.where(violated, num / np.where(violated, den, 1.0), np.nan)
-    v_n = np.where(violated, np.maximum(den - num, 0.0), 0.0)
-    return ln_k, v_n
+    return np.where(violated, num / np.where(violated, den, 1.0), np.nan)
 
 
 def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
@@ -312,7 +297,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     gvals, dirs = _checked_batch(spec, indices, v)
     gplus = np.maximum(gvals, 0.0)
     nsq = _squared_norms(gplus, dirs)
-    ln_k, _ = batch_diagnostics(gplus, dirs, nsq)
+    ln_k = batch_diagnostics(gplus, dirs, nsq)
     violated = ~np.isnan(ln_k)
     beta = np.where(violated, policy.step_beta(ln_k), np.nan)
     if not violated.any():
@@ -625,44 +610,3 @@ def run(spec: ProblemSpec, config: SolverConfig,
                       final_x=x[row], final_x_hat=x_hat[row],
                       max_ln_k=None if np.isnan(max_ln[row]) else float(max_ln[row]))
             for row, seed in enumerate(seeds)]
-
-
-# ---------------------------------------------------------------------------
-# rate constants
-
-
-def analysis_constants(ln: float, c: float, mg: float, beta: float,
-                       batch_size: int, variant: str):
-    """Per-iteration contraction factor q and complexity gain factor b.
-
-    Parallel: q = beta * (2 - beta * L_N) / (c * M_g^2) with gain
-    (1 - q)^{-1} - 1; requires c * M_g^2 * L_N > 1.  Sequential:
-    q = beta * (2 - beta) / (c * M_g^2) with gain (1 - q)^{-N} - 1; requires
-    c * M_g^2 > 1.  Outside these regimes the rate theory gives no guarantee
-    and a configuration error is raised instead of a silent adjustment.
-    """
-    if c <= 0 or mg <= 0:
-        raise ConfigError("c and M_g must be positive")
-    if variant == "parallel":
-        if not 0 < ln <= 1:
-            raise ConfigError("L_N must lie in (0, 1]")
-        if c * mg ** 2 * ln <= 1.0:
-            raise ConfigError(
-                f"c * M_g^2 * L_N = {c * mg ** 2 * ln:.6g} <= 1: the rate theory "
-                "does not cover this regime (increase the constants)")
-        if not 0.0 < beta < 2.0 / ln:
-            raise ConfigError(f"parallel beta must lie in (0, {2.0 / ln:g})")
-        q = beta * (2.0 - beta * ln) / (c * mg ** 2)
-        return q, 1.0 / (1.0 - q) - 1.0
-    if variant == "sequential":
-        if c * mg ** 2 <= 1.0:
-            raise ConfigError(
-                f"c * M_g^2 = {c * mg ** 2:.6g} <= 1: the rate theory does not "
-                "cover this regime")
-        if not 0.0 < beta < 2.0:
-            raise ConfigError("sequential beta must lie in (0, 2)")
-        if batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        q = beta * (2.0 - beta) / (c * mg ** 2)
-        return q, (1.0 - q) ** (-batch_size) - 1.0
-    raise ConfigError(f"unknown variant {variant!r}")

@@ -11,9 +11,9 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             aggregate_rows, bootstrap_ci, load_config_file, main,
                             minibatch_sweep, parse_seeds, rate_check, read_csv,
                             solve_experiment, write_csv)
-from mbproj import geometry, harness
-from mbproj.problems import (make_builtin, make_polyhedral_benchmark, qb_curves,
-                             save_instance)
+from mbproj import geometry, harness, problems
+from mbproj.problems import (make_builtin, make_polyhedral_benchmark,
+                             predicted_gains, save_instance)
 from mbproj.solver import ConfigError
 
 
@@ -153,11 +153,14 @@ class TestSolveCommand:
         ["solve", "--variant", "sequential", "--beta", "2.0"],
         ["sweep", "--builtin", "benchmark", "--n", "4", "--m", "3",
          "--N-list", "1,4", "--iters", "20", "--seeds", "1"],
+        ["sweep", "--builtin", "unconstrained", "--n", "4",
+         "--N-list", "1,2", "--iters", "20", "--seeds", "1"],
     ], ids=["N0", "N-above-m", "iters0", "no-seeds", "extrapolated-no-hint",
-            "sequential-beta2", "sweep-N-above-m"])
+            "sequential-beta2", "sweep-N-above-m", "sweep-unconstrained"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, argv):
         # SolverConfig.validate is the one gate; it runs before the out
-        # directory is created, and a sweep passes every N through it first
+        # directory is created, and a sweep passes every N through it, and
+        # checks that the problem has linear constraints, first
         code = main(argv + ["--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -506,8 +509,42 @@ class TestSweep:
                         beta_policy="extrapolated", delta=0.1, ln_hint=1.0,
                         iterations=50, seeds=(1, 2), out_dir=str(tmp_path / "s"))
         inst, rows = minibatch_sweep(cfg, [1, 2], c_hat=4.0)
-        expected = qb_curves(inst.poly, 4.0, 1.0, 1.9, [1, 2])
-        assert [r.predicted_b for r in rows] == [e.b_parallel for e in expected]
+        expected = predicted_gains(inst.poly, "parallel", 1.9, 4.0, 1.0, [1, 2])
+        assert [r.predicted_b for r in rows] == expected
+
+    def test_sequential_sweep_computes_no_ln(self, tmp_path, monkeypatch):
+        def unused(poly, batch_size):
+            raise AssertionError("a sequential sweep computed L_N")
+
+        monkeypatch.setattr(problems, "exact_ln_linear", unused)
+        cfg = RunConfig(builtin="benchmark", n=4, m=6, variant="sequential",
+                        iterations=20, seeds=(1, 2), out_dir=str(tmp_path / "s"))
+        _, rows = minibatch_sweep(cfg, [1, 4], c_hat=4.0)
+        assert all(r.predicted_b is not None for r in rows)
+
+    def test_outside_theory_is_the_runs_variant(self, tmp_path, capsys):
+        # c_hat M_g^2 = 1.05 > 1 covers the sequential variant at every N,
+        # though c_hat M_g^2 L_N = 1.05 / 4 <= 1 leaves parallel N = 4 out;
+        # q = 1 / 1.05 gives b = 21^N - 1
+        code = main(["sweep", "--builtin", "orthonormal", "--n", "6",
+                     "--variant", "sequential", "--beta", "1", "--N-list", "1,4",
+                     "--c-hat", "1.05", "--iters", "50", "--seeds", "1..2",
+                     "--out", str(tmp_path / "s")])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in
+                capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], r[6]) for r in rows] == [("1", "false"), ("4", "false")]
+        assert float(rows[1][4]) == pytest.approx(21.0 ** 4 - 1.0, rel=1e-5)
+
+    def test_sequential_sweep_past_enumeration_cap_is_priced(self, tmp_path):
+        # C(60, 20) subsets exceed the L_N enumeration cap, which a
+        # sequential prediction never reaches
+        cfg = RunConfig(builtin="benchmark", n=10, m=60, variant="sequential",
+                        iterations=20, seeds=(1, 2), out_dir=str(tmp_path / "s"))
+        _, rows = minibatch_sweep(cfg, [1, 20], c_hat=2.0)
+        # q = 1 * (2 - 1) / 2 = 0.5, so b = 2^N - 1
+        assert [r.predicted_b for r in rows] == pytest.approx([1.0, 2.0 ** 20 - 1.0])
+        assert not any(r.outside_theory for r in rows)
 
     def test_c_hat_under_adaptive_policy_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",

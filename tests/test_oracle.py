@@ -77,7 +77,7 @@ def single_index_steps(family, dimension=2):
     def parallel(v, beta=1.0):
         block = v[None]
         x, _, _ = parallel_feasibility_update(spec, index, block,
-                                              BetaPolicy.fixed(beta))
+                                              BetaPolicy("fixed", beta=beta))
         gplus = np.maximum(family.batch(index, block)[0], 0.0)
         return (v if x is block else x[0]), gplus[0]
 

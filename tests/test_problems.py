@@ -11,7 +11,8 @@ from mbproj.problems import (BenchmarkInstance, exact_ln_linear,
                              lambda_max_power, load_instance, make_builtin,
                              make_duplicated_benchmark, make_orthant2,
                              make_orthonormal_benchmark, make_polyhedral_benchmark,
-                             make_unconstrained, qb_curves, save_instance)
+                             make_unconstrained, predicted_gains,
+                             save_instance)
 from mbproj.solver import BetaPolicy, ConfigError, SolverConfig, run
 
 
@@ -166,10 +167,10 @@ class TestExactLN:
             exact_ln_linear(poly, 20)
 
     def test_online_ratio_never_exceeds_exact_bound(self):
-        inst = make_orthonormal_benchmark(6, seed=2, n_active=3)
+        inst = make_orthonormal_benchmark(6, seed=2)
         exact = exact_ln_linear(inst.poly, 2)
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=500,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=500,
                            seeds=(3,), init="gaussian",
                            sampler_variant="without-replacement")
         (result,) = run(inst.spec, cfg)
@@ -178,45 +179,44 @@ class TestExactLN:
 
 
 class TestQBCurves:
+    """b(N) across batch sizes, from ``predicted_gains``."""
+
     def test_flat_gain_when_alignment_bound_is_one(self):
         inst = make_duplicated_benchmark(4, 8, seed=1)
-        with pytest.warns(UserWarning):
-            rows = qb_curves(inst.poly, c_hat=2.0, mg=1.0,
-                             beta_policy=1.0, n_range=(1, 2, 4))
-        b_values = [r.b_parallel for r in rows]
-        assert all(b == pytest.approx(b_values[0]) for b in b_values)
+        with pytest.warns(UserWarning, match="rank"):
+            gains = predicted_gains(inst.poly, "parallel", 1.0, 2.0, 1.0,
+                                    (1, 2, 4))
+        # L_N = 1 for every N: q = 1 * (2 - 1) / 2 = 0.5 and b = 1
+        assert gains == pytest.approx([1.0, 1.0, 1.0])
 
     def test_sequential_doubling_pattern(self):
+        # q = 1 * (2 - 1) / 2 = 0.5 for every N, so gains run 1, 3, 7, 15; the
+        # rows' L_N, which would warn that it reaches 1, is never computed
         inst = make_duplicated_benchmark(4, 8, seed=1)
-        with pytest.warns(UserWarning):
-            rows = qb_curves(inst.poly, c_hat=2.0, mg=1.0,
-                             beta_policy=1.0, n_range=(1, 2, 3, 4))
-        # q = 1 * (2 - 1) / 2 = 0.5 for every N, so gains run 1, 3, 7, 15
-        for row, expected in zip(rows, (1.0, 3.0, 7.0, 15.0)):
-            assert row.q_sequential == pytest.approx(0.5)
-            assert row.b_sequential == pytest.approx(expected)
+        gains = predicted_gains(inst.poly, "sequential", 1.0, 2.0, 1.0,
+                                (1, 2, 3, 4))
+        assert gains == pytest.approx([1.0, 3.0, 7.0, 15.0])
 
     def test_orthonormal_gain_grows_with_batch(self):
-        # c_hat must exceed the largest batch size for the optimal-stepsize
-        # contraction q_N = N / (c M_g^2) to stay below one
+        # L_N = 1 / N, so at beta = 1 the contraction q_N = (2 - 1 / N) /
+        # (c M_g^2) grows with N; c_hat = 6 keeps c M_g^2 L_N > 1 up to N = 4
         inst = make_orthonormal_benchmark(6, seed=2)
-        rows = qb_curves(inst.poly, c_hat=6.0, mg=1.0,
-                         beta_policy="optimal", n_range=(1, 2, 4))
-        for row, size in zip(rows, (1, 2, 4)):
-            assert row.ln == pytest.approx(1.0 / size, abs=1e-9)
-            assert row.beta_parallel == pytest.approx(float(size), abs=1e-8)
-            assert row.q_parallel == pytest.approx(size / 6.0, rel=1e-6)
-        assert rows[0].b_parallel < rows[1].b_parallel < rows[2].b_parallel
+        gains = predicted_gains(inst.poly, "parallel", 1.0, 6.0, 1.0, (1, 2, 4))
+        for b, size in zip(gains, (1, 2, 4)):
+            q = (2.0 - 1.0 / size) / 6.0
+            assert b == pytest.approx(q / (1.0 - q), rel=1e-6)
+        assert gains[0] < gains[1] < gains[2]
 
     def test_outside_theory_flagged_not_raised(self):
         inst = make_orthonormal_benchmark(6, seed=2)
-        # c_hat M_g^2 L_N = 1.05 / 4 < 1 at N = 4: flagged, still reported
-        rows = qb_curves(inst.poly, c_hat=1.05, mg=1.0,
-                         beta_policy=1.0, n_range=(1, 4))
-        assert not rows[0].outside_theory
-        assert rows[1].outside_theory
-        assert rows[1].b_parallel is None
-        assert rows[1].b_sequential is not None
+        # c_hat M_g^2 L_N = 1.05 / 4 < 1 at N = 4: flagged by None for the
+        # parallel variant; the sequential one needs only c_hat M_g^2 > 1
+        parallel = predicted_gains(inst.poly, "parallel", 1.0, 1.05, 1.0, (1, 4))
+        sequential = predicted_gains(inst.poly, "sequential", 1.0, 1.05, 1.0,
+                                     (1, 4))
+        assert parallel[0] is not None
+        assert parallel[1] is None
+        assert sequential[1] is not None
 
 
 class TestInstanceFile:
@@ -233,7 +233,7 @@ class TestInstanceFile:
         # identical solver trajectories from the reloaded instance, read
         # off the points each objective's subgradient is asked about
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=100,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=100,
                            seeds=(1,), init="gaussian")
         trajectories = []
         for spec in (inst.spec, loaded.spec):

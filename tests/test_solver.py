@@ -9,10 +9,10 @@ from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet, empty_family,
                            linear_family)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
-                             make_polyhedral_benchmark)
+                             make_polyhedral_benchmark, predicted_gains)
 from mbproj.solver import (BetaPolicy, ConfigError, OracleFault, PolyhedralContext,
                            SolverAbort, SolverConfig, alpha_schedule,
-                           analysis_constants, batch_diagnostics, objective_step,
+                           batch_diagnostics, objective_step,
                            parallel_feasibility_update, run,
                            sequential_feasibility_update)
 
@@ -37,7 +37,7 @@ def relaxed_step_both_passes(spec, index, v, beta):
     hands back v itself."""
     block = v[None]
     xp, _, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
-                                           BetaPolicy.fixed(beta))
+                                           BetaPolicy("fixed", beta=beta))
     xs, _ = sequential_feasibility_update(spec, np.array([[index]]), block, beta)
     return [v if x is block else x[0] for x in (xp, xs)]
 
@@ -89,7 +89,7 @@ class TestPolyakStep:
         spec = batch_spec(lambda idx, v: (np.ones(len(idx)), np.zeros((len(idx), 2))))
         with pytest.raises(OracleError, match="zero direction"):
             parallel_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
-                                        BetaPolicy.fixed(1.0))
+                                        BetaPolicy("fixed", beta=1.0))
         with pytest.raises(OracleError, match="zero direction"):
             sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)), 1.0)
 
@@ -99,7 +99,7 @@ class TestParallelUpdate:
         spec = corner_spec()
         indices, v = np.array([[0, 1]]), np.array([[2.0, 2.0]])
         x, _, _ = parallel_feasibility_update(spec, indices, v,
-                                              BetaPolicy.fixed(1.0))
+                                              BetaPolicy("fixed", beta=1.0))
         np.testing.assert_allclose(x, [[1.0, 1.0]])
         gvals, _ = spec.constraints.batch(indices, v)
         np.testing.assert_allclose(np.maximum(gvals, 0.0), [[2.0, 2.0]])
@@ -113,7 +113,7 @@ class TestParallelUpdate:
         spec = corner_spec()
         _, ln_k, _ = parallel_feasibility_update(spec, np.array([[0, 1]]),
                                                  np.array([[2.0, 2.0]]),
-                                                 BetaPolicy.fixed(1.0))
+                                                 BetaPolicy("fixed", beta=1.0))
         assert ln_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
@@ -121,7 +121,7 @@ class TestParallelUpdate:
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
         x, _, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
-                                              BetaPolicy.fixed(1.0))
+                                              BetaPolicy("fixed", beta=1.0))
         # g+ = 1.2 along d = (1, 0), |d| = 1
         expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
         np.testing.assert_array_equal(x[0], expected)
@@ -130,14 +130,10 @@ class TestParallelUpdate:
         spec = corner_spec()
         indices, v = np.array([[0, 1, 0]]), np.array([[-1.0, -2.0]])
         x, ln_k, beta = parallel_feasibility_update(spec, indices, v,
-                                                    BetaPolicy.fixed(1.3))
+                                                    BetaPolicy("fixed", beta=1.3))
         assert x is v
         assert np.isnan(ln_k[0])          # no ratio: the batch is feasible
         assert np.isnan(beta[0])          # no step taken
-        gvals, dirs = spec.constraints.batch(indices, v)
-        nsq = np.einsum("...j,...j->...", dirs, dirs)
-        _, v_n = batch_diagnostics(np.maximum(gvals, 0.0), dirs, nsq)
-        assert v_n[0] == 0.0
 
 
 class TestSequentialUpdate:
@@ -160,14 +156,14 @@ class TestSequentialUpdate:
         spec = corner_spec(simple_set=ball)
         v = np.array([[1.5, 1.2]])
         xp, _, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
-                                               BetaPolicy.fixed(0.8))
+                                               BetaPolicy("fixed", beta=0.8))
         xs, _ = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8)
         np.testing.assert_array_equal(xp, xs)
 
     def test_beta_range_enforced(self):
         # the pass relies on run's validation for beta in (0, 2)
         cfg = SolverConfig(variant="sequential", batch_size=1,
-                           beta_policy=BetaPolicy.fixed(2.0), iterations=10)
+                           beta_policy=BetaPolicy("fixed", beta=2.0), iterations=10)
         with pytest.raises(ConfigError, match="admissible interval"):
             cfg.validate(corner_spec())
 
@@ -210,24 +206,17 @@ class TestBatchQuantities:
         rng = np.random.default_rng(21)
         for _ in range(300):
             gplus, dirs, nsq = self.rand_batch(rng)
-            (ln_k,), (v_n,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
+            (ln_k,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
             assert 0.0 < ln_k <= 1.0 + 1e-12
-            assert v_n >= 0.0
 
-    def test_spread_zero_iff_directions_coincide(self):
+    def test_ratio_one_when_directions_coincide(self):
         rng = np.random.default_rng(22)
         d = rng.standard_normal(4)
         dirs = np.tile(d, (5, 1))
         gplus = np.full(5, 1.3)
         nsq = np.einsum("ij,ij->i", dirs, dirs)
-        (ln_k,), (v_n,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
-        assert v_n <= 1e-12
+        (ln_k,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
         assert ln_k == pytest.approx(1.0, abs=1e-12)
-        # distinct weighted directions give strictly positive spread
-        dirs[0] = dirs[0] + np.array([1.0, 0, 0, 0])
-        nsq = np.einsum("ij,ij->i", dirs, dirs)
-        _, (v_n,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
-        assert v_n > 1e-8
 
     def test_mean_square_identity(self):
         # |mean - w|^2 = avg |u_i - w|^2 - avg |u_j - mean|^2 for a point cloud
@@ -255,54 +244,65 @@ class TestSchedules:
 
 
 class TestAnalysisConstants:
+    """The rate constants q and b that ``predicted_gains`` prices."""
+
+    # rows e_1, ..., e_4: every N-subset has L_N = 1 / N
+    ORTHONORMAL = PolyhedronSpec(A=np.eye(4), b=np.zeros(4))
+
     def test_parallel_optimal_beta(self):
+        # beta = 1 / L_N gives q = 1 / (c M_g^2 L_N), so b = 1 / (c M_g^2 L_N - 1)
         c, mg, ln = 3.0, 1.0, 0.5
-        q, b = analysis_constants(ln, c, mg, beta=1.0 / ln, batch_size=4,
-                                  variant="parallel")
-        assert q == pytest.approx(1.0 / (c * mg ** 2 * ln))
+        (b,) = predicted_gains(self.ORTHONORMAL, "parallel", 1.0 / ln, c, mg, [2])
         assert b == pytest.approx(1.0 / (c * mg ** 2 * ln - 1.0))
 
-    def test_sequential_doubling(self):
-        # q = 0.5 gives gains 1, 3, 7, 15, ...
-        c, beta = 2.0, 1.0          # q = beta(2-beta)/(c*1) = 0.5
-        for n, expected in ((1, 1.0), (2, 3.0), (3, 7.0), (4, 15.0)):
-            q, b = analysis_constants(1.0, c, 1.0, beta, n, "sequential")
-            assert q == pytest.approx(0.5)
-            assert b == pytest.approx(expected)
-
     def test_sequential_gain_increases_with_batch(self):
+        # N = 9 exceeds the 4 rows: the sequential gain needs no L_N
+        gains = predicted_gains(self.ORTHONORMAL, "sequential", 1.0, 4.0, 1.0,
+                                range(1, 10))
         prev = 0.0
-        for n in range(1, 10):
-            _, b = analysis_constants(1.0, 4.0, 1.0, 1.0, n, "sequential")
+        for b in gains:
             assert b > prev
             prev = b
 
     def test_parallel_regime_precondition(self):
-        with pytest.raises(ConfigError, match="does not cover"):
-            analysis_constants(0.2, 2.0, 1.0, 1.0, 4, "parallel")  # c*Mg^2*LN = 0.4
+        # c = 3: at N = 1 beta = 2.5 is not below 2 / L_N = 2, and at N = 4
+        # c M_g^2 L_N = 0.75 <= 1; both are flagged by None, not raised
+        gains = predicted_gains(self.ORTHONORMAL, "parallel", 2.5, 3.0, 1.0,
+                                [1, 2, 4])
+        assert gains[0] is None and gains[2] is None
+        assert gains[1] > 0.0
 
     def test_sequential_regime_precondition(self):
-        with pytest.raises(ConfigError, match="does not cover"):
-            analysis_constants(1.0, 0.9, 1.0, 1.0, 2, "sequential")
+        with pytest.raises(ConfigError, match="c_hat"):
+            predicted_gains(self.ORTHONORMAL, "sequential", 1.0, 0.9, 1.0, [2])
 
     def test_q_below_one_in_admissible_range(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
-            ln = rng.uniform(0.05, 1.0)
+            rows = rng.standard_normal((6, 4))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            poly = PolyhedronSpec(A=rows, b=np.zeros(6))
+            size = int(rng.integers(1, 5))
+            ln = exact_ln_linear(poly, size)
             c = rng.uniform(1.0, 5.0) / ln  # ensures c*ln > 1 with mg = 1
             beta = rng.uniform(0.01, 2.0 / ln - 1e-6)
             if c * ln <= 1.0:
                 continue
-            q, b = analysis_constants(ln, c, 1.0, beta, 3, "parallel")
+            (b,) = predicted_gains(poly, "parallel", beta, c, 1.0, [size])
+            q = b / (1.0 + b)               # b = 1 / (1 - q) - 1
             assert 0.0 < q < 1.0
-            assert b > 0.0
+            assert q == pytest.approx(beta * (2.0 - beta * ln) / c, rel=1e-9)
 
     def test_optimal_beta_maximizes_decrease(self):
-        # the per-iteration coefficient beta * (2 - beta * L) peaks at 1 / L
-        for ln in (0.25, 0.5, 1.0):
-            best = (1.0 / ln) * (2.0 - 1.0)
-            for beta in np.linspace(0.01, 2.0 / ln - 0.01, 97):
-                assert beta * (2.0 - beta * ln) <= best + 1e-12
+        # the parallel gain grows with beta * (2 - beta * L_N), which peaks
+        # at beta = 1 / L_N = N
+        for size in (1, 2, 4):
+            (best,) = predicted_gains(self.ORTHONORMAL, "parallel", float(size),
+                                      5.0, 1.0, [size])
+            for beta in np.linspace(0.01, 2.0 * size - 0.01, 97):
+                (b,) = predicted_gains(self.ORTHONORMAL, "parallel", beta, 5.0,
+                                       1.0, [size])
+                assert b <= best * (1.0 + 1e-12)
 
 
 class TestRunLoop:
@@ -312,7 +312,7 @@ class TestRunLoop:
     def test_deterministic_given_seed(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=300,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=300,
                            seeds=(9,), init="gaussian")
         (r1,) = run(inst.spec, cfg, context=inst.context())
         (r2,) = run(inst.spec, cfg, context=inst.context())
@@ -329,7 +329,7 @@ class TestRunLoop:
         trajectories = []
         for variant in ("parallel", "sequential"):
             cfg = SolverConfig(variant=variant, batch_size=1,
-                               beta_policy=BetaPolicy.fixed(1.0), iterations=200,
+                               beta_policy=BetaPolicy("fixed", beta=1.0), iterations=200,
                                seeds=(3,), init="gaussian")
             spec, seen = recording(inst.spec)
             (result,) = run(spec, cfg)
@@ -347,7 +347,7 @@ class TestRunLoop:
                            constraints=empty_family(), simple_set=ball,
                            mu=1.0, M_f=10.0, M_g=1.0)
         cfg = SolverConfig(variant="parallel", batch_size=1,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=150,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=150,
                            seeds=(5,), init="zero")
         spec, seen = recording(spec)
         (result,) = run(spec, cfg)
@@ -362,7 +362,7 @@ class TestRunLoop:
     def test_iterates_stay_in_simple_set(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="sequential", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=300,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=300,
                            seeds=(2,), init="gaussian")
         spec, seen = recording(inst.spec)
         (result,) = run(spec, cfg)
@@ -373,7 +373,7 @@ class TestRunLoop:
     def test_streaming_average_matches_recomputation(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=400,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=400,
                            seeds=(8,), init="gaussian")
         spec, seen = recording(inst.spec)
         (result,) = run(spec, cfg)
@@ -386,8 +386,8 @@ class TestRunLoop:
         inst = self.small_benchmark()
         delta = 0.1
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.adaptive(delta), iterations=50,
-                           seeds=(6,), init="gaussian")
+                           beta_policy=BetaPolicy("adaptive", delta=delta),
+                           iterations=50, seeds=(6,), init="gaussian")
         (result,) = run(inst.spec, cfg, context=inst.context())
         for record in result.records:
             if record.ln_k is not None:
@@ -396,17 +396,19 @@ class TestRunLoop:
     def test_adaptive_rejected_for_sequential(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="sequential", batch_size=2,
-                           beta_policy=BetaPolicy.adaptive(0.1), iterations=10)
+                           beta_policy=BetaPolicy("adaptive", delta=0.1), iterations=10)
         with pytest.raises(ConfigError, match="fixed beta"):
             run(inst.spec, cfg)
 
     def test_fixed_beta_upper_bound_uses_ln_hint(self):
-        BetaPolicy.fixed(4.0, ln=0.25).validate("parallel")  # beta < 2 / 0.25
+        BetaPolicy("fixed", beta=4.0, ln=0.25).validate("parallel")  # beta < 2 / 0.25
         with pytest.raises(ConfigError):
-            BetaPolicy.fixed(4.0).validate("parallel")
+            BetaPolicy("fixed", beta=4.0).validate("parallel")
         with pytest.raises(ConfigError):
-            BetaPolicy.fixed(4.0, ln=0.25).validate("sequential")
+            BetaPolicy("fixed", beta=4.0, ln=0.25).validate("sequential")
 
+    @pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in multiply:RuntimeWarning")
     def test_nonfinite_oracle_aborts_with_diagnostic(self):
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x * np.inf)
@@ -415,21 +417,22 @@ class TestRunLoop:
                            simple_set=SimpleSet.whole_space(2),
                            mu=1.0, M_f=1.0, M_g=1.0)
         cfg = SolverConfig(variant="parallel", batch_size=1,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=5, seeds=(0,))
+                           beta_policy=BetaPolicy("fixed", beta=1.0),
+                           iterations=5, seeds=(0,))
         with pytest.raises(SolverAbort, match="objective step"):
             run(spec, cfg)
 
     def test_iterations_must_be_positive(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=1,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=0)
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=0)
         with pytest.raises(ConfigError, match="iterations"):
             run(inst.spec, cfg)
 
     def test_lemma_checks_require_context(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=10,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=10,
                            assertions="lemma-checks")
         with pytest.raises(ConfigError, match="context"):
             run(inst.spec, cfg)
@@ -438,7 +441,7 @@ class TestRunLoop:
         inst = self.small_benchmark()
         for variant in ("parallel", "sequential"):
             cfg = SolverConfig(variant=variant, batch_size=2,
-                               beta_policy=BetaPolicy.fixed(1.0), iterations=300,
+                               beta_policy=BetaPolicy("fixed", beta=1.0), iterations=300,
                                seeds=(1,), init="gaussian", assertions="lemma-checks")
             run(inst.spec, cfg, context=inst.context())  # must not abort
 
@@ -447,7 +450,7 @@ class TestRunLoop:
         inst = make_polyhedral_benchmark(10, 20, seed=0)
         for seed in range(1, 6):
             cfg = SolverConfig(variant=variant, batch_size=4,
-                               beta_policy=BetaPolicy.fixed(1.0), iterations=200,
+                               beta_policy=BetaPolicy("fixed", beta=1.0), iterations=200,
                                seeds=(seed,), init="gaussian",
                                assertions="lemma-checks")
             run(inst.spec, cfg, context=inst.context())  # must not abort
@@ -462,7 +465,7 @@ class TestRunLoop:
                                     simple_set=spec.simple_set,
                                     feasible_point=np.zeros(2))
         cfg = SolverConfig(variant=variant, batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=20,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
                            seeds=(1,), init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="single-step-decrease") as info:
             run(spec, cfg, context=context)
@@ -477,7 +480,7 @@ class TestRunLoop:
                                     simple_set=spec.simple_set,
                                     feasible_point=np.zeros(2))
         cfg = SolverConfig(variant=variant, batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=20,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
                            seeds=(7, 3), init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="k=1, seed 7") as info:
             run(spec, cfg, context=context)
@@ -500,12 +503,12 @@ class TestRunLoop:
     def test_log_cadence_geometric_and_linear(self):
         inst = self.small_benchmark()
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=20,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
                            seeds=(0,), log_cadence="geometric")
         ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
         assert ks == [1, 2, 4, 8, 16, 20]
         cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=20,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
                            seeds=(0,), log_cadence=7)
         ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
         assert ks == [7, 14, 20]
@@ -528,7 +531,7 @@ class TestOracleFaults:
                 lambda idx, v: (np.where(v[idx] > 0, np.nan, v[idx]), np.eye(2)[idx]),
                 size=2)
         cfg = SolverConfig(variant=variant, batch_size=2,
-                           beta_policy=BetaPolicy.fixed(1.0), iterations=50,
+                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=50,
                            seeds=(1,), init="zero")
         with pytest.raises(SolverAbort, match="constraint oracle fault at k=1"
                            ) as info:
@@ -555,7 +558,8 @@ class TestOracleFaults:
         indices = np.array([[0, 1]] * 3)
         with pytest.raises(OracleFault) as info:
             if variant == "parallel":
-                parallel_feasibility_update(spec, indices, block, BetaPolicy.fixed(1.0))
+                parallel_feasibility_update(spec, indices, block,
+                                            BetaPolicy("fixed", beta=1.0))
             else:
                 sequential_feasibility_update(spec, indices, block, 1.0)
         assert info.value.row == 1
@@ -568,8 +572,8 @@ class TestDeclaredLN:
     INSTANCES = {"benchmark": lambda: make_polyhedral_benchmark(4, 6, seed=12),
                  "duplicated": lambda: make_duplicated_benchmark(4, 6, seed=0)}
 
-    @pytest.mark.parametrize("policy", [BetaPolicy.extrapolated(0.1, 0.001),
-                                        BetaPolicy.fixed(1.0, ln=0.001)],
+    @pytest.mark.parametrize("policy", [BetaPolicy("extrapolated", delta=0.1, ln=0.001),
+                                        BetaPolicy("fixed", beta=1.0, ln=0.001)],
                              ids=["extrapolated", "fixed"])
     def test_understated_ln_aborts_with_snapshot(self, policy):
         # every row of the duplicated instance is the same direction, so each
@@ -589,9 +593,9 @@ class TestDeclaredLN:
 
     def test_unchecked_ln_rejected(self):
         # only the parallel variant under a fixed or extrapolated beta checks it
-        BetaPolicy.fixed(1.0, ln=0.5).validate("parallel")
+        BetaPolicy("fixed", beta=1.0, ln=0.5).validate("parallel")
         with pytest.raises(ConfigError, match="declared L_N"):
-            BetaPolicy.fixed(1.0, ln=0.5).validate("sequential")
+            BetaPolicy("fixed", beta=1.0, ln=0.5).validate("sequential")
         with pytest.raises(ConfigError, match="declared L_N"):
             BetaPolicy("adaptive", delta=0.1, ln=0.5).validate("parallel")
 
@@ -605,7 +609,7 @@ class TestDeclaredLN:
             ln = exact_ln_linear(inst.poly, batch_size)
         for seed in (1, 2, 3):
             cfg = SolverConfig(variant="parallel", batch_size=batch_size,
-                               beta_policy=BetaPolicy.extrapolated(0.1, ln),
+                               beta_policy=BetaPolicy("extrapolated", delta=0.1, ln=ln),
                                iterations=300, seeds=(seed,), init="gaussian",
                                sampler_variant="without-replacement")
             (result,) = run(inst.spec, cfg, context=inst.context())  # must not abort
