@@ -255,6 +255,14 @@ class TestAnalysisConstants:
         (b,) = predicted_gains(self.ORTHONORMAL, "parallel", 1.0 / ln, c, mg, [2])
         assert b == pytest.approx(1.0 / (c * mg ** 2 * ln - 1.0))
 
+    def test_sequential_doubling(self):
+        # q = beta (2 - beta) / (c M_g^2) = 0.5 gives gains 1, 3, 7, 15, ...
+        gains = predicted_gains(self.ORTHONORMAL, "sequential", 1.0, 2.0, 1.0,
+                                (1, 2, 3, 4))
+        for size, b, expected in zip((1, 2, 3, 4), gains, (1.0, 3.0, 7.0, 15.0)):
+            assert 1.0 - (1.0 + b) ** (-1.0 / size) == pytest.approx(0.5)  # q
+            assert b == pytest.approx(expected)
+
     def test_sequential_gain_increases_with_batch(self):
         # N = 9 exceeds the 4 rows: the sequential gain needs no L_N
         gains = predicted_gains(self.ORTHONORMAL, "sequential", 1.0, 4.0, 1.0,
