@@ -3,8 +3,7 @@ many functional constraints, plus the experiment harness that measures their
 convergence rates and minibatch-size effects."""
 
 from .oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle, OracleError,
-                     ProblemSpec, SimpleSet, distance_family, empty_family,
-                     linear_family)
+                     ProblemSpec, SimpleSet, empty_family, linear_family)
 from .geometry import (DistanceOracleError, EmptyFeasibleSetError, PolyhedronSpec,
                        TOL_ASSERT, TOL_METRIC, distance_oracle, max_violation,
                        project_intersection)

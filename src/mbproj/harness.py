@@ -432,13 +432,17 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     before any prediction is priced or any N runs.  Predictions use the
     runs' constant stepsize (``BetaPolicy.initial_beta``), so ``c_hat`` is a
     configuration error under the adaptive policy, as is a ``c_hat`` that
-    ``predicted_gains`` rejects.  ``outside_theory`` marks an N whose b the
-    rate theory of the runs' variant does not cover; a sequential sweep
-    covers every N and computes no L_N.  Only an ``exact_ln_linear``
-    enumeration above its cap, in a parallel sweep, drops the predictions.
+    ``predicted_gains`` rejects.  Batch sizes must be distinct.
+    ``outside_theory`` marks an N whose b the rate theory of the runs'
+    variant does not cover; a sequential sweep covers every N and computes
+    no L_N.  Each N is priced on its own: in a parallel sweep, an N whose
+    ``exact_ln_linear`` enumeration passes its cap has an empty b, with
+    ``outside_theory`` false, and a stderr note names that N and the cap.
     """
     if len(n_list) < 2:
         raise ConfigError("sweep needs at least two batch sizes")
+    if len(set(n_list)) < len(n_list):
+        raise ConfigError(f"sweep batch sizes must be distinct, got {n_list}")
     if c_hat is not None and cfg.beta_policy == "adaptive":
         raise ConfigError("--c-hat predictions need a constant stepsize; the "
                           "adaptive beta policy has none")
@@ -454,12 +458,13 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     gains = {}
     if c_hat is not None:
         beta = cfg.solver_config().beta_policy.initial_beta()
-        try:
-            gains = dict(zip(n_list, predicted_gains(
-                instance.poly, cfg.variant, beta, c_hat, instance.spec.M_g,
-                n_list, with_replacement=cfg.sampler == "iid-uniform")))
-        except OracleError:            # L_N enumeration above its cap
-            pass
+        for size in n_list:
+            try:
+                gains[size] = predicted_gains(
+                    instance.poly, cfg.variant, beta, c_hat, instance.spec.M_g,
+                    [size], with_replacement=cfg.sampler == "iid-uniform")[0]
+            except OracleError as exc:  # L_N enumeration above its cap
+                print(f"note: no predicted_b for N = {size}: {exc}", file=sys.stderr)
     out = []
     base_ratio = None
     for sub in subs:

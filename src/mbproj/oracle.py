@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -137,32 +137,6 @@ def linear_family(A, b) -> ConstraintFamily:
         return np.matmul(rows, v[:, :, None])[:, :, 0] + b[indices], rows
 
     return ConstraintFamily(size=A.shape[0], batch=batch)
-
-
-def distance_family(projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
-                    dimension: int) -> ConstraintFamily:
-    """Adapter turning projectable sets into functional constraints.
-
-    Each set with projection P becomes g(x) = dist(x, set) = ||x - P(x)||,
-    whose positive-part subgradient is (x - P(x)) / dist(x, set) away from the
-    set; subgradients have norm 1, so the family satisfies the bound M_g = 1.
-    Inside a set the row is the zero residual.  The projectors take one 1-D
-    point, so ``batch`` loops over the seeds and their indices; one
-    projection per index serves both the value and the row.
-    """
-    projectors = list(projectors)
-
-    def batch(indices, v):
-        indices = np.asarray(indices)
-        residuals = np.array([v[s] - projectors[w](v[s])
-                              for s, row in enumerate(indices.tolist())
-                              for w in row],
-                             dtype=np.float64).reshape(indices.shape + (dimension,))
-        dists = np.array([np.linalg.norm(r) for r in residuals.reshape(-1, dimension)]
-                         ).reshape(indices.shape)
-        return dists, residuals / np.where(dists > 0.0, dists, 1.0)[..., None]
-
-    return ConstraintFamily(size=len(projectors), batch=batch)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ implementations can consume identical problems.
 ``outside_theory`` flag refers to that variant's conditions, and a
 sequential sweep needs no L_N, so it enumerates no row subsets.
 
-Every generated instance uses the objective f(x) = 0.5 * |x - x_c|^2 with the
-pull center x_c placed outside the feasible region, so the constrained
-optimum x* = P_X[x_c] sits on the boundary of at least one constraint and the
-feasibility machinery is exercised on every run.  The optimum and its value
+Every generated instance uses the objective f(x) = 0.5 * |x - x_c|^2.  With
+constraints, the pull center x_c is placed outside the feasible region, so the
+constrained optimum x* = P_X[x_c] sits on the boundary of at least one
+constraint and the feasibility machinery is exercised on every run.  The optimum and its value
 are computed by the independent distance oracle, making rate measurement
 exact.
 
@@ -76,8 +76,7 @@ class BenchmarkInstance:
     pull_center: np.ndarray           # unconstrained minimizer x_c of the objective
 
     def context(self) -> PolyhedralContext:
-        return PolyhedralContext(poly=self.poly, simple_set=self.spec.simple_set,
-                                 feasible_point=self.anchor)
+        return PolyhedralContext(poly=self.poly, feasible_point=self.anchor)
 
 
 def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
@@ -93,20 +92,21 @@ def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
 
 def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
                     pull_center: np.ndarray) -> BenchmarkInstance:
-    """Assemble spec + instance around a pull center; boundary optimum required."""
+    """Assemble spec + instance around a pull center; the one place that
+    sets Y (a ball about the anchor), M_f, mu, M_g, x* and f*.  With rows,
+    the optimum must lie on the boundary of one; with none (A of shape
+    (0, n)) the problem is unconstrained."""
     poly = PolyhedronSpec(A=A, b=b)
-    n = poly.n
     radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
     simple_set = SimpleSet.ball(anchor, radius)
     x_star = project_intersection(poly, simple_set, pull_center)
-    active = float(np.max(poly.A @ x_star + poly.b))
-    if active < -1e-6:
+    if poly.m and float(np.max(poly.A @ x_star + poly.b)) < -1e-6:
         raise GenerationError("optimum interior to all constraints")
     f_star = 0.5 * float(np.linalg.norm(x_star - pull_center)) ** 2
     spec = ProblemSpec(
-        dimension=n,
+        dimension=poly.n,
         objective=_quadratic_objective(pull_center),
-        constraints=linear_family(poly.A, poly.b),
+        constraints=linear_family(poly.A, poly.b) if poly.m else empty_family(),
         simple_set=simple_set,
         mu=1.0,
         M_f=radius + float(np.linalg.norm(pull_center - anchor)),
@@ -208,29 +208,14 @@ def make_orthant2() -> BenchmarkInstance:
 def make_unconstrained(n: int = 4, seed: int = 3) -> BenchmarkInstance:
     """No functional constraints: plain projected subgradient descent.
 
-    The feasible set is the simple set itself; the optimum is the pull center
-    (kept inside the ball), so distance metrics are identically zero.
+    ``_build_instance`` with no rows: the feasible set is the ball Y, which
+    contains the optimum, the pull center.  A run has no polyhedral context,
+    so it logs max_violation and dist_X empty.
     """
     if n < 1:
         raise OracleError("need n >= 1")
-    rng = np.random.default_rng(seed)
-    pull = rng.standard_normal(n)
-    anchor = np.zeros(n)
-    radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull)), 1.0)
-    simple_set = SimpleSet.ball(anchor, radius)
-    spec = ProblemSpec(
-        dimension=n,
-        objective=_quadratic_objective(pull),
-        constraints=empty_family(),
-        simple_set=simple_set,
-        mu=1.0,
-        M_f=radius + float(np.linalg.norm(pull)),
-        M_g=1.0,
-        known_optimum=KnownOptimum(f_star=0.0, x_star=pull.copy()),
-    )
-    poly = PolyhedronSpec(A=np.zeros((0, n)), b=np.zeros(0))
-    return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor,
-                             pull_center=pull)
+    pull = np.random.default_rng(seed).standard_normal(n)
+    return _build_instance(np.zeros((0, n)), np.zeros(0), np.zeros(n), pull)
 
 
 BUILTINS = {
@@ -248,6 +233,8 @@ def make_builtin(name: str, n: int = 10, m: int = 20, seed: int = 0) -> Benchmar
     except KeyError:
         raise OracleError(f"unknown builtin problem {name!r}; "
                           f"choose from {sorted(BUILTINS)}") from None
+    if seed < 0:
+        raise OracleError(f"problem seed must be >= 0, got {seed}")
     return factory(n, m, seed)
 
 

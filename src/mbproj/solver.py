@@ -153,6 +153,8 @@ class SolverConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct and >= 0: {list(self.seeds)}")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.batch_size < 1:
@@ -176,7 +178,8 @@ class SolverConfig:
 
 @dataclass
 class PolyhedralContext:
-    """The feasible set {Ax + b <= 0} intersected with Y, known explicitly.
+    """The linear constraints {Ax + b <= 0} of a run, known explicitly; the
+    feasible set is their intersection with the spec's simple set Y.
 
     With it a run logs max_violation and the certified distance dist_X of
     the weighted average (``distance_oracle``), and the lemma checks measure
@@ -184,7 +187,6 @@ class PolyhedralContext:
     """
 
     poly: PolyhedronSpec
-    simple_set: object                 # the run's simple set Y
     feasible_point: np.ndarray         # known point of the full intersection
 
 
@@ -383,18 +385,19 @@ class _LemmaChecker:
     benchmark, seed by seed, aborting with a snapshot on the first
     violation."""
 
-    def __init__(self, context: PolyhedralContext, mg: float, seeds):
+    def __init__(self, context: PolyhedralContext, spec: ProblemSpec, seeds):
         self.ctx = context
-        self.mg = mg
+        self.simple_set = spec.simple_set
+        self.mg = spec.M_g
         self.seeds = seeds
         self.ln_running_max = np.zeros(len(seeds))
         p = context.feasible_point
         if max_violation(context.poly, p) > TOL_METRIC or \
-                not context.simple_set.contains(p, tol=TOL_METRIC):
+                not self.simple_set.contains(p, tol=TOL_METRIC):
             raise ConfigError("lemma-checks requires a feasible reference point")
 
     def _dist(self, v):
-        return distance_oracle(self.ctx.poly, self.ctx.simple_set, v)
+        return distance_oracle(self.ctx.poly, self.simple_set, v)
 
     def _fail(self, name, k, row, slack, extra=None):
         seed = self.seeds[row]
@@ -506,7 +509,9 @@ def run(spec: ProblemSpec, config: SolverConfig,
     seed's index stream, initial point and arithmetic are reproducible and do
     not depend on the other seeds of the block.  Metrics in the emitted
     records are computed seed by seed on the weighted running average of the
-    iterates; ``elapsed_ns`` counts from the start of the block.  The first
+    iterates: f_gap when the spec knows its optimum, and max_violation and
+    dist_X through ``context`` alone, so a run without a context logs both
+    empty.  ``elapsed_ns`` counts from the start of the block.  The first
     iteration at which any seed meets a non-finite iterate, a constraint
     oracle fault (reported with ``k``, the seed and its batch indices) or,
     in the parallel variant, a realized L_N,k above the declared L_N aborts
@@ -516,11 +521,10 @@ def run(spec: ProblemSpec, config: SolverConfig,
     if config.assertions == "lemma-checks" and context is None:
         raise ConfigError("lemma-checks mode requires a polyhedral context")
     seeds = tuple(config.seeds)
-    checker = _LemmaChecker(context, spec.M_g, seeds) \
+    checker = _LemmaChecker(context, spec, seeds) \
         if config.assertions == "lemma-checks" else None
 
-    fam = spec.constraints
-    m = fam.size
+    m = spec.constraints.size
     x = np.empty((len(seeds), spec.dimension))
     samplers = []
     for row, seed in enumerate(seeds):
@@ -584,10 +588,6 @@ def run(spec: ProblemSpec, config: SolverConfig,
 
         if k in log_ks:
             x_hat = weighted_sum / weight_total
-            if context is None and m:
-                gvals, _ = fam.batch(np.broadcast_to(np.arange(m), (len(seeds), m)),
-                                     x_hat)
-                worst = np.maximum(np.max(gvals, axis=1), 0.0)
             for row, seed in enumerate(seeds):
                 f_gap = None
                 if opt is not None:
@@ -595,10 +595,8 @@ def run(spec: ProblemSpec, config: SolverConfig,
                 viol = dist = None
                 if context is not None:
                     viol = max_violation(context.poly, x_hat[row])
-                    dist = distance_oracle(context.poly, context.simple_set,
+                    dist = distance_oracle(context.poly, spec.simple_set,
                                            x_hat[row])
-                elif m:
-                    viol = float(worst[row])
                 records[row].append(RunRecord(
                     seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_x=dist,
                     ln_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),

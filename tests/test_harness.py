@@ -155,8 +155,15 @@ class TestSolveCommand:
          "--N-list", "1,4", "--iters", "20", "--seeds", "1"],
         ["sweep", "--builtin", "unconstrained", "--n", "4",
          "--N-list", "1,2", "--iters", "20", "--seeds", "1"],
+        ["solve", "--seeds=-1"],
+        ["solve", "--problem-seed=-1"],
+        ["solve", "--seeds", "1,1,2"],
+        ["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",
+         "--N-list", "1,2,2", "--iters", "20", "--seeds", "1"],
     ], ids=["N0", "N-above-m", "iters0", "no-seeds", "extrapolated-no-hint",
-            "sequential-beta2", "sweep-N-above-m", "sweep-unconstrained"])
+            "sequential-beta2", "sweep-N-above-m", "sweep-unconstrained",
+            "negative-seed", "negative-problem-seed", "repeated-seed",
+            "sweep-repeated-N"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, argv):
         # SolverConfig.validate is the one gate; it runs before the out
         # directory is created, and a sweep passes every N through it, and
@@ -536,15 +543,29 @@ class TestSweep:
         assert [(r[0], r[6]) for r in rows] == [("1", "false"), ("4", "false")]
         assert float(rows[1][4]) == pytest.approx(21.0 ** 4 - 1.0, rel=1e-5)
 
-    def test_sequential_sweep_past_enumeration_cap_is_priced(self, tmp_path):
+    @pytest.mark.parametrize("variant,expected", [
+        ("sequential", [1.0, 2.0 ** 20 - 1.0]),
+        ("parallel", [1.0, None]),
+    ], ids=["sequential", "parallel"])
+    def test_sequential_sweep_past_enumeration_cap_is_priced(self, tmp_path, capsys,
+                                                             variant, expected):
         # C(60, 20) subsets exceed the L_N enumeration cap, which a
-        # sequential prediction never reaches
-        cfg = RunConfig(builtin="benchmark", n=10, m=60, variant="sequential",
+        # sequential prediction never reaches; a parallel sweep prices each
+        # N on its own, so only N = 20 loses its prediction (L_1 = 1 needs
+        # no enumeration)
+        cfg = RunConfig(builtin="benchmark", n=10, m=60, variant=variant,
                         iterations=20, seeds=(1, 2), out_dir=str(tmp_path / "s"))
         _, rows = minibatch_sweep(cfg, [1, 20], c_hat=2.0)
-        # q = 1 * (2 - 1) / 2 = 0.5, so b = 2^N - 1
-        assert [r.predicted_b for r in rows] == pytest.approx([1.0, 2.0 ** 20 - 1.0])
+        # q = 1 * (2 - 1) / 2 = 0.5, so b = 2^N - 1 (and b = 1 at N = 1 in
+        # the parallel variant too, where L_1 = 1)
+        assert [r.predicted_b for r in rows] == pytest.approx(expected)
         assert not any(r.outside_theory for r in rows)
+        notice = capsys.readouterr().err
+        if variant == "parallel":
+            assert notice.count("\n") == 1
+            assert "N = 20" in notice and "1000000 cap" in notice
+        else:
+            assert notice == ""
 
     def test_c_hat_under_adaptive_policy_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",

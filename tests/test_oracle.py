@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
-                           OracleError, ProblemSpec, SimpleSet, distance_family,
-                           empty_family, linear_family)
+                           OracleError, ProblemSpec, SimpleSet, empty_family,
+                           linear_family)
 from mbproj.solver import (BetaPolicy, parallel_feasibility_update,
                            sequential_feasibility_update)
 
@@ -103,9 +103,12 @@ class TestPositivePart:
             np.testing.assert_array_equal(x, [1.0, 0.0])  # moved along (1, 0)
 
     def test_interior_zero_row_is_noop(self):
-        # inside the set the distance family's row is its zero residual; both
-        # passes ignore the rows of satisfied constraints and return v itself
-        fam = distance_family([SimpleSet.ball(np.zeros(2), 1.0).project], 2)
+        # a distance-to-set constraint inside its set: value 0 and the zero
+        # residual as its row; both passes ignore the rows of satisfied
+        # constraints and return v itself
+        fam = ConstraintFamily(
+            size=1,
+            batch=lambda idx, v: (np.zeros(idx.shape), np.zeros(idx.shape + (2,))))
         v = np.array([0.2, 0.1])
         gvals, dirs = fam.batch(np.array([[0]]), v[None])
         np.testing.assert_array_equal(gvals, [[0.0]])
@@ -159,41 +162,22 @@ class TestPositivePart:
                 assert out is v
 
 
-def halfspace_projector(normal, offset):
-    """Projection onto {x : <normal, x> + offset <= 0} for a unit normal."""
-    return lambda v: v - max(float(normal @ v) + offset, 0.0) * normal
-
-
-# projectors of a ball, the halfspace 0.6 x1 + 0.8 x2 <= -0.5 and a box
-PROJECTORS = [SimpleSet.ball(np.zeros(2), 1.0).project,
-              halfspace_projector(np.array([0.6, 0.8]), 0.5),
-              lambda v: np.clip(v, -1.0, 2.0)]
-
-
 class TestFamilyBatch:
     """``batch`` against values and rows computed directly from the data."""
 
-    @pytest.mark.parametrize("kind", ["linear", "distance"])
+    # linear_family is the library's only non-empty family; the id names it
+    @pytest.mark.parametrize("kind", ["linear"])
     def test_values_and_rows_in_index_order(self, kind):
         rng = np.random.default_rng(2)
-        if kind == "linear":
-            A = rng.standard_normal((6, 2))
-            A /= np.linalg.norm(A, axis=1)[:, None]
-            b = rng.standard_normal(6)
-            fam = linear_family(A, b)
+        A = rng.standard_normal((6, 2))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        b = rng.standard_normal(6)
+        fam = linear_family(A, b)
 
-            def expected(w, v):
-                return A[w] @ v + b[w], A[w]
-        else:
-            fam = distance_family(PROJECTORS, 2)
+        def expected(w, v):
+            return A[w] @ v + b[w], A[w]
 
-            def expected(w, v):
-                r = v - PROJECTORS[w](v)
-                dist = np.linalg.norm(r)
-                return dist, r / dist
-
-        # a block of two seeds, each with its own batch and point; the
-        # points are violated: outside the ball, the halfspace and the box
+        # a block of two seeds, each with its own batch and point
         idx = np.array([[2, 0, 1, 0], [1, 1, 2, 0]])
         points = np.array([[3.0, 2.5], [2.2, 4.0]])
         gvals, rows = fam.batch(idx, points)
@@ -208,34 +192,6 @@ class TestFamilyBatch:
             alone = fam.batch(idx[s:s + 1], points[s:s + 1])
             np.testing.assert_array_equal(alone[0][0], gvals[s])
             np.testing.assert_array_equal(alone[1][0], rows[s])
-
-
-class TestDistanceFamilyBatch:
-    def test_one_projection_per_index(self):
-        calls = []
-
-        def counted(w, project):
-            def proj(v):
-                calls.append(w)
-                return project(v)
-            return proj
-
-        fam = distance_family([counted(w, p) for w, p in enumerate(PROJECTORS)], 2)
-        fam.batch(np.array([[2, 0, 1]]), np.array([[1.5, 1.0]]))
-        assert calls == [2, 0, 1]
-
-    def test_distance_family_has_unit_subgradient_bound(self):
-        # away from its set every row is a unit vector, so M_g = 1
-        fam = distance_family(PROJECTORS, 2)
-        rng = np.random.default_rng(1)
-        violated = 0
-        for _ in range(200):
-            v = 4.0 * rng.standard_normal(2)
-            gvals, rows = fam.batch(np.arange(3)[None], v[None])
-            norms = np.linalg.norm(rows[gvals > 0.0], axis=1)
-            np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
-            violated += norms.size
-        assert violated > 100
 
 
 class TestProblemSpec:

@@ -470,7 +470,6 @@ class TestRunLoop:
         # single-step decrease toward the feasible origin
         spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
         context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
-                                    simple_set=spec.simple_set,
                                     feasible_point=np.zeros(2))
         cfg = SolverConfig(variant=variant, batch_size=2,
                            beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
@@ -485,7 +484,6 @@ class TestRunLoop:
         # 7 and 3 that start alike at x0 = 0: the first row, seed 7, fails
         spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
         context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
-                                    simple_set=spec.simple_set,
                                     feasible_point=np.zeros(2))
         cfg = SolverConfig(variant=variant, batch_size=2,
                            beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
