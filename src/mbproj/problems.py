@@ -243,19 +243,22 @@ def make_builtin(name: str, n: int = 10, m: int = 20, seed: int = 0) -> Benchmar
 
 
 def lambda_max_power(G: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix (0.0 for a 0x0 matrix).
+    """Largest eigenvalue of a symmetric (k, k) matrix, or the largest over a
+    (C, k, k) stack of them (0.0 when k = 0).
 
     Computed by ``np.linalg.eigvalsh``.  The name is kept although no power
     iteration runs: the benchmark's tracer times this module attribute as
-    ``problems.lambda_max_power``, once per subset of ``exact_ln_linear``.
+    ``problems.lambda_max_power``, once per chunk of ``exact_ln_linear``.
     """
     G = np.asarray(G, dtype=np.float64)
-    if G.shape[0] == 0:
+    if G.shape[-1] == 0:
         return 0.0
-    return float(np.linalg.eigvalsh(G)[-1])
+    return float(np.linalg.eigvalsh(G)[..., -1].max())
 
 
 MAX_ENUMERATION = 10 ** 6
+# subsets per stacked ``eigvalsh`` call of ``exact_ln_linear``
+LN_CHUNK = 1024
 
 
 def exact_ln_linear(poly: PolyhedronSpec, batch_size: int) -> float:
@@ -267,11 +270,10 @@ def exact_ln_linear(poly: PolyhedronSpec, batch_size: int) -> float:
     The value lies in (0, 1]; it reaches 1 only when some subset has rank
     <= 1 (duplicated directions), which is flagged with a warning.
 
-    Each subset's Gram matrix goes through one ``lambda_max_power`` call,
+    The subsets are enumerated in chunks of at most ``LN_CHUNK``, and each
+    chunk's stacked Gram matrices go through one ``lambda_max_power`` call,
     looked up as a module global so the benchmark's tracer counts it.  The
-    Gram matrices are not stacked into one batched ``eigvalsh``: that would
-    change the traced call count and, at the ``MAX_ENUMERATION`` cap, hold
-    every subset's matrix in memory at once.
+    chunks keep memory bounded at the ``MAX_ENUMERATION`` cap.
     """
     m = poly.m
     size = int(batch_size)
@@ -283,10 +285,11 @@ def exact_ln_linear(poly: PolyhedronSpec, batch_size: int) -> float:
             f"the {MAX_ENUMERATION} cap")
 
     best = 0.0
-    for subset in itertools.combinations(range(m), size):
-        rows = poly.A[list(subset)]
-        gram = rows @ rows.T
-        best = max(best, lambda_max_power(gram) / size)
+    subsets = itertools.combinations(range(m), size)
+    while chunk := list(itertools.islice(subsets, LN_CHUNK)):
+        rows = poly.A[np.array(chunk)]
+        grams = rows @ rows.transpose(0, 2, 1)
+        best = max(best, lambda_max_power(grams) / size)
     if size >= 2 and best >= 1.0 - 1e-12:
         warnings.warn("a row subset has rank <= 1 (duplicated "
                       "directions): the alignment bound reaches 1 and parallel "

@@ -505,9 +505,10 @@ def run(spec: ProblemSpec, config: SolverConfig,
     or ``sequential_feasibility_update`` for the whole block, with the lemma
     checker when ``assertions`` is ``lemma-checks``.  Each seed keeps its own
     ``SeedSequence``, hence its own initial point and ``Sampler``, whose
-    minibatches are drawn ahead ``INDEX_BLOCK`` iterations at a time.  So a
-    seed's index stream, initial point and arithmetic are reproducible and do
-    not depend on the other seeds of the block.  Metrics in the emitted
+    minibatches are drawn ahead ``INDEX_BLOCK`` iterations at a time, by one
+    ``Sampler.draw`` call per seed and block.  So a seed's index stream,
+    initial point and arithmetic are reproducible and do not depend on the
+    other seeds of the block.  Metrics in the emitted
     records are computed seed by seed on the weighted running average of the
     iterates: f_gap when the spec knows its optimum, and max_violation and
     dist_X through ``context`` alone, so a run without a context logs both
@@ -558,10 +559,9 @@ def run(spec: ProblemSpec, config: SolverConfig,
             ahead = (k - 1) % INDEX_BLOCK
             if ahead == 0:
                 count = min(INDEX_BLOCK, config.iterations - k + 1)
-                drawn = np.empty((len(seeds), count, config.batch_size), dtype=np.int64)
-                for row, sampler in enumerate(samplers):
-                    for j in range(count):
-                        drawn[row, j] = sampler.draw(config.batch_size)
+                size = config.batch_size
+                drawn = np.stack([sampler.draw(size, count).reshape(count, size)
+                                  for sampler in samplers])
             indices = drawn[:, ahead]
             try:
                 if config.variant == "parallel":

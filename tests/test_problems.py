@@ -7,7 +7,8 @@ import pytest
 
 from mbproj.geometry import PolyhedronSpec, distance_oracle, max_violation
 from mbproj.oracle import ObjectiveOracle, OracleError
-from mbproj.problems import (BenchmarkInstance, exact_ln_linear,
+from mbproj import problems
+from mbproj.problems import (LN_CHUNK, BenchmarkInstance, exact_ln_linear,
                              lambda_max_power, load_instance, make_builtin,
                              make_duplicated_benchmark, make_orthant2,
                              make_orthonormal_benchmark, make_polyhedral_benchmark,
@@ -84,6 +85,18 @@ class TestGeneratedBenchmark:
             assert slack >= -1e-7
 
 
+def squared_spectral_norms_of_4_subsets():
+    """(rows, squared spectral norm) of every 4-subset of the rows of
+    ``benchmark`` 10x20, the norm by an independent route: the largest
+    singular value of the rows (SVD)."""
+    A = make_builtin("benchmark", n=10, m=20, seed=0).poly.A
+    subsets = list(itertools.combinations(range(A.shape[0]), 4))
+    assert len(subsets) == 4845
+    for subset in subsets:
+        rows = A[list(subset)]
+        yield rows, np.linalg.norm(rows, 2) ** 2
+
+
 class TestLambdaMax:
     def test_two_by_two_against_quadratic_formula(self):
         rng = np.random.default_rng(6)
@@ -115,15 +128,17 @@ class TestLambdaMax:
         assert lambda_max_power(gram) == pytest.approx(1.5, abs=1e-9)
 
     def test_every_4_subset_matches_squared_spectral_norm(self):
-        # independent route: the largest singular value of the rows (SVD)
-        A = make_builtin("benchmark", n=10, m=20, seed=0).poly.A
-        subsets = list(itertools.combinations(range(A.shape[0]), 4))
-        assert len(subsets) == 4845
-        for subset in subsets:
-            rows = A[list(subset)]
-            expected = np.linalg.norm(rows, 2) ** 2
+        for rows, expected in squared_spectral_norms_of_4_subsets():
             assert lambda_max_power(rows @ rows.T) == \
                 pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_stack_gives_the_largest_of_its_matrices(self):
+        rng = np.random.default_rng(8)
+        for k in (1, 2, 4):
+            rows = rng.standard_normal((50, k, 6))
+            grams = rows @ rows.transpose(0, 2, 1)
+            assert lambda_max_power(grams) == \
+                max(lambda_max_power(gram) for gram in grams)
 
     def test_empty_matrix_is_zero(self):
         assert lambda_max_power(np.zeros((0, 0))) == 0.0
@@ -156,6 +171,20 @@ class TestExactLN:
         A /= np.linalg.norm(A, axis=1)[:, None]
         poly = PolyhedronSpec(A=A, b=np.zeros(4))
         assert exact_ln_linear(poly, 1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_chunked_enumeration_matches_squared_spectral_norm(self, monkeypatch):
+        stacks = []
+
+        def counted(grams):
+            stacks.append(grams.shape)
+            return lambda_max_power(grams)
+
+        monkeypatch.setattr(problems, "lambda_max_power", counted)
+        poly = make_builtin("benchmark", n=10, m=20, seed=0).poly
+        value = exact_ln_linear(poly, 4)
+        assert [shape[0] for shape in stacks] == [LN_CHUNK] * 4 + [4845 - 4 * LN_CHUNK]
+        expected = max(norm for _, norm in squared_spectral_norms_of_4_subsets()) / 4
+        assert value == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_enumeration_cap(self):
         rng = np.random.default_rng(12)

@@ -41,14 +41,32 @@ class TestVariantLaws:
             assert len(set(batch.tolist())) == 4
 
 
+class TestBlockDraws:
+    @pytest.mark.parametrize("variant", Sampler.VARIANTS)
+    # the last two cases sit on either side of the population size and batch
+    # size at which numpy's choice leaves Floyd's algorithm for a tail shuffle
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 3), (20, 4),
+                                      (200, 8), (10001, 200), (10001, 201)])
+    def test_block_matches_per_draw_numpy_calls(self, variant, m, n):
+        count = 7
+        for seed in range(3):
+            block_rng = np.random.default_rng(seed)
+            block = Sampler(variant, m, seed=block_rng).draw(n, count)
+            rng = np.random.default_rng(seed)
+            if variant == "iid-uniform":
+                draws = [rng.integers(0, m, size=n) for _ in range(count)]
+            else:
+                draws = [rng.choice(m, size=n, replace=False) for _ in range(count)]
+            assert block.shape == (count * n,)
+            np.testing.assert_array_equal(block, np.concatenate(draws))
+            assert block_rng.bit_generator.state == rng.bit_generator.state
+
+
 class TestMarginals:
     def test_iid_uniform_marginal_within_3_sigma(self):
         m, n_batches, batch = 5, 100_000, 2
         s = Sampler("iid-uniform", m, seed=7)
-        counts = np.zeros(m)
-        for _ in range(n_batches):
-            for w in s.draw(batch):
-                counts[w] += 1
+        counts = np.bincount(s.draw(batch, n_batches), minlength=m)
         total = n_batches * batch
         p = 1.0 / m
         sigma = np.sqrt(total * p * (1 - p))

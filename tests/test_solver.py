@@ -10,9 +10,10 @@ from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            linear_family)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
                              make_polyhedral_benchmark, predicted_gains)
-from mbproj.solver import (BetaPolicy, ConfigError, OracleFault, PolyhedralContext,
-                           SolverAbort, SolverConfig, alpha_schedule,
-                           batch_diagnostics, objective_step,
+from mbproj.sampling import Sampler
+from mbproj.solver import (INDEX_BLOCK, BetaPolicy, ConfigError, OracleFault,
+                           PolyhedralContext, SolverAbort, SolverConfig,
+                           alpha_schedule, batch_diagnostics, objective_step,
                            parallel_feasibility_update, run,
                            sequential_feasibility_update)
 
@@ -65,6 +66,19 @@ def recording(spec):
     objective = ObjectiveOracle(evaluate=spec.objective.evaluate,
                                 subgradient=subgradient)
     return dataclasses.replace(spec, objective=objective), seen
+
+
+def recording_family(spec):
+    """``spec`` with a constraint family that records, as copies, the (S, N)
+    index blocks its ``batch`` is asked about."""
+    asked = []
+
+    def batch(indices, v):
+        asked.append(indices.copy())
+        return spec.constraints.batch(indices, v)
+
+    family = dataclasses.replace(spec.constraints, batch=batch)
+    return dataclasses.replace(spec, constraints=family), asked
 
 
 class TestPolyakStep:
@@ -344,6 +358,30 @@ class TestRunLoop:
             trajectories.append(seen[1:] + [result.final_x])
         for xa, xb in zip(*trajectories):
             np.testing.assert_array_equal(xa, xb)
+
+    @pytest.mark.parametrize("sampler", Sampler.VARIANTS)
+    def test_index_stream_across_a_block_boundary(self, sampler):
+        # one full index block and a partial one, checked against per-draw
+        # numpy calls on each seed's own sampler generator
+        inst = self.small_benchmark()
+        iterations, size, seeds = INDEX_BLOCK + 76, 3, (5, 8)
+        cfg = SolverConfig(variant="parallel", batch_size=size,
+                           beta_policy=BetaPolicy("fixed", beta=1.0),
+                           iterations=iterations, seeds=seeds, init="gaussian",
+                           sampler_variant=sampler)
+        spec, asked = recording_family(inst.spec)
+        run(spec, cfg)
+        asked = np.array(asked)
+        assert asked.shape == (iterations, len(seeds), size)
+        m = spec.constraints.size
+        for row, seed in enumerate(seeds):
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+            if sampler == "iid-uniform":
+                expected = [rng.integers(0, m, size=size) for _ in range(iterations)]
+            else:
+                expected = [rng.choice(m, size=size, replace=False)
+                            for _ in range(iterations)]
+            np.testing.assert_array_equal(asked[:, row], expected)
 
     def test_empty_family_matches_plain_projected_gradient(self):
         center = np.array([0.7, -0.4, 1.1])
