@@ -69,7 +69,7 @@ class SimpleSet:
             # that row alone, whatever the number of rows
             r = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
             inside = r <= self.radius
-            if inside.all():
+            if np.count_nonzero(inside) == inside.size:
                 return v
             scale = self.radius / np.where(inside, 1.0, r)
             return np.where(inside[..., None], v, self.center + d * scale[..., None])

@@ -220,28 +220,41 @@ class RunResult:
 # elementary steps, each on the seed axis
 
 
-def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray,
-                      nsq: np.ndarray) -> np.ndarray:
-    """Alignment ratio L_N,k of each seed's minibatch.
+def _weighted_mean(weights: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Mean of each seed's rows ``dirs`` (S, N, n) under ``weights`` (S, N)."""
+    return np.matmul(weights[:, None, :], dirs)[:, 0] / weights.shape[1]
 
-    ``gplus`` and ``nsq`` have shape (S, N), ``dirs`` (S, N, n); the result
-    has shape (S,).  The ratio |avg of weighted directions|^2 / avg of
-    squared weighted violations is at most 1 (mean-square inequality) and
-    is undefined, NaN, where the whole batch is feasible.
-    """
-    size = gplus.shape[1]
-    active = gplus > 0.0
-    weights = np.where(active, gplus / nsq, 0.0)
-    mean_dir = np.matmul(weights[:, None, :], dirs)[:, 0] / size
+
+def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
+                      violated: Optional[np.ndarray]):
+    """Alignment ratio L_N,k of each seed's minibatch, shape (S,), and the
+    mean of its rows weighted by gplus / nsq, shape (S, n).  L_N,k =
+    |avg of gplus / nsq * rows|^2 / avg of gplus^2 / nsq is at most 1
+    (mean-square inequality); it is NaN in the rows that ``violated``
+    leaves unmarked, whose batch is feasible (none when it is None)."""
+    mean_dir = _weighted_mean(gplus / nsq, dirs)
     num = np.matmul(mean_dir[:, None, :], mean_dir[:, :, None])[:, 0, 0]
-    den = (gplus * gplus / nsq).sum(axis=1) / size
-    violated = active.any(axis=1)
-    return np.where(violated, num / np.where(violated, den, 1.0), np.nan)
+    den = np.add.reduce(gplus * gplus / nsq, 1) / gplus.shape[1]
+    if violated is None:
+        return num / den, mean_dir
+    return np.where(violated, num / np.where(violated, den, 1.0), np.nan), mean_dir
+
+
+def _nonfinite_row(*arrays: np.ndarray) -> Optional[int]:
+    """The first seed row with a non-finite entry in any of ``arrays``, or
+    None.  A sum of squares is finite only if every term is, so one per
+    array clears it; only a non-finite or overflowing sum scans the rows."""
+    for a in arrays:
+        if not math.isfinite(np.vdot(a, a)):
+            finite = np.logical_and.reduce(
+                [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in arrays])
+            return None if finite.all() else int(np.argmin(finite))
+    return None
 
 
 def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
-    """The family's values and rows at the points v, checked finite; an
-    ``OracleFault`` names the first faulty seed."""
+    """The family's values and rows at the points v, checked finite by
+    ``_nonfinite_row``; an ``OracleFault`` names the first faulty seed."""
     gvals, dirs = spec.constraints.batch(indices, v)
     gvals = np.asarray(gvals, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -249,24 +262,26 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
         raise OracleError(
             f"constraint batch returned shapes {gvals.shape} and {dirs.shape} "
             f"for indices {indices.shape} at points {v.shape}")
-    if not (np.isfinite(gvals).all() and np.isfinite(dirs).all()):
-        finite = np.isfinite(gvals).all(axis=1) & np.isfinite(dirs).all(axis=(1, 2))
-        raise OracleFault("constraint oracle returned a non-finite value",
-                          int(np.argmin(finite)))
+    row = _nonfinite_row(gvals, dirs)
+    if row is not None:
+        raise OracleFault("constraint oracle returned a non-finite value", row)
     return gvals, dirs
 
 
-def _squared_norms(gplus: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows, zeros read as 1; a zero row of a violated
-    constraint is an ``OracleFault``."""
+def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows, shaped as the mask ``active`` of violated
+    constraints.  Only a zero row builds masks: on a violated constraint it
+    is an ``OracleFault``, elsewhere it reads as 1."""
     # one row per (seed, index), each reduced as a lone row would be
     flat = dirs.reshape(-1, dirs.shape[-1])
-    nsq = np.einsum("ij,ij->i", flat, flat).reshape(gplus.shape)
-    zero = (nsq == 0.0) & (gplus > 0.0)
-    if zero.any():
-        raise OracleFault("zero direction with positive violation: step undefined",
-                          int(np.argmax(zero.any(axis=1))))
-    return np.where(nsq > 0.0, nsq, 1.0)
+    nsq = np.einsum("ij,ij->i", flat, flat).reshape(active.shape)
+    if np.count_nonzero(nsq) < nsq.size:
+        zero = (nsq == 0.0) & active
+        if zero.any():
+            raise OracleFault("zero direction with positive violation: step undefined",
+                              int(np.argmax(zero.any(axis=1))))
+        nsq = np.where(nsq > 0.0, nsq, 1.0)
+    return nsq
 
 
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
@@ -279,31 +294,32 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     Each sampled constraint gets an independent relaxed projection step from
     its seed's point; the results are averaged (fixed index order) and
     projected onto the simple set.  A seed's stepsize is ``policy.step_beta``
-    of its batch's realized ratio L_N,k.  A declared ``policy.ln`` that some
-    seed's L_N,k exceeds by more than a relative ``LN_RTOL`` raises
-    ``SolverAbort`` before the step, since beta < 2 / L_N no longer
-    certifies it.  A seed whose whole batch is feasible keeps its point, and
-    when no seed has a violated batch ``v`` itself is returned.  ``checker``
-    (None when checks are off) verifies each seed's decrease inequalities;
-    ``k`` and ``seeds`` (the seed of each row, by default the row number)
-    label the reports.  Returns the next points, each seed's L_N,k and the
-    stepsize it took (both NaN where the batch is feasible); an oracle fault
-    raises ``OracleFault``.
-
-    Preconditions, which ``run`` guarantees through ``SolverConfig.validate``
-    and which the pass does not check again: N >= 1 indices per row, distinct
-    under sampling without replacement, and a ``policy`` that passed
-    ``BetaPolicy.validate("parallel")``, so a fixed beta lies in
-    (0, 2 / L_N) for a declared L_N and in (0, 2) otherwise.
+    of its batch's realized ratio L_N,k; an L_N,k above a declared
+    ``policy.ln`` by more than a relative ``LN_RTOL`` raises ``SolverAbort``
+    before the step.  A seed whose batch is feasible keeps its point, and
+    ``v`` itself is returned when every seed's is.  ``checker`` (None when
+    checks are off) verifies the decrease inequalities; ``k`` and ``seeds``
+    (by default the row numbers) label its reports.  Returns the next
+    points, each seed's L_N,k and stepsize (both NaN where the batch is
+    feasible); an oracle fault raises ``OracleFault``.  Preconditions are
+    ``SolverConfig.validate``'s.
     """
     gvals, dirs = _checked_batch(spec, indices, v)
+    active = gvals > 0.0
+    violated = np.logical_or.reduce(active, 1)
+    count = np.count_nonzero(violated)
+    if not count:
+        no_step = np.full(len(v), np.nan)
+        return v, no_step, no_step
+    every = count == len(v)
     gplus = np.maximum(gvals, 0.0)
-    nsq = _squared_norms(gplus, dirs)
-    ln_k = batch_diagnostics(gplus, dirs, nsq)
-    violated = ~np.isnan(ln_k)
-    beta = np.where(violated, policy.step_beta(ln_k), np.nan)
-    if not violated.any():
-        return v, ln_k, beta
+    nsq = _squared_norms(dirs, active)
+    ln_k, step = batch_diagnostics(gplus, dirs, nsq, None if every else violated)
+    fixed = None if policy.kind == "adaptive" else policy.initial_beta()
+    if fixed is None:
+        beta = policy.step_beta(ln_k)
+    else:
+        beta = np.full(len(v), fixed) if every else np.where(violated, fixed, np.nan)
     if policy.ln is not None:
         over = ln_k > policy.ln * (1.0 + LN_RTOL)
         if over.any():
@@ -314,9 +330,13 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                 f"{policy.ln:g} at k={k}, seed {seed} (beta {beta[row]:g})",
                 snapshot={"seed": seed, "k": k, "ln_k": float(ln_k[row]),
                           "ln": policy.ln, "beta": float(beta[row])})
-    coeff = np.where(gplus > 0.0, beta[:, None] * gplus / nsq, 0.0)
-    step = np.matmul(coeff[:, None, :], dirs)[:, 0] / indices.shape[1]
-    x_next = np.where(violated[:, None], spec.simple_set.project(v - step), v)
+    # at beta = 1 the coefficients beta * gplus / nsq are the ratios, whose
+    # mean row is the step; a feasible seed's NaN row is merged away below
+    if fixed != 1.0:
+        step = _weighted_mean(beta[:, None] * gplus / nsq, dirs)
+    x_next = spec.simple_set.project(v - step)
+    if not every:
+        x_next = np.where(violated[:, None], x_next, v)
     if checker is not None:
         checker.single_steps(k, v, gplus, dirs, nsq, beta)
         checker.parallel_batch(k, v, x_next, gplus, beta, ln_k)
@@ -326,7 +346,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                   v: np.ndarray, beta: float,
                                   checker: Optional["_LemmaChecker"] = None,
-                                  k: int = 0):
+                                  k: int = 0) -> np.ndarray:
     """Chained relaxed projection steps, one per sampled constraint.
 
     ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).  The
@@ -334,35 +354,30 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     inner point; each seed that violates it steps and is projected onto the
     simple set, the others keep their point.  ``checker`` (None when checks
     are off) verifies every inner step and each seed's chain of distance
-    decreases; ``k`` labels its reports.  Returns the final inner points and
-    the positive parts seen by the steps, shape (S, N); an oracle fault
-    raises ``OracleFault``.
-
-    Preconditions, which ``run`` guarantees through ``SolverConfig.validate``
-    and which the pass does not check again: N >= 1 indices per row, distinct
-    under sampling without replacement, and beta in (0, 2), the only
-    stepsizes ``BetaPolicy.validate("sequential")`` admits.
+    decreases; ``k`` labels its reports.  Returns the final inner points;
+    an oracle fault raises ``OracleFault``.  Preconditions are
+    ``SolverConfig.validate``'s.
     """
-    project = spec.simple_set.project
     z = v
     inner = [v] if checker is not None else None
-    gplus_seq = np.zeros(indices.shape)
+    gplus_seq = np.zeros(indices.shape) if checker is not None else None
     for i in range(indices.shape[1]):
         gvals, dirs = _checked_batch(spec, indices[:, i:i + 1], z)
-        active = gvals[:, 0] > 0.0
-        if active.any():
+        active = gvals > 0.0
+        count = np.count_nonzero(active)
+        if count:
             gplus = np.maximum(gvals, 0.0)
-            nsq = _squared_norms(gplus, dirs)
-            gplus_seq[:, i] = gplus[:, 0]
+            nsq = _squared_norms(dirs, active)
             if checker is not None:
+                gplus_seq[:, i] = gplus[:, 0]
                 checker.single_steps(k, z, gplus, dirs, nsq, beta)
-            step = (beta * gplus[:, 0] / nsq[:, 0])[:, None] * dirs[:, 0]
-            z = np.where(active[:, None], project(z - step), z)
+            z_next = spec.simple_set.project(z - (beta * gplus / nsq) * dirs[:, 0])
+            z = z_next if count == len(z) else np.where(active, z_next, z)
         if inner is not None:
             inner.append(z)
     if checker is not None:
         checker.sequential_chain(k, inner, gplus_seq, beta)
-    return z, gplus_seq
+    return z
 
 
 def objective_step(spec: ProblemSpec, x_prev: np.ndarray, alpha: float) -> np.ndarray:
@@ -463,17 +478,10 @@ class _LemmaChecker:
 
 def _log_points(iterations: int, cadence) -> set:
     if cadence == "geometric":
-        ks = set()
-        k = 1
-        while k <= iterations:
-            ks.add(k)
-            k *= 2
-        ks.add(iterations)
-        return ks
-    step = int(cadence)
-    ks = set(range(step, iterations + 1, step))
-    ks.add(iterations)
-    return ks
+        ks = {2 ** j for j in range(iterations.bit_length())}
+    else:
+        ks = set(range(int(cadence), iterations + 1, int(cadence)))
+    return ks | {iterations}
 
 
 def _initial_point(spec: ProblemSpec, config: SolverConfig,
@@ -487,8 +495,8 @@ def _initial_point(spec: ProblemSpec, config: SolverConfig,
 
 def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, seeds,
                         name: str, before: np.ndarray) -> None:
-    if not np.isfinite(points).all():
-        row = int(np.argmin(np.isfinite(points).all(axis=1)))
+    row = _nonfinite_row(points)
+    if row is not None:
         raise SolverAbort(f"{what} produced a non-finite iterate at k={k}, "
                           f"seed {seeds[row]}",
                           snapshot={"seed": seeds[row], "k": k, name: before[row]})
@@ -500,23 +508,17 @@ def run(spec: ProblemSpec, config: SolverConfig,
     every seed of ``config.seeds`` at once; returns one ``RunResult`` per
     seed, in that order.
 
-    The S seeds advance as the rows of one (S, n) array: each iteration
-    takes one objective step and one call of ``parallel_feasibility_update``
-    or ``sequential_feasibility_update`` for the whole block, with the lemma
-    checker when ``assertions`` is ``lemma-checks``.  Each seed keeps its own
-    ``SeedSequence``, hence its own initial point and ``Sampler``, whose
-    minibatches are drawn ahead ``INDEX_BLOCK`` iterations at a time, by one
-    ``Sampler.draw`` call per seed and block.  So a seed's index stream,
-    initial point and arithmetic are reproducible and do not depend on the
-    other seeds of the block.  Metrics in the emitted
-    records are computed seed by seed on the weighted running average of the
-    iterates: f_gap when the spec knows its optimum, and max_violation and
-    dist_X through ``context`` alone, so a run without a context logs both
-    empty.  ``elapsed_ns`` counts from the start of the block.  The first
-    iteration at which any seed meets a non-finite iterate, a constraint
-    oracle fault (reported with ``k``, the seed and its batch indices) or,
-    in the parallel variant, a realized L_N,k above the declared L_N aborts
-    the whole block with ``SolverAbort``.
+    Each iteration takes one objective step and one feasibility pass for the
+    (S, n) block, checked by the lemma checker under ``lemma-checks``; only
+    an adaptive beta changes ``beta_k``.  Each seed keeps its own
+    ``SeedSequence``, hence its own initial point and ``Sampler`` (one
+    ``draw`` per ``INDEX_BLOCK`` iterations), so its numbers do not depend
+    on the other seeds.  Records are computed seed by seed on the weighted
+    running average: f_gap when the spec knows its optimum, max_violation
+    and dist_X only through ``context``; ``elapsed_ns`` counts from the
+    start of the block.  The first non-finite iterate, constraint oracle
+    fault (reported with ``k``, the seed and its batch indices) or realized
+    L_N,k above a declared L_N aborts the whole block with ``SolverAbort``.
     """
     config.validate(spec)
     if config.assertions == "lemma-checks" and context is None:
@@ -537,8 +539,7 @@ def run(spec: ProblemSpec, config: SolverConfig,
 
     policy = config.beta_policy
     beta_k = np.full(len(seeds), policy.initial_beta())
-    no_ratio = np.full(len(seeds), np.nan)
-    max_ln = no_ratio
+    ln_k = max_ln = np.full(len(seeds), np.nan)
 
     weighted_sum = np.zeros_like(x)
     weight_total = 0                   # exact integer sum of (j+1)^2, j=1..k
@@ -548,14 +549,11 @@ def run(spec: ProblemSpec, config: SolverConfig,
     t0 = time.perf_counter_ns()
 
     for k in range(1, config.iterations + 1):
-        alpha = alpha_schedule(spec.mu, k - 1)
-        v = objective_step(spec, x, alpha)
+        v = objective_step(spec, x, alpha_schedule(spec.mu, k - 1))
         _abort_if_nonfinite(v, "objective step", k, seeds, "x", x)
 
-        ln_k = no_ratio
-        if not samplers:
-            x_next = v
-        else:
+        x = v
+        if samplers:
             ahead = (k - 1) % INDEX_BLOCK
             if ahead == 0:
                 count = min(INDEX_BLOCK, config.iterations - k + 1)
@@ -565,11 +563,13 @@ def run(spec: ProblemSpec, config: SolverConfig,
             indices = drawn[:, ahead]
             try:
                 if config.variant == "parallel":
-                    x_next, ln_k, beta = parallel_feasibility_update(
+                    x, ln_k, beta = parallel_feasibility_update(
                         spec, indices, v, policy, checker, k, seeds)
-                    beta_k = np.where(np.isnan(beta), beta_k, beta)
+                    max_ln = np.fmax(max_ln, ln_k)
+                    if policy.kind == "adaptive":   # else beta_k never changes
+                        beta_k = np.where(np.isnan(beta), beta_k, beta)
                 else:
-                    x_next, _ = sequential_feasibility_update(
+                    x = sequential_feasibility_update(
                         spec, indices, v, policy.initial_beta(), checker, k)
             except OracleFault as exc:
                 seed = seeds[exc.row]
@@ -578,13 +578,11 @@ def run(spec: ProblemSpec, config: SolverConfig,
                     snapshot={"seed": seed, "k": k,
                               "indices": indices[exc.row]}) from exc
 
-        _abort_if_nonfinite(x_next, "feasibility update", k, seeds, "v", v)
+        _abort_if_nonfinite(x, "feasibility update", k, seeds, "v", v)
 
-        x = x_next
         weight = (k + 1) * (k + 1)
         weight_total += weight
         weighted_sum += weight * x
-        max_ln = np.fmax(max_ln, ln_k)
 
         if k in log_ks:
             x_hat = weighted_sum / weight_total

@@ -73,7 +73,8 @@ def single_index_steps(family, dimension=2):
     index = np.array([[0]])
 
     # both passes take a block of seeds; v runs as a one-seed block, and a
-    # pass that hands the block back unchanged hands back v itself
+    # pass that hands the block back unchanged hands back v itself; the one
+    # step of either pass sees the positive part at v
     def parallel(v, beta=1.0):
         block = v[None]
         x, _, _ = parallel_feasibility_update(spec, index, block,
@@ -83,7 +84,8 @@ def single_index_steps(family, dimension=2):
 
     def sequential(v, beta=1.0):
         block = v[None]
-        x, gplus = sequential_feasibility_update(spec, index, block, beta)
+        x = sequential_feasibility_update(spec, index, block, beta)
+        gplus = np.maximum(family.batch(index, block)[0], 0.0)
         return (v if x is block else x[0]), gplus[0]
 
     return parallel, sequential

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            linear_family)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
                              make_polyhedral_benchmark, predicted_gains)
+from mbproj import solver
 from mbproj.sampling import Sampler
 from mbproj.solver import (INDEX_BLOCK, BetaPolicy, ConfigError, OracleFault,
                            PolyhedralContext, SolverAbort, SolverConfig,
@@ -39,7 +41,7 @@ def relaxed_step_both_passes(spec, index, v, beta):
     block = v[None]
     xp, _, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
                                            BetaPolicy("fixed", beta=beta))
-    xs, _ = sequential_feasibility_update(spec, np.array([[index]]), block, beta)
+    xs = sequential_feasibility_update(spec, np.array([[index]]), block, beta)
     return [v if x is block else x[0] for x in (xp, xs)]
 
 
@@ -70,15 +72,17 @@ def recording(spec):
 
 def recording_family(spec):
     """``spec`` with a constraint family that records, as copies, the (S, N)
-    index blocks its ``batch`` is asked about."""
-    asked = []
+    index blocks its ``batch`` is asked about and the values it returns."""
+    asked, values = [], []
 
     def batch(indices, v):
         asked.append(indices.copy())
-        return spec.constraints.batch(indices, v)
+        gvals, rows = spec.constraints.batch(indices, v)
+        values.append(np.array(gvals))
+        return gvals, rows
 
     family = dataclasses.replace(spec.constraints, batch=batch)
-    return dataclasses.replace(spec, constraints=family), asked
+    return dataclasses.replace(spec, constraints=family), asked, values
 
 
 class TestPolyakStep:
@@ -152,18 +156,19 @@ class TestParallelUpdate:
 
 class TestSequentialUpdate:
     def test_orthogonal_chain_projects_both(self):
-        spec = corner_spec()
-        x, gplus = sequential_feasibility_update(spec, np.array([[0, 1]]),
-                                                 np.array([[2.0, 2.0]]), beta=1.0)
+        spec, _, values = recording_family(corner_spec())
+        x = sequential_feasibility_update(spec, np.array([[0, 1]]),
+                                          np.array([[2.0, 2.0]]), beta=1.0)
         np.testing.assert_allclose(x, [[0.0, 0.0]])
-        np.testing.assert_allclose(gplus, [[2.0, 2.0]])
+        # each step sees its constraint at the current inner point
+        np.testing.assert_allclose(np.maximum(values, 0.0), [[[2.0]], [[2.0]]])
 
     def test_repeated_constraint_second_step_noop(self):
-        spec = corner_spec()
-        x, gplus = sequential_feasibility_update(spec, np.array([[0, 0]]),
-                                                 np.array([[2.0, 0.0]]), beta=1.0)
+        spec, _, values = recording_family(corner_spec())
+        x = sequential_feasibility_update(spec, np.array([[0, 0]]),
+                                          np.array([[2.0, 0.0]]), beta=1.0)
         np.testing.assert_allclose(x, [[0.0, 0.0]])
-        np.testing.assert_allclose(gplus, [[2.0, 0.0]])
+        np.testing.assert_allclose(np.maximum(values, 0.0), [[[2.0]], [[0.0]]])
 
     def test_single_index_matches_parallel(self):
         ball = SimpleSet.ball(np.zeros(2), 2.0)
@@ -171,7 +176,7 @@ class TestSequentialUpdate:
         v = np.array([[1.5, 1.2]])
         xp, _, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
                                                BetaPolicy("fixed", beta=0.8))
-        xs, _ = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8)
+        xs = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8)
         np.testing.assert_array_equal(xp, xs)
 
     def test_beta_range_enforced(self):
@@ -209,6 +214,12 @@ class TestObjectiveStep:
         np.testing.assert_array_equal(out, [0.5, 0.0])
 
 
+def one_seed_ratio(gplus, dirs, nsq):
+    """L_N,k of one seed's violated batch through ``batch_diagnostics``."""
+    (ln_k,), _ = batch_diagnostics(gplus[None], dirs[None], nsq[None], None)
+    return ln_k
+
+
 class TestBatchQuantities:
     def rand_batch(self, rng, n=4, size=5, force_positive=True):
         gplus = rng.uniform(0.0 if not force_positive else 0.1, 2.0, size=size)
@@ -220,7 +231,7 @@ class TestBatchQuantities:
         rng = np.random.default_rng(21)
         for _ in range(300):
             gplus, dirs, nsq = self.rand_batch(rng)
-            (ln_k,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
+            ln_k = one_seed_ratio(gplus, dirs, nsq)
             assert 0.0 < ln_k <= 1.0 + 1e-12
 
     def test_ratio_one_when_directions_coincide(self):
@@ -229,7 +240,7 @@ class TestBatchQuantities:
         dirs = np.tile(d, (5, 1))
         gplus = np.full(5, 1.3)
         nsq = np.einsum("ij,ij->i", dirs, dirs)
-        (ln_k,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
+        ln_k = one_seed_ratio(gplus, dirs, nsq)
         assert ln_k == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_square_identity(self):
@@ -369,7 +380,7 @@ class TestRunLoop:
                            beta_policy=BetaPolicy("fixed", beta=1.0),
                            iterations=iterations, seeds=seeds, init="gaussian",
                            sampler_variant=sampler)
-        spec, asked = recording_family(inst.spec)
+        spec, asked, _ = recording_family(inst.spec)
         run(spec, cfg)
         asked = np.array(asked)
         assert asked.shape == (iterations, len(seeds), size)
@@ -382,6 +393,36 @@ class TestRunLoop:
                 expected = [rng.choice(m, size=size, replace=False)
                             for _ in range(iterations)]
             np.testing.assert_array_equal(asked[:, row], expected)
+
+    def test_one_oracle_call_per_step(self, monkeypatch):
+        # the constraints are reached only through ``batch``: once per
+        # iteration with every seed's minibatch in the parallel variant, once
+        # per inner step with one index per seed in the sequential one; the
+        # objective step runs once per iteration, through the module global
+        inst = self.small_benchmark()
+        iterations, size, seeds = 40, 3, (2, 5, 11)
+        steps, asked_by = [], {}
+
+        def counted_objective_step(*args):
+            steps.append(args[1].shape)
+            return objective_step(*args)
+
+        monkeypatch.setattr(solver, "objective_step", counted_objective_step)
+        for variant in ("parallel", "sequential"):
+            cfg = SolverConfig(variant=variant, batch_size=size,
+                               beta_policy=BetaPolicy("fixed", beta=1.0),
+                               iterations=iterations, seeds=seeds, init="gaussian")
+            spec, asked_by[variant], _ = recording_family(inst.spec)
+            steps.clear()
+            run(spec, cfg)
+            assert steps == [(len(seeds), spec.dimension)] * iterations
+        parallel, sequential = asked_by["parallel"], asked_by["sequential"]
+        assert [a.shape for a in parallel] == [(len(seeds), size)] * iterations
+        assert [a.shape for a in sequential] == [(len(seeds), 1)] * (iterations * size)
+        # the i-th inner step asks each seed's i-th index of its minibatch
+        np.testing.assert_array_equal(
+            np.concatenate(sequential, axis=1).reshape(len(seeds), iterations, size),
+            np.transpose(parallel, (1, 0, 2)))
 
     def test_empty_family_matches_plain_projected_gradient(self):
         center = np.array([0.7, -0.4, 1.1])
@@ -537,8 +578,8 @@ class TestRunLoop:
         v = np.array([2.0, 0.0])
         d = np.array([1.0, 0.0])
         g = 2.0  # constraint x1 <= 0 of the corner problem at v
-        (z_bar,), _ = sequential_feasibility_update(corner_spec(), np.array([[0]]),
-                                                    v[None], 1.0)
+        (z_bar,) = sequential_feasibility_update(corner_spec(), np.array([[0]]),
+                                                 v[None], 1.0)
         assert z_bar[0] == 0.0
         lhs = np.linalg.norm(z_bar - z_bar) ** 2
         rhs = np.linalg.norm(v - z_bar) ** 2 - 1.0 * (2.0 - 1.0) * g ** 2 / (d @ d)
@@ -608,6 +649,53 @@ class TestOracleFaults:
                 sequential_feasibility_update(spec, indices, block, 1.0)
         assert info.value.row == 1
 
+    # constraints 0 and 1 are x1 <= 0 and x2 <= 0, and 2 and 3 the same pair
+    # with the fault; the middle seed asks [2, 3] at (4, -4), where 2 is
+    # violated and 3 satisfied, the others ask [0, 1] where both hold
+    BLOCK = np.array([[-1.0, -2.0], [4.0, -4.0], [-3.0, -1.0]])
+    INDICES = np.array([[0, 1], [2, 3], [0, 1]])
+
+    @classmethod
+    def faulty_pass(cls, variant, fault):
+        def batch(idx, v):
+            values, rows = v[idx % 2], np.eye(2)[idx % 2]
+            if fault == "inf-row-violated":
+                rows[idx == 2] = [np.inf, 0.0]
+            elif fault == "nan-row-satisfied":
+                rows[idx == 3] = np.nan
+            elif fault == "neg-inf-value":
+                values[idx == 3] = -np.inf
+            else:  # finite, but the sums of their squares overflow
+                values[idx == 3] = -1e308
+                rows[idx == 3] = [1e308, -1e308]
+            return values, rows
+
+        spec = batch_spec(batch, size=4)
+        if variant == "parallel":
+            x, _, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
+                                                  BetaPolicy("fixed", beta=1.0))
+            return x
+        return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK, 1.0)
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    @pytest.mark.parametrize("fault", ["inf-row-violated", "nan-row-satisfied",
+                                       "neg-inf-value"])
+    def test_nonfinite_entry_names_its_row(self, variant, fault):
+        # a -inf value has positive part 0, so no product of the step sees
+        # it: only the finiteness test can report it
+        with pytest.raises(OracleFault, match="non-finite") as info:
+            self.faulty_pass(variant, fault)
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_overflowing_finite_batch_steps(self, variant):
+        # the huge satisfied constraint 3 takes no part in the step: the
+        # middle seed moves along x1 only, by half (parallel) or all
+        # (sequential) of its violation 4
+        x = self.faulty_pass(variant, "huge-finite")
+        middle = [2.0, -4.0] if variant == "parallel" else [0.0, -4.0]
+        np.testing.assert_array_equal(x, [self.BLOCK[0], middle, self.BLOCK[2]])
+
 
 class TestDeclaredLN:
     """A declared L_N is a run-time claim: a batch ratio above it aborts, the
@@ -658,3 +746,74 @@ class TestDeclaredLN:
                                sampler_variant="without-replacement")
             (result,) = run(inst.spec, cfg, context=inst.context())  # must not abort
             assert result.max_ln_k is not None  # the check saw violated batches
+
+
+class TestBlockEqualsSeeds:
+    """A pass over a block of seeds gives each seed exactly what the pass
+    gives it alone: the merges it skips when every seed is violated, and
+    the ones it makes when some seed is feasible, change no bit."""
+
+    SIZE = 3
+    PASSES = {
+        "parallel-fixed0.7": BetaPolicy("fixed", beta=0.7),
+        "parallel-fixed1.0": BetaPolicy("fixed", beta=1.0),
+        "parallel-fixed1.9": BetaPolicy("fixed", beta=1.9),
+        "parallel-adaptive": BetaPolicy("adaptive", delta=0.1),
+        "parallel-extrapolated": "exact",
+        "sequential-fixed0.7": 0.7,
+        "sequential-fixed1.0": 1.0,
+        "sequential-fixed1.9": 1.9,
+    }
+
+    def seeds_by_kind(self, inst):
+        """Minibatches and points, drawn from a fixed stream, sorted by how
+        many of the batch's constraints each point violates and by whether
+        it lies outside the simple set Y, where only the merge keeps a
+        point that takes no step."""
+        rng = np.random.default_rng(4)
+        spec, kinds = inst.spec, {}
+        for _ in range(300):
+            idx = rng.choice(spec.constraints.size, self.SIZE, replace=False)
+            u = rng.standard_normal(spec.dimension)
+            v = inst.anchor + rng.uniform(0.05, 1.5) * spec.simple_set.radius \
+                * u / np.linalg.norm(u)
+            gvals, _ = spec.constraints.batch(idx[None], v[None])
+            hit = int(np.count_nonzero(gvals > 0.0))
+            kind = "feasible" if hit == 0 else "fully" if hit == self.SIZE else "partly"
+            outside = not spec.simple_set.contains(v)
+            kinds.setdefault((kind, outside), []).append((idx, v))
+        return kinds
+
+    def feasibility_pass(self, name, inst):
+        policy = self.PASSES[name]
+        if policy == "exact":
+            with warnings.catch_warnings():
+                # the duplicated rows reach the bound 1, which is warned about
+                warnings.simplefilter("ignore")
+                ln = exact_ln_linear(inst.poly, self.SIZE)
+            policy = BetaPolicy("extrapolated", delta=0.1, ln=ln)
+        if name.startswith("parallel"):
+            return lambda idx, v: parallel_feasibility_update(inst.spec, idx, v, policy)
+        return lambda idx, v: (sequential_feasibility_update(inst.spec, idx, v, policy),)
+
+    @pytest.mark.parametrize("block", ["mixed", "all-violated"])
+    @pytest.mark.parametrize("name", list(PASSES))
+    @pytest.mark.parametrize("instance", ["benchmark", "duplicated"])
+    def test_block_matches_each_seed_alone(self, instance, name, block):
+        inst = TestDeclaredLN.INSTANCES[instance]()
+        kinds = self.seeds_by_kind(inst)
+        # each kind occurs inside and outside Y, but the duplicated rows are
+        # one constraint, so none of their batches is partly violated
+        present = ("feasible", "fully") if instance == "duplicated" else \
+            ("feasible", "partly", "fully")
+        assert set(kinds) == set(itertools.product(present, (False, True)))
+        order = present[1:] if block == "all-violated" else present
+        chosen = [seed for kind in order for outside in (False, True)
+                  for seed in kinds[kind, outside][:2]]
+        indices = np.array([idx for idx, _ in chosen])
+        v = np.array([point for _, point in chosen])
+        step = self.feasibility_pass(name, inst)
+        together = step(indices, v)
+        alone = [step(indices[row:row + 1], v[row:row + 1]) for row in range(len(v))]
+        for out, outs in zip(together, zip(*alone)):
+            assert np.array_equal(out, np.concatenate(outs), equal_nan=True)
