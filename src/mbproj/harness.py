@@ -1,16 +1,17 @@
 """Experiment harness: configuration, CSV emission, rate-slope estimation,
 minibatch sweeps and the command-line interface.
 
-CSV files carry the effective configuration as leading ``#`` comment lines
-and exactly the columns seed,k,f_gap,max_violation,dist_X,LN_k,beta_k,
-elapsed_ns (a field is empty when the metric is unavailable).  The header
-echoes only the settings that determine the numbers, with ``problem.n`` and
-``problem.m`` read from the built instance: ``out_dir``, which only says
-where files go, is left out.  By default the elapsed_ns column is
-written as 0 so repeated identical invocations produce byte-identical files;
-enable ``timing`` to record wall-clock times instead.  All seeds of a
-``solve`` advance together as one block, so elapsed_ns is the block's time
-since its start, and a seed's row reports when the block reached its k.
+A run's settings are the fields of ``RunConfig``; each field gives its INI
+key, its CLI flag and its line of the CSV header.  CSV files carry that
+header as leading ``#`` comment lines and exactly the columns seed,k,f_gap,
+max_violation,dist_X,LN_k,beta_k,elapsed_ns (a field is empty when the
+metric is unavailable).  The header echoes the settings that determine the
+numbers, with ``problem.n`` and ``problem.m`` read from the built instance,
+and leaves out ``out_dir``.  By default the elapsed_ns column is written as
+0 so repeated identical invocations produce byte-identical files; enable
+``timing`` to record wall-clock times instead.  All seeds of a ``solve``
+advance together as one block, so elapsed_ns is the block's time since its
+start, and a seed's row reports when the block reached its k.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -52,66 +53,6 @@ class WindowError(RuntimeError):
 # run configuration
 
 
-@dataclass
-class RunConfig:
-    builtin: Optional[str] = "benchmark"
-    instance: Optional[str] = None
-    n: int = 10
-    m: int = 20
-    problem_seed: int = 0
-    variant: str = "parallel"
-    batch_size: int = 4
-    beta_policy: str = "fixed"
-    beta: float = 1.0
-    delta: float = 0.1
-    ln_hint: Optional[float] = None
-    iterations: int = 10000
-    sampler: str = "without-replacement"
-    init: str = "gaussian"
-    init_scale: float = 1.0
-    assertions: str = "off"
-    cadence: object = "geometric"
-    timing: bool = False
-    seeds: tuple = (1,)
-    out_dir: str = "out"
-
-    def solver_config(self) -> SolverConfig:
-        """The solver settings, unchecked: ``run`` validates them.  Every
-        policy gets every field, so a hint that its rule does not check
-        reaches ``BetaPolicy.validate`` and is rejected there."""
-        policy = BetaPolicy(self.beta_policy, beta=self.beta, delta=self.delta,
-                            ln=self.ln_hint)
-        return SolverConfig(variant=self.variant, batch_size=self.batch_size,
-                            beta_policy=policy, iterations=self.iterations,
-                            sampler_variant=self.sampler, seeds=self.seeds,
-                            init=self.init, init_scale=self.init_scale,
-                            log_cadence=self.cadence, assertions=self.assertions)
-
-    def echo_items(self):
-        """Stable key order for the effective-config CSV header (settings
-        that determine the numbers only; ``out_dir`` is left out)."""
-        items = [
-            ("problem.builtin", self.builtin or ""),
-            ("problem.instance", self.instance or ""),
-            ("problem.n", self.n), ("problem.m", self.m),
-            ("problem.problem_seed", self.problem_seed),
-            ("solver.variant", self.variant),
-            ("solver.batch_size", self.batch_size),
-            ("solver.beta_policy", self.beta_policy),
-            ("solver.beta", self.beta), ("solver.delta", self.delta),
-            ("solver.ln_hint", "" if self.ln_hint is None else self.ln_hint),
-            ("solver.iterations", self.iterations),
-            ("solver.sampler", self.sampler),
-            ("solver.init", self.init),
-            ("solver.init_scale", self.init_scale),
-            ("solver.assertions", self.assertions),
-            ("logging.cadence", self.cadence),
-            ("logging.timing", str(self.timing).lower()),
-            ("output.seeds", format_seeds(self.seeds)),
-        ]
-        return items
-
-
 def parse_seeds(text: str) -> tuple:
     """Parse seed lists: '1..20', '1,2,5' or a single integer."""
     text = text.strip()
@@ -142,6 +83,14 @@ def parse_cadence(text: str):
             f"cadence must be 'geometric' or an integer, got {text!r}") from None
 
 
+def parse_bool(text: str) -> bool:
+    """An INI truth value, read as ``ConfigParser.getboolean`` reads it."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
 def format_seeds(seeds) -> str:
     seeds = list(seeds)
     if len(seeds) > 1 and seeds == list(range(seeds[0], seeds[-1] + 1)):
@@ -149,38 +98,94 @@ def format_seeds(seeds) -> str:
     return ",".join(str(s) for s in seeds)
 
 
-_SECTION_KEYS = {
-    "problem": {"builtin": str, "instance": str, "n": int, "m": int,
-                "problem_seed": int},
-    "solver": {"variant": str, "batch_size": int, "beta_policy": str,
-               "beta": float, "delta": float, "ln_hint": float,
-               "iterations": int, "sampler": str, "init": str,
-               "init_scale": float, "assertions": str},
-    "logging": {"cadence": parse_cadence, "timing": bool},
-    "output": {"seeds": parse_seeds, "out_dir": str},
-}
+def _setting(default, section: str, flag: Optional[str] = None, parse=None,
+             show=str, **cli):
+    """A run setting: its default, INI ``section``, text parser (by default
+    the flag's ``type``, else ``str``), header ``show`` (None: not echoed)
+    and, unless ``flag`` is None, CLI flag with argparse options ``cli``."""
+    return field(default=default, metadata={
+        "section": section, "flag": flag, "parse": parse or cli.get("type", str),
+        "show": show, "cli": cli})
+
+
+@dataclass
+class RunConfig:
+    """A run's settings, each listed once: a field gives its INI key
+    ``section.name``, its CLI flag and its CSV header line, in field order.
+    ``init_scale`` has no flag; ``out_dir`` only says where files go."""
+
+    builtin: Optional[str] = _setting("benchmark", "problem", "--builtin",
+                                      help="builtin problem name")
+    instance: Optional[str] = _setting(None, "problem", "--instance",
+                                       help="instance file path")
+    n: int = _setting(10, "problem", "--n", type=int, help="problem dimension")
+    m: int = _setting(20, "problem", "--m", type=int, help="number of constraints")
+    problem_seed: int = _setting(0, "problem", "--problem-seed", type=int)
+    variant: str = _setting("parallel", "solver", "--variant",
+                            choices=SolverConfig.VARIANTS)
+    batch_size: int = _setting(4, "solver", "--N", type=int, help="minibatch size")
+    beta_policy: str = _setting("fixed", "solver", "--beta-policy",
+                                choices=BetaPolicy.KINDS)
+    beta: float = _setting(1.0, "solver", "--beta", type=float)
+    delta: float = _setting(0.1, "solver", "--delta", type=float)
+    ln_hint: Optional[float] = _setting(None, "solver", "--ln-hint", type=float)
+    iterations: int = _setting(10000, "solver", "--iters", type=int)
+    sampler: str = _setting("without-replacement", "solver", "--sampler",
+                            choices=Sampler.VARIANTS)
+    init: str = _setting("gaussian", "solver", "--init", choices=SolverConfig.INITS)
+    init_scale: float = _setting(1.0, "solver", parse=float)
+    assertions: str = _setting("off", "solver", "--assertions",
+                               choices=SolverConfig.ASSERTIONS)
+    cadence: object = _setting("geometric", "logging", "--cadence", parse=parse_cadence,
+                               help="'geometric' or an integer step")
+    timing: bool = _setting(False, "logging", "--timing", parse=parse_bool,
+                            show=lambda on: str(on).lower(), action="store_true",
+                            help="record wall-clock elapsed_ns (breaks byte-identity)")
+    seeds: tuple = _setting((1,), "output", "--seeds", parse=parse_seeds,
+                            show=format_seeds, help="e.g. 1..20 or 3,5,8")
+    out_dir: str = _setting("out", "output", "--out", show=None, help="output directory")
+
+    def solver_config(self) -> SolverConfig:
+        """The solver settings, unchecked: ``run`` validates them.  Every
+        policy gets every field, so a hint that its rule does not check
+        reaches ``BetaPolicy.validate`` and is rejected there."""
+        policy = BetaPolicy(self.beta_policy, beta=self.beta, delta=self.delta,
+                            ln=self.ln_hint)
+        return SolverConfig(variant=self.variant, batch_size=self.batch_size,
+                            beta_policy=policy, iterations=self.iterations,
+                            sampler_variant=self.sampler, seeds=self.seeds,
+                            init=self.init, init_scale=self.init_scale,
+                            log_cadence=self.cadence, assertions=self.assertions)
+
+    def echo_items(self):
+        """The CSV header's (``section.name``, text) pairs, in field order:
+        every setting with a ``show``, an unset one as empty text."""
+        return [(f"{f.metadata['section']}.{f.name}",
+                 "" if value is None else f.metadata["show"](value))
+                for f in fields(self) if f.metadata["show"]
+                for value in (getattr(self, f.name),)]
 
 
 def load_config_file(path: str) -> RunConfig:
-    """Flat key = value configuration with sections (INI syntax)."""
+    """Flat key = value configuration with sections (INI syntax): each key
+    is a ``RunConfig`` field under its section, read by the field's parser.
+    A key outside its section is an error; other sections are ignored."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
+    settings = {}
+    for f in fields(RunConfig):
+        settings.setdefault(f.metadata["section"], {})[f.name] = f.metadata["parse"]
     cfg = RunConfig()
-    for section, keys in _SECTION_KEYS.items():
+    for section, keys in settings.items():
         if not parser.has_section(section):
             continue
         for key, value in parser.items(section):
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] "
                                   f"of {path}")
-            conv = keys[key]
             try:
-                if conv is bool:
-                    parsed = parser.getboolean(section, key)
-                else:
-                    parsed = conv(value)
+                parsed = keys[key](value)
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(
                     f"bad value for {section}.{key} in {path}: {exc}") from exc
@@ -491,43 +496,25 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` and the flag of every ``RunConfig`` setting that has
+    one.  An absent flag is None, also the ``store_true`` of ``--timing``,
+    so the file's value or the field's default stands."""
     p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--builtin", help="builtin problem name")
-    p.add_argument("--instance", help="instance file path")
-    p.add_argument("--n", type=int, help="problem dimension")
-    p.add_argument("--m", type=int, help="number of constraints")
-    p.add_argument("--problem-seed", type=int, dest="problem_seed")
-    p.add_argument("--variant", choices=("parallel", "sequential"))
-    p.add_argument("--N", type=int, dest="batch_size", help="minibatch size")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--beta-policy", dest="beta_policy",
-                   choices=("fixed", "extrapolated", "adaptive"))
-    p.add_argument("--delta", type=float)
-    p.add_argument("--ln-hint", type=float, dest="ln_hint")
-    p.add_argument("--iters", type=int, dest="iterations")
-    p.add_argument("--sampler", choices=Sampler.VARIANTS)
-    p.add_argument("--init", choices=("zero", "gaussian"))
-    p.add_argument("--assertions", choices=("off", "lemma-checks"))
-    p.add_argument("--cadence", help="'geometric' or an integer step")
-    p.add_argument("--timing", action="store_true", default=None,
-                   help="record wall-clock elapsed_ns (breaks byte-identity)")
-    p.add_argument("--seeds", help="e.g. 1..20 or 3,5,8")
-    p.add_argument("--out", dest="out_dir", help="output directory")
+    for f in fields(RunConfig):
+        if f.metadata["flag"]:
+            p.add_argument(f.metadata["flag"], dest=f.name, default=None,
+                           **f.metadata["cli"])
 
 
 def _cfg_from_args(args) -> RunConfig:
+    """The file's settings (or the defaults), overridden by every flag
+    given; a flag's text goes through its setting's parser, as the file's."""
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    for name in ("builtin", "instance", "n", "m", "problem_seed", "variant",
-                 "batch_size", "beta", "beta_policy", "delta", "ln_hint",
-                 "iterations", "sampler", "init", "assertions",
-                 "timing", "out_dir"):
-        value = getattr(args, name, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, name, value)
-    if getattr(args, "cadence", None) is not None:
-        cfg.cadence = parse_cadence(args.cadence)
-    if getattr(args, "seeds", None):
-        cfg.seeds = parse_seeds(args.seeds)
+            setattr(cfg, f.name, f.metadata["parse"](value)
+                    if isinstance(value, str) else value)
     return cfg
 
 
@@ -558,14 +545,10 @@ def main(argv=None) -> int:
         if args.command == "solve":
             cfg = _cfg_from_args(args)
             _, results, paths = solve_experiment(cfg)
-            summary = final_metric_summary(results)
             print(f"wrote {len(paths)} files to {cfg.out_dir}")
-            f_gap = summary["f_gap"]
-            dist = summary["dist_X"]
-            print("final mean f_gap: "
-                  + ("n/a" if f_gap is None else format(f_gap, ".6e")))
-            print("final mean dist_X: "
-                  + ("n/a" if dist is None else format(dist, ".6e")))
+            for name, value in final_metric_summary(results).items():
+                print(f"final mean {name}: "
+                      + ("n/a" if value is None else format(value, ".6e")))
             return EXIT_OK
         if args.command == "rate-check":
             fits = rate_check(args.dir, args.k_min, args.k_max)

@@ -82,13 +82,15 @@ class BetaPolicy:
     it is rejected.
     """
 
-    kind: str                      # "fixed" | "extrapolated" | "adaptive"
+    KINDS = ("fixed", "extrapolated", "adaptive")
+
+    kind: str                      # one of KINDS
     beta: Optional[float] = None   # fixed value
     delta: Optional[float] = None  # safety gap for extrapolated / adaptive
     ln: Optional[float] = None     # declared L_N; run() aborts if a batch exceeds it
 
     def validate(self, variant: str) -> None:
-        if self.kind not in ("fixed", "extrapolated", "adaptive"):
+        if self.kind not in self.KINDS:
             raise ConfigError(f"unknown beta policy {self.kind!r}")
         if self.ln is not None and (variant == "sequential" or self.kind == "adaptive"):
             raise ConfigError(
@@ -134,22 +136,26 @@ class BetaPolicy:
 
 @dataclass
 class SolverConfig:
-    variant: str                      # "parallel" | "sequential"
+    VARIANTS = ("parallel", "sequential")
+    INITS = ("zero", "gaussian")
+    ASSERTIONS = ("off", "lemma-checks")
+
+    variant: str                      # one of VARIANTS
     batch_size: int
     beta_policy: BetaPolicy
     iterations: int
     sampler_variant: str = "without-replacement"
     seeds: tuple = (0,)               # the block of seeds ``run`` advances
-    init: str = "zero"                # "zero" | "gaussian"
+    init: str = "zero"                # one of INITS
     init_scale: float = 1.0
     log_cadence: object = "geometric"  # "geometric" or positive int step
-    assertions: str = "off"           # "off" | "lemma-checks"
+    assertions: str = "off"           # one of ASSERTIONS
 
     def validate(self, spec: ProblemSpec) -> None:
         """The one check of a run's settings: ``run`` calls it before any
         work, and the sampler, both feasibility passes and the objective step
         rely on it without checking again."""
-        if self.variant not in ("parallel", "sequential"):
+        if self.variant not in self.VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if not self.seeds:
             raise ConfigError("seed list must be nonempty")
@@ -159,9 +165,9 @@ class SolverConfig:
             raise ConfigError("iterations must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
-        if self.init not in ("zero", "gaussian"):
+        if self.init not in self.INITS:
             raise ConfigError(f"unknown init rule {self.init!r}")
-        if self.assertions not in ("off", "lemma-checks"):
+        if self.assertions not in self.ASSERTIONS:
             raise ConfigError(f"unknown assertions mode {self.assertions!r}")
         if not math.isfinite(self.init_scale):
             raise ConfigError(f"init_scale must be finite, got {self.init_scale!r}")
@@ -314,8 +320,16 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     every = count == len(v)
     gplus = np.maximum(gvals, 0.0)
     nsq = _squared_norms(dirs, active)
-    ln_k, step = batch_diagnostics(gplus, dirs, nsq, None if every else violated)
     fixed = None if policy.kind == "adaptive" else policy.initial_beta()
+    scaled = gplus
+    if fixed is None:
+        # a seed whose gplus^2 / nsq all underflow has L_N,k = 0/0; L_N,k is
+        # scale-invariant, so such rows alone are divided by their largest part
+        lost = violated & (np.add.reduce(gplus * gplus / nsq, 1) == 0.0)
+        if lost.any():
+            scaled = gplus.copy()
+            scaled[lost] /= scaled[lost].max(axis=1, keepdims=True)
+    ln_k, step = batch_diagnostics(scaled, dirs, nsq, None if every else violated)
     if fixed is None:
         beta = policy.step_beta(ln_k)
     else:

@@ -1,7 +1,7 @@
 import argparse
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -55,21 +55,128 @@ class TestSeedsAndConfig:
         with pytest.raises(Exception):
             load_config_file(path)
 
-    def test_unknown_sampler_in_config_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key,message", [
+        ("variant", "unknown variant 'partition'"),
+        ("beta_policy", "unknown beta policy 'partition'"),
+        ("init", "unknown init rule 'partition'"),
+        ("assertions", "unknown assertions mode 'partition'"),
+        ("sampler", "unknown sampler variant 'partition'"),
+    ], ids=["variant", "beta_policy", "init", "assertions", "sampler"])
+    def test_unknown_choice_in_config_is_config_error(self, tmp_path, capsys,
+                                                      key, message):
+        # the file takes no argparse choices: the validators reject the value
         path = tmp_path / "run.ini"
         path.write_text("[problem]\nbuiltin = orthant2\n\n"
-                        "[solver]\nsampler = partition\n")
-        code = main(["solve", "--config", str(path), "--iters", "5",
+                        f"[solver]\n{key} = partition\n")
+        code = main(["solve", "--config", str(path), "--N", "1", "--iters", "5",
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
-        assert "unknown sampler variant" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not os.path.exists(tmp_path / "x")
+
+
+def _solve_parser():
+    parser = argparse.ArgumentParser()
+    _add_solve_flags(parser)
+    return parser
+
+
+# a non-default value of every RunConfig field, as the text of its INI key
+SETTING_TEXT = {
+    "problem.builtin": "orthonormal", "problem.instance": "inst.txt",
+    "problem.n": "7", "problem.m": "9", "problem.problem_seed": "3",
+    "solver.variant": "sequential", "solver.batch_size": "2",
+    "solver.beta_policy": "adaptive", "solver.beta": "0.5",
+    "solver.delta": "0.2", "solver.ln_hint": "0.75", "solver.iterations": "50",
+    "solver.sampler": "iid-uniform", "solver.init": "zero",
+    "solver.init_scale": "0.5", "solver.assertions": "lemma-checks",
+    "logging.cadence": "5", "logging.timing": "true", "output.seeds": "2..4",
+    "output.out_dir": "elsewhere",
+}
+
+
+class TestOneOwnerPerSetting:
+    """RunConfig's fields are the one list of a run's settings, so its INI
+    keys, its flags and its CSV header cannot drift apart."""
+
+    def test_twenty_fields_nineteen_flags(self):
+        names = [f.name for f in fields(RunConfig)]
+        assert names == [key.split(".")[1] for key in SETTING_TEXT]
+        dests = [a.dest for a in _solve_parser()._actions
+                 if a.dest not in ("help", "config")]
+        # in field order; init_scale is set in the file only
+        assert dests == [name for name in names if name != "init_scale"]
+
+    @pytest.mark.parametrize("key", list(SETTING_TEXT))
+    def test_file_and_flag_echo_the_same_header(self, tmp_path, key):
+        section, name = key.split(".")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[{section}]\n{name} = {SETTING_TEXT[key]}\n")
+        parser = _solve_parser()
+        # the file's value survives when no flag overrides it
+        from_file = harness._cfg_from_args(parser.parse_args(["--config", str(path)]))
+        assert from_file == load_config_file(path)
+        assert getattr(from_file, name) != getattr(RunConfig(), name)
+        action = next((a for a in parser._actions if a.dest == name), None)
+        if action is None:
+            assert name == "init_scale"
+            return
+        argv = [action.option_strings[0]]
+        if action.nargs != 0:
+            argv.append(SETTING_TEXT[key])
+        from_flag = harness._cfg_from_args(parser.parse_args(argv))
+        assert from_flag == from_file
+        assert from_flag.echo_items() == from_file.echo_items()
+
+    def test_timing_in_file_survives_without_flag(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[problem]\nbuiltin = orthant2\n\n"
+                        "[logging]\ntiming = true\n")
+        out = tmp_path / "x"
+        code = main(["solve", "--config", str(path), "--N", "2", "--iters", "50",
+                     "--seeds", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        comments, rows = read_csv(out / "run_seed1.csv")
+        assert "# logging.timing = true" in comments
+        assert rows[-1]["elapsed_ns"] > 0
+
+    def test_default_solve_header_is_pinned(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(["solve", "--out", str(out)]) == EXIT_OK
+        for name in ("run_seed1.csv", "aggregate.csv"):
+            with open(out / name, "rb") as fh:
+                head = fh.read().split(b"\n")[:20]
+            assert head == DEFAULT_HEADER + [",".join(CSV_COLUMNS).encode()]
+
+
+# the 19 header lines of ``mbproj solve`` with every setting at its default
+DEFAULT_HEADER = [
+    b"# problem.builtin = benchmark",
+    b"# problem.instance = ",
+    b"# problem.n = 10",
+    b"# problem.m = 20",
+    b"# problem.problem_seed = 0",
+    b"# solver.variant = parallel",
+    b"# solver.batch_size = 4",
+    b"# solver.beta_policy = fixed",
+    b"# solver.beta = 1.0",
+    b"# solver.delta = 0.1",
+    b"# solver.ln_hint = ",
+    b"# solver.iterations = 10000",
+    b"# solver.sampler = without-replacement",
+    b"# solver.init = gaussian",
+    b"# solver.init_scale = 1.0",
+    b"# solver.assertions = off",
+    b"# logging.cadence = geometric",
+    b"# logging.timing = false",
+    b"# output.seeds = 1",
+]
 
 
 def _choice_cases():
     """(flag, value, companion flags) for every value of every solve flag
     that has ``choices``."""
-    parser = argparse.ArgumentParser()
-    _add_solve_flags(parser)
+    parser = _solve_parser()
     companions = {"extrapolated": ["--variant", "parallel", "--ln-hint", "1.0"],
                   "adaptive": ["--variant", "parallel"]}
     return [(action.option_strings[0], value, companions.get(value, []))
@@ -160,10 +267,11 @@ class TestSolveCommand:
         ["solve", "--seeds", "1,1,2"],
         ["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",
          "--N-list", "1,2,2", "--iters", "20", "--seeds", "1"],
+        ["solve", "--seeds", "", "--iters", "5"],
     ], ids=["N0", "N-above-m", "iters0", "no-seeds", "extrapolated-no-hint",
             "sequential-beta2", "sweep-N-above-m", "sweep-unconstrained",
             "negative-seed", "negative-problem-seed", "repeated-seed",
-            "sweep-repeated-N"])
+            "sweep-repeated-N", "empty-seeds"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, argv):
         # SolverConfig.validate is the one gate; it runs before the out
         # directory is created, and a sweep passes every N through it, and

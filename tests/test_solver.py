@@ -153,6 +153,22 @@ class TestParallelUpdate:
         assert np.isnan(ln_k[0])          # no ratio: the batch is feasible
         assert np.isnan(beta[0])          # no step taken
 
+    def test_adaptive_ratio_survives_underflow(self):
+        # at x1 = 1e-170 the squared violation underflows, so L_N,k would be
+        # 0/0; it is scale-invariant, hence the value at x1 = 1e-3.  Warnings
+        # are errors under pytest, so no RuntimeWarning is raised either
+        policy = BetaPolicy("adaptive", delta=0.1)
+        indices, v = np.array([[0, 1]]), np.array([[1e-170, -1.0], [1e-3, -1.0]])
+        x, ln_k, beta = parallel_feasibility_update(corner_spec(), indices[[0, 0]],
+                                                    v, policy)
+        np.testing.assert_array_equal(ln_k, [0.5, 0.5])
+        np.testing.assert_array_equal(beta, [3.8, 3.8])
+        np.testing.assert_allclose(x, [[-9e-171, -1.0], [-9e-4, -1.0]],
+                                   rtol=1e-12)
+        alone, _, _ = parallel_feasibility_update(corner_spec(), indices,
+                                                  v[1:], policy)
+        np.testing.assert_array_equal(alone, x[1:])
+
 
 class TestSequentialUpdate:
     def test_orthogonal_chain_projects_both(self):
