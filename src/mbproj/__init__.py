@@ -9,9 +9,9 @@ from .geometry import (DistanceOracleError, EmptyFeasibleSetError, PolyhedronSpe
                        project_intersection)
 from .sampling import Sampler
 from .solver import (BetaPolicy, ConfigError, OracleFault, PolyhedralContext,
-                     RunRecord, RunResult, SolverAbort, SolverConfig,
-                     alpha_schedule, objective_step, parallel_feasibility_update,
-                     run, sequential_feasibility_update)
+                     RunRecord, RunResult, SolverAbort, alpha_schedule,
+                     objective_step, parallel_feasibility_update, run,
+                     sequential_feasibility_update)
 from .problems import (BenchmarkInstance, exact_ln_linear, load_instance,
                        make_builtin, make_duplicated_benchmark, make_orthant2,
                        make_orthonormal_benchmark, make_polyhedral_benchmark,

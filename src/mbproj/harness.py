@@ -2,7 +2,8 @@
 minibatch sweeps and the command-line interface.
 
 A run's settings are the fields of ``RunConfig``; each field gives its INI
-key, its CLI flag and its line of the CSV header.  CSV files carry that
+key, its CLI flag and its line of the CSV header, and ``solver.run`` reads
+it by name after ``solver.validate`` has checked it.  CSV files carry that
 header as leading ``#`` comment lines and exactly the columns seed,k,f_gap,
 max_violation,dist_X,LN_k,beta_k,elapsed_ns (a field is empty when the
 metric is unavailable).  The header echoes the settings that determine the
@@ -30,8 +31,8 @@ from .oracle import OracleError
 from .problems import (BenchmarkInstance, load_instance, make_builtin,
                        predicted_gains)
 from .sampling import Sampler
-from .solver import (BetaPolicy, ConfigError, RunResult, SolverAbort,
-                     SolverConfig, run)
+from .solver import (ASSERTIONS, INITS, VARIANTS, BetaPolicy, ConfigError,
+                     RunResult, SolverAbort, beta_policy, run, validate)
 
 CSV_COLUMNS = ("seed", "k", "f_gap", "max_violation", "dist_X", "LN_k",
                "beta_k", "elapsed_ns")
@@ -110,9 +111,9 @@ def _setting(default, section: str, flag: Optional[str] = None, parse=None,
 
 @dataclass
 class RunConfig:
-    """A run's settings, each listed once: a field gives its INI key
-    ``section.name``, its CLI flag and its CSV header line, in field order.
-    ``init_scale`` has no flag; ``out_dir`` only says where files go."""
+    """A run's settings, each listed once with its one default: a field
+    gives its INI key ``section.name``, its CLI flag and its CSV header
+    line.  ``init_scale`` has no flag; ``out_dir`` only says where files go."""
 
     builtin: Optional[str] = _setting("benchmark", "problem", "--builtin",
                                       help="builtin problem name")
@@ -122,7 +123,7 @@ class RunConfig:
     m: int = _setting(20, "problem", "--m", type=int, help="number of constraints")
     problem_seed: int = _setting(0, "problem", "--problem-seed", type=int)
     variant: str = _setting("parallel", "solver", "--variant",
-                            choices=SolverConfig.VARIANTS)
+                            choices=VARIANTS)
     batch_size: int = _setting(4, "solver", "--N", type=int, help="minibatch size")
     beta_policy: str = _setting("fixed", "solver", "--beta-policy",
                                 choices=BetaPolicy.KINDS)
@@ -132,10 +133,10 @@ class RunConfig:
     iterations: int = _setting(10000, "solver", "--iters", type=int)
     sampler: str = _setting("without-replacement", "solver", "--sampler",
                             choices=Sampler.VARIANTS)
-    init: str = _setting("gaussian", "solver", "--init", choices=SolverConfig.INITS)
+    init: str = _setting("gaussian", "solver", "--init", choices=INITS)
     init_scale: float = _setting(1.0, "solver", parse=float)
     assertions: str = _setting("off", "solver", "--assertions",
-                               choices=SolverConfig.ASSERTIONS)
+                               choices=ASSERTIONS)
     cadence: object = _setting("geometric", "logging", "--cadence", parse=parse_cadence,
                                help="'geometric' or an integer step")
     timing: bool = _setting(False, "logging", "--timing", parse=parse_bool,
@@ -144,18 +145,6 @@ class RunConfig:
     seeds: tuple = _setting((1,), "output", "--seeds", parse=parse_seeds,
                             show=format_seeds, help="e.g. 1..20 or 3,5,8")
     out_dir: str = _setting("out", "output", "--out", show=None, help="output directory")
-
-    def solver_config(self) -> SolverConfig:
-        """The solver settings, unchecked: ``run`` validates them.  Every
-        policy gets every field, so a hint that its rule does not check
-        reaches ``BetaPolicy.validate`` and is rejected there."""
-        policy = BetaPolicy(self.beta_policy, beta=self.beta, delta=self.delta,
-                            ln=self.ln_hint)
-        return SolverConfig(variant=self.variant, batch_size=self.batch_size,
-                            beta_policy=policy, iterations=self.iterations,
-                            sampler_variant=self.sampler, seeds=self.seeds,
-                            init=self.init, init_scale=self.init_scale,
-                            log_cadence=self.cadence, assertions=self.assertions)
 
     def echo_items(self):
         """The CSV header's (``section.name``, text) pairs, in field order:
@@ -169,18 +158,24 @@ class RunConfig:
 def load_config_file(path: str) -> RunConfig:
     """Flat key = value configuration with sections (INI syntax): each key
     is a ``RunConfig`` field under its section, read by the field's parser.
-    A key outside its section is an error; other sections are ignored."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    A key outside its section is an error; other sections are ignored.  A
+    file that INI syntax cannot read is a ``ConfigError`` naming it."""
     settings = {}
     for f in fields(RunConfig):
         settings.setdefault(f.metadata["section"], {})[f.name] = f.metadata["parse"]
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        given = [(section, parser.items(section)) for section in settings
+                 if parser.has_section(section)]
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: "
+                          + " ".join(str(exc).split())) from exc
     cfg = RunConfig()
-    for section, keys in settings.items():
-        if not parser.has_section(section):
-            continue
-        for key, value in parser.items(section):
+    for section, items in given:
+        keys = settings[section]
+        for key, value in items:
             if key not in keys:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] "
                                   f"of {path}")
@@ -288,7 +283,7 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     instance = instance or build_problem(cfg)
     context = instance.context() if instance.poly.m else None
     echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
-    results = run(instance.spec, cfg.solver_config(), context=context)
+    results = run(instance.spec, cfg, context=context)
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed_rows, paths = [], []
     for result in results:
@@ -432,7 +427,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     For each N the final mean oracle distance (with bootstrap CI) is measured
     over the configured seeds, next to the predicted gain b(N) of the runs'
     own variant; the harness juxtaposes measurement and prediction without
-    asserting either.  Every N's settings pass ``SolverConfig.validate``,
+    asserting either.  Every N's settings pass ``solver.validate``,
     and the problem must have linear constraints for the distance metric,
     before any prediction is priced or any N runs.  Predictions use the
     runs' constant stepsize (``BetaPolicy.initial_beta``), so ``c_hat`` is a
@@ -456,13 +451,13 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
                     out_dir=os.path.join(cfg.out_dir, f"N{size}"))
             for size in n_list]
     for sub in subs:
-        sub.solver_config().validate(instance.spec)
+        validate(sub, instance.spec)
     if not instance.poly.m:
         raise ConfigError("sweep requires polyhedral distance metrics, and "
                           "the problem has no linear constraints")
     gains = {}
     if c_hat is not None:
-        beta = cfg.solver_config().beta_policy.initial_beta()
+        beta = beta_policy(cfg).initial_beta()
         for size in n_list:
             try:
                 gains[size] = predicted_gains(

@@ -316,7 +316,7 @@ def predicted_gains(poly: PolyhedronSpec, variant: str, beta: float,
 
     A ``c_hat`` that is not finite with c * M_g^2 > 1 is a ``ConfigError``,
     raised before any L_N.  ``variant``, ``beta`` and the sizes are the
-    runs' own, checked by ``SolverConfig.validate``: beta lies in (0, 2) for
+    runs' own, checked by ``solver.validate``: beta lies in (0, 2) for
     the sequential variant.
     """
     scale = c_hat * mg ** 2

@@ -6,7 +6,7 @@ one ``draw`` call per block, so a fixed seed reproduces the exact index
 stream.  A block of ``count`` minibatches holds the same indices, and leaves
 the generator in the same state, as ``count`` one-minibatch calls of
 ``Generator.integers`` or ``Generator.choice``.  The sampler checks nothing:
-``run`` creates one only after ``SolverConfig.validate`` has accepted its
+``run`` creates one only after ``solver.validate`` has accepted its
 variant, a nonempty index space and a batch size N >= 1, at most m under
 sampling without replacement.
 """
@@ -31,11 +31,10 @@ class Sampler:
 
     VARIANTS = ("iid-uniform", "without-replacement")
 
-    def __init__(self, variant: str, m: int, seed=None):
+    def __init__(self, variant: str, m: int, rng: np.random.Generator):
         self.variant = variant
         self.m = int(m)
-        self._rng = seed if isinstance(seed, np.random.Generator) \
-            else np.random.default_rng(seed)
+        self._rng = rng
 
     def draw(self, batch_size: int, count: int = 1) -> np.ndarray:
         """Draw ``count`` minibatches of ``batch_size`` indices, flat in draw

@@ -134,52 +134,49 @@ class BetaPolicy:
         return self.initial_beta()
 
 
-@dataclass
-class SolverConfig:
-    VARIANTS = ("parallel", "sequential")
-    INITS = ("zero", "gaussian")
-    ASSERTIONS = ("off", "lemma-checks")
+VARIANTS = ("parallel", "sequential")
+INITS = ("zero", "gaussian")
+ASSERTIONS = ("off", "lemma-checks")
 
-    variant: str                      # one of VARIANTS
-    batch_size: int
-    beta_policy: BetaPolicy
-    iterations: int
-    sampler_variant: str = "without-replacement"
-    seeds: tuple = (0,)               # the block of seeds ``run`` advances
-    init: str = "zero"                # one of INITS
-    init_scale: float = 1.0
-    log_cadence: object = "geometric"  # "geometric" or positive int step
-    assertions: str = "off"           # one of ASSERTIONS
 
-    def validate(self, spec: ProblemSpec) -> None:
-        """The one check of a run's settings: ``run`` calls it before any
-        work, and the sampler, both feasibility passes and the objective step
-        rely on it without checking again."""
-        if self.variant not in self.VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if not self.seeds:
-            raise ConfigError("seed list must be nonempty")
-        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"seeds must be distinct and >= 0: {list(self.seeds)}")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch size must be >= 1")
-        if self.init not in self.INITS:
-            raise ConfigError(f"unknown init rule {self.init!r}")
-        if self.assertions not in self.ASSERTIONS:
-            raise ConfigError(f"unknown assertions mode {self.assertions!r}")
-        if not math.isfinite(self.init_scale):
-            raise ConfigError(f"init_scale must be finite, got {self.init_scale!r}")
-        if isinstance(self.log_cadence, int) and self.log_cadence < 1:
-            raise ConfigError("log cadence step must be >= 1")
-        if self.sampler_variant not in Sampler.VARIANTS:
-            raise ConfigError(f"unknown sampler variant {self.sampler_variant!r}")
-        self.beta_policy.validate(self.variant)
-        m = spec.constraints.size
-        if m and self.sampler_variant == "without-replacement" and self.batch_size > m:
-            raise ConfigError(
-                f"cannot draw {self.batch_size} distinct indices from {m}")
+def beta_policy(config) -> BetaPolicy:
+    """The stepsize rule of the run settings ``config``, unchecked.  Every
+    rule gets every field, so a hint that its rule does not check reaches
+    ``BetaPolicy.validate`` and is rejected there."""
+    return BetaPolicy(config.beta_policy, beta=config.beta, delta=config.delta,
+                      ln=config.ln_hint)
+
+
+def validate(config, spec: ProblemSpec) -> None:
+    """The one check of the run settings ``config``, a ``RunConfig`` of the
+    harness: ``run`` calls it before any work, and the sampler, both
+    feasibility passes and the objective step rely on it without checking
+    again."""
+    if config.variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {config.variant!r}")
+    if not config.seeds:
+        raise ConfigError("seed list must be nonempty")
+    if min(config.seeds) < 0 or len(set(config.seeds)) < len(config.seeds):
+        raise ConfigError(f"seeds must be distinct and >= 0: {list(config.seeds)}")
+    if config.iterations < 1:
+        raise ConfigError("iterations must be >= 1")
+    if config.batch_size < 1:
+        raise ConfigError("batch size must be >= 1")
+    if config.init not in INITS:
+        raise ConfigError(f"unknown init rule {config.init!r}")
+    if config.assertions not in ASSERTIONS:
+        raise ConfigError(f"unknown assertions mode {config.assertions!r}")
+    if not math.isfinite(config.init_scale):
+        raise ConfigError(f"init_scale must be finite, got {config.init_scale!r}")
+    if isinstance(config.cadence, int) and config.cadence < 1:
+        raise ConfigError("log cadence step must be >= 1")
+    if config.sampler not in Sampler.VARIANTS:
+        raise ConfigError(f"unknown sampler variant {config.sampler!r}")
+    beta_policy(config).validate(config.variant)
+    m = spec.constraints.size
+    if m and config.sampler == "without-replacement" and config.batch_size > m:
+        raise ConfigError(
+            f"cannot draw {config.batch_size} distinct indices from {m}")
 
 
 @dataclass
@@ -231,16 +228,29 @@ def _weighted_mean(weights: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.matmul(weights[:, None, :], dirs)[:, 0] / weights.shape[1]
 
 
+def _ratio_terms(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
+    """The mean rows weighted by gplus / nsq, and L_N,k's two terms."""
+    mean_dir = _weighted_mean(gplus / nsq, dirs)
+    num = np.matmul(mean_dir[:, None, :], mean_dir[:, :, None])[:, 0, 0]
+    den = np.add.reduce(gplus * gplus / nsq, 1) / gplus.shape[1]
+    return mean_dir, num, den
+
+
 def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
-                      violated: Optional[np.ndarray]):
+                      violated: Optional[np.ndarray], count: int):
     """Alignment ratio L_N,k of each seed's minibatch, shape (S,), and the
     mean of its rows weighted by gplus / nsq, shape (S, n).  L_N,k =
     |avg of gplus / nsq * rows|^2 / avg of gplus^2 / nsq is at most 1
     (mean-square inequality); it is NaN in the rows that ``violated``
-    leaves unmarked, whose batch is feasible (none when it is None)."""
-    mean_dir = _weighted_mean(gplus / nsq, dirs)
-    num = np.matmul(mean_dir[:, None, :], mean_dir[:, :, None])[:, 0, 0]
-    den = np.add.reduce(gplus * gplus / nsq, 1) / gplus.shape[1]
+    leaves unmarked, whose batch is feasible (none when it is None), and
+    ``count`` rows are violated.  L_N,k is scale-invariant, so a violated
+    row whose gplus^2 / nsq all underflow, giving 0/0, takes its terms from
+    gplus divided by the row's largest entry; its mean row keeps gplus."""
+    mean_dir, num, den = _ratio_terms(gplus, dirs, nsq)
+    if np.count_nonzero(den) < count:
+        lost = den == 0.0 if violated is None else violated & (den == 0.0)
+        scaled = gplus[lost] / gplus[lost].max(axis=1, keepdims=True)
+        _, num[lost], den[lost] = _ratio_terms(scaled, dirs[lost], nsq[lost])
     if violated is None:
         return num / den, mean_dir
     return np.where(violated, num / np.where(violated, den, 1.0), np.nan), mean_dir
@@ -308,7 +318,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     (by default the row numbers) label its reports.  Returns the next
     points, each seed's L_N,k and stepsize (both NaN where the batch is
     feasible); an oracle fault raises ``OracleFault``.  Preconditions are
-    ``SolverConfig.validate``'s.
+    ``validate``'s.
     """
     gvals, dirs = _checked_batch(spec, indices, v)
     active = gvals > 0.0
@@ -321,15 +331,8 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     gplus = np.maximum(gvals, 0.0)
     nsq = _squared_norms(dirs, active)
     fixed = None if policy.kind == "adaptive" else policy.initial_beta()
-    scaled = gplus
-    if fixed is None:
-        # a seed whose gplus^2 / nsq all underflow has L_N,k = 0/0; L_N,k is
-        # scale-invariant, so such rows alone are divided by their largest part
-        lost = violated & (np.add.reduce(gplus * gplus / nsq, 1) == 0.0)
-        if lost.any():
-            scaled = gplus.copy()
-            scaled[lost] /= scaled[lost].max(axis=1, keepdims=True)
-    ln_k, step = batch_diagnostics(scaled, dirs, nsq, None if every else violated)
+    ln_k, step = batch_diagnostics(gplus, dirs, nsq, None if every else violated,
+                                   count)
     if fixed is None:
         beta = policy.step_beta(ln_k)
     else:
@@ -370,7 +373,7 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     are off) verifies every inner step and each seed's chain of distance
     decreases; ``k`` labels its reports.  Returns the final inner points;
     an oracle fault raises ``OracleFault``.  Preconditions are
-    ``SolverConfig.validate``'s.
+    ``validate``'s.
     """
     z = v
     inner = [v] if checker is not None else None
@@ -498,12 +501,12 @@ def _log_points(iterations: int, cadence) -> set:
     return ks | {iterations}
 
 
-def _initial_point(spec: ProblemSpec, config: SolverConfig,
+def _initial_point(spec: ProblemSpec, init: str, scale: float,
                    rng: np.random.Generator) -> np.ndarray:
-    if config.init == "zero":
+    if init == "zero":
         raw = np.zeros(spec.dimension)
     else:
-        raw = config.init_scale * rng.standard_normal(spec.dimension)
+        raw = scale * rng.standard_normal(spec.dimension)
     return np.asarray(spec.simple_set.project(raw), dtype=np.float64)
 
 
@@ -516,11 +519,12 @@ def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, seeds,
                           snapshot={"seed": seeds[row], "k": k, name: before[row]})
 
 
-def run(spec: ProblemSpec, config: SolverConfig,
+def run(spec: ProblemSpec, config,
         context: Optional[PolyhedralContext] = None) -> list:
     """Execute the configured variant for the full iteration budget, for
     every seed of ``config.seeds`` at once; returns one ``RunResult`` per
-    seed, in that order.
+    seed, in that order.  ``config``, the harness's ``RunConfig``, is read
+    by name, once, after ``validate``.
 
     Each iteration takes one objective step and one feasibility pass for the
     (S, n) block, checked by the lemma checker under ``lemma-checks``; only
@@ -534,35 +538,37 @@ def run(spec: ProblemSpec, config: SolverConfig,
     fault (reported with ``k``, the seed and its batch indices) or realized
     L_N,k above a declared L_N aborts the whole block with ``SolverAbort``.
     """
-    config.validate(spec)
+    validate(config, spec)
     if config.assertions == "lemma-checks" and context is None:
         raise ConfigError("lemma-checks mode requires a polyhedral context")
     seeds = tuple(config.seeds)
     checker = _LemmaChecker(context, spec, seeds) \
         if config.assertions == "lemma-checks" else None
+    variant, size, iterations = config.variant, config.batch_size, config.iterations
+    policy = beta_policy(config)
 
     m = spec.constraints.size
     x = np.empty((len(seeds), spec.dimension))
     samplers = []
     for row, seed in enumerate(seeds):
         ss_init, ss_sampler = np.random.SeedSequence(seed).spawn(2)
-        x[row] = _initial_point(spec, config, np.random.default_rng(ss_init))
+        x[row] = _initial_point(spec, config.init, config.init_scale,
+                                np.random.default_rng(ss_init))
         if m:
-            samplers.append(Sampler(config.sampler_variant, m,
-                                    seed=np.random.default_rng(ss_sampler)))
+            samplers.append(Sampler(config.sampler, m,
+                                    np.random.default_rng(ss_sampler)))
 
-    policy = config.beta_policy
     beta_k = np.full(len(seeds), policy.initial_beta())
     ln_k = max_ln = np.full(len(seeds), np.nan)
 
     weighted_sum = np.zeros_like(x)
     weight_total = 0                   # exact integer sum of (j+1)^2, j=1..k
     records = [[] for _ in seeds]
-    log_ks = _log_points(config.iterations, config.log_cadence)
+    log_ks = _log_points(iterations, config.cadence)
     opt = spec.known_optimum
     t0 = time.perf_counter_ns()
 
-    for k in range(1, config.iterations + 1):
+    for k in range(1, iterations + 1):
         v = objective_step(spec, x, alpha_schedule(spec.mu, k - 1))
         _abort_if_nonfinite(v, "objective step", k, seeds, "x", x)
 
@@ -570,13 +576,12 @@ def run(spec: ProblemSpec, config: SolverConfig,
         if samplers:
             ahead = (k - 1) % INDEX_BLOCK
             if ahead == 0:
-                count = min(INDEX_BLOCK, config.iterations - k + 1)
-                size = config.batch_size
+                count = min(INDEX_BLOCK, iterations - k + 1)
                 drawn = np.stack([sampler.draw(size, count).reshape(count, size)
                                   for sampler in samplers])
             indices = drawn[:, ahead]
             try:
-                if config.variant == "parallel":
+                if variant == "parallel":
                     x, ln_k, beta = parallel_feasibility_update(
                         spec, indices, v, policy, checker, k, seeds)
                     max_ln = np.fmax(max_ln, ln_k)
@@ -616,7 +621,7 @@ def run(spec: ProblemSpec, config: SolverConfig,
                     elapsed_ns=time.perf_counter_ns() - t0))
 
     x_hat = weighted_sum / weight_total
-    return [RunResult(seed=seed, iterations=config.iterations, records=records[row],
+    return [RunResult(seed=seed, iterations=iterations, records=records[row],
                       final_x=x[row], final_x_hat=x_hat[row],
                       max_ln_k=None if np.isnan(max_ln[row]) else float(max_ln[row]))
             for row, seed in enumerate(seeds)]

@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency."""
+"""numpy is the package's only runtime dependency, and the package's
+modules import one another in one direction only."""
 
 import ast
 import pathlib
@@ -6,6 +7,8 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mbproj"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+# each module may import only the modules before it; ``__init__`` is exempt
+LAYERS = ("oracle", "geometry", "sampling", "solver", "problems", "harness")
 
 
 def test_imports_are_stdlib_numpy_or_relative():
@@ -21,3 +24,18 @@ def test_imports_are_stdlib_numpy_or_relative():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert not outside, outside
+
+
+def test_relative_imports_only_reach_lower_layers():
+    modules = {path.stem: path for path in SRC.glob("*.py")}
+    assert set(modules) == set(LAYERS) | {"__init__"}
+    upward = []
+    for rank, name in enumerate(LAYERS):
+        path = modules[name]
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else \
+                    [alias.name for alias in node.names]
+                upward += [f"{path.name}:{node.lineno} {target}" for target in targets
+                           if LAYERS.index(target.split(".")[0]) >= rank]
+    assert not upward, upward

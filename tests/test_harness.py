@@ -268,18 +268,30 @@ class TestSolveCommand:
         ["sweep", "--builtin", "benchmark", "--n", "4", "--m", "6",
          "--N-list", "1,2,2", "--iters", "20", "--seeds", "1"],
         ["solve", "--seeds", "", "--iters", "5"],
+        ["solve", "--iters", "5", "--config", "builtin = orthant2\n"],
+        ["solve", "--iters", "5", "--config", "[problem]\nn = 4\n[problem]\nm = 6\n"],
+        ["solve", "--iters", "5", "--config", "[problem]\nbuiltin\n"],
+        ["solve", "--iters", "5", "--config", "[output]\nout_dir = a%b\n"],
     ], ids=["N0", "N-above-m", "iters0", "no-seeds", "extrapolated-no-hint",
             "sequential-beta2", "sweep-N-above-m", "sweep-unconstrained",
             "negative-seed", "negative-problem-seed", "repeated-seed",
-            "sweep-repeated-N", "empty-seeds"])
+            "sweep-repeated-N", "empty-seeds", "ini-no-section",
+            "ini-repeated-section", "ini-no-equals", "ini-bare-percent"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, argv):
-        # SolverConfig.validate is the one gate; it runs before the out
-        # directory is created, and a sweep passes every N through it, and
-        # checks that the problem has linear constraints, first
+        # solver.validate is the one gate; it runs before the out directory
+        # is created, and a sweep passes every N through it, and checks that
+        # the problem has linear constraints, first.  A --config value here
+        # is the text of a file, written out before the call
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            ini = tmp_path / "run.ini"
+            ini.write_text(argv[at])
+            argv = argv[:at] + [str(ini)] + argv[at + 1:]
         code = main(argv + ["--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert "--config" not in argv or str(tmp_path / "run.ini") in err
         assert not os.path.exists(tmp_path / "x")
 
     def test_bad_builtin_is_config_error(self, tmp_path):

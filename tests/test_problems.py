@@ -14,7 +14,8 @@ from mbproj.problems import (LN_CHUNK, BenchmarkInstance, exact_ln_linear,
                              make_orthonormal_benchmark, make_polyhedral_benchmark,
                              make_unconstrained, predicted_gains,
                              save_instance)
-from mbproj.solver import BetaPolicy, ConfigError, SolverConfig, run
+from mbproj.harness import RunConfig
+from mbproj.solver import ConfigError, run
 
 
 def recording(spec):
@@ -198,10 +199,9 @@ class TestExactLN:
     def test_online_ratio_never_exceeds_exact_bound(self):
         inst = make_orthonormal_benchmark(6, seed=2)
         exact = exact_ln_linear(inst.poly, 2)
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=500,
-                           seeds=(3,), init="gaussian",
-                           sampler_variant="without-replacement")
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=500,
+                        seeds=(3,), sampler="without-replacement")
         (result,) = run(inst.spec, cfg)
         assert result.max_ln_k is not None
         assert result.max_ln_k <= exact + 1e-8
@@ -261,9 +261,9 @@ class TestInstanceFile:
         assert loaded.spec.known_optimum.f_star == inst.spec.known_optimum.f_star
         # identical solver trajectories from the reloaded instance, read
         # off the points each objective's subgradient is asked about
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=100,
-                           seeds=(1,), init="gaussian")
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=100,
+                        seeds=(1,))
         trajectories = []
         for spec in (inst.spec, loaded.spec):
             spec, seen = recording(spec)

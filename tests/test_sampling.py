@@ -6,10 +6,8 @@ from mbproj.sampling import Sampler
 
 class TestDeterminism:
     @pytest.mark.parametrize("make", [
-        lambda s: Sampler("iid-uniform", 7, seed=s),
-        lambda s: Sampler("without-replacement", 7, seed=s),
-        # run() hands each sampler a Generator spawned from its seed
-        lambda s: Sampler("iid-uniform", 7, seed=np.random.default_rng(s)),
+        lambda s: Sampler("iid-uniform", 7, np.random.default_rng(s)),
+        lambda s: Sampler("without-replacement", 7, np.random.default_rng(s)),
     ])
     def test_same_seed_same_stream(self, make):
         a, b = make(42), make(42)
@@ -18,24 +16,24 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.draw(n), b.draw(n))
 
     def test_different_seed_differs(self):
-        a = Sampler("iid-uniform", 1000, seed=1)
-        b = Sampler("iid-uniform", 1000, seed=2)
+        a = Sampler("iid-uniform", 1000, np.random.default_rng(1))
+        b = Sampler("iid-uniform", 1000, np.random.default_rng(2))
         assert any(not np.array_equal(a.draw(4), b.draw(4)) for _ in range(5))
 
 
 class TestVariantLaws:
     def test_single_index_space(self):
-        s = Sampler("iid-uniform", 1, seed=0)
+        s = Sampler("iid-uniform", 1, np.random.default_rng(0))
         np.testing.assert_array_equal(s.draw(3), [0, 0, 0])
 
     def test_exhaustive_without_replacement_is_permutation(self):
-        s = Sampler("without-replacement", 3, seed=5)
+        s = Sampler("without-replacement", 3, np.random.default_rng(5))
         for _ in range(20):
             batch = s.draw(3)
             assert sorted(batch.tolist()) == [0, 1, 2]
 
     def test_without_replacement_never_duplicates(self):
-        s = Sampler("without-replacement", 10, seed=3)
+        s = Sampler("without-replacement", 10, np.random.default_rng(3))
         for _ in range(2000):
             batch = s.draw(4)
             assert len(set(batch.tolist())) == 4
@@ -51,7 +49,7 @@ class TestBlockDraws:
         count = 7
         for seed in range(3):
             block_rng = np.random.default_rng(seed)
-            block = Sampler(variant, m, seed=block_rng).draw(n, count)
+            block = Sampler(variant, m, block_rng).draw(n, count)
             rng = np.random.default_rng(seed)
             if variant == "iid-uniform":
                 draws = [rng.integers(0, m, size=n) for _ in range(count)]
@@ -65,7 +63,7 @@ class TestBlockDraws:
 class TestMarginals:
     def test_iid_uniform_marginal_within_3_sigma(self):
         m, n_batches, batch = 5, 100_000, 2
-        s = Sampler("iid-uniform", m, seed=7)
+        s = Sampler("iid-uniform", m, np.random.default_rng(7))
         counts = np.bincount(s.draw(batch, n_batches), minlength=m)
         total = n_batches * batch
         p = 1.0 / m

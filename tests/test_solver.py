@@ -13,9 +13,9 @@ from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
                              make_polyhedral_benchmark, predicted_gains)
 from mbproj import solver
 from mbproj.sampling import Sampler
+from mbproj.harness import RunConfig
 from mbproj.solver import (INDEX_BLOCK, BetaPolicy, ConfigError, OracleFault,
-                           PolyhedralContext, SolverAbort, SolverConfig,
-                           alpha_schedule, batch_diagnostics, objective_step,
+                           PolyhedralContext, SolverAbort, alpha_schedule, batch_diagnostics, objective_step,
                            parallel_feasibility_update, run,
                            sequential_feasibility_update)
 
@@ -153,18 +153,24 @@ class TestParallelUpdate:
         assert np.isnan(ln_k[0])          # no ratio: the batch is feasible
         assert np.isnan(beta[0])          # no step taken
 
-    def test_adaptive_ratio_survives_underflow(self):
+    @pytest.mark.parametrize("policy, step", [
+        (BetaPolicy("fixed", beta=1.0), 1.0),
+        (BetaPolicy("fixed", beta=0.7), 0.7),
+        (BetaPolicy("extrapolated", delta=0.1, ln=0.5), 3.8),
+        (BetaPolicy("adaptive", delta=0.1), 3.8),
+    ], ids=["fixed1.0", "fixed0.7", "extrapolated", "adaptive"])
+    def test_adaptive_ratio_survives_underflow(self, policy, step):
         # at x1 = 1e-170 the squared violation underflows, so L_N,k would be
-        # 0/0; it is scale-invariant, hence the value at x1 = 1e-3.  Warnings
+        # 0/0 under every rule; it is scale-invariant, hence the value at
+        # x1 = 1e-3, and the step moves x1 to (1 - beta / 2) * x1.  Warnings
         # are errors under pytest, so no RuntimeWarning is raised either
-        policy = BetaPolicy("adaptive", delta=0.1)
         indices, v = np.array([[0, 1]]), np.array([[1e-170, -1.0], [1e-3, -1.0]])
         x, ln_k, beta = parallel_feasibility_update(corner_spec(), indices[[0, 0]],
                                                     v, policy)
         np.testing.assert_array_equal(ln_k, [0.5, 0.5])
-        np.testing.assert_array_equal(beta, [3.8, 3.8])
-        np.testing.assert_allclose(x, [[-9e-171, -1.0], [-9e-4, -1.0]],
-                                   rtol=1e-12)
+        np.testing.assert_array_equal(beta, [step, step])
+        np.testing.assert_allclose(x, [[(1 - step / 2) * 1e-170, -1.0],
+                                       [(1 - step / 2) * 1e-3, -1.0]], rtol=1e-12)
         alone, _, _ = parallel_feasibility_update(corner_spec(), indices,
                                                   v[1:], policy)
         np.testing.assert_array_equal(alone, x[1:])
@@ -197,10 +203,10 @@ class TestSequentialUpdate:
 
     def test_beta_range_enforced(self):
         # the pass relies on run's validation for beta in (0, 2)
-        cfg = SolverConfig(variant="sequential", batch_size=1,
-                           beta_policy=BetaPolicy("fixed", beta=2.0), iterations=10)
+        cfg = RunConfig(variant="sequential", batch_size=1,
+                        beta_policy="fixed", beta=2.0, iterations=10)
         with pytest.raises(ConfigError, match="admissible interval"):
-            cfg.validate(corner_spec())
+            solver.validate(cfg, corner_spec())
 
 
 class TestObjectiveStep:
@@ -232,7 +238,7 @@ class TestObjectiveStep:
 
 def one_seed_ratio(gplus, dirs, nsq):
     """L_N,k of one seed's violated batch through ``batch_diagnostics``."""
-    (ln_k,), _ = batch_diagnostics(gplus[None], dirs[None], nsq[None], None)
+    (ln_k,), _ = batch_diagnostics(gplus[None], dirs[None], nsq[None], None, 1)
     return ln_k
 
 
@@ -360,9 +366,9 @@ class TestRunLoop:
 
     def test_deterministic_given_seed(self):
         inst = self.small_benchmark()
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=300,
-                           seeds=(9,), init="gaussian")
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=300,
+                        seeds=(9,))
         (r1,) = run(inst.spec, cfg, context=inst.context())
         (r2,) = run(inst.spec, cfg, context=inst.context())
         assert len(r1.records) == len(r2.records)
@@ -377,9 +383,9 @@ class TestRunLoop:
         inst = self.small_benchmark()
         trajectories = []
         for variant in ("parallel", "sequential"):
-            cfg = SolverConfig(variant=variant, batch_size=1,
-                               beta_policy=BetaPolicy("fixed", beta=1.0), iterations=200,
-                               seeds=(3,), init="gaussian")
+            cfg = RunConfig(variant=variant, batch_size=1,
+                            beta_policy="fixed", beta=1.0, iterations=200,
+                            seeds=(3,))
             spec, seen = recording(inst.spec)
             (result,) = run(spec, cfg)
             trajectories.append(seen[1:] + [result.final_x])
@@ -392,10 +398,9 @@ class TestRunLoop:
         # numpy calls on each seed's own sampler generator
         inst = self.small_benchmark()
         iterations, size, seeds = INDEX_BLOCK + 76, 3, (5, 8)
-        cfg = SolverConfig(variant="parallel", batch_size=size,
-                           beta_policy=BetaPolicy("fixed", beta=1.0),
-                           iterations=iterations, seeds=seeds, init="gaussian",
-                           sampler_variant=sampler)
+        cfg = RunConfig(variant="parallel", batch_size=size,
+                        beta_policy="fixed", beta=1.0,
+                        iterations=iterations, seeds=seeds, sampler=sampler)
         spec, asked, _ = recording_family(inst.spec)
         run(spec, cfg)
         asked = np.array(asked)
@@ -425,9 +430,9 @@ class TestRunLoop:
 
         monkeypatch.setattr(solver, "objective_step", counted_objective_step)
         for variant in ("parallel", "sequential"):
-            cfg = SolverConfig(variant=variant, batch_size=size,
-                               beta_policy=BetaPolicy("fixed", beta=1.0),
-                               iterations=iterations, seeds=seeds, init="gaussian")
+            cfg = RunConfig(variant=variant, batch_size=size,
+                            beta_policy="fixed", beta=1.0,
+                            iterations=iterations, seeds=seeds)
             spec, asked_by[variant], _ = recording_family(inst.spec)
             steps.clear()
             run(spec, cfg)
@@ -449,9 +454,9 @@ class TestRunLoop:
         spec = ProblemSpec(dimension=3, objective=objective,
                            constraints=empty_family(), simple_set=ball,
                            mu=1.0, M_f=10.0, M_g=1.0)
-        cfg = SolverConfig(variant="parallel", batch_size=1,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=150,
-                           seeds=(5,), init="zero")
+        cfg = RunConfig(variant="parallel", batch_size=1,
+                        beta_policy="fixed", beta=1.0, iterations=150,
+                        seeds=(5,), init="zero")
         spec, seen = recording(spec)
         (result,) = run(spec, cfg)
         iterates = seen[1:] + [result.final_x]
@@ -464,9 +469,9 @@ class TestRunLoop:
 
     def test_iterates_stay_in_simple_set(self):
         inst = self.small_benchmark()
-        cfg = SolverConfig(variant="sequential", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=300,
-                           seeds=(2,), init="gaussian")
+        cfg = RunConfig(variant="sequential", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=300,
+                        seeds=(2,))
         spec, seen = recording(inst.spec)
         (result,) = run(spec, cfg)
         ss = inst.spec.simple_set
@@ -475,9 +480,9 @@ class TestRunLoop:
 
     def test_streaming_average_matches_recomputation(self):
         inst = self.small_benchmark()
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=400,
-                           seeds=(8,), init="gaussian")
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=400,
+                        seeds=(8,))
         spec, seen = recording(inst.spec)
         (result,) = run(spec, cfg)
         weights = np.array([(k + 1) ** 2 for k in range(1, 401)], dtype=np.float64)
@@ -488,9 +493,9 @@ class TestRunLoop:
     def test_adaptive_beta_follows_batch_ratio(self):
         inst = self.small_benchmark()
         delta = 0.1
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("adaptive", delta=delta),
-                           iterations=50, seeds=(6,), init="gaussian")
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="adaptive", delta=delta,
+                        iterations=50, seeds=(6,))
         (result,) = run(inst.spec, cfg, context=inst.context())
         for record in result.records:
             if record.ln_k is not None:
@@ -498,8 +503,8 @@ class TestRunLoop:
 
     def test_adaptive_rejected_for_sequential(self):
         inst = self.small_benchmark()
-        cfg = SolverConfig(variant="sequential", batch_size=2,
-                           beta_policy=BetaPolicy("adaptive", delta=0.1), iterations=10)
+        cfg = RunConfig(variant="sequential", batch_size=2,
+                        beta_policy="adaptive", delta=0.1, iterations=10)
         with pytest.raises(ConfigError, match="fixed beta"):
             run(inst.spec, cfg)
 
@@ -519,43 +524,42 @@ class TestRunLoop:
                            constraints=empty_family(),
                            simple_set=SimpleSet.whole_space(2),
                            mu=1.0, M_f=1.0, M_g=1.0)
-        cfg = SolverConfig(variant="parallel", batch_size=1,
-                           beta_policy=BetaPolicy("fixed", beta=1.0),
-                           iterations=5, seeds=(0,))
+        cfg = RunConfig(variant="parallel", batch_size=1,
+                        beta_policy="fixed", beta=1.0,
+                        iterations=5, seeds=(0,), init="zero")
         with pytest.raises(SolverAbort, match="objective step"):
             run(spec, cfg)
 
     def test_iterations_must_be_positive(self):
         inst = self.small_benchmark()
-        cfg = SolverConfig(variant="parallel", batch_size=1,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=0)
+        cfg = RunConfig(variant="parallel", batch_size=1,
+                        beta_policy="fixed", beta=1.0, iterations=0)
         with pytest.raises(ConfigError, match="iterations"):
             run(inst.spec, cfg)
 
     def test_lemma_checks_require_context(self):
         inst = self.small_benchmark()
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=10,
-                           assertions="lemma-checks")
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=10,
+                        assertions="lemma-checks")
         with pytest.raises(ConfigError, match="context"):
             run(inst.spec, cfg)
 
     def test_lemma_checks_clean_on_benchmark(self):
         inst = self.small_benchmark()
         for variant in ("parallel", "sequential"):
-            cfg = SolverConfig(variant=variant, batch_size=2,
-                               beta_policy=BetaPolicy("fixed", beta=1.0), iterations=300,
-                               seeds=(1,), init="gaussian", assertions="lemma-checks")
+            cfg = RunConfig(variant=variant, batch_size=2,
+                            beta_policy="fixed", beta=1.0, iterations=300,
+                            seeds=(1,), assertions="lemma-checks")
             run(inst.spec, cfg, context=inst.context())  # must not abort
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     def test_lemma_checks_clean_over_a_block_of_seeds(self, variant):
         inst = make_polyhedral_benchmark(10, 20, seed=0)
         for seed in range(1, 6):
-            cfg = SolverConfig(variant=variant, batch_size=4,
-                               beta_policy=BetaPolicy("fixed", beta=1.0), iterations=200,
-                               seeds=(seed,), init="gaussian",
-                               assertions="lemma-checks")
+            cfg = RunConfig(variant=variant, batch_size=4,
+                            beta_policy="fixed", beta=1.0, iterations=200,
+                            seeds=(seed,), assertions="lemma-checks")
             run(inst.spec, cfg, context=inst.context())  # must not abort
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
@@ -566,9 +570,9 @@ class TestRunLoop:
         spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
         context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
                                     feasible_point=np.zeros(2))
-        cfg = SolverConfig(variant=variant, batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
-                           seeds=(1,), init="zero", assertions="lemma-checks")
+        cfg = RunConfig(variant=variant, batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=20,
+                        seeds=(1,), init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="single-step-decrease") as info:
             run(spec, cfg, context=context)
         assert info.value.snapshot["k"] == 1
@@ -580,9 +584,9 @@ class TestRunLoop:
         spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
         context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
                                     feasible_point=np.zeros(2))
-        cfg = SolverConfig(variant=variant, batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
-                           seeds=(7, 3), init="zero", assertions="lemma-checks")
+        cfg = RunConfig(variant=variant, batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=20,
+                        seeds=(7, 3), init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="k=1, seed 7") as info:
             run(spec, cfg, context=context)
         assert info.value.snapshot["seed"] == 7
@@ -601,16 +605,16 @@ class TestRunLoop:
         rhs = np.linalg.norm(v - z_bar) ** 2 - 1.0 * (2.0 - 1.0) * g ** 2 / (d @ d)
         assert abs(lhs - rhs) <= 1e-12
 
-    def test_log_cadence_geometric_and_linear(self):
+    def test_cadence_geometric_and_linear(self):
         inst = self.small_benchmark()
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
-                           seeds=(0,), log_cadence="geometric")
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=20,
+                        seeds=(0,), init="zero", cadence="geometric")
         ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
         assert ks == [1, 2, 4, 8, 16, 20]
-        cfg = SolverConfig(variant="parallel", batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=20,
-                           seeds=(0,), log_cadence=7)
+        cfg = RunConfig(variant="parallel", batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=20,
+                        seeds=(0,), init="zero", cadence=7)
         ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
         assert ks == [7, 14, 20]
 
@@ -631,9 +635,9 @@ class TestOracleFaults:
             spec = batch_spec(
                 lambda idx, v: (np.where(v[idx] > 0, np.nan, v[idx]), np.eye(2)[idx]),
                 size=2)
-        cfg = SolverConfig(variant=variant, batch_size=2,
-                           beta_policy=BetaPolicy("fixed", beta=1.0), iterations=50,
-                           seeds=(1,), init="zero")
+        cfg = RunConfig(variant=variant, batch_size=2,
+                        beta_policy="fixed", beta=1.0, iterations=50,
+                        seeds=(1,), init="zero")
         with pytest.raises(SolverAbort, match="constraint oracle fault at k=1"
                            ) as info:
             run(spec, cfg)
@@ -720,15 +724,15 @@ class TestDeclaredLN:
     INSTANCES = {"benchmark": lambda: make_polyhedral_benchmark(4, 6, seed=12),
                  "duplicated": lambda: make_duplicated_benchmark(4, 6, seed=0)}
 
-    @pytest.mark.parametrize("policy", [BetaPolicy("extrapolated", delta=0.1, ln=0.001),
-                                        BetaPolicy("fixed", beta=1.0, ln=0.001)],
+    @pytest.mark.parametrize("policy", [{"beta_policy": "extrapolated", "delta": 0.1},
+                                        {"beta_policy": "fixed", "beta": 1.0}],
                              ids=["extrapolated", "fixed"])
     def test_understated_ln_aborts_with_snapshot(self, policy):
         # every row of the duplicated instance is the same direction, so each
         # violated batch has L_N,k = 1, far above the declared 0.001
         inst = make_duplicated_benchmark(4, 6, seed=0)
-        cfg = SolverConfig(variant="parallel", batch_size=2, beta_policy=policy,
-                           iterations=200, seeds=(1,), init="gaussian")
+        cfg = RunConfig(variant="parallel", batch_size=2, ln_hint=0.001,
+                        iterations=200, seeds=(1,), **policy)
         with pytest.raises(SolverAbort, match="exceeds the declared L_N") as info:
             run(inst.spec, cfg, context=inst.context())
         snap = info.value.snapshot
@@ -737,7 +741,7 @@ class TestDeclaredLN:
         assert 1 <= snap["k"] <= 200
         assert snap["ln"] == 0.001
         assert snap["ln_k"] == pytest.approx(1.0, abs=1e-12)
-        assert snap["beta"] == policy.initial_beta()
+        assert snap["beta"] == solver.beta_policy(cfg).initial_beta()
 
     def test_unchecked_ln_rejected(self):
         # only the parallel variant under a fixed or extrapolated beta checks it
@@ -756,10 +760,10 @@ class TestDeclaredLN:
             warnings.simplefilter("ignore")
             ln = exact_ln_linear(inst.poly, batch_size)
         for seed in (1, 2, 3):
-            cfg = SolverConfig(variant="parallel", batch_size=batch_size,
-                               beta_policy=BetaPolicy("extrapolated", delta=0.1, ln=ln),
-                               iterations=300, seeds=(seed,), init="gaussian",
-                               sampler_variant="without-replacement")
+            cfg = RunConfig(variant="parallel", batch_size=batch_size,
+                            beta_policy="extrapolated", delta=0.1, ln_hint=ln,
+                            iterations=300, seeds=(seed,),
+                            sampler="without-replacement")
             (result,) = run(inst.spec, cfg, context=inst.context())  # must not abort
             assert result.max_ln_k is not None  # the check saw violated batches
 
