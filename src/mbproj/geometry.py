@@ -13,6 +13,18 @@ empty.  When the polyhedral projection leaves the ball, the ball multiplier
 nu comes from bisection on the nonincreasing |P_P((v + 2 nu c)/(1 + 2 nu)) - c|
 = r, run in theta = 2 nu / (1 + 2 nu) over [0, 1).
 
+A projection can start from a warm active set, such as the final one of a
+nearby point: the method solves N N^T mu = N w + b_S for those rows,
+drops every row whose multiplier is negative and solves again until none is
+(or no row is left).  That point is tight on the rows it keeps, with
+multipliers >= 0, so it is a valid start for the dual method, which then
+runs unchanged.  The ball bisection starts each step from the rows of the
+step before.  On return the final active set is sorted and x = w - N^T mu
+is solved once more from it.  The projection is unique, and so, away from
+degenerate ties, is its active set; x then depends only on the point and
+that sorted set, not on the path the method took to it, so a warm and a cold
+start return the same bits.
+
 Every projection is certified before it is returned: the KKT residuals
 (stationarity, primal violation, ball excess, negative multipliers,
 complementarity) must lie below ``TOL_METRIC`` times s = 1 + the largest
@@ -25,6 +37,7 @@ and of the per-iteration inequality checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -89,24 +102,44 @@ def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:
     return float(max(np.max(poly.A @ v + poly.b), 0.0))
 
 
-def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float):
-    """Projection of w onto {Ax + b <= 0} by the dual active-set method.
+def _solve_active(A, b, w, active):
+    """The point x = w - A[active]^T mu at which the rows ``active``, linearly
+    independent, hold with equality, and their multipliers mu."""
+    if not active:
+        return w.copy(), np.zeros(0)
+    N = A[active]
+    mu = np.linalg.solve(N @ N.T, N @ w + b[active])
+    return w - mu @ N, mu
 
-    Returns (x, active, mu) with x = w - A[active]^T mu, mu >= 0 and the
-    active rows linearly independent and tight at x.  Raises
+
+def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
+                        start=()):
+    """Projection of w onto {Ax + b <= 0} by the dual active-set method,
+    warm-started from the linearly independent rows ``start``.
+
+    Returns (x, active, mu) with ``active`` sorted, x = w - A[active]^T mu,
+    mu >= 0 and the active rows linearly independent and tight at x.  Raises
     ``EmptyFeasibleSetError`` when the polyhedron is empty.
     """
     A, b = poly.A, poly.b
-    x = w.copy()
-    active = []
-    mu = np.zeros(0)
+    # the rows of start with their multipliers, dropping negative ones until
+    # none is left: a dual feasible point to start from
+    active = sorted(start)
+    x, mu = _solve_active(A, b, w, active)
+    while np.any(mu < 0.0):
+        active = [row for row, m in zip(active, mu) if m >= 0.0]
+        x, mu = _solve_active(A, b, w, active)
+    solved = True      # (x, mu) is _solve_active of the sorted active rows
     # the method is finite; the cap only guards against cycling in rounding
     for _ in range(10 * (poly.m + poly.n)):
         s = A @ x + b
         p = int(np.argmax(s))
         if s[p] <= EPS * scale:
+            if not solved:
+                active = sorted(active)
+                x, mu = _solve_active(A, b, w, active)
             return x, active, mu
-        a_p, mu_p = A[p], 0.0
+        a_p, mu_p, solved = A[p], 0.0, False
         while True:
             if active:
                 N = A[active]
@@ -171,49 +204,57 @@ def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, v, x, active, lam,
 
 
 def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
-                         v: np.ndarray) -> np.ndarray:
+                         v: np.ndarray, active: Optional[list] = None) -> np.ndarray:
     """Exact Euclidean projection of v onto {Ax + b <= 0} intersect Y.
 
-    Deterministic given its inputs; certified as the module docstring
-    describes.  Raises ``EmptyFeasibleSetError`` when the set is empty and
-    ``DistanceOracleError`` when the certificate fails.
+    ``active``, when given, is a list of linearly independent rows, such as
+    the final active set of an earlier call: the projection starts from it,
+    and on return the list holds this projection's final active set.  The
+    result does not depend on it (see the module docstring).  Certified as
+    the module docstring describes.  Raises ``EmptyFeasibleSetError`` when
+    the set is empty and ``DistanceOracleError`` when the certificate fails.
     """
     v = as_point(v)
     if poly.m == 0:
         return simple_set.project(v)
     scale = 1.0 + float(np.max(np.abs(v)))
-    x, active, lam = _project_polyhedron(poly, v, scale)
+    x, rows, lam = _project_polyhedron(poly, v, scale, active or ())
     nu = 0.0
     if not simple_set.contains(x):
         c, radius = simple_set.center, simple_set.radius
 
-        def project_toward_center(theta):
-            return _project_polyhedron(poly, (1.0 - theta) * v + theta * c, scale)
+        def project_toward_center(theta, start):
+            return _project_polyhedron(poly, (1.0 - theta) * v + theta * c, scale,
+                                       start)
 
         # the largest theta below 1: nu stays finite, and the projection is
-        # as close to the center as it gets
+        # as close to the center as it gets; each step starts from the rows
+        # of the step before
         lo, hi = 0.0, float(np.nextafter(1.0, 0.0))
-        y, _, _ = project_toward_center(hi)
+        y, rows, _ = project_toward_center(hi, rows)
         if float(np.linalg.norm(y - c)) > radius:
             raise EmptyFeasibleSetError(
                 "feasible set is empty: the ball does not meet the polyhedron")
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            y, _, _ = project_toward_center(mid)
+            y, rows, _ = project_toward_center(mid, rows)
             if float(np.linalg.norm(y - c)) > radius:
                 lo = mid
             else:
                 hi = mid
-        x, active, mu = project_toward_center(hi)
+        x, rows, mu = project_toward_center(hi, rows)
         # 1 + 2 nu = 1 / (1 - theta) rescales the polyhedral multipliers
         nu = hi / (2.0 * (1.0 - hi))
         lam = mu / (1.0 - hi)
-    _certify(poly, simple_set, v, x, active, lam, nu,
+    _certify(poly, simple_set, v, x, rows, lam, nu,
              max(scale, 1.0 + float(np.max(np.abs(x)))))
+    if active is not None:
+        active[:] = rows
     return x
 
 
 def distance_oracle(poly: PolyhedronSpec, simple_set: SimpleSet,
-                    v: np.ndarray) -> float:
-    """Certified distance from v to the feasible intersection."""
-    return float(np.linalg.norm(project_intersection(poly, simple_set, v) - v))
+                    v: np.ndarray, active: Optional[list] = None) -> float:
+    """Certified distance from v to the feasible intersection;
+    ``active`` as for ``project_intersection``."""
+    return float(np.linalg.norm(project_intersection(poly, simple_set, v, active) - v))

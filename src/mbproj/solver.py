@@ -256,21 +256,21 @@ def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
     return np.where(violated, num / np.where(violated, den, 1.0), np.nan), mean_dir
 
 
-def _nonfinite_row(*arrays: np.ndarray) -> Optional[int]:
-    """The first seed row with a non-finite entry in any of ``arrays``, or
-    None.  A sum of squares is finite only if every term is, so one per
-    array clears it; only a non-finite or overflowing sum scans the rows."""
-    for a in arrays:
-        if not math.isfinite(np.vdot(a, a)):
-            finite = np.logical_and.reduce(
-                [np.isfinite(b).reshape(len(b), -1).all(axis=1) for b in arrays])
-            return None if finite.all() else int(np.argmin(finite))
-    return None
+def _nonfinite_row(points: np.ndarray) -> Optional[int]:
+    """The first seed row of the (S, n) ``points`` with a non-finite entry,
+    or None.  A sum of squares is finite only if every term is, so one
+    clears them; only a non-finite or overflowing sum scans the rows."""
+    if math.isfinite(np.vdot(points, points)):
+        return None
+    finite = np.isfinite(points).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
-    """The family's values and rows at the points v, checked finite by
-    ``_nonfinite_row``; an ``OracleFault`` names the first faulty seed."""
+    """The family's values and rows at the points v.  An ``OracleFault``
+    names the first seed with a non-finite value or row entry, or with a
+    violated constraint whose row's squared norm overflows, which would make
+    its step beta * gplus / inf * row zero."""
     gvals, dirs = spec.constraints.batch(indices, v)
     gvals = np.asarray(gvals, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -278,9 +278,19 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
         raise OracleError(
             f"constraint batch returned shapes {gvals.shape} and {dirs.shape} "
             f"for indices {indices.shape} at points {v.shape}")
-    row = _nonfinite_row(gvals, dirs)
-    if row is not None:
-        raise OracleFault("constraint oracle returned a non-finite value", row)
+    # as in _nonfinite_row, two finite sums clear the batch; the sum over
+    # dirs is also the sum of the rows' squared norms
+    if not (math.isfinite(np.vdot(gvals, gvals)) and math.isfinite(np.vdot(dirs, dirs))):
+        finite = np.isfinite(gvals).all(axis=1) & np.isfinite(dirs).all(axis=(1, 2))
+        if not finite.all():
+            raise OracleFault("constraint oracle returned a non-finite value",
+                              int(np.argmin(finite)))
+        violated = gvals > 0.0
+        lost = np.isinf(_squared_norms(dirs, violated)) & violated
+        if lost.any():
+            raise OracleFault("the squared norm of a violated constraint's row "
+                              "overflows: step undefined",
+                              int(np.argmax(lost.any(axis=1))))
     return gvals, dirs
 
 
@@ -423,13 +433,17 @@ class _LemmaChecker:
         self.mg = spec.M_g
         self.seeds = seeds
         self.ln_running_max = np.zeros(len(seeds))
+        # each seed's last active set: its next distance starts from it
+        self.active_sets = [[] for _ in seeds]
         p = context.feasible_point
         if max_violation(context.poly, p) > TOL_METRIC or \
                 not self.simple_set.contains(p, tol=TOL_METRIC):
             raise ConfigError("lemma-checks requires a feasible reference point")
 
-    def _dist(self, v):
-        return distance_oracle(self.ctx.poly, self.simple_set, v)
+    def _dist(self, row, v):
+        """Distance of seed ``row``'s point v to the feasible set."""
+        return distance_oracle(self.ctx.poly, self.simple_set, v,
+                               self.active_sets[row])
 
     def _fail(self, name, k, row, slack, extra=None):
         seed = self.seeds[row]
@@ -462,8 +476,8 @@ class _LemmaChecker:
             ln = self.ln_running_max[row]
             if ln == 0.0:
                 continue
-            dv = self._dist(v[row]) ** 2
-            dx = self._dist(x[row]) ** 2
+            dv = self._dist(row, v[row]) ** 2
+            dx = self._dist(row, x[row]) ** 2
             decrease = beta[row] * (2.0 - beta[row] * ln) \
                 / (gplus.shape[1] * self.mg ** 2) * float(np.sum(gplus[row] ** 2))
             if dx - (dv - decrease) > TOL_ASSERT:
@@ -474,7 +488,7 @@ class _LemmaChecker:
         """Inner-step and summed distance decreases for the chained variant."""
         factor = beta * (2.0 - beta) / self.mg ** 2
         for row in range(gplus_seq.shape[0]):
-            dists = [self._dist(z[row]) for z in inner_points]
+            dists = [self._dist(row, z[row]) for z in inner_points]
             for i in range(1, len(inner_points)):
                 bound = dists[i - 1] ** 2 - factor * gplus_seq[row, i - 1] ** 2
                 if dists[i] ** 2 - bound > TOL_ASSERT:
@@ -534,9 +548,14 @@ def run(spec: ProblemSpec, config,
     on the other seeds.  Records are computed seed by seed on the weighted
     running average: f_gap when the spec knows its optimum, max_violation
     and dist_X only through ``context``; ``elapsed_ns`` counts from the
-    start of the block.  The first non-finite iterate, constraint oracle
-    fault (reported with ``k``, the seed and its batch indices) or realized
-    L_N,k above a declared L_N aborts the whole block with ``SolverAbort``.
+    start of the block.  Each seed keeps the active set of its last dist_X
+    projection, and its next log point's ``distance_oracle`` call starts
+    from it and leaves its own there; the lemma checker keeps one per seed
+    the same way.  A warm start gives the bits of a cold one (see
+    ``geometry``), and a seed reads only its own sets.  The first
+    non-finite iterate, constraint oracle fault (reported with ``k``, the
+    seed and its batch indices) or realized L_N,k above a declared L_N
+    aborts the whole block with ``SolverAbort``.
     """
     validate(config, spec)
     if config.assertions == "lemma-checks" and context is None:
@@ -562,6 +581,7 @@ def run(spec: ProblemSpec, config,
     ln_k = max_ln = np.full(len(seeds), np.nan)
 
     weighted_sum = np.zeros_like(x)
+    active_sets = [[] for _ in seeds]
     weight_total = 0                   # exact integer sum of (j+1)^2, j=1..k
     records = [[] for _ in seeds]
     log_ks = _log_points(iterations, config.cadence)
@@ -613,7 +633,7 @@ def run(spec: ProblemSpec, config,
                 if context is not None:
                     viol = max_violation(context.poly, x_hat[row])
                     dist = distance_oracle(context.poly, spec.simple_set,
-                                           x_hat[row])
+                                           x_hat[row], active_sets[row])
                 records[row].append(RunRecord(
                     seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_x=dist,
                     ln_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),

@@ -240,3 +240,82 @@ class TestDistanceOracle:
             dist = distance_oracle(poly, ball, y)
             gplus = np.maximum(poly.A @ y + poly.b, 0.0)
             assert np.max(gplus) <= dist + 1e-7
+
+
+class TestWarmStart:
+    """A projection started from a list of rows ends where a cold one does,
+    bit for bit, and leaves its own final active set in the list."""
+
+    @staticmethod
+    def points(inst, count, seed):
+        rng = np.random.default_rng(seed)
+        x_star = inst.spec.known_optimum.x_star
+        step = rng.standard_normal((count, inst.spec.dimension))
+        return x_star + np.cumsum(step, axis=0) / np.sqrt(inst.spec.dimension)
+
+    @pytest.mark.parametrize("n,m", [(10, 20), (50, 200)])
+    def test_previous_points_set_gives_the_cold_bits(self, n, m, monkeypatch):
+        inst = make_polyhedral_benchmark(n, m, seed=0)
+        poly, ball = inst.poly, inst.spec.simple_set
+        certified = []
+        certify = geometry._certify
+
+        def recording(poly, simple_set, v, x, *args):
+            certified.append(x)
+            return certify(poly, simple_set, v, x, *args)
+
+        monkeypatch.setattr(geometry, "_certify", recording)
+        active = []
+        for v in self.points(inst, 12, seed=n):
+            x = project_intersection(poly, ball, v, active)
+            cold = project_intersection(poly, ball, v)
+            assert x.tobytes() == cold.tobytes()
+            assert certified[-2] is x
+            assert active == sorted(active)
+            assert_kkt(poly, ball, v, x)
+
+    def test_stale_set_with_negative_multipliers(self):
+        inst = make_polyhedral_benchmark(50, 200, seed=0)
+        poly, ball = inst.poly, inst.spec.simple_set
+        near, other = self.points(inst, 2, seed=1)
+        x_star = inst.spec.known_optimum.x_star
+        far = x_star + 3.0 * (other - x_star)
+        stale = []
+        project_intersection(poly, ball, far, stale)
+        # the stale rows' own multipliers at `near` are partly negative, so
+        # the start drops rows before the active-set method runs
+        N = poly.A[stale]
+        assert np.linalg.solve(N @ N.T, N @ near + poly.b[stale]).min() < 0.0
+        for start in (stale, []):
+            active = list(start)
+            x = project_intersection(poly, ball, near, active)
+            assert x.tobytes() == project_intersection(poly, ball, near).tobytes()
+
+    @pytest.mark.parametrize("n,m", [(10, 20), (50, 200)])
+    def test_own_final_set_is_a_fixed_point(self, n, m):
+        inst = make_polyhedral_benchmark(n, m, seed=0)
+        poly, ball = inst.poly, inst.spec.simple_set
+        for v in self.points(inst, 4, seed=m):
+            active = []
+            x = project_intersection(poly, ball, v, active)
+            final = list(active)
+            assert final
+            again = project_intersection(poly, ball, v, active)
+            assert active == final
+            assert again.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("ball", [False, True], ids=["plane", "ball"])
+    def test_empty_polyhedron_raises_from_a_warm_start(self, ball):
+        # row 0 of the benchmark reversed and pushed past it: a_0 x >= 1 - b_0
+        # and a_0 x <= -b_0 cannot both hold
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        A = np.vstack([inst.poly.A, -inst.poly.A[:1]])
+        b = np.append(inst.poly.b, 1.0 + inst.poly.b[0])
+        empty = PolyhedronSpec(A=A, b=b)
+        simple_set = inst.spec.simple_set if ball else SimpleSet.whole_space(10)
+        active = []
+        v = inst.spec.known_optimum.x_star + 3.0 * inst.poly.A[0]
+        project_intersection(inst.poly, simple_set, v, active)
+        assert active
+        with pytest.raises(EmptyFeasibleSetError, match="feasible set is empty"):
+            project_intersection(empty, simple_set, v, list(active))

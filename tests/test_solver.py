@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mbproj.geometry import PolyhedronSpec
+from mbproj.geometry import PolyhedronSpec, distance_oracle
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet, empty_family,
                            linear_family)
@@ -490,6 +490,18 @@ class TestRunLoop:
         x_hat = (weights[:, None] * stacked).sum(axis=0) / weights.sum()
         assert np.linalg.norm(x_hat - result.final_x_hat) <= 1e-10
 
+    def test_warm_started_dist_x_equals_a_cold_oracle(self):
+        # each seed's log points start the oracle from that seed's previous
+        # active set; the last one still equals a cold call bit for bit
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        cfg = RunConfig(variant="sequential", batch_size=4,
+                        beta_policy="fixed", beta=1.0, iterations=300,
+                        seeds=(1, 2, 3), cadence=10)
+        for result in run(inst.spec, cfg, context=inst.context()):
+            cold = distance_oracle(inst.poly, inst.spec.simple_set,
+                                   result.final_x_hat)
+            assert result.records[-1].dist_x == cold > 0.0
+
     def test_adaptive_beta_follows_batch_ratio(self):
         inst = self.small_benchmark()
         delta = 0.1
@@ -715,6 +727,22 @@ class TestOracleFaults:
         x = self.faulty_pass(variant, "huge-finite")
         middle = [2.0, -4.0] if variant == "parallel" else [0.0, -4.0]
         np.testing.assert_array_equal(x, [self.BLOCK[0], middle, self.BLOCK[2]])
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_violated_row_whose_squared_norm_overflows(self, variant):
+        # |(1e200, 0)|^2 overflows: a violated row would step by beta * gplus
+        # / inf * row = 0 and stay put; the first seed satisfies that row
+        spec = corner_spec(constraints=linear_family(
+            np.array([[1e200, 0.0], [0.0, 1.0]]), np.zeros(2)))
+        block = np.array([[-1.0, -1.0], [1.0, -1.0]])
+        indices = np.array([[0, 1], [0, 1]])
+        with pytest.raises(OracleFault, match="overflows") as info:
+            if variant == "parallel":
+                parallel_feasibility_update(spec, indices, block,
+                                            BetaPolicy("fixed", beta=1.0))
+            else:
+                sequential_feasibility_update(spec, indices, block, 1.0)
+        assert info.value.row == 1
 
 
 class TestDeclaredLN:
