@@ -3,12 +3,12 @@ many functional constraints, plus the experiment harness that measures their
 convergence rates and minibatch-size effects."""
 
 from .oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle, OracleError,
-                     ProblemSpec, SimpleSet, empty_family, linear_family)
+                     ProblemSpec, SimpleSet)
 from .geometry import (DistanceOracleError, EmptyFeasibleSetError, PolyhedronSpec,
-                       TOL_ASSERT, TOL_METRIC, distance_oracle, max_violation,
-                       project_intersection)
+                       TOL_ASSERT, TOL_METRIC, distance_oracle, linear_family,
+                       max_violation, project_intersection)
 from .sampling import Sampler
-from .solver import (BetaPolicy, ConfigError, OracleFault, PolyhedralContext,
+from .solver import (ConfigError, OracleFault, PolyhedralContext,
                      RunRecord, RunResult, SolverAbort, alpha_schedule,
                      objective_step, parallel_feasibility_update, run,
                      sequential_feasibility_update)

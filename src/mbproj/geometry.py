@@ -1,5 +1,8 @@
-"""Polyhedral geometry: linear constraint systems with unit rows and an exact,
-certified distance-to-feasible-set oracle.
+"""Polyhedral geometry: linear constraint systems with unit rows, their
+constraint family, and an exact, certified distance-to-feasible-set oracle.
+
+``PolyhedronSpec`` is the one owner of the rows A and b: it checks them once,
+and ``linear_family`` reads them from it for the solver's constraint oracle.
 
 ``project_intersection`` computes the Euclidean projection of v onto
 {x : Ax + b <= 0} intersected with the simple set Y (a ball or the whole
@@ -41,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import OracleError, SimpleSet, as_point
+from .oracle import ConstraintFamily, OracleError, SimpleSet, as_point
 
 TOL_METRIC = 1e-8   # certificate bound on the projection's KKT residuals
 TOL_ASSERT = 1e-7   # slack allowed by per-iteration inequality assertions
@@ -93,6 +96,20 @@ class PolyhedronSpec:
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+
+def linear_family(poly: PolyhedronSpec) -> ConstraintFamily:
+    """The constraint family of ``poly``'s rows, a_w^T x + b_w <= 0 for
+    w in 0..m-1; with no rows its size is 0 and no run asks it."""
+    A, b = poly.A, poly.b
+
+    def batch(indices, v):
+        rows = A[indices]
+        # stacked matrix-vector products: each seed's values round as its
+        # own ``rows @ v`` would, whatever the number of seeds
+        return np.matmul(rows, v[:, :, None])[:, :, 0] + b[indices], rows
+
+    return ConstraintFamily(size=poly.m, batch=batch)
 
 
 def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:

@@ -31,8 +31,8 @@ from .oracle import OracleError
 from .problems import (BenchmarkInstance, load_instance, make_builtin,
                        predicted_gains)
 from .sampling import Sampler
-from .solver import (ASSERTIONS, INITS, VARIANTS, BetaPolicy, ConfigError,
-                     RunResult, SolverAbort, beta_policy, run, validate)
+from .solver import (ASSERTIONS, BETA_POLICIES, INITS, VARIANTS, ConfigError,
+                     RunResult, SolverAbort, initial_beta, run, validate)
 
 CSV_COLUMNS = ("seed", "k", "f_gap", "max_violation", "dist_X", "LN_k",
                "beta_k", "elapsed_ns")
@@ -126,7 +126,7 @@ class RunConfig:
                             choices=VARIANTS)
     batch_size: int = _setting(4, "solver", "--N", type=int, help="minibatch size")
     beta_policy: str = _setting("fixed", "solver", "--beta-policy",
-                                choices=BetaPolicy.KINDS)
+                                choices=BETA_POLICIES)
     beta: float = _setting(1.0, "solver", "--beta", type=float)
     delta: float = _setting(0.1, "solver", "--delta", type=float)
     ln_hint: Optional[float] = _setting(None, "solver", "--ln-hint", type=float)
@@ -349,10 +349,11 @@ def _fit_window(ks, values, k_min, k_max):
 def rate_check(run_dir: str, k_min: float, k_max: float):
     """Log-log slope estimates for mean |f_gap| and mean dist_X over a window.
 
-    Loads the per-seed CSVs from ``run_dir``; the mean-over-seeds curves are
-    fitted by least squares and the confidence half-width comes from an
-    over-seeds percentile bootstrap.  Points below the metric floor
-    (1e-8) auto-truncate the window with a note.
+    Loads the per-seed CSVs from ``run_dir``, which must all log the same
+    iterations k, or ``WindowError`` names the first that does not; the
+    mean-over-seeds curves are fitted by least squares and the confidence
+    half-width comes from an over-seeds percentile bootstrap.  Points below
+    the metric floor (1e-8) auto-truncate the window with a note.
     """
     if not (np.isfinite(k_min) and np.isfinite(k_max) and 0 < k_min < k_max):
         raise WindowError(f"rate window [{k_min}, {k_max}] must be finite "
@@ -368,6 +369,11 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
         raise WindowError(f"no per-seed CSV files in {run_dir}")
     per_seed = [read_csv(os.path.join(run_dir, f))[1] for f in seed_files]
     ks = [row["k"] for row in per_seed[0]]
+    for name, rows in zip(seed_files[1:], per_seed[1:]):
+        if [row["k"] for row in rows] != ks:
+            raise WindowError(f"{name} logs other iterations k than "
+                              f"{seed_files[0]}; the seeds' curves cannot "
+                              "be averaged")
     if min(ks) > k_min or max(ks) < k_max:
         raise WindowError(f"logged iterations cover [{min(ks)}, {max(ks)}], "
                           f"not the requested window [{k_min}, {k_max}]")
@@ -430,7 +436,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     asserting either.  Every N's settings pass ``solver.validate``,
     and the problem must have linear constraints for the distance metric,
     before any prediction is priced or any N runs.  Predictions use the
-    runs' constant stepsize (``BetaPolicy.initial_beta``), so ``c_hat`` is a
+    runs' constant stepsize (``solver.initial_beta``), so ``c_hat`` is a
     configuration error under the adaptive policy, as is a ``c_hat`` that
     ``predicted_gains`` rejects.  Batch sizes must be distinct.
     ``outside_theory`` marks an N whose b the rate theory of the runs'
@@ -457,7 +463,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
                           "the problem has no linear constraints")
     gains = {}
     if c_hat is not None:
-        beta = beta_policy(cfg).initial_beta()
+        beta = initial_beta(cfg)
         for size in n_list:
             try:
                 gains[size] = predicted_gains(
@@ -570,7 +576,7 @@ def main(argv=None) -> int:
                       f"{str(r.outside_theory).lower()}")
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, OracleError, FileNotFoundError) as exc:
+    except (ConfigError, OracleError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverAbort as exc:

@@ -114,31 +114,6 @@ class ConstraintFamily:
     batch: Callable[[np.ndarray, np.ndarray], tuple]
 
 
-def empty_family() -> ConstraintFamily:
-    """Family with no constraints; every point is feasible."""
-
-    def batch(indices, v):
-        raise OracleError("empty constraint family has no indices")
-
-    return ConstraintFamily(size=0, batch=batch)
-
-
-def linear_family(A, b) -> ConstraintFamily:
-    """Family of affine constraints a_w^T x + b_w <= 0 given by matrix rows."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    b = as_point(b)
-    if A.shape[0] != b.size:
-        raise OracleError("row count of A must match length of b")
-
-    def batch(indices, v):
-        rows = A[indices]
-        # stacked matrix-vector products: each seed's values round as its
-        # own ``rows @ v`` would, whatever the number of seeds
-        return np.matmul(rows, v[:, :, None])[:, :, 0] + b[indices], rows
-
-    return ConstraintFamily(size=A.shape[0], batch=batch)
-
-
 @dataclass(frozen=True)
 class KnownOptimum:
     f_star: float

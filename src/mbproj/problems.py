@@ -32,8 +32,9 @@ in any order::
     xstar x_1 ... x_n         optional: the optimum (used only with fstar)
     anchor p_1 ... p_n        optional: a strictly feasible point (default 0)
 
-Every number must be finite and every vector must have n entries.  Numbers
-are written with 17 significant digits, so a round trip is exact.
+Every number must be finite, every vector must have n entries, and each key
+may appear once; any other key is an error.  Numbers are written with 17
+significant digits, so a round trip is exact.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PolyhedronSpec, project_intersection
-from .oracle import (KnownOptimum, ObjectiveOracle, OracleError,
-                     ProblemSpec, SimpleSet, empty_family, linear_family)
+from .geometry import PolyhedronSpec, linear_family, project_intersection
+from .oracle import KnownOptimum, ObjectiveOracle, OracleError, ProblemSpec, SimpleSet
 from .solver import ConfigError, PolyhedralContext
 
 
@@ -93,9 +93,11 @@ def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
 def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
                     pull_center: np.ndarray) -> BenchmarkInstance:
     """Assemble spec + instance around a pull center; the one place that
-    sets Y (a ball about the anchor), M_f, mu, M_g, x* and f*.  With rows,
-    the optimum must lie on the boundary of one; with none (A of shape
-    (0, n)) the problem is unconstrained."""
+    sets Y (a ball about the anchor), M_f, mu, M_g, x* and f*.  The
+    ``PolyhedronSpec`` checks the rows once, and the spec's constraints are
+    its ``linear_family``.  With rows, the optimum must lie on the boundary
+    of one; with none (A of shape (0, n)) the family has size 0 and the
+    problem is unconstrained."""
     poly = PolyhedronSpec(A=A, b=b)
     radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
     simple_set = SimpleSet.ball(anchor, radius)
@@ -106,7 +108,7 @@ def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
     spec = ProblemSpec(
         dimension=poly.n,
         objective=_quadratic_objective(pull_center),
-        constraints=linear_family(poly.A, poly.b) if poly.m else empty_family(),
+        constraints=linear_family(poly),
         simple_set=simple_set,
         mu=1.0,
         M_f=radius + float(np.linalg.norm(pull_center - anchor)),
@@ -377,8 +379,9 @@ def save_instance(instance: BenchmarkInstance, path) -> None:
 def load_instance(path) -> BenchmarkInstance:
     """Read an instance in the plain-text format of the module docstring.
 
-    A malformed file, a non-finite number or a vector of the wrong length
-    raises ``OracleError`` naming the offending line's field.
+    A malformed file, a non-finite number, a vector of the wrong length, or
+    an unknown or repeated key raises ``OracleError`` naming the offending
+    line's field.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -401,6 +404,11 @@ def load_instance(path) -> BenchmarkInstance:
         fields = {}
         for line in lines[1 + m:]:
             key, _, rest = line.partition(" ")
+            if key not in ("objective", "center", "set", "mu", "Mf", "Mg",
+                           "fstar", "xstar", "anchor"):
+                raise ValueError(f"unknown key {key!r}")
+            if key in fields:
+                raise ValueError(f"repeated key {key!r}")
             fields[key] = rest
         if fields.get("objective") != "quadratic":
             raise ValueError("unsupported objective block")
@@ -425,8 +433,7 @@ def load_instance(path) -> BenchmarkInstance:
         raise OracleError(f"malformed instance file {path}: {exc}") from exc
 
     poly = PolyhedronSpec(A=A, b=b)
-    fam = linear_family(A, b) if m else empty_family()
     spec = ProblemSpec(dimension=n, objective=_quadratic_objective(pull),
-                       constraints=fam, simple_set=simple_set, mu=mu, M_f=mf,
+                       constraints=linear_family(poly), simple_set=simple_set, mu=mu, M_f=mf,
                        M_g=mg, known_optimum=known)
     return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor, pull_center=pull)

@@ -71,87 +71,25 @@ def alpha_schedule(mu: float, index: int) -> float:
 # configuration
 
 
-@dataclass(frozen=True)
-class BetaPolicy:
-    """Feasibility stepsize rule: fixed value, extrapolated against a known
-    batch alignment bound, or adapted online from the per-batch value.
-
-    A declared ``ln`` is a claim that every realized batch ratio L_N,k is at
-    most L_N; the parallel variant checks it at every violated batch.  Nothing
-    checks it under the adaptive rule or in the sequential variant, so there
-    it is rejected.
-    """
-
-    KINDS = ("fixed", "extrapolated", "adaptive")
-
-    kind: str                      # one of KINDS
-    beta: Optional[float] = None   # fixed value
-    delta: Optional[float] = None  # safety gap for extrapolated / adaptive
-    ln: Optional[float] = None     # declared L_N; run() aborts if a batch exceeds it
-
-    def validate(self, variant: str) -> None:
-        if self.kind not in self.KINDS:
-            raise ConfigError(f"unknown beta policy {self.kind!r}")
-        if self.ln is not None and (variant == "sequential" or self.kind == "adaptive"):
-            raise ConfigError(
-                "a declared L_N is checked only by the parallel variant under "
-                "the fixed or extrapolated beta policy; drop it here")
-        if variant == "sequential" and self.kind != "fixed":
-            raise ConfigError(
-                "the sequential variant supports only a fixed beta; the "
-                "extrapolated and adaptive rules are defined through the "
-                "common-point batch ratio of the parallel variant")
-        if self.ln is not None and not (math.isfinite(self.ln) and self.ln > 0):
-            raise ConfigError(f"a declared L_N must be finite and positive, "
-                              f"got {self.ln!r}")
-        if self.kind == "fixed":
-            if self.beta is None or not (math.isfinite(self.beta) and self.beta > 0):
-                raise ConfigError(f"fixed beta must be finite and positive, "
-                                  f"got {self.beta!r}")
-            upper = 2.0 / self.ln if (variant == "parallel" and self.ln) else 2.0
-            if self.beta >= upper:
-                raise ConfigError(
-                    f"fixed beta {self.beta} outside the admissible interval "
-                    f"(0, {upper:g})")
-        else:
-            if self.delta is None or not 0.0 < self.delta < 1.0:
-                raise ConfigError("delta must lie in (0, 1)")
-            if self.kind == "extrapolated" and self.ln is None:
-                raise ConfigError("extrapolated beta requires a known positive L_N")
-
-    def initial_beta(self) -> float:
-        if self.kind == "fixed":
-            return self.beta
-        if self.kind == "extrapolated":
-            return (2.0 - self.delta) / self.ln
-        return 2.0 - self.delta  # adaptive fallback before any violated batch
-
-    def step_beta(self, ln_k):
-        """Stepsize for a violated batch whose realized ratio is ``ln_k``
-        (a number, or an array of them, one per seed)."""
-        if self.kind == "adaptive":
-            return (2.0 - self.delta) / ln_k
-        return self.initial_beta()
-
-
 VARIANTS = ("parallel", "sequential")
+BETA_POLICIES = ("fixed", "extrapolated", "adaptive")
 INITS = ("zero", "gaussian")
 ASSERTIONS = ("off", "lemma-checks")
-
-
-def beta_policy(config) -> BetaPolicy:
-    """The stepsize rule of the run settings ``config``, unchecked.  Every
-    rule gets every field, so a hint that its rule does not check reaches
-    ``BetaPolicy.validate`` and is rejected there."""
-    return BetaPolicy(config.beta_policy, beta=config.beta, delta=config.delta,
-                      ln=config.ln_hint)
 
 
 def validate(config, spec: ProblemSpec) -> None:
     """The one check of the run settings ``config``, a ``RunConfig`` of the
     harness: ``run`` calls it before any work, and the sampler, both
     feasibility passes and the objective step rely on it without checking
-    again."""
+    again.
+
+    The feasibility stepsize rule is ``config.beta_policy``: a fixed
+    ``beta``, extrapolated as (2 - ``delta``) / L_N against a declared
+    ``ln_hint``, or adapted online from each batch's ratio.  A declared L_N
+    is a claim that every realized batch ratio L_N,k is at most L_N; the
+    parallel variant checks it at every violated batch.  Nothing checks it
+    under the adaptive rule or in the sequential variant, so there it is
+    rejected."""
     if config.variant not in VARIANTS:
         raise ConfigError(f"unknown variant {config.variant!r}")
     if not config.seeds:
@@ -172,11 +110,52 @@ def validate(config, spec: ProblemSpec) -> None:
         raise ConfigError("log cadence step must be >= 1")
     if config.sampler not in Sampler.VARIANTS:
         raise ConfigError(f"unknown sampler variant {config.sampler!r}")
-    beta_policy(config).validate(config.variant)
+    rule, beta, delta, ln = (config.beta_policy, config.beta, config.delta,
+                             config.ln_hint)
+    if rule not in BETA_POLICIES:
+        raise ConfigError(f"unknown beta policy {rule!r}")
+    if ln is not None and (config.variant == "sequential" or rule == "adaptive"):
+        raise ConfigError(
+            "a declared L_N is checked only by the parallel variant under "
+            "the fixed or extrapolated beta policy; drop it here")
+    if config.variant == "sequential" and rule != "fixed":
+        raise ConfigError(
+            "the sequential variant supports only a fixed beta; the "
+            "extrapolated and adaptive rules are defined through the "
+            "common-point batch ratio of the parallel variant")
+    if ln is not None and not (math.isfinite(ln) and ln > 0):
+        raise ConfigError(f"a declared L_N must be finite and positive, "
+                          f"got {ln!r}")
+    if rule == "fixed":
+        if beta is None or not (math.isfinite(beta) and beta > 0):
+            raise ConfigError(f"fixed beta must be finite and positive, "
+                              f"got {beta!r}")
+        upper = 2.0 / ln if (config.variant == "parallel" and ln) else 2.0
+        if beta >= upper:
+            raise ConfigError(
+                f"fixed beta {beta} outside the admissible interval "
+                f"(0, {upper:g})")
+    else:
+        if delta is None or not 0.0 < delta < 1.0:
+            raise ConfigError("delta must lie in (0, 1)")
+        if rule == "extrapolated" and ln is None:
+            raise ConfigError("extrapolated beta requires a known positive L_N")
     m = spec.constraints.size
     if m and config.sampler == "without-replacement" and config.batch_size > m:
         raise ConfigError(
             f"cannot draw {config.batch_size} distinct indices from {m}")
+
+
+def initial_beta(config) -> float:
+    """The feasibility stepsize of the run settings ``config`` before any
+    violated batch: the fixed ``beta``, the extrapolated (2 - ``delta``) /
+    ``ln_hint``, or 2 - ``delta``, the adaptive rule's fallback.  Every
+    stepsize of a fixed or extrapolated run is this one."""
+    if config.beta_policy == "fixed":
+        return config.beta
+    if config.beta_policy == "extrapolated":
+        return (2.0 - config.delta) / config.ln_hint
+    return 2.0 - config.delta
 
 
 @dataclass
@@ -311,7 +290,7 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
 
 
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
-                                v: np.ndarray, policy: BetaPolicy,
+                                v: np.ndarray, config,
                                 checker: Optional["_LemmaChecker"] = None,
                                 k: int = 0, seeds=None):
     """One parallel minibatch feasibility pass, seed by seed at its point.
@@ -319,16 +298,18 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).
     Each sampled constraint gets an independent relaxed projection step from
     its seed's point; the results are averaged (fixed index order) and
-    projected onto the simple set.  A seed's stepsize is ``policy.step_beta``
-    of its batch's realized ratio L_N,k; an L_N,k above a declared
-    ``policy.ln`` by more than a relative ``LN_RTOL`` raises ``SolverAbort``
-    before the step.  A seed whose batch is feasible keeps its point, and
-    ``v`` itself is returned when every seed's is.  ``checker`` (None when
-    checks are off) verifies the decrease inequalities; ``k`` and ``seeds``
-    (by default the row numbers) label its reports.  Returns the next
-    points, each seed's L_N,k and stepsize (both NaN where the batch is
-    feasible); an oracle fault raises ``OracleFault``.  Preconditions are
-    ``validate``'s.
+    projected onto the simple set.  The stepsize rule is that of the run
+    settings ``config``, read by the names ``beta_policy``, ``delta`` and
+    ``ln_hint``: a seed's stepsize is (2 - delta) / L_N,k of its batch's
+    realized ratio under the adaptive rule, and ``initial_beta(config)``
+    under the others; an L_N,k above a declared ``ln_hint`` by more than a
+    relative ``LN_RTOL`` raises ``SolverAbort`` before the step.  A seed
+    whose batch is feasible keeps its point, and ``v`` itself is returned
+    when every seed's is.  ``checker`` (None when checks are off) verifies
+    the decrease inequalities; ``k`` and ``seeds`` (by default the row
+    numbers) label its reports.  Returns the next points, each seed's L_N,k
+    and stepsize (both NaN where the batch is feasible); an oracle fault
+    raises ``OracleFault``.  Preconditions are ``validate``'s.
     """
     gvals, dirs = _checked_batch(spec, indices, v)
     active = gvals > 0.0
@@ -340,23 +321,24 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     every = count == len(v)
     gplus = np.maximum(gvals, 0.0)
     nsq = _squared_norms(dirs, active)
-    fixed = None if policy.kind == "adaptive" else policy.initial_beta()
+    fixed = None if config.beta_policy == "adaptive" else initial_beta(config)
     ln_k, step = batch_diagnostics(gplus, dirs, nsq, None if every else violated,
                                    count)
     if fixed is None:
-        beta = policy.step_beta(ln_k)
+        beta = (2.0 - config.delta) / ln_k
     else:
         beta = np.full(len(v), fixed) if every else np.where(violated, fixed, np.nan)
-    if policy.ln is not None:
-        over = ln_k > policy.ln * (1.0 + LN_RTOL)
+    ln = config.ln_hint
+    if ln is not None:
+        over = ln_k > ln * (1.0 + LN_RTOL)
         if over.any():
             row = int(np.argmax(over))
             seed = row if seeds is None else seeds[row]
             raise SolverAbort(
                 f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
-                f"{policy.ln:g} at k={k}, seed {seed} (beta {beta[row]:g})",
+                f"{ln:g} at k={k}, seed {seed} (beta {beta[row]:g})",
                 snapshot={"seed": seed, "k": k, "ln_k": float(ln_k[row]),
-                          "ln": policy.ln, "beta": float(beta[row])})
+                          "ln": ln, "beta": float(beta[row])})
     # at beta = 1 the coefficients beta * gplus / nsq are the ratios, whose
     # mean row is the step; a feasible seed's NaN row is merged away below
     if fixed != 1.0:
@@ -564,7 +546,6 @@ def run(spec: ProblemSpec, config,
     checker = _LemmaChecker(context, spec, seeds) \
         if config.assertions == "lemma-checks" else None
     variant, size, iterations = config.variant, config.batch_size, config.iterations
-    policy = beta_policy(config)
 
     m = spec.constraints.size
     x = np.empty((len(seeds), spec.dimension))
@@ -577,7 +558,8 @@ def run(spec: ProblemSpec, config,
             samplers.append(Sampler(config.sampler, m,
                                     np.random.default_rng(ss_sampler)))
 
-    beta_k = np.full(len(seeds), policy.initial_beta())
+    beta0 = initial_beta(config)
+    beta_k = np.full(len(seeds), beta0)
     ln_k = max_ln = np.full(len(seeds), np.nan)
 
     weighted_sum = np.zeros_like(x)
@@ -603,13 +585,13 @@ def run(spec: ProblemSpec, config,
             try:
                 if variant == "parallel":
                     x, ln_k, beta = parallel_feasibility_update(
-                        spec, indices, v, policy, checker, k, seeds)
+                        spec, indices, v, config, checker, k, seeds)
                     max_ln = np.fmax(max_ln, ln_k)
-                    if policy.kind == "adaptive":   # else beta_k never changes
+                    if config.beta_policy == "adaptive":   # else beta_k never changes
                         beta_k = np.where(np.isnan(beta), beta_k, beta)
                 else:
                     x = sequential_feasibility_update(
-                        spec, indices, v, policy.initial_beta(), checker, k)
+                        spec, indices, v, beta0, checker, k)
             except OracleFault as exc:
                 seed = seeds[exc.row]
                 raise SolverAbort(

@@ -443,7 +443,10 @@ class TestSolveCommand:
         ("xstar", "xstar", "xstar 0.2 0.2"),
         ("anchor", "anchor", "anchor 0"),
         ("mu", "mu", "mu nan"),
-    ], ids=["b-nan", "short-center", "short-xstar", "short-anchor", "mu-nan"])
+        ("anchr", "anchor", "anchr 0 0 0"),
+        ("mu", "mu", "mu 1\nmu 2"),
+    ], ids=["b-nan", "short-center", "short-xstar", "short-anchor", "mu-nan",
+            "misspelled-anchor", "repeated-mu"])
     def test_malformed_instance_is_config_error(self, tmp_path, capsys, field,
                                                 key, text):
         # a saved 3x4 instance with one line edited; key None puts nan in
@@ -523,6 +526,28 @@ class TestSolveCommand:
             assert f"# problem.n = {n}" in comments
             assert f"# problem.m = {m}" in comments
 
+    @pytest.mark.parametrize("command,path_flag", [
+        ("solve", "--instance"), ("solve", "--out"), ("sweep", "--out"),
+    ], ids=["instance-is-a-directory", "solve-out-is-a-file", "sweep-out-is-a-file"])
+    def test_file_system_error_is_config_error(self, tmp_path, capsys, command,
+                                               path_flag):
+        # reading a directory as an instance, or making the out directory
+        # where a file is, raises an OSError that is one configuration line
+        taken = tmp_path / "taken"
+        if path_flag == "--instance":
+            taken.mkdir()
+        else:
+            taken.write_text("")
+        argv = [command, "--builtin", "orthant2", "--N", "2", "--iters", "5",
+                path_flag, str(taken)]
+        if path_flag == "--instance":
+            argv += ["--out", str(tmp_path / "x")]
+        if command == "sweep":
+            argv += ["--N-list", "1,2"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1
+
     def test_timing_flag_records_wall_clock(self, tmp_path):
         out = tmp_path / "timed"
         code = main(["solve", "--builtin", "orthant2", "--N", "2",
@@ -594,6 +619,21 @@ class TestRateCheck:
         assert main(["rate-check", "--dir", d, "--k-min", k_min,
                      "--k-max", k_max]) == EXIT_WINDOW
         assert "0 < k_min < k_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ks", [
+        [10 * j for j in range(1, 17)],
+        [2 ** j for j in range(15)],
+    ], ids=["same-length", "shorter"])
+    def test_seeds_on_other_k_grids_are_window_error(self, tmp_path, capsys, ks):
+        # seeds 1 and 2 log the geometric grid up to 40000, seed 3 another
+        # grid: its column cannot be averaged with theirs
+        d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 / k)
+        rows = [(3, k, 1.0 / k, 0.0, 1.0 / k, None, 1.0, 0) for k in ks]
+        write_csv(os.path.join(d, "run_seed3.csv"), RunConfig(seeds=(3,)), rows)
+        assert main(["rate-check", "--dir", d, "--k-min", "100",
+                     "--k-max", "40000"]) == EXIT_WINDOW
+        err = capsys.readouterr().err
+        assert err.startswith("window error: run_seed3.csv") and err.count("\n") == 1
 
     def test_dir_that_is_a_file_is_config_error(self, tmp_path):
         path = tmp_path / "not_a_dir.csv"
@@ -713,6 +753,19 @@ class TestSweep:
                      "--c-hat", "4", "--out", str(tmp_path / "s")])
         assert code == EXIT_CONFIG
         assert "requires a known positive L_N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem_seed", [0, 1, 2])
+    def test_sequential_minibatch_gain(self, tmp_path, problem_seed):
+        # the paper's claim for the chained pass: the predicted gain b(N)
+        # grows with N, and so does the measured one, each larger N's final
+        # dist_X CI lying wholly below the smaller N's
+        cfg = RunConfig(builtin="benchmark", n=10, m=20, problem_seed=problem_seed,
+                        variant="sequential", beta=1.0, iterations=300,
+                        seeds=tuple(range(1, 7)), out_dir=str(tmp_path / "s"))
+        _, rows = minibatch_sweep(cfg, [1, 4, 16], c_hat=5.0)
+        for small, large in zip(rows, rows[1:]):
+            assert large.predicted_b > small.predicted_b
+            assert large.ci_hi < small.ci_lo
 
     def test_sweep_needs_two_sizes(self, tmp_path):
         cfg = RunConfig(builtin="orthant2", iterations=50, seeds=(1, 2),

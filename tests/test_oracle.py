@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from mbproj.geometry import PolyhedronSpec, linear_family
+from mbproj.harness import RunConfig
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
-                           OracleError, ProblemSpec, SimpleSet, empty_family,
-                           linear_family)
-from mbproj.solver import (BetaPolicy, parallel_feasibility_update,
-                           sequential_feasibility_update)
+                           OracleError, ProblemSpec, SimpleSet)
+from mbproj.solver import parallel_feasibility_update, sequential_feasibility_update
 
 
 class TestSimpleSet:
@@ -78,7 +78,7 @@ def single_index_steps(family, dimension=2):
     def parallel(v, beta=1.0):
         block = v[None]
         x, _, _ = parallel_feasibility_update(spec, index, block,
-                                              BetaPolicy("fixed", beta=beta))
+                                              RunConfig(beta=beta))
         gplus = np.maximum(family.batch(index, block)[0], 0.0)
         return (v if x is block else x[0]), gplus[0]
 
@@ -96,7 +96,7 @@ class TestPositivePart:
 
     def affine(self):
         # g(x) = x1 - 1
-        return linear_family(np.array([[1.0, 0.0]]), np.array([-1.0]))
+        return linear_family(PolyhedronSpec(np.array([[1.0, 0.0]]), np.array([-1.0])))
 
     def test_violated_affine(self):
         for step in single_index_steps(self.affine()):
@@ -174,7 +174,7 @@ class TestFamilyBatch:
         A = rng.standard_normal((6, 2))
         A /= np.linalg.norm(A, axis=1)[:, None]
         b = rng.standard_normal(6)
-        fam = linear_family(A, b)
+        fam = linear_family(PolyhedronSpec(A, b))
 
         def expected(w, v):
             return A[w] @ v + b[w], A[w]
@@ -208,7 +208,8 @@ class TestProblemSpec:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
         fields = dict(dimension=2, objective=objective,
-                      constraints=empty_family(),
+                      constraints=linear_family(PolyhedronSpec(np.zeros((0, 2)),
+                                                               np.zeros(0))),
                       simple_set=SimpleSet.ball(np.zeros(2), 2.0),
                       mu=1.0, M_f=2.0, M_g=1.0)
         ProblemSpec(**fields)

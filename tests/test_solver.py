@@ -5,16 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from mbproj.geometry import PolyhedronSpec, distance_oracle
+from mbproj.geometry import PolyhedronSpec, distance_oracle, linear_family
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
-                           OracleError, ProblemSpec, SimpleSet, empty_family,
-                           linear_family)
+                           OracleError, ProblemSpec, SimpleSet)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
                              make_polyhedral_benchmark, predicted_gains)
 from mbproj import solver
 from mbproj.sampling import Sampler
 from mbproj.harness import RunConfig
-from mbproj.solver import (INDEX_BLOCK, BetaPolicy, ConfigError, OracleFault,
+from mbproj.solver import (INDEX_BLOCK, ConfigError, OracleFault,
                            PolyhedralContext, SolverAbort, alpha_schedule, batch_diagnostics, objective_step,
                            parallel_feasibility_update, run,
                            sequential_feasibility_update)
@@ -28,10 +27,15 @@ def corner_spec(simple_set=None, constraints=None):
     objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
                                 subgradient=lambda x: x - center)
     return ProblemSpec(dimension=2, objective=objective,
-                       constraints=constraints or linear_family(A, b),
+                       constraints=constraints or linear_family(PolyhedronSpec(A, b)),
                        simple_set=simple_set or SimpleSet.whole_space(2),
                        mu=1.0, M_f=10.0, M_g=1.0,
                        known_optimum=KnownOptimum(f_star=1.0, x_star=np.zeros(2)))
+
+
+def no_constraints(dimension):
+    """The family of no rows in ``dimension``, of size 0."""
+    return linear_family(PolyhedronSpec(np.zeros((0, dimension)), np.zeros(0)))
 
 
 def relaxed_step_both_passes(spec, index, v, beta):
@@ -40,7 +44,7 @@ def relaxed_step_both_passes(spec, index, v, beta):
     hands back v itself."""
     block = v[None]
     xp, _, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
-                                           BetaPolicy("fixed", beta=beta))
+                                           RunConfig(beta=beta))
     xs = sequential_feasibility_update(spec, np.array([[index]]), block, beta)
     return [v if x is block else x[0] for x in (xp, xs)]
 
@@ -107,7 +111,7 @@ class TestPolyakStep:
         spec = batch_spec(lambda idx, v: (np.ones(len(idx)), np.zeros((len(idx), 2))))
         with pytest.raises(OracleError, match="zero direction"):
             parallel_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
-                                        BetaPolicy("fixed", beta=1.0))
+                                        RunConfig(beta=1.0))
         with pytest.raises(OracleError, match="zero direction"):
             sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)), 1.0)
 
@@ -117,7 +121,7 @@ class TestParallelUpdate:
         spec = corner_spec()
         indices, v = np.array([[0, 1]]), np.array([[2.0, 2.0]])
         x, _, _ = parallel_feasibility_update(spec, indices, v,
-                                              BetaPolicy("fixed", beta=1.0))
+                                              RunConfig(beta=1.0))
         np.testing.assert_allclose(x, [[1.0, 1.0]])
         gvals, _ = spec.constraints.batch(indices, v)
         np.testing.assert_allclose(np.maximum(gvals, 0.0), [[2.0, 2.0]])
@@ -131,7 +135,7 @@ class TestParallelUpdate:
         spec = corner_spec()
         _, ln_k, _ = parallel_feasibility_update(spec, np.array([[0, 1]]),
                                                  np.array([[2.0, 2.0]]),
-                                                 BetaPolicy("fixed", beta=1.0))
+                                                 RunConfig(beta=1.0))
         assert ln_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
@@ -139,7 +143,7 @@ class TestParallelUpdate:
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
         x, _, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
-                                              BetaPolicy("fixed", beta=1.0))
+                                              RunConfig(beta=1.0))
         # g+ = 1.2 along d = (1, 0), |d| = 1
         expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
         np.testing.assert_array_equal(x[0], expected)
@@ -148,16 +152,16 @@ class TestParallelUpdate:
         spec = corner_spec()
         indices, v = np.array([[0, 1, 0]]), np.array([[-1.0, -2.0]])
         x, ln_k, beta = parallel_feasibility_update(spec, indices, v,
-                                                    BetaPolicy("fixed", beta=1.3))
+                                                    RunConfig(beta=1.3))
         assert x is v
         assert np.isnan(ln_k[0])          # no ratio: the batch is feasible
         assert np.isnan(beta[0])          # no step taken
 
     @pytest.mark.parametrize("policy, step", [
-        (BetaPolicy("fixed", beta=1.0), 1.0),
-        (BetaPolicy("fixed", beta=0.7), 0.7),
-        (BetaPolicy("extrapolated", delta=0.1, ln=0.5), 3.8),
-        (BetaPolicy("adaptive", delta=0.1), 3.8),
+        (RunConfig(beta=1.0), 1.0),
+        (RunConfig(beta=0.7), 0.7),
+        (RunConfig(beta_policy="extrapolated", delta=0.1, ln_hint=0.5), 3.8),
+        (RunConfig(beta_policy="adaptive", delta=0.1), 3.8),
     ], ids=["fixed1.0", "fixed0.7", "extrapolated", "adaptive"])
     def test_adaptive_ratio_survives_underflow(self, policy, step):
         # at x1 = 1e-170 the squared violation underflows, so L_N,k would be
@@ -197,7 +201,7 @@ class TestSequentialUpdate:
         spec = corner_spec(simple_set=ball)
         v = np.array([[1.5, 1.2]])
         xp, _, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
-                                               BetaPolicy("fixed", beta=0.8))
+                                               RunConfig(beta=0.8))
         xs = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8)
         np.testing.assert_array_equal(xp, xs)
 
@@ -214,7 +218,7 @@ class TestObjectiveStep:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
         spec = ProblemSpec(dimension=2, objective=objective,
-                           constraints=empty_family(),
+                           constraints=no_constraints(2),
                            simple_set=SimpleSet.whole_space(2),
                            mu=1.0, M_f=10.0, M_g=1.0)
         np.testing.assert_array_equal(objective_step(spec, np.array([1.0, 1.0]), 1.0),
@@ -229,7 +233,7 @@ class TestObjectiveStep:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
         spec = ProblemSpec(dimension=2, objective=objective,
-                           constraints=empty_family(),
+                           constraints=no_constraints(2),
                            simple_set=SimpleSet.ball(np.zeros(2), 1.0),
                            mu=1.0, M_f=10.0, M_g=1.0)
         out = objective_step(spec, np.array([1.0, 0.0]), 0.5)
@@ -452,7 +456,7 @@ class TestRunLoop:
             subgradient=lambda x: x - center)
         ball = SimpleSet.ball(np.zeros(3), 5.0)
         spec = ProblemSpec(dimension=3, objective=objective,
-                           constraints=empty_family(), simple_set=ball,
+                           constraints=no_constraints(3), simple_set=ball,
                            mu=1.0, M_f=10.0, M_g=1.0)
         cfg = RunConfig(variant="parallel", batch_size=1,
                         beta_policy="fixed", beta=1.0, iterations=150,
@@ -521,11 +525,14 @@ class TestRunLoop:
             run(inst.spec, cfg)
 
     def test_fixed_beta_upper_bound_uses_ln_hint(self):
-        BetaPolicy("fixed", beta=4.0, ln=0.25).validate("parallel")  # beta < 2 / 0.25
+        spec = corner_spec()
+        solver.validate(RunConfig(batch_size=2, beta=4.0, ln_hint=0.25),
+                        spec)  # beta < 2 / 0.25
         with pytest.raises(ConfigError):
-            BetaPolicy("fixed", beta=4.0).validate("parallel")
+            solver.validate(RunConfig(batch_size=2, beta=4.0), spec)
         with pytest.raises(ConfigError):
-            BetaPolicy("fixed", beta=4.0, ln=0.25).validate("sequential")
+            solver.validate(RunConfig(variant="sequential", batch_size=2,
+                                      beta=4.0, ln_hint=0.25), spec)
 
     @pytest.mark.filterwarnings(
         "ignore:invalid value encountered in multiply:RuntimeWarning")
@@ -533,7 +540,7 @@ class TestRunLoop:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x * np.inf)
         spec = ProblemSpec(dimension=2, objective=objective,
-                           constraints=empty_family(),
+                           constraints=no_constraints(2),
                            simple_set=SimpleSet.whole_space(2),
                            mu=1.0, M_f=1.0, M_g=1.0)
         cfg = RunConfig(variant="parallel", batch_size=1,
@@ -676,7 +683,7 @@ class TestOracleFaults:
         with pytest.raises(OracleFault) as info:
             if variant == "parallel":
                 parallel_feasibility_update(spec, indices, block,
-                                            BetaPolicy("fixed", beta=1.0))
+                                            RunConfig(beta=1.0))
             else:
                 sequential_feasibility_update(spec, indices, block, 1.0)
         assert info.value.row == 1
@@ -705,7 +712,7 @@ class TestOracleFaults:
         spec = batch_spec(batch, size=4)
         if variant == "parallel":
             x, _, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
-                                                  BetaPolicy("fixed", beta=1.0))
+                                                  RunConfig(beta=1.0))
             return x
         return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK, 1.0)
 
@@ -732,14 +739,16 @@ class TestOracleFaults:
     def test_violated_row_whose_squared_norm_overflows(self, variant):
         # |(1e200, 0)|^2 overflows: a violated row would step by beta * gplus
         # / inf * row = 0 and stay put; the first seed satisfies that row
-        spec = corner_spec(constraints=linear_family(
-            np.array([[1e200, 0.0], [0.0, 1.0]]), np.zeros(2)))
+        A, b = np.array([[1e200, 0.0], [0.0, 1.0]]), np.zeros(2)
+        spec = corner_spec(constraints=ConstraintFamily(
+            size=2, batch=lambda idx, v: (
+                np.matmul(A[idx], v[:, :, None])[:, :, 0] + b[idx], A[idx])))
         block = np.array([[-1.0, -1.0], [1.0, -1.0]])
         indices = np.array([[0, 1], [0, 1]])
         with pytest.raises(OracleFault, match="overflows") as info:
             if variant == "parallel":
                 parallel_feasibility_update(spec, indices, block,
-                                            BetaPolicy("fixed", beta=1.0))
+                                            RunConfig(beta=1.0))
             else:
                 sequential_feasibility_update(spec, indices, block, 1.0)
         assert info.value.row == 1
@@ -769,15 +778,18 @@ class TestDeclaredLN:
         assert 1 <= snap["k"] <= 200
         assert snap["ln"] == 0.001
         assert snap["ln_k"] == pytest.approx(1.0, abs=1e-12)
-        assert snap["beta"] == solver.beta_policy(cfg).initial_beta()
+        assert snap["beta"] == solver.initial_beta(cfg)
 
     def test_unchecked_ln_rejected(self):
         # only the parallel variant under a fixed or extrapolated beta checks it
-        BetaPolicy("fixed", beta=1.0, ln=0.5).validate("parallel")
+        spec = corner_spec()
+        solver.validate(RunConfig(batch_size=2, beta=1.0, ln_hint=0.5), spec)
         with pytest.raises(ConfigError, match="declared L_N"):
-            BetaPolicy("fixed", beta=1.0, ln=0.5).validate("sequential")
+            solver.validate(RunConfig(variant="sequential", batch_size=2,
+                                      beta=1.0, ln_hint=0.5), spec)
         with pytest.raises(ConfigError, match="declared L_N"):
-            BetaPolicy("adaptive", delta=0.1, ln=0.5).validate("parallel")
+            solver.validate(RunConfig(batch_size=2, beta_policy="adaptive",
+                                      delta=0.1, ln_hint=0.5), spec)
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4])
     @pytest.mark.parametrize("name", ["benchmark", "duplicated"])
@@ -803,10 +815,10 @@ class TestBlockEqualsSeeds:
 
     SIZE = 3
     PASSES = {
-        "parallel-fixed0.7": BetaPolicy("fixed", beta=0.7),
-        "parallel-fixed1.0": BetaPolicy("fixed", beta=1.0),
-        "parallel-fixed1.9": BetaPolicy("fixed", beta=1.9),
-        "parallel-adaptive": BetaPolicy("adaptive", delta=0.1),
+        "parallel-fixed0.7": RunConfig(beta=0.7),
+        "parallel-fixed1.0": RunConfig(beta=1.0),
+        "parallel-fixed1.9": RunConfig(beta=1.9),
+        "parallel-adaptive": RunConfig(beta_policy="adaptive", delta=0.1),
         "parallel-extrapolated": "exact",
         "sequential-fixed0.7": 0.7,
         "sequential-fixed1.0": 1.0,
@@ -839,7 +851,7 @@ class TestBlockEqualsSeeds:
                 # the duplicated rows reach the bound 1, which is warned about
                 warnings.simplefilter("ignore")
                 ln = exact_ln_linear(inst.poly, self.SIZE)
-            policy = BetaPolicy("extrapolated", delta=0.1, ln=ln)
+            policy = RunConfig(beta_policy="extrapolated", delta=0.1, ln_hint=ln)
         if name.startswith("parallel"):
             return lambda idx, v: parallel_feasibility_update(inst.spec, idx, v, policy)
         return lambda idx, v: (sequential_feasibility_update(inst.spec, idx, v, policy),)
