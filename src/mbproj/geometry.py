@@ -105,9 +105,10 @@ def linear_family(poly: PolyhedronSpec) -> ConstraintFamily:
 
     def batch(indices, v):
         rows = A[indices]
-        # stacked matrix-vector products: each seed's values round as its
-        # own ``rows @ v`` would, whatever the number of seeds
-        return np.matmul(rows, v[:, :, None])[:, :, 0] + b[indices], rows
+        # one dot product per value: each rounds the same whatever the
+        # number of seeds and the width of the batch, which a stacked
+        # matrix-vector product does not
+        return np.vecdot(rows, v[:, None, :]) + b[indices], rows
 
     return ConstraintFamily(size=poly.m, batch=batch)
 

@@ -269,6 +269,17 @@ def aggregate_rows(per_seed_rows) -> list:
 # experiments
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise ``ConfigError`` when ``path``, or the nearest of its ancestors
+    that exists, is not a directory, where no output directory can be
+    made; nothing is created."""
+    head = path
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"output path {head} exists and is not a directory")
+
+
 def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = None):
     """Run every seed of ``cfg`` as one block through ``run``; write
     per-seed CSVs and the aggregate.
@@ -276,13 +287,15 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     Returns (instance, results, paths).  Metrics use the instance's
     polyhedral context, so dist_X is the oracle distance to the feasible set.
     The CSV headers echo the built instance's n and m, which a builtin such
-    as ``orthant2`` fixes whatever ``cfg`` asks for.  ``out_dir`` is created
+    as ``orthant2`` fixes whatever ``cfg`` asks for.  An ``out_dir`` that
+    cannot be a directory is a ``ConfigError`` before ``run``; it is created
     only after ``run`` returns, so a rejected configuration or a
     ``SolverAbort``, which stops the whole block, leaves no directory.
     """
     instance = instance or build_problem(cfg)
     context = instance.context() if instance.poly.m else None
     echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
+    _check_out_dir(cfg.out_dir)
     results = run(instance.spec, cfg, context=context)
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed_rows, paths = [], []
@@ -433,10 +446,11 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     For each N the final mean oracle distance (with bootstrap CI) is measured
     over the configured seeds, next to the predicted gain b(N) of the runs'
     own variant; the harness juxtaposes measurement and prediction without
-    asserting either.  Every N's settings pass ``solver.validate``,
-    and the problem must have linear constraints for the distance metric,
-    before any prediction is priced or any N runs.  Predictions use the
-    runs' constant stepsize (``solver.initial_beta``), so ``c_hat`` is a
+    asserting either.  Every N's settings pass ``solver.validate``, the
+    output directory must be makeable, and the problem must have linear
+    constraints for the distance metric, before any prediction is priced
+    or any N runs.  Predictions use the runs' constant stepsize
+    (``solver.initial_beta``), so ``c_hat`` is a
     configuration error under the adaptive policy, as is a ``c_hat`` that
     ``predicted_gains`` rejects.  Batch sizes must be distinct.
     ``outside_theory`` marks an N whose b the rate theory of the runs'
@@ -458,6 +472,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
             for size in n_list]
     for sub in subs:
         validate(sub, instance.spec)
+    _check_out_dir(cfg.out_dir)
     if not instance.poly.m:
         raise ConfigError("sweep requires polyhedral distance metrics, and "
                           "the problem has no linear constraints")

@@ -106,8 +106,10 @@ class ConstraintFamily:
     g_w(v[s]), shape (S, k), and one row per index, shape (S, k, n).  Where
     g_w(v[s]) > 0 the row must be a subgradient of max(g_w, 0) at v[s];
     elsewhere it may be any finite row, since both feasibility passes ignore
-    the rows of satisfied constraints.  A seed's values and rows must not
-    depend on the other seeds of the block.
+    the rows of satisfied constraints.  A value and its row depend only on
+    the index and the point: not on the other seeds of the block, nor on
+    the other indices asked with it, so a batch's columns equal those of
+    any wider or narrower batch that asks the same index at the same point.
     """
 
     size: int

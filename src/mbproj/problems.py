@@ -28,8 +28,8 @@ in any order::
     mu <value>                strong convexity constant of f
     Mf <value>                bound on the objective subgradients
     Mg <value>                bound on the constraint subgradients
-    fstar <value>             optional: the optimal value
-    xstar x_1 ... x_n         optional: the optimum (used only with fstar)
+    fstar <value>             optional, with xstar: the optimal value
+    xstar x_1 ... x_n         optional, with fstar: the optimum
     anchor p_1 ... p_n        optional: a strictly feasible point (default 0)
 
 Every number must be finite, every vector must have n entries, and each key
@@ -379,9 +379,9 @@ def save_instance(instance: BenchmarkInstance, path) -> None:
 def load_instance(path) -> BenchmarkInstance:
     """Read an instance in the plain-text format of the module docstring.
 
-    A malformed file, a non-finite number, a vector of the wrong length, or
-    an unknown or repeated key raises ``OracleError`` naming the offending
-    line's field.
+    A malformed file, a non-finite number, a vector of the wrong length, an
+    unknown or repeated key, or ``fstar`` or ``xstar`` without the other
+    raises ``OracleError`` naming the offending line's field.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -423,8 +423,11 @@ def load_instance(path) -> BenchmarkInstance:
             raise ValueError(f"unsupported set variant {kind!r}")
         mu, mf, mg = (float(numbers(key, fields[key], 1)[0])
                       for key in ("mu", "Mf", "Mg"))
+        for given, missing in (("fstar", "xstar"), ("xstar", "fstar")):
+            if given in fields and missing not in fields:
+                raise ValueError(f"{given} given without {missing}")
         known = None
-        if "fstar" in fields and "xstar" in fields:
+        if "fstar" in fields:
             known = KnownOptimum(f_star=float(numbers("fstar", fields["fstar"], 1)[0]),
                                  x_star=numbers("xstar", fields["xstar"], n))
         anchor = numbers("anchor", fields["anchor"], n) \

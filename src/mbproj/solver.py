@@ -12,9 +12,12 @@ iterates, on which all reported metrics are computed.
 One kernel, ``run``, advances a block of S independent seeds at once: the
 iterates are an (S, n) array with one row per seed, and every step below
 works on that seed axis.  The parallel pass is one vectorized step; the
-sequential pass is N chained steps, each vectorized over the seeds.  A seed's
-arithmetic does not depend on the other seeds of its block, so S = 1 and any
-larger block give the same numbers for it.
+sequential pass is N chained steps, each vectorized over the seeds, and it
+calls the constraint oracle once per step taken, for all the columns still
+ahead, rather than once per column.  A seed's arithmetic does not depend on
+the other seeds of its block, nor a constraint value on the width of the
+batch that asks it, so S = 1 and any larger block give the same numbers for
+it.
 """
 
 from __future__ import annotations
@@ -361,30 +364,44 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).  The
     i-th step evaluates every seed's i-th constraint at that seed's current
     inner point; each seed that violates it steps and is projected onto the
-    simple set, the others keep their point.  ``checker`` (None when checks
-    are off) verifies every inner step and each seed's chain of distance
-    decreases; ``k`` labels its reports.  Returns the final inner points;
-    an oracle fault raises ``OracleFault``.  Preconditions are
-    ``validate``'s.
+    simple set, the others keep their point.  The inner points move only
+    where some seed steps, so one oracle call asks for every column still
+    ahead at the current points; the pass takes the first column that some
+    seed violates and asks again only for the columns after it, and it
+    stops when none is violated.  The family's values depend only on index
+    and point (``ConstraintFamily``), so each step sees the values of the
+    column-by-column chain.  Every value and row returned is checked, so a
+    column the chain would reach at a later point can raise its fault here.
+    ``checker`` (None when checks are off) verifies every inner step and each
+    seed's chain of distance decreases over all N + 1 inner points; ``k``
+    labels its reports.  Returns the final inner points; an oracle fault
+    raises ``OracleFault``.  Preconditions are ``validate``'s.
     """
     z = v
     inner = [v] if checker is not None else None
     gplus_seq = np.zeros(indices.shape) if checker is not None else None
-    for i in range(indices.shape[1]):
-        gvals, dirs = _checked_batch(spec, indices[:, i:i + 1], z)
-        active = gvals > 0.0
-        count = np.count_nonzero(active)
-        if count:
-            gplus = np.maximum(gvals, 0.0)
-            nsq = _squared_norms(dirs, active)
-            if checker is not None:
-                gplus_seq[:, i] = gplus[:, 0]
-                checker.single_steps(k, z, gplus, dirs, nsq, beta)
-            z_next = spec.simple_set.project(z - (beta * gplus / nsq) * dirs[:, 0])
-            z = z_next if count == len(z) else np.where(active, z_next, z)
+    size, i = indices.shape[1], 0
+    while i < size:
+        gvals, dirs = _checked_batch(spec, indices[:, i:], z)
+        hit = np.logical_or.reduce(gvals > 0.0, 0)
+        j = int(np.argmax(hit))
+        if not hit[j]:
+            break
+        gplus = np.maximum(gvals[:, j:j + 1], 0.0)
+        active = gplus > 0.0
+        dirs = dirs[:, j:j + 1]
+        nsq = _squared_norms(dirs, active)
+        if checker is not None:
+            gplus_seq[:, i + j] = gplus[:, 0]
+            checker.single_steps(k, z, gplus, dirs, nsq, beta)
+            inner.extend([z] * j)
+        z_next = spec.simple_set.project(z - (beta * gplus / nsq) * dirs[:, 0])
+        z = z_next if np.count_nonzero(active) == len(z) else np.where(active, z_next, z)
         if inner is not None:
             inner.append(z)
+        i += j + 1
     if checker is not None:
+        inner.extend([z] * (size + 1 - len(inner)))
         checker.sequential_chain(k, inner, gplus_seq, beta)
     return z
 

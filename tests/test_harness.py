@@ -14,7 +14,7 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
 from mbproj import geometry, harness, problems
 from mbproj.problems import (make_builtin, make_polyhedral_benchmark,
                              predicted_gains, save_instance)
-from mbproj.solver import ConfigError
+from mbproj.solver import ConfigError, run as solver_run
 
 
 class TestSeedsAndConfig:
@@ -445,12 +445,15 @@ class TestSolveCommand:
         ("mu", "mu", "mu nan"),
         ("anchr", "anchor", "anchr 0 0 0"),
         ("mu", "mu", "mu 1\nmu 2"),
+        ("fstar given without xstar", "xstar", ""),
+        ("xstar given without fstar", "fstar", ""),
     ], ids=["b-nan", "short-center", "short-xstar", "short-anchor", "mu-nan",
-            "misspelled-anchor", "repeated-mu"])
+            "misspelled-anchor", "repeated-mu", "fstar-without-xstar",
+            "xstar-without-fstar"])
     def test_malformed_instance_is_config_error(self, tmp_path, capsys, field,
                                                 key, text):
         # a saved 3x4 instance with one line edited; key None puts nan in
-        # the first row's b entry
+        # the first row's b entry, and an empty text drops the line
         path = tmp_path / "instance.txt"
         save_instance(make_builtin("benchmark", n=3, m=4, seed=0), path)
         lines = path.read_text().splitlines()
@@ -547,6 +550,34 @@ class TestSolveCommand:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["out", "below-out"])
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_out_file_is_rejected_before_any_run(self, tmp_path, monkeypatch,
+                                                 capsys, command, nested):
+        # an --out that is, or lies below, an existing file is a
+        # configuration error before any seed runs, and nothing is created
+        runs = []
+
+        def counted_run(*args, **kwargs):
+            runs.append(args)
+            return solver_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        argv = [command, "--builtin", "orthant2", "--N", "2", "--iters", "5"]
+        if command == "sweep":
+            argv += ["--N-list", "1,2"]
+        assert main(argv + ["--out", str(tmp_path / "fine")]) == EXIT_OK
+        assert len(runs) == (2 if command == "sweep" else 1)
+        runs.clear()
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "x" if nested else taken
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        assert runs == []
+        assert f"output path {taken} exists and is not a directory" in \
+            capsys.readouterr().err
+        assert taken.read_text() == ""
 
     def test_timing_flag_records_wall_clock(self, tmp_path):
         out = tmp_path / "timed"

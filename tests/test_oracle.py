@@ -196,6 +196,26 @@ class TestFamilyBatch:
             np.testing.assert_array_equal(alone[1][0], rows[s])
 
 
+    @pytest.mark.parametrize("seeds", [1, 3])
+    def test_suffix_columns_equal_the_full_batch(self, seeds):
+        # a value depends only on its index and point, not on the width of
+        # the batch: the columns from j on, asked alone, are the full
+        # batch's columns from j on, bit for bit
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(2, 101))
+            A = rng.standard_normal((20, n))
+            A /= np.linalg.norm(A, axis=1)[:, None]
+            fam = linear_family(PolyhedronSpec(A, rng.standard_normal(20)))
+            idx = rng.integers(0, 20, size=(seeds, 8))
+            points = rng.standard_normal((seeds, n))
+            gvals, rows = fam.batch(idx, points)
+            for j in range(8):
+                part_vals, part_rows = fam.batch(idx[:, j:], points)
+                assert np.array_equal(part_vals, gvals[:, j:])
+                assert np.array_equal(part_rows, rows[:, j:])
+
+
 class TestProblemSpec:
     @pytest.mark.parametrize("change,match", [
         ({"mu": float("nan")}, "mu"),

@@ -89,6 +89,45 @@ def recording_family(spec):
     return dataclasses.replace(spec, constraints=family), asked, values
 
 
+def column_chain(spec, indices, v, beta, checker=None, k=0):
+    """The sequential pass one column at a time: the i-th step asks the
+    oracle for every seed's i-th index at its current inner point.  Returns
+    the final points and the columns where some seed stepped."""
+    z, inner, gplus_seq, stepped = v, [v], np.zeros(indices.shape), []
+    for i in range(indices.shape[1]):
+        gvals, dirs = solver._checked_batch(spec, indices[:, i:i + 1], z)
+        active = gvals > 0.0
+        if active.any():
+            stepped.append(i)
+            gplus = np.maximum(gvals, 0.0)
+            nsq = solver._squared_norms(dirs, active)
+            gplus_seq[:, i] = gplus[:, 0]
+            if checker is not None:
+                checker.single_steps(k, z, gplus, dirs, nsq, beta)
+            z_next = spec.simple_set.project(z - (beta * gplus / nsq) * dirs[:, 0])
+            z = z_next if active.all() else np.where(active, z_next, z)
+        inner.append(z)
+    if checker is not None:
+        checker.sequential_chain(k, inner, gplus_seq, beta)
+    return z, stepped
+
+
+class RecordingChecker(solver._LemmaChecker):
+    """A lemma checker that also keeps copies of what each check is given."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def single_steps(self, k, v, gplus, dirs, nsq, beta):
+        self.seen.append([np.array(a) for a in (v, gplus, dirs, nsq)])
+        super().single_steps(k, v, gplus, dirs, nsq, beta)
+
+    def sequential_chain(self, k, inner_points, gplus_seq, beta):
+        self.seen.append([np.array(inner_points), np.array(gplus_seq)])
+        super().sequential_chain(k, inner_points, gplus_seq, beta)
+
+
 class TestPolyakStep:
     """The relaxed projection (Polyak) step v - beta * g+ / |d|^2 * d."""
 
@@ -182,19 +221,26 @@ class TestParallelUpdate:
 
 class TestSequentialUpdate:
     def test_orthogonal_chain_projects_both(self):
-        spec, _, values = recording_family(corner_spec())
+        spec, asked, values = recording_family(corner_spec())
         x = sequential_feasibility_update(spec, np.array([[0, 1]]),
                                           np.array([[2.0, 2.0]]), beta=1.0)
         np.testing.assert_allclose(x, [[0.0, 0.0]])
-        # each step sees its constraint at the current inner point
-        np.testing.assert_allclose(np.maximum(values, 0.0), [[[2.0]], [[2.0]]])
+        # the whole minibatch, then the column after the step at column 0;
+        # the step at the last column asks nothing more
+        assert [a.tolist() for a in asked] == [[[0, 1]], [[1]]]
+        # each step sees its constraint at the current inner point: x2's
+        # violation is 2 at (2, 2) and still 2 at (0, 2)
+        assert [np.maximum(g, 0.0).tolist() for g in values] == [[[2.0, 2.0]], [[2.0]]]
 
     def test_repeated_constraint_second_step_noop(self):
-        spec, _, values = recording_family(corner_spec())
+        spec, asked, values = recording_family(corner_spec())
         x = sequential_feasibility_update(spec, np.array([[0, 0]]),
                                           np.array([[2.0, 0.0]]), beta=1.0)
         np.testing.assert_allclose(x, [[0.0, 0.0]])
-        np.testing.assert_allclose(np.maximum(values, 0.0), [[[2.0]], [[0.0]]])
+        # after the step at column 0 the second copy is asked at (0, 0),
+        # where it holds, so the pass stops
+        assert [a.tolist() for a in asked] == [[[0, 0]], [[0]]]
+        assert [np.maximum(g, 0.0).tolist() for g in values] == [[[2.0, 2.0]], [[0.0]]]
 
     def test_single_index_matches_parallel(self):
         ball = SimpleSet.ball(np.zeros(2), 2.0)
@@ -421,12 +467,14 @@ class TestRunLoop:
 
     def test_one_oracle_call_per_step(self, monkeypatch):
         # the constraints are reached only through ``batch``: once per
-        # iteration with every seed's minibatch in the parallel variant, once
-        # per inner step with one index per seed in the sequential one; the
-        # objective step runs once per iteration, through the module global
+        # iteration with every seed's minibatch in the parallel variant; in
+        # the sequential one, once for the whole minibatch and then once
+        # for the columns after each column where some seed stepped, never
+        # after the last column; the objective step runs once per
+        # iteration, through the module global
         inst = self.small_benchmark()
         iterations, size, seeds = 40, 3, (2, 5, 11)
-        steps, asked_by = [], {}
+        steps, asked_by, values_by = [], {}, {}
 
         def counted_objective_step(*args):
             steps.append(args[1].shape)
@@ -437,17 +485,25 @@ class TestRunLoop:
             cfg = RunConfig(variant=variant, batch_size=size,
                             beta_policy="fixed", beta=1.0,
                             iterations=iterations, seeds=seeds)
-            spec, asked_by[variant], _ = recording_family(inst.spec)
+            spec, asked_by[variant], values_by[variant] = recording_family(inst.spec)
             steps.clear()
             run(spec, cfg)
             assert steps == [(len(seeds), spec.dimension)] * iterations
         parallel, sequential = asked_by["parallel"], asked_by["sequential"]
         assert [a.shape for a in parallel] == [(len(seeds), size)] * iterations
-        assert [a.shape for a in sequential] == [(len(seeds), 1)] * (iterations * size)
-        # the i-th inner step asks each seed's i-th index of its minibatch
-        np.testing.assert_array_equal(
-            np.concatenate(sequential, axis=1).reshape(len(seeds), iterations, size),
-            np.transpose(parallel, (1, 0, 2)))
+        calls = iter(zip(sequential, values_by["sequential"]))
+        for minibatch in parallel:
+            start = 0
+            while start < size:
+                asked, values = next(calls)
+                # each seed's columns from ``start`` on, at its current point
+                np.testing.assert_array_equal(asked, minibatch[:, start:])
+                stepped = np.flatnonzero(np.logical_or.reduce(values > 0.0, 0))
+                if not stepped.size:
+                    break
+                start += int(stepped[0]) + 1
+        assert next(calls, None) is None
+        assert iterations <= len(sequential) < iterations * size
 
     def test_empty_family_matches_plain_projected_gradient(self):
         center = np.array([0.7, -0.4, 1.1])
@@ -811,7 +867,9 @@ class TestDeclaredLN:
 class TestBlockEqualsSeeds:
     """A pass over a block of seeds gives each seed exactly what the pass
     gives it alone: the merges it skips when every seed is violated, and
-    the ones it makes when some seed is feasible, change no bit."""
+    the ones it makes when some seed is feasible, change no bit.  The
+    sequential pass, which asks for all the columns ahead and skips to the
+    next violated one, gives the bits of the column-by-column chain."""
 
     SIZE = 3
     PASSES = {
@@ -856,10 +914,10 @@ class TestBlockEqualsSeeds:
             return lambda idx, v: parallel_feasibility_update(inst.spec, idx, v, policy)
         return lambda idx, v: (sequential_feasibility_update(inst.spec, idx, v, policy),)
 
-    @pytest.mark.parametrize("block", ["mixed", "all-violated"])
-    @pytest.mark.parametrize("name", list(PASSES))
-    @pytest.mark.parametrize("instance", ["benchmark", "duplicated"])
-    def test_block_matches_each_seed_alone(self, instance, name, block):
+    def drawn_block(self, instance, block):
+        """The instance and a block of two seeds of each kind, inside and
+        outside Y, leaving out the feasible ones when ``block`` is
+        all-violated."""
         inst = TestDeclaredLN.INSTANCES[instance]()
         kinds = self.seeds_by_kind(inst)
         # each kind occurs inside and outside Y, but the duplicated rows are
@@ -872,8 +930,49 @@ class TestBlockEqualsSeeds:
                   for seed in kinds[kind, outside][:2]]
         indices = np.array([idx for idx, _ in chosen])
         v = np.array([point for _, point in chosen])
+        return inst, indices, v
+
+    @pytest.mark.parametrize("block", ["mixed", "all-violated"])
+    @pytest.mark.parametrize("name", list(PASSES))
+    @pytest.mark.parametrize("instance", ["benchmark", "duplicated"])
+    def test_block_matches_each_seed_alone(self, instance, name, block):
+        inst, indices, v = self.drawn_block(instance, block)
         step = self.feasibility_pass(name, inst)
         together = step(indices, v)
         alone = [step(indices[row:row + 1], v[row:row + 1]) for row in range(len(v))]
         for out, outs in zip(together, zip(*alone)):
             assert np.array_equal(out, np.concatenate(outs), equal_nan=True)
+
+    @pytest.mark.parametrize("checks", ["off", "lemma-checks"])
+    @pytest.mark.parametrize("block", ["mixed", "all-violated"])
+    @pytest.mark.parametrize("beta", [0.7, 1.0, 1.9])
+    @pytest.mark.parametrize("instance", ["benchmark", "duplicated"])
+    def test_sequential_pass_is_the_column_chain(self, instance, beta, block,
+                                                 checks):
+        # the block and each of its seeds alone: the pass asks for the
+        # whole minibatch, then for the columns after each column where
+        # some seed stepped, and returns the chain's points and checks
+        inst, indices, v = self.drawn_block(instance, block)
+        size = indices.shape[1]
+
+        def checker(count):
+            return None if checks == "off" else RecordingChecker(
+                inst.context(), inst.spec, tuple(range(count)))
+
+        for rows in [slice(None)] + [slice(r, r + 1) for r in range(len(v))]:
+            idx, points = indices[rows], v[rows]
+            chain_checker, pass_checker = checker(len(points)), checker(len(points))
+            z_chain, stepped = column_chain(inst.spec, idx, points, beta,
+                                            chain_checker, k=7)
+            spec, asked, _ = recording_family(inst.spec)
+            z_pass = sequential_feasibility_update(spec, idx, points, beta,
+                                                   pass_checker, k=7)
+            assert np.array_equal(z_pass, z_chain)
+            starts = [0] + [i + 1 for i in stepped if i + 1 < size]
+            assert [a.tolist() for a in asked] == [idx[:, i:].tolist() for i in starts]
+            if checks == "off":
+                continue
+            assert len(pass_checker.seen) == len(chain_checker.seen) == len(stepped) + 1
+            for got, want in zip(pass_checker.seen, chain_checker.seen):
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
