@@ -344,29 +344,35 @@ class SlopeFit:
     note: str = ""
 
 
-def _fit_window(ks, values, k_min, k_max):
-    ks = np.asarray(ks, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    mask = (ks >= k_min) & (ks <= k_max)
-    truncated = False
-    alive = values >= TOL_METRIC
-    if not np.all(alive[mask]):
-        truncated = True
-        mask &= alive
-    if mask.sum() < 2:
-        raise WindowError("fewer than two usable points in the fit window")
-    slope, intercept = np.polyfit(np.log(ks[mask]), np.log(values[mask]), 1)
-    return float(slope), float(intercept), ks[mask], truncated
+def _fit_lines(ks, curves):
+    """Least-squares lines log v = slope * log k + intercept, one per row of
+    ``curves`` (R, L) logged at iterations ``ks`` > 0, each over its points
+    at or above the metric floor: the slopes and intercepts, NaN for a row
+    with fewer than two such points, and the (R, L) mask of points used."""
+    used = curves >= TOL_METRIC
+    count = np.count_nonzero(used, axis=1)
+    slopes, intercepts = np.full((2, len(curves)), np.nan)
+    fit = count >= 2
+    w, n = used[fit], count[fit]
+    # centred closed form, in which an unused point has weight 0
+    x, y = np.log(ks), np.log(np.where(w, curves[fit], 1.0))
+    x_mean, y_mean = (w * x).sum(axis=1) / n, y.sum(axis=1) / n
+    dx = np.where(w, x - x_mean[:, None], 0.0)
+    slopes[fit] = np.sum(dx * (y - y_mean[:, None]), axis=1) / np.sum(dx * dx, axis=1)
+    intercepts[fit] = y_mean - slopes[fit] * x_mean
+    return slopes, intercepts, used
 
 
 def rate_check(run_dir: str, k_min: float, k_max: float):
     """Log-log slope estimates for mean |f_gap| and mean dist_X over a window.
 
     Loads the per-seed CSVs from ``run_dir``, which must all log the same
-    iterations k, or ``WindowError`` names the first that does not; the
-    mean-over-seeds curves are fitted by least squares and the confidence
-    half-width comes from an over-seeds percentile bootstrap.  Points below
-    the metric floor (1e-8) auto-truncate the window with a note.
+    iterations k, or ``WindowError`` names the first that does not.  One
+    draw picks the seeds of every resample of an over-seeds percentile
+    bootstrap, and one batched least squares fit takes the mean-over-seeds
+    curve with all the resampled ones, skipping a resample with fewer than
+    two usable points.  Points below the metric floor (1e-8) auto-truncate
+    the window with a note.
     """
     if not (np.isfinite(k_min) and np.isfinite(k_max) and 0 < k_min < k_max):
         raise WindowError(f"rate window [{k_min}, {k_max}] must be finite "
@@ -381,15 +387,17 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
     if not seed_files:
         raise WindowError(f"no per-seed CSV files in {run_dir}")
     per_seed = [read_csv(os.path.join(run_dir, f))[1] for f in seed_files]
-    ks = [row["k"] for row in per_seed[0]]
+    ks = np.array([row["k"] for row in per_seed[0]])
     for name, rows in zip(seed_files[1:], per_seed[1:]):
-        if [row["k"] for row in rows] != ks:
+        if [row["k"] for row in rows] != ks.tolist():
             raise WindowError(f"{name} logs other iterations k than "
                               f"{seed_files[0]}; the seeds' curves cannot "
                               "be averaged")
-    if min(ks) > k_min or max(ks) < k_max:
-        raise WindowError(f"logged iterations cover [{min(ks)}, {max(ks)}], "
+    if ks.min() > k_min or ks.max() < k_max:
+        raise WindowError(f"logged iterations cover [{ks.min()}, {ks.max()}], "
                           f"not the requested window [{k_min}, {k_max}]")
+    window = (ks >= k_min) & (ks <= k_max)
+    ks = ks[window]
 
     fits = []
     for metric, column in (("abs_f_gap", "f_gap"), ("dist_X", "dist_X")):
@@ -402,23 +410,19 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
             curves.append(np.abs(np.asarray(vals, dtype=np.float64)))
         if not curves:
             continue
-        curves = np.asarray(curves)
-        mean_curve = curves.mean(axis=0)
-        slope, intercept, used_ks, truncated = _fit_window(ks, mean_curve,
-                                                           k_min, k_max)
+        curves = np.asarray(curves)[:, window]
         rng = np.random.default_rng(BOOTSTRAP_SEED)
-        slopes = []
-        for _ in range(BOOTSTRAP_RESAMPLES):
-            pick = rng.integers(0, curves.shape[0], size=curves.shape[0])
-            resampled = curves[pick].mean(axis=0)
-            try:
-                s, _, _, _ = _fit_window(ks, resampled, k_min, k_max)
-            except WindowError:
-                continue
-            slopes.append(s)
-        half = float(np.percentile(slopes, 97.5)
-                     - np.percentile(slopes, 2.5)) / 2.0 if slopes else float("nan")
-        fits.append(SlopeFit(metric=metric, slope=slope, intercept=intercept,
+        picks = rng.integers(0, len(curves), size=(BOOTSTRAP_RESAMPLES, len(curves)))
+        slopes, intercepts, used = _fit_lines(
+            ks, np.vstack([curves.mean(axis=0), curves[picks].mean(axis=1)]))
+        slope, boot = slopes[0], slopes[1:][~np.isnan(slopes[1:])]
+        if np.isnan(slope):
+            raise WindowError("fewer than two usable points in the fit window")
+        half = float(np.percentile(boot, 97.5)
+                     - np.percentile(boot, 2.5)) / 2.0 if boot.size else float("nan")
+        used_ks, truncated = ks[used[0]], not used[0].all()
+        fits.append(SlopeFit(metric=metric, slope=float(slope),
+                             intercept=float(intercepts[0]),
                              ci_half_width=half, k_lo=float(used_ks.min()),
                              k_hi=float(used_ks.max()), truncated=truncated,
                              note="window truncated at metric floor"

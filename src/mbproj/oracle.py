@@ -65,9 +65,9 @@ class SimpleSet:
             return v
         if self.variant == "ball":
             d = v - self.center
-            # one dot product per row, so a row rounds as np.linalg.norm of
-            # that row alone, whatever the number of rows
-            r = np.sqrt(np.matmul(d[..., None, :], d[..., :, None])[..., 0, 0])
+            # one vecdot per row, so a row rounds as np.linalg.norm of that
+            # row alone, whatever the number of rows
+            r = np.sqrt(np.vecdot(d, d))
             inside = r <= self.radius
             if np.count_nonzero(inside) == inside.size:
                 return v

@@ -22,6 +22,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -213,7 +214,7 @@ def _weighted_mean(weights: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 def _ratio_terms(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
     """The mean rows weighted by gplus / nsq, and L_N,k's two terms."""
     mean_dir = _weighted_mean(gplus / nsq, dirs)
-    num = np.matmul(mean_dir[:, None, :], mean_dir[:, :, None])[:, 0, 0]
+    num = np.vecdot(mean_dir, mean_dir)
     den = np.add.reduce(gplus * gplus / nsq, 1) / gplus.shape[1]
     return mean_dir, num, den
 
@@ -238,14 +239,12 @@ def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
     return np.where(violated, num / np.where(violated, den, 1.0), np.nan), mean_dir
 
 
-def _nonfinite_row(points: np.ndarray) -> Optional[int]:
-    """The first seed row of the (S, n) ``points`` with a non-finite entry,
-    or None.  A sum of squares is finite only if every term is, so one
-    clears them; only a non-finite or overflowing sum scans the rows."""
-    if math.isfinite(np.vdot(points, points)):
-        return None
-    finite = np.isfinite(points).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
+@functools.lru_cache(maxsize=16)
+def _constant_steps(beta: float, count: int) -> np.ndarray:
+    """Read-only (count,) stepsizes ``beta``, allocated once per (beta, count)."""
+    steps = np.full(count, beta)
+    steps.flags.writeable = False
+    return steps
 
 
 def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
@@ -260,8 +259,8 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
         raise OracleError(
             f"constraint batch returned shapes {gvals.shape} and {dirs.shape} "
             f"for indices {indices.shape} at points {v.shape}")
-    # as in _nonfinite_row, two finite sums clear the batch; the sum over
-    # dirs is also the sum of the rows' squared norms
+    # a sum of squares is finite only if every term is, so two finite sums
+    # clear the batch; the sum over dirs is also the rows' squared norms
     if not (math.isfinite(np.vdot(gvals, gvals)) and math.isfinite(np.vdot(dirs, dirs))):
         finite = np.isfinite(gvals).all(axis=1) & np.isfinite(dirs).all(axis=(1, 2))
         if not finite.all():
@@ -280,9 +279,9 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Squared norms of the rows, shaped as the mask ``active`` of violated
     constraints.  Only a zero row builds masks: on a violated constraint it
     is an ``OracleFault``, elsewhere it reads as 1."""
-    # one row per (seed, index), each reduced as a lone row would be
-    flat = dirs.reshape(-1, dirs.shape[-1])
-    nsq = np.einsum("ij,ij->i", flat, flat).reshape(active.shape)
+    # each (seed, index) row reduced as a lone row would be; np.vecdot
+    # rounds differently
+    nsq = np.einsum("...j,...j->...", dirs, dirs)
     if np.count_nonzero(nsq) < nsq.size:
         zero = (nsq == 0.0) & active
         if zero.any():
@@ -316,11 +315,14 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     """
     gvals, dirs = _checked_batch(spec, indices, v)
     active = gvals > 0.0
-    violated = np.logical_or.reduce(active, 1)
-    count = np.count_nonzero(violated)
-    if not count:
+    hits = np.count_nonzero(active)
+    if not hits:
         no_step = np.full(len(v), np.nan)
         return v, no_step, no_step
+    violated, count = None, len(v)    # every seed when every entry is active
+    if hits < active.size:
+        violated = np.logical_or.reduce(active, 1)
+        count = np.count_nonzero(violated)
     every = count == len(v)
     gplus = np.maximum(gvals, 0.0)
     nsq = _squared_norms(dirs, active)
@@ -330,7 +332,8 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     if fixed is None:
         beta = (2.0 - config.delta) / ln_k
     else:
-        beta = np.full(len(v), fixed) if every else np.where(violated, fixed, np.nan)
+        beta = _constant_steps(fixed, len(v)) if every else \
+            np.where(violated, fixed, np.nan)
     ln = config.ln_hint
     if ln is not None:
         over = ln_k > ln * (1.0 + LN_RTOL)
@@ -395,7 +398,8 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
             gplus_seq[:, i + j] = gplus[:, 0]
             checker.single_steps(k, z, gplus, dirs, nsq, beta)
             inner.extend([z] * j)
-        z_next = spec.simple_set.project(z - (beta * gplus / nsq) * dirs[:, 0])
+        coef = gplus / nsq if beta == 1.0 else beta * gplus / nsq
+        z_next = spec.simple_set.project(z - coef * dirs[:, 0])
         z = z_next if np.count_nonzero(active) == len(z) else np.where(active, z_next, z)
         if inner is not None:
             inner.append(z)
@@ -484,10 +488,14 @@ class _LemmaChecker:
                            {"dist_v": dv, "dist_x": dx})
 
     def sequential_chain(self, k, inner_points, gplus_seq, beta):
-        """Inner-step and summed distance decreases for the chained variant."""
+        """Inner-step and summed distance decreases for the chained variant;
+        a point bit-equal to the seed's one before reuses its distance."""
         factor = beta * (2.0 - beta) / self.mg ** 2
         for row in range(gplus_seq.shape[0]):
-            dists = [self._dist(row, z[row]) for z in inner_points]
+            dists = []
+            for i, z in enumerate(inner_points):
+                same = i and z[row].tobytes() == inner_points[i - 1][row].tobytes()
+                dists.append(dists[-1] if same else self._dist(row, z[row]))
             for i in range(1, len(inner_points)):
                 bound = dists[i - 1] ** 2 - factor * gplus_seq[row, i - 1] ** 2
                 if dists[i] ** 2 - bound > TOL_ASSERT:
@@ -525,8 +533,11 @@ def _initial_point(spec: ProblemSpec, init: str, scale: float,
 
 def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, seeds,
                         name: str, before: np.ndarray) -> None:
-    row = _nonfinite_row(points)
-    if row is not None:
+    """Abort on the first seed row of the (S, n) ``points`` with a non-finite
+    entry; ``run`` asks only when their sum of squares is not finite."""
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
         raise SolverAbort(f"{what} produced a non-finite iterate at k={k}, "
                           f"seed {seeds[row]}",
                           snapshot={"seed": seeds[row], "k": k, name: before[row]})
@@ -589,7 +600,8 @@ def run(spec: ProblemSpec, config,
 
     for k in range(1, iterations + 1):
         v = objective_step(spec, x, alpha_schedule(spec.mu, k - 1))
-        _abort_if_nonfinite(v, "objective step", k, seeds, "x", x)
+        if not math.isfinite(np.vdot(v, v)):
+            _abort_if_nonfinite(v, "objective step", k, seeds, "x", x)
 
         x = v
         if samplers:
@@ -616,7 +628,8 @@ def run(spec: ProblemSpec, config,
                     snapshot={"seed": seed, "k": k,
                               "indices": indices[exc.row]}) from exc
 
-        _abort_if_nonfinite(x, "feasibility update", k, seeds, "v", v)
+        if not math.isfinite(np.vdot(x, x)):
+            _abort_if_nonfinite(x, "feasibility update", k, seeds, "v", v)
 
         weight = (k + 1) * (k + 1)
         weight_total += weight

@@ -17,6 +17,20 @@ from mbproj.problems import (make_builtin, make_polyhedral_benchmark,
 from mbproj.solver import ConfigError, run as solver_run
 
 
+def polyfit_window(ks, values, k_min, k_max):
+    """One curve's least-squares line in log-log by np.polyfit, over the
+    window's points at or above the metric floor: (slope, intercept, the
+    ks used, whether the floor truncated the window)."""
+    mask = (ks >= k_min) & (ks <= k_max)
+    alive = values >= harness.TOL_METRIC
+    truncated = not np.all(alive[mask])
+    mask &= alive
+    if mask.sum() < 2:
+        raise WindowError("fewer than two usable points in the fit window")
+    slope, intercept = np.polyfit(np.log(ks[mask]), np.log(values[mask]), 1)
+    return slope, intercept, ks[mask], truncated
+
+
 class TestSeedsAndConfig:
     def test_parse_seed_forms(self):
         assert parse_seeds("1..5") == (1, 2, 3, 4, 5)
@@ -622,6 +636,53 @@ class TestRateCheck:
         assert all(f.truncated for f in fits)
         assert all("floor" in f.note for f in fits)
         assert all(f.k_hi < 40000 for f in fits)
+
+    CURVES = {
+        # seed 1 crosses the floor at k = 316, seed 2 at 464, seed 3 lies
+        # below it: a resample without seeds 1 and 2 has no usable point,
+        # and one with seed 1 once and seed 3 twice has one
+        "crossing": lambda k, s: (1e-3 * k ** -2.0, k ** -3.0, 1e-12)[s - 1],
+        "noisy": lambda k, s: (1.0 + 0.3 * np.sin(k * s)) / k,
+    }
+
+    @pytest.mark.parametrize("name", list(CURVES))
+    def test_one_pass_bootstrap_equals_a_fit_per_resample(self, tmp_path, name):
+        # against np.polyfit on the mean curve and on each resample in turn
+        d = self.synthetic_dir(tmp_path, self.CURVES[name])
+        per_seed = [read_csv(os.path.join(d, f"run_seed{s}.csv"))[1]
+                    for s in (1, 2, 3)]
+        ks = np.array([row["k"] for row in per_seed[0]])
+        window = (ks >= 100) & (ks <= 40000)
+        fits, skipped = rate_check(d, 100, 40000), 0
+        for fit, column in zip(fits, ("f_gap", "dist_X")):
+            curves = np.abs([[row[column] for row in rows] for rows in per_seed])
+            slope, intercept, used, truncated = polyfit_window(
+                ks, curves.mean(axis=0), 100, 40000)
+            rng = np.random.default_rng(harness.BOOTSTRAP_SEED)
+            slopes = []
+            for _ in range(harness.BOOTSTRAP_RESAMPLES):
+                pick = rng.integers(0, 3, size=3)
+                try:
+                    slopes.append(polyfit_window(
+                        ks, curves[pick].mean(axis=0), 100, 40000)[0])
+                except WindowError:
+                    slopes.append(np.nan)
+            slopes = np.array(slopes)
+            kept = slopes[~np.isnan(slopes)]
+            half = (np.percentile(kept, 97.5) - np.percentile(kept, 2.5)) / 2.0
+            assert fit.slope == pytest.approx(slope, abs=1e-12)
+            assert fit.intercept == pytest.approx(intercept, abs=1e-12)
+            assert fit.ci_half_width == pytest.approx(half, abs=1e-12)
+            assert (fit.k_lo, fit.k_hi, fit.truncated) == \
+                (used.min(), used.max(), truncated)
+            rng = np.random.default_rng(harness.BOOTSTRAP_SEED)
+            picks = rng.integers(0, 3, size=(harness.BOOTSTRAP_RESAMPLES, 3))
+            batched, _, _ = harness._fit_lines(
+                ks[window], curves[picks].mean(axis=1)[:, window])
+            np.testing.assert_allclose(batched, slopes, rtol=0, atol=1e-12)
+            skipped += np.count_nonzero(np.isnan(slopes))
+        if name == "crossing":
+            assert skipped > 0 and all(f.truncated for f in fits)
 
     def test_narrow_window_rejected(self, tmp_path):
         d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 / k)

@@ -37,6 +37,28 @@ class TestSimpleSet:
         assert 0 < len(inside) < len(block)
         assert ball.project(inside) is inside
 
+    @pytest.mark.parametrize("seeds", [1, 3])
+    def test_block_rows_equal_lone_points_bit_for_bit(self, seeds):
+        # rows inside and outside balls of many sizes: each row of the
+        # (S, n) block is its 1-D projection, and an outside row is the
+        # center plus d scaled by radius / np.linalg.norm(d)
+        rng = np.random.default_rng(11)
+        for n in list(range(1, 12)) + [17, 33, 64, 99, 100]:
+            for _ in range(20):
+                ball = SimpleSet.ball(rng.standard_normal(n), rng.uniform(0.1, 5.0))
+                u = rng.standard_normal((seeds, n))
+                scale = ball.radius * rng.uniform(0.2, 2.0, size=(seeds, 1))
+                block = ball.center + scale * u / np.linalg.norm(u, axis=1, keepdims=True)
+                out = ball.project(block)
+                for row, v in zip(out, block):
+                    lone = ball.project(v)
+                    assert row.tobytes() == lone.tobytes()
+                    d = v - ball.center
+                    norm = np.linalg.norm(d)
+                    want = v if norm <= ball.radius else \
+                        ball.center + d * (ball.radius / norm)
+                    assert lone.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("make_set", [
         lambda: SimpleSet.ball(np.array([0.3, -0.2, 0.1]), 1.5),
         lambda: SimpleSet.whole_space(3),

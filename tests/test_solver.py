@@ -562,6 +562,42 @@ class TestRunLoop:
                                    result.final_x_hat)
             assert result.records[-1].dist_x == cold > 0.0
 
+    def test_lemma_chain_asks_only_for_moved_points(self, monkeypatch):
+        # the chain checks ask the distance oracle for a seed's first inner
+        # point and for each point bit-unequal to the one before it; the
+        # others reuse that distance, and the records are those of a run
+        # without checks
+        inst = make_polyhedral_benchmark(50, 200, seed=0)
+        cfg = RunConfig(variant="sequential", batch_size=8,
+                        beta_policy="fixed", beta=1.0, iterations=200,
+                        seeds=(1, 2, 3), cadence=50, assertions="lemma-checks")
+        calls, asked = [0], [0]
+        oracle, chain = solver.distance_oracle, solver._LemmaChecker.sequential_chain
+
+        def counting(*args):
+            calls[0] += 1
+            return oracle(*args)
+
+        def moved_points(self, k, inner_points, gplus_seq, beta):
+            bits = np.array(inner_points).view(np.int64)    # (N + 1, S, n)
+            asked[0] += bits.shape[1] + int(np.count_nonzero(
+                (bits[1:] != bits[:-1]).any(axis=2)))
+            chain(self, k, inner_points, gplus_seq, beta)
+
+        monkeypatch.setattr(solver, "distance_oracle", counting)
+        monkeypatch.setattr(solver._LemmaChecker, "sequential_chain", moved_points)
+        checked = run(inst.spec, cfg, context=inst.context())
+        monkeypatch.undo()
+        log_calls = len(cfg.seeds) * 4                      # k = 50, ..., 200
+        assert calls[0] == log_calls + asked[0] == 1462
+        assert asked[0] < len(cfg.seeds) * cfg.iterations * (cfg.batch_size + 1)
+        plain = run(inst.spec, dataclasses.replace(cfg, assertions="off"),
+                    context=inst.context())
+        for a, b in zip(checked, plain):
+            assert [dataclasses.replace(r, elapsed_ns=0) for r in a.records] == \
+                [dataclasses.replace(r, elapsed_ns=0) for r in b.records]
+            np.testing.assert_array_equal(a.final_x_hat, b.final_x_hat)
+
     def test_adaptive_beta_follows_batch_ratio(self):
         inst = self.small_benchmark()
         delta = 0.1
@@ -917,7 +953,7 @@ class TestBlockEqualsSeeds:
     def drawn_block(self, instance, block):
         """The instance and a block of two seeds of each kind, inside and
         outside Y, leaving out the feasible ones when ``block`` is
-        all-violated."""
+        all-violated and the partly violated ones when it is extremes."""
         inst = TestDeclaredLN.INSTANCES[instance]()
         kinds = self.seeds_by_kind(inst)
         # each kind occurs inside and outside Y, but the duplicated rows are
@@ -925,7 +961,8 @@ class TestBlockEqualsSeeds:
         present = ("feasible", "fully") if instance == "duplicated" else \
             ("feasible", "partly", "fully")
         assert set(kinds) == set(itertools.product(present, (False, True)))
-        order = present[1:] if block == "all-violated" else present
+        order = {"all-violated": present[1:], "extremes": ("feasible", "fully"),
+                 "mixed": present}[block]
         chosen = [seed for kind in order for outside in (False, True)
                   for seed in kinds[kind, outside][:2]]
         indices = np.array([idx for idx, _ in chosen])
@@ -937,7 +974,20 @@ class TestBlockEqualsSeeds:
     @pytest.mark.parametrize("instance", ["benchmark", "duplicated"])
     def test_block_matches_each_seed_alone(self, instance, name, block):
         inst, indices, v = self.drawn_block(instance, block)
-        step = self.feasibility_pass(name, inst)
+        self.assert_block_matches_alone(self.feasibility_pass(name, inst), indices, v)
+
+    @pytest.mark.parametrize("name", list(PASSES))
+    def test_all_or_none_seeds_in_a_mixed_block(self, name):
+        # alone, each seed violates all or none of its batch, the parallel
+        # pass's shortcuts; their block is mixed and reduces over the seeds
+        inst, indices, v = self.drawn_block("benchmark", "extremes")
+        gvals, _ = inst.spec.constraints.batch(indices, v)
+        hits = np.count_nonzero(gvals > 0.0, axis=1)
+        assert set(hits.tolist()) == {0, self.SIZE}
+        self.assert_block_matches_alone(self.feasibility_pass(name, inst), indices, v)
+
+    @staticmethod
+    def assert_block_matches_alone(step, indices, v):
         together = step(indices, v)
         alone = [step(indices[row:row + 1], v[row:row + 1]) for row in range(len(v))]
         for out, outs in zip(together, zip(*alone)):
