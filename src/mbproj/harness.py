@@ -3,13 +3,15 @@ minibatch sweeps and the command-line interface.
 
 A run's settings are the fields of ``RunConfig``; each field gives its INI
 key, its CLI flag and its line of the CSV header, and ``solver.run`` reads
-it by name after ``solver.validate`` has checked it.  CSV files carry that
-header as leading ``#`` comment lines and exactly the columns seed,k,f_gap,
-max_violation,dist_X,LN_k,beta_k,elapsed_ns (a field is empty when the
-metric is unavailable).  The header echoes the settings that determine the
-numbers, with ``problem.n`` and ``problem.m`` read from the built instance,
-and leaves out ``out_dir``.  By default the elapsed_ns column is written as
-0 so repeated identical invocations produce byte-identical files; enable
+it by name after ``solver.validate`` has checked it.  A CSV row is a
+``solver.RunRecord``: its fields are the columns seed,k,f_gap,max_violation,
+dist_X,LN_k,beta_k,elapsed_ns (a cell is empty when the metric is
+unavailable), from ``run`` through ``write_csv`` and ``read_csv`` to the
+aggregate and ``rate_check``.  CSV files carry the header as leading ``#``
+comment lines; it echoes the settings that determine the numbers, with
+``problem.n`` and ``problem.m`` read from the built instance, and leaves
+out ``out_dir``.  By default the elapsed_ns column is written as 0 so
+repeated identical invocations produce byte-identical files; enable
 ``timing`` to record wall-clock times instead.  All seeds of a ``solve``
 advance together as one block, so elapsed_ns is the block's time since its
 start, and a seed's row reports when the block reached its k.
@@ -32,10 +34,9 @@ from .problems import (BenchmarkInstance, load_instance, make_builtin,
                        predicted_gains)
 from .sampling import Sampler
 from .solver import (ASSERTIONS, BETA_POLICIES, INITS, VARIANTS, ConfigError,
-                     RunResult, SolverAbort, initial_beta, run, validate)
+                     RunRecord, SolverAbort, initial_beta, run, validate)
 
-CSV_COLUMNS = ("seed", "k", "f_gap", "max_violation", "dist_X", "LN_k",
-               "beta_k", "elapsed_ns")
+CSV_COLUMNS = RunRecord._fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -99,11 +100,10 @@ def format_seeds(seeds) -> str:
     return ",".join(str(s) for s in seeds)
 
 
-def _setting(default, section: str, flag: Optional[str] = None, parse=None,
-             show=str, **cli):
-    """A run setting: its default, INI ``section``, text parser (by default
-    the flag's ``type``, else ``str``), header ``show`` (None: not echoed)
-    and, unless ``flag`` is None, CLI flag with argparse options ``cli``."""
+def _setting(default, section: str, flag: str, parse=None, show=str, **cli):
+    """A run setting: its default, INI ``section``, CLI ``flag`` with
+    argparse options ``cli``, text parser (by default the flag's ``type``,
+    else ``str``) and header ``show`` (None: not echoed)."""
     return field(default=default, metadata={
         "section": section, "flag": flag, "parse": parse or cli.get("type", str),
         "show": show, "cli": cli})
@@ -113,7 +113,7 @@ def _setting(default, section: str, flag: Optional[str] = None, parse=None,
 class RunConfig:
     """A run's settings, each listed once with its one default: a field
     gives its INI key ``section.name``, its CLI flag and its CSV header
-    line.  ``init_scale`` has no flag; ``out_dir`` only says where files go."""
+    line.  ``out_dir`` only says where files go, so it has no header line."""
 
     builtin: Optional[str] = _setting("benchmark", "problem", "--builtin",
                                       help="builtin problem name")
@@ -134,7 +134,6 @@ class RunConfig:
     sampler: str = _setting("without-replacement", "solver", "--sampler",
                             choices=Sampler.VARIANTS)
     init: str = _setting("gaussian", "solver", "--init", choices=INITS)
-    init_scale: float = _setting(1.0, "solver", parse=float)
     assertions: str = _setting("off", "solver", "--assertions",
                                choices=ASSERTIONS)
     cadence: object = _setting("geometric", "logging", "--cadence", parse=parse_cadence,
@@ -207,7 +206,8 @@ def _fmt_cell(value) -> str:
 
 
 def write_csv(path: str, cfg: RunConfig, rows) -> None:
-    """Rows are sequences aligned with CSV_COLUMNS; None renders empty."""
+    """Rows are ``RunRecord``s, or other sequences aligned with CSV_COLUMNS;
+    None renders empty."""
     lines = [f"# {key} = {value}" for key, value in cfg.echo_items()]
     lines.append(",".join(CSV_COLUMNS))
     for row in rows:
@@ -217,51 +217,43 @@ def write_csv(path: str, cfg: RunConfig, rows) -> None:
 
 
 def read_csv(path: str):
-    """Return (comments, list of dict rows with floats or None)."""
-    comments, header, rows = [], None, []
+    """Return (the ``#`` comment lines, the data rows as ``RunRecord``s of
+    floats, an empty cell as None).  A file whose column line is not
+    CSV_COLUMNS, with a row that is not one float or empty cell per column,
+    or with no data row is a ``WindowError`` naming it."""
     with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                comments.append(line)
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            cells = line.split(",")
-            row = {}
-            for name, cell in zip(header, cells):
-                row[name] = None if cell == "" else float(cell)
-            rows.append(row)
-    if header is None:
-        raise WindowError(f"no data in {path}")
-    return comments, rows
-
-
-def _records_to_rows(result: RunResult, timing: bool):
-    out = []
-    for r in result.records:
-        out.append((r.seed, r.k, r.f_gap, r.max_violation, r.dist_x, r.ln_k,
-                    r.beta_k, r.elapsed_ns if timing else 0))
-    return out
+        lines = [line for line in fh.read().split("\n") if line]
+    column_line = ",".join(CSV_COLUMNS)
+    data = [line for line in lines if not line.startswith("#")]
+    if data[:1] != [column_line]:
+        raise WindowError(f"{path} has no column line {column_line!r}")
+    rows = []
+    for line in data[1:]:
+        try:
+            rows.append(RunRecord(*(None if cell == "" else float(cell)
+                                    for cell in line.split(","))))
+        except (TypeError, ValueError):
+            raise WindowError(f"{path}: malformed row {line!r}") from None
+    if not rows:
+        raise WindowError(f"no data rows in {path}")
+    return [line for line in lines if line.startswith("#")], rows
 
 
 def aggregate_rows(per_seed_rows) -> list:
-    """Mean over seeds per logged k (column-wise, ignoring empty cells)."""
+    """Mean over seeds per logged k of each metric, ignoring empty cells:
+    one ``RunRecord`` per k, in order, with an empty seed."""
     by_k = {}
     for rows in per_seed_rows:
         for row in rows:
-            by_k.setdefault(row[1], []).append(row)
+            by_k.setdefault(row.k, []).append(row)
     agg = []
     for k in sorted(by_k):
-        group = by_k[k]
-        cells = [None, k]
-        for col in range(2, len(CSV_COLUMNS)):
-            vals = [g[col] for g in group if g[col] is not None]
-            cells.append(float(np.mean(vals)) if vals else None)
-        agg.append(tuple(cells))
+        means = {}
+        for name in CSV_COLUMNS[2:]:
+            vals = [getattr(row, name) for row in by_k[k]]
+            vals = [v for v in vals if v is not None]
+            means[name] = float(np.mean(vals)) if vals else None
+        agg.append(RunRecord(seed=None, k=k, **means))
     return agg
 
 
@@ -300,7 +292,8 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed_rows, paths = [], []
     for result in results:
-        rows = _records_to_rows(result, cfg.timing)
+        rows = result.records if cfg.timing else \
+            [r._replace(elapsed_ns=0) for r in result.records]
         path = os.path.join(cfg.out_dir, f"run_seed{result.seed}.csv")
         write_csv(path, echo, rows)
         per_seed_rows.append(rows)
@@ -309,18 +302,6 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     write_csv(agg_path, echo, aggregate_rows(per_seed_rows))
     paths.append(agg_path)
     return instance, results, paths
-
-
-def final_metric_summary(results) -> dict:
-    """Mean final f_gap / dist_X across seeds (for the CLI summary line)."""
-    f_gaps = [r.records[-1].f_gap for r in results if r.records and
-              r.records[-1].f_gap is not None]
-    dists = [r.records[-1].dist_x for r in results if r.records and
-             r.records[-1].dist_x is not None]
-    return {
-        "f_gap": float(np.mean(f_gaps)) if f_gaps else None,
-        "dist_X": float(np.mean(dists)) if dists else None,
-    }
 
 
 def bootstrap_ci(values):
@@ -366,13 +347,13 @@ def _fit_lines(ks, curves):
 def rate_check(run_dir: str, k_min: float, k_max: float):
     """Log-log slope estimates for mean |f_gap| and mean dist_X over a window.
 
-    Loads the per-seed CSVs from ``run_dir``, which must all log the same
-    iterations k, or ``WindowError`` names the first that does not.  One
-    draw picks the seeds of every resample of an over-seeds percentile
-    bootstrap, and one batched least squares fit takes the mean-over-seeds
-    curve with all the resampled ones, skipping a resample with fewer than
-    two usable points.  Points below the metric floor (1e-8) auto-truncate
-    the window with a note.
+    Loads the per-seed CSVs from ``run_dir``, which ``read_csv`` must
+    accept and which must all log the same iterations k, or ``WindowError``
+    names the first that does not.  One draw picks the seeds of every
+    resample of an over-seeds percentile bootstrap, and one batched least
+    squares fit takes the mean-over-seeds curve with all the resampled
+    ones, skipping a resample with fewer than two usable points.  Points
+    below the metric floor (1e-8) auto-truncate the window with a note.
     """
     if not (np.isfinite(k_min) and np.isfinite(k_max) and 0 < k_min < k_max):
         raise WindowError(f"rate window [{k_min}, {k_max}] must be finite "
@@ -387,9 +368,9 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
     if not seed_files:
         raise WindowError(f"no per-seed CSV files in {run_dir}")
     per_seed = [read_csv(os.path.join(run_dir, f))[1] for f in seed_files]
-    ks = np.array([row["k"] for row in per_seed[0]])
+    ks = np.array([row.k for row in per_seed[0]])
     for name, rows in zip(seed_files[1:], per_seed[1:]):
-        if [row["k"] for row in rows] != ks.tolist():
+        if [row.k for row in rows] != ks.tolist():
             raise WindowError(f"{name} logs other iterations k than "
                               f"{seed_files[0]}; the seeds' curves cannot "
                               "be averaged")
@@ -401,16 +382,10 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
 
     fits = []
     for metric, column in (("abs_f_gap", "f_gap"), ("dist_X", "dist_X")):
-        curves = []
-        for rows in per_seed:
-            vals = [row[column] for row in rows]
-            if any(v is None for v in vals):
-                curves = []
-                break
-            curves.append(np.abs(np.asarray(vals, dtype=np.float64)))
-        if not curves:
+        vals = [[getattr(row, column) for row in rows] for rows in per_seed]
+        if any(None in curve for curve in vals):
             continue
-        curves = np.asarray(curves)[:, window]
+        curves = np.abs(np.array(vals, dtype=np.float64))[:, window]
         rng = np.random.default_rng(BOOTSTRAP_SEED)
         picks = rng.integers(0, len(curves), size=(BOOTSTRAP_RESAMPLES, len(curves)))
         slopes, intercepts, used = _fit_lines(
@@ -495,7 +470,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     for sub in subs:
         size = sub.batch_size
         _, results, _ = solve_experiment(sub, instance=instance)
-        finals = [r.records[-1].dist_x for r in results]
+        finals = [r.records[-1].dist_X for r in results]
         lo, hi = bootstrap_ci(finals)
         b_val = gains.get(size)
         ratio = None
@@ -516,14 +491,13 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
 
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
-    """``--config`` and the flag of every ``RunConfig`` setting that has
-    one.  An absent flag is None, also the ``store_true`` of ``--timing``,
-    so the file's value or the field's default stands."""
+    """``--config`` and the flag of every ``RunConfig`` setting.  An absent
+    flag is None, also the ``store_true`` of ``--timing``, so the file's
+    value or the field's default stands."""
     p.add_argument("--config", help="key = value configuration file")
     for f in fields(RunConfig):
-        if f.metadata["flag"]:
-            p.add_argument(f.metadata["flag"], dest=f.name, default=None,
-                           **f.metadata["cli"])
+        p.add_argument(f.metadata["flag"], dest=f.name, default=None,
+                       **f.metadata["cli"])
 
 
 def _cfg_from_args(args) -> RunConfig:
@@ -566,7 +540,9 @@ def main(argv=None) -> int:
             cfg = _cfg_from_args(args)
             _, results, paths = solve_experiment(cfg)
             print(f"wrote {len(paths)} files to {cfg.out_dir}")
-            for name, value in final_metric_summary(results).items():
+            final = aggregate_rows([r.records for r in results])[-1]
+            for name in ("f_gap", "dist_X"):
+                value = getattr(final, name)
                 print(f"final mean {name}: "
                       + ("n/a" if value is None else format(value, ".6e")))
             return EXIT_OK

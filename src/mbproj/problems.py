@@ -52,17 +52,16 @@ from .solver import ConfigError, PolyhedralContext
 
 
 class GenerationError(RuntimeError):
-    """Benchmark generation failed (degenerate geometry after all retries)."""
+    """Benchmark generation failed: the optimum is interior to every row."""
 
 
 # shape of the generated instances: constraint margins at the anchor, how far
 # the pull center overshoots the violated faces, the simple-set radius as a
-# multiple of the pull distance, the draws ``benchmark`` may retry and the
-# rows the ``orthonormal`` pull center violates
+# multiple of the pull distance, and the rows the ``orthonormal`` pull
+# center violates
 MARGIN_RANGE = (0.1, 0.5)
 OVERSHOOT = 1.0
 RADIUS_FACTOR = 4.0
-MAX_ATTEMPTS = 100
 N_ACTIVE = 4
 
 
@@ -124,9 +123,9 @@ def make_polyhedral_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
 
     Rows are unit-norm Gaussian directions; offsets keep the origin strictly
     feasible with margins drawn from ``MARGIN_RANGE``.  The pull center is
-    placed beyond a random face (plus a tangential perturbation), so the
-    optimum computed by the distance oracle is boundary-active; degenerate
-    draws are regenerated with a shifted center, up to ``MAX_ATTEMPTS``.
+    placed beyond a random face j (plus a tangential perturbation): it lies
+    in the ball Y and violates row j, so the optimum, its projection onto
+    the feasible set, is tight on some row, and one draw always suffices.
     """
     if m < 1 or n < 2:
         raise OracleError("need m >= 1 and n >= 2")
@@ -135,21 +134,12 @@ def make_polyhedral_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
     A /= np.linalg.norm(A, axis=1)[:, None]
     margins = rng.uniform(*MARGIN_RANGE, size=m)
     b = -margins
-    anchor = np.zeros(n)
-
-    last_error = None
-    for attempt in range(MAX_ATTEMPTS):
-        j = int(rng.integers(0, m))
-        depth = margins[j] + OVERSHOOT * rng.uniform(0.5, 1.5)
-        tangent = rng.standard_normal(n)
-        tangent -= (tangent @ A[j]) * A[j]
-        pull = depth * A[j] + 0.3 * tangent
-        try:
-            return _build_instance(A, b, anchor, pull)
-        except GenerationError as exc:
-            last_error = exc
-    raise GenerationError(
-        f"no boundary-active optimum after {MAX_ATTEMPTS} attempts: {last_error}")
+    j = int(rng.integers(0, m))
+    depth = margins[j] + OVERSHOOT * rng.uniform(0.5, 1.5)
+    tangent = rng.standard_normal(n)
+    tangent -= (tangent @ A[j]) * A[j]
+    pull = depth * A[j] + 0.3 * tangent
+    return _build_instance(A, b, np.zeros(n), pull)
 
 
 def make_orthonormal_benchmark(n: int, seed: int) -> BenchmarkInstance:

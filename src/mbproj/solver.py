@@ -26,7 +26,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -108,8 +108,6 @@ def validate(config, spec: ProblemSpec) -> None:
         raise ConfigError(f"unknown init rule {config.init!r}")
     if config.assertions not in ASSERTIONS:
         raise ConfigError(f"unknown assertions mode {config.assertions!r}")
-    if not math.isfinite(config.init_scale):
-        raise ConfigError(f"init_scale must be finite, got {config.init_scale!r}")
     if isinstance(config.cadence, int) and config.cadence < 1:
         raise ConfigError("log cadence step must be >= 1")
     if config.sampler not in Sampler.VARIANTS:
@@ -180,14 +178,16 @@ class PolyhedralContext:
 # records
 
 
-@dataclass
-class RunRecord:
+class RunRecord(NamedTuple):
+    """One seed's metrics at one logged k: its fields, in order, are the
+    columns of a run's CSV row, an unavailable metric None."""
+
     seed: int
     k: int
     f_gap: Optional[float]
     max_violation: Optional[float]
-    dist_x: Optional[float]
-    ln_k: Optional[float]
+    dist_X: Optional[float]
+    LN_k: Optional[float]
     beta_k: float
     elapsed_ns: int
 
@@ -195,7 +195,6 @@ class RunRecord:
 @dataclass
 class RunResult:
     seed: int
-    iterations: int
     records: list
     final_x: np.ndarray
     final_x_hat: np.ndarray
@@ -522,15 +521,6 @@ def _log_points(iterations: int, cadence) -> set:
     return ks | {iterations}
 
 
-def _initial_point(spec: ProblemSpec, init: str, scale: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    if init == "zero":
-        raw = np.zeros(spec.dimension)
-    else:
-        raw = scale * rng.standard_normal(spec.dimension)
-    return np.asarray(spec.simple_set.project(raw), dtype=np.float64)
-
-
 def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, seeds,
                         name: str, before: np.ndarray) -> None:
     """Abort on the first seed row of the (S, n) ``points`` with a non-finite
@@ -580,8 +570,9 @@ def run(spec: ProblemSpec, config,
     samplers = []
     for row, seed in enumerate(seeds):
         ss_init, ss_sampler = np.random.SeedSequence(seed).spawn(2)
-        x[row] = _initial_point(spec, config.init, config.init_scale,
-                                np.random.default_rng(ss_init))
+        raw = np.zeros(spec.dimension) if config.init == "zero" else \
+            np.random.default_rng(ss_init).standard_normal(spec.dimension)
+        x[row] = spec.simple_set.project(raw)
         if m:
             samplers.append(Sampler(config.sampler, m,
                                     np.random.default_rng(ss_sampler)))
@@ -647,13 +638,13 @@ def run(spec: ProblemSpec, config,
                     dist = distance_oracle(context.poly, spec.simple_set,
                                            x_hat[row], active_sets[row])
                 records[row].append(RunRecord(
-                    seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_x=dist,
-                    ln_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),
+                    seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_X=dist,
+                    LN_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),
                     beta_k=float(beta_k[row]),
                     elapsed_ns=time.perf_counter_ns() - t0))
 
     x_hat = weighted_sum / weight_total
-    return [RunResult(seed=seed, iterations=iterations, records=records[row],
+    return [RunResult(seed=seed, records=records[row],
                       final_x=x[row], final_x_hat=x_hat[row],
                       max_ln_k=None if np.isnan(max_ln[row]) else float(max_ln[row]))
             for row, seed in enumerate(seeds)]

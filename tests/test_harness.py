@@ -14,7 +14,7 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
 from mbproj import geometry, harness, problems
 from mbproj.problems import (make_builtin, make_polyhedral_benchmark,
                              predicted_gains, save_instance)
-from mbproj.solver import ConfigError, run as solver_run
+from mbproj.solver import ConfigError, RunRecord, run as solver_run
 
 
 def polyfit_window(ks, values, k_min, k_max):
@@ -64,10 +64,12 @@ class TestSeedsAndConfig:
         assert "# solver.iterations = 20" in comments
 
     def test_unknown_config_key_rejected(self, tmp_path):
+        # init_scale was a setting once and is an unknown key now
         path = tmp_path / "bad.ini"
-        path.write_text("[solver]\nbogus = 1\n")
-        with pytest.raises(Exception):
-            load_config_file(path)
+        for key in ("bogus", "init_scale"):
+            path.write_text(f"[solver]\n{key} = 1\n")
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                load_config_file(path)
 
     @pytest.mark.parametrize("key,message", [
         ("variant", "unknown variant 'partition'"),
@@ -103,7 +105,7 @@ SETTING_TEXT = {
     "solver.beta_policy": "adaptive", "solver.beta": "0.5",
     "solver.delta": "0.2", "solver.ln_hint": "0.75", "solver.iterations": "50",
     "solver.sampler": "iid-uniform", "solver.init": "zero",
-    "solver.init_scale": "0.5", "solver.assertions": "lemma-checks",
+    "solver.assertions": "lemma-checks",
     "logging.cadence": "5", "logging.timing": "true", "output.seeds": "2..4",
     "output.out_dir": "elsewhere",
 }
@@ -113,13 +115,12 @@ class TestOneOwnerPerSetting:
     """RunConfig's fields are the one list of a run's settings, so its INI
     keys, its flags and its CSV header cannot drift apart."""
 
-    def test_twenty_fields_nineteen_flags(self):
+    def test_nineteen_fields_nineteen_flags(self):
         names = [f.name for f in fields(RunConfig)]
         assert names == [key.split(".")[1] for key in SETTING_TEXT]
         dests = [a.dest for a in _solve_parser()._actions
                  if a.dest not in ("help", "config")]
-        # in field order; init_scale is set in the file only
-        assert dests == [name for name in names if name != "init_scale"]
+        assert dests == names                  # in field order
 
     @pytest.mark.parametrize("key", list(SETTING_TEXT))
     def test_file_and_flag_echo_the_same_header(self, tmp_path, key):
@@ -131,10 +132,7 @@ class TestOneOwnerPerSetting:
         from_file = harness._cfg_from_args(parser.parse_args(["--config", str(path)]))
         assert from_file == load_config_file(path)
         assert getattr(from_file, name) != getattr(RunConfig(), name)
-        action = next((a for a in parser._actions if a.dest == name), None)
-        if action is None:
-            assert name == "init_scale"
-            return
+        action = next(a for a in parser._actions if a.dest == name)
         argv = [action.option_strings[0]]
         if action.nargs != 0:
             argv.append(SETTING_TEXT[key])
@@ -152,18 +150,18 @@ class TestOneOwnerPerSetting:
         assert code == EXIT_OK
         comments, rows = read_csv(out / "run_seed1.csv")
         assert "# logging.timing = true" in comments
-        assert rows[-1]["elapsed_ns"] > 0
+        assert rows[-1].elapsed_ns > 0
 
     def test_default_solve_header_is_pinned(self, tmp_path):
         out = tmp_path / "x"
         assert main(["solve", "--out", str(out)]) == EXIT_OK
         for name in ("run_seed1.csv", "aggregate.csv"):
             with open(out / name, "rb") as fh:
-                head = fh.read().split(b"\n")[:20]
+                head = fh.read().split(b"\n")[:19]
             assert head == DEFAULT_HEADER + [",".join(CSV_COLUMNS).encode()]
 
 
-# the 19 header lines of ``mbproj solve`` with every setting at its default
+# the 18 header lines of ``mbproj solve`` with every setting at its default
 DEFAULT_HEADER = [
     b"# problem.builtin = benchmark",
     b"# problem.instance = ",
@@ -179,7 +177,6 @@ DEFAULT_HEADER = [
     b"# solver.iterations = 10000",
     b"# solver.sampler = without-replacement",
     b"# solver.init = gaussian",
-    b"# solver.init_scale = 1.0",
     b"# solver.assertions = off",
     b"# logging.cadence = geometric",
     b"# logging.timing = false",
@@ -229,7 +226,7 @@ class TestSolveCommand:
         assert sum(f.startswith("run_seed") for f in files) == 20
         comments, rows = read_csv(out / "run_seed1.csv")
         # geometric cadence plus the final iteration
-        ks = [int(r["k"]) for r in rows]
+        ks = [int(r.k) for r in rows]
         assert ks == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
                       4096, 8192, 10000]
         with open(out / "run_seed1.csv") as fh:
@@ -243,8 +240,8 @@ class TestSolveCommand:
         assert -1.3 <= dist_fit.slope <= -0.8
         _, agg = read_csv(out / "aggregate.csv")
         final = agg[-1]
-        envelope = 2.0 * np.exp(dist_fit.intercept) * final["k"] ** dist_fit.slope
-        assert final["dist_X"] <= envelope
+        envelope = 2.0 * np.exp(dist_fit.intercept) * final.k ** dist_fit.slope
+        assert final.dist_X <= envelope
 
     def test_aggregate_is_arithmetic_mean_of_per_seed_files(self, tmp_path):
         out = tmp_path / "runs"
@@ -256,9 +253,27 @@ class TestSolveCommand:
         _, agg = read_csv(out / "aggregate.csv")
         for i, row in enumerate(agg):
             for col in ("f_gap", "max_violation", "dist_X", "beta_k"):
-                vals = [ps[i][col] for ps in per_seed if ps[i][col] is not None]
+                vals = [getattr(ps[i], col) for ps in per_seed
+                        if getattr(ps[i], col) is not None]
                 if vals:
-                    assert row[col] == pytest.approx(np.mean(vals), rel=1e-12)
+                    assert getattr(row, col) == pytest.approx(np.mean(vals), rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["--builtin", "benchmark", "--n", "4", "--m", "6", "--seeds", "1..3"],
+        ["--builtin", "orthant2", "--variant", "sequential", "--seeds", "2,5"],
+        ["--builtin", "unconstrained", "--n", "3", "--seeds", "1..2"],
+    ], ids=["parallel", "sequential", "unconstrained"])
+    def test_summary_is_the_aggregate_last_row(self, tmp_path, capsys, argv):
+        out = tmp_path / "runs"
+        assert main(["solve", "--N", "2", "--iters", "100", "--out", str(out)]
+                    + argv) == EXIT_OK
+        _, agg = read_csv(out / "aggregate.csv")
+        shown = ["n/a" if v is None else format(v, ".6e")
+                 for v in (agg[-1].f_gap, agg[-1].dist_X)]
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"final mean f_gap: {shown[0]}", f"final mean dist_X: {shown[1]}"]
+        if "unconstrained" in argv:
+            assert shown[0] != "n/a" and shown[1] == "n/a"
 
     def test_zero_iterations_is_config_error(self, tmp_path):
         code = main(["solve", "--builtin", "orthant2", "--iters", "0",
@@ -482,18 +497,17 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err and field in err
 
-    @pytest.mark.parametrize("argv,ini", [
-        (["--beta", "nan"], ""),
-        (["--beta-policy", "extrapolated", "--ln-hint", "nan"], ""),
-        ([], "[solver]\ninit_scale = nan\n"),
-    ], ids=["beta", "ln-hint", "init-scale"])
-    def test_nonfinite_setting_is_config_error(self, tmp_path, capsys, argv, ini):
-        path = tmp_path / "run.ini"
-        path.write_text("[problem]\nbuiltin = orthant2\n\n" + ini)
-        code = main(["solve", "--config", str(path), "--N", "2", "--iters", "5",
+    @pytest.mark.parametrize("argv,message", [
+        (["--beta", "nan"], "fixed beta must be finite and positive, got nan"),
+        (["--beta-policy", "extrapolated", "--ln-hint", "nan"],
+         "a declared L_N must be finite and positive, got nan"),
+    ], ids=["beta", "ln-hint"])
+    def test_nonfinite_setting_is_config_error(self, tmp_path, capsys, argv,
+                                               message):
+        code = main(["solve", "--builtin", "orthant2", "--N", "2", "--iters", "5",
                      "--seeds", "1", "--out", str(tmp_path / "x")] + argv)
         assert code == EXIT_CONFIG
-        assert "finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["--builtin", "duplicated", "--m", "0"],
@@ -600,7 +614,7 @@ class TestSolveCommand:
                      "--out", str(out)])
         assert code == EXIT_OK
         _, rows = read_csv(out / "run_seed1.csv")
-        assert rows[-1]["elapsed_ns"] > 0
+        assert rows[-1].elapsed_ns > 0
 
 
 class TestRateCheck:
@@ -651,11 +665,12 @@ class TestRateCheck:
         d = self.synthetic_dir(tmp_path, self.CURVES[name])
         per_seed = [read_csv(os.path.join(d, f"run_seed{s}.csv"))[1]
                     for s in (1, 2, 3)]
-        ks = np.array([row["k"] for row in per_seed[0]])
+        ks = np.array([row.k for row in per_seed[0]])
         window = (ks >= 100) & (ks <= 40000)
         fits, skipped = rate_check(d, 100, 40000), 0
         for fit, column in zip(fits, ("f_gap", "dist_X")):
-            curves = np.abs([[row[column] for row in rows] for rows in per_seed])
+            curves = np.abs([[getattr(row, column) for row in rows]
+                             for rows in per_seed])
             slope, intercept, used, truncated = polyfit_window(
                 ks, curves.mean(axis=0), 100, 40000)
             rng = np.random.default_rng(harness.BOOTSTRAP_SEED)
@@ -726,6 +741,25 @@ class TestRateCheck:
                      "--k-max", "40000"]) == EXIT_WINDOW
         err = capsys.readouterr().err
         assert err.startswith("window error: run_seed3.csv") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text,cause", [
+        (",".join(CSV_COLUMNS) + "\n", "no data rows"),
+        ("", "no column line"),
+        ("seed,k,f_gap\n1,1,0.5\n", "no column line"),
+        (",".join(CSV_COLUMNS) + "\n1,1,0.5\n", "malformed row"),
+        (",".join(CSV_COLUMNS) + "\n1,1,x,0,0,,1,0\n", "malformed row"),
+    ], ids=["header-only", "empty", "other-columns", "short-row", "bad-cell"])
+    def test_unreadable_seed_file_is_window_error(self, tmp_path, capsys, text,
+                                                  cause):
+        d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 / k)
+        path = os.path.join(d, "run_seed2.csv")
+        with open(path, "w") as fh:
+            fh.write("# solver.variant = parallel\n" + text)
+        assert main(["rate-check", "--dir", d, "--k-min", "100",
+                     "--k-max", "40000"]) == EXIT_WINDOW
+        err = capsys.readouterr().err
+        assert err.startswith("window error: ") and err.count("\n") == 1
+        assert path in err and cause in err
 
     def test_dir_that_is_a_file_is_config_error(self, tmp_path):
         path = tmp_path / "not_a_dir.csv"
@@ -883,18 +917,40 @@ class TestCsvRoundTrip:
     def test_empty_cells_render_and_parse(self, tmp_path):
         cfg = RunConfig(seeds=(1,))
         path = tmp_path / "t.csv"
-        write_csv(str(path), cfg, [(1, 5, None, 0.25, None, None, 1.0, 0)])
+        write_csv(str(path), cfg, [RunRecord(1, 5, None, 0.25, None, None, 1.0, 0)])
         _, rows = read_csv(str(path))
-        assert rows[0]["f_gap"] is None
-        assert rows[0]["dist_X"] is None
-        assert rows[0]["max_violation"] == 0.25
+        assert rows[0].f_gap is None
+        assert rows[0].dist_X is None
+        assert rows[0].max_violation == 0.25
+
+    @pytest.mark.parametrize("builtin,variant", [
+        ("benchmark", "parallel"), ("benchmark", "sequential"),
+        ("unconstrained", "parallel"),
+    ])
+    def test_read_returns_the_records_written(self, tmp_path, builtin, variant):
+        # every cell round-trips exactly, an empty one as None
+        cfg = RunConfig(builtin=builtin, n=4, m=6, variant=variant, batch_size=2,
+                        beta_policy="adaptive" if variant == "parallel" else "fixed",
+                        iterations=40, cadence=3, seeds=(1, 2), timing=True)
+        inst = harness.build_problem(cfg)
+        results = solver_run(inst.spec, cfg,
+                             context=inst.context() if inst.poly.m else None)
+        for result in results:
+            path = str(tmp_path / f"run_seed{result.seed}.csv")
+            write_csv(path, cfg, result.records)
+            assert read_csv(path)[1] == result.records
+        path = str(tmp_path / "aggregate.csv")
+        agg = aggregate_rows([r.records for r in results])
+        write_csv(path, cfg, agg)
+        assert read_csv(path)[1] == agg
 
     def test_aggregate_rows_nan_aware(self):
         per_seed = [
-            [(1, 1, 1.0, 0.5, None, 0.4, 1.0, 0)],
-            [(2, 1, 3.0, 1.5, None, None, 1.0, 0)],
+            [RunRecord(1, 1, 1.0, 0.5, None, 0.4, 1.0, 0)],
+            [RunRecord(2, 1, 3.0, 1.5, None, None, 1.0, 0)],
         ]
-        agg = aggregate_rows(per_seed)
-        assert agg[0][2] == pytest.approx(2.0)   # f_gap mean
-        assert agg[0][4] is None                 # dist stays empty
-        assert agg[0][5] == pytest.approx(0.4)   # LN_k over defined entries
+        (agg,) = aggregate_rows(per_seed)
+        assert (agg.seed, agg.k) == (None, 1)
+        assert agg.f_gap == pytest.approx(2.0)    # f_gap mean
+        assert agg.dist_X is None                 # dist stays empty
+        assert agg.LN_k == pytest.approx(0.4)     # LN_k over defined entries
