@@ -70,8 +70,9 @@ def parse_seeds(text: str) -> tuple:
 
 
 def parse_int_list(text: str) -> tuple:
-    """Comma-separated integers, e.g. '1,2,4'; raises ValueError otherwise."""
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    """Comma-separated integers, e.g. '1,2,4'; raises ValueError otherwise,
+    on an empty item too ('1,,2', '1,2,')."""
+    return tuple(int(t) for t in text.split(","))
 
 
 def parse_cadence(text: str):

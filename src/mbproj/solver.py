@@ -18,6 +18,11 @@ ahead, rather than once per column.  A seed's arithmetic does not depend on
 the other seeds of its block, nor a constraint value on the width of the
 batch that asks it, so S = 1 and any larger block give the same numbers for
 it.
+
+The parallel pass computes the batch ratio L_N,k only where something reads
+it: the adaptive stepsize, the check of a declared L_N and the lemma checks
+read it on every iteration, the ``LN_k`` column at log points.  Elsewhere
+``run`` asks for the bare averaged step, which gives the same bits.
 """
 
 from __future__ import annotations
@@ -198,7 +203,6 @@ class RunResult:
     records: list
     final_x: np.ndarray
     final_x_hat: np.ndarray
-    max_ln_k: Optional[float]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +297,7 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                 v: np.ndarray, config,
                                 checker: Optional["_LemmaChecker"] = None,
-                                k: int = 0, seeds=None):
+                                k: int = 0, seeds=None, ratio: bool = True):
     """One parallel minibatch feasibility pass, seed by seed at its point.
 
     ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).
@@ -311,43 +315,59 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     numbers) label its reports.  Returns the next points, each seed's L_N,k
     and stepsize (both NaN where the batch is feasible); an oracle fault
     raises ``OracleFault``.  Preconditions are ``validate``'s.
+
+    With ``ratio`` False, under any rule but the adaptive one, the pass
+    takes the bare step: no L_N,k, no ``batch_diagnostics`` call and no
+    stepsize array, and both are returned as None.  The next points keep
+    every bit of the full pass, and every oracle fault is still raised.
+    ``run`` asks for it only where nothing reads L_N,k: off its log points,
+    under a fixed beta with no declared L_N and no checker.
     """
     gvals, dirs = _checked_batch(spec, indices, v)
     active = gvals > 0.0
     hits = np.count_nonzero(active)
     if not hits:
-        no_step = np.full(len(v), np.nan)
+        no_step = np.full(len(v), np.nan) if ratio else None
         return v, no_step, no_step
     violated, count = None, len(v)    # every seed when every entry is active
     if hits < active.size:
         violated = np.logical_or.reduce(active, 1)
         count = np.count_nonzero(violated)
+        gplus = np.maximum(gvals, 0.0)
+    else:
+        gplus = gvals                 # every value is positive
     every = count == len(v)
-    gplus = np.maximum(gvals, 0.0)
     nsq = _squared_norms(dirs, active)
     fixed = None if config.beta_policy == "adaptive" else initial_beta(config)
-    ln_k, step = batch_diagnostics(gplus, dirs, nsq, None if every else violated,
-                                   count)
-    if fixed is None:
-        beta = (2.0 - config.delta) / ln_k
-    else:
-        beta = _constant_steps(fixed, len(v)) if every else \
-            np.where(violated, fixed, np.nan)
-    ln = config.ln_hint
-    if ln is not None:
-        over = ln_k > ln * (1.0 + LN_RTOL)
-        if over.any():
-            row = int(np.argmax(over))
-            seed = row if seeds is None else seeds[row]
-            raise SolverAbort(
-                f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
-                f"{ln:g} at k={k}, seed {seed} (beta {beta[row]:g})",
-                snapshot={"seed": seed, "k": k, "ln_k": float(ln_k[row]),
-                          "ln": ln, "beta": float(beta[row])})
+    ln_k = beta = None
+    if ratio:
+        ln_k, mean_dir = batch_diagnostics(gplus, dirs, nsq,
+                                           None if every else violated, count)
+        if fixed is None:
+            beta = (2.0 - config.delta) / ln_k
+        else:
+            beta = _constant_steps(fixed, len(v)) if every else \
+                np.where(violated, fixed, np.nan)
+        ln = config.ln_hint
+        if ln is not None:
+            over = ln_k > ln * (1.0 + LN_RTOL)
+            if over.any():
+                row = int(np.argmax(over))
+                seed = row if seeds is None else seeds[row]
+                raise SolverAbort(
+                    f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
+                    f"{ln:g} at k={k}, seed {seed} (beta {beta[row]:g})",
+                    snapshot={"seed": seed, "k": k, "ln_k": float(ln_k[row]),
+                              "ln": ln, "beta": float(beta[row])})
     # at beta = 1 the coefficients beta * gplus / nsq are the ratios, whose
-    # mean row is the step; a feasible seed's NaN row is merged away below
-    if fixed != 1.0:
-        step = _weighted_mean(beta[:, None] * gplus / nsq, dirs)
+    # mean row batch_diagnostics returns; the bare step takes the same
+    # expressions with the scalar beta, which gives each violated seed the
+    # same bits, and a feasible seed's row, NaN or zero, is merged away below
+    if fixed == 1.0:
+        step = mean_dir if ratio else _weighted_mean(gplus / nsq, dirs)
+    else:
+        step = _weighted_mean((beta[:, None] if ratio else fixed) * gplus / nsq,
+                              dirs)
     x_next = spec.simple_set.project(v - step)
     if not every:
         x_next = np.where(violated[:, None], x_next, v)
@@ -542,20 +562,23 @@ def run(spec: ProblemSpec, config,
 
     Each iteration takes one objective step and one feasibility pass for the
     (S, n) block, checked by the lemma checker under ``lemma-checks``; only
-    an adaptive beta changes ``beta_k``.  Each seed keeps its own
-    ``SeedSequence``, hence its own initial point and ``Sampler`` (one
-    ``draw`` per ``INDEX_BLOCK`` iterations), so its numbers do not depend
-    on the other seeds.  Records are computed seed by seed on the weighted
-    running average: f_gap when the spec knows its optimum, max_violation
-    and dist_X only through ``context``; ``elapsed_ns`` counts from the
-    start of the block.  Each seed keeps the active set of its last dist_X
-    projection, and its next log point's ``distance_oracle`` call starts
-    from it and leaves its own there; the lemma checker keeps one per seed
-    the same way.  A warm start gives the bits of a cold one (see
-    ``geometry``), and a seed reads only its own sets.  The first
-    non-finite iterate, constraint oracle fault (reported with ``k``, the
-    seed and its batch indices) or realized L_N,k above a declared L_N
-    aborts the whole block with ``SolverAbort``.
+    an adaptive beta changes ``beta_k``.  The parallel pass computes L_N,k
+    on every iteration under the adaptive rule, a declared ``ln_hint`` or
+    ``lemma-checks``, and otherwise only at log points, for ``LN_k``: off
+    them it takes the bare step, with the same next points.  Each seed keeps
+    its own ``SeedSequence``, hence its own initial point and ``Sampler``
+    (one ``draw`` per ``INDEX_BLOCK`` iterations), so its numbers do not
+    depend on the other seeds.  Records are computed seed by seed on the
+    weighted running average: f_gap when the spec knows its optimum,
+    max_violation and dist_X only through ``context``; ``elapsed_ns`` counts
+    from the start of the block.  Each seed keeps the active set of its last
+    dist_X projection, and its next log point's ``distance_oracle`` call
+    starts from it and leaves its own there; the lemma checker keeps one per
+    seed the same way.  A warm start gives the bits of a cold one (see
+    ``geometry``), and a seed reads only its own sets.  The first non-finite
+    iterate, constraint oracle fault (reported with ``k``, the seed and its
+    batch indices) or realized L_N,k above a declared L_N aborts the whole
+    block with ``SolverAbort``.
     """
     validate(config, spec)
     if config.assertions == "lemma-checks" and context is None:
@@ -579,7 +602,9 @@ def run(spec: ProblemSpec, config,
 
     beta0 = initial_beta(config)
     beta_k = np.full(len(seeds), beta0)
-    ln_k = max_ln = np.full(len(seeds), np.nan)
+    ln_k = np.full(len(seeds), np.nan)
+    every_ratio = config.beta_policy == "adaptive" or \
+        config.ln_hint is not None or checker is not None
 
     weighted_sum = np.zeros_like(x)
     active_sets = [[] for _ in seeds]
@@ -605,8 +630,8 @@ def run(spec: ProblemSpec, config,
             try:
                 if variant == "parallel":
                     x, ln_k, beta = parallel_feasibility_update(
-                        spec, indices, v, config, checker, k, seeds)
-                    max_ln = np.fmax(max_ln, ln_k)
+                        spec, indices, v, config, checker, k, seeds,
+                        every_ratio or k in log_ks)
                     if config.beta_policy == "adaptive":   # else beta_k never changes
                         beta_k = np.where(np.isnan(beta), beta_k, beta)
                 else:
@@ -645,6 +670,5 @@ def run(spec: ProblemSpec, config,
 
     x_hat = weighted_sum / weight_total
     return [RunResult(seed=seed, records=records[row],
-                      final_x=x[row], final_x_hat=x_hat[row],
-                      max_ln_k=None if np.isnan(max_ln[row]) else float(max_ln[row]))
+                      final_x=x[row], final_x_hat=x_hat[row])
             for row, seed in enumerate(seeds)]

@@ -9,7 +9,8 @@ import pytest
 from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             EXIT_WINDOW, RunConfig, WindowError, _add_solve_flags,
                             aggregate_rows, bootstrap_ci, load_config_file, main,
-                            minibatch_sweep, parse_seeds, rate_check, read_csv,
+                            minibatch_sweep, parse_int_list, parse_seeds,
+                            rate_check, read_csv,
                             solve_experiment, write_csv)
 from mbproj import geometry, harness, problems
 from mbproj.problems import (make_builtin, make_polyhedral_benchmark,
@@ -243,6 +244,20 @@ class TestSolveCommand:
         envelope = 2.0 * np.exp(dist_fit.intercept) * final.k ** dist_fit.slope
         assert final.dist_X <= envelope
 
+    def test_benchmark_parallel_rate_with_sampling(self, tmp_path):
+        # N = 4 of m = 20 rows without replacement: each batch is a random
+        # subset.  dist_X falls at the paper's O(1/k) rate, fitted late, past
+        # the slower start, in test_orthant2_end_to_end's band
+        out = tmp_path / "runs"
+        code = main(["solve", "--builtin", "benchmark", "--n", "10", "--m", "20",
+                     "--problem-seed", "1", "--variant", "parallel", "--N", "4",
+                     "--beta", "1.0", "--iters", "30000", "--seeds", "1..6",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        fits = rate_check(str(out), 300, 30000)
+        dist_fit = next(f for f in fits if f.metric == "dist_X")
+        assert -1.3 <= dist_fit.slope <= -0.8
+
     def test_aggregate_is_arithmetic_mean_of_per_seed_files(self, tmp_path):
         out = tmp_path / "runs"
         code = main(["solve", "--builtin", "benchmark", "--n", "4", "--m", "6",
@@ -465,6 +480,22 @@ class TestSolveCommand:
                             "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--N-list"])
+    @pytest.mark.parametrize("text", ["1,,2", "1,2,", ",1,2", "1, ,2"])
+    def test_empty_list_item_is_config_error(self, tmp_path, capsys, flag, text):
+        # an empty item is no integer: it is not dropped from the list
+        with pytest.raises(ValueError):
+            parse_int_list(text)
+        argv = ["sweep", "--seeds", "1", "--N-list", text] if flag == "--N-list" \
+            else ["solve", "--seeds", text]
+        out = tmp_path / "x"
+        code = main(argv + ["--builtin", "orthant2", "--iters", "5",
+                            "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and repr(text) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,key,text", [
         ("row 0", None, None),

@@ -9,7 +9,8 @@ from mbproj.geometry import PolyhedronSpec, distance_oracle, linear_family
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
-                             make_polyhedral_benchmark, predicted_gains)
+                             make_orthant2, make_polyhedral_benchmark,
+                             predicted_gains)
 from mbproj import solver
 from mbproj.sampling import Sampler
 from mbproj.harness import RunConfig
@@ -87,6 +88,20 @@ def recording_family(spec):
 
     family = dataclasses.replace(spec.constraints, batch=batch)
     return dataclasses.replace(spec, constraints=family), asked, values
+
+
+def counted_diagnostics(monkeypatch, label=lambda: None):
+    """Patch the module global ``solver.batch_diagnostics``, which the
+    parallel pass calls by name, to append ``label()`` to the returned list
+    at each call."""
+    calls, diagnostics = [], solver.batch_diagnostics
+
+    def counted(*args):
+        calls.append(label())
+        return diagnostics(*args)
+
+    monkeypatch.setattr(solver, "batch_diagnostics", counted)
+    return calls
 
 
 def column_chain(spec, indices, v, beta, checker=None, k=0):
@@ -784,7 +799,7 @@ class TestOracleFaults:
     INDICES = np.array([[0, 1], [2, 3], [0, 1]])
 
     @classmethod
-    def faulty_pass(cls, variant, fault):
+    def faulty_pass(cls, variant, fault, ratio=True):
         def batch(idx, v):
             values, rows = v[idx % 2], np.eye(2)[idx % 2]
             if fault == "inf-row-violated":
@@ -801,7 +816,8 @@ class TestOracleFaults:
         spec = batch_spec(batch, size=4)
         if variant == "parallel":
             x, _, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
-                                                  RunConfig(beta=1.0))
+                                                  RunConfig(beta=1.0),
+                                                  ratio=ratio)
             return x
         return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK, 1.0)
 
@@ -813,6 +829,14 @@ class TestOracleFaults:
         # it: only the finiteness test can report it
         with pytest.raises(OracleFault, match="non-finite") as info:
             self.faulty_pass(variant, fault)
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("fault", ["inf-row-violated", "nan-row-satisfied",
+                                       "neg-inf-value"])
+    def test_bare_parallel_step_raises_every_fault(self, fault):
+        # without L_N,k the pass still checks every value and row it is given
+        with pytest.raises(OracleFault, match="non-finite") as info:
+            self.faulty_pass("parallel", fault, ratio=False)
         assert info.value.row == 1
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
@@ -882,7 +906,8 @@ class TestDeclaredLN:
 
     @pytest.mark.parametrize("batch_size", [1, 2, 4])
     @pytest.mark.parametrize("name", ["benchmark", "duplicated"])
-    def test_exact_ln_never_aborts(self, name, batch_size):
+    def test_exact_ln_never_aborts(self, name, batch_size, monkeypatch):
+        calls = counted_diagnostics(monkeypatch)
         inst = self.INSTANCES[name]()
         with warnings.catch_warnings():
             # the duplicated rows reach the bound 1, which is warned about
@@ -893,8 +918,29 @@ class TestDeclaredLN:
                             beta_policy="extrapolated", delta=0.1, ln_hint=ln,
                             iterations=300, seeds=(seed,),
                             sampler="without-replacement")
-            (result,) = run(inst.spec, cfg, context=inst.context())  # must not abort
-            assert result.max_ln_k is not None  # the check saw violated batches
+            calls.clear()
+            run(inst.spec, cfg, context=inst.context())  # must not abort
+            assert calls  # the check saw violated batches
+
+
+def seeds_by_kind(inst, size):
+    """Minibatches of ``size`` distinct indices and points, drawn from a
+    fixed stream, sorted by how many of the batch's constraints each point
+    violates and by whether it lies outside the simple set Y, where only
+    the merge keeps a point that takes no step."""
+    rng = np.random.default_rng(4)
+    spec, kinds = inst.spec, {}
+    for _ in range(300):
+        idx = rng.choice(spec.constraints.size, size, replace=False)
+        u = rng.standard_normal(spec.dimension)
+        v = inst.anchor + rng.uniform(0.05, 1.5) * spec.simple_set.radius \
+            * u / np.linalg.norm(u)
+        gvals, _ = spec.constraints.batch(idx[None], v[None])
+        hit = int(np.count_nonzero(gvals > 0.0))
+        kind = "feasible" if hit == 0 else "fully" if hit == size else "partly"
+        outside = not spec.simple_set.contains(v)
+        kinds.setdefault((kind, outside), []).append((idx, v))
+    return kinds
 
 
 class TestBlockEqualsSeeds:
@@ -916,25 +962,6 @@ class TestBlockEqualsSeeds:
         "sequential-fixed1.9": 1.9,
     }
 
-    def seeds_by_kind(self, inst):
-        """Minibatches and points, drawn from a fixed stream, sorted by how
-        many of the batch's constraints each point violates and by whether
-        it lies outside the simple set Y, where only the merge keeps a
-        point that takes no step."""
-        rng = np.random.default_rng(4)
-        spec, kinds = inst.spec, {}
-        for _ in range(300):
-            idx = rng.choice(spec.constraints.size, self.SIZE, replace=False)
-            u = rng.standard_normal(spec.dimension)
-            v = inst.anchor + rng.uniform(0.05, 1.5) * spec.simple_set.radius \
-                * u / np.linalg.norm(u)
-            gvals, _ = spec.constraints.batch(idx[None], v[None])
-            hit = int(np.count_nonzero(gvals > 0.0))
-            kind = "feasible" if hit == 0 else "fully" if hit == self.SIZE else "partly"
-            outside = not spec.simple_set.contains(v)
-            kinds.setdefault((kind, outside), []).append((idx, v))
-        return kinds
-
     def feasibility_pass(self, name, inst):
         policy = self.PASSES[name]
         if policy == "exact":
@@ -952,7 +979,7 @@ class TestBlockEqualsSeeds:
         outside Y, leaving out the feasible ones when ``block`` is
         all-violated and the partly violated ones when it is extremes."""
         inst = TestDeclaredLN.INSTANCES[instance]()
-        kinds = self.seeds_by_kind(inst)
+        kinds = seeds_by_kind(inst, self.SIZE)
         # each kind occurs inside and outside Y, but the duplicated rows are
         # one constraint, so none of their batches is partly violated
         present = ("feasible", "fully") if instance == "duplicated" else \
@@ -1023,3 +1050,110 @@ class TestBlockEqualsSeeds:
             for got, want in zip(pass_checker.seen, chain_checker.seen):
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b)
+
+
+class TestBareStep:
+    """The parallel pass with ``ratio`` False, as ``run`` takes it off its
+    log points when nothing reads L_N,k: the next points of the full pass,
+    bit for bit, and None for L_N,k and the stepsizes."""
+
+    # the instance and its batch size: orthant2 has only two rows
+    INSTANCES = {"benchmark": (TestDeclaredLN.INSTANCES["benchmark"], 3),
+                 "duplicated": (TestDeclaredLN.INSTANCES["duplicated"], 3),
+                 "orthant2": (make_orthant2, 2)}
+    # the kinds of a block's seeds, taken in turn; one seed is a mixed block
+    # only through a partly violated batch, which the duplicated rows never
+    # have, so that case is left out
+    BLOCKS = {"all-violated": ("fully", "partly"),
+              "mixed": ("partly", "feasible", "fully"),
+              "all-feasible": ("feasible",)}
+    CASES = [case for case in itertools.product(INSTANCES, BLOCKS, (1, 3))
+             if case != ("duplicated", "mixed", 1)]
+
+    def drawn_block(self, instance, block, count):
+        make, size = self.INSTANCES[instance]
+        inst = make()
+        kinds = seeds_by_kind(inst, size)
+        order = [kind for kind in self.BLOCKS[block] if (kind, False) in kinds]
+        chosen = [kinds[order[row % len(order)], bool(row % 2)][row]
+                  for row in range(count)]
+        indices = np.array([idx for idx, _ in chosen])
+        v = np.array([point for _, point in chosen])
+        active = inst.spec.constraints.batch(indices, v)[0] > 0.0
+        assert {"all-violated": active.any(axis=1).all(),
+                "mixed": active.any() and not active.all(),
+                "all-feasible": not active.any()}[block]
+        return inst, indices, v
+
+    @pytest.mark.parametrize("beta", [0.7, 1.0, 1.9])
+    @pytest.mark.parametrize("instance, block, count", CASES)
+    def test_bare_step_is_the_full_pass(self, instance, block, count, beta):
+        inst, indices, v = self.drawn_block(instance, block, count)
+        cfg = RunConfig(beta=beta)
+        full, _, _ = parallel_feasibility_update(inst.spec, indices, v, cfg)
+        bare, ln_k, steps = parallel_feasibility_update(inst.spec, indices, v,
+                                                        cfg, ratio=False)
+        assert ln_k is None and steps is None
+        assert bare.tobytes() == full.tobytes()
+        if block == "all-feasible":
+            assert bare is v and full is v
+
+    @pytest.mark.parametrize("beta", [0.7, 1.0])
+    def test_bare_step_under_underflow(self, beta):
+        # the full pass rescales the underflowing first seed for L_N,k only
+        indices = np.array([[0, 1], [0, 1]])
+        v = np.array([[1e-170, -1.0], [1e-3, -1.0]])
+        cfg = RunConfig(beta=beta)
+        full, _, _ = parallel_feasibility_update(corner_spec(), indices, v, cfg)
+        bare, _, _ = parallel_feasibility_update(corner_spec(), indices, v, cfg,
+                                                 ratio=False)
+        assert bare.tobytes() == full.tobytes()
+
+
+class TestRatioReaders:
+    """``run`` computes L_N,k on every iteration only when something reads
+    it there: the adaptive rule, a declared L_N or the lemma checks.
+    Elsewhere it takes the bare step off its log points, which changes no
+    record."""
+
+    # orthant2 violates every row of nearly every block, where the pass
+    # skips the positive part; on benchmark 10x20 at N = 4 most blocks have
+    # a feasible seed
+    INSTANCES = {"orthant2": (make_orthant2, 2),
+                 "benchmark": (lambda: make_polyhedral_benchmark(10, 20, seed=0), 4)}
+
+    @pytest.mark.parametrize("beta", [0.7, 1.0])
+    @pytest.mark.parametrize("instance", list(INSTANCES))
+    def test_declared_exact_ln_changes_no_record(self, instance, beta):
+        make, size = self.INSTANCES[instance]
+        inst = make()
+        bare = RunConfig(variant="parallel", batch_size=size, beta=beta,
+                         iterations=2000, seeds=(1, 2, 3))
+        full = dataclasses.replace(bare, ln_hint=exact_ln_linear(inst.poly, size))
+        for a, b in zip(run(inst.spec, bare, context=inst.context()),
+                        run(inst.spec, full, context=inst.context())):
+            assert [r._replace(elapsed_ns=0) for r in a.records] == \
+                [r._replace(elapsed_ns=0) for r in b.records]
+            assert a.final_x.tobytes() == b.final_x.tobytes()
+            assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
+
+    READERS = {"none": {}, "adaptive": {"beta_policy": "adaptive", "delta": 0.1},
+               "declared": {"ln_hint": "exact"},
+               "lemma-checks": {"assertions": "lemma-checks"}}
+
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_batch_diagnostics_runs_where_read(self, reader, monkeypatch):
+        inst = self.INSTANCES["benchmark"][0]()
+        spec, asked, values = recording_family(inst.spec)
+        # the pass asks the family once per iteration, before any ratio
+        calls = counted_diagnostics(monkeypatch, label=lambda: len(asked))
+        settings = dict(self.READERS[reader])
+        if "ln_hint" in settings:
+            settings["ln_hint"] = exact_ln_linear(inst.poly, 4)
+        cfg = RunConfig(variant="parallel", batch_size=4, beta=1.0,
+                        iterations=300, seeds=(1, 2), **settings)
+        results = run(spec, cfg, context=inst.context())
+        violated = {k for k, g in enumerate(values, 1) if (g > 0.0).any()}
+        logged = {r.k for r in results[0].records}
+        assert violated & logged and violated - logged
+        assert calls == sorted(violated if settings else violated & logged)
