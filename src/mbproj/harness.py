@@ -12,9 +12,11 @@ comment lines; it echoes the settings that determine the numbers, with
 ``problem.n`` and ``problem.m`` read from the built instance, and leaves
 out ``out_dir``.  By default the elapsed_ns column is written as 0 so
 repeated identical invocations produce byte-identical files; enable
-``timing`` to record wall-clock times instead.  All seeds of a ``solve``
-advance together as one block, so elapsed_ns is the block's time since its
-start, and a seed's row reports when the block reached its k.
+``timing`` to record wall-clock times instead.  All seeds of a ``solve``,
+and every (N, seed) row of a ``sweep``, advance together as one block of
+one ``run`` call, so elapsed_ns is the block's time since its start, and a
+row reports when the block reached its k: under ``timing``, a sweep's
+elapsed_ns is the clock of the whole sweep, not of its N alone.
 """
 
 from __future__ import annotations
@@ -273,6 +275,26 @@ def _check_out_dir(path: str) -> None:
         raise ConfigError(f"output path {head} exists and is not a directory")
 
 
+def _write_results(cfg: RunConfig, instance: BenchmarkInstance, results) -> list:
+    """Make ``cfg.out_dir`` and write a CSV per result, one seed's, and the
+    aggregate there, each headed by ``cfg`` with the instance's n and m;
+    returns the paths."""
+    echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    per_seed_rows, paths = [], []
+    for result in results:
+        rows = result.records if cfg.timing else \
+            [r._replace(elapsed_ns=0) for r in result.records]
+        path = os.path.join(cfg.out_dir, f"run_seed{result.seed}.csv")
+        write_csv(path, echo, rows)
+        per_seed_rows.append(rows)
+        paths.append(path)
+    agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
+    write_csv(agg_path, echo, aggregate_rows(per_seed_rows))
+    paths.append(agg_path)
+    return paths
+
+
 def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = None):
     """Run every seed of ``cfg`` as one block through ``run``; write
     per-seed CSVs and the aggregate.
@@ -287,22 +309,9 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     """
     instance = instance or build_problem(cfg)
     context = instance.context() if instance.poly.m else None
-    echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
     _check_out_dir(cfg.out_dir)
     results = run(instance.spec, cfg, context=context)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    per_seed_rows, paths = [], []
-    for result in results:
-        rows = result.records if cfg.timing else \
-            [r._replace(elapsed_ns=0) for r in result.records]
-        path = os.path.join(cfg.out_dir, f"run_seed{result.seed}.csv")
-        write_csv(path, echo, rows)
-        per_seed_rows.append(rows)
-        paths.append(path)
-    agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
-    write_csv(agg_path, echo, aggregate_rows(per_seed_rows))
-    paths.append(agg_path)
-    return instance, results, paths
+    return instance, results, _write_results(cfg, instance, results)
 
 
 def bootstrap_ci(values):
@@ -426,11 +435,15 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     For each N the final mean oracle distance (with bootstrap CI) is measured
     over the configured seeds, next to the predicted gain b(N) of the runs'
     own variant; the harness juxtaposes measurement and prediction without
-    asserting either.  Every N's settings pass ``solver.validate``, the
-    output directory must be makeable, and the problem must have linear
-    constraints for the distance metric, before any prediction is priced
-    or any N runs.  Predictions use the runs' constant stepsize
-    (``solver.initial_beta``), so ``c_hat`` is a
+    asserting either.  Every N's settings pass ``solver.validate``, each
+    N's output directory must be makeable, and the problem must have
+    linear constraints for the distance metric, before any prediction is
+    priced or anything runs.  Then one ``run`` call advances every
+    (N, seed) row as one block, each row with the bits of a ``solve`` at
+    its N, and ``N<size>/`` under ``out_dir`` gets the CSVs that ``solve``
+    would write, only after the block returns: a ``SolverAbort``, which
+    stops the whole block, leaves no directory.  Predictions use the runs'
+    constant stepsize (``solver.initial_beta``), so ``c_hat`` is a
     configuration error under the adaptive policy, as is a ``c_hat`` that
     ``predicted_gains`` rejects.  Batch sizes must be distinct.
     ``outside_theory`` marks an N whose b the rate theory of the runs'
@@ -447,12 +460,10 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
         raise ConfigError("--c-hat predictions need a constant stepsize; the "
                           "adaptive beta policy has none")
     instance = instance or build_problem(cfg)
-    subs = [replace(cfg, batch_size=size,
-                    out_dir=os.path.join(cfg.out_dir, f"N{size}"))
-            for size in n_list]
-    for sub in subs:
-        validate(sub, instance.spec)
-    _check_out_dir(cfg.out_dir)
+    validate(cfg, instance.spec, n_list)
+    out_dirs = {size: os.path.join(cfg.out_dir, f"N{size}") for size in n_list}
+    for path in out_dirs.values():
+        _check_out_dir(path)
     if not instance.poly.m:
         raise ConfigError("sweep requires polyhedral distance metrics, and "
                           "the problem has no linear constraints")
@@ -466,12 +477,14 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
                     [size], with_replacement=cfg.sampler == "iid-uniform")[0]
             except OracleError as exc:  # L_N enumeration above its cap
                 print(f"note: no predicted_b for N = {size}: {exc}", file=sys.stderr)
+    results = run(instance.spec, cfg, context=instance.context(), sizes=n_list)
     out = []
     base_ratio = None
-    for sub in subs:
-        size = sub.batch_size
-        _, results, _ = solve_experiment(sub, instance=instance)
-        finals = [r.records[-1].dist_X for r in results]
+    for size in n_list:
+        runs = [r for r in results if r.batch_size == size]
+        _write_results(replace(cfg, batch_size=size, out_dir=out_dirs[size]),
+                       instance, runs)
+        finals = [r.records[-1].dist_X for r in runs]
         lo, hi = bootstrap_ci(finals)
         b_val = gains.get(size)
         ratio = None

@@ -9,15 +9,24 @@ re-evaluating each constraint at the current inner point and projecting after
 every step.  Both track the quadratically weighted running average of the
 iterates, on which all reported metrics are computed.
 
-One kernel, ``run``, advances a block of S independent seeds at once: the
-iterates are an (S, n) array with one row per seed, and every step below
-works on that seed axis.  The parallel pass is one vectorized step; the
-sequential pass is N chained steps, each vectorized over the seeds, and it
-calls the constraint oracle once per step taken, for all the columns still
-ahead, rather than once per column.  A seed's arithmetic does not depend on
-the other seeds of its block, nor a constraint value on the width of the
-batch that asks it, so S = 1 and any larger block give the same numbers for
-it.
+One kernel, ``run``, advances a block of S independent rows at once: the
+iterates are an (S, n) array with one row per (batch size N, seed) pair,
+and every step below works on that row axis.  The parallel pass is one
+vectorized step; the sequential pass is N chained steps, each vectorized
+over the rows, and it calls the constraint oracle once per step taken, for
+all the columns still ahead, rather than once per column.  A row's
+arithmetic does not depend on the other rows of its block, nor a
+constraint value on the width of the batch that asks it, so S = 1 and any
+larger block give the same numbers for it.
+
+A block may mix batch sizes, as a minibatch sweep does.  Its index array is
+then (S, N_max): a row with a smaller N repeats its own last index, and a
+mask of real columns makes these pads satisfied constraints, which never
+step.  Work row by row or entry by entry runs once on the whole block;
+work that reduces over a row's columns (the averaged step, the batch ratio
+and the lemma checks) runs per group of rows of equal N on that group's
+real columns only, since a zero-weight pad changes the rounding of a sum.
+So each row gets the bits of a block of its own N.
 
 The parallel pass computes the batch ratio L_N,k only where something reads
 it: the adaptive stepsize, the check of a declared L_N and the lemma checks
@@ -55,7 +64,8 @@ class ConfigError(ValueError):
 class SolverAbort(RuntimeError):
     """Run aborted: a non-finite iterate, a constraint oracle fault, a failed
     per-iteration check, or a realized batch ratio L_N,k above the declared
-    L_N.  The snapshot names the failing ``seed``."""
+    L_N.  The message and the snapshot name the failing row's ``k``,
+    ``seed`` and ``batch_size``."""
 
     def __init__(self, message: str, snapshot: Optional[dict] = None):
         super().__init__(message)
@@ -86,11 +96,12 @@ INITS = ("zero", "gaussian")
 ASSERTIONS = ("off", "lemma-checks")
 
 
-def validate(config, spec: ProblemSpec) -> None:
+def validate(config, spec: ProblemSpec, sizes=None) -> None:
     """The one check of the run settings ``config``, a ``RunConfig`` of the
-    harness: ``run`` calls it before any work, and the sampler, both
-    feasibility passes and the objective step rely on it without checking
-    again.
+    harness, at each batch size of ``sizes`` (by default
+    ``config.batch_size``): ``run`` calls it before any work, and the
+    sampler, both feasibility passes and the objective step rely on it
+    without checking again.
 
     The feasibility stepsize rule is ``config.beta_policy``: a fixed
     ``beta``, extrapolated as (2 - ``delta``) / L_N against a declared
@@ -107,7 +118,8 @@ def validate(config, spec: ProblemSpec) -> None:
         raise ConfigError(f"seeds must be distinct and >= 0: {list(config.seeds)}")
     if config.iterations < 1:
         raise ConfigError("iterations must be >= 1")
-    if config.batch_size < 1:
+    sizes = (config.batch_size,) if sizes is None else sizes
+    if min(sizes) < 1:
         raise ConfigError("batch size must be >= 1")
     if config.init not in INITS:
         raise ConfigError(f"unknown init rule {config.init!r}")
@@ -148,9 +160,9 @@ def validate(config, spec: ProblemSpec) -> None:
         if rule == "extrapolated" and ln is None:
             raise ConfigError("extrapolated beta requires a known positive L_N")
     m = spec.constraints.size
-    if m and config.sampler == "without-replacement" and config.batch_size > m:
-        raise ConfigError(
-            f"cannot draw {config.batch_size} distinct indices from {m}")
+    for size in sizes:
+        if m and config.sampler == "without-replacement" and size > m:
+            raise ConfigError(f"cannot draw {size} distinct indices from {m}")
 
 
 def initial_beta(config) -> float:
@@ -200,18 +212,43 @@ class RunRecord(NamedTuple):
 @dataclass
 class RunResult:
     seed: int
+    batch_size: int
     records: list
     final_x: np.ndarray
     final_x_hat: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# elementary steps, each on the seed axis
+# elementary steps, each on the row axis
 
 
-def _weighted_mean(weights: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Mean of each seed's rows ``dirs`` (S, N, n) under ``weights`` (S, N)."""
-    return np.matmul(weights[:, None, :], dirs)[:, 0] / weights.shape[1]
+class _Rows(NamedTuple):
+    """The rows of a block: each row's seed and batch size N.  When the
+    sizes differ, ``groups`` holds the (row slice, N) of each run of rows of
+    equal N and ``real`` the (S, N_max) mask of each row's real columns;
+    with one size they are empty and None, and no step slices or masks."""
+
+    seeds: tuple
+    sizes: tuple
+    groups: tuple = ()
+    real: Optional[np.ndarray] = None
+
+    def at(self, k: int, row: int):
+        """The text and the snapshot keys that name ``row`` at iteration k."""
+        seed, size = self.seeds[row], self.sizes[row]
+        return (f"k={k}, seed {seed}, N={size}",
+                {"seed": seed, "batch_size": size, "k": k})
+
+
+def _weighted_mean(weights: np.ndarray, dirs: np.ndarray, groups=()) -> np.ndarray:
+    """Mean of each row's rows ``dirs`` (S, N, n) under ``weights`` (S, N),
+    per group of ``_Rows.groups`` on its real columns when there are any."""
+    if not groups:
+        return np.matmul(weights[:, None, :], dirs)[:, 0] / weights.shape[1]
+    mean = np.empty((len(dirs), dirs.shape[2]))
+    for rows, size in groups:
+        mean[rows] = _weighted_mean(weights[rows, :size], dirs[rows, :size])
+    return mean
 
 
 def _ratio_terms(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
@@ -224,7 +261,7 @@ def _ratio_terms(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
 
 def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
                       violated: Optional[np.ndarray], count: int):
-    """Alignment ratio L_N,k of each seed's minibatch, shape (S,), and the
+    """Alignment ratio L_N,k of each row's minibatch, shape (S,), and the
     mean of its rows weighted by gplus / nsq, shape (S, n).  L_N,k =
     |avg of gplus / nsq * rows|^2 / avg of gplus^2 / nsq is at most 1
     (mean-square inequality); it is NaN in the rows that ``violated``
@@ -250,11 +287,15 @@ def _constant_steps(beta: float, count: int) -> np.ndarray:
     return steps
 
 
-def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
+def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray,
+                   real: Optional[np.ndarray] = None):
     """The family's values and rows at the points v.  An ``OracleFault``
-    names the first seed with a non-finite value or row entry, or with a
+    names the first row with a non-finite value or row entry, or with a
     violated constraint whose row's squared norm overflows, which would make
-    its step beta * gplus / inf * row zero."""
+    its step beta * gplus / inf * row zero.  Where the mask ``real`` is
+    False the column is a pad: its value reads 0, a satisfied constraint,
+    and its entries are not checked, since the sequential pass may ask a
+    pad at a point where its row's chain has passed that index."""
     gvals, dirs = spec.constraints.batch(indices, v)
     gvals = np.asarray(gvals, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -262,9 +303,13 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
         raise OracleError(
             f"constraint batch returned shapes {gvals.shape} and {dirs.shape} "
             f"for indices {indices.shape} at points {v.shape}")
+    if real is not None:
+        gvals = np.where(real, gvals, 0.0)
     # a sum of squares is finite only if every term is, so two finite sums
     # clear the batch; the sum over dirs is also the rows' squared norms
     if not (math.isfinite(np.vdot(gvals, gvals)) and math.isfinite(np.vdot(dirs, dirs))):
+        if real is not None:
+            dirs = np.where(real[..., None], dirs, 0.0)
         finite = np.isfinite(gvals).all(axis=1) & np.isfinite(dirs).all(axis=(1, 2))
         if not finite.all():
             raise OracleFault("constraint oracle returned a non-finite value",
@@ -282,7 +327,7 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Squared norms of the rows, shaped as the mask ``active`` of violated
     constraints.  Only a zero row builds masks: on a violated constraint it
     is an ``OracleFault``, elsewhere it reads as 1."""
-    # each (seed, index) row reduced as a lone row would be; np.vecdot
+    # each (row, index) row reduced as a lone row would be; np.vecdot
     # rounds differently
     nsq = np.einsum("...j,...j->...", dirs, dirs)
     if np.count_nonzero(nsq) < nsq.size:
@@ -297,24 +342,27 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                 v: np.ndarray, config,
                                 checker: Optional["_LemmaChecker"] = None,
-                                k: int = 0, seeds=None, ratio: bool = True):
-    """One parallel minibatch feasibility pass, seed by seed at its point.
+                                k: int = 0, rows: Optional[_Rows] = None,
+                                ratio: bool = True):
+    """One parallel minibatch feasibility pass, row by row at its point.
 
-    ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).
-    Each sampled constraint gets an independent relaxed projection step from
-    its seed's point; the results are averaged (fixed index order) and
+    ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
+    sampled constraint gets an independent relaxed projection step from
+    its row's point; the results are averaged (fixed index order) and
     projected onto the simple set.  The stepsize rule is that of the run
     settings ``config``, read by the names ``beta_policy``, ``delta`` and
-    ``ln_hint``: a seed's stepsize is (2 - delta) / L_N,k of its batch's
+    ``ln_hint``: a row's stepsize is (2 - delta) / L_N,k of its batch's
     realized ratio under the adaptive rule, and ``initial_beta(config)``
     under the others; an L_N,k above a declared ``ln_hint`` by more than a
-    relative ``LN_RTOL`` raises ``SolverAbort`` before the step.  A seed
+    relative ``LN_RTOL`` raises ``SolverAbort`` before the step.  A row
     whose batch is feasible keeps its point, and ``v`` itself is returned
-    when every seed's is.  ``checker`` (None when checks are off) verifies
-    the decrease inequalities; ``k`` and ``seeds`` (by default the row
-    numbers) label its reports.  Returns the next points, each seed's L_N,k
-    and stepsize (both NaN where the batch is feasible); an oracle fault
-    raises ``OracleFault``.  Preconditions are ``validate``'s.
+    when every row's is.  ``checker`` (None when checks are off) verifies
+    the decrease inequalities; ``k`` and ``rows`` (by default row numbers
+    as seeds, all of width N) label the reports, and the groups and mask of
+    ``rows`` give a block of mixed batch sizes (see the module docstring).
+    Returns the next points, each row's L_N,k and stepsize (both NaN where
+    the batch is feasible); an oracle fault raises ``OracleFault``.
+    Preconditions are ``validate``'s.
 
     With ``ratio`` False, under any rule but the adaptive one, the pass
     takes the bare step: no L_N,k, no ``batch_diagnostics`` call and no
@@ -323,13 +371,14 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ``run`` asks for it only where nothing reads L_N,k: off its log points,
     under a fixed beta with no declared L_N and no checker.
     """
-    gvals, dirs = _checked_batch(spec, indices, v)
+    groups = () if rows is None else rows.groups
+    gvals, dirs = _checked_batch(spec, indices, v, None if rows is None else rows.real)
     active = gvals > 0.0
     hits = np.count_nonzero(active)
     if not hits:
         no_step = np.full(len(v), np.nan) if ratio else None
         return v, no_step, no_step
-    violated, count = None, len(v)    # every seed when every entry is active
+    violated, count = None, len(v)    # every row when every entry is active
     if hits < active.size:
         violated = np.logical_or.reduce(active, 1)
         count = np.count_nonzero(violated)
@@ -341,8 +390,15 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     fixed = None if config.beta_policy == "adaptive" else initial_beta(config)
     ln_k = beta = None
     if ratio:
-        ln_k, mean_dir = batch_diagnostics(gplus, dirs, nsq,
-                                           None if every else violated, count)
+        if groups:
+            ln_k, mean_dir = np.empty(len(v)), np.empty_like(v)
+            for part, size in groups:
+                ln_k[part], mean_dir[part] = batch_diagnostics(
+                    gplus[part, :size], dirs[part, :size], nsq[part, :size],
+                    violated[part], np.count_nonzero(violated[part]))
+        else:
+            ln_k, mean_dir = batch_diagnostics(gplus, dirs, nsq,
+                                               None if every else violated, count)
         if fixed is None:
             beta = (2.0 - config.delta) / ln_k
         else:
@@ -353,21 +409,22 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
             over = ln_k > ln * (1.0 + LN_RTOL)
             if over.any():
                 row = int(np.argmax(over))
-                seed = row if seeds is None else seeds[row]
+                rows = rows or _Rows(range(len(v)), (indices.shape[1],) * len(v))
+                where, snapshot = rows.at(k, row)
                 raise SolverAbort(
                     f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
-                    f"{ln:g} at k={k}, seed {seed} (beta {beta[row]:g})",
-                    snapshot={"seed": seed, "k": k, "ln_k": float(ln_k[row]),
-                              "ln": ln, "beta": float(beta[row])})
+                    f"{ln:g} at {where} (beta {beta[row]:g})",
+                    snapshot={**snapshot, "ln_k": float(ln_k[row]), "ln": ln,
+                              "beta": float(beta[row])})
     # at beta = 1 the coefficients beta * gplus / nsq are the ratios, whose
     # mean row batch_diagnostics returns; the bare step takes the same
-    # expressions with the scalar beta, which gives each violated seed the
-    # same bits, and a feasible seed's row, NaN or zero, is merged away below
+    # expressions with the scalar beta, which gives each violated row the
+    # same bits, and a feasible row's step, NaN or zero, is merged away below
     if fixed == 1.0:
-        step = mean_dir if ratio else _weighted_mean(gplus / nsq, dirs)
+        step = mean_dir if ratio else _weighted_mean(gplus / nsq, dirs, groups)
     else:
         step = _weighted_mean((beta[:, None] if ratio else fixed) * gplus / nsq,
-                              dirs)
+                              dirs, groups)
     x_next = spec.simple_set.project(v - step)
     if not every:
         x_next = np.where(violated[:, None], x_next, v)
@@ -380,31 +437,37 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                   v: np.ndarray, beta: float,
                                   checker: Optional["_LemmaChecker"] = None,
-                                  k: int = 0) -> np.ndarray:
+                                  k: int = 0,
+                                  rows: Optional[_Rows] = None) -> np.ndarray:
     """Chained relaxed projection steps, one per sampled constraint.
 
-    ``indices`` (S, N) holds one minibatch per seed row of ``v`` (S, n).  The
-    i-th step evaluates every seed's i-th constraint at that seed's current
-    inner point; each seed that violates it steps and is projected onto the
-    simple set, the others keep their point.  The inner points move only
-    where some seed steps, so one oracle call asks for every column still
-    ahead at the current points; the pass takes the first column that some
-    seed violates and asks again only for the columns after it, and it
-    stops when none is violated.  The family's values depend only on index
-    and point (``ConstraintFamily``), so each step sees the values of the
-    column-by-column chain.  Every value and row returned is checked, so a
-    column the chain would reach at a later point can raise its fault here.
-    ``checker`` (None when checks are off) verifies every inner step and each
-    seed's chain of distance decreases over all N + 1 inner points; ``k``
-    labels its reports.  Returns the final inner points; an oracle fault
-    raises ``OracleFault``.  Preconditions are ``validate``'s.
+    ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  The
+    i-th step evaluates every row's i-th constraint at that row's current
+    inner point; each row that violates it steps and is projected onto the
+    simple set, the others keep their point.  Every step is row by row, so
+    a block of mixed batch sizes needs no groups: the mask of ``rows``
+    makes a pad a satisfied constraint, which no row steps on.  The inner
+    points move only where some row steps, so one oracle call asks for
+    every column still ahead at the current points; the pass takes the
+    first column that some row violates and asks again only for the
+    columns after it, and it stops when none is violated.  The family's
+    values depend only on index and point (``ConstraintFamily``), so each
+    step sees the values of the column-by-column chain.  Every real value
+    and row returned is checked, so a column the chain would reach at a
+    later point can raise its fault here.  ``checker`` (None when checks
+    are off) verifies every inner step and each row's chain of distance
+    decreases over its N + 1 inner points; ``k`` labels its reports.
+    Returns the final inner points; an oracle fault raises
+    ``OracleFault``.  Preconditions are ``validate``'s.
     """
     z = v
     inner = [v] if checker is not None else None
     gplus_seq = np.zeros(indices.shape) if checker is not None else None
+    real = None if rows is None else rows.real
     size, i = indices.shape[1], 0
     while i < size:
-        gvals, dirs = _checked_batch(spec, indices[:, i:], z)
+        gvals, dirs = _checked_batch(spec, indices[:, i:], z,
+                                     None if real is None else real[:, i:])
         hit = np.logical_or.reduce(gvals > 0.0, 0)
         j = int(np.argmax(hit))
         if not hit[j]:
@@ -446,34 +509,33 @@ def objective_step(spec: ProblemSpec, x_prev: np.ndarray, alpha: float) -> np.nd
 
 class _LemmaChecker:
     """Verifies the per-iteration decrease inequalities on a polyhedral
-    benchmark, seed by seed, aborting with a snapshot on the first
-    violation."""
+    benchmark, row by row of the block ``rows`` and on each row's real
+    columns only, aborting with a snapshot on the first violation."""
 
-    def __init__(self, context: PolyhedralContext, spec: ProblemSpec, seeds):
+    def __init__(self, context: PolyhedralContext, spec: ProblemSpec, rows: _Rows):
         self.ctx = context
         self.simple_set = spec.simple_set
         self.mg = spec.M_g
-        self.seeds = seeds
-        self.ln_running_max = np.zeros(len(seeds))
-        # each seed's last active set: its next distance starts from it
-        self.active_sets = [[] for _ in seeds]
+        self.rows = rows
+        self.ln_running_max = np.zeros(len(rows.seeds))
+        # each row's last active set: its next distance starts from it
+        self.active_sets = [[] for _ in rows.seeds]
         p = context.feasible_point
         if max_violation(context.poly, p) > TOL_METRIC or \
                 not self.simple_set.contains(p, tol=TOL_METRIC):
             raise ConfigError("lemma-checks requires a feasible reference point")
 
     def _dist(self, row, v):
-        """Distance of seed ``row``'s point v to the feasible set."""
+        """Distance of row ``row``'s point v to the feasible set."""
         return distance_oracle(self.ctx.poly, self.simple_set, v,
                                self.active_sets[row])
 
     def _fail(self, name, k, row, slack, extra=None):
-        seed = self.seeds[row]
-        snap = {"check": name, "seed": seed, "k": k, "slack": slack}
-        snap.update(extra or {})
+        where, snapshot = self.rows.at(k, row)
         raise SolverAbort(
-            f"iteration inequality '{name}' violated at k={k}, seed {seed} "
-            f"(slack {slack:.3e})", snapshot=snap)
+            f"iteration inequality '{name}' violated at {where} "
+            f"(slack {slack:.3e})",
+            snapshot={"check": name, **snapshot, "slack": slack, **(extra or {})})
 
     def single_steps(self, k, v, gplus, dirs, nsq, beta):
         """Per-constraint decrease toward the feasible reference point."""
@@ -498,24 +560,26 @@ class _LemmaChecker:
             ln = self.ln_running_max[row]
             if ln == 0.0:
                 continue
+            size = self.rows.sizes[row]
             dv = self._dist(row, v[row]) ** 2
             dx = self._dist(row, x[row]) ** 2
             decrease = beta[row] * (2.0 - beta[row] * ln) \
-                / (gplus.shape[1] * self.mg ** 2) * float(np.sum(gplus[row] ** 2))
+                / (size * self.mg ** 2) * float(np.sum(gplus[row, :size] ** 2))
             if dx - (dv - decrease) > TOL_ASSERT:
                 self._fail("batch-distance-decrease", k, row, (dv - decrease) - dx,
                            {"dist_v": dv, "dist_x": dx})
 
     def sequential_chain(self, k, inner_points, gplus_seq, beta):
         """Inner-step and summed distance decreases for the chained variant;
-        a point bit-equal to the seed's one before reuses its distance."""
+        a point bit-equal to the row's one before reuses its distance."""
         factor = beta * (2.0 - beta) / self.mg ** 2
         for row in range(gplus_seq.shape[0]):
+            size = self.rows.sizes[row]
             dists = []
-            for i, z in enumerate(inner_points):
+            for i, z in enumerate(inner_points[:size + 1]):
                 same = i and z[row].tobytes() == inner_points[i - 1][row].tobytes()
                 dists.append(dists[-1] if same else self._dist(row, z[row]))
-            for i in range(1, len(inner_points)):
+            for i in range(1, size + 1):
                 bound = dists[i - 1] ** 2 - factor * gplus_seq[row, i - 1] ** 2
                 if dists[i] ** 2 - bound > TOL_ASSERT:
                     self._fail("chain-step-distance-decrease", k, row,
@@ -523,7 +587,7 @@ class _LemmaChecker:
                 if dists[i] - dists[i - 1] > TOL_ASSERT:
                     self._fail("chain-monotone-distance", k, row,
                                dists[i - 1] - dists[i], {"inner_step": i})
-            total = dists[0] ** 2 - factor * float(np.sum(gplus_seq[row] ** 2))
+            total = dists[0] ** 2 - factor * float(np.sum(gplus_seq[row, :size] ** 2))
             if dists[-1] ** 2 - total > TOL_ASSERT:
                 self._fail("chain-summed-distance-decrease", k, row,
                            total - dists[-1] ** 2)
@@ -541,57 +605,69 @@ def _log_points(iterations: int, cadence) -> set:
     return ks | {iterations}
 
 
-def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, seeds,
+def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, rows: _Rows,
                         name: str, before: np.ndarray) -> None:
-    """Abort on the first seed row of the (S, n) ``points`` with a non-finite
+    """Abort on the first row of the (S, n) ``points`` with a non-finite
     entry; ``run`` asks only when their sum of squares is not finite."""
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        raise SolverAbort(f"{what} produced a non-finite iterate at k={k}, "
-                          f"seed {seeds[row]}",
-                          snapshot={"seed": seeds[row], "k": k, name: before[row]})
+        where, snapshot = rows.at(k, row)
+        raise SolverAbort(f"{what} produced a non-finite iterate at {where}",
+                          snapshot={**snapshot, name: before[row]})
 
 
 def run(spec: ProblemSpec, config,
-        context: Optional[PolyhedralContext] = None) -> list:
+        context: Optional[PolyhedralContext] = None, sizes=None) -> list:
     """Execute the configured variant for the full iteration budget, for
-    every seed of ``config.seeds`` at once; returns one ``RunResult`` per
-    seed, in that order.  ``config``, the harness's ``RunConfig``, is read
-    by name, once, after ``validate``.
+    every seed of ``config.seeds`` at every batch size of ``sizes`` (by
+    default ``config.batch_size`` alone) at once; returns one ``RunResult``
+    per (size, seed) row, size-major: each size in ``sizes`` order with its
+    seeds in ``config.seeds`` order.  ``config``, the harness's
+    ``RunConfig``, is read by name, once, after ``validate`` has checked it
+    at every size.
 
     Each iteration takes one objective step and one feasibility pass for the
     (S, n) block, checked by the lemma checker under ``lemma-checks``; only
     an adaptive beta changes ``beta_k``.  The parallel pass computes L_N,k
     on every iteration under the adaptive rule, a declared ``ln_hint`` or
     ``lemma-checks``, and otherwise only at log points, for ``LN_k``: off
-    them it takes the bare step, with the same next points.  Each seed keeps
-    its own ``SeedSequence``, hence its own initial point and ``Sampler``
-    (one ``draw`` per ``INDEX_BLOCK`` iterations), so its numbers do not
-    depend on the other seeds.  Records are computed seed by seed on the
-    weighted running average: f_gap when the spec knows its optimum,
+    them it takes the bare step, with the same next points.  Each row keeps
+    its seed's own ``SeedSequence``, hence its own initial point and
+    ``Sampler``, which draws the row's own N once per ``INDEX_BLOCK``
+    iterations, so its numbers depend neither on the other seeds nor on the
+    other sizes: with several sizes, each row gets the bits of a run of its
+    size alone (see the module docstring).  Records are computed row by row
+    on the weighted running average: f_gap when the spec knows its optimum,
     max_violation and dist_X only through ``context``; ``elapsed_ns`` counts
-    from the start of the block.  Each seed keeps the active set of its last
+    from the start of the block.  Each row keeps the active set of its last
     dist_X projection, and its next log point's ``distance_oracle`` call
     starts from it and leaves its own there; the lemma checker keeps one per
-    seed the same way.  A warm start gives the bits of a cold one (see
-    ``geometry``), and a seed reads only its own sets.  The first non-finite
-    iterate, constraint oracle fault (reported with ``k``, the seed and its
-    batch indices) or realized L_N,k above a declared L_N aborts the whole
-    block with ``SolverAbort``.
+    row the same way.  A warm start gives the bits of a cold one (see
+    ``geometry``), and a row reads only its own sets.  The first non-finite
+    iterate, constraint oracle fault (reported with its batch indices),
+    failed check or realized L_N,k above a declared L_N aborts the whole
+    block with ``SolverAbort``, which names k, the seed and N.
     """
-    validate(config, spec)
+    sizes = (config.batch_size,) if sizes is None else tuple(sizes)
+    validate(config, spec, sizes)
     if config.assertions == "lemma-checks" and context is None:
         raise ConfigError("lemma-checks mode requires a polyhedral context")
-    seeds = tuple(config.seeds)
-    checker = _LemmaChecker(context, spec, seeds) \
+    seeds, width = tuple(config.seeds), max(sizes)
+    rows = _Rows(seeds * len(sizes), tuple(size for size in sizes for _ in seeds))
+    if min(sizes) < width:
+        rows = rows._replace(
+            groups=tuple((slice(g * len(seeds), (g + 1) * len(seeds)), size)
+                         for g, size in enumerate(sizes)),
+            real=np.arange(width) < np.array(rows.sizes)[:, None])
+    checker = _LemmaChecker(context, spec, rows) \
         if config.assertions == "lemma-checks" else None
-    variant, size, iterations = config.variant, config.batch_size, config.iterations
+    variant, iterations = config.variant, config.iterations
 
     m = spec.constraints.size
-    x = np.empty((len(seeds), spec.dimension))
+    x = np.empty((len(rows.seeds), spec.dimension))
     samplers = []
-    for row, seed in enumerate(seeds):
+    for row, seed in enumerate(rows.seeds):
         ss_init, ss_sampler = np.random.SeedSequence(seed).spawn(2)
         raw = np.zeros(spec.dimension) if config.init == "zero" else \
             np.random.default_rng(ss_init).standard_normal(spec.dimension)
@@ -601,15 +677,15 @@ def run(spec: ProblemSpec, config,
                                     np.random.default_rng(ss_sampler)))
 
     beta0 = initial_beta(config)
-    beta_k = np.full(len(seeds), beta0)
-    ln_k = np.full(len(seeds), np.nan)
+    beta_k = np.full(len(x), beta0)
+    ln_k = np.full(len(x), np.nan)
     every_ratio = config.beta_policy == "adaptive" or \
         config.ln_hint is not None or checker is not None
 
     weighted_sum = np.zeros_like(x)
-    active_sets = [[] for _ in seeds]
+    active_sets = [[] for _ in x]
     weight_total = 0                   # exact integer sum of (j+1)^2, j=1..k
-    records = [[] for _ in seeds]
+    records = [[] for _ in x]
     log_ks = _log_points(iterations, config.cadence)
     opt = spec.known_optimum
     t0 = time.perf_counter_ns()
@@ -617,35 +693,40 @@ def run(spec: ProblemSpec, config,
     for k in range(1, iterations + 1):
         v = objective_step(spec, x, alpha_schedule(spec.mu, k - 1))
         if not math.isfinite(np.vdot(v, v)):
-            _abort_if_nonfinite(v, "objective step", k, seeds, "x", x)
+            _abort_if_nonfinite(v, "objective step", k, rows, "x", x)
 
         x = v
         if samplers:
             ahead = (k - 1) % INDEX_BLOCK
             if ahead == 0:
                 count = min(INDEX_BLOCK, iterations - k + 1)
-                drawn = np.stack([sampler.draw(size, count).reshape(count, size)
-                                  for sampler in samplers])
+                drawn = [sampler.draw(size, count).reshape(count, size)
+                         for sampler, size in zip(samplers, rows.sizes)]
+                # a row of a smaller N repeats its own last index as pads
+                drawn = np.stack([
+                    b if b.shape[1] == width else
+                    b[:, np.minimum(np.arange(width), b.shape[1] - 1)]
+                    for b in drawn])
             indices = drawn[:, ahead]
             try:
                 if variant == "parallel":
                     x, ln_k, beta = parallel_feasibility_update(
-                        spec, indices, v, config, checker, k, seeds,
+                        spec, indices, v, config, checker, k, rows,
                         every_ratio or k in log_ks)
                     if config.beta_policy == "adaptive":   # else beta_k never changes
                         beta_k = np.where(np.isnan(beta), beta_k, beta)
                 else:
                     x = sequential_feasibility_update(
-                        spec, indices, v, beta0, checker, k)
+                        spec, indices, v, beta0, checker, k, rows)
             except OracleFault as exc:
-                seed = seeds[exc.row]
+                where, snapshot = rows.at(k, exc.row)
                 raise SolverAbort(
-                    f"constraint oracle fault at k={k}, seed {seed}: {exc}",
-                    snapshot={"seed": seed, "k": k,
-                              "indices": indices[exc.row]}) from exc
+                    f"constraint oracle fault at {where}: {exc}",
+                    snapshot={**snapshot, "indices":
+                              indices[exc.row, :rows.sizes[exc.row]]}) from exc
 
         if not math.isfinite(np.vdot(x, x)):
-            _abort_if_nonfinite(x, "feasibility update", k, seeds, "v", v)
+            _abort_if_nonfinite(x, "feasibility update", k, rows, "v", v)
 
         weight = (k + 1) * (k + 1)
         weight_total += weight
@@ -653,7 +734,7 @@ def run(spec: ProblemSpec, config,
 
         if k in log_ks:
             x_hat = weighted_sum / weight_total
-            for row, seed in enumerate(seeds):
+            for row, seed in enumerate(rows.seeds):
                 f_gap = None
                 if opt is not None:
                     f_gap = float(spec.objective.evaluate(x_hat[row])) - opt.f_star
@@ -669,6 +750,6 @@ def run(spec: ProblemSpec, config,
                     elapsed_ns=time.perf_counter_ns() - t0))
 
     x_hat = weighted_sum / weight_total
-    return [RunResult(seed=seed, records=records[row],
+    return [RunResult(seed=seed, batch_size=size, records=records[row],
                       final_x=x[row], final_x_hat=x_hat[row])
-            for row, seed in enumerate(seeds)]
+            for row, (seed, size) in enumerate(zip(rows.seeds, rows.sizes))]

@@ -258,6 +258,20 @@ class TestSolveCommand:
         dist_fit = next(f for f in fits if f.metric == "dist_X")
         assert -1.3 <= dist_fit.slope <= -0.8
 
+    def test_benchmark_sequential_rate_with_sampling(self, tmp_path):
+        # the chained pass on the parallel test's instance, problem seed 1,
+        # with N = 4 < m = 20: dist_X falls at the paper's O(1/k) rate in the
+        # same band
+        out = tmp_path / "runs"
+        code = main(["solve", "--builtin", "benchmark", "--n", "10", "--m", "20",
+                     "--problem-seed", "1", "--variant", "sequential", "--N", "4",
+                     "--beta", "1.0", "--iters", "30000", "--seeds", "1..6",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        fits = rate_check(str(out), 300, 30000)
+        dist_fit = next(f for f in fits if f.metric == "dist_X")
+        assert -1.3 <= dist_fit.slope <= -0.8
+
     def test_aggregate_is_arithmetic_mean_of_per_seed_files(self, tmp_path):
         out = tmp_path / "runs"
         code = main(["solve", "--builtin", "benchmark", "--n", "4", "--m", "6",
@@ -627,7 +641,7 @@ class TestSolveCommand:
         if command == "sweep":
             argv += ["--N-list", "1,2"]
         assert main(argv + ["--out", str(tmp_path / "fine")]) == EXIT_OK
-        assert len(runs) == (2 if command == "sweep" else 1)
+        assert len(runs) == 1
         runs.clear()
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -927,8 +941,74 @@ class TestSweep:
     def test_sweep_needs_two_sizes(self, tmp_path):
         cfg = RunConfig(builtin="orthant2", iterations=50, seeds=(1, 2),
                         out_dir=str(tmp_path / "s"))
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="at least two batch sizes"):
             minibatch_sweep(cfg, [2])
+
+    def test_repeated_size_is_config_error(self, tmp_path, capsys):
+        code = main(["sweep", "--builtin", "orthant2", "--iters", "50",
+                     "--N-list", "2,2", "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        assert "must be distinct" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "s")
+
+    @pytest.mark.parametrize("extra", [
+        ["--variant", "parallel", "--beta", "1.9"],
+        ["--variant", "parallel", "--beta-policy", "adaptive"],
+        ["--variant", "sequential", "--beta", "1.0", "--sampler", "iid-uniform"],
+        ["--variant", "sequential", "--beta", "0.7", "--assertions", "lemma-checks"],
+    ], ids=["parallel-fixed", "parallel-adaptive", "sequential-iid",
+            "sequential-lemma-checks"])
+    def test_each_size_is_its_solve_in_one_run(self, tmp_path, monkeypatch,
+                                               extra):
+        # one run call advances every (N, seed) row, and each N<size>/ holds
+        # the bytes that solve --N <size> writes with the same settings
+        runs = []
+
+        def counted_run(*args, **kwargs):
+            runs.append(kwargs.get("sizes"))
+            return solver_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        common = ["--builtin", "benchmark", "--n", "4", "--m", "6",
+                  "--iters", "300", "--seeds", "1..3"] + extra
+        sizes = (4, 1, 6)
+        assert main(["sweep", "--N-list", "4,1,6", "--out", str(tmp_path / "s")]
+                    + common) == EXIT_OK
+        assert runs == [list(sizes)]
+        for size in sizes:
+            out = tmp_path / f"solve{size}"
+            assert main(["solve", "--N", str(size), "--out", str(out)]
+                        + common) == EXIT_OK
+            swept = tmp_path / "s" / f"N{size}"
+            assert sorted(os.listdir(swept)) == sorted(os.listdir(out))
+            for name in os.listdir(out):
+                assert (swept / name).read_bytes() == (out / name).read_bytes()
+
+    def test_size_dir_that_is_a_file_is_rejected_before_any_run(self, tmp_path,
+                                                                capsys):
+        # N1 under --out is a file: no size runs, and N2 is not written
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "N1").write_text("")
+        assert main(["sweep", "--builtin", "orthant2", "--iters", "5",
+                     "--N-list", "2,1", "--out", str(out)]) == EXIT_CONFIG
+        assert f"output path {out / 'N1'} exists and is not a directory" in \
+            capsys.readouterr().err
+        assert os.listdir(out) == ["N1"]
+
+    def test_aborted_sweep_leaves_no_output(self, tmp_path, capsys):
+        # the N = 1 rows exceed the declared L_N at k = 1, long before the
+        # N = 4 rows would finish; the block stops and nothing is written
+        out = tmp_path / "s"
+        code = main(["sweep", "--builtin", "benchmark", "--n", "6", "--m", "10",
+                     "--variant", "parallel", "--beta", "1", "--ln-hint", "0.8",
+                     "--N-list", "4,1", "--iters", "100", "--seeds", "1..3",
+                     "--out", str(out)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert re.search(r"exceeds the declared L_N 0\.8 at k=1, seed \d, N=1 ", err)
+        assert "'batch_size': 1" in err
+        assert not os.path.exists(out)
 
 
 class TestBootstrap:

@@ -765,8 +765,9 @@ class TestOracleFaults:
                            ) as info:
             run(spec, cfg)
         snap = info.value.snapshot
-        assert set(snap) == {"seed", "k", "indices"}
+        assert set(snap) == {"seed", "batch_size", "k", "indices"}
         assert snap["seed"] == 1
+        assert snap["batch_size"] == 2
         assert snap["k"] == 1
         assert sorted(snap["indices"].tolist()) == [0, 1]
 
@@ -886,8 +887,9 @@ class TestDeclaredLN:
         with pytest.raises(SolverAbort, match="exceeds the declared L_N") as info:
             run(inst.spec, cfg, context=inst.context())
         snap = info.value.snapshot
-        assert set(snap) == {"seed", "k", "ln_k", "ln", "beta"}
+        assert set(snap) == {"seed", "batch_size", "k", "ln_k", "ln", "beta"}
         assert snap["seed"] == 1
+        assert snap["batch_size"] == 2
         assert 1 <= snap["k"] <= 200
         assert snap["ln"] == 0.001
         assert snap["ln_k"] == pytest.approx(1.0, abs=1e-12)
@@ -1031,7 +1033,8 @@ class TestBlockEqualsSeeds:
 
         def checker(count):
             return None if checks == "off" else RecordingChecker(
-                inst.context(), inst.spec, tuple(range(count)))
+                inst.context(), inst.spec,
+                solver._Rows(tuple(range(count)), (size,) * count))
 
         for rows in [slice(None)] + [slice(r, r + 1) for r in range(len(v))]:
             idx, points = indices[rows], v[rows]
@@ -1050,6 +1053,136 @@ class TestBlockEqualsSeeds:
             for got, want in zip(pass_checker.seen, chain_checker.seen):
                 for a, b in zip(got, want):
                     assert np.array_equal(a, b)
+
+
+class TestBlockEqualsSizes:
+    """A block of mixed batch sizes gives each (N, seed) row what a run of
+    its N alone gives it, bit for bit: the records apart from elapsed_ns,
+    and the final points.  Its pads repeat a row's last index, so any pad
+    that stepped, marked its row violated or entered a reduction would show
+    here."""
+
+    RUNS = {
+        "parallel-fixed0.7": dict(variant="parallel", beta=0.7),
+        "parallel-fixed1.0": dict(variant="parallel", beta=1.0),
+        "parallel-fixed1.9": dict(variant="parallel", beta=1.9),
+        "parallel-adaptive": dict(variant="parallel", beta_policy="adaptive",
+                                  delta=0.1),
+        # L_1 = 1, so 1.0 is the exact hint at N = 1 and a true one above it
+        "parallel-extrapolated": dict(variant="parallel",
+                                      beta_policy="extrapolated", delta=0.1,
+                                      ln_hint=1.0),
+        "sequential-fixed0.7": dict(variant="sequential", beta=0.7),
+        "sequential-fixed1.0": dict(variant="sequential", beta=1.0),
+        "sequential-fixed1.9": dict(variant="sequential", beta=1.9),
+    }
+    # m = 6: unsorted lists, with N = 1 and with N = m
+    N_LISTS = [(4, 1, 2), (6, 3), (1, 6)]
+
+    @staticmethod
+    def instance():
+        return make_polyhedral_benchmark(4, 6, seed=12)
+
+    @staticmethod
+    def assert_rows_match_sizes_alone(inst, cfg, sizes):
+        block = run(inst.spec, cfg, context=inst.context(), sizes=sizes)
+        assert [(r.batch_size, r.seed) for r in block] == \
+            [(size, seed) for size in sizes for seed in cfg.seeds]
+        alone = [r for size in sizes for r in run(
+            inst.spec, dataclasses.replace(cfg, batch_size=size),
+            context=inst.context())]
+        for a, b in zip(block, alone):
+            assert [r._replace(elapsed_ns=0) for r in a.records] == \
+                [r._replace(elapsed_ns=0) for r in b.records]
+            assert a.final_x.tobytes() == b.final_x.tobytes()
+            assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
+
+    @pytest.mark.parametrize("sizes", N_LISTS, ids=str)
+    @pytest.mark.parametrize("sampler", Sampler.VARIANTS)
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_block_matches_each_size_alone(self, name, sampler, sizes):
+        cfg = RunConfig(iterations=100, seeds=(1, 2, 3), sampler=sampler,
+                        **self.RUNS[name])
+        self.assert_rows_match_sizes_alone(self.instance(), cfg, sizes)
+
+    @pytest.mark.parametrize("sampler", Sampler.VARIANTS)
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_rows_padded_at_every_draw(self, variant, sampler):
+        # past one INDEX_BLOCK, so each row draws and is padded twice
+        cfg = RunConfig(variant=variant, iterations=INDEX_BLOCK + 76,
+                        seeds=(1, 2), sampler=sampler)
+        self.assert_rows_match_sizes_alone(self.instance(), cfg, (4, 1, 2))
+
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_lemma_checks_in_a_mixed_block(self, name):
+        cfg = RunConfig(iterations=60, seeds=(1, 2), assertions="lemma-checks",
+                        **self.RUNS[name])
+        self.assert_rows_match_sizes_alone(self.instance(), cfg, (6, 1, 3))
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_lemma_check_abort_names_its_size(self, variant):
+        # the wrong-direction family of TestRunLoop: the first row, N = 2
+        # and seed 7, fails at k = 1
+        spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
+        context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
+                                    feasible_point=np.zeros(2))
+        cfg = RunConfig(variant=variant, beta=1.0, iterations=20, seeds=(7, 3),
+                        init="zero", assertions="lemma-checks")
+        with pytest.raises(SolverAbort, match="at k=1, seed 7, N=2 ") as info:
+            run(spec, cfg, context=context, sizes=(2, 1))
+        assert info.value.snapshot["batch_size"] == 2
+
+    def test_declared_ln_abort_names_its_size(self):
+        # every violated single-index batch has L_1,k = 1 > 0.8, while the
+        # N = 4 rows stay below it at k = 1; the first N = 1 row aborts
+        inst = make_polyhedral_benchmark(6, 10, seed=0)
+        cfg = RunConfig(variant="parallel", beta=1.0, ln_hint=0.8,
+                        iterations=100, seeds=(1, 2, 3))
+        with pytest.raises(SolverAbort, match=r"at k=1, seed \d+, N=1 ") as info:
+            run(inst.spec, cfg, context=inst.context(), sizes=(4, 1))
+        assert info.value.snapshot["batch_size"] == 1
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_oracle_fault_names_its_size_and_real_indices(self, variant):
+        # the family reports NaN for constraint 8; the snapshot holds the
+        # failing row's real indices, without its pads
+        inst = make_polyhedral_benchmark(6, 10, seed=0)
+        fam = inst.spec.constraints
+
+        def batch(indices, v):
+            values, dirs = fam.batch(indices, v)
+            return np.where(indices == 8, np.nan, values), dirs
+
+        spec = dataclasses.replace(
+            inst.spec, constraints=dataclasses.replace(fam, batch=batch))
+        cfg = RunConfig(variant=variant, beta=1.0, iterations=50, seeds=(1, 2, 3))
+        with pytest.raises(SolverAbort,
+                           match=r"oracle fault at k=\d+, seed \d+, N=\d:") as info:
+            run(spec, cfg, context=inst.context(), sizes=(1, 3))
+        snap = info.value.snapshot
+        assert len(snap["indices"]) == snap["batch_size"]
+        assert 8 in snap["indices"].tolist()
+
+    def test_a_pads_fault_is_not_its_rows(self):
+        # a non-finite value or row in a pad column is masked, a real one
+        # raises; the pad reads as a satisfied constraint
+        indices = np.array([[0, 1], [1, 1]])
+        v = np.array([[-1.0, -1.0], [-1.0, -1.0]])
+        real = np.array([[True, True], [True, False]])
+
+        def batch(idx, points):
+            values = np.where(idx == 1, -1.0, 0.5)
+            dirs = np.ones(idx.shape + (2,))
+            values[1, 1], dirs[1, 1] = np.nan, np.inf
+            return values, dirs
+
+        spec = corner_spec(constraints=ConstraintFamily(size=2, batch=batch))
+        gvals, dirs = solver._checked_batch(spec, indices, v, real)
+        assert gvals.tolist() == [[0.5, -1.0], [-1.0, 0.0]]
+        assert np.isfinite(dirs).all()
+        with pytest.raises(OracleFault) as info:
+            solver._checked_batch(spec, indices, v)
+        assert info.value.row == 1
 
 
 class TestBareStep:
