@@ -12,11 +12,13 @@ comment lines; it echoes the settings that determine the numbers, with
 ``problem.n`` and ``problem.m`` read from the built instance, and leaves
 out ``out_dir``.  By default the elapsed_ns column is written as 0 so
 repeated identical invocations produce byte-identical files; enable
-``timing`` to record wall-clock times instead.  All seeds of a ``solve``,
-and every (N, seed) row of a ``sweep``, advance together as one block of
-one ``run`` call, so elapsed_ns is the block's time since its start, and a
-row reports when the block reached its k: under ``timing``, a sweep's
-elapsed_ns is the clock of the whole sweep, not of its N alone.
+``timing`` to record wall-clock times instead.  All seeds of a ``solve``
+advance together as one block of one ``run`` call, so elapsed_ns is the
+block's time since its start, and a row reports when the block reached its
+k.  A ``sweep`` makes one ``run`` call for its every (N, seed) row, which
+advances sizes of similar width together as one block (``solver.run``):
+under ``timing``, an N's elapsed_ns is the clock of its block, shared with
+the other sizes there, not of its N alone.
 """
 
 from __future__ import annotations
@@ -439,10 +441,10 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     N's output directory must be makeable, and the problem must have
     linear constraints for the distance metric, before any prediction is
     priced or anything runs.  Then one ``run`` call advances every
-    (N, seed) row as one block, each row with the bits of a ``solve`` at
-    its N, and ``N<size>/`` under ``out_dir`` gets the CSVs that ``solve``
-    would write, only after the block returns: a ``SolverAbort``, which
-    stops the whole block, leaves no directory.  Predictions use the runs'
+    (N, seed) row, in blocks of sizes of similar width, each row with the
+    bits of a ``solve`` at its N, and ``N<size>/`` under ``out_dir`` gets
+    the CSVs that ``solve`` would write, only after ``run`` returns: a
+    ``SolverAbort``, which stops the whole call, leaves no directory.  Predictions use the runs'
     constant stepsize (``solver.initial_beta``), so ``c_hat`` is a
     configuration error under the adaptive policy, as is a ``c_hat`` that
     ``predicted_gains`` rejects.  Batch sizes must be distinct.

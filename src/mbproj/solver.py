@@ -26,7 +26,10 @@ step.  Work row by row or entry by entry runs once on the whole block;
 work that reduces over a row's columns (the averaged step, the batch ratio
 and the lemma checks) runs per group of rows of equal N on that group's
 real columns only, since a zero-weight pad changes the rounding of a sum.
-So each row gets the bits of a block of its own N.
+So each row gets the bits of a block of its own N.  Pads cost oracle work
+in proportion to the block's widest N, so ``run`` cuts the sizes into
+blocks whose padded columns stay within ``PAD_FACTOR`` of their real ones
+and advances one block after another.
 
 The parallel pass computes the batch ratio L_N,k only where something reads
 it: the adaptive stepsize, the check of a declared L_N and the lemma checks
@@ -55,6 +58,10 @@ LN_RTOL = 1e-9
 
 # minibatches are drawn ahead for at most this many iterations per seed
 INDEX_BLOCK = 1024
+
+# a block of mixed batch sizes asks at most this many oracle columns per
+# column its sizes ask alone (see ``_size_blocks``)
+PAD_FACTOR = 1.75
 
 
 class ConfigError(ValueError):
@@ -340,10 +347,9 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
 
 
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
-                                v: np.ndarray, config,
+                                v: np.ndarray, config, rows: _Rows,
                                 checker: Optional["_LemmaChecker"] = None,
-                                k: int = 0, rows: Optional[_Rows] = None,
-                                ratio: bool = True):
+                                k: int = 0, ratio: bool = True):
     """One parallel minibatch feasibility pass, row by row at its point.
 
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
@@ -357,9 +363,9 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     relative ``LN_RTOL`` raises ``SolverAbort`` before the step.  A row
     whose batch is feasible keeps its point, and ``v`` itself is returned
     when every row's is.  ``checker`` (None when checks are off) verifies
-    the decrease inequalities; ``k`` and ``rows`` (by default row numbers
-    as seeds, all of width N) label the reports, and the groups and mask of
-    ``rows`` give a block of mixed batch sizes (see the module docstring).
+    the decrease inequalities; ``k`` and ``rows`` label the reports, and
+    the groups and mask of ``rows`` give a block of mixed batch sizes (see
+    the module docstring).
     Returns the next points, each row's L_N,k and stepsize (both NaN where
     the batch is feasible); an oracle fault raises ``OracleFault``.
     Preconditions are ``validate``'s.
@@ -371,8 +377,8 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ``run`` asks for it only where nothing reads L_N,k: off its log points,
     under a fixed beta with no declared L_N and no checker.
     """
-    groups = () if rows is None else rows.groups
-    gvals, dirs = _checked_batch(spec, indices, v, None if rows is None else rows.real)
+    groups = rows.groups
+    gvals, dirs = _checked_batch(spec, indices, v, rows.real)
     active = gvals > 0.0
     hits = np.count_nonzero(active)
     if not hits:
@@ -409,7 +415,6 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
             over = ln_k > ln * (1.0 + LN_RTOL)
             if over.any():
                 row = int(np.argmax(over))
-                rows = rows or _Rows(range(len(v)), (indices.shape[1],) * len(v))
                 where, snapshot = rows.at(k, row)
                 raise SolverAbort(
                     f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
@@ -435,10 +440,9 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 
 
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
-                                  v: np.ndarray, beta: float,
+                                  v: np.ndarray, beta: float, rows: _Rows,
                                   checker: Optional["_LemmaChecker"] = None,
-                                  k: int = 0,
-                                  rows: Optional[_Rows] = None) -> np.ndarray:
+                                  k: int = 0) -> np.ndarray:
     """Chained relaxed projection steps, one per sampled constraint.
 
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  The
@@ -456,14 +460,14 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     and row returned is checked, so a column the chain would reach at a
     later point can raise its fault here.  ``checker`` (None when checks
     are off) verifies every inner step and each row's chain of distance
-    decreases over its N + 1 inner points; ``k`` labels its reports.
-    Returns the final inner points; an oracle fault raises
+    decreases over its N + 1 inner points; ``k`` and ``rows`` label its
+    reports.  Returns the final inner points; an oracle fault raises
     ``OracleFault``.  Preconditions are ``validate``'s.
     """
     z = v
     inner = [v] if checker is not None else None
     gplus_seq = np.zeros(indices.shape) if checker is not None else None
-    real = None if rows is None else rows.real
+    real = rows.real
     size, i = indices.shape[1], 0
     while i < size:
         gvals, dirs = _checked_batch(spec, indices[:, i:], z,
@@ -621,11 +625,14 @@ def run(spec: ProblemSpec, config,
         context: Optional[PolyhedralContext] = None, sizes=None) -> list:
     """Execute the configured variant for the full iteration budget, for
     every seed of ``config.seeds`` at every batch size of ``sizes`` (by
-    default ``config.batch_size`` alone) at once; returns one ``RunResult``
-    per (size, seed) row, size-major: each size in ``sizes`` order with its
+    default ``config.batch_size`` alone); returns one ``RunResult`` per
+    (size, seed) row, size-major: each size in ``sizes`` order with its
     seeds in ``config.seeds`` order.  ``config``, the harness's
     ``RunConfig``, is read by name, once, after ``validate`` has checked it
-    at every size.
+    at every size.  The rows advance in the blocks of ``_size_blocks``, one
+    block after another: one block for a single size, and for several only
+    while padding every row to the block's widest N keeps its oracle work
+    within ``PAD_FACTOR`` of the sizes' own.
 
     Each iteration takes one objective step and one feasibility pass for the
     (S, n) block, checked by the lemma checker under ``lemma-checks``; only
@@ -640,19 +647,53 @@ def run(spec: ProblemSpec, config,
     size alone (see the module docstring).  Records are computed row by row
     on the weighted running average: f_gap when the spec knows its optimum,
     max_violation and dist_X only through ``context``; ``elapsed_ns`` counts
-    from the start of the block.  Each row keeps the active set of its last
-    dist_X projection, and its next log point's ``distance_oracle`` call
-    starts from it and leaves its own there; the lemma checker keeps one per
-    row the same way.  A warm start gives the bits of a cold one (see
+    from the start of the row's block.  Each row keeps the active set of its
+    last dist_X projection, and its next log point's ``distance_oracle``
+    call starts from it and leaves its own there; the lemma checker keeps
+    one per row the same way.  A warm start gives the bits of a cold one (see
     ``geometry``), and a row reads only its own sets.  The first non-finite
     iterate, constraint oracle fault (reported with its batch indices),
     failed check or realized L_N,k above a declared L_N aborts the whole
-    block with ``SolverAbort``, which names k, the seed and N.
+    call with ``SolverAbort``, which names k, the seed and N.
     """
     sizes = (config.batch_size,) if sizes is None else tuple(sizes)
     validate(config, spec, sizes)
     if config.assertions == "lemma-checks" and context is None:
         raise ConfigError("lemma-checks mode requires a polyhedral context")
+    by_size = {}
+    for block in _size_blocks(sizes, config.variant):
+        for result in _run_block(spec, config, context, block):
+            by_size.setdefault(result.batch_size, []).append(result)
+    return [result for size in sizes for result in by_size[size]]
+
+
+def _size_blocks(sizes, variant: str) -> list:
+    """The sizes, widest first, cut into the blocks that ``run`` advances
+    one after another.  A block pads every row to its widest N, so a
+    narrower size joins the block before it only while the columns the
+    block's pass may ask per iteration, padded, stay within ``PAD_FACTOR``
+    times those of its sizes alone: N per row for the parallel pass, and up
+    to N (N + 1) / 2 for the sequential one, whose lookahead asks every
+    column still ahead at each step it takes.  Each seed adds one row at
+    every size, so the seeds cancel."""
+    def asked(size):
+        return size if variant == "parallel" else size * (size + 1) // 2
+
+    blocks = []
+    for size in sorted(sizes, reverse=True):
+        block = blocks[-1] if blocks else None
+        if block and (len(block) + 1) * asked(block[0]) <= \
+                PAD_FACTOR * (sum(map(asked, block)) + asked(size)):
+            block.append(size)
+        else:
+            blocks.append([size])
+    return blocks
+
+
+def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
+               sizes) -> list:
+    """``run``'s loop for one block of sizes: every seed of ``config`` at
+    every size of ``sizes``, size-major, as one (S, n) block."""
     seeds, width = tuple(config.seeds), max(sizes)
     rows = _Rows(seeds * len(sizes), tuple(size for size in sizes for _ in seeds))
     if min(sizes) < width:
@@ -711,13 +752,13 @@ def run(spec: ProblemSpec, config,
             try:
                 if variant == "parallel":
                     x, ln_k, beta = parallel_feasibility_update(
-                        spec, indices, v, config, checker, k, rows,
+                        spec, indices, v, config, rows, checker, k,
                         every_ratio or k in log_ks)
                     if config.beta_policy == "adaptive":   # else beta_k never changes
                         beta_k = np.where(np.isnan(beta), beta_k, beta)
                 else:
                     x = sequential_feasibility_update(
-                        spec, indices, v, beta0, checker, k, rows)
+                        spec, indices, v, beta0, rows, checker, k)
             except OracleFault as exc:
                 where, snapshot = rows.at(k, exc.row)
                 raise SolverAbort(

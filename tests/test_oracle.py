@@ -5,7 +5,8 @@ from mbproj.geometry import PolyhedronSpec, linear_family
 from mbproj.harness import RunConfig
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet)
-from mbproj.solver import parallel_feasibility_update, sequential_feasibility_update
+from mbproj.solver import (_Rows, parallel_feasibility_update,
+                           sequential_feasibility_update)
 
 
 class TestSimpleSet:
@@ -92,7 +93,7 @@ def single_index_steps(family, dimension=2):
                        constraints=family,
                        simple_set=SimpleSet.whole_space(dimension),
                        mu=1.0, M_f=1.0, M_g=1.0)
-    index = np.array([[0]])
+    index, rows = np.array([[0]]), _Rows((0,), (1,))
 
     # both passes take a block of seeds; v runs as a one-seed block, and a
     # pass that hands the block back unchanged hands back v itself; the one
@@ -100,13 +101,13 @@ def single_index_steps(family, dimension=2):
     def parallel(v, beta=1.0):
         block = v[None]
         x, _, _ = parallel_feasibility_update(spec, index, block,
-                                              RunConfig(beta=beta))
+                                              RunConfig(beta=beta), rows)
         gplus = np.maximum(family.batch(index, block)[0], 0.0)
         return (v if x is block else x[0]), gplus[0]
 
     def sequential(v, beta=1.0):
         block = v[None]
-        x = sequential_feasibility_update(spec, index, block, beta)
+        x = sequential_feasibility_update(spec, index, block, beta, rows)
         gplus = np.maximum(family.batch(index, block)[0], 0.0)
         return (v if x is block else x[0]), gplus[0]
 

@@ -39,14 +39,22 @@ def no_constraints(dimension):
     return linear_family(PolyhedronSpec(np.zeros((0, dimension)), np.zeros(0)))
 
 
+def plain_rows(indices):
+    """The rows of a one-size block of the (S, N) ``indices``, labelled as
+    ``run`` labels them, with row numbers for seeds."""
+    return solver._Rows(tuple(range(len(indices))), (indices.shape[1],) * len(indices))
+
+
 def relaxed_step_both_passes(spec, index, v, beta):
     """The relaxed projection step of one constraint, through both passes,
     with v as a one-seed block; a pass that hands the block back unchanged
     hands back v itself."""
     block = v[None]
     xp, _, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
-                                           RunConfig(beta=beta))
-    xs = sequential_feasibility_update(spec, np.array([[index]]), block, beta)
+                                           RunConfig(beta=beta),
+                                           plain_rows(np.array([[index]])))
+    xs = sequential_feasibility_update(spec, np.array([[index]]), block, beta,
+                                       plain_rows(np.array([[index]])))
     return [v if x is block else x[0] for x in (xp, xs)]
 
 
@@ -165,9 +173,11 @@ class TestPolyakStep:
         spec = batch_spec(lambda idx, v: (np.ones(len(idx)), np.zeros((len(idx), 2))))
         with pytest.raises(OracleError, match="zero direction"):
             parallel_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
-                                        RunConfig(beta=1.0))
+                                        RunConfig(beta=1.0),
+                                        plain_rows(np.array([[0]])))
         with pytest.raises(OracleError, match="zero direction"):
-            sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)), 1.0)
+            sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)), 1.0,
+                                          plain_rows(np.array([[0]])))
 
 
 class TestParallelUpdate:
@@ -175,7 +185,7 @@ class TestParallelUpdate:
         spec = corner_spec()
         indices, v = np.array([[0, 1]]), np.array([[2.0, 2.0]])
         x, _, _ = parallel_feasibility_update(spec, indices, v,
-                                              RunConfig(beta=1.0))
+                                              RunConfig(beta=1.0), plain_rows(indices))
         np.testing.assert_allclose(x, [[1.0, 1.0]])
         gvals, _ = spec.constraints.batch(indices, v)
         np.testing.assert_allclose(np.maximum(gvals, 0.0), [[2.0, 2.0]])
@@ -189,7 +199,8 @@ class TestParallelUpdate:
         spec = corner_spec()
         _, ln_k, _ = parallel_feasibility_update(spec, np.array([[0, 1]]),
                                                  np.array([[2.0, 2.0]]),
-                                                 RunConfig(beta=1.0))
+                                                 RunConfig(beta=1.0),
+                                                 plain_rows(np.array([[0, 1]])))
         assert ln_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
@@ -197,7 +208,8 @@ class TestParallelUpdate:
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
         x, _, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
-                                              RunConfig(beta=1.0))
+                                              RunConfig(beta=1.0),
+                                              plain_rows(np.array([[0]])))
         # g+ = 1.2 along d = (1, 0), |d| = 1
         expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
         np.testing.assert_array_equal(x[0], expected)
@@ -206,7 +218,8 @@ class TestParallelUpdate:
         spec = corner_spec()
         indices, v = np.array([[0, 1, 0]]), np.array([[-1.0, -2.0]])
         x, ln_k, beta = parallel_feasibility_update(spec, indices, v,
-                                                    RunConfig(beta=1.3))
+                                                    RunConfig(beta=1.3),
+                                                    plain_rows(indices))
         assert x is v
         assert np.isnan(ln_k[0])          # no ratio: the batch is feasible
         assert np.isnan(beta[0])          # no step taken
@@ -224,13 +237,14 @@ class TestParallelUpdate:
         # are errors under pytest, so no RuntimeWarning is raised either
         indices, v = np.array([[0, 1]]), np.array([[1e-170, -1.0], [1e-3, -1.0]])
         x, ln_k, beta = parallel_feasibility_update(corner_spec(), indices[[0, 0]],
-                                                    v, policy)
+                                                    v, policy,
+                                                    plain_rows(indices[[0, 0]]))
         np.testing.assert_array_equal(ln_k, [0.5, 0.5])
         np.testing.assert_array_equal(beta, [step, step])
         np.testing.assert_allclose(x, [[(1 - step / 2) * 1e-170, -1.0],
                                        [(1 - step / 2) * 1e-3, -1.0]], rtol=1e-12)
         alone, _, _ = parallel_feasibility_update(corner_spec(), indices,
-                                                  v[1:], policy)
+                                                  v[1:], policy, plain_rows(indices))
         np.testing.assert_array_equal(alone, x[1:])
 
 
@@ -238,7 +252,8 @@ class TestSequentialUpdate:
     def test_orthogonal_chain_projects_both(self):
         spec, asked, values = recording_family(corner_spec())
         x = sequential_feasibility_update(spec, np.array([[0, 1]]),
-                                          np.array([[2.0, 2.0]]), beta=1.0)
+                                          np.array([[2.0, 2.0]]), beta=1.0,
+                                          rows=plain_rows(np.array([[0, 1]])))
         np.testing.assert_allclose(x, [[0.0, 0.0]])
         # the whole minibatch, then the column after the step at column 0;
         # the step at the last column asks nothing more
@@ -250,7 +265,8 @@ class TestSequentialUpdate:
     def test_repeated_constraint_second_step_noop(self):
         spec, asked, values = recording_family(corner_spec())
         x = sequential_feasibility_update(spec, np.array([[0, 0]]),
-                                          np.array([[2.0, 0.0]]), beta=1.0)
+                                          np.array([[2.0, 0.0]]), beta=1.0,
+                                          rows=plain_rows(np.array([[0, 0]])))
         np.testing.assert_allclose(x, [[0.0, 0.0]])
         # after the step at column 0 the second copy is asked at (0, 0),
         # where it holds, so the pass stops
@@ -262,8 +278,10 @@ class TestSequentialUpdate:
         spec = corner_spec(simple_set=ball)
         v = np.array([[1.5, 1.2]])
         xp, _, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
-                                               RunConfig(beta=0.8))
-        xs = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8)
+                                               RunConfig(beta=0.8),
+                                               plain_rows(np.array([[1]])))
+        xs = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8,
+                                           rows=plain_rows(np.array([[1]])))
         np.testing.assert_array_equal(xp, xs)
 
     def test_beta_range_enforced(self):
@@ -722,7 +740,8 @@ class TestRunLoop:
         d = np.array([1.0, 0.0])
         g = 2.0  # constraint x1 <= 0 of the corner problem at v
         (z_bar,) = sequential_feasibility_update(corner_spec(), np.array([[0]]),
-                                                 v[None], 1.0)
+                                                 v[None], 1.0,
+                                                 plain_rows(np.array([[0]])))
         assert z_bar[0] == 0.0
         lhs = np.linalg.norm(z_bar - z_bar) ** 2
         rhs = np.linalg.norm(v - z_bar) ** 2 - 1.0 * (2.0 - 1.0) * g ** 2 / (d @ d)
@@ -788,9 +807,10 @@ class TestOracleFaults:
         with pytest.raises(OracleFault) as info:
             if variant == "parallel":
                 parallel_feasibility_update(spec, indices, block,
-                                            RunConfig(beta=1.0))
+                                            RunConfig(beta=1.0), plain_rows(indices))
             else:
-                sequential_feasibility_update(spec, indices, block, 1.0)
+                sequential_feasibility_update(spec, indices, block, 1.0,
+                                              plain_rows(indices))
         assert info.value.row == 1
 
     # constraints 0 and 1 are x1 <= 0 and x2 <= 0, and 2 and 3 the same pair
@@ -818,9 +838,11 @@ class TestOracleFaults:
         if variant == "parallel":
             x, _, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
                                                   RunConfig(beta=1.0),
+                                                  plain_rows(cls.INDICES),
                                                   ratio=ratio)
             return x
-        return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK, 1.0)
+        return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK, 1.0,
+                                             plain_rows(cls.INDICES))
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     @pytest.mark.parametrize("fault", ["inf-row-violated", "nan-row-satisfied",
@@ -862,9 +884,10 @@ class TestOracleFaults:
         with pytest.raises(OracleFault, match="overflows") as info:
             if variant == "parallel":
                 parallel_feasibility_update(spec, indices, block,
-                                            RunConfig(beta=1.0))
+                                            RunConfig(beta=1.0), plain_rows(indices))
             else:
-                sequential_feasibility_update(spec, indices, block, 1.0)
+                sequential_feasibility_update(spec, indices, block, 1.0,
+                                              plain_rows(indices))
         assert info.value.row == 1
 
 
@@ -973,8 +996,10 @@ class TestBlockEqualsSeeds:
                 ln = exact_ln_linear(inst.poly, self.SIZE)
             policy = RunConfig(beta_policy="extrapolated", delta=0.1, ln_hint=ln)
         if name.startswith("parallel"):
-            return lambda idx, v: parallel_feasibility_update(inst.spec, idx, v, policy)
-        return lambda idx, v: (sequential_feasibility_update(inst.spec, idx, v, policy),)
+            return lambda idx, v: parallel_feasibility_update(inst.spec, idx, v, policy,
+                                                              plain_rows(idx))
+        return lambda idx, v: (sequential_feasibility_update(inst.spec, idx, v, policy,
+                                                             plain_rows(idx)),)
 
     def drawn_block(self, instance, block):
         """The instance and a block of two seeds of each kind, inside and
@@ -1043,6 +1068,7 @@ class TestBlockEqualsSeeds:
                                             chain_checker, k=7)
             spec, asked, _ = recording_family(inst.spec)
             z_pass = sequential_feasibility_update(spec, idx, points, beta,
+                                                   plain_rows(idx),
                                                    pass_checker, k=7)
             assert np.array_equal(z_pass, z_chain)
             starts = [0] + [i + 1 for i in stepped if i + 1 < size]
@@ -1076,8 +1102,9 @@ class TestBlockEqualsSizes:
         "sequential-fixed1.0": dict(variant="sequential", beta=1.0),
         "sequential-fixed1.9": dict(variant="sequential", beta=1.9),
     }
-    # m = 6: unsorted lists, with N = 1 and with N = m
-    N_LISTS = [(4, 1, 2), (6, 3), (1, 6)]
+    # m = 6: unsorted lists, with N = 1 and with N = m; run cuts the last
+    # into two blocks under either variant
+    N_LISTS = [(4, 1, 2), (6, 3), (1, 6), (2, 6, 1)]
 
     @staticmethod
     def instance():
@@ -1085,17 +1112,46 @@ class TestBlockEqualsSizes:
 
     @staticmethod
     def assert_rows_match_sizes_alone(inst, cfg, sizes):
-        block = run(inst.spec, cfg, context=inst.context(), sizes=sizes)
-        assert [(r.batch_size, r.seed) for r in block] == \
-            [(size, seed) for size in sizes for seed in cfg.seeds]
+        # through run, which may cut the sizes into blocks, and through one
+        # block of them all, however wide its pads
         alone = [r for size in sizes for r in run(
             inst.spec, dataclasses.replace(cfg, batch_size=size),
             context=inst.context())]
-        for a, b in zip(block, alone):
-            assert [r._replace(elapsed_ns=0) for r in a.records] == \
-                [r._replace(elapsed_ns=0) for r in b.records]
-            assert a.final_x.tobytes() == b.final_x.tobytes()
-            assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
+        for block in (run(inst.spec, cfg, context=inst.context(), sizes=sizes),
+                      solver._run_block(inst.spec, cfg, inst.context(), sizes)):
+            assert [(r.batch_size, r.seed) for r in block] == \
+                [(size, seed) for size in sizes for seed in cfg.seeds]
+            for a, b in zip(block, alone):
+                assert [r._replace(elapsed_ns=0) for r in a.records] == \
+                    [r._replace(elapsed_ns=0) for r in b.records]
+                assert a.final_x.tobytes() == b.final_x.tobytes()
+                assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
+
+    @pytest.mark.parametrize("variant, sizes, blocks", [
+        ("parallel", (1, 2, 4), [[4, 2, 1]]),
+        ("parallel", (2, 6, 1), [[6, 2], [1]]),
+        ("parallel", (1, 8, 64, 200), [[200, 64], [8], [1]]),
+        ("parallel", (1, 2, 4, 8, 16, 32, 64, 128),
+         [[128, 64, 32], [16, 8, 4], [2, 1]]),
+        ("sequential", (1, 2, 4), [[4, 2], [1]]),
+        ("sequential", (2, 6, 1), [[6, 2], [1]]),
+        ("sequential", (1, 8, 64, 200), [[200], [64], [8], [1]]),
+        ("sequential", (1, 2, 4, 8, 16, 32, 64, 128),
+         [[128, 64], [32, 16], [8, 4], [2, 1]]),
+    ])
+    def test_blocks_bound_their_padding(self, variant, sizes, blocks):
+        # each block asks at most PAD_FACTOR times the columns of its sizes
+        # alone, and the next narrower size would pass that bound
+        def asked(size):
+            return size if variant == "parallel" else size * (size + 1) // 2
+
+        assert solver._size_blocks(sizes, variant) == blocks
+        for block, after in zip(blocks, blocks[1:] + [None]):
+            padded, real = len(block) * asked(block[0]), sum(map(asked, block))
+            assert padded <= solver.PAD_FACTOR * real
+            if after:
+                assert padded + asked(block[0]) > \
+                    solver.PAD_FACTOR * (real + asked(after[0]))
 
     @pytest.mark.parametrize("sizes", N_LISTS, ids=str)
     @pytest.mark.parametrize("sampler", Sampler.VARIANTS)
@@ -1223,9 +1279,11 @@ class TestBareStep:
     def test_bare_step_is_the_full_pass(self, instance, block, count, beta):
         inst, indices, v = self.drawn_block(instance, block, count)
         cfg = RunConfig(beta=beta)
-        full, _, _ = parallel_feasibility_update(inst.spec, indices, v, cfg)
+        full, _, _ = parallel_feasibility_update(inst.spec, indices, v, cfg,
+                                                 plain_rows(indices))
         bare, ln_k, steps = parallel_feasibility_update(inst.spec, indices, v,
-                                                        cfg, ratio=False)
+                                                        cfg,
+                                                        plain_rows(indices), ratio=False)
         assert ln_k is None and steps is None
         assert bare.tobytes() == full.tobytes()
         if block == "all-feasible":
@@ -1237,8 +1295,10 @@ class TestBareStep:
         indices = np.array([[0, 1], [0, 1]])
         v = np.array([[1e-170, -1.0], [1e-3, -1.0]])
         cfg = RunConfig(beta=beta)
-        full, _, _ = parallel_feasibility_update(corner_spec(), indices, v, cfg)
+        full, _, _ = parallel_feasibility_update(corner_spec(), indices, v, cfg,
+                                                 plain_rows(indices))
         bare, _, _ = parallel_feasibility_update(corner_spec(), indices, v, cfg,
+                                                 plain_rows(indices),
                                                  ratio=False)
         assert bare.tobytes() == full.tobytes()
 
