@@ -12,9 +12,10 @@ iterates, on which all reported metrics are computed.
 One kernel, ``run``, advances a block of S independent rows at once: the
 iterates are an (S, n) array with one row per (batch size N, seed) pair,
 and every step below works on that row axis.  The parallel pass is one
-vectorized step; the sequential pass is N chained steps, each vectorized
-over the rows, and it calls the constraint oracle once per step taken, for
-all the columns still ahead, rather than once per column.  A row's
+vectorized step; the sequential pass is N chained steps per row, advanced
+in rounds vectorized over the rows: a round calls the constraint oracle
+once, for all the columns still ahead, and steps each row at its own next
+violated column.  A row's
 arithmetic does not depend on the other rows of its block, nor a
 constraint value on the width of the batch that asks it, so S = 1 and any
 larger block give the same numbers for it.
@@ -300,9 +301,10 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray,
     names the first row with a non-finite value or row entry, or with a
     violated constraint whose row's squared norm overflows, which would make
     its step beta * gplus / inf * row zero.  Where the mask ``real`` is
-    False the column is a pad: its value reads 0, a satisfied constraint,
-    and its entries are not checked, since the sequential pass may ask a
-    pad at a point where its row's chain has passed that index."""
+    False the column is a pad, or one that the sequential pass's row has
+    passed: its value reads 0, a satisfied constraint, and its entries are
+    not checked, since they are asked at a point where the row's chain has
+    passed that index."""
     gvals, dirs = spec.constraints.batch(indices, v)
     gvals = np.asarray(gvals, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -445,53 +447,67 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                   k: int = 0) -> np.ndarray:
     """Chained relaxed projection steps, one per sampled constraint.
 
-    ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  The
-    i-th step evaluates every row's i-th constraint at that row's current
-    inner point; each row that violates it steps and is projected onto the
-    simple set, the others keep their point.  Every step is row by row, so
-    a block of mixed batch sizes needs no groups: the mask of ``rows``
-    makes a pad a satisfied constraint, which no row steps on.  The inner
-    points move only where some row steps, so one oracle call asks for
-    every column still ahead at the current points; the pass takes the
-    first column that some row violates and asks again only for the
-    columns after it, and it stops when none is violated.  The family's
-    values depend only on index and point (``ConstraintFamily``), so each
-    step sees the values of the column-by-column chain.  Every real value
-    and row returned is checked, so a column the chain would reach at a
-    later point can raise its fault here.  ``checker`` (None when checks
-    are off) verifies every inner step and each row's chain of distance
-    decreases over its N + 1 inner points; ``k`` and ``rows`` label its
-    reports.  Returns the final inner points; an oracle fault raises
-    ``OracleFault``.  Preconditions are ``validate``'s.
+    ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
+    row walks its own chain: its i-th step evaluates its i-th constraint at
+    its current inner point and, if violated, steps and is projected onto
+    the simple set.  A row's point moves only where it steps, so one oracle
+    call asks for every column ahead of it, and it steps at the first one
+    it violates; a row with none is done.  A round makes that call for all
+    rows at once, from the least advanced live row's next column, with each
+    row's passed columns masked like pads (read as satisfied, not checked),
+    so a pass takes at most one round more than its busiest row takes
+    steps.  The family's values depend only on index and point
+    (``ConstraintFamily``), so each row gets the bits of its
+    column-by-column chain; every real value ahead of a row is checked, so
+    a column its chain would reach at a later point can raise its fault
+    here.  ``checker`` (None when checks are off) verifies every inner step
+    and each row's chain of distance decreases over its N + 1 inner points;
+    ``k`` and ``rows`` label its reports, and the mask of ``rows`` makes a
+    pad a satisfied constraint.  Returns the final inner points; an oracle
+    fault raises ``OracleFault``.  Preconditions are ``validate``'s.
     """
-    z = v
-    inner = [v] if checker is not None else None
-    gplus_seq = np.zeros(indices.shape) if checker is not None else None
+    count, size = indices.shape
+    every, columns = np.arange(count), np.arange(size + 1)
+    # each row's next column, and size once it is done; a few Python ints
+    # cost less to advance than numpy calls on (S,) arrays
+    start = [0] * count
     real = rows.real
-    size, i = indices.shape[1], 0
-    while i < size:
-        gvals, dirs = _checked_batch(spec, indices[:, i:], z,
-                                     None if real is None else real[:, i:])
-        hit = np.logical_or.reduce(gvals > 0.0, 0)
-        j = int(np.argmax(hit))
-        if not hit[j]:
+    z, first, passed = v, 0, False
+    if checker is not None:
+        # each row's inner points; those after its next column hold its
+        # current point until it steps
+        inner = np.repeat(v[:, None], size + 1, axis=1)
+        gplus_seq = np.zeros(indices.shape)
+    while first < size:
+        mask = None if real is None else real[:, first:]
+        if passed:                        # some row is past column ``first``
+            ahead = columns[first:size] >= np.array(start)[:, None]
+            mask = ahead if mask is None else ahead & mask
+        gvals, dirs = _checked_batch(spec, indices[:, first:], z, mask)
+        hit = gvals > 0.0
+        j = hit.argmax(axis=1)                # 0 where a row violates none
+        active = hit[every, j][:, None]
+        stepped = np.count_nonzero(active)
+        if not stepped:
             break
-        gplus = np.maximum(gvals[:, j:j + 1], 0.0)
-        active = gplus > 0.0
-        dirs = dirs[:, j:j + 1]
+        gplus = np.maximum(gvals[every, j], 0.0)[:, None]
+        dirs = dirs[every, j][:, None]
         nsq = _squared_norms(dirs, active)
         if checker is not None:
-            gplus_seq[:, i + j] = gplus[:, 0]
             checker.single_steps(k, z, gplus, dirs, nsq, beta)
-            inner.extend([z] * j)
         coef = gplus / nsq if beta == 1.0 else beta * gplus / nsq
         z_next = spec.simple_set.project(z - coef * dirs[:, 0])
-        z = z_next if np.count_nonzero(active) == len(z) else np.where(active, z_next, z)
-        if inner is not None:
-            inner.append(z)
-        i += j + 1
+        z = z_next if stepped == count else np.where(active, z_next, z)
+        if checker is not None:
+            column, live = first + j, active[:, 0]
+            gplus_seq[live, column[live]] = gplus[live, 0]
+            np.copyto(inner, z[:, None],
+                      where=((columns > column[:, None]) & active)[..., None])
+        start = [first + c + 1 if stepping else size
+                 for c, stepping in zip(j.tolist(), active[:, 0].tolist())]
+        first = min(start)
+        passed = max(start) > first
     if checker is not None:
-        inner.extend([z] * (size + 1 - len(inner)))
         checker.sequential_chain(k, inner, gplus_seq, beta)
     return z
 
@@ -574,15 +590,16 @@ class _LemmaChecker:
                            {"dist_v": dv, "dist_x": dx})
 
     def sequential_chain(self, k, inner_points, gplus_seq, beta):
-        """Inner-step and summed distance decreases for the chained variant;
+        """Inner-step and summed distance decreases for the chained variant
+        on each row's N + 1 points of the (S, N_max + 1, n) ``inner_points``;
         a point bit-equal to the row's one before reuses its distance."""
         factor = beta * (2.0 - beta) / self.mg ** 2
         for row in range(gplus_seq.shape[0]):
             size = self.rows.sizes[row]
-            dists = []
-            for i, z in enumerate(inner_points[:size + 1]):
-                same = i and z[row].tobytes() == inner_points[i - 1][row].tobytes()
-                dists.append(dists[-1] if same else self._dist(row, z[row]))
+            points, dists = inner_points[row, :size + 1], []
+            for i, z in enumerate(points):
+                same = i and z.tobytes() == points[i - 1].tobytes()
+                dists.append(dists[-1] if same else self._dist(row, z))
             for i in range(1, size + 1):
                 bound = dists[i - 1] ** 2 - factor * gplus_seq[row, i - 1] ** 2
                 if dists[i] ** 2 - bound > TOL_ASSERT:
@@ -673,9 +690,9 @@ def _size_blocks(sizes, variant: str) -> list:
     narrower size joins the block before it only while the columns the
     block's pass may ask per iteration, padded, stay within ``PAD_FACTOR``
     times those of its sizes alone: N per row for the parallel pass, and up
-    to N (N + 1) / 2 for the sequential one, whose lookahead asks every
-    column still ahead at each step it takes.  Each seed adds one row at
-    every size, so the seeds cancel."""
+    to N (N + 1) / 2 for the sequential one, whose t-th round from 0 asks
+    at most N - t, since every live row advances a column per round.  Each
+    seed adds one row at every size, so the seeds cancel."""
     def asked(size):
         return size if variant == "parallel" else size * (size + 1) // 2
 
@@ -716,6 +733,9 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
         if m:
             samplers.append(Sampler(config.sampler, m,
                                     np.random.default_rng(ss_sampler)))
+    # each row's minibatches of the next INDEX_BLOCK iterations, padded
+    drawn = np.empty((len(samplers), min(INDEX_BLOCK, iterations), width),
+                     dtype=np.int64)
 
     beta0 = initial_beta(config)
     beta_k = np.full(len(x), beta0)
@@ -741,13 +761,11 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
             ahead = (k - 1) % INDEX_BLOCK
             if ahead == 0:
                 count = min(INDEX_BLOCK, iterations - k + 1)
-                drawn = [sampler.draw(size, count).reshape(count, size)
-                         for sampler, size in zip(samplers, rows.sizes)]
-                # a row of a smaller N repeats its own last index as pads
-                drawn = np.stack([
-                    b if b.shape[1] == width else
-                    b[:, np.minimum(np.arange(width), b.shape[1] - 1)]
-                    for b in drawn])
+                for row, (sampler, size) in enumerate(zip(samplers, rows.sizes)):
+                    drawn[row, :count, :size] = \
+                        sampler.draw(size, count).reshape(count, size)
+                    # a row of a smaller N repeats its own last index as pads
+                    drawn[row, :count, size:] = drawn[row, :count, size - 1:size]
             indices = drawn[:, ahead]
             try:
                 if variant == "parallel":

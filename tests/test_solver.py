@@ -114,8 +114,9 @@ def counted_diagnostics(monkeypatch, label=lambda: None):
 
 def column_chain(spec, indices, v, beta, checker=None, k=0):
     """The sequential pass one column at a time: the i-th step asks the
-    oracle for every seed's i-th index at its current inner point.  Returns
-    the final points and the columns where some seed stepped."""
+    oracle for every seed's i-th index at its current inner point, and the
+    checker gets each seed's N + 1 inner points as one (S, N + 1, n) array.
+    Returns the final points and the columns where some seed stepped."""
     z, inner, gplus_seq, stepped = v, [v], np.zeros(indices.shape), []
     for i in range(indices.shape[1]):
         gvals, dirs = solver._checked_batch(spec, indices[:, i:i + 1], z)
@@ -131,8 +132,21 @@ def column_chain(spec, indices, v, beta, checker=None, k=0):
             z = z_next if active.all() else np.where(active, z_next, z)
         inner.append(z)
     if checker is not None:
-        checker.sequential_chain(k, inner, gplus_seq, beta)
+        checker.sequential_chain(k, np.stack(inner, axis=1), gplus_seq, beta)
     return z, stepped
+
+
+def round_starts(steps, size):
+    """The column each round of the sequential pass asks from, given the
+    columns where each row steps in its own column chain: a row is live
+    until a round finds no violated column ahead of it, or until it steps
+    at column ``size`` - 1, and a round asks from the least advanced live
+    row's next column.  Its length is the number of rounds."""
+    starts = [[0] + [column + 1 for column in stepped] for stepped in steps]
+    rounds = [len(stepped) + (not stepped or stepped[-1] < size - 1)
+              for stepped in steps]
+    return [min(row[t] for row, live in zip(starts, rounds) if t < live)
+            for t in range(max(rounds))]
 
 
 class RecordingChecker(solver._LemmaChecker):
@@ -498,41 +512,54 @@ class TestRunLoop:
     def test_one_oracle_call_per_step(self, monkeypatch):
         # the constraints are reached only through ``batch``: once per
         # iteration with every seed's minibatch in the parallel variant; in
-        # the sequential one, once for the whole minibatch and then once
-        # for the columns after each column where some seed stepped, never
-        # after the last column; the objective step runs once per
-        # iteration, through the module global
+        # the sequential one, once per round, for every seed's minibatch
+        # from the least advanced live seed's next column.  A seed's next
+        # column follows the first column it violates ahead of its own; one
+        # that violates none is done.  The asks of an iteration end after
+        # the first round where no seed violates a column ahead, or when
+        # every seed has passed its last column.  The family reads NaN at
+        # each column a seed has passed, which the pass must never read; the
+        # objective step runs once per iteration, through the module global
         inst = self.small_benchmark()
         iterations, size, seeds = 40, 3, (2, 5, 11)
-        steps, asked_by, values_by = [], {}, {}
+        steps = []
 
         def counted_objective_step(*args):
             steps.append(args[1].shape)
             return objective_step(*args)
 
         monkeypatch.setattr(solver, "objective_step", counted_objective_step)
-        for variant in ("parallel", "sequential"):
-            cfg = RunConfig(variant=variant, batch_size=size,
-                            beta_policy="fixed", beta=1.0,
-                            iterations=iterations, seeds=seeds)
-            spec, asked_by[variant], values_by[variant] = recording_family(inst.spec)
-            steps.clear()
-            run(spec, cfg)
-            assert steps == [(len(seeds), spec.dimension)] * iterations
-        parallel, sequential = asked_by["parallel"], asked_by["sequential"]
+        cfg = RunConfig(variant="parallel", batch_size=size, beta_policy="fixed",
+                        beta=1.0, iterations=iterations, seeds=seeds)
+        spec, parallel, _ = recording_family(inst.spec)
+        run(spec, cfg)
+        assert steps == [(len(seeds), spec.dimension)] * iterations
         assert [a.shape for a in parallel] == [(len(seeds), size)] * iterations
-        calls = iter(zip(sequential, values_by["sequential"]))
-        for minibatch in parallel:
-            start = 0
-            while start < size:
-                asked, values = next(calls)
-                # each seed's columns from ``start`` on, at its current point
-                np.testing.assert_array_equal(asked, minibatch[:, start:])
-                stepped = np.flatnonzero(np.logical_or.reduce(values > 0.0, 0))
-                if not stepped.size:
-                    break
-                start += int(stepped[0]) + 1
-        assert next(calls, None) is None
+
+        family, minibatches, sequential = inst.spec.constraints, iter(parallel), []
+        state = {"start": None}
+
+        def poisoned(indices, v):
+            start = state["start"]
+            if start is None:                      # a new iteration's pass
+                start, minibatch = np.zeros(len(seeds), dtype=int), next(minibatches)
+                state["minibatch"] = minibatch
+            first = start[start < size].min()
+            np.testing.assert_array_equal(indices, state["minibatch"][:, first:])
+            sequential.append(indices.copy())
+            gvals, rows = family.batch(indices, v)
+            passed = np.arange(first, size) < start[:, None]
+            hit = (gvals > 0.0) & ~passed
+            start = np.where(hit.any(axis=1), first + np.argmax(hit, axis=1) + 1, size)
+            state["start"] = None if (start == size).all() else start
+            return np.where(passed, np.nan, gvals), rows
+
+        spec = dataclasses.replace(
+            inst.spec, constraints=dataclasses.replace(family, batch=poisoned))
+        steps.clear()
+        run(spec, dataclasses.replace(cfg, variant="sequential"))
+        assert steps == [(len(seeds), spec.dimension)] * iterations
+        assert next(minibatches, None) is None and state["start"] is None
         assert iterations <= len(sequential) < iterations * size
 
     def test_empty_family_matches_plain_projected_gradient(self):
@@ -609,9 +636,9 @@ class TestRunLoop:
             return oracle(*args)
 
         def moved_points(self, k, inner_points, gplus_seq, beta):
-            bits = np.array(inner_points).view(np.int64)    # (N + 1, S, n)
-            asked[0] += bits.shape[1] + int(np.count_nonzero(
-                (bits[1:] != bits[:-1]).any(axis=2)))
+            bits = inner_points.view(np.int64)              # (S, N + 1, n)
+            asked[0] += bits.shape[0] + int(np.count_nonzero(
+                (bits[:, 1:] != bits[:, :-1]).any(axis=2)))
             chain(self, k, inner_points, gplus_seq, beta)
 
         monkeypatch.setattr(solver, "distance_oracle", counting)
@@ -972,8 +999,8 @@ class TestBlockEqualsSeeds:
     """A pass over a block of seeds gives each seed exactly what the pass
     gives it alone: the merges it skips when every seed is violated, and
     the ones it makes when some seed is feasible, change no bit.  The
-    sequential pass, which asks for all the columns ahead and skips to the
-    next violated one, gives the bits of the column-by-column chain."""
+    sequential pass, whose rounds step each seed at its own next violated
+    column, gives each seed the bits of its column-by-column chain."""
 
     SIZE = 3
     PASSES = {
@@ -1050,9 +1077,10 @@ class TestBlockEqualsSeeds:
     @pytest.mark.parametrize("instance", ["benchmark", "duplicated"])
     def test_sequential_pass_is_the_column_chain(self, instance, beta, block,
                                                  checks):
-        # the block and each of its seeds alone: the pass asks for the
-        # whole minibatch, then for the columns after each column where
-        # some seed stepped, and returns the chain's points and checks
+        # the block and each of its seeds alone, against each seed's own
+        # column chain: the pass returns the chains' points, asks as
+        # ``round_starts`` says of their stepped columns, and its checker
+        # sees, row by row, the checks of the row's chain
         inst, indices, v = self.drawn_block(instance, block)
         size = indices.shape[1]
 
@@ -1061,24 +1089,108 @@ class TestBlockEqualsSeeds:
                 inst.context(), inst.spec,
                 solver._Rows(tuple(range(count)), (size,) * count))
 
+        chains = []
+        for row in range(len(v)):
+            chain_checker = checker(1)
+            z, stepped = column_chain(inst.spec, indices[row:row + 1],
+                                      v[row:row + 1], beta, chain_checker, k=7)
+            chains.append((z, stepped, chain_checker))
         for rows in [slice(None)] + [slice(r, r + 1) for r in range(len(v))]:
-            idx, points = indices[rows], v[rows]
-            chain_checker, pass_checker = checker(len(points)), checker(len(points))
-            z_chain, stepped = column_chain(inst.spec, idx, points, beta,
-                                            chain_checker, k=7)
+            idx, points, own = indices[rows], v[rows], chains[rows]
+            pass_checker = checker(len(points))
             spec, asked, _ = recording_family(inst.spec)
             z_pass = sequential_feasibility_update(spec, idx, points, beta,
                                                    plain_rows(idx),
                                                    pass_checker, k=7)
-            assert np.array_equal(z_pass, z_chain)
-            starts = [0] + [i + 1 for i in stepped if i + 1 < size]
+            assert np.array_equal(z_pass, np.concatenate([z for z, _, _ in own]))
+            starts = round_starts([stepped for _, stepped, _ in own], size)
             assert [a.tolist() for a in asked] == [idx[:, i:].tolist() for i in starts]
             if checks == "off":
                 continue
-            assert len(pass_checker.seen) == len(chain_checker.seen) == len(stepped) + 1
-            for got, want in zip(pass_checker.seen, chain_checker.seen):
-                for a, b in zip(got, want):
-                    assert np.array_equal(a, b)
+            # one single-step check per round where some row steps, then
+            # one chain check
+            *rounds, chain = pass_checker.seen
+            assert len(rounds) == max(len(stepped) for _, stepped, _ in own)
+            for row, (_, stepped, chain_checker) in enumerate(own):
+                took = [[a[row:row + 1] for a in seen] for seen in rounds
+                        if seen[1][row, 0] > 0.0]
+                assert len(took) == len(stepped) == len(chain_checker.seen) - 1
+                took.append([a[row:row + 1] for a in chain])
+                for got, want in zip(took, chain_checker.seen):
+                    assert len(got) == len(want)
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a, b)
+
+
+class TestSequentialRounds:
+    """The sequential pass moves each row along its own chain: a round
+    steps every live row at its own next violated column, so the oracle
+    calls are the busiest row's steps plus one, not one per column that
+    some row violates."""
+
+    # x1 <= 0 is constraint 0 and x2 <= 0 constraint 1; from (4, -1) a row
+    # violates only its index-0 columns, and from (4, 4) its first index-0
+    # column and then its first index-1 column
+    BLOCKS = {
+        # row r violates only column r: two rounds, four lockstep steps
+        "diagonal": ([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]],
+                     [[4.0, -1.0]] * 4, 2),
+        # every row violates only the last column: one round
+        "last-column": ([[1, 1, 1, 0]] * 3, [[4.0, -1.0]] * 3, 1),
+        # the busiest row steps at columns 0 and 3, the last, and the other
+        # at column 1: two rounds, three lockstep steps
+        "ends-at-last": ([[0, 0, 0, 1], [1, 0, 1, 1]], [[4.0, 4.0], [4.0, -1.0]], 2),
+    }
+
+    @pytest.mark.parametrize("name", list(BLOCKS))
+    def test_calls_are_the_busiest_rows_steps(self, name):
+        idx, points, calls = self.BLOCKS[name]
+        indices, v = np.array(idx), np.array(points)
+        chains = [column_chain(corner_spec(), indices[row:row + 1], v[row:row + 1],
+                               1.0) for row in range(len(v))]
+        steps = [stepped for _, stepped in chains]
+        busiest = max(map(len, steps))
+        last = all(stepped[-1] == indices.shape[1] - 1
+                   for stepped in steps if len(stepped) == busiest)
+        assert calls == busiest + (not last) == len(round_starts(steps, 4))
+        spec, asked, _ = recording_family(corner_spec())
+        z = sequential_feasibility_update(spec, indices, v, 1.0, plain_rows(indices))
+        assert len(asked) == calls
+        np.testing.assert_array_equal(z, np.concatenate([point for point, _ in chains]))
+
+    # the first row steps at column 0 and then at column 1 of [0, 1, 1];
+    # the second, from (4, -1), steps at its one index-0 column, 2 in
+    # [1, 1, 0] and 0 in [0, 1, 1], and lands at (0, -1)
+    FIRST = ([0, 1, 1], [4.0, 4.0])
+
+    @staticmethod
+    def nan_at_landing(indices, points):
+        """x1 <= 0 and x2 <= 0, but NaN at every index asked at (0, -1)."""
+        landed = (points == [0.0, -1.0]).all(axis=1)
+        values = np.take_along_axis(points, indices % 2, axis=1)
+        return np.where(landed[:, None], np.nan, values), np.eye(2)[indices % 2]
+
+    def test_passed_column_is_not_read(self):
+        # the second row's chain ends at its last column in the first round,
+        # while the first row still asks columns 1 and 2 in the next two;
+        # the second row's NaN there, at its later point, raises nothing
+        indices = np.array([self.FIRST[0], [1, 1, 0]])
+        v = np.array([self.FIRST[1], [4.0, -1.0]])
+        spec = corner_spec(constraints=ConstraintFamily(size=2,
+                                                        batch=self.nan_at_landing))
+        z = sequential_feasibility_update(spec, indices, v, 1.0, plain_rows(indices))
+        np.testing.assert_array_equal(z, [[0.0, 0.0], [0.0, -1.0]])
+
+    def test_column_ahead_is_read(self):
+        # the second row steps at column 0 and lands at (0, -1) with its
+        # columns 1 and 2 still ahead: their NaN names that row
+        indices = np.array([self.FIRST[0], [0, 1, 1]])
+        v = np.array([self.FIRST[1], [4.0, -1.0]])
+        spec = corner_spec(constraints=ConstraintFamily(size=2,
+                                                        batch=self.nan_at_landing))
+        with pytest.raises(OracleFault, match="non-finite") as info:
+            sequential_feasibility_update(spec, indices, v, 1.0, plain_rows(indices))
+        assert info.value.row == 1
 
 
 class TestBlockEqualsSizes:
