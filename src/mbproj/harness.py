@@ -426,7 +426,7 @@ class SweepRow:
     ci_lo: float
     ci_hi: float
     predicted_b: Optional[float]
-    predicted_ratio: Optional[float]   # 1/sqrt(b_N), normalized to the first N
+    predicted_ratio: Optional[float]   # 1/sqrt(b_N), normalized to the first N with b_N > 0
     outside_theory: bool = False
 
 

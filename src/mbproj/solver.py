@@ -32,15 +32,16 @@ in proportion to the block's widest N, so ``run`` cuts the sizes into
 blocks whose padded columns stay within ``PAD_FACTOR`` of their real ones
 and advances one block after another.
 
-The parallel pass computes the batch ratio L_N,k only where something reads
-it: the adaptive stepsize, the check of a declared L_N and the lemma checks
-read it on every iteration, the ``LN_k`` column at log points.  Elsewhere
-``run`` asks for the bare averaged step, which gives the same bits.
+The parallel pass is one averaged step under every stepsize rule.  The
+batch ratio L_N,k only prices that step's stepsize, so the pass computes it
+beside the step, and only where something reads it: the adaptive stepsize,
+the check of a declared L_N and the lemma checks on every iteration, the
+``LN_k`` column at log points.  Whether it is computed changes no bit of
+the next points.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -173,16 +174,18 @@ def validate(config, spec: ProblemSpec, sizes=None) -> None:
             raise ConfigError(f"cannot draw {size} distinct indices from {m}")
 
 
-def initial_beta(config) -> float:
-    """The feasibility stepsize of the run settings ``config`` before any
-    violated batch: the fixed ``beta``, the extrapolated (2 - ``delta``) /
-    ``ln_hint``, or 2 - ``delta``, the adaptive rule's fallback.  Every
-    stepsize of a fixed or extrapolated run is this one."""
+def initial_beta(config, ln_k=1.0):
+    """The feasibility stepsize of the run settings ``config``, the one
+    formula of every rule: the fixed ``beta``, the extrapolated (2 -
+    ``delta``) / ``ln_hint``, or the adaptive (2 - ``delta``) / ``ln_k`` at
+    each row's realized batch ratio ``ln_k``.  At the default ``ln_k`` of 1
+    the adaptive value is 2 - ``delta``, its fallback before any violated
+    batch.  Every stepsize of a fixed or extrapolated run is the first."""
     if config.beta_policy == "fixed":
         return config.beta
     if config.beta_policy == "extrapolated":
         return (2.0 - config.delta) / config.ln_hint
-    return 2.0 - config.delta
+    return (2.0 - config.delta) / ln_k
 
 
 @dataclass
@@ -233,8 +236,10 @@ class RunResult:
 class _Rows(NamedTuple):
     """The rows of a block: each row's seed and batch size N.  When the
     sizes differ, ``groups`` holds the (row slice, N) of each run of rows of
-    equal N and ``real`` the (S, N_max) mask of each row's real columns;
-    with one size they are empty and None, and no step slices or masks."""
+    equal N, over whose real columns ``_weighted_mean`` and
+    ``batch_diagnostics`` reduce, and ``real`` the (S, N_max) mask of each
+    row's real columns, which ``_checked_batch`` reads.  With one size they
+    are empty and None, and nothing slices or masks."""
 
     seeds: tuple
     sizes: tuple
@@ -259,40 +264,30 @@ def _weighted_mean(weights: np.ndarray, dirs: np.ndarray, groups=()) -> np.ndarr
     return mean
 
 
-def _ratio_terms(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray):
-    """The mean rows weighted by gplus / nsq, and L_N,k's two terms."""
-    mean_dir = _weighted_mean(gplus / nsq, dirs)
-    num = np.vecdot(mean_dir, mean_dir)
-    den = np.add.reduce(gplus * gplus / nsq, 1) / gplus.shape[1]
-    return mean_dir, num, den
-
-
 def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
-                      violated: Optional[np.ndarray], count: int):
-    """Alignment ratio L_N,k of each row's minibatch, shape (S,), and the
-    mean of its rows weighted by gplus / nsq, shape (S, n).  L_N,k =
+                      violated: Optional[np.ndarray], groups=()) -> np.ndarray:
+    """Alignment ratio L_N,k of each row's minibatch, shape (S,), per group
+    of ``_Rows.groups`` on its real columns when there are any.  L_N,k =
     |avg of gplus / nsq * rows|^2 / avg of gplus^2 / nsq is at most 1
     (mean-square inequality); it is NaN in the rows that ``violated``
-    leaves unmarked, whose batch is feasible (none when it is None), and
-    ``count`` rows are violated.  L_N,k is scale-invariant, so a violated
-    row whose gplus^2 / nsq all underflow, giving 0/0, takes its terms from
-    gplus divided by the row's largest entry; its mean row keeps gplus."""
-    mean_dir, num, den = _ratio_terms(gplus, dirs, nsq)
-    if np.count_nonzero(den) < count:
-        lost = den == 0.0 if violated is None else violated & (den == 0.0)
-        scaled = gplus[lost] / gplus[lost].max(axis=1, keepdims=True)
-        _, num[lost], den[lost] = _ratio_terms(scaled, dirs[lost], nsq[lost])
-    if violated is None:
-        return num / den, mean_dir
-    return np.where(violated, num / np.where(violated, den, 1.0), np.nan), mean_dir
-
-
-@functools.lru_cache(maxsize=16)
-def _constant_steps(beta: float, count: int) -> np.ndarray:
-    """Read-only (count,) stepsizes ``beta``, allocated once per (beta, count)."""
-    steps = np.full(count, beta)
-    steps.flags.writeable = False
-    return steps
+    leaves unmarked, whose batch is feasible (none when it is None).
+    L_N,k is scale-invariant, so a violated row whose gplus^2 / nsq all
+    underflow, giving 0/0, takes both terms from gplus divided by the row's
+    largest entry; the other rows are divided by 1, which keeps their bits."""
+    ln_k = np.empty(len(gplus))
+    for part, size in groups or ((slice(None), gplus.shape[1]),):
+        g, q = gplus[part, :size], nsq[part, :size]
+        live = True if violated is None else violated[part]
+        den = np.add.reduce(g * g / q, 1) / size
+        lost = live & (den == 0.0)
+        if np.count_nonzero(lost):
+            g = g / np.where(lost, g.max(axis=1), 1.0)[:, None]
+            den = np.add.reduce(g * g / q, 1) / size
+        mean_dir = _weighted_mean(g / q, dirs[part, :size])
+        num = np.vecdot(mean_dir, mean_dir)
+        ln_k[part] = num / den if violated is None else \
+            np.where(live, num / np.where(live, den, 1.0), np.nan)
+    return ln_k
 
 
 def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray,
@@ -357,88 +352,66 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
     sampled constraint gets an independent relaxed projection step from
     its row's point; the results are averaged (fixed index order) and
-    projected onto the simple set.  The stepsize rule is that of the run
-    settings ``config``, read by the names ``beta_policy``, ``delta`` and
-    ``ln_hint``: a row's stepsize is (2 - delta) / L_N,k of its batch's
-    realized ratio under the adaptive rule, and ``initial_beta(config)``
-    under the others; an L_N,k above a declared ``ln_hint`` by more than a
-    relative ``LN_RTOL`` raises ``SolverAbort`` before the step.  A row
-    whose batch is feasible keeps its point, and ``v`` itself is returned
-    when every row's is.  ``checker`` (None when checks are off) verifies
-    the decrease inequalities; ``k`` and ``rows`` label the reports, and
-    the groups and mask of ``rows`` give a block of mixed batch sizes (see
-    the module docstring).
-    Returns the next points, each row's L_N,k and stepsize (both NaN where
-    the batch is feasible); an oracle fault raises ``OracleFault``.
-    Preconditions are ``validate``'s.
+    projected onto the simple set, in one step expression for every rule.
+    A row whose batch is feasible keeps its point, and ``v`` itself is
+    returned when every row's is.  The stepsize is ``initial_beta`` of the
+    run settings ``config``, read by the names ``beta_policy``, ``delta``
+    and ``ln_hint``: under the adaptive rule it takes each row's realized
+    L_N,k.  An L_N,k above a declared ``ln_hint`` by more than a relative
+    ``LN_RTOL`` raises ``SolverAbort`` before the step.  ``checker`` (None
+    when checks are off) verifies the decrease inequalities; ``k`` and
+    ``rows`` label the reports, and the groups and mask of ``rows`` give a
+    block of mixed batch sizes (see the module docstring).
 
-    With ``ratio`` False, under any rule but the adaptive one, the pass
-    takes the bare step: no L_N,k, no ``batch_diagnostics`` call and no
-    stepsize array, and both are returned as None.  The next points keep
-    every bit of the full pass, and every oracle fault is still raised.
-    ``run`` asks for it only where nothing reads L_N,k: off its log points,
-    under a fixed beta with no declared L_N and no checker.
+    L_N,k is computed, by one ``batch_diagnostics`` call, where ``ratio``
+    asks for it and wherever the adaptive rule, a declared ``ln_hint`` or
+    ``checker`` reads it; it changes no bit of the next points.  Returns
+    the next points and each row's L_N,k (NaN where the batch is feasible),
+    or None for L_N,k where it was not computed; an oracle fault raises
+    ``OracleFault``.  Preconditions are ``validate``'s.
     """
-    groups = rows.groups
     gvals, dirs = _checked_batch(spec, indices, v, rows.real)
     active = gvals > 0.0
     hits = np.count_nonzero(active)
+    adaptive, ln = config.beta_policy == "adaptive", config.ln_hint
+    ratio = ratio or adaptive or ln is not None or checker is not None
     if not hits:
-        no_step = np.full(len(v), np.nan) if ratio else None
-        return v, no_step, no_step
-    violated, count = None, len(v)    # every row when every entry is active
+        return v, np.full(len(v), np.nan) if ratio else None
+    violated = None                   # every row, when it is None
     if hits < active.size:
-        violated = np.logical_or.reduce(active, 1)
-        count = np.count_nonzero(violated)
         gplus = np.maximum(gvals, 0.0)
+        violated = np.logical_or.reduce(active, 1)
+        if np.count_nonzero(violated) == len(v):
+            violated = None
     else:
         gplus = gvals                 # every value is positive
-    every = count == len(v)
     nsq = _squared_norms(dirs, active)
-    fixed = None if config.beta_policy == "adaptive" else initial_beta(config)
-    ln_k = beta = None
-    if ratio:
-        if groups:
-            ln_k, mean_dir = np.empty(len(v)), np.empty_like(v)
-            for part, size in groups:
-                ln_k[part], mean_dir[part] = batch_diagnostics(
-                    gplus[part, :size], dirs[part, :size], nsq[part, :size],
-                    violated[part], np.count_nonzero(violated[part]))
-        else:
-            ln_k, mean_dir = batch_diagnostics(gplus, dirs, nsq,
-                                               None if every else violated, count)
-        if fixed is None:
-            beta = (2.0 - config.delta) / ln_k
-        else:
-            beta = _constant_steps(fixed, len(v)) if every else \
-                np.where(violated, fixed, np.nan)
-        ln = config.ln_hint
-        if ln is not None:
-            over = ln_k > ln * (1.0 + LN_RTOL)
-            if over.any():
-                row = int(np.argmax(over))
-                where, snapshot = rows.at(k, row)
-                raise SolverAbort(
-                    f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
-                    f"{ln:g} at {where} (beta {beta[row]:g})",
-                    snapshot={**snapshot, "ln_k": float(ln_k[row]), "ln": ln,
-                              "beta": float(beta[row])})
-    # at beta = 1 the coefficients beta * gplus / nsq are the ratios, whose
-    # mean row batch_diagnostics returns; the bare step takes the same
-    # expressions with the scalar beta, which gives each violated row the
-    # same bits, and a feasible row's step, NaN or zero, is merged away below
-    if fixed == 1.0:
-        step = mean_dir if ratio else _weighted_mean(gplus / nsq, dirs, groups)
+    ln_k = batch_diagnostics(gplus, dirs, nsq, violated, rows.groups) \
+        if ratio else None
+    beta = initial_beta(config, ln_k)
+    if ln is not None:
+        over = ln_k > ln * (1.0 + LN_RTOL)
+        if over.any():
+            row = int(np.argmax(over))
+            where, snapshot = rows.at(k, row)
+            raise SolverAbort(
+                f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
+                f"{ln:g} at {where} (beta {beta:g})",
+                snapshot={**snapshot, "ln_k": float(ln_k[row]), "ln": ln,
+                          "beta": float(beta)})
+    # a constant beta of 1 skips its product, which changes no bit; a
+    # feasible row's step, zero or NaN, is merged away below
+    if adaptive:
+        coef = beta[:, None] * gplus / nsq
     else:
-        step = _weighted_mean((beta[:, None] if ratio else fixed) * gplus / nsq,
-                              dirs, groups)
-    x_next = spec.simple_set.project(v - step)
-    if not every:
+        coef = gplus / nsq if beta == 1.0 else beta * gplus / nsq
+    x_next = spec.simple_set.project(v - _weighted_mean(coef, dirs, rows.groups))
+    if violated is not None:
         x_next = np.where(violated[:, None], x_next, v)
     if checker is not None:
         checker.single_steps(k, v, gplus, dirs, nsq, beta)
         checker.parallel_batch(k, v, x_next, gplus, beta, ln_k)
-    return x_next, ln_k, beta
+    return x_next, ln_k
 
 
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
@@ -575,6 +548,7 @@ class _LemmaChecker:
                                {"index": i})
 
     def parallel_batch(self, k, v, x, gplus, beta, ln_k):
+        beta = np.broadcast_to(beta, ln_k.shape)
         for row in np.flatnonzero(~np.isnan(ln_k)):
             self.ln_running_max[row] = max(self.ln_running_max[row], ln_k[row])
             ln = self.ln_running_max[row]
@@ -653,10 +627,11 @@ def run(spec: ProblemSpec, config,
 
     Each iteration takes one objective step and one feasibility pass for the
     (S, n) block, checked by the lemma checker under ``lemma-checks``; only
-    an adaptive beta changes ``beta_k``.  The parallel pass computes L_N,k
-    on every iteration under the adaptive rule, a declared ``ln_hint`` or
-    ``lemma-checks``, and otherwise only at log points, for ``LN_k``: off
-    them it takes the bare step, with the same next points.  Each row keeps
+    an adaptive beta changes ``beta_k``, to ``initial_beta`` at the row's
+    last violated batch's L_N,k.  ``run`` asks the parallel pass for L_N,k
+    at log points only, for ``LN_k``; the pass computes it on every
+    iteration where the stepsize rule, a declared ``ln_hint`` or the
+    checker reads it, with the same next points.  Each row keeps
     its seed's own ``SeedSequence``, hence its own initial point and
     ``Sampler``, which draws the row's own N once per ``INDEX_BLOCK``
     iterations, so its numbers depend neither on the other seeds nor on the
@@ -740,8 +715,6 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
     beta0 = initial_beta(config)
     beta_k = np.full(len(x), beta0)
     ln_k = np.full(len(x), np.nan)
-    every_ratio = config.beta_policy == "adaptive" or \
-        config.ln_hint is not None or checker is not None
 
     weighted_sum = np.zeros_like(x)
     active_sets = [[] for _ in x]
@@ -769,11 +742,11 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
             indices = drawn[:, ahead]
             try:
                 if variant == "parallel":
-                    x, ln_k, beta = parallel_feasibility_update(
-                        spec, indices, v, config, rows, checker, k,
-                        every_ratio or k in log_ks)
+                    x, ln_k = parallel_feasibility_update(
+                        spec, indices, v, config, rows, checker, k, k in log_ks)
                     if config.beta_policy == "adaptive":   # else beta_k never changes
-                        beta_k = np.where(np.isnan(beta), beta_k, beta)
+                        beta_k = np.where(np.isnan(ln_k), beta_k,
+                                          initial_beta(config, ln_k))
                 else:
                     x = sequential_feasibility_update(
                         spec, indices, v, beta0, rows, checker, k)

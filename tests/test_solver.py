@@ -50,9 +50,9 @@ def relaxed_step_both_passes(spec, index, v, beta):
     with v as a one-seed block; a pass that hands the block back unchanged
     hands back v itself."""
     block = v[None]
-    xp, _, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
-                                           RunConfig(beta=beta),
-                                           plain_rows(np.array([[index]])))
+    xp, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
+                                        RunConfig(beta=beta),
+                                        plain_rows(np.array([[index]])))
     xs = sequential_feasibility_update(spec, np.array([[index]]), block, beta,
                                        plain_rows(np.array([[index]])))
     return [v if x is block else x[0] for x in (xp, xs)]
@@ -198,8 +198,8 @@ class TestParallelUpdate:
     def test_two_orthogonal_constraints(self):
         spec = corner_spec()
         indices, v = np.array([[0, 1]]), np.array([[2.0, 2.0]])
-        x, _, _ = parallel_feasibility_update(spec, indices, v,
-                                              RunConfig(beta=1.0), plain_rows(indices))
+        x, _ = parallel_feasibility_update(spec, indices, v,
+                                           RunConfig(beta=1.0), plain_rows(indices))
         np.testing.assert_allclose(x, [[1.0, 1.0]])
         gvals, _ = spec.constraints.batch(indices, v)
         np.testing.assert_allclose(np.maximum(gvals, 0.0), [[2.0, 2.0]])
@@ -211,19 +211,19 @@ class TestParallelUpdate:
         den = 0.5 * (4.0 + 4.0)
         assert num / den == 0.5
         spec = corner_spec()
-        _, ln_k, _ = parallel_feasibility_update(spec, np.array([[0, 1]]),
-                                                 np.array([[2.0, 2.0]]),
-                                                 RunConfig(beta=1.0),
-                                                 plain_rows(np.array([[0, 1]])))
+        _, ln_k = parallel_feasibility_update(spec, np.array([[0, 1]]),
+                                              np.array([[2.0, 2.0]]),
+                                              RunConfig(beta=1.0),
+                                              plain_rows(np.array([[0, 1]])))
         assert ln_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
         ball = SimpleSet.ball(np.zeros(2), 1.5)
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
-        x, _, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
-                                              RunConfig(beta=1.0),
-                                              plain_rows(np.array([[0]])))
+        x, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
+                                           RunConfig(beta=1.0),
+                                           plain_rows(np.array([[0]])))
         # g+ = 1.2 along d = (1, 0), |d| = 1
         expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
         np.testing.assert_array_equal(x[0], expected)
@@ -231,12 +231,15 @@ class TestParallelUpdate:
     def test_feasible_batch_returns_v_exactly(self):
         spec = corner_spec()
         indices, v = np.array([[0, 1, 0]]), np.array([[-1.0, -2.0]])
-        x, ln_k, beta = parallel_feasibility_update(spec, indices, v,
-                                                    RunConfig(beta=1.3),
-                                                    plain_rows(indices))
-        assert x is v
-        assert np.isnan(ln_k[0])          # no ratio: the batch is feasible
-        assert np.isnan(beta[0])          # no step taken
+        adaptive = RunConfig(beta_policy="adaptive", delta=0.1)
+        for cfg in (RunConfig(beta=1.3), adaptive):
+            x, ln_k = parallel_feasibility_update(spec, indices, v, cfg,
+                                                  plain_rows(indices))
+            assert x is v
+            assert np.isnan(ln_k[0])      # no ratio: the batch is feasible
+        # no step taken: the adaptive stepsize at that ratio, which run
+        # reads for beta_k, is NaN
+        assert np.isnan(solver.initial_beta(adaptive, ln_k)[0])
 
     @pytest.mark.parametrize("policy, step", [
         (RunConfig(beta=1.0), 1.0),
@@ -250,15 +253,16 @@ class TestParallelUpdate:
         # x1 = 1e-3, and the step moves x1 to (1 - beta / 2) * x1.  Warnings
         # are errors under pytest, so no RuntimeWarning is raised either
         indices, v = np.array([[0, 1]]), np.array([[1e-170, -1.0], [1e-3, -1.0]])
-        x, ln_k, beta = parallel_feasibility_update(corner_spec(), indices[[0, 0]],
-                                                    v, policy,
-                                                    plain_rows(indices[[0, 0]]))
+        x, ln_k = parallel_feasibility_update(corner_spec(), indices[[0, 0]],
+                                              v, policy,
+                                              plain_rows(indices[[0, 0]]))
         np.testing.assert_array_equal(ln_k, [0.5, 0.5])
+        beta = np.broadcast_to(solver.initial_beta(policy, ln_k), 2)
         np.testing.assert_array_equal(beta, [step, step])
         np.testing.assert_allclose(x, [[(1 - step / 2) * 1e-170, -1.0],
                                        [(1 - step / 2) * 1e-3, -1.0]], rtol=1e-12)
-        alone, _, _ = parallel_feasibility_update(corner_spec(), indices,
-                                                  v[1:], policy, plain_rows(indices))
+        alone, _ = parallel_feasibility_update(corner_spec(), indices,
+                                               v[1:], policy, plain_rows(indices))
         np.testing.assert_array_equal(alone, x[1:])
 
 
@@ -291,12 +295,39 @@ class TestSequentialUpdate:
         ball = SimpleSet.ball(np.zeros(2), 2.0)
         spec = corner_spec(simple_set=ball)
         v = np.array([[1.5, 1.2]])
-        xp, _, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
-                                               RunConfig(beta=0.8),
-                                               plain_rows(np.array([[1]])))
+        xp, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
+                                            RunConfig(beta=0.8),
+                                            plain_rows(np.array([[1]])))
         xs = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8,
                                            rows=plain_rows(np.array([[1]])))
         np.testing.assert_array_equal(xp, xs)
+
+    @pytest.mark.parametrize("policy", [
+        RunConfig(beta=0.7), RunConfig(beta=1.0), RunConfig(beta=1.9),
+        RunConfig(beta_policy="extrapolated", delta=0.3, ln_hint=1.0),
+        RunConfig(beta_policy="adaptive", delta=0.1),
+    ], ids=["fixed0.7", "fixed1.0", "fixed1.9", "extrapolated", "adaptive"])
+    def test_single_index_step_rounds_as_the_chain(self, policy):
+        # rows that are not unit rows, one violated index per seed: the
+        # parallel step is beta * gplus / nsq times the row, rounded as the
+        # chain's step, at each seed's stepsize for its returned L_1,k
+        rng = np.random.default_rng(5)
+        A = rng.uniform(0.3, 3.0, (40, 2)) * rng.choice([-1.0, 1.0], (40, 2))
+        v = rng.standard_normal((40, 2))
+        b = rng.uniform(0.1, 2.0, 40) - np.einsum("ij,ij->i", A, v)
+        spec = corner_spec(constraints=ConstraintFamily(
+            size=40, batch=lambda idx, x: (
+                np.matmul(A[idx], x[:, :, None])[:, :, 0] + b[idx], A[idx])))
+        indices = np.arange(40)[:, None]
+        xp, ln_k = parallel_feasibility_update(spec, indices, v, policy,
+                                               plain_rows(indices))
+        beta = np.broadcast_to(solver.initial_beta(policy, ln_k), 40)
+        xs = [sequential_feasibility_update(spec, indices[r:r + 1], v[r:r + 1],
+                                            float(beta[r]),
+                                            plain_rows(indices[r:r + 1]))[0]
+              for r in range(40)]
+        assert not np.isnan(ln_k).any()       # every seed steps
+        assert xp.tobytes() == np.array(xs).tobytes()
 
     def test_beta_range_enforced(self):
         # the pass relies on run's validation for beta in (0, 2)
@@ -335,7 +366,7 @@ class TestObjectiveStep:
 
 def one_seed_ratio(gplus, dirs, nsq):
     """L_N,k of one seed's violated batch through ``batch_diagnostics``."""
-    (ln_k,), _ = batch_diagnostics(gplus[None], dirs[None], nsq[None], None, 1)
+    (ln_k,) = batch_diagnostics(gplus[None], dirs[None], nsq[None], None)
     return ln_k
 
 
@@ -863,10 +894,10 @@ class TestOracleFaults:
 
         spec = batch_spec(batch, size=4)
         if variant == "parallel":
-            x, _, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
-                                                  RunConfig(beta=1.0),
-                                                  plain_rows(cls.INDICES),
-                                                  ratio=ratio)
+            x, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
+                                               RunConfig(beta=1.0),
+                                               plain_rows(cls.INDICES),
+                                               ratio=ratio)
             return x
         return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK, 1.0,
                                              plain_rows(cls.INDICES))
@@ -1354,9 +1385,10 @@ class TestBlockEqualsSizes:
 
 
 class TestBareStep:
-    """The parallel pass with ``ratio`` False, as ``run`` takes it off its
-    log points when nothing reads L_N,k: the next points of the full pass,
-    bit for bit, and None for L_N,k and the stepsizes."""
+    """The parallel pass with ``ratio`` False, as ``run`` calls it off its
+    log points: where nothing reads L_N,k, the pass does not compute it and
+    returns None for it, and its next points are those of the pass that
+    computes it, bit for bit."""
 
     # the instance and its batch size: orthant2 has only two rows
     INSTANCES = {"benchmark": (TestDeclaredLN.INSTANCES["benchmark"], 3),
@@ -1391,35 +1423,36 @@ class TestBareStep:
     def test_bare_step_is_the_full_pass(self, instance, block, count, beta):
         inst, indices, v = self.drawn_block(instance, block, count)
         cfg = RunConfig(beta=beta)
-        full, _, _ = parallel_feasibility_update(inst.spec, indices, v, cfg,
-                                                 plain_rows(indices))
-        bare, ln_k, steps = parallel_feasibility_update(inst.spec, indices, v,
-                                                        cfg,
-                                                        plain_rows(indices), ratio=False)
-        assert ln_k is None and steps is None
+        full, asked = parallel_feasibility_update(inst.spec, indices, v, cfg,
+                                                  plain_rows(indices))
+        bare, ln_k = parallel_feasibility_update(inst.spec, indices, v, cfg,
+                                                 plain_rows(indices), ratio=False)
+        assert ln_k is None and asked.shape == (count,)
         assert bare.tobytes() == full.tobytes()
         if block == "all-feasible":
             assert bare is v and full is v
 
     @pytest.mark.parametrize("beta", [0.7, 1.0])
     def test_bare_step_under_underflow(self, beta):
-        # the full pass rescales the underflowing first seed for L_N,k only
+        # asked, L_N,k rescales the underflowing first seed, for itself only
         indices = np.array([[0, 1], [0, 1]])
         v = np.array([[1e-170, -1.0], [1e-3, -1.0]])
         cfg = RunConfig(beta=beta)
-        full, _, _ = parallel_feasibility_update(corner_spec(), indices, v, cfg,
-                                                 plain_rows(indices))
-        bare, _, _ = parallel_feasibility_update(corner_spec(), indices, v, cfg,
+        full, asked = parallel_feasibility_update(corner_spec(), indices, v, cfg,
+                                                  plain_rows(indices))
+        bare, ln_k = parallel_feasibility_update(corner_spec(), indices, v, cfg,
                                                  plain_rows(indices),
                                                  ratio=False)
+        np.testing.assert_array_equal(asked, [0.5, 0.5])
+        assert ln_k is None
         assert bare.tobytes() == full.tobytes()
 
 
 class TestRatioReaders:
-    """``run`` computes L_N,k on every iteration only when something reads
-    it there: the adaptive rule, a declared L_N or the lemma checks.
-    Elsewhere it takes the bare step off its log points, which changes no
-    record."""
+    """The parallel pass computes L_N,k on every iteration only when
+    something reads it there: the adaptive rule, a declared L_N or the
+    lemma checks.  Elsewhere ``run`` asks for it at its log points only,
+    which changes no record."""
 
     # orthant2 violates every row of nearly every block, where the pass
     # skips the positive part; on benchmark 10x20 at N = 4 most blocks have
@@ -1434,13 +1467,17 @@ class TestRatioReaders:
         inst = make()
         bare = RunConfig(variant="parallel", batch_size=size, beta=beta,
                          iterations=2000, seeds=(1, 2, 3))
-        full = dataclasses.replace(bare, ln_hint=exact_ln_linear(inst.poly, size))
-        for a, b in zip(run(inst.spec, bare, context=inst.context()),
-                        run(inst.spec, full, context=inst.context())):
-            assert [r._replace(elapsed_ns=0) for r in a.records] == \
-                [r._replace(elapsed_ns=0) for r in b.records]
-            assert a.final_x.tobytes() == b.final_x.tobytes()
-            assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
+        # each reader alone: a declared L_N, then the lemma checks
+        readers = [dataclasses.replace(bare, ln_hint=exact_ln_linear(inst.poly, size)),
+                   dataclasses.replace(bare, assertions="lemma-checks")]
+        plain = run(inst.spec, bare, context=inst.context())
+        for full in readers:
+            for a, b in zip(plain, run(inst.spec, full, context=inst.context()),
+                            strict=True):
+                assert [r._replace(elapsed_ns=0) for r in a.records] == \
+                    [r._replace(elapsed_ns=0) for r in b.records]
+                assert a.final_x.tobytes() == b.final_x.tobytes()
+                assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
 
     READERS = {"none": {}, "adaptive": {"beta_policy": "adaptive", "delta": 0.1},
                "declared": {"ln_hint": "exact"},
