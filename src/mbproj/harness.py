@@ -163,7 +163,7 @@ def load_config_file(path: str) -> RunConfig:
     """Flat key = value configuration with sections (INI syntax): each key
     is a ``RunConfig`` field under its section, read by the field's parser.
     A key outside its section is an error; other sections are ignored.  A
-    file that INI syntax cannot read is a ``ConfigError`` naming it."""
+    file that is not INI text is a ``ConfigError`` naming it."""
     settings = {}
     for f in fields(RunConfig):
         settings.setdefault(f.metadata["section"], {})[f.name] = f.metadata["parse"]
@@ -173,7 +173,7 @@ def load_config_file(path: str) -> RunConfig:
             raise ConfigError(f"cannot read config file {path!r}")
         given = [(section, parser.items(section)) for section in settings
                  if parser.has_section(section)]
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config file {path!r}: "
                           + " ".join(str(exc).split())) from exc
     cfg = RunConfig()
@@ -223,11 +223,14 @@ def write_csv(path: str, cfg: RunConfig, rows) -> None:
 
 def read_csv(path: str):
     """Return (the ``#`` comment lines, the data rows as ``RunRecord``s of
-    floats, an empty cell as None).  A file whose column line is not
-    CSV_COLUMNS, with a row that is not one float or empty cell per column,
-    or with no data row is a ``WindowError`` naming it."""
-    with open(path) as fh:
-        lines = [line for line in fh.read().split("\n") if line]
+    floats, an empty cell as None).  A file that is not text, whose column
+    line is not CSV_COLUMNS, with a row that is not one float or empty cell
+    per column, or with no data row is a ``WindowError`` naming it."""
+    try:
+        with open(path) as fh:
+            lines = [line for line in fh.read().split("\n") if line]
+    except UnicodeDecodeError as exc:
+        raise WindowError(f"{path} is not text: {exc}") from None
     column_line = ",".join(CSV_COLUMNS)
     data = [line for line in lines if not line.startswith("#")]
     if data[:1] != [column_line]:
@@ -281,7 +284,8 @@ def _write_results(cfg: RunConfig, instance: BenchmarkInstance, results) -> list
     """Make ``cfg.out_dir`` and write a CSV per result, one seed's, and the
     aggregate there, each headed by ``cfg`` with the instance's n and m;
     returns the paths."""
-    echo = replace(cfg, n=instance.spec.dimension, m=instance.spec.constraints.size)
+    echo = replace(cfg, n=instance.spec.simple_set.dimension,
+                   m=instance.spec.constraints.size)
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed_rows, paths = [], []
     for result in results:

@@ -124,27 +124,26 @@ class KnownOptimum:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A full problem instance: oracles, simple set and the declared constants."""
+    """A full problem instance: oracles, simple set (whose dimension is the
+    problem's) and the constants mu and M_g, which the package sets only
+    in ``problems._build_instance``, its one builder of a spec."""
 
-    dimension: int
     objective: ObjectiveOracle
     constraints: ConstraintFamily
     simple_set: SimpleSet
     mu: float
-    M_f: float
     M_g: float
     known_optimum: Optional[KnownOptimum] = None
 
     def __post_init__(self):
-        for name in ("mu", "M_f", "M_g"):
+        for name in ("mu", "M_g"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise OracleError(f"constant {name} must be finite and positive, "
                                   f"got {value!r}")
-        if self.simple_set.dimension != self.dimension:
-            raise OracleError("simple set dimension does not match problem dimension")
+        n = self.simple_set.dimension
         if self.known_optimum is not None and \
-                np.shape(self.known_optimum.x_star) != (self.dimension,):
+                np.shape(self.known_optimum.x_star) != (n,):
             raise OracleError(
                 f"x_star has shape {np.shape(self.known_optimum.x_star)}, "
-                f"expected ({self.dimension},)")
+                f"expected ({n},)")

@@ -3,38 +3,40 @@ batch-alignment analyzer for linear constraint systems, the rate theory's
 predicted minibatch gain b(N), and a plain-text instance format so other
 implementations can consume identical problems.
 
-``predicted_gains`` prices b(N) for one variant, the runs' own: a sweep's
-``outside_theory`` flag refers to that variant's conditions, and a
-sequential sweep needs no L_N, so it enumerates no row subsets.
-
-Every generated instance uses the objective f(x) = 0.5 * |x - x_c|^2.  With
-constraints, the pull center x_c is placed outside the feasible region, so the
-constrained optimum x* = P_X[x_c] sits on the boundary of at least one
-constraint and the feasibility machinery is exercised on every run.  The optimum and its value
-are computed by the independent distance oracle, making rate measurement
-exact.
+Every instance, builtin or file, is built by ``_build_instance``, which
+derives its constants: f(x) = 0.5 * |x - c|^2, so mu = 1; the rows are
+unit, so M_g = 1; and the optimum x* = P_X[c] and its value come from the
+certified ``project_intersection``, making rate measurement exact.  A
+generator places the pull center c outside the feasible region, so x* is
+tight on a row and the feasibility machinery works on every run.
 
 Instance format (``save_instance`` / ``load_instance``): plain text, one
-record per line, tokens separated by whitespace, blank lines ignored.  The
-first line is the header, then come the m constraint rows, then keyed lines
-in any order::
+record per line, tokens separated by whitespace, blank lines ignored: the
+header, the m constraint rows, then keyed lines in any order.  The lines
+down to ``anchor`` define the problem.  The keys after it are optional
+claims, checked against the derived values: a false one raises
+``OracleError`` naming its key, and a weaker true one changes nothing.
+``save_instance`` writes each at its derived value::
 
     n m                       dimension and number of constraints
     a_1 ... a_n b             m rows, one per constraint a^T x + b <= 0
-    objective quadratic       f(x) = 0.5 * |x - center|^2
-    center c_1 ... c_n        the objective's pull center
-    set ball y_1 ... y_n r    simple set: the ball of center y and radius r,
+    objective quadratic       f(x) = 0.5 * |x - c|^2
+    center c_1 ... c_n        the objective's pull center c
+    set ball y_1 ... y_n r    simple set Y: the ball of center y and radius r,
     set whole                 or the whole space
-    mu <value>                strong convexity constant of f
-    Mf <value>                bound on the objective subgradients
-    Mg <value>                bound on the constraint subgradients
-    fstar <value>             optional, with xstar: the optimal value
-    xstar x_1 ... x_n         optional, with fstar: the optimum
     anchor p_1 ... p_n        optional: a strictly feasible point (default 0)
+    mu <value>                strong convexity of f: true if <= 1
+    Mg <value>                constraint subgradient bound: true if >= 1
+    Mf <value>                objective subgradient bound over Y: true if
+                              >= r + |c - y|; none is true on ``set whole``
+    fstar <value>             with xstar: f*, true within TOL_METRIC * s^2
+    xstar x_1 ... x_n         with fstar: x*, true within TOL_METRIC * s
+                              in each coordinate
 
-Every number must be finite, every vector must have n entries, and each key
-may appear once; any other key is an error.  Numbers are written with 17
-significant digits, so a round trip is exact.
+with s = 1 + the largest |c_i| or |x*_i|, the scale of x*'s certificate.
+Every number must be finite, every vector must have n entries, and each
+key may appear once; any other key is an error.  Numbers are written with
+17 significant digits, so a round trip is exact.
 """
 
 from __future__ import annotations
@@ -43,16 +45,14 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .geometry import PolyhedronSpec, linear_family, project_intersection
+from .geometry import (TOL_METRIC, PolyhedronSpec, linear_family,
+                       project_intersection)
 from .oracle import KnownOptimum, ObjectiveOracle, OracleError, ProblemSpec, SimpleSet
 from .solver import ConfigError, PolyhedralContext
-
-
-class GenerationError(RuntimeError):
-    """Benchmark generation failed: the optimum is interior to every row."""
 
 
 # shape of the generated instances: constraint margins at the anchor, how far
@@ -89,31 +89,34 @@ def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
     return ObjectiveOracle(evaluate=evaluate, subgradient=subgradient)
 
 
+def _objective_bound(simple_set: SimpleSet, pull_center: np.ndarray) -> float:
+    """M_f of f = 0.5 * |x - c|^2 over Y, the largest |x - c| there: r +
+    |c - y| on a ball of center y and radius r, inf on the whole space."""
+    if simple_set.variant == "whole-space":
+        return math.inf
+    return simple_set.radius + float(np.linalg.norm(pull_center - simple_set.center))
+
+
 def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
-                    pull_center: np.ndarray) -> BenchmarkInstance:
-    """Assemble spec + instance around a pull center; the one place that
-    sets Y (a ball about the anchor), M_f, mu, M_g, x* and f*.  The
-    ``PolyhedronSpec`` checks the rows once, and the spec's constraints are
-    its ``linear_family``.  With rows, the optimum must lie on the boundary
-    of one; with none (A of shape (0, n)) the family has size 0 and the
-    problem is unconstrained."""
+                    pull_center: np.ndarray,
+                    simple_set: Optional[SimpleSet] = None) -> BenchmarkInstance:
+    """Assemble spec + instance around a pull center: the one builder of a
+    ``ProblemSpec``, for builtins and instance files alike, with the
+    constants of the module docstring.  Y is ``simple_set``, by default a
+    ball about the anchor.  The ``PolyhedronSpec`` checks the rows once,
+    and the constraints are its ``linear_family``; with no rows (A of shape
+    (0, n)) the problem is unconstrained.  An empty feasible set raises
+    ``EmptyFeasibleSetError``."""
     poly = PolyhedronSpec(A=A, b=b)
-    radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
-    simple_set = SimpleSet.ball(anchor, radius)
+    if simple_set is None:
+        radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
+        simple_set = SimpleSet.ball(anchor, radius)
     x_star = project_intersection(poly, simple_set, pull_center)
-    if poly.m and float(np.max(poly.A @ x_star + poly.b)) < -1e-6:
-        raise GenerationError("optimum interior to all constraints")
     f_star = 0.5 * float(np.linalg.norm(x_star - pull_center)) ** 2
-    spec = ProblemSpec(
-        dimension=poly.n,
-        objective=_quadratic_objective(pull_center),
-        constraints=linear_family(poly),
-        simple_set=simple_set,
-        mu=1.0,
-        M_f=radius + float(np.linalg.norm(pull_center - anchor)),
-        M_g=1.0,
-        known_optimum=KnownOptimum(f_star=f_star, x_star=x_star),
-    )
+    spec = ProblemSpec(objective=_quadratic_objective(pull_center),
+                       constraints=linear_family(poly), simple_set=simple_set,
+                       mu=1.0, M_g=1.0,
+                       known_optimum=KnownOptimum(f_star=f_star, x_star=x_star))
     return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor.copy(),
                              pull_center=pull_center)
 
@@ -333,49 +336,34 @@ def predicted_gains(poly: PolyhedronSpec, variant: str, beta: float,
 # plain-text instance format
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_instance(instance: BenchmarkInstance, path) -> None:
-    """Write an instance in the plain-text format of the module docstring."""
-    spec = instance.spec
-    poly = instance.poly
-    ss = spec.simple_set
-    lines = [f"{poly.n} {poly.m}"]
-    for i in range(poly.m):
-        lines.append(" ".join(_fmt(v) for v in poly.A[i]) + " " + _fmt(poly.b[i]))
-    lines.append("objective quadratic")
-    lines.append("center " + " ".join(_fmt(v) for v in instance.pull_center))
-    if ss.variant == "ball":
-        lines.append("set ball " + " ".join(_fmt(v) for v in ss.center)
-                     + " " + _fmt(ss.radius))
-    elif ss.variant == "whole-space":
-        lines.append("set whole")
-    else:
-        raise OracleError(f"instance format supports ball or whole-space sets, "
-                          f"not {ss.variant!r}")
-    lines.append("mu " + _fmt(spec.mu))
-    lines.append("Mf " + _fmt(spec.M_f))
-    lines.append("Mg " + _fmt(spec.M_g))
-    if spec.known_optimum is not None:
-        lines.append("fstar " + _fmt(spec.known_optimum.f_star))
-        lines.append("xstar " + " ".join(_fmt(v) for v in spec.known_optimum.x_star))
-    lines.append("anchor " + " ".join(_fmt(v) for v in instance.anchor))
+    """Write an instance in the plain-text format of the module docstring,
+    each claim at its derived value and no ``Mf`` on ``set whole``."""
+    spec, poly, ss = instance.spec, instance.poly, instance.spec.simple_set
+    opt = spec.known_optimum
+
+    def text(*values):
+        return " ".join(format(float(v), ".17g") for v in values)
+
+    ball = ss.variant == "ball"
+    lines = [f"{poly.n} {poly.m}", *(text(*a, b) for a, b in zip(poly.A, poly.b)),
+             "objective quadratic", "center " + text(*instance.pull_center),
+             "set ball " + text(*ss.center, ss.radius) if ball else "set whole",
+             "mu " + text(spec.mu)]
+    if ball:
+        lines.append("Mf " + text(_objective_bound(ss, instance.pull_center)))
+    lines += ["Mg " + text(spec.M_g), "fstar " + text(opt.f_star),
+              "xstar " + text(*opt.x_star), "anchor " + text(*instance.anchor)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_instance(path) -> BenchmarkInstance:
-    """Read an instance in the plain-text format of the module docstring.
-
-    A malformed file, a non-finite number, a vector of the wrong length, an
-    unknown or repeated key, or ``fstar`` or ``xstar`` without the other
-    raises ``OracleError`` naming the offending line's field.
-    """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-
+    """Read an instance in the plain-text format of the module docstring
+    and build it by ``_build_instance``.  A file that is not text, a
+    malformed line, a non-finite number, a vector of the wrong length, an
+    unknown or repeated key, ``fstar`` or ``xstar`` without the other, or a
+    false claim raises ``OracleError`` naming the line's field or key."""
     def numbers(name, text, count):
         values = np.array([float(t) for t in text.split()])
         if values.size != count:
@@ -385,6 +373,8 @@ def load_instance(path) -> BenchmarkInstance:
         return values
 
     try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
         n, m = (int(t) for t in lines[0].split())
         A = np.zeros((m, n))
         b = np.zeros(m)
@@ -411,22 +401,28 @@ def load_instance(path) -> BenchmarkInstance:
             simple_set = SimpleSet.whole_space(n)
         else:
             raise ValueError(f"unsupported set variant {kind!r}")
-        mu, mf, mg = (float(numbers(key, fields[key], 1)[0])
-                      for key in ("mu", "Mf", "Mg"))
         for given, missing in (("fstar", "xstar"), ("xstar", "fstar")):
             if given in fields and missing not in fields:
                 raise ValueError(f"{given} given without {missing}")
-        known = None
-        if "fstar" in fields:
-            known = KnownOptimum(f_star=float(numbers("fstar", fields["fstar"], 1)[0]),
-                                 x_star=numbers("xstar", fields["xstar"], n))
+        claims = {key: numbers(key, fields[key], n if key == "xstar" else 1)
+                  for key in ("mu", "Mf", "Mg", "fstar", "xstar") if key in fields}
         anchor = numbers("anchor", fields["anchor"], n) \
             if "anchor" in fields else np.zeros(n)
     except (KeyError, IndexError, ValueError) as exc:
         raise OracleError(f"malformed instance file {path}: {exc}") from exc
 
-    poly = PolyhedronSpec(A=A, b=b)
-    spec = ProblemSpec(dimension=n, objective=_quadratic_objective(pull),
-                       constraints=linear_family(poly), simple_set=simple_set, mu=mu, M_f=mf,
-                       M_g=mg, known_optimum=known)
-    return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor, pull_center=pull)
+    instance = _build_instance(A, b, anchor, pull, simple_set)
+    opt = instance.spec.known_optimum
+    s = 1.0 + float(np.max(np.abs(np.append(pull, opt.x_star)), initial=0.0))
+    # by how much each claim is false; at most 0 when it is true
+    excess = {"mu": lambda v: v - instance.spec.mu,
+              "Mg": lambda v: instance.spec.M_g - v,
+              "Mf": lambda v: _objective_bound(simple_set, pull) - v,
+              "fstar": lambda v: abs(v - opt.f_star) - TOL_METRIC * s * s,
+              "xstar": lambda v: np.abs(v - opt.x_star) - TOL_METRIC * s}
+    for key, value in claims.items():
+        miss = float(np.max(excess[key](value)))
+        if miss > 0.0:
+            raise OracleError(f"false claim in instance file {path}: {key} "
+                              f"{fields[key]} misses the true {key} by {miss:.3g}")
+    return instance

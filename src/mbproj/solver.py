@@ -697,13 +697,13 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
         if config.assertions == "lemma-checks" else None
     variant, iterations = config.variant, config.iterations
 
-    m = spec.constraints.size
-    x = np.empty((len(rows.seeds), spec.dimension))
+    m, n = spec.constraints.size, spec.simple_set.dimension
+    x = np.empty((len(rows.seeds), n))
     samplers = []
     for row, seed in enumerate(rows.seeds):
         ss_init, ss_sampler = np.random.SeedSequence(seed).spawn(2)
-        raw = np.zeros(spec.dimension) if config.init == "zero" else \
-            np.random.default_rng(ss_init).standard_normal(spec.dimension)
+        raw = np.zeros(n) if config.init == "zero" else \
+            np.random.default_rng(ss_init).standard_normal(n)
         x[row] = spec.simple_set.project(raw)
         if m:
             samplers.append(Sampler(config.sampler, m,

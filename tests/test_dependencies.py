@@ -39,3 +39,16 @@ def test_relative_imports_only_reach_lower_layers():
                 upward += [f"{path.name}:{node.lineno} {target}" for target in targets
                            if LAYERS.index(target.split(".")[0]) >= rank]
     assert not upward, upward
+
+
+def test_problem_spec_has_one_builder():
+    # every instance, builtin or file, gets its constants and optimum from
+    # the one function that calls ``ProblemSpec(``
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            sites += [f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      == "ProblemSpec"]
+    assert sites == ["problems._build_instance"], sites

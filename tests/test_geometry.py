@@ -250,8 +250,8 @@ class TestWarmStart:
     def points(inst, count, seed):
         rng = np.random.default_rng(seed)
         x_star = inst.spec.known_optimum.x_star
-        step = rng.standard_normal((count, inst.spec.dimension))
-        return x_star + np.cumsum(step, axis=0) / np.sqrt(inst.spec.dimension)
+        step = rng.standard_normal((count, x_star.size))
+        return x_star + np.cumsum(step, axis=0) / np.sqrt(x_star.size)
 
     @pytest.mark.parametrize("n,m", [(10, 20), (50, 200)])
     def test_previous_points_set_gives_the_cold_bits(self, n, m, monkeypatch):

@@ -511,6 +511,21 @@ class TestSolveCommand:
         assert err.startswith("configuration error: ") and repr(text) in err
         assert not out.exists()
 
+    @staticmethod
+    def edited_instance(path, edits):
+        """Save ``benchmark`` 3x4 at ``path`` and edit it: ``edits`` maps a
+        key to the text of its new line, a callable of the old line, or ""
+        to drop it; the key None puts nan in the first row's b entry."""
+        save_instance(make_builtin("benchmark", n=3, m=4, seed=0), path)
+        lines = path.read_text().splitlines()
+        if None in edits:
+            lines[1] = lines[1].rsplit(" ", 1)[0] + " nan"
+        for key, text in edits.items():
+            lines = [(text(ln) if callable(text) else text)
+                     if ln.split()[0] == key else ln for ln in lines]
+            lines = [ln for ln in lines if ln]
+        path.write_text("\n".join(lines) + "\n")
+
     @pytest.mark.parametrize("field,key,text", [
         ("row 0", None, None),
         ("center", "center", "center 0.4 0.0"),
@@ -521,26 +536,72 @@ class TestSolveCommand:
         ("mu", "mu", "mu 1\nmu 2"),
         ("fstar given without xstar", "xstar", ""),
         ("xstar given without fstar", "fstar", ""),
+        ("mu 20 misses the true mu", "mu", "mu 20"),
+        ("Mg 0.01 misses the true Mg", "Mg", "Mg 0.01"),
+        ("Mf 0.001 misses the true Mf", "Mf", "Mf 0.001"),
+        ("misses the true fstar", "fstar",
+         lambda line: f"fstar {float(line.split()[1]) / 2!r}"),
+        ("misses the true xstar by 0.001", "xstar",
+         lambda line: "xstar " + " ".join(repr(float(t) + 1e-3)
+                                          for t in line.split()[1:])),
     ], ids=["b-nan", "short-center", "short-xstar", "short-anchor", "mu-nan",
             "misspelled-anchor", "repeated-mu", "fstar-without-xstar",
-            "xstar-without-fstar"])
+            "xstar-without-fstar", "false-mu", "false-Mg", "false-Mf",
+            "false-fstar", "false-xstar"])
     def test_malformed_instance_is_config_error(self, tmp_path, capsys, field,
                                                 key, text):
-        # a saved 3x4 instance with one line edited; key None puts nan in
-        # the first row's b entry, and an empty text drops the line
+        # a saved 3x4 instance with one line edited; a false claim is one
+        # that the problem the file defines shows false
         path = tmp_path / "instance.txt"
-        save_instance(make_builtin("benchmark", n=3, m=4, seed=0), path)
-        lines = path.read_text().splitlines()
-        if key is None:
-            lines[1] = lines[1].rsplit(" ", 1)[0] + " nan"
-        else:
-            lines = [text if ln.split()[0] == key else ln for ln in lines]
-        path.write_text("\n".join(lines) + "\n")
+        self.edited_instance(path, {key: text})
         code = main(["solve", "--instance", str(path), "--iters", "50",
                      "--N", "2", "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "configuration error" in err and field in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("edits", [
+        {"mu": "mu 0.5", "Mg": "Mg 2",
+         "Mf": lambda line: f"Mf {2 * float(line.split()[1])!r}"},
+        {"fstar": "", "xstar": ""},
+        {"mu": "", "Mf": "", "Mg": "", "fstar": "", "xstar": ""},
+    ], ids=["weaker", "no-optimum", "no-claims"])
+    def test_true_claims_change_nothing(self, tmp_path, edits):
+        # each run reads its file from the one path that the header echoes:
+        # weaker true claims, or none, write the true file's bytes, whose
+        # f_gap the derived optimum gives
+        path, outs = tmp_path / "instance.txt", []
+        for change in ({}, edits):
+            self.edited_instance(path, change)
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert main(["solve", "--instance", str(path), "--iters", "50",
+                         "--N", "2", "--seeds", "1..2",
+                         "--out", str(outs[-1])]) == EXIT_OK
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1])) and len(names) == 3
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+        _, rows = read_csv(outs[1] / "run_seed1.csv")
+        assert all(row.f_gap is not None for row in rows)
+
+    @pytest.mark.parametrize("command,flag,name,exit_code", [
+        ("solve", "--instance", "inst.txt", EXIT_CONFIG),
+        ("solve", "--config", "run.ini", EXIT_CONFIG),
+        ("rate-check", "--dir", "run_seed1.csv", EXIT_WINDOW),
+    ], ids=["instance", "config", "rate-check-csv"])
+    def test_non_utf8_file_is_one_line(self, tmp_path, capsys, command, flag,
+                                       name, exit_code):
+        # bytes that do not decode: one stderr line and the file's exit code
+        (tmp_path / name).write_bytes(b"\xff\xfe")
+        target = tmp_path if flag == "--dir" else tmp_path / name
+        argv = [command, flag, str(target)]
+        if command == "solve":
+            argv += ["--builtin", "orthant2", "--iters", "5",
+                     "--out", str(tmp_path / "x")]
+        assert main(argv) == exit_code
+        err = capsys.readouterr().err
+        assert str(tmp_path / name) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,message", [
         (["--beta", "nan"], "fixed beta must be finite and positive, got nan"),
@@ -565,8 +626,8 @@ class TestSolveCommand:
         assert "need" in capsys.readouterr().err
 
     def test_empty_feasible_set_is_config_error(self, tmp_path, capsys):
-        # x1 <= 0 and x1 >= 1 in a radius-10 ball: the first metric call
-        # proves the feasible set empty
+        # x1 <= 0 and x1 >= 1 in a radius-10 ball: building the problem
+        # at load, before any run, proves the feasible set empty
         path = tmp_path / "empty.txt"
         path.write_text("2 2\n1 0 0\n-1 0 1\nobjective quadratic\n"
                         "center 0.5 0\nset ball 0 0 10\nmu 1\nMf 20\nMg 1\n")

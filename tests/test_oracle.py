@@ -87,12 +87,11 @@ class TestSimpleSet:
 def single_index_steps(family, dimension=2):
     """Constraint 0's feasibility step through each pass, as callables
     ``(v, beta) -> (next point, positive parts seen)``."""
-    spec = ProblemSpec(dimension=dimension,
-                       objective=ObjectiveOracle(evaluate=lambda x: 0.0,
+    spec = ProblemSpec(objective=ObjectiveOracle(evaluate=lambda x: 0.0,
                                                  subgradient=lambda x: 0.0 * x),
                        constraints=family,
                        simple_set=SimpleSet.whole_space(dimension),
-                       mu=1.0, M_f=1.0, M_g=1.0)
+                       mu=1.0, M_g=1.0)
     index, rows = np.array([[0]]), _Rows((0,), (1,))
 
     # both passes take a block of seeds; v runs as a one-seed block, and a
@@ -242,19 +241,18 @@ class TestFamilyBatch:
 class TestProblemSpec:
     @pytest.mark.parametrize("change,match", [
         ({"mu": float("nan")}, "mu"),
-        ({"M_f": float("inf")}, "M_f"),
         ({"M_g": float("nan")}, "M_g"),
         ({"M_g": 0.0}, "M_g"),
         ({"known_optimum": KnownOptimum(f_star=0.0, x_star=np.zeros(3))}, "x_star"),
-    ], ids=["mu-nan", "Mf-inf", "Mg-nan", "Mg-zero", "xstar-length"])
+    ], ids=["mu-nan", "Mg-nan", "Mg-zero", "xstar-length"])
     def test_rejects_bad_constants_and_optimum(self, change, match):
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
-        fields = dict(dimension=2, objective=objective,
+        fields = dict(objective=objective,
                       constraints=linear_family(PolyhedronSpec(np.zeros((0, 2)),
                                                                np.zeros(0))),
                       simple_set=SimpleSet.ball(np.zeros(2), 2.0),
-                      mu=1.0, M_f=2.0, M_g=1.0)
+                      mu=1.0, M_g=1.0)
         ProblemSpec(**fields)
         with pytest.raises(OracleError, match=match):
             ProblemSpec(**{**fields, **change})

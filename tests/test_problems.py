@@ -76,10 +76,10 @@ class TestGeneratedBenchmark:
         # fails near x*
         from mbproj.geometry import project_intersection
         spec = instance.spec
-        opt = spec.known_optimum
+        opt, ball = spec.known_optimum, spec.simple_set
         rng = np.random.default_rng(1)
         for _ in range(100):
-            y = spec.simple_set.project(3.0 * rng.standard_normal(spec.dimension))
+            y = ball.project(3.0 * rng.standard_normal(ball.dimension))
             x = project_intersection(instance.poly, spec.simple_set, y)
             slack = (spec.objective.evaluate(x) - opt.f_star
                      - 0.5 * spec.mu * float(np.linalg.norm(x - opt.x_star)) ** 2)
@@ -258,16 +258,25 @@ class TestQBCurves:
 
 
 class TestInstanceFile:
-    def test_round_trip_preserves_problem(self, tmp_path):
-        inst = make_polyhedral_benchmark(5, 8, seed=9)
+    @pytest.mark.parametrize("name", sorted(problems.BUILTINS))
+    def test_round_trip_preserves_problem(self, tmp_path, name):
+        # the reloaded file is rebuilt by ``_build_instance``, which derives
+        # x* and f* again from the same bits, so they match to the bit
+        inst = make_builtin(name, n=5, m=8, seed=9)
         path = tmp_path / "instance.txt"
         save_instance(inst, path)
         loaded = load_instance(path)
         np.testing.assert_array_equal(loaded.poly.A, inst.poly.A)
         np.testing.assert_array_equal(loaded.poly.b, inst.poly.b)
         np.testing.assert_array_equal(loaded.pull_center, inst.pull_center)
-        assert loaded.spec.M_f == inst.spec.M_f
-        assert loaded.spec.known_optimum.f_star == inst.spec.known_optimum.f_star
+        np.testing.assert_array_equal(loaded.anchor, inst.anchor)
+        ball, loaded_ball = inst.spec.simple_set, loaded.spec.simple_set
+        np.testing.assert_array_equal(loaded_ball.center, ball.center)
+        assert loaded_ball.radius == ball.radius
+        assert (loaded.spec.mu, loaded.spec.M_g) == (inst.spec.mu, inst.spec.M_g)
+        opt, loaded_opt = inst.spec.known_optimum, loaded.spec.known_optimum
+        assert loaded_opt.x_star.tobytes() == opt.x_star.tobytes()
+        assert loaded_opt.f_star == opt.f_star
         # identical solver trajectories from the reloaded instance, read
         # off the points each objective's subgradient is asked about
         cfg = RunConfig(variant="parallel", batch_size=2,
@@ -281,6 +290,23 @@ class TestInstanceFile:
         assert len(trajectories[0]) == 100
         for a, b in zip(*trajectories):
             np.testing.assert_array_equal(a, b)
+
+    def test_whole_space_has_no_objective_bound(self, tmp_path):
+        # f's subgradients are unbounded on the whole space: the file has
+        # no Mf line, and any Mf claimed there is false
+        path = tmp_path / "whole.txt"
+        path.write_text("2 1\n1 0 0\nobjective quadratic\ncenter 1 1\n"
+                        "set whole\nmu 1\nMg 1\n")
+        inst = load_instance(path)
+        assert inst.spec.simple_set.variant == "whole-space"
+        np.testing.assert_array_equal(inst.spec.known_optimum.x_star, [0.0, 1.0])
+        save_instance(inst, path)
+        text = path.read_text()
+        assert "set whole\n" in text and "Mf" not in text
+        assert load_instance(path).spec.known_optimum.f_star == 0.5
+        path.write_text(text + "Mf 1e300\n")
+        with pytest.raises(OracleError, match="false claim .*Mf 1e300"):
+            load_instance(path)
 
     def test_malformed_file_raises(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -27,10 +27,10 @@ def corner_spec(simple_set=None, constraints=None):
     center = np.array([1.0, 1.0])
     objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
                                 subgradient=lambda x: x - center)
-    return ProblemSpec(dimension=2, objective=objective,
+    return ProblemSpec(objective=objective,
                        constraints=constraints or linear_family(PolyhedronSpec(A, b)),
                        simple_set=simple_set or SimpleSet.whole_space(2),
-                       mu=1.0, M_f=10.0, M_g=1.0,
+                       mu=1.0, M_g=1.0,
                        known_optimum=KnownOptimum(f_star=1.0, x_star=np.zeros(2)))
 
 
@@ -341,10 +341,10 @@ class TestObjectiveStep:
     def test_gradient_step_to_minimizer(self):
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
-        spec = ProblemSpec(dimension=2, objective=objective,
+        spec = ProblemSpec(objective=objective,
                            constraints=no_constraints(2),
                            simple_set=SimpleSet.whole_space(2),
-                           mu=1.0, M_f=10.0, M_g=1.0)
+                           mu=1.0, M_g=1.0)
         np.testing.assert_array_equal(objective_step(spec, np.array([1.0, 1.0]), 1.0),
                                       [0.0, 0.0])
 
@@ -356,10 +356,10 @@ class TestObjectiveStep:
     def test_projection_applies(self):
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
-        spec = ProblemSpec(dimension=2, objective=objective,
+        spec = ProblemSpec(objective=objective,
                            constraints=no_constraints(2),
                            simple_set=SimpleSet.ball(np.zeros(2), 1.0),
-                           mu=1.0, M_f=10.0, M_g=1.0)
+                           mu=1.0, M_g=1.0)
         out = objective_step(spec, np.array([1.0, 0.0]), 0.5)
         np.testing.assert_array_equal(out, [0.5, 0.0])
 
@@ -564,7 +564,7 @@ class TestRunLoop:
                         beta=1.0, iterations=iterations, seeds=seeds)
         spec, parallel, _ = recording_family(inst.spec)
         run(spec, cfg)
-        assert steps == [(len(seeds), spec.dimension)] * iterations
+        assert steps == [(len(seeds), spec.simple_set.dimension)] * iterations
         assert [a.shape for a in parallel] == [(len(seeds), size)] * iterations
 
         family, minibatches, sequential = inst.spec.constraints, iter(parallel), []
@@ -589,7 +589,7 @@ class TestRunLoop:
             inst.spec, constraints=dataclasses.replace(family, batch=poisoned))
         steps.clear()
         run(spec, dataclasses.replace(cfg, variant="sequential"))
-        assert steps == [(len(seeds), spec.dimension)] * iterations
+        assert steps == [(len(seeds), spec.simple_set.dimension)] * iterations
         assert next(minibatches, None) is None and state["start"] is None
         assert iterations <= len(sequential) < iterations * size
 
@@ -599,9 +599,9 @@ class TestRunLoop:
             evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
             subgradient=lambda x: x - center)
         ball = SimpleSet.ball(np.zeros(3), 5.0)
-        spec = ProblemSpec(dimension=3, objective=objective,
+        spec = ProblemSpec(objective=objective,
                            constraints=no_constraints(3), simple_set=ball,
-                           mu=1.0, M_f=10.0, M_g=1.0)
+                           mu=1.0, M_g=1.0)
         cfg = RunConfig(variant="parallel", batch_size=1,
                         beta_policy="fixed", beta=1.0, iterations=150,
                         seeds=(5,), init="zero")
@@ -719,10 +719,10 @@ class TestRunLoop:
     def test_nonfinite_oracle_aborts_with_diagnostic(self):
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x * np.inf)
-        spec = ProblemSpec(dimension=2, objective=objective,
+        spec = ProblemSpec(objective=objective,
                            constraints=no_constraints(2),
                            simple_set=SimpleSet.whole_space(2),
-                           mu=1.0, M_f=1.0, M_g=1.0)
+                           mu=1.0, M_g=1.0)
         cfg = RunConfig(variant="parallel", batch_size=1,
                         beta_policy="fixed", beta=1.0,
                         iterations=5, seeds=(0,), init="zero")
@@ -1015,7 +1015,7 @@ def seeds_by_kind(inst, size):
     spec, kinds = inst.spec, {}
     for _ in range(300):
         idx = rng.choice(spec.constraints.size, size, replace=False)
-        u = rng.standard_normal(spec.dimension)
+        u = rng.standard_normal(spec.simple_set.dimension)
         v = inst.anchor + rng.uniform(0.05, 1.5) * spec.simple_set.radius \
             * u / np.linalg.norm(u)
         gvals, _ = spec.constraints.batch(idx[None], v[None])
