@@ -32,13 +32,15 @@ Every projection is certified before it is returned: the KKT residuals
 (stationarity, primal violation, ball excess, negative multipliers,
 complementarity) must lie below ``TOL_METRIC`` times s = 1 + the largest
 coordinate of v or x in magnitude (s^2 for complementarity, a product of two
-lengths), or ``DistanceOracleError`` is raised with them.  An empty feasible set raises
-``EmptyFeasibleSetError``.  The oracle is the reference metric of the harness
-and of the per-iteration inequality checks.
+lengths), or ``DistanceOracleError`` is raised with them; the method's last
+A x + b and the ball test's projection of x are shared, not recomputed.  An
+empty feasible set raises ``EmptyFeasibleSetError``.  The oracle is the
+reference metric of the harness and of the per-iteration inequality checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -135,28 +137,29 @@ def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
     """Projection of w onto {Ax + b <= 0} by the dual active-set method,
     warm-started from the linearly independent rows ``start``.
 
-    Returns (x, active, mu) with ``active`` sorted, x = w - A[active]^T mu,
-    mu >= 0 and the active rows linearly independent and tight at x.  Raises
-    ``EmptyFeasibleSetError`` when the polyhedron is empty.
+    Returns (x, active, mu, s) with ``active`` sorted, x = w - A[active]^T mu,
+    mu >= 0, the active rows linearly independent and tight at x, and s =
+    A x + b (None if x was re-solved).  Raises ``EmptyFeasibleSetError``
+    when the polyhedron is empty.
     """
     A, b = poly.A, poly.b
     # the rows of start with their multipliers, dropping negative ones until
     # none is left: a dual feasible point to start from
     active = sorted(start)
     x, mu = _solve_active(A, b, w, active)
-    while np.any(mu < 0.0):
+    while (mu < 0.0).any():
         active = [row for row, m in zip(active, mu) if m >= 0.0]
         x, mu = _solve_active(A, b, w, active)
     solved = True      # (x, mu) is _solve_active of the sorted active rows
     # the method is finite; the cap only guards against cycling in rounding
     for _ in range(10 * (poly.m + poly.n)):
         s = A @ x + b
-        p = int(np.argmax(s))
+        p = int(s.argmax())
         if s[p] <= EPS * scale:
             if not solved:
                 active = sorted(active)
                 x, mu = _solve_active(A, b, w, active)
-            return x, active, mu
+            return x, active, mu, s if solved else None
         a_p, mu_p, solved = A[p], 0.0, False
         while True:
             if active:
@@ -170,7 +173,7 @@ def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
             full = np.inf if dependent else (float(a_p @ x) + b[p]) / zz
             blocking = np.flatnonzero(r > EPS)
             ratios = mu[blocking] / r[blocking]
-            partial = float(np.min(ratios, initial=np.inf))
+            partial = float(ratios.min(initial=np.inf))
             t = min(full, partial)
             if t == np.inf:
                 raise EmptyFeasibleSetError(
@@ -184,7 +187,7 @@ def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
                 active.append(p)
                 mu = np.append(mu, mu_p)
                 break
-            k = int(blocking[np.argmin(ratios)])
+            k = int(blocking[ratios.argmin()])
             del active[k]
             mu = np.delete(mu, k)
     raise DistanceOracleError(
@@ -192,22 +195,27 @@ def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
         residuals={})
 
 
+def _norm(d: np.ndarray) -> float:   # np.linalg.norm's bits for 1-D d, cheaper
+    return math.sqrt(d @ d)
+
+
 def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, v, x, active, lam,
-             nu: float, scale: float) -> None:
+             nu: float, scale: float, s, excess: float) -> None:
     """Raise ``DistanceOracleError`` unless (x, lam, nu) satisfies the KKT
-    conditions of the projection of v within ``TOL_METRIC``."""
-    s = poly.A @ x + poly.b
+    conditions of the projection of v within ``TOL_METRIC``, from the
+    residuals s = A x + b (None: not yet computed) and |P_Y(x) - x| at x."""
+    s = poly.A @ x + poly.b if s is None else s
     grad = x - v + lam @ poly.A[active]
-    comp = float(np.max(np.abs(lam * s[active]), initial=0.0))
+    comp = float(np.abs(lam * s[active]).max(initial=0.0))
     if nu > 0.0:
         d = x - simple_set.center
         grad = grad + 2.0 * nu * d
         comp = max(comp, nu * abs(float(d @ d) - simple_set.radius ** 2))
     residuals = {
-        "stationarity": float(np.linalg.norm(grad)),
-        "primal_violation": max(float(np.max(s)), 0.0),
-        "ball_excess": float(np.linalg.norm(simple_set.project(x) - x)),
-        "negative_multiplier": max(-float(np.min(lam, initial=0.0)), 0.0),
+        "stationarity": _norm(grad),
+        "primal_violation": max(float(s.max()), 0.0),
+        "ball_excess": excess,
+        "negative_multiplier": max(-float(lam.min(initial=0.0)), 0.0),
         "complementarity": comp,
     }
     # complementarity is a product of two lengths
@@ -229,16 +237,17 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
     the final active set of an earlier call: the projection starts from it,
     and on return the list holds this projection's final active set.  The
     result does not depend on it (see the module docstring).  Certified as
-    the module docstring describes.  Raises ``EmptyFeasibleSetError`` when
-    the set is empty and ``DistanceOracleError`` when the certificate fails.
+    the module docstring describes, from the residuals and ball projection
+    the method computed.  Raises ``EmptyFeasibleSetError`` when the set is
+    empty and ``DistanceOracleError`` when the certificate fails.
     """
     v = as_point(v)
     if poly.m == 0:
         return simple_set.project(v)
-    scale = 1.0 + float(np.max(np.abs(v)))
-    x, rows, lam = _project_polyhedron(poly, v, scale, active or ())
-    nu = 0.0
-    if not simple_set.contains(x):
+    scale = 1.0 + float(np.abs(v).max())
+    x, rows, lam, s = _project_polyhedron(poly, v, scale, active or ())
+    nu, excess = 0.0, _norm(simple_set.project(x) - x)
+    if not excess <= 0.0:
         c, radius = simple_set.center, simple_set.radius
 
         def project_toward_center(theta, start):
@@ -249,23 +258,24 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
         # as close to the center as it gets; each step starts from the rows
         # of the step before
         lo, hi = 0.0, float(np.nextafter(1.0, 0.0))
-        y, rows, _ = project_toward_center(hi, rows)
-        if float(np.linalg.norm(y - c)) > radius:
+        y, rows, _, _ = project_toward_center(hi, rows)
+        if _norm(y - c) > radius:
             raise EmptyFeasibleSetError(
                 "feasible set is empty: the ball does not meet the polyhedron")
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            y, rows, _ = project_toward_center(mid, rows)
-            if float(np.linalg.norm(y - c)) > radius:
+            y, rows, _, _ = project_toward_center(mid, rows)
+            if _norm(y - c) > radius:
                 lo = mid
             else:
                 hi = mid
-        x, rows, mu = project_toward_center(hi, rows)
+        x, rows, mu, s = project_toward_center(hi, rows)
         # 1 + 2 nu = 1 / (1 - theta) rescales the polyhedral multipliers
         nu = hi / (2.0 * (1.0 - hi))
         lam = mu / (1.0 - hi)
+        excess = _norm(simple_set.project(x) - x)
     _certify(poly, simple_set, v, x, rows, lam, nu,
-             max(scale, 1.0 + float(np.max(np.abs(x)))))
+             max(scale, 1.0 + float(np.abs(x).max())), s, excess)
     if active is not None:
         active[:] = rows
     return x
@@ -275,4 +285,4 @@ def distance_oracle(poly: PolyhedronSpec, simple_set: SimpleSet,
                     v: np.ndarray, active: Optional[list] = None) -> float:
     """Certified distance from v to the feasible intersection;
     ``active`` as for ``project_intersection``."""
-    return float(np.linalg.norm(project_intersection(poly, simple_set, v, active) - v))
+    return _norm(project_intersection(poly, simple_set, v, active) - v)

@@ -258,10 +258,11 @@ def _weighted_mean(weights: np.ndarray, dirs: np.ndarray, groups=()) -> np.ndarr
     per group of ``_Rows.groups`` on its real columns when there are any."""
     if not groups:
         return np.matmul(weights[:, None, :], dirs)[:, 0] / weights.shape[1]
-    mean = np.empty((len(dirs), dirs.shape[2]))
+    mean = np.empty((len(dirs), 1, dirs.shape[2]))
     for rows, size in groups:
-        mean[rows] = _weighted_mean(weights[rows, :size], dirs[rows, :size])
-    return mean
+        part = np.matmul(weights[rows, None, :size], dirs[rows, :size], out=mean[rows])
+        part /= size
+    return mean[:, 0]
 
 
 def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,

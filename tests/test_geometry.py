@@ -203,6 +203,35 @@ class TestDistanceOracle:
         for poly, simple_set, v in cases:
             assert_kkt(poly, simple_set, v, project_intersection(poly, simple_set, v))
 
+    @pytest.mark.parametrize("ball_active", [False, True])
+    def test_distance_is_the_norm_of_the_projection_step(self, ball_active,
+                                                         monkeypatch):
+        # bit for bit np.linalg.norm; a point whose polyhedral projection
+        # leaves the ball takes the ball branch, a bisection of many
+        # polyhedral projections, and ends in the ball
+        if ball_active:
+            cases = random_2d_ball_cases(seed=13, count=8)
+        else:
+            inst = make_polyhedral_benchmark(10, 20, seed=5)
+            rng = np.random.default_rng(5)
+            x_star = inst.spec.known_optimum.x_star
+            cases = [(inst.poly, inst.spec.simple_set,
+                      x_star + 2.0 * rng.standard_normal(10)) for _ in range(8)]
+        calls = []
+        polyhedron = geometry._project_polyhedron
+
+        def counted(*args):
+            calls.append(args)
+            return polyhedron(*args)
+
+        monkeypatch.setattr(geometry, "_project_polyhedron", counted)
+        for poly, simple_set, v in cases:
+            del calls[:]
+            x = project_intersection(poly, simple_set, v)
+            assert (len(calls) > 1) == ball_active
+            assert simple_set.contains(x, tol=1e-9)
+            assert distance_oracle(poly, simple_set, v) == float(np.linalg.norm(x - v))
+
     @pytest.mark.parametrize("n,m", [(10, 20), (50, 200)])
     def test_agrees_with_reference_dykstra(self, n, m):
         inst = make_polyhedral_benchmark(n, m, seed=0)

@@ -98,6 +98,18 @@ def squared_spectral_norms_of_4_subsets():
         yield rows, np.linalg.norm(rows, 2) ** 2
 
 
+def unpruned_ln(poly, size):
+    """L_N by the full enumeration: every subset's Gram matrix through
+    ``lambda_max_power``, chunk by chunk, as ``exact_ln_linear`` did before
+    it bounded any subset."""
+    best = 0.0
+    subsets = itertools.combinations(range(poly.m), size)
+    while chunk := list(itertools.islice(subsets, LN_CHUNK)):
+        rows = poly.A[np.array(chunk)]
+        best = max(best, lambda_max_power(rows @ rows.transpose(0, 2, 1)) / size)
+    return min(best, 1.0)
+
+
 class TestLambdaMax:
     def test_two_by_two_against_quadratic_formula(self):
         rng = np.random.default_rng(6)
@@ -180,12 +192,46 @@ class TestExactLN:
             stacks.append(grams.shape)
             return lambda_max_power(grams)
 
-        monkeypatch.setattr(problems, "lambda_max_power", counted)
         poly = make_builtin("benchmark", n=10, m=20, seed=0).poly
+        full = unpruned_ln(poly, 4)
+        monkeypatch.setattr(problems, "lambda_max_power", counted)
         value = exact_ln_linear(poly, 4)
-        assert [shape[0] for shape in stacks] == [LN_CHUNK] * 4 + [4845 - 4 * LN_CHUNK]
+        assert value == full
+        # the Gershgorin bound keeps most subsets from lambda_max_power
+        assert sum(shape[0] for shape in stacks) < 4845
+        assert all(shape[0] <= LN_CHUNK for shape in stacks)
         expected = max(norm for _, norm in squared_spectral_norms_of_4_subsets()) / 4
         assert value == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n,m", [(10, 20), (8, 12)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pruned_equals_full_enumeration(self, n, m, seed):
+        poly = make_builtin("benchmark", n=n, m=m, seed=seed).poly
+        for size in (1, 2, 3, 4, 5, m):
+            assert exact_ln_linear(poly, size) == unpruned_ln(poly, size), size
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_ties_prune_nothing(self, size, monkeypatch):
+        # orthonormal rows: every subset's Gram matrix is about the identity,
+        # so every bound ties the running max and every subset is evaluated
+        # after the seeds' stack
+        evaluated = []
+
+        def counted(grams):
+            evaluated.append(grams.shape[0])
+            return lambda_max_power(grams)
+
+        poly = make_orthonormal_benchmark(12, seed=0).poly
+        full = unpruned_ln(poly, size)
+        monkeypatch.setattr(problems, "lambda_max_power", counted)
+        assert exact_ln_linear(poly, size) == full
+        assert sum(evaluated[1:]) == math.comb(12, size)
+
+    def test_pruned_rank_warning_still_fires(self):
+        poly = make_duplicated_benchmark(5, 8, seed=0).poly
+        with pytest.warns(UserWarning, match="rank"):
+            value = exact_ln_linear(poly, 3)
+        assert value == unpruned_ln(poly, 3)
 
     def test_enumeration_cap(self):
         rng = np.random.default_rng(12)
