@@ -74,7 +74,8 @@ class PolyhedronSpec:
 
     Row normalization is the natural scaling for relaxed projection steps:
     with |a_w| = 1 the violation a_w^T x + b_w equals the distance to the
-    halfspace, and constraint subgradients satisfy M_g = 1.
+    halfspace, and constraint subgradients satisfy M_g = 1.  The paper's
+    problem always has functional constraints, so there is at least one row.
     """
 
     A: np.ndarray
@@ -85,8 +86,10 @@ class PolyhedronSpec:
         b = as_point(self.b)
         if A.shape[0] != b.size:
             raise OracleError("row count of A must match length of b")
+        if b.size == 0:
+            raise OracleError("a polyhedron needs at least one constraint row")
         norms = np.linalg.norm(A, axis=1)
-        if A.shape[0] and not np.allclose(norms, 1.0, atol=1e-9):
+        if not np.allclose(norms, 1.0, atol=1e-9):
             raise OracleError("every row of A must have unit Euclidean norm")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -102,7 +105,7 @@ class PolyhedronSpec:
 
 def linear_family(poly: PolyhedronSpec) -> ConstraintFamily:
     """The constraint family of ``poly``'s rows, a_w^T x + b_w <= 0 for
-    w in 0..m-1; with no rows its size is 0 and no run asks it."""
+    w in 0..m-1."""
     A, b = poly.A, poly.b
 
     def batch(indices, v):
@@ -117,8 +120,6 @@ def linear_family(poly: PolyhedronSpec) -> ConstraintFamily:
 
 def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:
     """Largest positive part over the linear constraints; 0 iff all satisfied."""
-    if poly.m == 0:
-        return 0.0
     return float(max(np.max(poly.A @ v + poly.b), 0.0))
 
 
@@ -242,8 +243,6 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
     empty and ``DistanceOracleError`` when the certificate fails.
     """
     v = as_point(v)
-    if poly.m == 0:
-        return simple_set.project(v)
     scale = 1.0 + float(np.abs(v).max())
     x, rows, lam, s = _project_polyhedron(poly, v, scale, active or ())
     nu, excess = 0.0, _norm(simple_set.project(x) - x)

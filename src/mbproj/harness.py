@@ -314,9 +314,8 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     ``SolverAbort``, which stops the whole block, leaves no directory.
     """
     instance = instance or build_problem(cfg)
-    context = instance.context() if instance.poly.m else None
     _check_out_dir(cfg.out_dir)
-    results = run(instance.spec, cfg, context=context)
+    results = run(instance.spec, cfg, context=instance.context())
     return instance, results, _write_results(cfg, instance, results)
 
 
@@ -441,9 +440,8 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     For each N the final mean oracle distance (with bootstrap CI) is measured
     over the configured seeds, next to the predicted gain b(N) of the runs'
     own variant; the harness juxtaposes measurement and prediction without
-    asserting either.  Every N's settings pass ``solver.validate``, each
-    N's output directory must be makeable, and the problem must have
-    linear constraints for the distance metric, before any prediction is
+    asserting either.  Every N's settings pass ``solver.validate``, and
+    each N's output directory must be makeable, before any prediction is
     priced or anything runs.  Then one ``run`` call advances every
     (N, seed) row, in blocks of sizes of similar width, each row with the
     bits of a ``solve`` at its N, and ``N<size>/`` under ``out_dir`` gets
@@ -470,13 +468,9 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     out_dirs = {size: os.path.join(cfg.out_dir, f"N{size}") for size in n_list}
     for path in out_dirs.values():
         _check_out_dir(path)
-    if not instance.poly.m:
-        raise ConfigError("sweep requires polyhedral distance metrics, and "
-                          "the problem has no linear constraints")
     gains = {}
     if c_hat is not None:
-        beta = initial_beta(cfg)
-        for size in n_list:
+        for size, beta in zip(n_list, initial_beta(cfg, len(n_list))):
             try:
                 gains[size] = predicted_gains(
                     instance.poly, cfg.variant, beta, c_hat, instance.spec.M_g,
@@ -562,9 +556,7 @@ def main(argv=None) -> int:
             print(f"wrote {len(paths)} files to {cfg.out_dir}")
             final = aggregate_rows([r.records for r in results])[-1]
             for name in ("f_gap", "dist_X"):
-                value = getattr(final, name)
-                print(f"final mean {name}: "
-                      + ("n/a" if value is None else format(value, ".6e")))
+                print(f"final mean {name}: {getattr(final, name):.6e}")
             return EXIT_OK
         if args.command == "rate-check":
             fits = rate_check(args.dir, args.k_min, args.k_max)

@@ -110,10 +110,17 @@ class ConstraintFamily:
     the index and the point: not on the other seeds of the block, nor on
     the other indices asked with it, so a batch's columns equal those of
     any wider or narrower batch that asks the same index at the same point.
+    The paper's problem always has functional constraints, so ``size`` is at
+    least 1.
     """
 
     size: int
     batch: Callable[[np.ndarray, np.ndarray], tuple]
+
+    def __post_init__(self):
+        if self.size < 1:
+            raise OracleError(f"a constraint family needs at least one "
+                              f"constraint, got size {self.size}")
 
 
 @dataclass(frozen=True)

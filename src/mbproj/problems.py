@@ -103,10 +103,9 @@ def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
     """Assemble spec + instance around a pull center: the one builder of a
     ``ProblemSpec``, for builtins and instance files alike, with the
     constants of the module docstring.  Y is ``simple_set``, by default a
-    ball about the anchor.  The ``PolyhedronSpec`` checks the rows once,
-    and the constraints are its ``linear_family``; with no rows (A of shape
-    (0, n)) the problem is unconstrained.  An empty feasible set raises
-    ``EmptyFeasibleSetError``."""
+    ball about the anchor.  The ``PolyhedronSpec`` checks the rows once, at
+    least one of them, and the constraints are its ``linear_family``.  An
+    empty feasible set raises ``EmptyFeasibleSetError``."""
     poly = PolyhedronSpec(A=A, b=b)
     if simple_set is None:
         radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
@@ -200,25 +199,11 @@ def make_orthant2() -> BenchmarkInstance:
     return _build_instance(A, b, anchor, pull)
 
 
-def make_unconstrained(n: int = 4, seed: int = 3) -> BenchmarkInstance:
-    """No functional constraints: plain projected subgradient descent.
-
-    ``_build_instance`` with no rows: the feasible set is the ball Y, which
-    contains the optimum, the pull center.  A run has no polyhedral context,
-    so it logs max_violation and dist_X empty.
-    """
-    if n < 1:
-        raise OracleError("need n >= 1")
-    pull = np.random.default_rng(seed).standard_normal(n)
-    return _build_instance(np.zeros((0, n)), np.zeros(0), np.zeros(n), pull)
-
-
 BUILTINS = {
     "orthant2": lambda n, m, seed: make_orthant2(),
     "benchmark": lambda n, m, seed: make_polyhedral_benchmark(n, m, seed),
     "orthonormal": lambda n, m, seed: make_orthonormal_benchmark(n, seed),
     "duplicated": lambda n, m, seed: make_duplicated_benchmark(n, m, seed),
-    "unconstrained": lambda n, m, seed: make_unconstrained(n, seed),
 }
 
 
@@ -239,15 +224,13 @@ def make_builtin(name: str, n: int = 10, m: int = 20, seed: int = 0) -> Benchmar
 
 def lambda_max_power(G: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric (k, k) matrix, or the largest over a
-    (C, k, k) stack of them (0.0 when k = 0).
+    (C, k, k) stack of them, k >= 1.
 
     Computed by ``np.linalg.eigvalsh``.  The name is kept although no power
     iteration runs: the benchmark's tracer times this module attribute as
     ``problems.lambda_max_power``, once per Gram stack of ``exact_ln_linear``.
     """
     G = np.asarray(G, dtype=np.float64)
-    if G.shape[-1] == 0:
-        return 0.0
     return float(np.linalg.eigvalsh(G)[..., -1].max())
 
 
@@ -297,7 +280,8 @@ def exact_ln_linear(poly: PolyhedronSpec, batch_size: int) -> float:
         rows = poly.A[chunk[bound.max(axis=1) + 1e-6 * size >= best]]
         if len(rows):
             best = max(best, lambda_max_power(rows @ rows.transpose(0, 2, 1)))
-        chunk = np.array(list(itertools.islice(subsets, LN_CHUNK)))
+        chunk = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, LN_CHUNK)), np.intp).reshape(-1, size)
     best /= size
     if best >= 1.0 - 1e-12:
         warnings.warn("a row subset has rank <= 1 (duplicated "

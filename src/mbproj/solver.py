@@ -32,12 +32,15 @@ in proportion to the block's widest N, so ``run`` cuts the sizes into
 blocks whose padded columns stay within ``PAD_FACTOR`` of their real ones
 and advances one block after another.
 
-The parallel pass is one averaged step under every stepsize rule.  The
-batch ratio L_N,k only prices that step's stepsize, so the pass computes it
-beside the step, and only where something reads it: the adaptive stepsize,
-the check of a declared L_N and the lemma checks on every iteration, the
-``LN_k`` column at log points.  Whether it is computed changes no bit of
-the next points.
+The stepsize has one shape: each row's beta is an (S,) float64 array under
+the fixed, extrapolated and adaptive rules alike (``initial_beta``), and
+both passes scale a violated constraint's step by its row's beta in one
+expression, beta * gplus / nsq.  The parallel pass is one averaged step
+under every rule.  The batch ratio L_N,k only prices that step's stepsize,
+so the pass computes it beside the step, and only where something reads it:
+the adaptive stepsize, the check of a declared L_N and the lemma checks on
+every iteration, the ``LN_k`` column at log points.  Whether it is computed
+changes no bit of the next points.
 """
 
 from __future__ import annotations
@@ -170,22 +173,24 @@ def validate(config, spec: ProblemSpec, sizes=None) -> None:
             raise ConfigError("extrapolated beta requires a known positive L_N")
     m = spec.constraints.size
     for size in sizes:
-        if m and config.sampler == "without-replacement" and size > m:
+        if config.sampler == "without-replacement" and size > m:
             raise ConfigError(f"cannot draw {size} distinct indices from {m}")
 
 
-def initial_beta(config, ln_k=1.0):
-    """The feasibility stepsize of the run settings ``config``, the one
-    formula of every rule: the fixed ``beta``, the extrapolated (2 -
+def initial_beta(config, count: int, ln_k=1.0) -> np.ndarray:
+    """The feasibility stepsizes of ``count`` rows under the run settings
+    ``config``: a float64 array of shape (count,) under every rule, by the
+    one formula of each, the fixed ``beta``, the extrapolated (2 -
     ``delta``) / ``ln_hint``, or the adaptive (2 - ``delta``) / ``ln_k`` at
-    each row's realized batch ratio ``ln_k``.  At the default ``ln_k`` of 1
-    the adaptive value is 2 - ``delta``, its fallback before any violated
-    batch.  Every stepsize of a fixed or extrapolated run is the first."""
+    each row's realized batch ratio ``ln_k``, the only rule that reads it.
+    At the default ``ln_k`` of 1 the adaptive value is 2 - ``delta``, its
+    fallback before any violated batch.  Every stepsize of a fixed or
+    extrapolated run is the first."""
     if config.beta_policy == "fixed":
-        return config.beta
+        return np.full(count, config.beta)
     if config.beta_policy == "extrapolated":
-        return (2.0 - config.delta) / config.ln_hint
-    return (2.0 - config.delta) / ln_k
+        return np.full(count, (2.0 - config.delta) / config.ln_hint)
+    return np.full(count, 2.0 - config.delta) / ln_k
 
 
 @dataclass
@@ -355,14 +360,16 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     its row's point; the results are averaged (fixed index order) and
     projected onto the simple set, in one step expression for every rule.
     A row whose batch is feasible keeps its point, and ``v`` itself is
-    returned when every row's is.  The stepsize is ``initial_beta`` of the
-    run settings ``config``, read by the names ``beta_policy``, ``delta``
-    and ``ln_hint``: under the adaptive rule it takes each row's realized
-    L_N,k.  An L_N,k above a declared ``ln_hint`` by more than a relative
-    ``LN_RTOL`` raises ``SolverAbort`` before the step.  ``checker`` (None
-    when checks are off) verifies the decrease inequalities; ``k`` and
-    ``rows`` label the reports, and the groups and mask of ``rows`` give a
-    block of mixed batch sizes (see the module docstring).
+    returned when every row's is.  The stepsizes are ``initial_beta`` of
+    the run settings ``config``, read by the names ``beta_policy``,
+    ``delta`` and ``ln_hint``: an (S,) array under every rule, each row's
+    step scaled by its own entry, which under the adaptive rule takes the
+    row's realized L_N,k.  An L_N,k above a declared ``ln_hint`` by more
+    than a relative ``LN_RTOL`` raises ``SolverAbort`` before the step.
+    ``checker`` (None when checks are off) verifies the decrease
+    inequalities; ``k`` and ``rows`` label the reports, and the groups and
+    mask of ``rows`` give a block of mixed batch sizes (see the module
+    docstring).
 
     L_N,k is computed, by one ``batch_diagnostics`` call, where ``ratio``
     asks for it and wherever the adaptive rule, a declared ``ln_hint`` or
@@ -374,8 +381,9 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     gvals, dirs = _checked_batch(spec, indices, v, rows.real)
     active = gvals > 0.0
     hits = np.count_nonzero(active)
-    adaptive, ln = config.beta_policy == "adaptive", config.ln_hint
-    ratio = ratio or adaptive or ln is not None or checker is not None
+    ln = config.ln_hint
+    ratio = ratio or config.beta_policy == "adaptive" or ln is not None \
+        or checker is not None
     if not hits:
         return v, np.full(len(v), np.nan) if ratio else None
     violated = None                   # every row, when it is None
@@ -389,7 +397,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     nsq = _squared_norms(dirs, active)
     ln_k = batch_diagnostics(gplus, dirs, nsq, violated, rows.groups) \
         if ratio else None
-    beta = initial_beta(config, ln_k)
+    beta = initial_beta(config, len(v), ln_k)
     if ln is not None:
         over = ln_k > ln * (1.0 + LN_RTOL)
         if over.any():
@@ -397,15 +405,11 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
             where, snapshot = rows.at(k, row)
             raise SolverAbort(
                 f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
-                f"{ln:g} at {where} (beta {beta:g})",
+                f"{ln:g} at {where} (beta {beta[row]:g})",
                 snapshot={**snapshot, "ln_k": float(ln_k[row]), "ln": ln,
-                          "beta": float(beta)})
-    # a constant beta of 1 skips its product, which changes no bit; a
-    # feasible row's step, zero or NaN, is merged away below
-    if adaptive:
-        coef = beta[:, None] * gplus / nsq
-    else:
-        coef = gplus / nsq if beta == 1.0 else beta * gplus / nsq
+                          "beta": float(beta[row])})
+    # a feasible row's step, zero or NaN, is merged away below
+    coef = beta[:, None] * gplus / nsq
     x_next = spec.simple_set.project(v - _weighted_mean(coef, dirs, rows.groups))
     if violated is not None:
         x_next = np.where(violated[:, None], x_next, v)
@@ -416,25 +420,26 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 
 
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
-                                  v: np.ndarray, beta: float, rows: _Rows,
+                                  v: np.ndarray, beta: np.ndarray, rows: _Rows,
                                   checker: Optional["_LemmaChecker"] = None,
                                   k: int = 0) -> np.ndarray:
     """Chained relaxed projection steps, one per sampled constraint.
 
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
     row walks its own chain: its i-th step evaluates its i-th constraint at
-    its current inner point and, if violated, steps and is projected onto
-    the simple set.  A row's point moves only where it steps, so one oracle
-    call asks for every column ahead of it, and it steps at the first one
-    it violates; a row with none is done.  A round makes that call for all
-    rows at once, from the least advanced live row's next column, with each
-    row's passed columns masked like pads (read as satisfied, not checked),
-    so a pass takes at most one round more than its busiest row takes
-    steps.  The family's values depend only on index and point
-    (``ConstraintFamily``), so each row gets the bits of its
-    column-by-column chain; every real value ahead of a row is checked, so
-    a column its chain would reach at a later point can raise its fault
-    here.  ``checker`` (None when checks are off) verifies every inner step
+    its current inner point and, if violated, steps by the parallel pass's
+    expression at the row's own entry of the (S,) stepsizes ``beta`` and
+    is projected onto the simple set.  A row's point moves only where it
+    steps, so one oracle call asks for every column ahead of it, and it
+    steps at the first one it violates; a row with none is done.  A round
+    makes that call for all rows at once, from the least advanced live
+    row's next column, with each row's passed columns masked like pads
+    (read as satisfied, not checked), so a pass takes at most one round
+    more than its busiest row takes steps.  The family's values depend
+    only on index and point (``ConstraintFamily``), so each row gets the
+    bits of its column-by-column chain; every real value ahead of a row is
+    checked, so a column its chain would reach at a later point can raise
+    its fault here.  ``checker`` (None when checks are off) verifies every inner step
     and each row's chain of distance decreases over its N + 1 inner points;
     ``k`` and ``rows`` label its reports, and the mask of ``rows`` makes a
     pad a satisfied constraint.  Returns the final inner points; an oracle
@@ -469,7 +474,7 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
         nsq = _squared_norms(dirs, active)
         if checker is not None:
             checker.single_steps(k, z, gplus, dirs, nsq, beta)
-        coef = gplus / nsq if beta == 1.0 else beta * gplus / nsq
+        coef = beta[:, None] * gplus / nsq
         z_next = spec.simple_set.project(z - coef * dirs[:, 0])
         z = z_next if stepped == count else np.where(active, z_next, z)
         if checker is not None:
@@ -534,7 +539,6 @@ class _LemmaChecker:
     def single_steps(self, k, v, gplus, dirs, nsq, beta):
         """Per-constraint decrease toward the feasible reference point."""
         p = self.ctx.feasible_point
-        beta = np.broadcast_to(beta, gplus.shape[:1])
         for row in range(gplus.shape[0]):
             vp = float(np.linalg.norm(v[row] - p)) ** 2
             for i in range(gplus.shape[1]):
@@ -549,7 +553,6 @@ class _LemmaChecker:
                                {"index": i})
 
     def parallel_batch(self, k, v, x, gplus, beta, ln_k):
-        beta = np.broadcast_to(beta, ln_k.shape)
         for row in np.flatnonzero(~np.isnan(ln_k)):
             self.ln_running_max[row] = max(self.ln_running_max[row], ln_k[row])
             ln = self.ln_running_max[row]
@@ -568,9 +571,9 @@ class _LemmaChecker:
         """Inner-step and summed distance decreases for the chained variant
         on each row's N + 1 points of the (S, N_max + 1, n) ``inner_points``;
         a point bit-equal to the row's one before reuses its distance."""
-        factor = beta * (2.0 - beta) / self.mg ** 2
         for row in range(gplus_seq.shape[0]):
             size = self.rows.sizes[row]
+            factor = beta[row] * (2.0 - beta[row]) / self.mg ** 2
             points, dists = inner_points[row, :size + 1], []
             for i, z in enumerate(points):
                 same = i and z.tobytes() == points[i - 1].tobytes()
@@ -706,15 +709,11 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
         raw = np.zeros(n) if config.init == "zero" else \
             np.random.default_rng(ss_init).standard_normal(n)
         x[row] = spec.simple_set.project(raw)
-        if m:
-            samplers.append(Sampler(config.sampler, m,
-                                    np.random.default_rng(ss_sampler)))
+        samplers.append(Sampler(config.sampler, m, np.random.default_rng(ss_sampler)))
     # each row's minibatches of the next INDEX_BLOCK iterations, padded
-    drawn = np.empty((len(samplers), min(INDEX_BLOCK, iterations), width),
-                     dtype=np.int64)
+    drawn = np.empty((len(x), min(INDEX_BLOCK, iterations), width), dtype=np.int64)
 
-    beta0 = initial_beta(config)
-    beta_k = np.full(len(x), beta0)
+    beta_k = initial_beta(config, len(x))
     ln_k = np.full(len(x), np.nan)
 
     weighted_sum = np.zeros_like(x)
@@ -730,33 +729,31 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
         if not math.isfinite(np.vdot(v, v)):
             _abort_if_nonfinite(v, "objective step", k, rows, "x", x)
 
-        x = v
-        if samplers:
-            ahead = (k - 1) % INDEX_BLOCK
-            if ahead == 0:
-                count = min(INDEX_BLOCK, iterations - k + 1)
-                for row, (sampler, size) in enumerate(zip(samplers, rows.sizes)):
-                    drawn[row, :count, :size] = \
-                        sampler.draw(size, count).reshape(count, size)
-                    # a row of a smaller N repeats its own last index as pads
-                    drawn[row, :count, size:] = drawn[row, :count, size - 1:size]
-            indices = drawn[:, ahead]
-            try:
-                if variant == "parallel":
-                    x, ln_k = parallel_feasibility_update(
-                        spec, indices, v, config, rows, checker, k, k in log_ks)
-                    if config.beta_policy == "adaptive":   # else beta_k never changes
-                        beta_k = np.where(np.isnan(ln_k), beta_k,
-                                          initial_beta(config, ln_k))
-                else:
-                    x = sequential_feasibility_update(
-                        spec, indices, v, beta0, rows, checker, k)
-            except OracleFault as exc:
-                where, snapshot = rows.at(k, exc.row)
-                raise SolverAbort(
-                    f"constraint oracle fault at {where}: {exc}",
-                    snapshot={**snapshot, "indices":
-                              indices[exc.row, :rows.sizes[exc.row]]}) from exc
+        ahead = (k - 1) % INDEX_BLOCK
+        if ahead == 0:
+            count = min(INDEX_BLOCK, iterations - k + 1)
+            for row, (sampler, size) in enumerate(zip(samplers, rows.sizes)):
+                drawn[row, :count, :size] = \
+                    sampler.draw(size, count).reshape(count, size)
+                # a row of a smaller N repeats its own last index as pads
+                drawn[row, :count, size:] = drawn[row, :count, size - 1:size]
+        indices = drawn[:, ahead]
+        try:
+            if variant == "parallel":
+                x, ln_k = parallel_feasibility_update(
+                    spec, indices, v, config, rows, checker, k, k in log_ks)
+                if config.beta_policy == "adaptive":   # else beta_k never changes
+                    beta_k = np.where(np.isnan(ln_k), beta_k,
+                                      initial_beta(config, len(x), ln_k))
+            else:
+                x = sequential_feasibility_update(
+                    spec, indices, v, beta_k, rows, checker, k)
+        except OracleFault as exc:
+            where, snapshot = rows.at(k, exc.row)
+            raise SolverAbort(
+                f"constraint oracle fault at {where}: {exc}",
+                snapshot={**snapshot, "indices":
+                          indices[exc.row, :rows.sizes[exc.row]]}) from exc
 
         if not math.isfinite(np.vdot(x, x)):
             _abort_if_nonfinite(x, "feasibility update", k, rows, "v", v)

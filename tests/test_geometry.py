@@ -104,8 +104,8 @@ class TestMaxViolation:
         poly = PolyhedronSpec(A=np.array([[1.0, 0.0]]), b=np.array([-1.0]))
         assert max_violation(poly, np.array([1.0, 0.0])) == 0.0
 
-    def test_empty_polyhedron(self):
-        poly = PolyhedronSpec(A=np.zeros((0, 2)), b=np.zeros(0))
+    def test_never_violated_row(self):
+        poly = PolyhedronSpec(A=np.array([[1.0, 0.0]]), b=np.array([-1e6]))
         assert max_violation(poly, np.array([9.0, 9.0])) == 0.0
 
 
@@ -113,6 +113,11 @@ class TestPolyhedronSpec:
     def test_rejects_non_unit_rows(self):
         with pytest.raises(OracleError, match="unit"):
             PolyhedronSpec(A=np.array([[2.0, 0.0]]), b=np.array([0.0]))
+
+    def test_rejects_no_rows(self):
+        # the paper's problem always has functional constraints
+        with pytest.raises(OracleError, match="at least one constraint row"):
+            PolyhedronSpec(A=np.zeros((0, 2)), b=np.zeros(0))
 
 
 class TestDistanceOracle:

@@ -290,19 +290,17 @@ class TestSolveCommand:
     @pytest.mark.parametrize("argv", [
         ["--builtin", "benchmark", "--n", "4", "--m", "6", "--seeds", "1..3"],
         ["--builtin", "orthant2", "--variant", "sequential", "--seeds", "2,5"],
-        ["--builtin", "unconstrained", "--n", "3", "--seeds", "1..2"],
-    ], ids=["parallel", "sequential", "unconstrained"])
+    ], ids=["parallel", "sequential"])
     def test_summary_is_the_aggregate_last_row(self, tmp_path, capsys, argv):
         out = tmp_path / "runs"
         assert main(["solve", "--N", "2", "--iters", "100", "--out", str(out)]
                     + argv) == EXIT_OK
         _, agg = read_csv(out / "aggregate.csv")
-        shown = ["n/a" if v is None else format(v, ".6e")
-                 for v in (agg[-1].f_gap, agg[-1].dist_X)]
+        # every problem has constraints and a known optimum, so neither is
+        # empty
+        shown = [format(v, ".6e") for v in (agg[-1].f_gap, agg[-1].dist_X)]
         assert capsys.readouterr().out.splitlines()[1:] == [
             f"final mean f_gap: {shown[0]}", f"final mean dist_X: {shown[1]}"]
-        if "unconstrained" in argv:
-            assert shown[0] != "n/a" and shown[1] == "n/a"
 
     def test_zero_iterations_is_config_error(self, tmp_path):
         code = main(["solve", "--builtin", "orthant2", "--iters", "0",
@@ -318,8 +316,6 @@ class TestSolveCommand:
         ["solve", "--variant", "sequential", "--beta", "2.0"],
         ["sweep", "--builtin", "benchmark", "--n", "4", "--m", "3",
          "--N-list", "1,4", "--iters", "20", "--seeds", "1"],
-        ["sweep", "--builtin", "unconstrained", "--n", "4",
-         "--N-list", "1,2", "--iters", "20", "--seeds", "1"],
         ["solve", "--seeds=-1"],
         ["solve", "--problem-seed=-1"],
         ["solve", "--seeds", "1,1,2"],
@@ -331,15 +327,15 @@ class TestSolveCommand:
         ["solve", "--iters", "5", "--config", "[problem]\nbuiltin\n"],
         ["solve", "--iters", "5", "--config", "[output]\nout_dir = a%b\n"],
     ], ids=["N0", "N-above-m", "iters0", "no-seeds", "extrapolated-no-hint",
-            "sequential-beta2", "sweep-N-above-m", "sweep-unconstrained",
+            "sequential-beta2", "sweep-N-above-m",
             "negative-seed", "negative-problem-seed", "repeated-seed",
             "sweep-repeated-N", "empty-seeds", "ini-no-section",
             "ini-repeated-section", "ini-no-equals", "ini-bare-percent"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, argv):
         # solver.validate is the one gate; it runs before the out directory
-        # is created, and a sweep passes every N through it, and checks that
-        # the problem has linear constraints, first.  A --config value here
-        # is the text of a file, written out before the call
+        # is created, and a sweep passes every N through it first.  A
+        # --config value here is the text of a file, written out before the
+        # call
         if "--config" in argv:
             at = argv.index("--config") + 1
             ini = tmp_path / "run.ini"
@@ -356,6 +352,27 @@ class TestSolveCommand:
         code = main(["solve", "--builtin", "nope", "--iters", "5",
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
+
+    def test_unconstrained_is_an_unknown_builtin(self, tmp_path, capsys):
+        # every problem has functional constraints, so no builtin has none
+        code = main(["solve", "--builtin", "unconstrained", "--iters", "5",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown builtin problem 'unconstrained'" in err
+        assert str(sorted(problems.BUILTINS)) in err and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_instance_without_rows_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "norows.txt"
+        path.write_text("2 0\nobjective quadratic\ncenter 1 1\nset ball 0 0 5\n")
+        code = main(["solve", "--instance", str(path), "--iters", "5",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == ("configuration error: a polyhedron needs at least one "
+                       "constraint row\n")
+        assert not os.path.exists(tmp_path / "x")
 
     def test_divergent_run_is_solver_abort(self, tmp_path):
         # an extrapolated stepsize against a wildly understated alignment
@@ -617,8 +634,7 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--builtin", "duplicated", "--m", "0"],
-        ["--builtin", "unconstrained", "--n", "0"],
-    ], ids=["duplicated-m0", "unconstrained-n0"])
+    ], ids=["duplicated-m0"])
     def test_unbuildable_builtin_size_is_config_error(self, tmp_path, capsys, argv):
         code = main(["solve", "--iters", "5", "--seeds", "1",
                      "--out", str(tmp_path / "x")] + argv)
@@ -651,8 +667,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("argv,n,m", [
         (["--builtin", "orthant2", "--n", "0", "--m", "0"], 2, 2),
         (["--builtin", "orthonormal", "--n", "5", "--m", "9"], 5, 5),
-        (["--builtin", "unconstrained", "--n", "3", "--m", "9"], 3, 0),
-    ], ids=["orthant2", "orthonormal", "unconstrained"])
+    ], ids=["orthant2", "orthonormal"])
     def test_header_echoes_built_size(self, tmp_path, argv, n, m):
         out = tmp_path / "x"
         code = main(["solve", "--N", "1", "--iters", "5", "--seeds", "1",
@@ -1097,7 +1112,6 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("builtin,variant", [
         ("benchmark", "parallel"), ("benchmark", "sequential"),
-        ("unconstrained", "parallel"),
     ])
     def test_read_returns_the_records_written(self, tmp_path, builtin, variant):
         # every cell round-trips exactly, an empty one as None
@@ -1105,8 +1119,7 @@ class TestCsvRoundTrip:
                         beta_policy="adaptive" if variant == "parallel" else "fixed",
                         iterations=40, cadence=3, seeds=(1, 2), timing=True)
         inst = harness.build_problem(cfg)
-        results = solver_run(inst.spec, cfg,
-                             context=inst.context() if inst.poly.m else None)
+        results = solver_run(inst.spec, cfg, context=inst.context())
         for result in results:
             path = str(tmp_path / f"run_seed{result.seed}.csv")
             write_csv(path, cfg, result.records)

@@ -106,7 +106,7 @@ def single_index_steps(family, dimension=2):
 
     def sequential(v, beta=1.0):
         block = v[None]
-        x = sequential_feasibility_update(spec, index, block, beta, rows)
+        x = sequential_feasibility_update(spec, index, block, np.full(1, beta), rows)
         gplus = np.maximum(family.batch(index, block)[0], 0.0)
         return (v if x is block else x[0]), gplus[0]
 
@@ -189,7 +189,16 @@ class TestPositivePart:
 class TestFamilyBatch:
     """``batch`` against values and rows computed directly from the data."""
 
-    # linear_family is the library's only non-empty family; the id names it
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_family_without_constraints_is_rejected(self, size):
+        # the paper's problem always has functional constraints: a family
+        # of none is refused when it is made, so no run or sampler sees it
+        asked = []
+        with pytest.raises(OracleError, match="at least one constraint"):
+            ConstraintFamily(size=size, batch=lambda idx, v: asked.append(idx))
+        assert asked == []
+
+    # linear_family is the library's only family; the id names it
     @pytest.mark.parametrize("kind", ["linear"])
     def test_values_and_rows_in_index_order(self, kind):
         rng = np.random.default_rng(2)
@@ -249,8 +258,8 @@ class TestProblemSpec:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
         fields = dict(objective=objective,
-                      constraints=linear_family(PolyhedronSpec(np.zeros((0, 2)),
-                                                               np.zeros(0))),
+                      constraints=linear_family(PolyhedronSpec(np.array([[1.0, 0.0]]),
+                                                               np.array([-1.0]))),
                       simple_set=SimpleSet.ball(np.zeros(2), 2.0),
                       mu=1.0, M_g=1.0)
         ProblemSpec(**fields)

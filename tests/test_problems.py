@@ -12,8 +12,7 @@ from mbproj.problems import (LN_CHUNK, BenchmarkInstance, exact_ln_linear,
                              lambda_max_power, load_instance, make_builtin,
                              make_duplicated_benchmark, make_orthant2,
                              make_orthonormal_benchmark, make_polyhedral_benchmark,
-                             make_unconstrained, predicted_gains,
-                             save_instance)
+                             predicted_gains, save_instance)
 from mbproj.harness import RunConfig
 from mbproj.solver import ConfigError, run
 
@@ -152,9 +151,6 @@ class TestLambdaMax:
             grams = rows @ rows.transpose(0, 2, 1)
             assert lambda_max_power(grams) == \
                 max(lambda_max_power(gram) for gram in grams)
-
-    def test_empty_matrix_is_zero(self):
-        assert lambda_max_power(np.zeros((0, 0))) == 0.0
 
 
 class TestExactLN:
@@ -363,16 +359,10 @@ class TestInstanceFile:
 
 class TestBuiltins:
     def test_registry(self):
-        for name in ("orthant2", "benchmark", "orthonormal", "duplicated",
-                     "unconstrained"):
+        for name in ("orthant2", "benchmark", "orthonormal", "duplicated"):
             inst = make_builtin(name, n=4, m=6, seed=1)
             assert isinstance(inst, BenchmarkInstance)
 
     def test_unknown_name(self):
         with pytest.raises(OracleError, match="unknown builtin"):
             make_builtin("nope")
-
-    def test_unconstrained_has_no_rows(self):
-        inst = make_unconstrained(n=3, seed=1)
-        assert inst.poly.m == 0
-        assert inst.spec.constraints.size == 0

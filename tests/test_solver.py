@@ -34,9 +34,11 @@ def corner_spec(simple_set=None, constraints=None):
                        known_optimum=KnownOptimum(f_star=1.0, x_star=np.zeros(2)))
 
 
-def no_constraints(dimension):
-    """The family of no rows in ``dimension``, of size 0."""
-    return linear_family(PolyhedronSpec(np.zeros((0, dimension)), np.zeros(0)))
+def never_violated():
+    """A family of one constraint, -1 <= 0, that holds at every point: a
+    run on it takes no feasibility step."""
+    return ConstraintFamily(size=1, batch=lambda idx, v: (
+        np.full(idx.shape, -1.0), np.zeros(idx.shape + v.shape[1:])))
 
 
 def plain_rows(indices):
@@ -53,7 +55,8 @@ def relaxed_step_both_passes(spec, index, v, beta):
     xp, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
                                         RunConfig(beta=beta),
                                         plain_rows(np.array([[index]])))
-    xs = sequential_feasibility_update(spec, np.array([[index]]), block, beta,
+    xs = sequential_feasibility_update(spec, np.array([[index]]), block,
+                                       np.full(1, beta),
                                        plain_rows(np.array([[index]])))
     return [v if x is block else x[0] for x in (xp, xs)]
 
@@ -113,10 +116,11 @@ def counted_diagnostics(monkeypatch, label=lambda: None):
 
 
 def column_chain(spec, indices, v, beta, checker=None, k=0):
-    """The sequential pass one column at a time: the i-th step asks the
-    oracle for every seed's i-th index at its current inner point, and the
-    checker gets each seed's N + 1 inner points as one (S, N + 1, n) array.
-    Returns the final points and the columns where some seed stepped."""
+    """The sequential pass one column at a time, each seed at its own
+    stepsize of the (S,) ``beta``: the i-th step asks the oracle for every
+    seed's i-th index at its current inner point, and the checker gets each
+    seed's N + 1 inner points as one (S, N + 1, n) array.  Returns the
+    final points and the columns where some seed stepped."""
     z, inner, gplus_seq, stepped = v, [v], np.zeros(indices.shape), []
     for i in range(indices.shape[1]):
         gvals, dirs = solver._checked_batch(spec, indices[:, i:i + 1], z)
@@ -128,7 +132,8 @@ def column_chain(spec, indices, v, beta, checker=None, k=0):
             gplus_seq[:, i] = gplus[:, 0]
             if checker is not None:
                 checker.single_steps(k, z, gplus, dirs, nsq, beta)
-            z_next = spec.simple_set.project(z - (beta * gplus / nsq) * dirs[:, 0])
+            z_next = spec.simple_set.project(
+                z - (beta[:, None] * gplus / nsq) * dirs[:, 0])
             z = z_next if active.all() else np.where(active, z_next, z)
         inner.append(z)
     if checker is not None:
@@ -190,8 +195,8 @@ class TestPolyakStep:
                                         RunConfig(beta=1.0),
                                         plain_rows(np.array([[0]])))
         with pytest.raises(OracleError, match="zero direction"):
-            sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)), 1.0,
-                                          plain_rows(np.array([[0]])))
+            sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
+                                          np.ones(1), plain_rows(np.array([[0]])))
 
 
 class TestParallelUpdate:
@@ -239,7 +244,7 @@ class TestParallelUpdate:
             assert np.isnan(ln_k[0])      # no ratio: the batch is feasible
         # no step taken: the adaptive stepsize at that ratio, which run
         # reads for beta_k, is NaN
-        assert np.isnan(solver.initial_beta(adaptive, ln_k)[0])
+        assert np.isnan(solver.initial_beta(adaptive, 1, ln_k)[0])
 
     @pytest.mark.parametrize("policy, step", [
         (RunConfig(beta=1.0), 1.0),
@@ -257,8 +262,8 @@ class TestParallelUpdate:
                                               v, policy,
                                               plain_rows(indices[[0, 0]]))
         np.testing.assert_array_equal(ln_k, [0.5, 0.5])
-        beta = np.broadcast_to(solver.initial_beta(policy, ln_k), 2)
-        np.testing.assert_array_equal(beta, [step, step])
+        np.testing.assert_array_equal(solver.initial_beta(policy, 2, ln_k),
+                                      [step, step])
         np.testing.assert_allclose(x, [[(1 - step / 2) * 1e-170, -1.0],
                                        [(1 - step / 2) * 1e-3, -1.0]], rtol=1e-12)
         alone, _ = parallel_feasibility_update(corner_spec(), indices,
@@ -270,7 +275,7 @@ class TestSequentialUpdate:
     def test_orthogonal_chain_projects_both(self):
         spec, asked, values = recording_family(corner_spec())
         x = sequential_feasibility_update(spec, np.array([[0, 1]]),
-                                          np.array([[2.0, 2.0]]), beta=1.0,
+                                          np.array([[2.0, 2.0]]), beta=np.ones(1),
                                           rows=plain_rows(np.array([[0, 1]])))
         np.testing.assert_allclose(x, [[0.0, 0.0]])
         # the whole minibatch, then the column after the step at column 0;
@@ -283,7 +288,7 @@ class TestSequentialUpdate:
     def test_repeated_constraint_second_step_noop(self):
         spec, asked, values = recording_family(corner_spec())
         x = sequential_feasibility_update(spec, np.array([[0, 0]]),
-                                          np.array([[2.0, 0.0]]), beta=1.0,
+                                          np.array([[2.0, 0.0]]), beta=np.ones(1),
                                           rows=plain_rows(np.array([[0, 0]])))
         np.testing.assert_allclose(x, [[0.0, 0.0]])
         # after the step at column 0 the second copy is asked at (0, 0),
@@ -298,7 +303,8 @@ class TestSequentialUpdate:
         xp, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
                                             RunConfig(beta=0.8),
                                             plain_rows(np.array([[1]])))
-        xs = sequential_feasibility_update(spec, np.array([[1]]), v, beta=0.8,
+        xs = sequential_feasibility_update(spec, np.array([[1]]), v,
+                                           beta=np.full(1, 0.8),
                                            rows=plain_rows(np.array([[1]])))
         np.testing.assert_array_equal(xp, xs)
 
@@ -321,9 +327,9 @@ class TestSequentialUpdate:
         indices = np.arange(40)[:, None]
         xp, ln_k = parallel_feasibility_update(spec, indices, v, policy,
                                                plain_rows(indices))
-        beta = np.broadcast_to(solver.initial_beta(policy, ln_k), 40)
+        beta = solver.initial_beta(policy, 40, ln_k)
         xs = [sequential_feasibility_update(spec, indices[r:r + 1], v[r:r + 1],
-                                            float(beta[r]),
+                                            beta[r:r + 1],
                                             plain_rows(indices[r:r + 1]))[0]
               for r in range(40)]
         assert not np.isnan(ln_k).any()       # every seed steps
@@ -342,7 +348,7 @@ class TestObjectiveStep:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
         spec = ProblemSpec(objective=objective,
-                           constraints=no_constraints(2),
+                           constraints=never_violated(),
                            simple_set=SimpleSet.whole_space(2),
                            mu=1.0, M_g=1.0)
         np.testing.assert_array_equal(objective_step(spec, np.array([1.0, 1.0]), 1.0),
@@ -357,7 +363,7 @@ class TestObjectiveStep:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x)
         spec = ProblemSpec(objective=objective,
-                           constraints=no_constraints(2),
+                           constraints=never_violated(),
                            simple_set=SimpleSet.ball(np.zeros(2), 1.0),
                            mu=1.0, M_g=1.0)
         out = objective_step(spec, np.array([1.0, 0.0]), 0.5)
@@ -593,14 +599,14 @@ class TestRunLoop:
         assert next(minibatches, None) is None and state["start"] is None
         assert iterations <= len(sequential) < iterations * size
 
-    def test_empty_family_matches_plain_projected_gradient(self):
+    def test_never_violated_family_matches_plain_projected_gradient(self):
         center = np.array([0.7, -0.4, 1.1])
         objective = ObjectiveOracle(
             evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
             subgradient=lambda x: x - center)
         ball = SimpleSet.ball(np.zeros(3), 5.0)
         spec = ProblemSpec(objective=objective,
-                           constraints=no_constraints(3), simple_set=ball,
+                           constraints=never_violated(), simple_set=ball,
                            mu=1.0, M_g=1.0)
         cfg = RunConfig(variant="parallel", batch_size=1,
                         beta_policy="fixed", beta=1.0, iterations=150,
@@ -720,7 +726,7 @@ class TestRunLoop:
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
                                     subgradient=lambda x: x * np.inf)
         spec = ProblemSpec(objective=objective,
-                           constraints=no_constraints(2),
+                           constraints=never_violated(),
                            simple_set=SimpleSet.whole_space(2),
                            mu=1.0, M_g=1.0)
         cfg = RunConfig(variant="parallel", batch_size=1,
@@ -798,7 +804,7 @@ class TestRunLoop:
         d = np.array([1.0, 0.0])
         g = 2.0  # constraint x1 <= 0 of the corner problem at v
         (z_bar,) = sequential_feasibility_update(corner_spec(), np.array([[0]]),
-                                                 v[None], 1.0,
+                                                 v[None], np.ones(1),
                                                  plain_rows(np.array([[0]])))
         assert z_bar[0] == 0.0
         lhs = np.linalg.norm(z_bar - z_bar) ** 2
@@ -867,7 +873,8 @@ class TestOracleFaults:
                 parallel_feasibility_update(spec, indices, block,
                                             RunConfig(beta=1.0), plain_rows(indices))
             else:
-                sequential_feasibility_update(spec, indices, block, 1.0,
+                sequential_feasibility_update(spec, indices, block,
+                                              np.ones(len(block)),
                                               plain_rows(indices))
         assert info.value.row == 1
 
@@ -899,7 +906,8 @@ class TestOracleFaults:
                                                plain_rows(cls.INDICES),
                                                ratio=ratio)
             return x
-        return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK, 1.0,
+        return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK,
+                                             np.ones(len(cls.BLOCK)),
                                              plain_rows(cls.INDICES))
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
@@ -944,7 +952,8 @@ class TestOracleFaults:
                 parallel_feasibility_update(spec, indices, block,
                                             RunConfig(beta=1.0), plain_rows(indices))
             else:
-                sequential_feasibility_update(spec, indices, block, 1.0,
+                sequential_feasibility_update(spec, indices, block,
+                                              np.ones(len(block)),
                                               plain_rows(indices))
         assert info.value.row == 1
 
@@ -974,7 +983,7 @@ class TestDeclaredLN:
         assert 1 <= snap["k"] <= 200
         assert snap["ln"] == 0.001
         assert snap["ln_k"] == pytest.approx(1.0, abs=1e-12)
-        assert snap["beta"] == solver.initial_beta(cfg)
+        assert snap["beta"] == solver.initial_beta(cfg, 1)[0]
 
     def test_unchecked_ln_rejected(self):
         # only the parallel variant under a fixed or extrapolated beta checks it
@@ -1056,8 +1065,8 @@ class TestBlockEqualsSeeds:
         if name.startswith("parallel"):
             return lambda idx, v: parallel_feasibility_update(inst.spec, idx, v, policy,
                                                               plain_rows(idx))
-        return lambda idx, v: (sequential_feasibility_update(inst.spec, idx, v, policy,
-                                                             plain_rows(idx)),)
+        return lambda idx, v: (sequential_feasibility_update(
+            inst.spec, idx, v, np.full(len(v), policy), plain_rows(idx)),)
 
     def drawn_block(self, instance, block):
         """The instance and a block of two seeds of each kind, inside and
@@ -1124,13 +1133,15 @@ class TestBlockEqualsSeeds:
         for row in range(len(v)):
             chain_checker = checker(1)
             z, stepped = column_chain(inst.spec, indices[row:row + 1],
-                                      v[row:row + 1], beta, chain_checker, k=7)
+                                      v[row:row + 1], np.full(1, beta),
+                                      chain_checker, k=7)
             chains.append((z, stepped, chain_checker))
         for rows in [slice(None)] + [slice(r, r + 1) for r in range(len(v))]:
             idx, points, own = indices[rows], v[rows], chains[rows]
             pass_checker = checker(len(points))
             spec, asked, _ = recording_family(inst.spec)
-            z_pass = sequential_feasibility_update(spec, idx, points, beta,
+            z_pass = sequential_feasibility_update(spec, idx, points,
+                                                   np.full(len(points), beta),
                                                    plain_rows(idx),
                                                    pass_checker, k=7)
             assert np.array_equal(z_pass, np.concatenate([z for z, _, _ in own]))
@@ -1178,14 +1189,15 @@ class TestSequentialRounds:
         idx, points, calls = self.BLOCKS[name]
         indices, v = np.array(idx), np.array(points)
         chains = [column_chain(corner_spec(), indices[row:row + 1], v[row:row + 1],
-                               1.0) for row in range(len(v))]
+                               np.ones(1)) for row in range(len(v))]
         steps = [stepped for _, stepped in chains]
         busiest = max(map(len, steps))
         last = all(stepped[-1] == indices.shape[1] - 1
                    for stepped in steps if len(stepped) == busiest)
         assert calls == busiest + (not last) == len(round_starts(steps, 4))
         spec, asked, _ = recording_family(corner_spec())
-        z = sequential_feasibility_update(spec, indices, v, 1.0, plain_rows(indices))
+        z = sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
+                                          plain_rows(indices))
         assert len(asked) == calls
         np.testing.assert_array_equal(z, np.concatenate([point for point, _ in chains]))
 
@@ -1209,7 +1221,8 @@ class TestSequentialRounds:
         v = np.array([self.FIRST[1], [4.0, -1.0]])
         spec = corner_spec(constraints=ConstraintFamily(size=2,
                                                         batch=self.nan_at_landing))
-        z = sequential_feasibility_update(spec, indices, v, 1.0, plain_rows(indices))
+        z = sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
+                                          plain_rows(indices))
         np.testing.assert_array_equal(z, [[0.0, 0.0], [0.0, -1.0]])
 
     def test_column_ahead_is_read(self):
@@ -1220,8 +1233,80 @@ class TestSequentialRounds:
         spec = corner_spec(constraints=ConstraintFamily(size=2,
                                                         batch=self.nan_at_landing))
         with pytest.raises(OracleFault, match="non-finite") as info:
-            sequential_feasibility_update(spec, indices, v, 1.0, plain_rows(indices))
+            sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
+                                          plain_rows(indices))
         assert info.value.row == 1
+
+
+class TestPerRowStepsize:
+    """The stepsize has one shape, an (S,) array with one beta per row: a
+    block whose rows carry different betas gives each row the bits of its
+    own one-row pass, and the lemma checks read each row's own beta."""
+
+    SIZE = 3
+
+    def violated_block(self):
+        """A block of partly and fully violated batches, inside and outside
+        Y, so every row steps."""
+        inst = make_polyhedral_benchmark(4, 6, seed=12)
+        kinds = seeds_by_kind(inst, self.SIZE)
+        chosen = [seed for kind in ("partly", "fully") for outside in (False, True)
+                  for seed in kinds[kind, outside][:2]]
+        return (inst, np.array([idx for idx, _ in chosen]),
+                np.array([point for _, point in chosen]))
+
+    def checker(self, inst, count, checks):
+        return None if checks == "off" else solver._LemmaChecker(
+            inst.context(), inst.spec,
+            solver._Rows(tuple(range(count)), (self.SIZE,) * count))
+
+    @pytest.mark.parametrize("checks", ["off", "lemma-checks"])
+    def test_sequential_rows_at_their_own_beta(self, checks):
+        inst, indices, v = self.violated_block()
+        beta = np.linspace(0.3, 1.9, len(v))
+        together = sequential_feasibility_update(
+            inst.spec, indices, v, beta, plain_rows(indices),
+            self.checker(inst, len(v), checks))
+        assert (together != v).any(axis=1).all()
+        for row in range(len(v)):
+            one = slice(row, row + 1)
+            (alone,) = sequential_feasibility_update(
+                inst.spec, indices[one], v[one], beta[one], plain_rows(indices[one]),
+                self.checker(inst, 1, checks))
+            assert together[row].tobytes() == alone.tobytes()
+            # the row of a block at its beta alone has the same bits
+            same = sequential_feasibility_update(
+                inst.spec, indices, v, np.full(len(v), beta[row]), plain_rows(indices))
+            assert same[row].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("checks", ["off", "lemma-checks"])
+    def test_parallel_rows_at_their_own_adaptive_beta(self, checks):
+        # the adaptive rule gives each row (2 - delta) / its own L_N,k
+        inst, indices, v = self.violated_block()
+        cfg = RunConfig(beta_policy="adaptive", delta=0.1)
+        together, ln_k = parallel_feasibility_update(
+            inst.spec, indices, v, cfg, plain_rows(indices),
+            self.checker(inst, len(v), checks))
+        beta = solver.initial_beta(cfg, len(v), ln_k)
+        assert beta.shape == (len(v),) and len(set(beta.tolist())) > 2
+        for row in range(len(v)):
+            one = slice(row, row + 1)
+            alone, ln_alone = parallel_feasibility_update(
+                inst.spec, indices[one], v[one], cfg, plain_rows(indices[one]),
+                self.checker(inst, 1, checks))
+            assert together[row].tobytes() == alone[0].tobytes()
+            assert ln_k[row] == ln_alone[0]
+
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(beta=0.7),
+        RunConfig(beta_policy="extrapolated", delta=0.1, ln_hint=0.5),
+        RunConfig(beta_policy="adaptive", delta=0.1),
+    ], ids=["fixed", "extrapolated", "adaptive"])
+    def test_initial_beta_is_one_array_under_every_rule(self, cfg):
+        beta = solver.initial_beta(cfg, 3, np.array([0.5, 0.25, 1.0]))
+        assert beta.shape == (3,) and beta.dtype == np.float64
+        fallback = solver.initial_beta(cfg, 3)
+        assert fallback.shape == (3,) and (fallback == fallback[0]).all()
 
 
 class TestBlockEqualsSizes:
