@@ -15,6 +15,6 @@ from .solver import (ConfigError, OracleFault, PolyhedralContext,
 from .problems import (BenchmarkInstance, exact_ln_linear, load_instance,
                        make_builtin, make_duplicated_benchmark, make_orthant2,
                        make_orthonormal_benchmark, make_polyhedral_benchmark,
-                       predicted_gains, save_instance)
+                       predicted_gain, save_instance)
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ import numpy as np
 from .geometry import DistanceOracleError, TOL_METRIC
 from .oracle import OracleError
 from .problems import (BenchmarkInstance, load_instance, make_builtin,
-                       predicted_gains)
+                       predicted_gain)
 from .sampling import Sampler
 from .solver import (ASSERTIONS, BETA_POLICIES, INITS, VARIANTS, ConfigError,
                      RunRecord, SolverAbort, initial_beta, run, validate)
@@ -319,12 +319,16 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     return instance, results, _write_results(cfg, instance, results)
 
 
+def _bootstrap_picks(count: int) -> np.ndarray:
+    """The (BOOTSTRAP_RESAMPLES, count) picks of every bootstrap resample."""
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    return rng.integers(0, count, size=(BOOTSTRAP_RESAMPLES, count))
+
+
 def bootstrap_ci(values):
     """Percentile bootstrap CI (2.5%, 97.5%) for the mean of ``values``."""
     values = np.asarray(values, dtype=np.float64)
-    rng = np.random.default_rng(BOOTSTRAP_SEED)
-    idx = rng.integers(0, values.size, size=(BOOTSTRAP_RESAMPLES, values.size))
-    means = values[idx].mean(axis=1)
+    means = values[_bootstrap_picks(values.size)].mean(axis=1)
     return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
 
 
@@ -337,7 +341,6 @@ class SlopeFit:
     k_lo: float
     k_hi: float
     truncated: bool = False
-    note: str = ""
 
 
 def _fit_lines(ks, curves):
@@ -364,11 +367,11 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
 
     Loads the per-seed CSVs from ``run_dir``, which ``read_csv`` must
     accept and which must all log the same iterations k, or ``WindowError``
-    names the first that does not.  One draw picks the seeds of every
-    resample of an over-seeds percentile bootstrap, and one batched least
-    squares fit takes the mean-over-seeds curve with all the resampled
-    ones, skipping a resample with fewer than two usable points.  Points
-    below the metric floor (1e-8) auto-truncate the window with a note.
+    names the first that does not.  ``bootstrap_ci``'s one draw picks the
+    seeds of every resample of an over-seeds percentile bootstrap, and one
+    batched least squares fit takes the mean-over-seeds curve with all the
+    resampled ones, skipping a resample with fewer than two usable points.
+    Points below the metric floor (1e-8) truncate the window: ``truncated``.
     """
     if not (np.isfinite(k_min) and np.isfinite(k_max) and 0 < k_min < k_max):
         raise WindowError(f"rate window [{k_min}, {k_max}] must be finite "
@@ -401,10 +404,9 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
         if any(None in curve for curve in vals):
             continue
         curves = np.abs(np.array(vals, dtype=np.float64))[:, window]
-        rng = np.random.default_rng(BOOTSTRAP_SEED)
-        picks = rng.integers(0, len(curves), size=(BOOTSTRAP_RESAMPLES, len(curves)))
+        resampled = curves[_bootstrap_picks(len(curves))].mean(axis=1)
         slopes, intercepts, used = _fit_lines(
-            ks, np.vstack([curves.mean(axis=0), curves[picks].mean(axis=1)]))
+            ks, np.vstack([curves.mean(axis=0), resampled]))
         slope, boot = slopes[0], slopes[1:][~np.isnan(slopes[1:])]
         if np.isnan(slope):
             raise WindowError("fewer than two usable points in the fit window")
@@ -414,9 +416,7 @@ def rate_check(run_dir: str, k_min: float, k_max: float):
         fits.append(SlopeFit(metric=metric, slope=float(slope),
                              intercept=float(intercepts[0]),
                              ci_half_width=half, k_lo=float(used_ks.min()),
-                             k_hi=float(used_ks.max()), truncated=truncated,
-                             note="window truncated at metric floor"
-                             if truncated else ""))
+                             k_hi=float(used_ks.max()), truncated=truncated))
     if not fits:
         raise WindowError("no complete metric columns available for fitting")
     return fits
@@ -449,7 +449,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     ``SolverAbort``, which stops the whole call, leaves no directory.  Predictions use the runs'
     constant stepsize (``solver.initial_beta``), so ``c_hat`` is a
     configuration error under the adaptive policy, as is a ``c_hat`` that
-    ``predicted_gains`` rejects.  Batch sizes must be distinct.
+    ``predicted_gain`` rejects.  Batch sizes must be distinct.
     ``outside_theory`` marks an N whose b the rate theory of the runs'
     variant does not cover; a sequential sweep covers every N and computes
     no L_N.  Each N is priced on its own: in a parallel sweep, an N whose
@@ -470,11 +470,12 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
         _check_out_dir(path)
     gains = {}
     if c_hat is not None:
-        for size, beta in zip(n_list, initial_beta(cfg, len(n_list))):
+        for size in n_list:
             try:
-                gains[size] = predicted_gains(
-                    instance.poly, cfg.variant, beta, c_hat, instance.spec.M_g,
-                    [size], with_replacement=cfg.sampler == "iid-uniform")[0]
+                gains[size] = predicted_gain(
+                    instance.poly, cfg.variant, initial_beta(cfg), c_hat,
+                    instance.spec.M_g, size,
+                    with_replacement=cfg.sampler == "iid-uniform")
             except OracleError as exc:  # L_N enumeration above its cap
                 print(f"note: no predicted_b for N = {size}: {exc}", file=sys.stderr)
     results = run(instance.spec, cfg, context=instance.context(), sizes=n_list)
@@ -561,7 +562,7 @@ def main(argv=None) -> int:
         if args.command == "rate-check":
             fits = rate_check(args.dir, args.k_min, args.k_max)
             for fit in fits:
-                extra = f"  [{fit.note}]" if fit.note else ""
+                extra = "  [window truncated at metric floor]" if fit.truncated else ""
                 print(f"{fit.metric}: slope {fit.slope:+.4f} "
                       f"+/- {fit.ci_half_width:.4f} over k in "
                       f"[{fit.k_lo:g}, {fit.k_hi:g}]{extra}")

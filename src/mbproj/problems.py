@@ -290,11 +290,11 @@ def exact_ln_linear(poly: PolyhedronSpec, batch_size: int) -> float:
     return min(best, 1.0)
 
 
-def predicted_gains(poly: PolyhedronSpec, variant: str, beta: float,
-                    c_hat: float, mg: float, n_list,
-                    with_replacement: bool = False) -> list:
-    """The rate theory's gain factor b(N) of the given variant, one per N of
-    ``n_list``, or None where the theory does not cover that N.
+def predicted_gain(poly: PolyhedronSpec, variant: str, beta: float,
+                   c_hat: float, mg: float, size: int,
+                   with_replacement: bool = False) -> Optional[float]:
+    """The rate theory's gain factor b(N) of the given variant at batch size
+    N = ``size``, or None where the theory does not cover that N.
 
     With c = ``c_hat``:
 
@@ -308,7 +308,7 @@ def predicted_gains(poly: PolyhedronSpec, variant: str, beta: float,
       b = (1 - q)^{-N} - 1, covered at every N; no L_N is computed.
 
     A ``c_hat`` that is not finite with c * M_g^2 > 1 is a ``ConfigError``,
-    raised before any L_N.  ``variant``, ``beta`` and the sizes are the
+    raised before any L_N.  ``variant``, ``beta`` and ``size`` are the
     runs' own, checked by ``solver.validate``: beta lies in (0, 2) for
     the sequential variant.
     """
@@ -318,16 +318,12 @@ def predicted_gains(poly: PolyhedronSpec, variant: str, beta: float,
                           f"gain predictions, got c_hat = {c_hat!r}")
     if variant == "sequential":
         q = beta * (2.0 - beta) / scale
-        return [(1.0 - q) ** (-size) - 1.0 for size in n_list]
-    gains = []
-    for size in n_list:
-        ln = 1.0 if with_replacement else exact_ln_linear(poly, size)
-        if scale * ln > 1.0 and beta < 2.0 / ln:
-            q = beta * (2.0 - beta * ln) / scale
-            gains.append(1.0 / (1.0 - q) - 1.0)
-        else:
-            gains.append(None)
-    return gains
+        return (1.0 - q) ** (-size) - 1.0
+    ln = 1.0 if with_replacement else exact_ln_linear(poly, size)
+    if scale * ln > 1.0 and beta < 2.0 / ln:
+        q = beta * (2.0 - beta * ln) / scale
+        return 1.0 / (1.0 - q) - 1.0
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,16 @@ in proportion to the block's widest N, so ``run`` cuts the sizes into
 blocks whose padded columns stay within ``PAD_FACTOR`` of their real ones
 and advances one block after another.
 
-The stepsize has one shape: each row's beta is an (S,) float64 array under
-the fixed, extrapolated and adaptive rules alike (``initial_beta``), and
-both passes scale a violated constraint's step by its row's beta in one
-expression, beta * gplus / nsq.  The parallel pass is one averaged step
-under every rule.  The batch ratio L_N,k only prices that step's stepsize,
-so the pass computes it beside the step, and only where something reads it:
-the adaptive stepsize, the check of a declared L_N and the lemma checks on
-every iteration, the ``LN_k`` column at log points.  Whether it is computed
-changes no bit of the next points.
+The stepsize is priced once per block: ``initial_beta`` is the rule's one
+float, ``run`` spreads it over the block's rows as an (S,) array, and both
+passes scale a violated constraint's step by its row's entry in one
+expression, beta * gplus / nsq.  Only the adaptive rule prices it again,
+in the parallel pass, at each violated row's batch ratio L_N,k.  The
+parallel pass is one averaged step under every rule.  L_N,k only prices
+that step's stepsize, so the pass computes it beside the step, and only
+where something reads it: the adaptive stepsize, the check of a declared
+L_N and the lemma checks on every iteration, the ``LN_k`` column at log
+points.  Whether it is computed changes no bit of the next points.
 """
 
 from __future__ import annotations
@@ -177,20 +178,17 @@ def validate(config, spec: ProblemSpec, sizes=None) -> None:
             raise ConfigError(f"cannot draw {size} distinct indices from {m}")
 
 
-def initial_beta(config, count: int, ln_k=1.0) -> np.ndarray:
-    """The feasibility stepsizes of ``count`` rows under the run settings
-    ``config``: a float64 array of shape (count,) under every rule, by the
-    one formula of each, the fixed ``beta``, the extrapolated (2 -
-    ``delta``) / ``ln_hint``, or the adaptive (2 - ``delta``) / ``ln_k`` at
-    each row's realized batch ratio ``ln_k``, the only rule that reads it.
-    At the default ``ln_k`` of 1 the adaptive value is 2 - ``delta``, its
-    fallback before any violated batch.  Every stepsize of a fixed or
-    extrapolated run is the first."""
+def initial_beta(config) -> float:
+    """The feasibility stepsize of the run settings ``config`` before any
+    batch, by its rule's one formula: the fixed ``beta``, the extrapolated
+    (2 - ``delta``) / ``ln_hint``, or the adaptive 2 - ``delta``, which the
+    parallel pass divides by each violated row's realized L_N,k.  It is
+    every stepsize of a fixed or extrapolated run."""
     if config.beta_policy == "fixed":
-        return np.full(count, config.beta)
+        return config.beta
     if config.beta_policy == "extrapolated":
-        return np.full(count, (2.0 - config.delta) / config.ln_hint)
-    return np.full(count, 2.0 - config.delta) / ln_k
+        return (2.0 - config.delta) / config.ln_hint
+    return 2.0 - config.delta
 
 
 @dataclass
@@ -350,7 +348,7 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
 
 
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
-                                v: np.ndarray, config, rows: _Rows,
+                                v: np.ndarray, beta: np.ndarray, config, rows: _Rows,
                                 checker: Optional["_LemmaChecker"] = None,
                                 k: int = 0, ratio: bool = True):
     """One parallel minibatch feasibility pass, row by row at its point.
@@ -358,15 +356,16 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
     sampled constraint gets an independent relaxed projection step from
     its row's point; the results are averaged (fixed index order) and
-    projected onto the simple set, in one step expression for every rule.
-    A row whose batch is feasible keeps its point, and ``v`` itself is
-    returned when every row's is.  The stepsizes are ``initial_beta`` of
-    the run settings ``config``, read by the names ``beta_policy``,
-    ``delta`` and ``ln_hint``: an (S,) array under every rule, each row's
-    step scaled by its own entry, which under the adaptive rule takes the
-    row's realized L_N,k.  An L_N,k above a declared ``ln_hint`` by more
-    than a relative ``LN_RTOL`` raises ``SolverAbort`` before the step.
-    ``checker`` (None when checks are off) verifies the decrease
+    projected onto the simple set, in one step expression for every rule,
+    each row's step scaled by its own entry of the (S,) stepsizes
+    ``beta``.  A row whose batch is feasible keeps its point, and ``v``
+    itself is returned when every row's is.  The run settings ``config``
+    are read by the names ``beta_policy``, ``delta`` and ``ln_hint``.
+    Under the adaptive rule only, each violated row's stepsize is priced
+    again, as ``initial_beta`` over its realized L_N,k, before its step; a
+    feasible row keeps its entry.  An L_N,k above a declared ``ln_hint`` by
+    more than a relative ``LN_RTOL`` raises ``SolverAbort`` before the
+    step.  ``checker`` (None when checks are off) verifies the decrease
     inequalities; ``k`` and ``rows`` label the reports, and the groups and
     mask of ``rows`` give a block of mixed batch sizes (see the module
     docstring).
@@ -374,18 +373,18 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     L_N,k is computed, by one ``batch_diagnostics`` call, where ``ratio``
     asks for it and wherever the adaptive rule, a declared ``ln_hint`` or
     ``checker`` reads it; it changes no bit of the next points.  Returns
-    the next points and each row's L_N,k (NaN where the batch is feasible),
-    or None for L_N,k where it was not computed; an oracle fault raises
-    ``OracleFault``.  Preconditions are ``validate``'s.
+    the next points, each row's L_N,k (NaN where the batch is feasible),
+    or None for L_N,k where it was not computed, and the rows' stepsizes,
+    ``beta`` itself unless the adaptive rule priced a row again.  An
+    oracle fault raises ``OracleFault``.  Preconditions are ``validate``'s.
     """
     gvals, dirs = _checked_batch(spec, indices, v, rows.real)
     active = gvals > 0.0
     hits = np.count_nonzero(active)
-    ln = config.ln_hint
-    ratio = ratio or config.beta_policy == "adaptive" or ln is not None \
-        or checker is not None
+    ln, adaptive = config.ln_hint, config.beta_policy == "adaptive"
+    ratio = ratio or adaptive or ln is not None or checker is not None
     if not hits:
-        return v, np.full(len(v), np.nan) if ratio else None
+        return v, np.full(len(v), np.nan) if ratio else None, beta
     violated = None                   # every row, when it is None
     if hits < active.size:
         gplus = np.maximum(gvals, 0.0)
@@ -397,7 +396,8 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     nsq = _squared_norms(dirs, active)
     ln_k = batch_diagnostics(gplus, dirs, nsq, violated, rows.groups) \
         if ratio else None
-    beta = initial_beta(config, len(v), ln_k)
+    if adaptive:
+        beta = np.where(np.isnan(ln_k), beta, initial_beta(config) / ln_k)
     if ln is not None:
         over = ln_k > ln * (1.0 + LN_RTOL)
         if over.any():
@@ -408,7 +408,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                 f"{ln:g} at {where} (beta {beta[row]:g})",
                 snapshot={**snapshot, "ln_k": float(ln_k[row]), "ln": ln,
                           "beta": float(beta[row])})
-    # a feasible row's step, zero or NaN, is merged away below
+    # a feasible row's step, zero, is merged away below
     coef = beta[:, None] * gplus / nsq
     x_next = spec.simple_set.project(v - _weighted_mean(coef, dirs, rows.groups))
     if violated is not None:
@@ -416,7 +416,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     if checker is not None:
         checker.single_steps(k, v, gplus, dirs, nsq, beta)
         checker.parallel_batch(k, v, x_next, gplus, beta, ln_k)
-    return x_next, ln_k
+    return x_next, ln_k, beta
 
 
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
@@ -630,27 +630,29 @@ def run(spec: ProblemSpec, config,
     within ``PAD_FACTOR`` of the sizes' own.
 
     Each iteration takes one objective step and one feasibility pass for the
-    (S, n) block, checked by the lemma checker under ``lemma-checks``; only
-    an adaptive beta changes ``beta_k``, to ``initial_beta`` at the row's
-    last violated batch's L_N,k.  ``run`` asks the parallel pass for L_N,k
-    at log points only, for ``LN_k``; the pass computes it on every
-    iteration where the stepsize rule, a declared ``ln_hint`` or the
-    checker reads it, with the same next points.  Each row keeps
-    its seed's own ``SeedSequence``, hence its own initial point and
-    ``Sampler``, which draws the row's own N once per ``INDEX_BLOCK``
-    iterations, so its numbers depend neither on the other seeds nor on the
-    other sizes: with several sizes, each row gets the bits of a run of its
-    size alone (see the module docstring).  Records are computed row by row
-    on the weighted running average: f_gap when the spec knows its optimum,
-    max_violation and dist_X only through ``context``; ``elapsed_ns`` counts
-    from the start of the row's block.  Each row keeps the active set of its
-    last dist_X projection, and its next log point's ``distance_oracle``
-    call starts from it and leaves its own there; the lemma checker keeps
-    one per row the same way.  A warm start gives the bits of a cold one (see
-    ``geometry``), and a row reads only its own sets.  The first non-finite
-    iterate, constraint oracle fault (reported with its batch indices),
-    failed check or realized L_N,k above a declared L_N aborts the whole
-    call with ``SolverAbort``, which names k, the seed and N.
+    (S, n) block, checked by the lemma checker under ``lemma-checks``.  Each
+    row's ``beta_k`` starts at ``initial_beta``, priced once per block, and
+    is then the stepsize the parallel pass returns, which only the adaptive
+    rule changes, to ``initial_beta`` over the row's last violated batch's
+    L_N,k.  ``run`` asks the parallel pass for L_N,k at log points only, for
+    ``LN_k``; the pass computes it on every iteration where the stepsize
+    rule, a declared ``ln_hint`` or the checker reads it, with the same next
+    points.  Each row keeps its seed's own ``SeedSequence``, hence its own
+    initial point and ``Sampler``, which draws the row's own N once per
+    ``INDEX_BLOCK`` iterations, so its numbers depend neither on the other
+    seeds nor on the other sizes: with several sizes, each row gets the bits
+    of a run of its size alone (see the module docstring).  Records are
+    computed row by row on the weighted running average: f_gap when the spec
+    knows its optimum, max_violation and dist_X only through ``context``;
+    ``elapsed_ns`` counts from the start of the row's block.  Each row keeps
+    the active set of its last dist_X projection, and its next log point's
+    ``distance_oracle`` call starts from it and leaves its own there; the
+    lemma checker keeps one per row the same way.  A warm start gives the
+    bits of a cold one (see ``geometry``), and a row reads only its own
+    sets.  The first non-finite iterate, constraint oracle fault (reported
+    with its batch indices), failed check or realized L_N,k above a declared
+    L_N aborts the whole call with ``SolverAbort``, which names k, the seed
+    and N.
     """
     sizes = (config.batch_size,) if sizes is None else tuple(sizes)
     validate(config, spec, sizes)
@@ -713,7 +715,7 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
     # each row's minibatches of the next INDEX_BLOCK iterations, padded
     drawn = np.empty((len(x), min(INDEX_BLOCK, iterations), width), dtype=np.int64)
 
-    beta_k = initial_beta(config, len(x))
+    beta_k = np.full(len(x), initial_beta(config))
     ln_k = np.full(len(x), np.nan)
 
     weighted_sum = np.zeros_like(x)
@@ -740,11 +742,9 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
         indices = drawn[:, ahead]
         try:
             if variant == "parallel":
-                x, ln_k = parallel_feasibility_update(
-                    spec, indices, v, config, rows, checker, k, k in log_ks)
-                if config.beta_policy == "adaptive":   # else beta_k never changes
-                    beta_k = np.where(np.isnan(ln_k), beta_k,
-                                      initial_beta(config, len(x), ln_k))
+                x, ln_k, beta_k = parallel_feasibility_update(
+                    spec, indices, v, beta_k, config, rows, checker, k,
+                    k in log_ks)
             else:
                 x = sequential_feasibility_update(
                     spec, indices, v, beta_k, rows, checker, k)

@@ -14,7 +14,7 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             solve_experiment, write_csv)
 from mbproj import geometry, harness, problems
 from mbproj.problems import (make_builtin, make_polyhedral_benchmark,
-                             predicted_gains, save_instance)
+                             predicted_gain, save_instance)
 from mbproj.solver import ConfigError, RunRecord, run as solver_run
 
 
@@ -765,12 +765,18 @@ class TestRateCheck:
         assert s1 == pytest.approx(-1.0, abs=1e-10)
         assert s2 == pytest.approx(s1, abs=1e-10)
 
-    def test_underflow_truncates_window_with_note(self, tmp_path):
+    def test_underflow_truncates_window_with_note(self, tmp_path, capsys):
         d = self.synthetic_dir(tmp_path, lambda k, s: k ** -3.0)
         fits = rate_check(d, 100, 40000)
         assert all(f.truncated for f in fits)
-        assert all("floor" in f.note for f in fits)
         assert all(f.k_hi < 40000 for f in fits)
+        capsys.readouterr()
+        assert main(["rate-check", "--dir", d, "--k-min", "100",
+                     "--k-max", "40000"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(fits)
+        assert all(line.endswith("  [window truncated at metric floor]")
+                   for line in lines)
 
     CURVES = {
         # seed 1 crosses the floor at k = 316, seed 2 at 464, seed 3 lies
@@ -923,8 +929,9 @@ class TestSweep:
                         beta_policy="extrapolated", delta=0.1, ln_hint=1.0,
                         iterations=50, seeds=(1, 2), out_dir=str(tmp_path / "s"))
         inst, rows = minibatch_sweep(cfg, [1, 2], c_hat=4.0)
-        expected = predicted_gains(inst.poly, "parallel", 1.9, 4.0, 1.0, [1, 2])
-        assert [r.predicted_b for r in rows] == expected
+        assert [r.predicted_b for r in rows] == [
+            predicted_gain(inst.poly, "parallel", 1.9, 4.0, 1.0, size)
+            for size in (1, 2)]
 
     def test_sequential_sweep_computes_no_ln(self, tmp_path, monkeypatch):
         def unused(poly, batch_size):

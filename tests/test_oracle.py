@@ -99,8 +99,8 @@ def single_index_steps(family, dimension=2):
     # step of either pass sees the positive part at v
     def parallel(v, beta=1.0):
         block = v[None]
-        x, _ = parallel_feasibility_update(spec, index, block,
-                                           RunConfig(beta=beta), rows)
+        x, _, _ = parallel_feasibility_update(spec, index, block, np.full(1, beta),
+                                              RunConfig(beta=beta), rows)
         gplus = np.maximum(family.batch(index, block)[0], 0.0)
         return (v if x is block else x[0]), gplus[0]
 

@@ -12,7 +12,7 @@ from mbproj.problems import (LN_CHUNK, BenchmarkInstance, exact_ln_linear,
                              lambda_max_power, load_instance, make_builtin,
                              make_duplicated_benchmark, make_orthant2,
                              make_orthonormal_benchmark, make_polyhedral_benchmark,
-                             predicted_gains, save_instance)
+                             predicted_gain, save_instance)
 from mbproj.harness import RunConfig
 from mbproj.solver import ConfigError, run
 
@@ -259,13 +259,13 @@ class TestExactLN:
 
 
 class TestQBCurves:
-    """b(N) across batch sizes, from ``predicted_gains``."""
+    """b(N) across batch sizes, from ``predicted_gain``."""
 
     def test_flat_gain_when_alignment_bound_is_one(self):
         inst = make_duplicated_benchmark(4, 8, seed=1)
         with pytest.warns(UserWarning, match="rank"):
-            gains = predicted_gains(inst.poly, "parallel", 1.0, 2.0, 1.0,
-                                    (1, 2, 4))
+            gains = [predicted_gain(inst.poly, "parallel", 1.0, 2.0, 1.0, size)
+                     for size in (1, 2, 4)]
         # L_N = 1 for every N: q = 1 * (2 - 1) / 2 = 0.5 and b = 1
         assert gains == pytest.approx([1.0, 1.0, 1.0])
 
@@ -273,15 +273,16 @@ class TestQBCurves:
         # q = 1 * (2 - 1) / 2 = 0.5 for every N, so gains run 1, 3, 7, 15; the
         # rows' L_N, which would warn that it reaches 1, is never computed
         inst = make_duplicated_benchmark(4, 8, seed=1)
-        gains = predicted_gains(inst.poly, "sequential", 1.0, 2.0, 1.0,
-                                (1, 2, 3, 4))
+        gains = [predicted_gain(inst.poly, "sequential", 1.0, 2.0, 1.0, size)
+                 for size in (1, 2, 3, 4)]
         assert gains == pytest.approx([1.0, 3.0, 7.0, 15.0])
 
     def test_orthonormal_gain_grows_with_batch(self):
         # L_N = 1 / N, so at beta = 1 the contraction q_N = (2 - 1 / N) /
         # (c M_g^2) grows with N; c_hat = 6 keeps c M_g^2 L_N > 1 up to N = 4
         inst = make_orthonormal_benchmark(6, seed=2)
-        gains = predicted_gains(inst.poly, "parallel", 1.0, 6.0, 1.0, (1, 2, 4))
+        gains = [predicted_gain(inst.poly, "parallel", 1.0, 6.0, 1.0, size)
+                 for size in (1, 2, 4)]
         for b, size in zip(gains, (1, 2, 4)):
             q = (2.0 - 1.0 / size) / 6.0
             assert b == pytest.approx(q / (1.0 - q), rel=1e-6)
@@ -291,12 +292,10 @@ class TestQBCurves:
         inst = make_orthonormal_benchmark(6, seed=2)
         # c_hat M_g^2 L_N = 1.05 / 4 < 1 at N = 4: flagged by None for the
         # parallel variant; the sequential one needs only c_hat M_g^2 > 1
-        parallel = predicted_gains(inst.poly, "parallel", 1.0, 1.05, 1.0, (1, 4))
-        sequential = predicted_gains(inst.poly, "sequential", 1.0, 1.05, 1.0,
-                                     (1, 4))
-        assert parallel[0] is not None
-        assert parallel[1] is None
-        assert sequential[1] is not None
+        assert predicted_gain(inst.poly, "parallel", 1.0, 1.05, 1.0, 1) is not None
+        assert predicted_gain(inst.poly, "parallel", 1.0, 1.05, 1.0, 4) is None
+        assert predicted_gain(inst.poly, "sequential", 1.0, 1.05, 1.0,
+                              4) is not None
 
 
 class TestInstanceFile:

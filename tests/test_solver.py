@@ -10,7 +10,7 @@ from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
                              make_orthant2, make_polyhedral_benchmark,
-                             predicted_gains)
+                             predicted_gain)
 from mbproj import solver
 from mbproj.sampling import Sampler
 from mbproj.harness import RunConfig
@@ -47,14 +47,20 @@ def plain_rows(indices):
     return solver._Rows(tuple(range(len(indices))), (indices.shape[1],) * len(indices))
 
 
+def start_beta(cfg, count):
+    """The (count,) stepsizes of a block's rows before any batch, as ``run``
+    spreads ``initial_beta`` over them."""
+    return np.full(count, solver.initial_beta(cfg))
+
+
 def relaxed_step_both_passes(spec, index, v, beta):
     """The relaxed projection step of one constraint, through both passes,
     with v as a one-seed block; a pass that hands the block back unchanged
     hands back v itself."""
     block = v[None]
-    xp, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
-                                        RunConfig(beta=beta),
-                                        plain_rows(np.array([[index]])))
+    xp, _, _ = parallel_feasibility_update(spec, np.array([[index]]), block,
+                                           np.full(1, beta), RunConfig(beta=beta),
+                                           plain_rows(np.array([[index]])))
     xs = sequential_feasibility_update(spec, np.array([[index]]), block,
                                        np.full(1, beta),
                                        plain_rows(np.array([[index]])))
@@ -192,7 +198,7 @@ class TestPolyakStep:
         spec = batch_spec(lambda idx, v: (np.ones(len(idx)), np.zeros((len(idx), 2))))
         with pytest.raises(OracleError, match="zero direction"):
             parallel_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
-                                        RunConfig(beta=1.0),
+                                        np.ones(1), RunConfig(beta=1.0),
                                         plain_rows(np.array([[0]])))
         with pytest.raises(OracleError, match="zero direction"):
             sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
@@ -203,8 +209,8 @@ class TestParallelUpdate:
     def test_two_orthogonal_constraints(self):
         spec = corner_spec()
         indices, v = np.array([[0, 1]]), np.array([[2.0, 2.0]])
-        x, _ = parallel_feasibility_update(spec, indices, v,
-                                           RunConfig(beta=1.0), plain_rows(indices))
+        x, _, _ = parallel_feasibility_update(spec, indices, v, np.ones(1),
+                                              RunConfig(beta=1.0), plain_rows(indices))
         np.testing.assert_allclose(x, [[1.0, 1.0]])
         gvals, _ = spec.constraints.batch(indices, v)
         np.testing.assert_allclose(np.maximum(gvals, 0.0), [[2.0, 2.0]])
@@ -216,19 +222,19 @@ class TestParallelUpdate:
         den = 0.5 * (4.0 + 4.0)
         assert num / den == 0.5
         spec = corner_spec()
-        _, ln_k = parallel_feasibility_update(spec, np.array([[0, 1]]),
-                                              np.array([[2.0, 2.0]]),
-                                              RunConfig(beta=1.0),
-                                              plain_rows(np.array([[0, 1]])))
+        _, ln_k, _ = parallel_feasibility_update(spec, np.array([[0, 1]]),
+                                                 np.array([[2.0, 2.0]]), np.ones(1),
+                                                 RunConfig(beta=1.0),
+                                                 plain_rows(np.array([[0, 1]])))
         assert ln_k[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_single_index_reduces_to_projected_step(self):
         ball = SimpleSet.ball(np.zeros(2), 1.5)
         spec = corner_spec(simple_set=ball)
         v = np.array([1.2, 0.9])
-        x, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
-                                           RunConfig(beta=1.0),
-                                           plain_rows(np.array([[0]])))
+        x, _, _ = parallel_feasibility_update(spec, np.array([[0]]), v[None],
+                                              np.ones(1), RunConfig(beta=1.0),
+                                              plain_rows(np.array([[0]])))
         # g+ = 1.2 along d = (1, 0), |d| = 1
         expected = ball.project(v - 1.2 * np.array([1.0, 0.0]))
         np.testing.assert_array_equal(x[0], expected)
@@ -238,13 +244,14 @@ class TestParallelUpdate:
         indices, v = np.array([[0, 1, 0]]), np.array([[-1.0, -2.0]])
         adaptive = RunConfig(beta_policy="adaptive", delta=0.1)
         for cfg in (RunConfig(beta=1.3), adaptive):
-            x, ln_k = parallel_feasibility_update(spec, indices, v, cfg,
-                                                  plain_rows(indices))
+            beta = start_beta(cfg, 1)
+            x, ln_k, beta_k = parallel_feasibility_update(spec, indices, v, beta,
+                                                          cfg, plain_rows(indices))
             assert x is v
             assert np.isnan(ln_k[0])      # no ratio: the batch is feasible
-        # no step taken: the adaptive stepsize at that ratio, which run
-        # reads for beta_k, is NaN
-        assert np.isnan(solver.initial_beta(adaptive, 1, ln_k)[0])
+            # no step taken: the stepsize, which run reads for beta_k, is
+            # the one passed in
+            assert beta_k is beta
 
     @pytest.mark.parametrize("policy, step", [
         (RunConfig(beta=1.0), 1.0),
@@ -258,16 +265,16 @@ class TestParallelUpdate:
         # x1 = 1e-3, and the step moves x1 to (1 - beta / 2) * x1.  Warnings
         # are errors under pytest, so no RuntimeWarning is raised either
         indices, v = np.array([[0, 1]]), np.array([[1e-170, -1.0], [1e-3, -1.0]])
-        x, ln_k = parallel_feasibility_update(corner_spec(), indices[[0, 0]],
-                                              v, policy,
-                                              plain_rows(indices[[0, 0]]))
+        x, ln_k, beta = parallel_feasibility_update(corner_spec(), indices[[0, 0]],
+                                                    v, start_beta(policy, 2), policy,
+                                                    plain_rows(indices[[0, 0]]))
         np.testing.assert_array_equal(ln_k, [0.5, 0.5])
-        np.testing.assert_array_equal(solver.initial_beta(policy, 2, ln_k),
-                                      [step, step])
+        np.testing.assert_array_equal(beta, [step, step])
         np.testing.assert_allclose(x, [[(1 - step / 2) * 1e-170, -1.0],
                                        [(1 - step / 2) * 1e-3, -1.0]], rtol=1e-12)
-        alone, _ = parallel_feasibility_update(corner_spec(), indices,
-                                               v[1:], policy, plain_rows(indices))
+        alone, _, _ = parallel_feasibility_update(corner_spec(), indices, v[1:],
+                                                  start_beta(policy, 1), policy,
+                                                  plain_rows(indices))
         np.testing.assert_array_equal(alone, x[1:])
 
 
@@ -300,9 +307,9 @@ class TestSequentialUpdate:
         ball = SimpleSet.ball(np.zeros(2), 2.0)
         spec = corner_spec(simple_set=ball)
         v = np.array([[1.5, 1.2]])
-        xp, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
-                                            RunConfig(beta=0.8),
-                                            plain_rows(np.array([[1]])))
+        xp, _, _ = parallel_feasibility_update(spec, np.array([[1]]), v,
+                                               np.full(1, 0.8), RunConfig(beta=0.8),
+                                               plain_rows(np.array([[1]])))
         xs = sequential_feasibility_update(spec, np.array([[1]]), v,
                                            beta=np.full(1, 0.8),
                                            rows=plain_rows(np.array([[1]])))
@@ -325,9 +332,9 @@ class TestSequentialUpdate:
             size=40, batch=lambda idx, x: (
                 np.matmul(A[idx], x[:, :, None])[:, :, 0] + b[idx], A[idx])))
         indices = np.arange(40)[:, None]
-        xp, ln_k = parallel_feasibility_update(spec, indices, v, policy,
-                                               plain_rows(indices))
-        beta = solver.initial_beta(policy, 40, ln_k)
+        xp, ln_k, beta = parallel_feasibility_update(spec, indices, v,
+                                                     start_beta(policy, 40), policy,
+                                                     plain_rows(indices))
         xs = [sequential_feasibility_update(spec, indices[r:r + 1], v[r:r + 1],
                                             beta[r:r + 1],
                                             plain_rows(indices[r:r + 1]))[0]
@@ -425,7 +432,7 @@ class TestSchedules:
 
 
 class TestAnalysisConstants:
-    """The rate constants q and b that ``predicted_gains`` prices."""
+    """The rate constants q and b that ``predicted_gain`` prices."""
 
     # rows e_1, ..., e_4: every N-subset has L_N = 1 / N
     ORTHONORMAL = PolyhedronSpec(A=np.eye(4), b=np.zeros(4))
@@ -433,37 +440,37 @@ class TestAnalysisConstants:
     def test_parallel_optimal_beta(self):
         # beta = 1 / L_N gives q = 1 / (c M_g^2 L_N), so b = 1 / (c M_g^2 L_N - 1)
         c, mg, ln = 3.0, 1.0, 0.5
-        (b,) = predicted_gains(self.ORTHONORMAL, "parallel", 1.0 / ln, c, mg, [2])
+        b = predicted_gain(self.ORTHONORMAL, "parallel", 1.0 / ln, c, mg, 2)
         assert b == pytest.approx(1.0 / (c * mg ** 2 * ln - 1.0))
 
     def test_sequential_doubling(self):
         # q = beta (2 - beta) / (c M_g^2) = 0.5 gives gains 1, 3, 7, 15, ...
-        gains = predicted_gains(self.ORTHONORMAL, "sequential", 1.0, 2.0, 1.0,
-                                (1, 2, 3, 4))
-        for size, b, expected in zip((1, 2, 3, 4), gains, (1.0, 3.0, 7.0, 15.0)):
+        for size, expected in zip((1, 2, 3, 4), (1.0, 3.0, 7.0, 15.0)):
+            b = predicted_gain(self.ORTHONORMAL, "sequential", 1.0, 2.0, 1.0,
+                               size)
             assert 1.0 - (1.0 + b) ** (-1.0 / size) == pytest.approx(0.5)  # q
             assert b == pytest.approx(expected)
 
     def test_sequential_gain_increases_with_batch(self):
         # N = 9 exceeds the 4 rows: the sequential gain needs no L_N
-        gains = predicted_gains(self.ORTHONORMAL, "sequential", 1.0, 4.0, 1.0,
-                                range(1, 10))
         prev = 0.0
-        for b in gains:
+        for size in range(1, 10):
+            b = predicted_gain(self.ORTHONORMAL, "sequential", 1.0, 4.0, 1.0,
+                               size)
             assert b > prev
             prev = b
 
     def test_parallel_regime_precondition(self):
         # c = 3: at N = 1 beta = 2.5 is not below 2 / L_N = 2, and at N = 4
         # c M_g^2 L_N = 0.75 <= 1; both are flagged by None, not raised
-        gains = predicted_gains(self.ORTHONORMAL, "parallel", 2.5, 3.0, 1.0,
-                                [1, 2, 4])
+        gains = [predicted_gain(self.ORTHONORMAL, "parallel", 2.5, 3.0, 1.0, size)
+                 for size in (1, 2, 4)]
         assert gains[0] is None and gains[2] is None
         assert gains[1] > 0.0
 
     def test_sequential_regime_precondition(self):
         with pytest.raises(ConfigError, match="c_hat"):
-            predicted_gains(self.ORTHONORMAL, "sequential", 1.0, 0.9, 1.0, [2])
+            predicted_gain(self.ORTHONORMAL, "sequential", 1.0, 0.9, 1.0, 2)
 
     def test_q_below_one_in_admissible_range(self):
         rng = np.random.default_rng(31)
@@ -477,7 +484,7 @@ class TestAnalysisConstants:
             beta = rng.uniform(0.01, 2.0 / ln - 1e-6)
             if c * ln <= 1.0:
                 continue
-            (b,) = predicted_gains(poly, "parallel", beta, c, 1.0, [size])
+            b = predicted_gain(poly, "parallel", beta, c, 1.0, size)
             q = b / (1.0 + b)               # b = 1 / (1 - q) - 1
             assert 0.0 < q < 1.0
             assert q == pytest.approx(beta * (2.0 - beta * ln) / c, rel=1e-9)
@@ -486,11 +493,11 @@ class TestAnalysisConstants:
         # the parallel gain grows with beta * (2 - beta * L_N), which peaks
         # at beta = 1 / L_N = N
         for size in (1, 2, 4):
-            (best,) = predicted_gains(self.ORTHONORMAL, "parallel", float(size),
-                                      5.0, 1.0, [size])
+            best = predicted_gain(self.ORTHONORMAL, "parallel", float(size),
+                                  5.0, 1.0, size)
             for beta in np.linspace(0.01, 2.0 * size - 0.01, 97):
-                (b,) = predicted_gains(self.ORTHONORMAL, "parallel", beta, 5.0,
-                                       1.0, [size])
+                b = predicted_gain(self.ORTHONORMAL, "parallel", beta, 5.0,
+                                   1.0, size)
                 assert b <= best * (1.0 + 1e-12)
 
 
@@ -870,7 +877,7 @@ class TestOracleFaults:
         indices = np.array([[0, 1]] * 3)
         with pytest.raises(OracleFault) as info:
             if variant == "parallel":
-                parallel_feasibility_update(spec, indices, block,
+                parallel_feasibility_update(spec, indices, block, np.ones(len(block)),
                                             RunConfig(beta=1.0), plain_rows(indices))
             else:
                 sequential_feasibility_update(spec, indices, block,
@@ -901,10 +908,11 @@ class TestOracleFaults:
 
         spec = batch_spec(batch, size=4)
         if variant == "parallel":
-            x, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
-                                               RunConfig(beta=1.0),
-                                               plain_rows(cls.INDICES),
-                                               ratio=ratio)
+            x, _, _ = parallel_feasibility_update(spec, cls.INDICES, cls.BLOCK,
+                                                  np.ones(len(cls.BLOCK)),
+                                                  RunConfig(beta=1.0),
+                                                  plain_rows(cls.INDICES),
+                                                  ratio=ratio)
             return x
         return sequential_feasibility_update(spec, cls.INDICES, cls.BLOCK,
                                              np.ones(len(cls.BLOCK)),
@@ -949,7 +957,7 @@ class TestOracleFaults:
         indices = np.array([[0, 1], [0, 1]])
         with pytest.raises(OracleFault, match="overflows") as info:
             if variant == "parallel":
-                parallel_feasibility_update(spec, indices, block,
+                parallel_feasibility_update(spec, indices, block, np.ones(len(block)),
                                             RunConfig(beta=1.0), plain_rows(indices))
             else:
                 sequential_feasibility_update(spec, indices, block,
@@ -983,7 +991,7 @@ class TestDeclaredLN:
         assert 1 <= snap["k"] <= 200
         assert snap["ln"] == 0.001
         assert snap["ln_k"] == pytest.approx(1.0, abs=1e-12)
-        assert snap["beta"] == solver.initial_beta(cfg, 1)[0]
+        assert snap["beta"] == solver.initial_beta(cfg)
 
     def test_unchecked_ln_rejected(self):
         # only the parallel variant under a fixed or extrapolated beta checks it
@@ -1063,8 +1071,8 @@ class TestBlockEqualsSeeds:
                 ln = exact_ln_linear(inst.poly, self.SIZE)
             policy = RunConfig(beta_policy="extrapolated", delta=0.1, ln_hint=ln)
         if name.startswith("parallel"):
-            return lambda idx, v: parallel_feasibility_update(inst.spec, idx, v, policy,
-                                                              plain_rows(idx))
+            return lambda idx, v: parallel_feasibility_update(
+                inst.spec, idx, v, start_beta(policy, len(v)), policy, plain_rows(idx))
         return lambda idx, v: (sequential_feasibility_update(
             inst.spec, idx, v, np.full(len(v), policy), plain_rows(idx)),)
 
@@ -1241,7 +1249,9 @@ class TestSequentialRounds:
 class TestPerRowStepsize:
     """The stepsize has one shape, an (S,) array with one beta per row: a
     block whose rows carry different betas gives each row the bits of its
-    own one-row pass, and the lemma checks read each row's own beta."""
+    own one-row pass, and the lemma checks read each row's own beta.  It
+    is priced once per block, and again only by the adaptive rule, for
+    the violated rows of a parallel pass."""
 
     SIZE = 3
 
@@ -1284,16 +1294,15 @@ class TestPerRowStepsize:
         # the adaptive rule gives each row (2 - delta) / its own L_N,k
         inst, indices, v = self.violated_block()
         cfg = RunConfig(beta_policy="adaptive", delta=0.1)
-        together, ln_k = parallel_feasibility_update(
-            inst.spec, indices, v, cfg, plain_rows(indices),
+        together, ln_k, beta = parallel_feasibility_update(
+            inst.spec, indices, v, start_beta(cfg, len(v)), cfg, plain_rows(indices),
             self.checker(inst, len(v), checks))
-        beta = solver.initial_beta(cfg, len(v), ln_k)
         assert beta.shape == (len(v),) and len(set(beta.tolist())) > 2
         for row in range(len(v)):
             one = slice(row, row + 1)
-            alone, ln_alone = parallel_feasibility_update(
-                inst.spec, indices[one], v[one], cfg, plain_rows(indices[one]),
-                self.checker(inst, 1, checks))
+            alone, ln_alone, _ = parallel_feasibility_update(
+                inst.spec, indices[one], v[one], start_beta(cfg, 1), cfg,
+                plain_rows(indices[one]), self.checker(inst, 1, checks))
             assert together[row].tobytes() == alone[0].tobytes()
             assert ln_k[row] == ln_alone[0]
 
@@ -1302,11 +1311,63 @@ class TestPerRowStepsize:
         RunConfig(beta_policy="extrapolated", delta=0.1, ln_hint=0.5),
         RunConfig(beta_policy="adaptive", delta=0.1),
     ], ids=["fixed", "extrapolated", "adaptive"])
-    def test_initial_beta_is_one_array_under_every_rule(self, cfg):
-        beta = solver.initial_beta(cfg, 3, np.array([0.5, 0.25, 1.0]))
-        assert beta.shape == (3,) and beta.dtype == np.float64
-        fallback = solver.initial_beta(cfg, 3)
-        assert fallback.shape == (3,) and (fallback == fallback[0]).all()
+    def test_initial_beta_is_one_float_under_every_rule(self, cfg):
+        # the fixed beta, (2 - delta) / ln_hint, and 2 - delta before any
+        # violated batch
+        beta = solver.initial_beta(cfg)
+        assert type(beta) is float
+        assert beta == {"fixed": 0.7, "extrapolated": (2.0 - 0.1) / 0.5,
+                        "adaptive": 2.0 - 0.1}[cfg.beta_policy]
+
+    def test_adaptive_pass_reprices_violated_rows_only(self):
+        # a feasible row keeps its entry, bit for bit, and a violated one
+        # steps at (2 - delta) / its L_N,k; a fixed beta comes back as is
+        inst = make_polyhedral_benchmark(4, 6, seed=12)
+        kinds = seeds_by_kind(inst, self.SIZE)
+        chosen = [kinds["feasible", False][0], kinds["fully", False][0]]
+        indices = np.array([idx for idx, _ in chosen])
+        v = np.array([point for _, point in chosen])
+        beta = np.array([0.37, 0.53])
+        cfg = RunConfig(beta_policy="adaptive", delta=0.1)
+        x, ln_k, stepped = parallel_feasibility_update(
+            inst.spec, indices, v, beta, cfg, plain_rows(indices))
+        assert np.isnan(ln_k[0]) and not np.isnan(ln_k[1])
+        assert stepped[0].tobytes() == beta[0].tobytes()
+        assert stepped[1] == solver.initial_beta(cfg) / ln_k[1]
+        assert (x[0] == v[0]).all() and (x[1] != v[1]).any()
+        fixed = RunConfig(beta=0.7)
+        beta = start_beta(fixed, 2)
+        assert parallel_feasibility_update(inst.spec, indices, v, beta, fixed,
+                                           plain_rows(indices))[2] is beta
+
+    @pytest.mark.parametrize("policy", [
+        dict(beta=0.7),
+        dict(beta_policy="extrapolated", delta=0.1, ln_hint=1.0),
+        dict(variant="sequential", beta=1.3),
+        dict(beta_policy="adaptive", delta=0.1),
+    ], ids=["fixed", "extrapolated", "sequential", "adaptive"])
+    def test_stepsize_is_priced_once_per_block(self, policy, monkeypatch):
+        # the adaptive rule alone prices again, once per violated parallel
+        # iteration, which is also one batch_diagnostics call
+        priced, price = [], solver.initial_beta
+
+        def counted(*args):
+            priced.append(None)
+            return price(*args)
+
+        monkeypatch.setattr(solver, "initial_beta", counted)
+        diagnosed = counted_diagnostics(monkeypatch)
+        inst = make_polyhedral_benchmark(4, 8, seed=12)
+        cfg = RunConfig(iterations=300, seeds=(1, 2), **policy)
+        sizes = (8, 1)
+        blocks = len(solver._size_blocks(sizes, cfg.variant))
+        assert blocks == 2
+        run(inst.spec, cfg, context=inst.context(), sizes=sizes)
+        if cfg.beta_policy == "adaptive":
+            assert 0 < len(diagnosed) <= 2 * cfg.iterations
+            assert len(priced) == blocks + len(diagnosed)
+        else:
+            assert len(priced) == blocks
 
 
 class TestBlockEqualsSizes:
@@ -1508,10 +1569,12 @@ class TestBareStep:
     def test_bare_step_is_the_full_pass(self, instance, block, count, beta):
         inst, indices, v = self.drawn_block(instance, block, count)
         cfg = RunConfig(beta=beta)
-        full, asked = parallel_feasibility_update(inst.spec, indices, v, cfg,
-                                                  plain_rows(indices))
-        bare, ln_k = parallel_feasibility_update(inst.spec, indices, v, cfg,
-                                                 plain_rows(indices), ratio=False)
+        beta = start_beta(cfg, count)
+        full, asked, _ = parallel_feasibility_update(inst.spec, indices, v, beta,
+                                                     cfg, plain_rows(indices))
+        bare, ln_k, _ = parallel_feasibility_update(inst.spec, indices, v, beta,
+                                                    cfg, plain_rows(indices),
+                                                    ratio=False)
         assert ln_k is None and asked.shape == (count,)
         assert bare.tobytes() == full.tobytes()
         if block == "all-feasible":
@@ -1523,11 +1586,11 @@ class TestBareStep:
         indices = np.array([[0, 1], [0, 1]])
         v = np.array([[1e-170, -1.0], [1e-3, -1.0]])
         cfg = RunConfig(beta=beta)
-        full, asked = parallel_feasibility_update(corner_spec(), indices, v, cfg,
-                                                  plain_rows(indices))
-        bare, ln_k = parallel_feasibility_update(corner_spec(), indices, v, cfg,
-                                                 plain_rows(indices),
-                                                 ratio=False)
+        full, asked, _ = parallel_feasibility_update(
+            corner_spec(), indices, v, np.full(2, beta), cfg, plain_rows(indices))
+        bare, ln_k, _ = parallel_feasibility_update(
+            corner_spec(), indices, v, np.full(2, beta), cfg, plain_rows(indices),
+            ratio=False)
         np.testing.assert_array_equal(asked, [0.5, 0.5])
         assert ln_k is None
         assert bare.tobytes() == full.tobytes()
