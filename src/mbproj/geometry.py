@@ -5,8 +5,8 @@ constraint family, and an exact, certified distance-to-feasible-set oracle.
 and ``linear_family`` reads them from it for the solver's constraint oracle.
 
 ``project_intersection`` computes the Euclidean projection of v onto
-{x : Ax + b <= 0} intersected with the simple set Y (a ball or the whole
-space).  The polyhedral part is the Goldfarb-Idnani dual active-set method
+{x : Ax + b <= 0} intersected with the ball Y (the whole space at radius
+inf).  The polyhedral part is the Goldfarb-Idnani dual active-set method
 with identity Hessian (Goldfarb & Idnani, Math. Programming 27, 1983): start
 at x = v with no active rows, add the most violated row, and drop an active
 row whose multiplier would turn negative on the way.  The active rows stay

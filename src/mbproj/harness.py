@@ -10,15 +10,15 @@ unavailable), from ``run`` through ``write_csv`` and ``read_csv`` to the
 aggregate and ``rate_check``.  CSV files carry the header as leading ``#``
 comment lines; it echoes the settings that determine the numbers, with
 ``problem.n`` and ``problem.m`` read from the built instance, and leaves
-out ``out_dir``.  By default the elapsed_ns column is written as 0 so
-repeated identical invocations produce byte-identical files; enable
-``timing`` to record wall-clock times instead.  All seeds of a ``solve``
-advance together as one block of one ``run`` call, so elapsed_ns is the
-block's time since its start, and a row reports when the block reached its
-k.  A ``sweep`` makes one ``run`` call for its every (N, seed) row, which
-advances sizes of similar width together as one block (``solver.run``):
-under ``timing``, an N's elapsed_ns is the clock of its block, shared with
-the other sizes there, not of its N alone.
+out ``out_dir``.  ``run`` records elapsed_ns as 0, so repeated identical
+invocations produce byte-identical files, unless ``timing`` is set; then
+it records wall-clock times.  All seeds of a ``solve`` advance together as
+one block of one ``run`` call, so elapsed_ns is the block's time since its
+start, and a row reports when the block reached its k.  A ``sweep`` makes
+one ``run`` call for its every (N, seed) row, which advances sizes of
+similar width together as one block (``solver.run``): under ``timing``, an
+N's elapsed_ns is the clock of its block, shared with the other sizes
+there, not of its N alone.
 """
 
 from __future__ import annotations
@@ -281,19 +281,17 @@ def _check_out_dir(path: str) -> None:
 
 
 def _write_results(cfg: RunConfig, instance: BenchmarkInstance, results) -> list:
-    """Make ``cfg.out_dir`` and write a CSV per result, one seed's, and the
-    aggregate there, each headed by ``cfg`` with the instance's n and m;
-    returns the paths."""
+    """Make ``cfg.out_dir`` and write a CSV per result, one seed's records
+    as ``run`` made them, and the aggregate there, each headed by ``cfg``
+    with the instance's n and m; returns the paths."""
     echo = replace(cfg, n=instance.spec.simple_set.dimension,
                    m=instance.spec.constraints.size)
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed_rows, paths = [], []
     for result in results:
-        rows = result.records if cfg.timing else \
-            [r._replace(elapsed_ns=0) for r in result.records]
         path = os.path.join(cfg.out_dir, f"run_seed{result.seed}.csv")
-        write_csv(path, echo, rows)
-        per_seed_rows.append(rows)
+        write_csv(path, echo, result.records)
+        per_seed_rows.append(result.records)
         paths.append(path)
     agg_path = os.path.join(cfg.out_dir, "aggregate.csv")
     write_csv(agg_path, echo, aggregate_rows(per_seed_rows))

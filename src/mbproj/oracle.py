@@ -3,7 +3,8 @@
 A point is a 1-D float64 numpy array of a fixed dimension n.  The solver
 advances a block of S independent seeds at once, so the oracles it calls on
 every iteration take a leading seed axis: an (S, n) array holds one point per
-row, and ``SimpleSet.project`` treats a 1-D point as a single row.  Arrays
+row, and ``SimpleSet.project`` treats a 1-D point as a single row.  The
+simple set is a ball, the whole space when its radius is infinite.  Arrays
 are treated as immutable by every routine in this package.  Oracles carry no
 mutable state; random state always lives with the caller.
 """
@@ -35,45 +36,45 @@ def as_point(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimpleSet:
-    """A closed convex set with a cheap exact Euclidean projection.
+    """The simple set Y: the closed ball of ``center`` and ``radius``, whose
+    exact Euclidean projection is cheap.  An infinite radius makes Y the
+    whole space, the other set that the builtins and the instance format
+    can name; ``ball`` is the checked constructor."""
 
-    Variants: ``whole-space`` and ``ball`` (center + radius), the two sets
-    that the builtins and the instance format can name.
-    """
+    center: np.ndarray
+    radius: float
 
-    variant: str
-    dimension: int
-    center: Optional[np.ndarray] = None
-    radius: Optional[float] = None
+    @property
+    def dimension(self) -> int:
+        return self.center.size
 
     @staticmethod
     def whole_space(dimension: int) -> "SimpleSet":
-        return SimpleSet("whole-space", dimension)
+        return SimpleSet.ball(np.zeros(dimension), math.inf)
 
     @staticmethod
     def ball(center, radius: float) -> "SimpleSet":
         center = as_point(center)
-        if radius <= 0:
-            raise OracleError("ball radius must be positive")
-        return SimpleSet("ball", center.size, center=center, radius=float(radius))
+        if not radius > 0:
+            raise OracleError(f"ball radius must be positive, got {radius!r}")
+        return SimpleSet(center, float(radius))
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Exact Euclidean projection of each row of ``v``, shape (..., n);
         a 1-D point is one row.  Rows already inside are returned unchanged,
-        and ``v`` itself when every row is inside."""
-        if self.variant == "whole-space":
+        and ``v`` itself when every row is inside; in the whole space, that
+        is every row without a NaN.  A row with a NaN comes back non-finite."""
+        d = v - self.center
+        # one vecdot per row, so a row rounds as np.linalg.norm of that
+        # row alone, whatever the number of rows
+        r = np.sqrt(np.vecdot(d, d))
+        inside = r <= self.radius
+        if np.count_nonzero(inside) == inside.size:
             return v
-        if self.variant == "ball":
-            d = v - self.center
-            # one vecdot per row, so a row rounds as np.linalg.norm of that
-            # row alone, whatever the number of rows
-            r = np.sqrt(np.vecdot(d, d))
-            inside = r <= self.radius
-            if np.count_nonzero(inside) == inside.size:
-                return v
-            scale = self.radius / np.where(inside, 1.0, r)
-            return np.where(inside[..., None], v, self.center + d * scale[..., None])
-        raise OracleError(f"unknown simple-set variant {self.variant!r}")
+        # an inside row keeps scale 1: radius / 1 is inf in the whole
+        # space, and inf times a zero entry is invalid
+        scale = np.divide(self.radius, r, out=np.ones_like(r), where=~inside)
+        return np.where(inside[..., None], v, self.center + d * scale[..., None])
 
     def contains(self, v: np.ndarray, tol: float = 0.0) -> bool:
         return float(np.linalg.norm(self.project(v) - v)) <= tol

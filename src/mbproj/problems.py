@@ -91,9 +91,7 @@ def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
 
 def _objective_bound(simple_set: SimpleSet, pull_center: np.ndarray) -> float:
     """M_f of f = 0.5 * |x - c|^2 over Y, the largest |x - c| there: r +
-    |c - y| on a ball of center y and radius r, inf on the whole space."""
-    if simple_set.variant == "whole-space":
-        return math.inf
+    |c - y| on the ball of center y and radius r, so inf on the whole space."""
     return simple_set.radius + float(np.linalg.norm(pull_center - simple_set.center))
 
 
@@ -207,7 +205,7 @@ BUILTINS = {
 }
 
 
-def make_builtin(name: str, n: int = 10, m: int = 20, seed: int = 0) -> BenchmarkInstance:
+def make_builtin(name: str, n: int, m: int, seed: int) -> BenchmarkInstance:
     try:
         factory = BUILTINS[name]
     except KeyError:
@@ -332,14 +330,15 @@ def predicted_gain(poly: PolyhedronSpec, variant: str, beta: float,
 
 def save_instance(instance: BenchmarkInstance, path) -> None:
     """Write an instance in the plain-text format of the module docstring,
-    each claim at its derived value and no ``Mf`` on ``set whole``."""
+    each claim at its derived value.  A ball of infinite radius is written
+    as ``set whole``, with no ``Mf``, which would be inf."""
     spec, poly, ss = instance.spec, instance.poly, instance.spec.simple_set
     opt = spec.known_optimum
 
     def text(*values):
         return " ".join(format(float(v), ".17g") for v in values)
 
-    ball = ss.variant == "ball"
+    ball = math.isfinite(ss.radius)
     lines = [f"{poly.n} {poly.m}", *(text(*a, b) for a, b in zip(poly.A, poly.b)),
              "objective quadratic", "center " + text(*instance.pull_center),
              "set ball " + text(*ss.center, ss.radius) if ball else "set whole",

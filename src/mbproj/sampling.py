@@ -63,7 +63,7 @@ def _floyd_block(rng: np.random.Generator, m: int, size: int,
     """
     highs = np.concatenate([np.arange(m - size + 1, m + 1),
                             np.arange(size, 1, -1)])
-    draws = rng.integers(0, np.tile(highs, count)).reshape(count, len(highs))
+    draws = rng.integers(0, highs, size=(count, len(highs)))
     rows = np.empty((count, size), dtype=np.int64)
     for i in range(size):
         t = draws[:, i]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,7 @@ def assert_kkt(poly, simple_set, v, x, tol=1e-9):
     s = poly.A @ x + poly.b
     assert s.max() <= tol
     normals = [poly.A[s >= -tol]]
-    if simple_set.variant == "ball":
+    if math.isfinite(simple_set.radius):
         gap = float(np.linalg.norm(x - simple_set.center)) - simple_set.radius
         assert gap <= tol
         if gap >= -tol:

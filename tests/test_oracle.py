@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,10 +19,35 @@ class TestSimpleSet:
         np.testing.assert_allclose(ball.project(np.array([3.0, 4.0])),
                                    [0.6, 0.8], rtol=0, atol=1e-15)
 
-    def test_whole_space_identity(self):
-        ws = SimpleSet.whole_space(2)
-        v = np.array([7.0, -3.0])
-        assert ws.project(v) is v
+    def test_a_simple_set_is_a_center_and_a_radius(self):
+        assert tuple(f.name for f in dataclasses.fields(SimpleSet)) == \
+            ("center", "radius")
+        ws = SimpleSet.whole_space(3)
+        assert ws.center.tobytes() == np.zeros(3).tobytes()
+        assert ws.radius == math.inf and ws.dimension == 3
+
+    @pytest.mark.parametrize("v", [
+        np.array([7.0, -3.0]),
+        np.array([np.inf, 0.0]),
+        np.array([[7.0, -3.0], [0.0, -np.inf], [1e150, -2.5]]),
+    ], ids=["finite", "infinite-entry", "block"])
+    def test_whole_space_identity(self, v):
+        assert SimpleSet.whole_space(2).project(v) is v
+
+    def test_whole_space_nan_row_beside_a_zero_entry(self):
+        # the inside row's scale stays finite, so its zero entry makes no
+        # 0 * inf; the NaN row comes back non-finite, with no warning
+        v = np.array([[np.nan, 1.0], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = SimpleSet.whole_space(2).project(v)
+        assert np.isnan(out[0]).all()
+        assert out[1].tobytes() == v[1].tobytes()
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_ball_radius_must_be_positive(self, radius):
+        with pytest.raises(OracleError, match="radius must be positive"):
+            SimpleSet.ball(np.zeros(2), radius)
 
     def test_inside_point_unchanged(self):
         ball = SimpleSet.ball(np.ones(3), 2.0)

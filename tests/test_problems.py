@@ -339,7 +339,7 @@ class TestInstanceFile:
         path.write_text("2 1\n1 0 0\nobjective quadratic\ncenter 1 1\n"
                         "set whole\nmu 1\nMg 1\n")
         inst = load_instance(path)
-        assert inst.spec.simple_set.variant == "whole-space"
+        assert inst.spec.simple_set.radius == math.inf
         np.testing.assert_array_equal(inst.spec.known_optimum.x_star, [0.0, 1.0])
         save_instance(inst, path)
         text = path.read_text()
@@ -364,4 +364,4 @@ class TestBuiltins:
 
     def test_unknown_name(self):
         with pytest.raises(OracleError, match="unknown builtin"):
-            make_builtin("nope")
+            make_builtin("nope", n=4, m=6, seed=1)

@@ -512,10 +512,31 @@ class TestRunLoop:
                         seeds=(9,))
         (r1,) = run(inst.spec, cfg, context=inst.context())
         (r2,) = run(inst.spec, cfg, context=inst.context())
-        # everything except wall time must match exactly
-        assert [r._replace(elapsed_ns=0) for r in r1.records] == \
-            [r._replace(elapsed_ns=0) for r in r2.records]
+        # timing is off, so elapsed_ns is 0 and whole records match
+        assert r1.records == r2.records
         np.testing.assert_array_equal(r1.final_x_hat, r2.final_x_hat)
+
+    @pytest.mark.parametrize("timing", [False, True])
+    def test_elapsed_ns_is_recorded_only_under_timing(self, timing, monkeypatch):
+        # with timing off no clock is read and every record holds 0; with
+        # it on, each row's times are positive and never go back
+        inst = self.small_benchmark()
+        cfg = RunConfig(variant="parallel", batch_size=2, beta=1.0,
+                        iterations=200, cadence=20, seeds=(1, 2), timing=timing)
+        reads = []
+        clock = solver.time.perf_counter_ns
+        monkeypatch.setattr(solver.time, "perf_counter_ns",
+                            lambda: reads.append(1) or clock())
+        results = run(inst.spec, cfg, context=inst.context())
+        monkeypatch.undo()
+        for result in results:
+            times = [r.elapsed_ns for r in result.records]
+            assert len(times) == 10
+            if timing:
+                assert min(times) > 0 and times == sorted(times)
+            else:
+                assert set(times) == {0}
+        assert bool(reads) == timing
 
     def test_single_batch_variants_bit_identical(self):
         inst = self.small_benchmark()
@@ -695,8 +716,7 @@ class TestRunLoop:
         plain = run(inst.spec, dataclasses.replace(cfg, assertions="off"),
                     context=inst.context())
         for a, b in zip(checked, plain):
-            assert [r._replace(elapsed_ns=0) for r in a.records] == \
-                [r._replace(elapsed_ns=0) for r in b.records]
+            assert a.records == b.records
             np.testing.assert_array_equal(a.final_x_hat, b.final_x_hat)
 
     def test_adaptive_beta_follows_batch_ratio(self):
@@ -1045,8 +1065,8 @@ def seeds_by_kind(inst, size):
 
 class TestBlockEqualsSeeds:
     """A pass over a block of seeds gives each seed exactly what the pass
-    gives it alone: the merges it skips when every seed is violated, and
-    the ones it makes when some seed is feasible, change no bit.  The
+    gives it alone: the merge it skips when every seed violates its whole
+    batch, and the one it makes otherwise, change no bit.  The
     sequential pass, whose rounds step each seed at its own next violated
     column, gives each seed the bits of its column-by-column chain."""
 
@@ -1079,7 +1099,8 @@ class TestBlockEqualsSeeds:
     def drawn_block(self, instance, block):
         """The instance and a block of two seeds of each kind, inside and
         outside Y, leaving out the feasible ones when ``block`` is
-        all-violated and the partly violated ones when it is extremes."""
+        all-violated, the partly violated ones when it is extremes, and
+        all but those when it is partly."""
         inst = TestDeclaredLN.INSTANCES[instance]()
         kinds = seeds_by_kind(inst, self.SIZE)
         # each kind occurs inside and outside Y, but the duplicated rows are
@@ -1088,7 +1109,7 @@ class TestBlockEqualsSeeds:
             ("feasible", "partly", "fully")
         assert set(kinds) == set(itertools.product(present, (False, True)))
         order = {"all-violated": present[1:], "extremes": ("feasible", "fully"),
-                 "mixed": present}[block]
+                 "partly": ("partly",), "mixed": present}[block]
         chosen = [seed for kind in order for outside in (False, True)
                   for seed in kinds[kind, outside][:2]]
         indices = np.array([idx for idx, _ in chosen])
@@ -1102,14 +1123,19 @@ class TestBlockEqualsSeeds:
         inst, indices, v = self.drawn_block(instance, block)
         self.assert_block_matches_alone(self.feasibility_pass(name, inst), indices, v)
 
+    @pytest.mark.parametrize("block", ["extremes", "partly"])
     @pytest.mark.parametrize("name", list(PASSES))
-    def test_all_or_none_seeds_in_a_mixed_block(self, name):
-        # alone, each seed violates all or none of its batch, the parallel
-        # pass's shortcuts; their block is mixed and reduces over the seeds
-        inst, indices, v = self.drawn_block("benchmark", "extremes")
+    def test_seeds_of_one_shape_in_a_block(self, name, block):
+        # extremes: alone, each seed violates all or none of its batch, the
+        # parallel pass's shortcuts; their block is mixed and reduces over
+        # the seeds.  partly: every seed has a satisfied and a violated
+        # column, so every row of the block is violated, but not every
+        # column, and the pass merges through its mask of violated rows
+        inst, indices, v = self.drawn_block("benchmark", block)
         gvals, _ = inst.spec.constraints.batch(indices, v)
-        hits = np.count_nonzero(gvals > 0.0, axis=1)
-        assert set(hits.tolist()) == {0, self.SIZE}
+        hits = set(np.count_nonzero(gvals > 0.0, axis=1).tolist())
+        assert hits == {0, self.SIZE} if block == "extremes" else \
+            0 < min(hits) and max(hits) < self.SIZE
         self.assert_block_matches_alone(self.feasibility_pass(name, inst), indices, v)
 
     @staticmethod
@@ -1372,10 +1398,9 @@ class TestPerRowStepsize:
 
 class TestBlockEqualsSizes:
     """A block of mixed batch sizes gives each (N, seed) row what a run of
-    its N alone gives it, bit for bit: the records apart from elapsed_ns,
-    and the final points.  Its pads repeat a row's last index, so any pad
-    that stepped, marked its row violated or entered a reduction would show
-    here."""
+    its N alone gives it, bit for bit: the records and the final points.
+    Its pads repeat a row's last index, so any pad that stepped, marked its
+    row violated or entered a reduction would show here."""
 
     RUNS = {
         "parallel-fixed0.7": dict(variant="parallel", beta=0.7),
@@ -1411,8 +1436,7 @@ class TestBlockEqualsSizes:
             assert [(r.batch_size, r.seed) for r in block] == \
                 [(size, seed) for size in sizes for seed in cfg.seeds]
             for a, b in zip(block, alone):
-                assert [r._replace(elapsed_ns=0) for r in a.records] == \
-                    [r._replace(elapsed_ns=0) for r in b.records]
+                assert a.records == b.records
                 assert a.final_x.tobytes() == b.final_x.tobytes()
                 assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
 
@@ -1622,8 +1646,7 @@ class TestRatioReaders:
         for full in readers:
             for a, b in zip(plain, run(inst.spec, full, context=inst.context()),
                             strict=True):
-                assert [r._replace(elapsed_ns=0) for r in a.records] == \
-                    [r._replace(elapsed_ns=0) for r in b.records]
+                assert a.records == b.records
                 assert a.final_x.tobytes() == b.final_x.tobytes()
                 assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
 
