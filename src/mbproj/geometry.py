@@ -125,9 +125,7 @@ def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:
 
 def _solve_active(A, b, w, active):
     """The point x = w - A[active]^T mu at which the rows ``active``, linearly
-    independent, hold with equality, and their multipliers mu."""
-    if not active:
-        return w.copy(), np.zeros(0)
+    independent, hold with equality, and their multipliers mu (none: w's bits)."""
     N = A[active]
     mu = np.linalg.solve(N @ N.T, N @ w + b[active])
     return w - mu @ N, mu
@@ -163,12 +161,9 @@ def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
             return x, active, mu, s if solved else None
         a_p, mu_p, solved = A[p], 0.0, False
         while True:
-            if active:
-                N = A[active]
-                r = np.linalg.solve(N @ N.T, N @ a_p)
-                z = a_p - r @ N
-            else:
-                r, z = mu, a_p
+            N = A[active]
+            r = np.linalg.solve(N @ N.T, N @ a_p)
+            z = a_p - r @ N
             zz = float(z @ z)
             dependent = zz <= EPS * EPS    # a_p lies in the span of the active rows
             full = np.inf if dependent else (float(a_p @ x) + b[p]) / zz

@@ -129,7 +129,8 @@ class RunConfig:
     problem_seed: int = _setting(0, "problem", "--problem-seed", type=int)
     variant: str = _setting("parallel", "solver", "--variant",
                             choices=VARIANTS)
-    batch_size: int = _setting(4, "solver", "--N", type=int, help="minibatch size")
+    batch_size: int = _setting(4, "solver", "--N", type=int,
+                               help="minibatch size (sweep takes --N-list)")
     beta_policy: str = _setting("fixed", "solver", "--beta-policy",
                                 choices=BETA_POLICIES)
     beta: float = _setting(1.0, "solver", "--beta", type=float)
@@ -447,7 +448,9 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     ``SolverAbort``, which stops the whole call, leaves no directory.  Predictions use the runs'
     constant stepsize (``solver.initial_beta``), so ``c_hat`` is a
     configuration error under the adaptive policy, as is a ``c_hat`` that
-    ``predicted_gain`` rejects.  Batch sizes must be distinct.
+    ``predicted_gain`` rejects.  Batch sizes must be distinct, and are
+    ``n_list`` alone: one INI file may serve ``solve`` and ``sweep``, so
+    its ``batch_size`` is ignored here (the CLI's ``sweep`` rejects --N).
     ``outside_theory`` marks an N whose b the rate theory of the runs'
     variant does not cover; a sequential sweep covers every N and computes
     no L_N.  Each N is priced on its own: in a parallel sweep, an N whose
@@ -566,6 +569,8 @@ def main(argv=None) -> int:
                       f"[{fit.k_lo:g}, {fit.k_hi:g}]{extra}")
             return EXIT_OK
         if args.command == "sweep":
+            if args.batch_size is not None:
+                raise ConfigError("sweep takes its batch sizes from --N-list; drop --N")
             cfg = _cfg_from_args(args)
             try:
                 n_list = list(parse_int_list(args.n_list))

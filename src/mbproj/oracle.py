@@ -63,7 +63,8 @@ class SimpleSet:
         """Exact Euclidean projection of each row of ``v``, shape (..., n);
         a 1-D point is one row.  Rows already inside are returned unchanged,
         and ``v`` itself when every row is inside; in the whole space, that
-        is every row without a NaN.  A row with a NaN comes back non-finite."""
+        is every row without a NaN.  A row with a NaN comes back non-finite;
+        a finite one whose squared length overflows is scaled down first."""
         d = v - self.center
         # one vecdot per row, so a row rounds as np.linalg.norm of that
         # row alone, whatever the number of rows
@@ -71,6 +72,12 @@ class SimpleSet:
         inside = r <= self.radius
         if np.count_nonzero(inside) == inside.size:
             return v
+        lost = np.isinf(r)
+        if lost.any():  # a finite row's square overflowed: its length from d / max |d_i|
+            top = np.max(np.abs(d), axis=-1)
+            lost &= np.isfinite(top)
+            e = d / np.where(lost, top, 1.0)[..., None]
+            r = np.where(lost, top * np.sqrt(np.vecdot(e, e)), r)
         # an inside row keeps scale 1: radius / 1 is inf in the whole
         # space, and inf times a zero entry is invalid
         scale = np.divide(self.radius, r, out=np.ones_like(r), where=~inside)

@@ -21,16 +21,16 @@ constraint value on the width of the batch that asks it, so S = 1 and any
 larger block give the same numbers for it.
 
 A block may mix batch sizes, as a minibatch sweep does.  Its index array is
-then (S, N_max): a row with a smaller N repeats its own last index, and a
-mask of real columns makes these pads satisfied constraints, which never
-step.  Work row by row or entry by entry runs once on the whole block;
-work that reduces over a row's columns (the averaged step, the batch ratio
-and the lemma checks) runs per group of rows of equal N on that group's
-real columns only, since a zero-weight pad changes the rounding of a sum.
-So each row gets the bits of a block of its own N.  Pads cost oracle work
-in proportion to the block's widest N, so ``run`` cuts the sizes into
-blocks whose padded columns stay within ``PAD_FACTOR`` of their real ones
-and advances one block after another.
+then (S, N_max): a row with a smaller N repeats its own last index.  A value
+depends only on its index and point (``ConstraintFamily``), so a pad reads
+as the column it repeats and cannot change whether its row is violated.
+Work row by row or entry by entry runs once on the whole block; work that
+reduces over a row's columns (the averaged step, the batch ratio, the lemma
+checks) runs per group of rows of equal N on their real columns only, and a
+sequential chain ends at its row's own N.  So each row gets the bits of a
+block of its own N.  Pads cost oracle work in proportion to the block's
+widest N, so ``run`` cuts the sizes into blocks whose padded columns stay
+within ``PAD_FACTOR`` of their real ones, and runs them one after another.
 
 The stepsize is priced once per block: ``initial_beta`` is the rule's one
 float, ``run`` spreads it over the block's rows as an (S,) array, and both
@@ -240,14 +240,11 @@ class _Rows(NamedTuple):
     """The rows of a block: each row's seed and batch size N.  When the
     sizes differ, ``groups`` holds the (row slice, N) of each run of rows of
     equal N, over whose real columns ``_weighted_mean`` and
-    ``batch_diagnostics`` reduce, and ``real`` the (S, N_max) mask of each
-    row's real columns, which ``_checked_batch`` reads.  With one size they
-    are empty and None, and nothing slices or masks."""
+    ``batch_diagnostics`` reduce; with one size it is empty."""
 
     seeds: tuple
     sizes: tuple
     groups: tuple = ()
-    real: Optional[np.ndarray] = None
 
     def at(self, k: int, row: int):
         """The text and the snapshot keys that name ``row`` at iteration k."""
@@ -295,15 +292,14 @@ def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
 
 
 def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray,
-                   real: Optional[np.ndarray] = None):
+                   ahead: Optional[np.ndarray] = None):
     """The family's values and rows at the points v.  An ``OracleFault``
     names the first row with a non-finite value or row entry, or with a
     violated constraint whose row's squared norm overflows, which would make
-    its step beta * gplus / inf * row zero.  Where the mask ``real`` is
-    False the column is a pad, or one that the sequential pass's row has
-    passed: its value reads 0, a satisfied constraint, and its entries are
-    not checked, since they are asked at a point where the row's chain has
-    passed that index."""
+    its step beta * gplus / inf * row zero.  Where the mask ``ahead`` is
+    False the sequential pass's row has passed the column: its value reads
+    0, a satisfied constraint, and its entries are not checked, since they
+    are asked at a point where the row's chain has passed that index."""
     gvals, dirs = spec.constraints.batch(indices, v)
     gvals = np.asarray(gvals, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -311,13 +307,13 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray,
         raise OracleError(
             f"constraint batch returned shapes {gvals.shape} and {dirs.shape} "
             f"for indices {indices.shape} at points {v.shape}")
-    if real is not None:
-        gvals = np.where(real, gvals, 0.0)
+    if ahead is not None:
+        gvals = np.where(ahead, gvals, 0.0)
     # a sum of squares is finite only if every term is, so two finite sums
     # clear the batch; the sum over dirs is also the rows' squared norms
     if not (math.isfinite(np.vdot(gvals, gvals)) and math.isfinite(np.vdot(dirs, dirs))):
-        if real is not None:
-            dirs = np.where(real[..., None], dirs, 0.0)
+        if ahead is not None:
+            dirs = np.where(ahead[..., None], dirs, 0.0)
         finite = np.isfinite(gvals).all(axis=1) & np.isfinite(dirs).all(axis=(1, 2))
         if not finite.all():
             raise OracleFault("constraint oracle returned a non-finite value",
@@ -366,9 +362,9 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     feasible row keeps its entry.  An L_N,k above a declared ``ln_hint`` by
     more than a relative ``LN_RTOL`` raises ``SolverAbort`` before the
     step.  ``checker`` (None when checks are off) verifies the decrease
-    inequalities; ``k`` and ``rows`` label the reports, and the groups and
-    mask of ``rows`` give a block of mixed batch sizes (see the module
-    docstring).
+    inequalities; ``k`` and ``rows`` label the reports, and the groups of
+    ``rows`` give a block of mixed batch sizes, whose pads are asked and
+    checked as the columns they repeat (see the module docstring).
 
     L_N,k is computed, by one ``batch_diagnostics`` call, where ``ratio``
     asks for it and wherever the adaptive rule, a declared ``ln_hint`` or
@@ -378,7 +374,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ``beta`` itself unless the adaptive rule priced a row again.  An
     oracle fault raises ``OracleFault``.  Preconditions are ``validate``'s.
     """
-    gvals, dirs = _checked_batch(spec, indices, v, rows.real)
+    gvals, dirs = _checked_batch(spec, indices, v)
     active = gvals > 0.0
     hits = np.count_nonzero(active)
     ln, adaptive = config.ln_hint, config.beta_policy == "adaptive"
@@ -429,26 +425,25 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     expression at the row's own entry of the (S,) stepsizes ``beta`` and
     is projected onto the simple set.  A row's point moves only where it
     steps, so one oracle call asks for every column ahead of it, and it
-    steps at the first one it violates; a row with none is done.  A round
-    makes that call for all rows at once, from the least advanced live
-    row's next column, with each row's passed columns masked like pads
-    (read as satisfied, not checked), so a pass takes at most one round
-    more than its busiest row takes steps.  The family's values depend
-    only on index and point (``ConstraintFamily``), so each row gets the
-    bits of its column-by-column chain; every real value ahead of a row is
-    checked, so a column its chain would reach at a later point can raise
-    its fault here.  ``checker`` (None when checks are off) verifies every inner step
-    and each row's chain of distance decreases over its N + 1 inner points;
-    ``k`` and ``rows`` label its reports, and the mask of ``rows`` makes a
-    pad a satisfied constraint.  Returns the final inner points; an oracle
-    fault raises ``OracleFault``.  Preconditions are ``validate``'s.
+    steps at the first one it violates; a row with none, or one that steps
+    at its own N-th column, is done, so a pad never steps.  A round makes
+    that call for all rows at once, from the least advanced live row's next
+    column, with each row's passed columns masked (read as satisfied, not
+    checked), so a pass takes at most one round more than its busiest row
+    takes steps.  The family's values depend only on index and point
+    (``ConstraintFamily``), so each row gets the bits of its
+    column-by-column chain; every value ahead of a row is checked, so a
+    column its chain would reach at a later point can raise its fault here.
+    ``checker`` (None when checks are off) verifies every inner step and
+    each row's chain of distance decreases over its N + 1 inner points;
+    ``k`` and ``rows`` label its reports.  Returns the final inner points;
+    an oracle fault raises ``OracleFault``.  Preconditions are ``validate``'s.
     """
     count, size = indices.shape
     every, columns = np.arange(count), np.arange(size + 1)
     # each row's next column, and size once it is done; a few Python ints
     # cost less to advance than numpy calls on (S,) arrays
     start = [0] * count
-    real = rows.real
     z, first, passed = v, 0, False
     if checker is not None:
         # each row's inner points; those after its next column hold its
@@ -456,11 +451,9 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
         inner = np.repeat(v[:, None], size + 1, axis=1)
         gplus_seq = np.zeros(indices.shape)
     while first < size:
-        mask = None if real is None else real[:, first:]
-        if passed:                        # some row is past column ``first``
-            ahead = columns[first:size] >= np.array(start)[:, None]
-            mask = ahead if mask is None else ahead & mask
-        gvals, dirs = _checked_batch(spec, indices[:, first:], z, mask)
+        # some row is past column ``first`` when ``passed``
+        ahead = columns[first:size] >= np.array(start)[:, None] if passed else None
+        gvals, dirs = _checked_batch(spec, indices[:, first:], z, ahead)
         hit = gvals > 0.0
         j = hit.argmax(axis=1)                # 0 where a row violates none
         active = hit[every, j][:, None]
@@ -480,8 +473,9 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
             gplus_seq[live, column[live]] = gplus[live, 0]
             np.copyto(inner, z[:, None],
                       where=((columns > column[:, None]) & active)[..., None])
-        start = [first + c + 1 if stepping else size
-                 for c, stepping in zip(j.tolist(), active[:, 0].tolist())]
+        start = [first + c + 1 if stepping and first + c + 1 < own else size
+                 for c, stepping, own in zip(j.tolist(), active[:, 0].tolist(),
+                                             rows.sizes)]
         first = min(start)
         passed = max(start) > first
     if checker is not None:
@@ -535,12 +529,11 @@ class _LemmaChecker:
             snapshot={"check": name, **snapshot, "slack": slack, **(extra or {})})
 
     def single_steps(self, k, v, gplus, dirs, nsq, beta):
-        """Per-constraint decrease toward the feasible reference point."""
+        """Per-constraint decrease toward the feasible point, on a row's N columns."""
         p = self.ctx.feasible_point
-        for row in range(gplus.shape[0]):
+        for row, size in enumerate(self.rows.sizes):
             vp = float(np.linalg.norm(v[row] - p)) ** 2
-            for i in range(gplus.shape[1]):
-                g = gplus[row, i]
+            for i, g in enumerate(gplus[row, :size]):
                 if g == 0.0:
                     continue
                 z_i = v[row] - (beta[row] * g / nsq[row, i]) * dirs[row, i]
@@ -696,8 +689,7 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
     if min(sizes) < width:
         rows = rows._replace(
             groups=tuple((slice(g * len(seeds), (g + 1) * len(seeds)), size)
-                         for g, size in enumerate(sizes)),
-            real=np.arange(width) < np.array(rows.sizes)[:, None])
+                         for g, size in enumerate(sizes)))
     checker = _LemmaChecker(context, spec, rows) \
         if config.assertions == "lemma-checks" else None
     variant, iterations = config.variant, config.iterations

@@ -340,6 +340,24 @@ class TestWarmStart:
             assert active == final
             assert again.tobytes() == x.tobytes()
 
+    def test_feasible_point_from_a_warm_start(self):
+        # a strictly feasible point drops every warm row: the final active
+        # set is empty, solved as any other, and x has the point's bits,
+        # -0.0 included, from a warm start and a cold one
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        poly, ball = inst.poly, inst.spec.simple_set
+        stale = []
+        project_intersection(poly, ball,
+                             inst.spec.known_optimum.x_star + 3.0 * poly.A[0], stale)
+        assert stale
+        v = np.full(10, -0.0)
+        assert (poly.A @ v + poly.b).max() < 0.0
+        for start in (stale, []):
+            active = list(start)
+            x = project_intersection(poly, ball, v, active)
+            assert active == []
+            assert x.tobytes() == v.tobytes()
+
     @pytest.mark.parametrize("ball", [False, True], ids=["plane", "ball"])
     def test_empty_polyhedron_raises_from_a_warm_start(self, ball):
         # row 0 of the benchmark reversed and pushed past it: a_0 x >= 1 - b_0

@@ -690,15 +690,15 @@ class TestSolveCommand:
             taken.mkdir()
         else:
             taken.write_text("")
-        argv = [command, "--builtin", "orthant2", "--N", "2", "--iters", "5",
+        argv = [command, "--builtin", "orthant2", "--iters", "5",
                 path_flag, str(taken)]
         if path_flag == "--instance":
             argv += ["--out", str(tmp_path / "x")]
-        if command == "sweep":
-            argv += ["--N-list", "1,2"]
+        argv += ["--N-list", "1,2"] if command == "sweep" else ["--N", "2"]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and err.count("\n") == 1
+        assert "--N-list" not in err
 
     @pytest.mark.parametrize("nested", [False, True], ids=["out", "below-out"])
     @pytest.mark.parametrize("command", ["solve", "sweep"])
@@ -713,9 +713,8 @@ class TestSolveCommand:
             return solver_run(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run", counted_run)
-        argv = [command, "--builtin", "orthant2", "--N", "2", "--iters", "5"]
-        if command == "sweep":
-            argv += ["--N-list", "1,2"]
+        argv = [command, "--builtin", "orthant2", "--iters", "5"]
+        argv += ["--N-list", "1,2"] if command == "sweep" else ["--N", "2"]
         assert main(argv + ["--out", str(tmp_path / "fine")]) == EXIT_OK
         assert len(runs) == 1
         runs.clear()
@@ -1026,6 +1025,31 @@ class TestSweep:
                         out_dir=str(tmp_path / "s"))
         with pytest.raises(ConfigError, match="at least two batch sizes"):
             minibatch_sweep(cfg, [2])
+
+    @pytest.mark.parametrize("size", ["0", "3", "999"])
+    def test_sweep_rejects_a_batch_size_flag(self, tmp_path, monkeypatch,
+                                             capsys, size):
+        # the sizes are --N-list alone: --N is one configuration line before
+        # anything is built or run, and no output directory is made
+        monkeypatch.setattr(harness, "build_problem", None)
+        monkeypatch.setattr(harness, "run", None)
+        code = main(["sweep", "--builtin", "orthant2", "--iters", "5",
+                     "--N", size, "--N-list", "1,2", "--out", str(tmp_path / "s")])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1 and "--N-list" in captured.err
+        assert not os.path.exists(tmp_path / "s")
+
+    def test_sweep_takes_an_ini_batch_size(self, tmp_path):
+        # one file may serve solve and sweep: its batch_size is not a sweep's
+        ini = tmp_path / "run.ini"
+        ini.write_text("[problem]\nbuiltin = orthant2\n[solver]\nbatch_size = 7\n")
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", str(ini), "--iters", "5",
+                     "--N-list", "1,2", "--out", str(out)]) == EXIT_OK
+        assert sorted(os.listdir(out)) == ["N1", "N2"]
 
     def test_repeated_size_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "--builtin", "orthant2", "--iters", "50",

@@ -44,6 +44,19 @@ class TestSimpleSet:
         assert np.isnan(out[0]).all()
         assert out[1].tobytes() == v[1].tobytes()
 
+    @pytest.mark.parametrize("v, expected", [
+        ([1e200, 1e200], [math.sqrt(0.5)] * 2),
+        ([1e300, 0.0], [1.0, 0.0]),
+        ([[1e200, 1e200], [0.3, -0.4], [-3e250, 4e250]],
+         [[math.sqrt(0.5)] * 2, [0.3, -0.4], [-0.6, 0.8]]),
+    ], ids=["diagonal", "axis", "block"])
+    def test_overflowing_length_projects_onto_the_sphere(self, v, expected):
+        # a finite row whose squared length overflows still projects by its
+        # length, not to the center; numpy warns of the first overflow
+        with np.errstate(over="ignore"):
+            out = SimpleSet.ball(np.zeros(2), 1.0).project(np.array(v))
+        assert np.allclose(out, expected, rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
     def test_ball_radius_must_be_positive(self, radius):
         with pytest.raises(OracleError, match="radius must be positive"):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,23 @@ class TestExactLN:
         A /= np.linalg.norm(A, axis=1)[:, None]
         poly = PolyhedronSpec(A=A, b=np.zeros(4))
         assert exact_ln_linear(poly, 1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_single_index_needs_no_m_by_m_matrix(self):
+        # the cap admits N = 1 up to a million rows, so L_1 is priced in
+        # memory linear in m; duplicated rows still warn of nothing, since
+        # every one-row subset has rank 1
+        rng = np.random.default_rng(12)
+        A = rng.standard_normal((1000, 2))
+        A = np.repeat(A / np.linalg.norm(A, axis=1)[:, None], 2, axis=0)
+        poly = PolyhedronSpec(A=A, b=np.zeros(2000))
+        tracemalloc.start()
+        try:
+            value = exact_ln_linear(poly, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert peak < 16 * A.nbytes < poly.m ** 2 * A.itemsize
 
     def test_chunked_enumeration_matches_squared_spectral_norm(self, monkeypatch):
         stacks = []

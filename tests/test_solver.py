@@ -1532,12 +1532,38 @@ class TestBlockEqualsSizes:
         assert len(snap["indices"]) == snap["batch_size"]
         assert 8 in snap["indices"].tolist()
 
-    def test_a_pads_fault_is_not_its_rows(self):
-        # a non-finite value or row in a pad column is masked, a real one
-        # raises; the pad reads as a satisfied constraint
+    def test_rows_hold_no_pad_mask(self):
+        assert solver._Rows._fields == ("seeds", "sizes", "groups")
+
+    def test_a_pads_fault_is_its_rows(self):
+        # a family that breaks its contract with a NaN in the pad column of
+        # the N = 1 row alone: the pad is asked and checked as drawn, so the
+        # parallel pass names that row
+        inst = make_polyhedral_benchmark(4, 6, seed=12)
+        fam = inst.spec.constraints
+
+        def batch(indices, v):
+            values, dirs = fam.batch(indices, v)
+            if indices.shape == (2, 2):
+                values[1, 1] = np.nan
+            return values, dirs
+
+        spec = dataclasses.replace(
+            inst.spec, constraints=dataclasses.replace(fam, batch=batch))
+        cfg = RunConfig(variant="parallel", iterations=5, seeds=(7,))
+        with pytest.raises(SolverAbort,
+                           match="oracle fault at k=1, seed 7, N=1:") as info:
+            run(spec, cfg, context=inst.context(), sizes=(2, 1))
+        assert isinstance(info.value.__cause__, OracleFault)
+        assert info.value.__cause__.row == 1
+
+    def test_a_passed_columns_fault_is_not_its_rows(self):
+        # a non-finite value or row in a column that the sequential pass's
+        # row has passed is masked, one ahead of it raises; the passed
+        # column reads as a satisfied constraint
         indices = np.array([[0, 1], [1, 1]])
         v = np.array([[-1.0, -1.0], [-1.0, -1.0]])
-        real = np.array([[True, True], [True, False]])
+        ahead = np.array([[True, True], [True, False]])
 
         def batch(idx, points):
             values = np.where(idx == 1, -1.0, 0.5)
@@ -1546,7 +1572,7 @@ class TestBlockEqualsSizes:
             return values, dirs
 
         spec = corner_spec(constraints=ConstraintFamily(size=2, batch=batch))
-        gvals, dirs = solver._checked_batch(spec, indices, v, real)
+        gvals, dirs = solver._checked_batch(spec, indices, v, ahead)
         assert gvals.tolist() == [[0.5, -1.0], [-1.0, 0.0]]
         assert np.isfinite(dirs).all()
         with pytest.raises(OracleFault) as info:
