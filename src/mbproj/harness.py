@@ -305,7 +305,7 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     per-seed CSVs and the aggregate.
 
     Returns (instance, results, paths).  Metrics use the instance's
-    polyhedral context, so dist_X is the oracle distance to the feasible set.
+    polyhedron, so dist_X is the oracle distance to the feasible set.
     The CSV headers echo the built instance's n and m, which a builtin such
     as ``orthant2`` fixes whatever ``cfg`` asks for.  An ``out_dir`` that
     cannot be a directory is a ``ConfigError`` before ``run``; it is created
@@ -314,7 +314,7 @@ def solve_experiment(cfg: RunConfig, instance: Optional[BenchmarkInstance] = Non
     """
     instance = instance or build_problem(cfg)
     _check_out_dir(cfg.out_dir)
-    results = run(instance.spec, cfg, context=instance.context())
+    results = run(instance.spec, cfg, poly=instance.poly)
     return instance, results, _write_results(cfg, instance, results)
 
 
@@ -479,7 +479,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
                     with_replacement=cfg.sampler == "iid-uniform")
             except OracleError as exc:  # L_N enumeration above its cap
                 print(f"note: no predicted_b for N = {size}: {exc}", file=sys.stderr)
-    results = run(instance.spec, cfg, context=instance.context(), sizes=n_list)
+    results = run(instance.spec, cfg, poly=instance.poly, sizes=n_list)
     out = []
     base_ratio = None
     for size in n_list:

@@ -13,10 +13,10 @@ tight on a row and the feasibility machinery works on every run.
 Instance format (``save_instance`` / ``load_instance``): plain text, one
 record per line, tokens separated by whitespace, blank lines ignored: the
 header, the m constraint rows, then keyed lines in any order.  The lines
-down to ``anchor`` define the problem.  The keys after it are optional
+down to ``set`` define the problem.  The keys after it are optional
 claims, checked against the derived values: a false one raises
 ``OracleError`` naming its key, and a weaker true one changes nothing.
-``save_instance`` writes each at its derived value::
+``save_instance`` writes each but ``anchor`` at its derived value::
 
     n m                       dimension and number of constraints
     a_1 ... a_n b             m rows, one per constraint a^T x + b <= 0
@@ -24,7 +24,8 @@ claims, checked against the derived values: a false one raises
     center c_1 ... c_n        the objective's pull center c
     set ball y_1 ... y_n r    simple set Y: the ball of center y and radius r,
     set whole                 or the whole space
-    anchor p_1 ... p_n        optional: a strictly feasible point (default 0)
+    anchor p_1 ... p_n        a feasible point: true if every row's value
+                              and its distance to Y are <= TOL_METRIC * s
     mu <value>                strong convexity of f: true if <= 1
     Mg <value>                constraint subgradient bound: true if >= 1
     Mf <value>                objective subgradient bound over Y: true if
@@ -49,10 +50,10 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (TOL_METRIC, PolyhedronSpec, linear_family,
+from .geometry import (TOL_METRIC, PolyhedronSpec, linear_family, max_violation,
                        project_intersection)
 from .oracle import KnownOptimum, ObjectiveOracle, OracleError, ProblemSpec, SimpleSet
-from .solver import ConfigError, PolyhedralContext
+from .solver import ConfigError
 
 
 # shape of the generated instances: constraint margins at the anchor, how far
@@ -71,11 +72,11 @@ class BenchmarkInstance:
 
     spec: ProblemSpec
     poly: PolyhedronSpec
-    anchor: np.ndarray                # strictly feasible interior point
     pull_center: np.ndarray           # unconstrained minimizer x_c of the objective
 
-    def context(self) -> PolyhedralContext:
-        return PolyhedralContext(poly=self.poly, feasible_point=self.anchor)
+    def context(self) -> PolyhedronSpec:
+        """``poly``, for ``bench/run_bench.py``, which still calls it."""
+        return self.poly
 
 
 def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
@@ -95,27 +96,29 @@ def _objective_bound(simple_set: SimpleSet, pull_center: np.ndarray) -> float:
     return simple_set.radius + float(np.linalg.norm(pull_center - simple_set.center))
 
 
-def _build_instance(A: np.ndarray, b: np.ndarray, anchor: np.ndarray,
-                    pull_center: np.ndarray,
-                    simple_set: Optional[SimpleSet] = None) -> BenchmarkInstance:
+def _ball_about(anchor: np.ndarray, pull_center: np.ndarray) -> SimpleSet:
+    """A builtin's Y: the ball about its strictly feasible anchor whose
+    radius is ``RADIUS_FACTOR`` times the pull distance, at least 1."""
+    radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
+    return SimpleSet.ball(anchor, radius)
+
+
+def _build_instance(A: np.ndarray, b: np.ndarray, pull_center: np.ndarray,
+                    simple_set: SimpleSet) -> BenchmarkInstance:
     """Assemble spec + instance around a pull center: the one builder of a
     ``ProblemSpec``, for builtins and instance files alike, with the
-    constants of the module docstring.  Y is ``simple_set``, by default a
-    ball about the anchor.  The ``PolyhedronSpec`` checks the rows once, at
-    least one of them, and the constraints are its ``linear_family``.  An
-    empty feasible set raises ``EmptyFeasibleSetError``."""
+    constants of the module docstring and Y = ``simple_set``.  The
+    ``PolyhedronSpec`` checks the rows once, at least one of them, and the
+    constraints are its ``linear_family``.  An empty feasible set raises
+    ``EmptyFeasibleSetError``."""
     poly = PolyhedronSpec(A=A, b=b)
-    if simple_set is None:
-        radius = RADIUS_FACTOR * max(float(np.linalg.norm(pull_center - anchor)), 1.0)
-        simple_set = SimpleSet.ball(anchor, radius)
     x_star = project_intersection(poly, simple_set, pull_center)
     f_star = 0.5 * float(np.linalg.norm(x_star - pull_center)) ** 2
     spec = ProblemSpec(objective=_quadratic_objective(pull_center),
                        constraints=linear_family(poly), simple_set=simple_set,
                        mu=1.0, M_g=1.0,
                        known_optimum=KnownOptimum(f_star=f_star, x_star=x_star))
-    return BenchmarkInstance(spec=spec, poly=poly, anchor=anchor.copy(),
-                             pull_center=pull_center)
+    return BenchmarkInstance(spec=spec, poly=poly, pull_center=pull_center)
 
 
 def make_polyhedral_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
@@ -139,7 +142,7 @@ def make_polyhedral_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
     tangent = rng.standard_normal(n)
     tangent -= (tangent @ A[j]) * A[j]
     pull = depth * A[j] + 0.3 * tangent
-    return _build_instance(A, b, np.zeros(n), pull)
+    return _build_instance(A, b, pull, _ball_about(np.zeros(n), pull))
 
 
 def make_orthonormal_benchmark(n: int, seed: int) -> BenchmarkInstance:
@@ -157,10 +160,9 @@ def make_orthonormal_benchmark(n: int, seed: int) -> BenchmarkInstance:
     A = Q.T.copy()
     margins = rng.uniform(*MARGIN_RANGE, size=n)
     b = -margins
-    anchor = np.zeros(n)
     depths = margins[:N_ACTIVE] + OVERSHOOT * rng.uniform(0.5, 1.5, size=N_ACTIVE)
     pull = depths @ A[:N_ACTIVE]
-    return _build_instance(A, b, anchor, pull)
+    return _build_instance(A, b, pull, _ball_about(np.zeros(n), pull))
 
 
 def make_duplicated_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
@@ -168,7 +170,7 @@ def make_duplicated_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
 
     Every admissible row subset is rank one, so the exact batch alignment
     bound is 1 and the rate theory predicts no gain from parallel averaging.
-    Every constraint has margin 0.3 at the anchor.
+    Every constraint has margin 0.3 at the origin, the center of Y.
     """
     if m < 1 or n < 1:
         raise OracleError("need m >= 1 and n >= 1")
@@ -178,11 +180,10 @@ def make_duplicated_benchmark(n: int, m: int, seed: int) -> BenchmarkInstance:
     A = np.tile(a, (m, 1))
     margin = 0.3
     b = np.full(m, -margin)
-    anchor = np.zeros(n)
     tangent = rng.standard_normal(n)
     tangent -= (tangent @ a) * a
     pull = (margin + OVERSHOOT) * a + 0.3 * tangent
-    return _build_instance(A, b, anchor, pull)
+    return _build_instance(A, b, pull, _ball_about(np.zeros(n), pull))
 
 
 def make_orthant2() -> BenchmarkInstance:
@@ -190,11 +191,9 @@ def make_orthant2() -> BenchmarkInstance:
 
     The optimum is the origin with value 1; handy for end-to-end smoke runs.
     """
-    A = np.eye(2)
-    b = np.zeros(2)
-    anchor = np.array([-0.5, -0.5])
     pull = np.array([1.0, 1.0])
-    return _build_instance(A, b, anchor, pull)
+    return _build_instance(np.eye(2), np.zeros(2), pull,
+                           _ball_about(np.array([-0.5, -0.5]), pull))
 
 
 BUILTINS = {
@@ -346,7 +345,7 @@ def save_instance(instance: BenchmarkInstance, path) -> None:
     if ball:
         lines.append("Mf " + text(_objective_bound(ss, instance.pull_center)))
     lines += ["Mg " + text(spec.M_g), "fstar " + text(opt.f_star),
-              "xstar " + text(*opt.x_star), "anchor " + text(*instance.anchor)]
+              "xstar " + text(*opt.x_star)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -397,14 +396,13 @@ def load_instance(path) -> BenchmarkInstance:
         for given, missing in (("fstar", "xstar"), ("xstar", "fstar")):
             if given in fields and missing not in fields:
                 raise ValueError(f"{given} given without {missing}")
-        claims = {key: numbers(key, fields[key], n if key == "xstar" else 1)
-                  for key in ("mu", "Mf", "Mg", "fstar", "xstar") if key in fields}
-        anchor = numbers("anchor", fields["anchor"], n) \
-            if "anchor" in fields else np.zeros(n)
+        claims = {key: numbers(key, fields[key], n if key in ("xstar", "anchor") else 1)
+                  for key in ("mu", "Mf", "Mg", "fstar", "xstar", "anchor")
+                  if key in fields}
     except (KeyError, IndexError, ValueError) as exc:
         raise OracleError(f"malformed instance file {path}: {exc}") from exc
 
-    instance = _build_instance(A, b, anchor, pull, simple_set)
+    instance = _build_instance(A, b, pull, simple_set)
     opt = instance.spec.known_optimum
     s = 1.0 + float(np.max(np.abs(np.append(pull, opt.x_star)), initial=0.0))
     # by how much each claim is false; at most 0 when it is true
@@ -412,7 +410,10 @@ def load_instance(path) -> BenchmarkInstance:
               "Mg": lambda v: instance.spec.M_g - v,
               "Mf": lambda v: _objective_bound(simple_set, pull) - v,
               "fstar": lambda v: abs(v - opt.f_star) - TOL_METRIC * s * s,
-              "xstar": lambda v: np.abs(v - opt.x_star) - TOL_METRIC * s}
+              "xstar": lambda v: np.abs(v - opt.x_star) - TOL_METRIC * s,
+              "anchor": lambda v: max(
+                  max_violation(instance.poly, v),
+                  float(np.linalg.norm(simple_set.project(v) - v))) - TOL_METRIC * s}
     for key, value in claims.items():
         miss = float(np.max(excess[key](value)))
         if miss > 0.0:

@@ -53,8 +53,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (PolyhedronSpec, TOL_ASSERT, TOL_METRIC, distance_oracle,
-                       max_violation)
+from .geometry import (PolyhedronSpec, TOL_ASSERT, distance_oracle, max_violation,
+                       project_intersection)
 from .oracle import OracleError, ProblemSpec
 from .sampling import Sampler
 
@@ -189,20 +189,6 @@ def initial_beta(config) -> float:
     if config.beta_policy == "extrapolated":
         return (2.0 - config.delta) / config.ln_hint
     return 2.0 - config.delta
-
-
-@dataclass
-class PolyhedralContext:
-    """The linear constraints {Ax + b <= 0} of a run, known explicitly; the
-    feasible set is their intersection with the spec's simple set Y.
-
-    With it a run logs max_violation and the certified distance dist_X of
-    the weighted average (``distance_oracle``), and the lemma checks measure
-    distances to the whole feasible set and steps toward ``feasible_point``.
-    """
-
-    poly: PolyhedronSpec
-    feasible_point: np.ndarray         # known point of the full intersection
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +394,7 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     if violated is not None:
         x_next = np.where(violated[:, None], x_next, v)
     if checker is not None:
-        checker.single_steps(k, v, gplus, dirs, nsq, beta)
-        checker.parallel_batch(k, v, x_next, gplus, beta, ln_k)
+        checker.parallel(k, indices, v, x_next, gplus, dirs, nsq, beta, ln_k)
     return x_next, ln_k, beta
 
 
@@ -434,22 +419,17 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     (``ConstraintFamily``), so each row gets the bits of its
     column-by-column chain; every value ahead of a row is checked, so a
     column its chain would reach at a later point can raise its fault here.
-    ``checker`` (None when checks are off) verifies every inner step and
-    each row's chain of distance decreases over its N + 1 inner points;
-    ``k`` and ``rows`` label its reports.  Returns the final inner points;
-    an oracle fault raises ``OracleFault``.  Preconditions are ``validate``'s.
+    ``checker`` (None when checks are off) checks each step and each row's
+    whole chain; ``k`` and ``rows`` label its reports.  Returns the final
+    inner points; an oracle fault raises ``OracleFault``.  Preconditions are
+    ``validate``'s.
     """
     count, size = indices.shape
-    every, columns = np.arange(count), np.arange(size + 1)
+    every, columns = np.arange(count), np.arange(size)
     # each row's next column, and size once it is done; a few Python ints
     # cost less to advance than numpy calls on (S,) arrays
     start = [0] * count
     z, first, passed = v, 0, False
-    if checker is not None:
-        # each row's inner points; those after its next column hold its
-        # current point until it steps
-        inner = np.repeat(v[:, None], size + 1, axis=1)
-        gplus_seq = np.zeros(indices.shape)
     while first < size:
         # some row is past column ``first`` when ``passed``
         ahead = columns[first:size] >= np.array(start)[:, None] if passed else None
@@ -463,23 +443,19 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
         gplus = np.maximum(gvals[every, j], 0.0)[:, None]
         dirs = dirs[every, j][:, None]
         nsq = _squared_norms(dirs, active)
-        if checker is not None:
-            checker.single_steps(k, z, gplus, dirs, nsq, beta)
         coef = beta[:, None] * gplus / nsq
         z_next = spec.simple_set.project(z - coef * dirs[:, 0])
-        z = z_next if stepped == count else np.where(active, z_next, z)
         if checker is not None:
-            column, live = first + j, active[:, 0]
-            gplus_seq[live, column[live]] = gplus[live, 0]
-            np.copyto(inner, z[:, None],
-                      where=((columns > column[:, None]) & active)[..., None])
+            checker.chain_step(k, indices, first + j, z, z_next, gplus, dirs, nsq,
+                               beta)
+        z = z_next if stepped == count else np.where(active, z_next, z)
         start = [first + c + 1 if stepping and first + c + 1 < own else size
                  for c, stepping, own in zip(j.tolist(), active[:, 0].tolist(),
                                              rows.sizes)]
         first = min(start)
         passed = max(start) > first
     if checker is not None:
-        checker.sequential_chain(k, inner, gplus_seq, beta)
+        checker.chain_end(k, z)
     return z
 
 
@@ -498,89 +474,105 @@ def objective_step(spec: ProblemSpec, x_prev: np.ndarray, alpha: float) -> np.nd
 # per-iteration inequality checks
 
 
+def _sq(d: np.ndarray) -> float:
+    return float(d @ d)
+
+
 class _LemmaChecker:
-    """Verifies the per-iteration decrease inequalities on a polyhedral
-    benchmark, row by row of the block ``rows`` and on each row's real
-    columns only, aborting with a snapshot on the first violation."""
+    """Checks the decrease inequalities of both feasibility passes on a
+    polyhedral problem, row by row of the block ``rows`` on each row's own
+    N columns, and aborts with a snapshot at the first that fails.
 
-    def __init__(self, context: PolyhedralContext, spec: ProblemSpec, rows: _Rows):
-        self.ctx = context
-        self.simple_set = spec.simple_set
-        self.mg = spec.M_g
-        self.rows = rows
-        self.ln_running_max = np.zeros(len(rows.seeds))
-        # each row's last active set: its next distance starts from it
+    A step on a violated constraint g, of value g+ and subgradient row d at
+    v, goes to z = v - t d, t = beta g+ / |d|^2.  For any y, convexity gives
+    d^T (v - y) >= g+ - g(y), so with e = max(0, g(y)):
+      (1) |z - y|^2 <= |v - y|^2 - beta (2 - beta) g+^2 / |d|^2 + 2 t e.
+    The parallel pass moves v by the mean u of its N steps (0 where g is
+    satisfied), and |u|^2 = beta^2 L_N,k mean(g+^2 / |d|^2) by the
+    definition of L_N,k (``batch_diagnostics``), so likewise
+      (2) |v - u - y|^2 <= |v - y|^2 + 2 mean(t e)
+                           - beta (2 - beta L_N,k) mean(g+^2 / |d|^2).
+    P_Y is nonexpansive and fixes y in Y, so both hold after the projection
+    onto Y, and (1) summed over a sequential pass's steps at one y gives
+      (3) |z_N - y|^2 <= |v - y|^2 + sum of (2 t e - beta (2 - beta) g+^2 / |d|^2).
+    At y in X each e is 0: these are the paper's single-step, minibatch and
+    chain decreases at the step's own beta, |d|^2 and L_N,k, which it
+    weakens to M_g^2 >= |d|^2 and L_N >= L_N,k.
+
+    The parallel pass checks (1) at each violated column and (2) at y =
+    P_X(v) of each violated row; the sequential pass checks (1) for each
+    step from z at y = P_X(z), and (3) at its first step's y.  So a violated
+    row, or a step, costs one ``project_intersection``, warm-started from
+    the row's last active set, and a row that takes no step costs none.
+    Its certificate makes y feasible only to TOL_METRIC times its scale, so
+    e is computed from ``poly``'s rows at y, not taken as 0, and y is then
+    projected onto Y, which it leaves by rounding only.  TOL_ASSERT covers
+    the rounding of the squares.
+    """
+
+    def __init__(self, poly: PolyhedronSpec, spec: ProblemSpec, rows: _Rows):
+        self.poly, self.simple_set, self.rows = poly, spec.simple_set, rows
+        # each row's last active set: its next projection starts from it
         self.active_sets = [[] for _ in rows.seeds]
-        p = context.feasible_point
-        if max_violation(context.poly, p) > TOL_METRIC or \
-                not self.simple_set.contains(p, tol=TOL_METRIC):
-            raise ConfigError("lemma-checks requires a feasible reference point")
+        # each sequential row's (y, |v - y|^2, decrease of (3) so far)
+        self.chains = {}
 
-    def _dist(self, row, v):
-        """Distance of row ``row``'s point v to the feasible set."""
-        return distance_oracle(self.ctx.poly, self.simple_set, v,
-                               self.active_sets[row])
+    def _nearest(self, row, v):
+        """y for row ``row``'s point v: P_Y of its certified P_X(v)."""
+        return self.simple_set.project(project_intersection(
+            self.poly, self.simple_set, v, self.active_sets[row]))
 
-    def _fail(self, name, k, row, slack, extra=None):
-        where, snapshot = self.rows.at(k, row)
-        raise SolverAbort(
-            f"iteration inequality '{name}' violated at {where} "
-            f"(slack {slack:.3e})",
-            snapshot={"check": name, **snapshot, "slack": slack, **(extra or {})})
+    def _excess(self, y, index):
+        """e = max(0, g(y)) of the constraints ``index``."""
+        return np.maximum(self.poly.A[index] @ y + self.poly.b[index], 0.0)
 
-    def single_steps(self, k, v, gplus, dirs, nsq, beta):
-        """Per-constraint decrease toward the feasible point, on a row's N columns."""
-        p = self.ctx.feasible_point
-        for row, size in enumerate(self.rows.sizes):
-            vp = float(np.linalg.norm(v[row] - p)) ** 2
-            for i, g in enumerate(gplus[row, :size]):
-                if g == 0.0:
-                    continue
-                z_i = v[row] - (beta[row] * g / nsq[row, i]) * dirs[row, i]
-                lhs = float(np.linalg.norm(z_i - p)) ** 2
-                rhs = vp - beta[row] * (2.0 - beta[row]) * g ** 2 / nsq[row, i]
-                if lhs - rhs > TOL_ASSERT:
-                    self._fail("single-step-decrease", k, row, rhs - lhs,
-                               {"index": i})
+    def _check(self, name, k, row, slack, extra=None):
+        """Abort unless the ``slack`` rhs - lhs of inequality ``name`` is
+        at least -TOL_ASSERT."""
+        if slack < -TOL_ASSERT:
+            where, snapshot = self.rows.at(k, row)
+            raise SolverAbort(
+                f"iteration inequality '{name}' violated at {where} "
+                f"(slack {slack:.3e})",
+                snapshot={"check": name, **snapshot, "slack": slack, **(extra or {})})
 
-    def parallel_batch(self, k, v, x, gplus, beta, ln_k):
+    def parallel(self, k, indices, v, x, gplus, dirs, nsq, beta, ln_k):
+        """(1) and (2) for each violated row of a parallel pass from v to x."""
         for row in np.flatnonzero(~np.isnan(ln_k)):
-            self.ln_running_max[row] = max(self.ln_running_max[row], ln_k[row])
-            ln = self.ln_running_max[row]
-            if ln == 0.0:
-                continue
-            size = self.rows.sizes[row]
-            dv = self._dist(row, v[row]) ** 2
-            dx = self._dist(row, x[row]) ** 2
-            decrease = beta[row] * (2.0 - beta[row] * ln) \
-                / (size * self.mg ** 2) * float(np.sum(gplus[row, :size] ** 2))
-            if dx - (dv - decrease) > TOL_ASSERT:
-                self._fail("batch-distance-decrease", k, row, (dv - decrease) - dx,
-                           {"dist_v": dv, "dist_x": dx})
+            size, b = self.rows.sizes[row], beta[row]
+            g, q = gplus[row, :size], nsq[row, :size]
+            y = self._nearest(row, v[row])
+            t, start = b * g / q, _sq(v[row] - y)
+            te2, gq = 2.0 * t * self._excess(y, indices[row, :size]), g * g / q
+            z = v[row] - t[:, None] * dirs[row, :size] - y
+            slack = start - b * (2.0 - b) * gq + te2 - np.vecdot(z, z)
+            i = int(np.argmin(np.where(g > 0.0, slack, np.inf)))
+            self._check("single-step-decrease", k, row, slack[i], {"index": i})
+            self._check("batch-decrease", k, row, start + (
+                te2.sum() - b * (2.0 - b * ln_k[row]) * gq.sum()) / size
+                - _sq(x[row] - y))
 
-    def sequential_chain(self, k, inner_points, gplus_seq, beta):
-        """Inner-step and summed distance decreases for the chained variant
-        on each row's N + 1 points of the (S, N_max + 1, n) ``inner_points``;
-        a point bit-equal to the row's one before reuses its distance."""
-        for row in range(gplus_seq.shape[0]):
-            size = self.rows.sizes[row]
-            factor = beta[row] * (2.0 - beta[row]) / self.mg ** 2
-            points, dists = inner_points[row, :size + 1], []
-            for i, z in enumerate(points):
-                same = i and z.tobytes() == points[i - 1].tobytes()
-                dists.append(dists[-1] if same else self._dist(row, z))
-            for i in range(1, size + 1):
-                bound = dists[i - 1] ** 2 - factor * gplus_seq[row, i - 1] ** 2
-                if dists[i] ** 2 - bound > TOL_ASSERT:
-                    self._fail("chain-step-distance-decrease", k, row,
-                               bound - dists[i] ** 2, {"inner_step": i})
-                if dists[i] - dists[i - 1] > TOL_ASSERT:
-                    self._fail("chain-monotone-distance", k, row,
-                               dists[i - 1] - dists[i], {"inner_step": i})
-            total = dists[0] ** 2 - factor * float(np.sum(gplus_seq[row, :size] ** 2))
-            if dists[-1] ** 2 - total > TOL_ASSERT:
-                self._fail("chain-summed-distance-decrease", k, row,
-                           total - dists[-1] ** 2)
+    def chain_step(self, k, indices, column, z, z_next, gplus, dirs, nsq, beta):
+        """(1) for each row of a sequential round that steps from z to
+        z_next at its ``column`` of ``indices``, and its term of (3)."""
+        for row in np.flatnonzero(gplus[:, 0]):
+            b, g, q = beta[row], gplus[row, 0], nsq[row, 0]
+            index = indices[row, column[row]]
+            y = self._nearest(row, z[row])
+            t, decrease = b * g / q, b * (2.0 - b) * g * g / q
+            start = _sq(z[row] - y)
+            self._check("single-step-decrease", k, row,
+                        start - decrease + 2.0 * t * self._excess(y, index)
+                        - _sq(z_next[row] - y), {"index": int(column[row])})
+            first, start, total = self.chains.get(row, (y, start, 0.0))
+            self.chains[row] = (first, start,
+                                total + decrease - 2.0 * t * self._excess(first, index))
+
+    def chain_end(self, k, z):
+        """(3) for each row of the sequential pass that stepped, ending at z."""
+        for row, (y, start, total) in self.chains.items():
+            self._check("chain-decrease", k, row, start - total - _sq(z[row] - y))
+        self.chains = {}
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +600,7 @@ def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, rows: _Rows,
 
 
 def run(spec: ProblemSpec, config,
-        context: Optional[PolyhedralContext] = None, sizes=None) -> list:
+        poly: Optional[PolyhedronSpec] = None, sizes=None) -> list:
     """Execute the configured variant for the full iteration budget, for
     every seed of ``config.seeds`` at every batch size of ``sizes`` (by
     default ``config.batch_size`` alone); returns one ``RunResult`` per
@@ -634,7 +626,9 @@ def run(spec: ProblemSpec, config,
     seeds nor on the other sizes: with several sizes, each row gets the bits
     of a run of its size alone (see the module docstring).  Records are
     computed row by row on the weighted running average: f_gap when the spec
-    knows its optimum, max_violation and dist_X only through ``context``;
+    knows its optimum, max_violation and dist_X only when ``poly``, the rows
+    of the spec's linear constraints, is given (X is their intersection
+    with Y, which the lemma checks also project onto);
     ``elapsed_ns`` is 0, and no clock is read, unless ``config.timing`` is
     set, when it counts from the start of the row's block.  Each row keeps
     the active set of its last dist_X projection, and its next log point's
@@ -648,11 +642,11 @@ def run(spec: ProblemSpec, config,
     """
     sizes = (config.batch_size,) if sizes is None else tuple(sizes)
     validate(config, spec, sizes)
-    if config.assertions == "lemma-checks" and context is None:
-        raise ConfigError("lemma-checks mode requires a polyhedral context")
+    if config.assertions == "lemma-checks" and poly is None:
+        raise ConfigError("lemma-checks mode requires the constraints' polyhedron")
     by_size = {}
     for block in _size_blocks(sizes, config.variant):
-        for result in _run_block(spec, config, context, block):
+        for result in _run_block(spec, config, poly, block):
             by_size.setdefault(result.batch_size, []).append(result)
     return [result for size in sizes for result in by_size[size]]
 
@@ -680,7 +674,7 @@ def _size_blocks(sizes, variant: str) -> list:
     return blocks
 
 
-def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
+def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
                sizes) -> list:
     """``run``'s loop for one block of sizes: every seed of ``config`` at
     every size of ``sizes``, size-major, as one (S, n) block."""
@@ -690,7 +684,7 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
         rows = rows._replace(
             groups=tuple((slice(g * len(seeds), (g + 1) * len(seeds)), size)
                          for g, size in enumerate(sizes)))
-    checker = _LemmaChecker(context, spec, rows) \
+    checker = _LemmaChecker(poly, spec, rows) \
         if config.assertions == "lemma-checks" else None
     variant, iterations = config.variant, config.iterations
 
@@ -761,9 +755,9 @@ def _run_block(spec: ProblemSpec, config, context: Optional[PolyhedralContext],
                 if opt is not None:
                     f_gap = float(spec.objective.evaluate(x_hat[row])) - opt.f_star
                 viol = dist = None
-                if context is not None:
-                    viol = max_violation(context.poly, x_hat[row])
-                    dist = distance_oracle(context.poly, spec.simple_set,
+                if poly is not None:
+                    viol = max_violation(poly, x_hat[row])
+                    dist = distance_oracle(poly, spec.simple_set,
                                            x_hat[row], active_sets[row])
                 records[row].append(RunRecord(
                     seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_X=dist,

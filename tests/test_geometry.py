@@ -90,7 +90,8 @@ def random_2d_ball_cases(seed, count):
         poly = PolyhedronSpec(A=A, b=-rng.uniform(0.2, 0.8, size=4))
         ball = SimpleSet.ball(rng.uniform(-0.5, 0.5, size=2), 1.0)
         v = 3.0 * rng.standard_normal(2)
-        if not ball.contains(project_intersection(poly, PLANE, v)):
+        x = project_intersection(poly, PLANE, v)
+        if not np.array_equal(ball.project(x), x):
             cases.append((poly, ball, v))
     return cases
 
@@ -236,7 +237,7 @@ class TestDistanceOracle:
             del calls[:]
             x = project_intersection(poly, simple_set, v)
             assert (len(calls) > 1) == ball_active
-            assert simple_set.contains(x, tol=1e-9)
+            assert np.linalg.norm(simple_set.project(x) - x) <= 1e-9
             assert distance_oracle(poly, simple_set, v) == float(np.linalg.norm(x - v))
 
     @pytest.mark.parametrize("n,m", [(10, 20), (50, 200)])

@@ -532,12 +532,15 @@ class TestSolveCommand:
     def edited_instance(path, edits):
         """Save ``benchmark`` 3x4 at ``path`` and edit it: ``edits`` maps a
         key to the text of its new line, a callable of the old line, or ""
-        to drop it; the key None puts nan in the first row's b entry."""
+        to drop it, a text being appended when the file has no such key
+        (``anchor``); the key None puts nan in the first row's b entry."""
         save_instance(make_builtin("benchmark", n=3, m=4, seed=0), path)
         lines = path.read_text().splitlines()
         if None in edits:
             lines[1] = lines[1].rsplit(" ", 1)[0] + " nan"
         for key, text in edits.items():
+            if key is not None and not any(ln.split()[0] == key for ln in lines):
+                lines.append(text)
             lines = [(text(ln) if callable(text) else text)
                      if ln.split()[0] == key else ln for ln in lines]
             lines = [ln for ln in lines if ln]
@@ -561,10 +564,11 @@ class TestSolveCommand:
         ("misses the true xstar by 0.001", "xstar",
          lambda line: "xstar " + " ".join(repr(float(t) + 1e-3)
                                           for t in line.split()[1:])),
+        ("anchor 0 0 100 misses the true anchor", "anchor", "anchor 0 0 100"),
     ], ids=["b-nan", "short-center", "short-xstar", "short-anchor", "mu-nan",
             "misspelled-anchor", "repeated-mu", "fstar-without-xstar",
             "xstar-without-fstar", "false-mu", "false-Mg", "false-Mf",
-            "false-fstar", "false-xstar"])
+            "false-fstar", "false-xstar", "false-anchor"])
     def test_malformed_instance_is_config_error(self, tmp_path, capsys, field,
                                                 key, text):
         # a saved 3x4 instance with one line edited; a false claim is one
@@ -583,7 +587,8 @@ class TestSolveCommand:
          "Mf": lambda line: f"Mf {2 * float(line.split()[1])!r}"},
         {"fstar": "", "xstar": ""},
         {"mu": "", "Mf": "", "Mg": "", "fstar": "", "xstar": ""},
-    ], ids=["weaker", "no-optimum", "no-claims"])
+        {"anchor": "anchor 0 0 0"},
+    ], ids=["weaker", "no-optimum", "no-claims", "true-anchor"])
     def test_true_claims_change_nothing(self, tmp_path, edits):
         # each run reads its file from the one path that the header echoes:
         # weaker true claims, or none, write the true file's bytes, whose
@@ -653,6 +658,27 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "feasible set is empty" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_lemma_checks_need_no_feasible_point(self, tmp_path, capsys, variant):
+        # x <= -1 and y <= -1 in the ball of center (-2, -2) and radius 5:
+        # the origin is infeasible and the file names no anchor, yet the
+        # checks run, and the rows are those of a run without them
+        path = tmp_path / "corner.txt"
+        path.write_text("2 2\n1 0 1\n0 1 1\nobjective quadratic\n"
+                        "center 1 1\nset ball -2 -2 5\n")
+        rows = []
+        for checks in ("lemma-checks", "off"):
+            out = tmp_path / checks
+            assert main(["solve", "--instance", str(path), "--variant", variant,
+                         "--N", "2", "--beta", "1.5", "--assertions", checks,
+                         "--iters", "300", "--seeds", "1..3",
+                         "--out", str(out)]) == EXIT_OK
+            rows.append([ln for name in sorted(os.listdir(out))
+                         for ln in (out / name).read_text().splitlines()
+                         if not ln.startswith("#")])
+        assert rows[0] == rows[1]
+        assert "error" not in capsys.readouterr().err
 
     def test_failed_certificate_is_solver_exit(self, tmp_path, capsys, monkeypatch):
         # a bound no residual can meet fails the first certificate, which is
@@ -1150,7 +1176,7 @@ class TestCsvRoundTrip:
                         beta_policy="adaptive" if variant == "parallel" else "fixed",
                         iterations=40, cadence=3, seeds=(1, 2), timing=True)
         inst = harness.build_problem(cfg)
-        results = solver_run(inst.spec, cfg, context=inst.context())
+        results = solver_run(inst.spec, cfg, poly=inst.poly)
         for result in results:
             path = str(tmp_path / f"run_seed{result.seed}.csv")
             write_csv(path, cfg, result.records)

@@ -57,6 +57,18 @@ class TestSimpleSet:
             out = SimpleSet.ball(np.zeros(2), 1.0).project(np.array(v))
         assert np.allclose(out, expected, rtol=1e-15, atol=0.0)
 
+    def test_infinite_entry_stays_non_finite(self):
+        # such a row comes back as it is, at scale 1, not at its finite
+        # limit, and with no warning; the other rows project as ever
+        v = np.array([[np.inf, 1.0], [3.0, 4.0], [0.0, -np.inf], [0.3, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = SimpleSet.ball(np.zeros(2), 1.0).project(v)
+            lone = SimpleSet.ball(np.zeros(2), 1.0).project(v[0])
+        assert out[[0, 2]].tobytes() == v[[0, 2]].tobytes()
+        assert lone.tobytes() == v[0].tobytes()
+        np.testing.assert_allclose(out[[1, 3]], [[0.6, 0.8], [0.3, 0.4]], atol=1e-15)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
     def test_ball_radius_must_be_positive(self, radius):
         with pytest.raises(OracleError, match="radius must be positive"):

@@ -52,9 +52,10 @@ class TestGeneratedBenchmark:
         np.testing.assert_array_equal(instance.spec.known_optimum.x_star,
                                       other.spec.known_optimum.x_star)
 
-    def test_anchor_strictly_feasible(self, instance):
-        assert max_violation(instance.poly, instance.anchor) == 0.0
-        assert np.max(instance.poly.A @ instance.anchor + instance.poly.b) < -0.05
+    def test_center_of_y_strictly_feasible(self, instance):
+        center = instance.spec.simple_set.center
+        assert max_violation(instance.poly, center) == 0.0
+        assert np.max(instance.poly.A @ center + instance.poly.b) < -0.05
 
     def test_optimum_feasible_by_independent_oracle(self, instance):
         d = distance_oracle(instance.poly, instance.spec.simple_set,
@@ -317,6 +318,37 @@ class TestQBCurves:
 
 
 class TestInstanceFile:
+    CORNER = ("2 2\n1 0 1\n0 1 1\nobjective quadratic\ncenter 1 1\n"
+              "set ball -2 -2 5\n")
+
+    @pytest.mark.parametrize("anchor", ["-2 -2", "-1 -1", "-1.5 -3"])
+    def test_a_feasible_anchor_is_a_true_claim(self, tmp_path, anchor):
+        # x <= -1 and y <= -1 in the ball about (-2, -2) of radius 5: an
+        # anchor inside, or on a face, changes nothing, and the instance
+        # keeps no anchor
+        path = tmp_path / "corner.txt"
+        path.write_text(self.CORNER)
+        plain = load_instance(path)
+        path.write_text(self.CORNER + f"anchor {anchor}\n")
+        claimed = load_instance(path)
+        a, b = claimed.spec.known_optimum, plain.spec.known_optimum
+        assert a.x_star.tobytes() == b.x_star.tobytes() and a.f_star == b.f_star
+        assert not hasattr(claimed, "anchor")
+
+    @pytest.mark.parametrize("anchor, miss", [("-1.5 -0.5", 0.5), ("-8 -8", 3.49)],
+                             ids=["violates-a-row", "outside-Y"])
+    def test_an_infeasible_anchor_is_a_false_claim(self, tmp_path, anchor, miss):
+        path = tmp_path / "corner.txt"
+        path.write_text(self.CORNER + f"anchor {anchor}\n")
+        with pytest.raises(OracleError, match=f"false claim .*: anchor {anchor} "
+                           f"misses the true anchor by {miss:.3g}"):
+            load_instance(path)
+
+    def test_save_writes_no_anchor(self, tmp_path):
+        path = tmp_path / "instance.txt"
+        save_instance(make_builtin("benchmark", n=3, m=4, seed=0), path)
+        assert "anchor" not in path.read_text()
+
     @pytest.mark.parametrize("name", sorted(problems.BUILTINS))
     def test_round_trip_preserves_problem(self, tmp_path, name):
         # the reloaded file is rebuilt by ``_build_instance``, which derives
@@ -328,7 +360,6 @@ class TestInstanceFile:
         np.testing.assert_array_equal(loaded.poly.A, inst.poly.A)
         np.testing.assert_array_equal(loaded.poly.b, inst.poly.b)
         np.testing.assert_array_equal(loaded.pull_center, inst.pull_center)
-        np.testing.assert_array_equal(loaded.anchor, inst.anchor)
         ball, loaded_ball = inst.spec.simple_set, loaded.spec.simple_set
         np.testing.assert_array_equal(loaded_ball.center, ball.center)
         assert loaded_ball.radius == ball.radius

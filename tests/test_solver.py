@@ -14,8 +14,8 @@ from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
 from mbproj import solver
 from mbproj.sampling import Sampler
 from mbproj.harness import RunConfig
-from mbproj.solver import (INDEX_BLOCK, ConfigError, OracleFault,
-                           PolyhedralContext, SolverAbort, alpha_schedule, batch_diagnostics, objective_step,
+from mbproj.solver import (INDEX_BLOCK, ConfigError, OracleFault, SolverAbort,
+                           alpha_schedule, batch_diagnostics, objective_step,
                            parallel_feasibility_update, run,
                            sequential_feasibility_update)
 
@@ -124,10 +124,10 @@ def counted_diagnostics(monkeypatch, label=lambda: None):
 def column_chain(spec, indices, v, beta, checker=None, k=0):
     """The sequential pass one column at a time, each seed at its own
     stepsize of the (S,) ``beta``: the i-th step asks the oracle for every
-    seed's i-th index at its current inner point, and the checker gets each
-    seed's N + 1 inner points as one (S, N + 1, n) array.  Returns the
-    final points and the columns where some seed stepped."""
-    z, inner, gplus_seq, stepped = v, [v], np.zeros(indices.shape), []
+    seed's i-th index at its current inner point, and the checker checks
+    each step at column i and then each seed's chain.  Returns the final
+    points and the columns where some seed stepped."""
+    z, stepped = v, []
     for i in range(indices.shape[1]):
         gvals, dirs = solver._checked_batch(spec, indices[:, i:i + 1], z)
         active = gvals > 0.0
@@ -135,15 +135,14 @@ def column_chain(spec, indices, v, beta, checker=None, k=0):
             stepped.append(i)
             gplus = np.maximum(gvals, 0.0)
             nsq = solver._squared_norms(dirs, active)
-            gplus_seq[:, i] = gplus[:, 0]
-            if checker is not None:
-                checker.single_steps(k, z, gplus, dirs, nsq, beta)
             z_next = spec.simple_set.project(
                 z - (beta[:, None] * gplus / nsq) * dirs[:, 0])
+            if checker is not None:
+                checker.chain_step(k, indices, np.full(len(z), i), z, z_next,
+                                   gplus, dirs, nsq, beta)
             z = z_next if active.all() else np.where(active, z_next, z)
-        inner.append(z)
     if checker is not None:
-        checker.sequential_chain(k, np.stack(inner, axis=1), gplus_seq, beta)
+        checker.chain_end(k, z)
     return z, stepped
 
 
@@ -161,19 +160,24 @@ def round_starts(steps, size):
 
 
 class RecordingChecker(solver._LemmaChecker):
-    """A lemma checker that also keeps copies of what each check is given."""
+    """A lemma checker that also keeps copies of the (S, ...) arrays that
+    each sequential check is given, and counts its projections."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.seen = []
+        self.seen, self.projections = [], 0
 
-    def single_steps(self, k, v, gplus, dirs, nsq, beta):
-        self.seen.append([np.array(a) for a in (v, gplus, dirs, nsq)])
-        super().single_steps(k, v, gplus, dirs, nsq, beta)
+    def _nearest(self, row, v):
+        self.projections += 1
+        return super()._nearest(row, v)
 
-    def sequential_chain(self, k, inner_points, gplus_seq, beta):
-        self.seen.append([np.array(inner_points), np.array(gplus_seq)])
-        super().sequential_chain(k, inner_points, gplus_seq, beta)
+    def chain_step(self, k, indices, column, *arrays):
+        self.seen.append([np.array(a) for a in (indices, column, *arrays)])
+        super().chain_step(k, indices, column, *arrays)
+
+    def chain_end(self, k, z):
+        self.seen.append([np.array(z)])
+        super().chain_end(k, z)
 
 
 class TestPolyakStep:
@@ -510,8 +514,8 @@ class TestRunLoop:
         cfg = RunConfig(variant="parallel", batch_size=2,
                         beta_policy="fixed", beta=1.0, iterations=300,
                         seeds=(9,))
-        (r1,) = run(inst.spec, cfg, context=inst.context())
-        (r2,) = run(inst.spec, cfg, context=inst.context())
+        (r1,) = run(inst.spec, cfg, poly=inst.poly)
+        (r2,) = run(inst.spec, cfg, poly=inst.poly)
         # timing is off, so elapsed_ns is 0 and whole records match
         assert r1.records == r2.records
         np.testing.assert_array_equal(r1.final_x_hat, r2.final_x_hat)
@@ -527,7 +531,7 @@ class TestRunLoop:
         clock = solver.time.perf_counter_ns
         monkeypatch.setattr(solver.time, "perf_counter_ns",
                             lambda: reads.append(1) or clock())
-        results = run(inst.spec, cfg, context=inst.context())
+        results = run(inst.spec, cfg, poly=inst.poly)
         monkeypatch.undo()
         for result in results:
             times = [r.elapsed_ns for r in result.records]
@@ -679,42 +683,39 @@ class TestRunLoop:
         cfg = RunConfig(variant="sequential", batch_size=4,
                         beta_policy="fixed", beta=1.0, iterations=300,
                         seeds=(1, 2, 3), cadence=10)
-        for result in run(inst.spec, cfg, context=inst.context()):
+        for result in run(inst.spec, cfg, poly=inst.poly):
             cold = distance_oracle(inst.poly, inst.spec.simple_set,
                                    result.final_x_hat)
             assert result.records[-1].dist_X == cold > 0.0
 
-    def test_lemma_chain_asks_only_for_moved_points(self, monkeypatch):
-        # the chain checks ask the distance oracle for a seed's first inner
-        # point and for each point bit-unequal to the one before it; the
-        # others reuse that distance, and the records are those of a run
-        # without checks
+    @pytest.mark.parametrize("variant, pinned", [("parallel", 535), ("sequential", 850)])
+    def test_lemma_checks_project_once_per_step(self, variant, pinned, monkeypatch):
+        # the checker asks one certified projection per violated row of a
+        # parallel pass and per step of a sequential one, and the records
+        # are those of a run without checks
         inst = make_polyhedral_benchmark(50, 200, seed=0)
-        cfg = RunConfig(variant="sequential", batch_size=8,
+        cfg = RunConfig(variant=variant, batch_size=8,
                         beta_policy="fixed", beta=1.0, iterations=200,
                         seeds=(1, 2, 3), cadence=50, assertions="lemma-checks")
-        calls, asked = [0], [0]
-        oracle, chain = solver.distance_oracle, solver._LemmaChecker.sequential_chain
+        projections, steps = [0], [0]
+        project, norms = solver.project_intersection, solver._squared_norms
 
-        def counting(*args):
-            calls[0] += 1
-            return oracle(*args)
+        def counted_projections(*args):
+            projections[0] += 1
+            return project(*args)
 
-        def moved_points(self, k, inner_points, gplus_seq, beta):
-            bits = inner_points.view(np.int64)              # (S, N + 1, n)
-            asked[0] += bits.shape[0] + int(np.count_nonzero(
-                (bits[:, 1:] != bits[:, :-1]).any(axis=2)))
-            chain(self, k, inner_points, gplus_seq, beta)
+        def counted_steps(dirs, active):
+            # a pass's (S, N) or a round's (S, 1) mask of violated columns
+            steps[0] += int(np.count_nonzero(active.any(axis=1)))
+            return norms(dirs, active)
 
-        monkeypatch.setattr(solver, "distance_oracle", counting)
-        monkeypatch.setattr(solver._LemmaChecker, "sequential_chain", moved_points)
-        checked = run(inst.spec, cfg, context=inst.context())
+        monkeypatch.setattr(solver, "project_intersection", counted_projections)
+        monkeypatch.setattr(solver, "_squared_norms", counted_steps)
+        checked = run(inst.spec, cfg, poly=inst.poly)
         monkeypatch.undo()
-        log_calls = len(cfg.seeds) * 4                      # k = 50, ..., 200
-        assert calls[0] == log_calls + asked[0] == 1462
-        assert asked[0] < len(cfg.seeds) * cfg.iterations * (cfg.batch_size + 1)
+        assert projections[0] == steps[0] == pinned
         plain = run(inst.spec, dataclasses.replace(cfg, assertions="off"),
-                    context=inst.context())
+                    poly=inst.poly)
         for a, b in zip(checked, plain):
             assert a.records == b.records
             np.testing.assert_array_equal(a.final_x_hat, b.final_x_hat)
@@ -725,7 +726,7 @@ class TestRunLoop:
         cfg = RunConfig(variant="parallel", batch_size=2,
                         beta_policy="adaptive", delta=delta,
                         iterations=50, seeds=(6,))
-        (result,) = run(inst.spec, cfg, context=inst.context())
+        (result,) = run(inst.spec, cfg, poly=inst.poly)
         for record in result.records:
             if record.LN_k is not None:
                 assert record.beta_k == pytest.approx((2.0 - delta) / record.LN_k)
@@ -746,6 +747,25 @@ class TestRunLoop:
         with pytest.raises(ConfigError):
             solver.validate(RunConfig(variant="sequential", batch_size=2,
                                       beta=4.0, ln_hint=0.25), spec)
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_infinite_subgradient_aborts_without_warning(self, variant):
+        # the objective step's point (-inf, -4) is outside the unit ball,
+        # which hands it back non-finite, with no warning, so the run
+        # aborts at k = 1
+        objective = ObjectiveOracle(evaluate=lambda x: 0.0,
+                                    subgradient=lambda x: x + [np.inf, 1.0])
+        spec = ProblemSpec(objective=objective, constraints=never_violated(),
+                           simple_set=SimpleSet.ball(np.zeros(2), 1.0),
+                           mu=1.0, M_g=1.0)
+        cfg = RunConfig(variant=variant, batch_size=1, iterations=5, seeds=(0,),
+                        init="zero")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverAbort, match="objective step produced a "
+                               "non-finite iterate at k=1") as info:
+                run(spec, cfg)
+        assert info.value.snapshot["k"] == 1
 
     @pytest.mark.filterwarnings(
         "ignore:invalid value encountered in multiply:RuntimeWarning")
@@ -769,12 +789,12 @@ class TestRunLoop:
         with pytest.raises(ConfigError, match="iterations"):
             run(inst.spec, cfg)
 
-    def test_lemma_checks_require_context(self):
+    def test_lemma_checks_require_the_polyhedron(self):
         inst = self.small_benchmark()
         cfg = RunConfig(variant="parallel", batch_size=2,
                         beta_policy="fixed", beta=1.0, iterations=10,
                         assertions="lemma-checks")
-        with pytest.raises(ConfigError, match="context"):
+        with pytest.raises(ConfigError, match="polyhedron"):
             run(inst.spec, cfg)
 
     def test_lemma_checks_clean_on_benchmark(self):
@@ -783,7 +803,7 @@ class TestRunLoop:
             cfg = RunConfig(variant=variant, batch_size=2,
                             beta_policy="fixed", beta=1.0, iterations=300,
                             seeds=(1,), assertions="lemma-checks")
-            run(inst.spec, cfg, context=inst.context())  # must not abort
+            run(inst.spec, cfg, poly=inst.poly)  # must not abort
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     def test_lemma_checks_clean_over_a_block_of_seeds(self, variant):
@@ -792,21 +812,20 @@ class TestRunLoop:
             cfg = RunConfig(variant=variant, batch_size=4,
                             beta_policy="fixed", beta=1.0, iterations=200,
                             seeds=(seed,), assertions="lemma-checks")
-            run(inst.spec, cfg, context=inst.context())  # must not abort
+            run(inst.spec, cfg, poly=inst.poly)  # must not abort
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     def test_lemma_checks_catch_a_wrong_direction(self, variant):
         # the family reports the true values of x1 <= 0, x2 <= 0 but points
         # every step away from the quadrant, so the first step breaks the
-        # single-step decrease toward the feasible origin
+        # single-step decrease toward P_X(v), the origin
         spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
-        context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
-                                    feasible_point=np.zeros(2))
+        poly = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
         cfg = RunConfig(variant=variant, batch_size=2,
                         beta_policy="fixed", beta=1.0, iterations=20,
                         seeds=(1,), init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="single-step-decrease") as info:
-            run(spec, cfg, context=context)
+            run(spec, cfg, poly=poly)
         assert info.value.snapshot["k"] == 1
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
@@ -814,13 +833,12 @@ class TestRunLoop:
         # the wrong-direction family of the test above, in a block of seeds
         # 7 and 3 that start alike at x0 = 0: the first row, seed 7, fails
         spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
-        context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
-                                    feasible_point=np.zeros(2))
+        poly = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
         cfg = RunConfig(variant=variant, batch_size=2,
                         beta_policy="fixed", beta=1.0, iterations=20,
                         seeds=(7, 3), init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="k=1, seed 7") as info:
-            run(spec, cfg, context=context)
+            run(spec, cfg, poly=poly)
         assert info.value.snapshot["seed"] == 7
 
     def test_single_constraint_exact_projection_slack_zero(self):
@@ -843,12 +861,12 @@ class TestRunLoop:
         cfg = RunConfig(variant="parallel", batch_size=2,
                         beta_policy="fixed", beta=1.0, iterations=20,
                         seeds=(0,), init="zero", cadence="geometric")
-        ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
+        ks = [r.k for r in run(inst.spec, cfg, poly=inst.poly)[0].records]
         assert ks == [1, 2, 4, 8, 16, 20]
         cfg = RunConfig(variant="parallel", batch_size=2,
                         beta_policy="fixed", beta=1.0, iterations=20,
                         seeds=(0,), init="zero", cadence=7)
-        ks = [r.k for r in run(inst.spec, cfg, context=inst.context())[0].records]
+        ks = [r.k for r in run(inst.spec, cfg, poly=inst.poly)[0].records]
         assert ks == [7, 14, 20]
 
 
@@ -1003,7 +1021,7 @@ class TestDeclaredLN:
         cfg = RunConfig(variant="parallel", batch_size=2, ln_hint=0.001,
                         iterations=200, seeds=(1,), **policy)
         with pytest.raises(SolverAbort, match="exceeds the declared L_N") as info:
-            run(inst.spec, cfg, context=inst.context())
+            run(inst.spec, cfg, poly=inst.poly)
         snap = info.value.snapshot
         assert set(snap) == {"seed", "batch_size", "k", "ln_k", "ln", "beta"}
         assert snap["seed"] == 1
@@ -1039,7 +1057,7 @@ class TestDeclaredLN:
                             iterations=300, seeds=(seed,),
                             sampler="without-replacement")
             calls.clear()
-            run(inst.spec, cfg, context=inst.context())  # must not abort
+            run(inst.spec, cfg, poly=inst.poly)  # must not abort
             assert calls  # the check saw violated batches
 
 
@@ -1049,16 +1067,15 @@ def seeds_by_kind(inst, size):
     violates and by whether it lies outside the simple set Y, where only
     the merge keeps a point that takes no step."""
     rng = np.random.default_rng(4)
-    spec, kinds = inst.spec, {}
+    spec, kinds, ball = inst.spec, {}, inst.spec.simple_set
     for _ in range(300):
         idx = rng.choice(spec.constraints.size, size, replace=False)
-        u = rng.standard_normal(spec.simple_set.dimension)
-        v = inst.anchor + rng.uniform(0.05, 1.5) * spec.simple_set.radius \
-            * u / np.linalg.norm(u)
+        u = rng.standard_normal(ball.dimension)
+        v = ball.center + rng.uniform(0.05, 1.5) * ball.radius * u / np.linalg.norm(u)
         gvals, _ = spec.constraints.batch(idx[None], v[None])
         hit = int(np.count_nonzero(gvals > 0.0))
         kind = "feasible" if hit == 0 else "fully" if hit == size else "partly"
-        outside = not spec.simple_set.contains(v)
+        outside = bool((ball.project(v) != v).any())
         kinds.setdefault((kind, outside), []).append((idx, v))
     return kinds
 
@@ -1160,7 +1177,7 @@ class TestBlockEqualsSeeds:
 
         def checker(count):
             return None if checks == "off" else RecordingChecker(
-                inst.context(), inst.spec,
+                inst.poly, inst.spec,
                 solver._Rows(tuple(range(count)), (size,) * count))
 
         chains = []
@@ -1183,14 +1200,16 @@ class TestBlockEqualsSeeds:
             assert [a.tolist() for a in asked] == [idx[:, i:].tolist() for i in starts]
             if checks == "off":
                 continue
-            # one single-step check per round where some row steps, then
-            # one chain check
+            # one step check per round where some row steps, then one chain
+            # check; one projection per step
             *rounds, chain = pass_checker.seen
             assert len(rounds) == max(len(stepped) for _, stepped, _ in own)
+            assert pass_checker.projections == sum(len(s) for _, s, _ in own)
             for row, (_, stepped, chain_checker) in enumerate(own):
                 took = [[a[row:row + 1] for a in seen] for seen in rounds
-                        if seen[1][row, 0] > 0.0]
+                        if seen[4][row, 0] > 0.0]
                 assert len(took) == len(stepped) == len(chain_checker.seen) - 1
+                assert chain_checker.projections == len(stepped)
                 took.append([a[row:row + 1] for a in chain])
                 for got, want in zip(took, chain_checker.seen):
                     assert len(got) == len(want)
@@ -1293,7 +1312,7 @@ class TestPerRowStepsize:
 
     def checker(self, inst, count, checks):
         return None if checks == "off" else solver._LemmaChecker(
-            inst.context(), inst.spec,
+            inst.poly, inst.spec,
             solver._Rows(tuple(range(count)), (self.SIZE,) * count))
 
     @pytest.mark.parametrize("checks", ["off", "lemma-checks"])
@@ -1388,7 +1407,7 @@ class TestPerRowStepsize:
         sizes = (8, 1)
         blocks = len(solver._size_blocks(sizes, cfg.variant))
         assert blocks == 2
-        run(inst.spec, cfg, context=inst.context(), sizes=sizes)
+        run(inst.spec, cfg, poly=inst.poly, sizes=sizes)
         if cfg.beta_policy == "adaptive":
             assert 0 < len(diagnosed) <= 2 * cfg.iterations
             assert len(priced) == blocks + len(diagnosed)
@@ -1430,9 +1449,9 @@ class TestBlockEqualsSizes:
         # block of them all, however wide its pads
         alone = [r for size in sizes for r in run(
             inst.spec, dataclasses.replace(cfg, batch_size=size),
-            context=inst.context())]
-        for block in (run(inst.spec, cfg, context=inst.context(), sizes=sizes),
-                      solver._run_block(inst.spec, cfg, inst.context(), sizes)):
+            poly=inst.poly)]
+        for block in (run(inst.spec, cfg, poly=inst.poly, sizes=sizes),
+                      solver._run_block(inst.spec, cfg, inst.poly, sizes)):
             assert [(r.batch_size, r.seed) for r in block] == \
                 [(size, seed) for size in sizes for seed in cfg.seeds]
             for a, b in zip(block, alone):
@@ -1493,12 +1512,11 @@ class TestBlockEqualsSizes:
         # the wrong-direction family of TestRunLoop: the first row, N = 2
         # and seed 7, fails at k = 1
         spec = batch_spec(lambda idx, v: (v[idx], -np.eye(2)[idx]), size=2)
-        context = PolyhedralContext(poly=PolyhedronSpec(A=np.eye(2), b=np.zeros(2)),
-                                    feasible_point=np.zeros(2))
+        poly = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
         cfg = RunConfig(variant=variant, beta=1.0, iterations=20, seeds=(7, 3),
                         init="zero", assertions="lemma-checks")
         with pytest.raises(SolverAbort, match="at k=1, seed 7, N=2 ") as info:
-            run(spec, cfg, context=context, sizes=(2, 1))
+            run(spec, cfg, poly=poly, sizes=(2, 1))
         assert info.value.snapshot["batch_size"] == 2
 
     def test_declared_ln_abort_names_its_size(self):
@@ -1508,7 +1526,7 @@ class TestBlockEqualsSizes:
         cfg = RunConfig(variant="parallel", beta=1.0, ln_hint=0.8,
                         iterations=100, seeds=(1, 2, 3))
         with pytest.raises(SolverAbort, match=r"at k=1, seed \d+, N=1 ") as info:
-            run(inst.spec, cfg, context=inst.context(), sizes=(4, 1))
+            run(inst.spec, cfg, poly=inst.poly, sizes=(4, 1))
         assert info.value.snapshot["batch_size"] == 1
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
@@ -1527,7 +1545,7 @@ class TestBlockEqualsSizes:
         cfg = RunConfig(variant=variant, beta=1.0, iterations=50, seeds=(1, 2, 3))
         with pytest.raises(SolverAbort,
                            match=r"oracle fault at k=\d+, seed \d+, N=\d:") as info:
-            run(spec, cfg, context=inst.context(), sizes=(1, 3))
+            run(spec, cfg, poly=inst.poly, sizes=(1, 3))
         snap = info.value.snapshot
         assert len(snap["indices"]) == snap["batch_size"]
         assert 8 in snap["indices"].tolist()
@@ -1553,7 +1571,7 @@ class TestBlockEqualsSizes:
         cfg = RunConfig(variant="parallel", iterations=5, seeds=(7,))
         with pytest.raises(SolverAbort,
                            match="oracle fault at k=1, seed 7, N=1:") as info:
-            run(spec, cfg, context=inst.context(), sizes=(2, 1))
+            run(spec, cfg, poly=inst.poly, sizes=(2, 1))
         assert isinstance(info.value.__cause__, OracleFault)
         assert info.value.__cause__.row == 1
 
@@ -1668,9 +1686,9 @@ class TestRatioReaders:
         # each reader alone: a declared L_N, then the lemma checks
         readers = [dataclasses.replace(bare, ln_hint=exact_ln_linear(inst.poly, size)),
                    dataclasses.replace(bare, assertions="lemma-checks")]
-        plain = run(inst.spec, bare, context=inst.context())
+        plain = run(inst.spec, bare, poly=inst.poly)
         for full in readers:
-            for a, b in zip(plain, run(inst.spec, full, context=inst.context()),
+            for a, b in zip(plain, run(inst.spec, full, poly=inst.poly),
                             strict=True):
                 assert a.records == b.records
                 assert a.final_x.tobytes() == b.final_x.tobytes()
@@ -1691,7 +1709,7 @@ class TestRatioReaders:
             settings["ln_hint"] = exact_ln_linear(inst.poly, 4)
         cfg = RunConfig(variant="parallel", batch_size=4, beta=1.0,
                         iterations=300, seeds=(1, 2), **settings)
-        results = run(spec, cfg, context=inst.context())
+        results = run(spec, cfg, poly=inst.poly)
         violated = {k for k, g in enumerate(values, 1) if (g > 0.0).any()}
         logged = {r.k for r in results[0].records}
         assert violated & logged and violated - logged
