@@ -66,7 +66,8 @@ class SimpleSet:
         is every row without a NaN.  A row with a NaN, or an infinite entry,
         comes back non-finite with no warning (the latter at scale 1, not at
         its finite limit), so a run aborts on it; a finite row whose squared
-        length overflows is scaled down first."""
+        length overflows projects as e = d / max |d_i|, center + e * (radius
+        / |e|), since d and e point the same way."""
         d = v - self.center
         # one vecdot per row, so a row rounds as np.linalg.norm of that
         # row alone, whatever the number of rows
@@ -76,13 +77,13 @@ class SimpleSet:
             return v
         scaled = ~inside
         lost = np.isinf(r)
-        if lost.any():  # a finite row's square overflowed: its length from d / max |d_i|
+        if lost.any():  # a finite row's square overflowed: project d / max |d_i|
             top = np.max(np.abs(d), axis=-1)
             finite = np.isfinite(top)
             lost &= finite
             scaled &= finite           # an infinite entry times radius / inf is invalid
-            e = d / np.where(lost, top, 1.0)[..., None]
-            r = np.where(lost, top * np.sqrt(np.vecdot(e, e)), r)
+            d = d / np.where(lost, top, 1.0)[..., None]
+            r = np.where(lost, np.sqrt(np.vecdot(d, d)), r)
         # an inside row keeps scale 1: radius / 1 is inf in the whole
         # space, and inf times a zero entry is invalid
         scale = np.divide(self.radius, r, out=np.ones_like(r), where=scaled)

@@ -14,8 +14,8 @@ iterates are an (S, n) array with one row per (batch size N, seed) pair,
 and every step below works on that row axis.  The parallel pass is one
 vectorized step; the sequential pass is N chained steps per row, advanced
 in rounds vectorized over the rows: a round calls the constraint oracle
-once, for all the columns still ahead, and steps each row at its own next
-violated column.  A row's
+once, from the least advanced row's next column on, and steps each row at
+its own next violated column.  A row's
 arithmetic does not depend on the other rows of its block, nor a
 constraint value on the width of the batch that asks it, so S = 1 and any
 larger block give the same numbers for it.
@@ -62,7 +62,7 @@ from .sampling import Sampler
 # a single-index batch still rounds to 1 + 4.4e-16
 LN_RTOL = 1e-9
 
-# minibatches are drawn ahead for at most this many iterations per seed
+# each seed's minibatches are drawn for at most this many iterations at once
 INDEX_BLOCK = 1024
 
 # a block of mixed batch sizes asks at most this many oracle columns per
@@ -277,15 +277,12 @@ def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
     return ln_k
 
 
-def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray,
-                   ahead: Optional[np.ndarray] = None):
-    """The family's values and rows at the points v.  An ``OracleFault``
-    names the first row with a non-finite value or row entry, or with a
-    violated constraint whose row's squared norm overflows, which would make
-    its step beta * gplus / inf * row zero.  Where the mask ``ahead`` is
-    False the sequential pass's row has passed the column: its value reads
-    0, a satisfied constraint, and its entries are not checked, since they
-    are asked at a point where the row's chain has passed that index."""
+def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
+    """The family's values and rows at the points v, checked as returned,
+    every one by one rule.  An ``OracleFault`` names the first row with a
+    non-finite value or row entry, or with a violated constraint whose
+    row's squared norm overflows, which would make its step
+    beta * gplus / inf * row zero."""
     gvals, dirs = spec.constraints.batch(indices, v)
     gvals = np.asarray(gvals, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
@@ -293,19 +290,14 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray,
         raise OracleError(
             f"constraint batch returned shapes {gvals.shape} and {dirs.shape} "
             f"for indices {indices.shape} at points {v.shape}")
-    if ahead is not None:
-        gvals = np.where(ahead, gvals, 0.0)
     # a sum of squares is finite only if every term is, so two finite sums
     # clear the batch; the sum over dirs is also the rows' squared norms
     if not (math.isfinite(np.vdot(gvals, gvals)) and math.isfinite(np.vdot(dirs, dirs))):
-        if ahead is not None:
-            dirs = np.where(ahead[..., None], dirs, 0.0)
         finite = np.isfinite(gvals).all(axis=1) & np.isfinite(dirs).all(axis=(1, 2))
         if not finite.all():
             raise OracleFault("constraint oracle returned a non-finite value",
                               int(np.argmin(finite)))
-        violated = gvals > 0.0
-        lost = np.isinf(_squared_norms(dirs, violated)) & violated
+        lost = np.isinf(np.einsum("...j,...j->...", dirs, dirs)) & (gvals > 0.0)
         if lost.any():
             raise OracleFault("the squared norm of a violated constraint's row "
                               "overflows: step undefined",
@@ -413,12 +405,12 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     steps at the first one it violates; a row with none, or one that steps
     at its own N-th column, is done, so a pad never steps.  A round makes
     that call for all rows at once, from the least advanced live row's next
-    column, with each row's passed columns masked (read as satisfied, not
-    checked), so a pass takes at most one round more than its busiest row
-    takes steps.  The family's values depend only on index and point
-    (``ConstraintFamily``), so each row gets the bits of its
-    column-by-column chain; every value ahead of a row is checked, so a
-    column its chain would reach at a later point can raise its fault here.
+    column, and a row picks only among the columns ahead of it, so a pass
+    takes at most one round more than its busiest row takes steps.  The
+    family's values depend only on index and point (``ConstraintFamily``),
+    so each row gets the bits of its column-by-column chain.  Every value
+    and row asked is checked as returned, so a column the row has passed,
+    or would reach at a later point, can raise its fault here.
     ``checker`` (None when checks are off) checks each step and each row's
     whole chain; ``k`` and ``rows`` label its reports.  Returns the final
     inner points; an oracle fault raises ``OracleFault``.  Preconditions are
@@ -431,16 +423,17 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     start = [0] * count
     z, first, passed = v, 0, False
     while first < size:
-        # some row is past column ``first`` when ``passed``
-        ahead = columns[first:size] >= np.array(start)[:, None] if passed else None
-        gvals, dirs = _checked_batch(spec, indices[:, first:], z, ahead)
+        gvals, dirs = _checked_batch(spec, indices[:, first:], z)
         hit = gvals > 0.0
+        if passed:                            # some row is past column ``first``
+            hit &= columns[first:size] >= np.array(start)[:, None]
         j = hit.argmax(axis=1)                # 0 where a row violates none
         active = hit[every, j][:, None]
         stepped = np.count_nonzero(active)
         if not stepped:
             break
-        gplus = np.maximum(gvals[every, j], 0.0)[:, None]
+        # 0 in a row that does not step, whose column j may be passed
+        gplus = gvals[every, j][:, None] * active
         dirs = dirs[every, j][:, None]
         nsq = _squared_norms(dirs, active)
         coef = beta[:, None] * gplus / nsq
@@ -461,12 +454,17 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 
 def objective_step(spec: ProblemSpec, x_prev: np.ndarray, alpha: float) -> np.ndarray:
     """Projected subgradient step on the objective, row by row of the
-    (S, n) points ``x_prev``.
+    (S, n) points ``x_prev``.  A subgradient of any other shape than
+    ``x_prev``'s raises ``OracleError``, naming both shapes, instead of
+    broadcasting.
 
     Precondition, not checked here: alpha >= 0.  ``run`` passes
     ``alpha_schedule(mu, k - 1)`` = 4 / (mu * k), positive because
     ``ProblemSpec`` requires mu > 0."""
     s = np.asarray(spec.objective.subgradient(x_prev), dtype=np.float64)
+    if s.shape != x_prev.shape:
+        raise OracleError(f"objective subgradient returned shape {s.shape} "
+                          f"for points {x_prev.shape}")
     return spec.simple_set.project(x_prev - alpha * s)
 
 
@@ -717,15 +715,15 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
         if not math.isfinite(np.vdot(v, v)):
             _abort_if_nonfinite(v, "objective step", k, rows, "x", x)
 
-        ahead = (k - 1) % INDEX_BLOCK
-        if ahead == 0:
+        slot = (k - 1) % INDEX_BLOCK
+        if slot == 0:
             count = min(INDEX_BLOCK, iterations - k + 1)
             for row, (sampler, size) in enumerate(zip(samplers, rows.sizes)):
                 drawn[row, :count, :size] = \
                     sampler.draw(size, count).reshape(count, size)
                 # a row of a smaller N repeats its own last index as pads
                 drawn[row, :count, size:] = drawn[row, :count, size - 1:size]
-        indices = drawn[:, ahead]
+        indices = drawn[:, slot]
         try:
             if variant == "parallel":
                 x, ln_k, beta_k = parallel_feasibility_update(

@@ -6,6 +6,9 @@ digest of its CSV data rows (the non-``#`` lines of every CSV it writes,
 with each file's path under its output directory) and the digest of its
 console (exit code, stdout, stderr and warnings, with the temporary directory
 named by one fixed token) must equal those pinned in ``csv_digests.json``.
+So must the digest that ``bench/run_bench.py`` prints for one operation of
+each benchmark workload at each of ``WORKLOAD_SEEDS``: the operation runs
+once through ``bench/workloads.py``'s ``run_op``, which is only read here.
 A change that moves one bit of one row fails here.  After a deliberate
 change of the numbers, regenerate the file, and say why in CHANGES.md::
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -31,9 +35,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mbproj import harness
 from mbproj.harness import main
 
 PINNED = Path(__file__).with_name("csv_digests.json")
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+# the benchmark's default --seed and its held-out one
+WORKLOAD_SEEDS = (0, 1000)
 
 # the exact L_4 of ``benchmark`` 10x20 at problem seed 0 (``exact_ln_linear``)
 L4 = "0.710293403328827"
@@ -126,6 +135,32 @@ def run_command(name: str, root: Path) -> dict:
             "console": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def load_workloads():
+    """``bench/workloads.py`` as a module, imported from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module          # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_workload(workloads, name: str, seed: int, root: Path) -> str:
+    """One operation of benchmark workload ``name`` at ``--seed`` ``seed``,
+    in ``<name>-seed<seed>`` under ``root``, the directory name that the
+    benchmark gives it and that its digest includes; returns that digest."""
+    wl = workloads.WORKLOADS[name]
+    cfg = wl.run_config(harness, seed, str(root / f"{name}-seed{seed}"))
+    instance = harness.build_problem(cfg)
+    expected = workloads.expected_sweep(wl, instance) if wl.is_sweep else None
+    result = workloads.run_op(wl, harness, cfg, instance, expected)
+    assert not result.failed, result.problems
+    return result.digest
+
+
+def workload_runs(workloads) -> list:
+    return [(name, seed) for name in workloads.WORKLOADS for seed in WORKLOAD_SEEDS]
+
+
 def environment() -> dict:
     return {"numpy": np.__version__,
             "platform": f"{platform.system()} {platform.machine()}",
@@ -147,16 +182,39 @@ def test_command_output_is_pinned(name, pinned, tmp_path):
         f"{env}; this run has {environment()}")
 
 
-def test_every_pinned_command_is_run(pinned):
+@pytest.fixture(scope="module")
+def workloads():
+    return load_workloads()
+
+
+@pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
+@pytest.mark.parametrize("name", ["smoke-orthant", "metric-dense", "sweep-ln"])
+def test_workload_digest_is_pinned(name, seed, workloads, pinned, tmp_path):
+    run = f"{name}-seed{seed}"
+    assert run in pinned["workloads"], f"{run} is not pinned: regenerate {PINNED.name}"
+    env = {key: pinned[key] for key in environment()}
+    assert run_workload(workloads, name, seed, tmp_path) == pinned["workloads"][run], (
+        f"{run}: digest differs from the pinned one, written under {env}; "
+        f"this run has {environment()}")
+
+
+def test_every_pinned_command_is_run(pinned, workloads):
     assert sorted(pinned["commands"]) == sorted(COMMANDS)
+    assert sorted(pinned["workloads"]) == sorted(
+        f"{name}-seed{seed}" for name, seed in workload_runs(workloads))
 
 
 def write() -> None:
+    workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         commands = {name: run_command(name, Path(tmp)) for name in COMMANDS}
-    PINNED.write_text(json.dumps({**environment(), "commands": commands},
+        digests = {f"{name}-seed{seed}": run_workload(workloads, name, seed, Path(tmp))
+                   for name, seed in workload_runs(workloads)}
+    PINNED.write_text(json.dumps({**environment(), "commands": commands,
+                                  "workloads": digests},
                                  indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(commands)} digests to {PINNED}")
+    print(f"wrote {len(commands)} command and {len(digests)} workload digests "
+          f"to {PINNED}")
 
 
 if __name__ == "__main__":

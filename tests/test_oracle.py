@@ -49,10 +49,13 @@ class TestSimpleSet:
         ([1e300, 0.0], [1.0, 0.0]),
         ([[1e200, 1e200], [0.3, -0.4], [-3e250, 4e250]],
          [[math.sqrt(0.5)] * 2, [0.3, -0.4], [-0.6, 0.8]]),
-    ], ids=["diagonal", "axis", "block"])
+        ([1.7e308, 1.7e308], [math.sqrt(0.5)] * 2),
+        ([-1.7e308, 1.7e308], [-math.sqrt(0.5), math.sqrt(0.5)]),
+    ], ids=["diagonal", "axis", "block", "near-max", "near-max-mixed"])
     def test_overflowing_length_projects_onto_the_sphere(self, v, expected):
         # a finite row whose squared length overflows still projects by its
-        # length, not to the center; numpy warns of the first overflow
+        # length, not to the center, also where top * |d / top| overflows
+        # again; numpy warns of the first overflow
         with np.errstate(over="ignore"):
             out = SimpleSet.ball(np.zeros(2), 1.0).project(np.array(v))
         assert np.allclose(out, expected, rtol=1e-15, atol=0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -380,6 +381,18 @@ class TestObjectiveStep:
         out = objective_step(spec, np.array([1.0, 0.0]), 0.5)
         np.testing.assert_array_equal(out, [0.5, 0.0])
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 1)], ids=["one-point", "column"])
+    def test_subgradient_of_another_shape_raises(self, shape):
+        # such a subgradient would broadcast over the (2, 3) block and run
+        # on silently; the error names both shapes
+        objective = ObjectiveOracle(evaluate=lambda x: 0.0,
+                                    subgradient=lambda x: np.ones(shape))
+        spec = ProblemSpec(objective=objective, constraints=never_violated(),
+                           simple_set=SimpleSet.whole_space(3), mu=1.0, M_g=1.0)
+        with pytest.raises(OracleError, match=rf"shape {re.escape(str(shape))} "
+                           r"for points \(2, 3\)"):
+            objective_step(spec, np.zeros((2, 3)), 0.5)
+
 
 def one_seed_ratio(gplus, dirs, nsq):
     """L_N,k of one seed's violated batch through ``batch_diagnostics``."""
@@ -586,9 +599,11 @@ class TestRunLoop:
         # column follows the first column it violates ahead of its own; one
         # that violates none is done.  The asks of an iteration end after
         # the first round where no seed violates a column ahead, or when
-        # every seed has passed its last column.  The family reads NaN at
-        # each column a seed has passed, which the pass must never read; the
-        # objective step runs once per iteration, through the module global
+        # every seed has passed its last column.  The family reads a
+        # violated value, with a valid row, at each column a seed has
+        # passed, which the pass must check but never step on, so the run
+        # equals an unpoisoned one; the objective step runs once per
+        # iteration, through the module global
         inst = self.small_benchmark()
         iterations, size, seeds = 40, 3, (2, 5, 11)
         steps = []
@@ -606,7 +621,7 @@ class TestRunLoop:
         assert [a.shape for a in parallel] == [(len(seeds), size)] * iterations
 
         family, minibatches, sequential = inst.spec.constraints, iter(parallel), []
-        state = {"start": None}
+        state = {"start": None, "poisoned": 0}
 
         def poisoned(indices, v):
             start = state["start"]
@@ -618,18 +633,24 @@ class TestRunLoop:
             sequential.append(indices.copy())
             gvals, rows = family.batch(indices, v)
             passed = np.arange(first, size) < start[:, None]
+            state["poisoned"] += np.count_nonzero(passed)
             hit = (gvals > 0.0) & ~passed
             start = np.where(hit.any(axis=1), first + np.argmax(hit, axis=1) + 1, size)
             state["start"] = None if (start == size).all() else start
-            return np.where(passed, np.nan, gvals), rows
+            return np.where(passed, 1e3, gvals), rows
 
         spec = dataclasses.replace(
             inst.spec, constraints=dataclasses.replace(family, batch=poisoned))
         steps.clear()
-        run(spec, dataclasses.replace(cfg, variant="sequential"))
+        cfg = dataclasses.replace(cfg, variant="sequential")
+        results = run(spec, cfg)
         assert steps == [(len(seeds), spec.simple_set.dimension)] * iterations
         assert next(minibatches, None) is None and state["start"] is None
         assert iterations <= len(sequential) < iterations * size
+        assert state["poisoned"] > 0
+        for poisoned_run, plain in zip(results, run(inst.spec, cfg)):
+            assert poisoned_run.records == plain.records
+            assert poisoned_run.final_x.tobytes() == plain.final_x.tobytes()
 
     def test_never_violated_family_matches_plain_projected_gradient(self):
         center = np.array([0.7, -0.4, 1.1])
@@ -983,6 +1004,32 @@ class TestOracleFaults:
         middle = [2.0, -4.0] if variant == "parallel" else [0.0, -4.0]
         np.testing.assert_array_equal(x, [self.BLOCK[0], middle, self.BLOCK[2]])
 
+    def test_the_scan_leaves_a_zero_row_to_the_step(self):
+        # the huge satisfied value sends the batch through the fault scan,
+        # which passes the violated zero row: only the step's squared
+        # norms, which divide by it, raise
+        spec = corner_spec(constraints=ConstraintFamily(size=2, batch=lambda idx, v: (
+            np.array([[1.0, -1e200]]), np.array([[[0.0, 0.0], [1.0, 0.0]]]))))
+        gvals, dirs = solver._checked_batch(spec, np.array([[0, 1]]), np.zeros((1, 2)))
+        with pytest.raises(OracleFault, match="zero direction") as info:
+            solver._squared_norms(dirs, gvals > 0.0)
+        assert info.value.row == 0
+
+    def test_unpicked_violated_zero_row_is_not_a_fault(self):
+        # constraint 1 reads x1 <= 0 with a zero row, and 2 is satisfied by
+        # a value whose square overflows; from (4, -1) the row steps at
+        # constraint 0, x1 <= 0, to (0, -1), where 1 holds: no step divides
+        # by the zero row, so nothing raises
+        def batch(idx, v):
+            values = np.where(idx == 2, -1e200, v[:, :1])
+            return values, np.where((idx == 0)[..., None], [1.0, 0.0], 0.0)
+
+        spec = corner_spec(constraints=ConstraintFamily(size=3, batch=batch))
+        indices = np.array([[0, 1, 2]])
+        z = sequential_feasibility_update(spec, indices, np.array([[4.0, -1.0]]),
+                                          np.ones(1), plain_rows(indices))
+        np.testing.assert_array_equal(z, [[0.0, -1.0]])
+
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     def test_violated_row_whose_squared_norm_overflows(self, variant):
         # |(1e200, 0)|^2 overflows: a violated row would step by beta * gplus
@@ -1260,31 +1307,45 @@ class TestSequentialRounds:
     FIRST = ([0, 1, 1], [4.0, 4.0])
 
     @staticmethod
-    def nan_at_landing(indices, points):
-        """x1 <= 0 and x2 <= 0, but NaN at every index asked at (0, -1)."""
-        landed = (points == [0.0, -1.0]).all(axis=1)
-        values = np.take_along_axis(points, indices % 2, axis=1)
-        return np.where(landed[:, None], np.nan, values), np.eye(2)[indices % 2]
+    def at_landing(value):
+        """The family x1 <= 0 and x2 <= 0, but with ``value``, and the
+        constraint's own row, at every index asked at (0, -1)."""
+        def batch(indices, points):
+            landed = (points == [0.0, -1.0]).all(axis=1)
+            values = np.take_along_axis(points, indices % 2, axis=1)
+            return np.where(landed[:, None], value, values), np.eye(2)[indices % 2]
+
+        return ConstraintFamily(size=2, batch=batch)
+
+    # the second row's chain ends at its last column in the first round,
+    # while the first row still asks columns 1 and 2 in the next two, where
+    # the second row has landed at (0, -1)
+    PASSED = np.array([FIRST[0], [1, 1, 0]]), np.array([FIRST[1], [4.0, -1.0]])
 
     def test_passed_column_is_not_read(self):
-        # the second row's chain ends at its last column in the first round,
-        # while the first row still asks columns 1 and 2 in the next two;
-        # the second row's NaN there, at its later point, raises nothing
-        indices = np.array([self.FIRST[0], [1, 1, 0]])
-        v = np.array([self.FIRST[1], [4.0, -1.0]])
-        spec = corner_spec(constraints=ConstraintFamily(size=2,
-                                                        batch=self.nan_at_landing))
+        # violated there, at the second row's later point, the passed
+        # columns are checked but never stepped on
+        indices, v = self.PASSED
+        spec = corner_spec(constraints=self.at_landing(1.0))
         z = sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
                                           plain_rows(indices))
         np.testing.assert_array_equal(z, [[0.0, 0.0], [0.0, -1.0]])
+
+    def test_a_passed_columns_fault_names_its_row(self):
+        # a NaN there is checked as returned, as any value asked is
+        indices, v = self.PASSED
+        spec = corner_spec(constraints=self.at_landing(np.nan))
+        with pytest.raises(OracleFault, match="non-finite") as info:
+            sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
+                                          plain_rows(indices))
+        assert info.value.row == 1
 
     def test_column_ahead_is_read(self):
         # the second row steps at column 0 and lands at (0, -1) with its
         # columns 1 and 2 still ahead: their NaN names that row
         indices = np.array([self.FIRST[0], [0, 1, 1]])
         v = np.array([self.FIRST[1], [4.0, -1.0]])
-        spec = corner_spec(constraints=ConstraintFamily(size=2,
-                                                        batch=self.nan_at_landing))
+        spec = corner_spec(constraints=self.at_landing(np.nan))
         with pytest.raises(OracleFault, match="non-finite") as info:
             sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
                                           plain_rows(indices))
@@ -1575,13 +1636,10 @@ class TestBlockEqualsSizes:
         assert isinstance(info.value.__cause__, OracleFault)
         assert info.value.__cause__.row == 1
 
-    def test_a_passed_columns_fault_is_not_its_rows(self):
-        # a non-finite value or row in a column that the sequential pass's
-        # row has passed is masked, one ahead of it raises; the passed
-        # column reads as a satisfied constraint
+    def test_a_columns_fault_is_its_rows(self):
+        # a non-finite value or row in any column names its row
         indices = np.array([[0, 1], [1, 1]])
         v = np.array([[-1.0, -1.0], [-1.0, -1.0]])
-        ahead = np.array([[True, True], [True, False]])
 
         def batch(idx, points):
             values = np.where(idx == 1, -1.0, 0.5)
@@ -1590,9 +1648,6 @@ class TestBlockEqualsSizes:
             return values, dirs
 
         spec = corner_spec(constraints=ConstraintFamily(size=2, batch=batch))
-        gvals, dirs = solver._checked_batch(spec, indices, v, ahead)
-        assert gvals.tolist() == [[0.5, -1.0], [-1.0, 0.0]]
-        assert np.isfinite(dirs).all()
         with pytest.raises(OracleFault) as info:
             solver._checked_batch(spec, indices, v)
         assert info.value.row == 1
