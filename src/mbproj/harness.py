@@ -5,20 +5,14 @@ A run's settings are the fields of ``RunConfig``; each field gives its INI
 key, its CLI flag and its line of the CSV header, and ``solver.run`` reads
 it by name after ``solver.validate`` has checked it.  A CSV row is a
 ``solver.RunRecord``: its fields are the columns seed,k,f_gap,max_violation,
-dist_X,LN_k,beta_k,elapsed_ns (a cell is empty when the metric is
-unavailable), from ``run`` through ``write_csv`` and ``read_csv`` to the
-aggregate and ``rate_check``.  CSV files carry the header as leading ``#``
-comment lines; it echoes the settings that determine the numbers, with
-``problem.n`` and ``problem.m`` read from the built instance, and leaves
-out ``out_dir``.  ``run`` records elapsed_ns as 0, so repeated identical
-invocations produce byte-identical files, unless ``timing`` is set; then
-it records wall-clock times.  All seeds of a ``solve`` advance together as
-one block of one ``run`` call, so elapsed_ns is the block's time since its
-start, and a row reports when the block reached its k.  A ``sweep`` makes
-one ``run`` call for its every (N, seed) row, which advances sizes of
-similar width together as one block (``solver.run``): under ``timing``, an
-N's elapsed_ns is the clock of its block, shared with the other sizes
-there, not of its N alone.
+dist_X,LN_k,beta_k (a cell is empty when the metric is unavailable), from
+``run`` through ``write_csv`` and ``read_csv`` to the aggregate and
+``rate_check``.  CSV files carry the header as leading ``#`` comment lines;
+it echoes the settings that determine the numbers, with ``problem.n`` and
+``problem.m`` read from the built instance, and leaves out ``out_dir``.  A
+file holds results only, so its bytes are a function of the settings it
+echoes: repeated identical invocations write byte-identical files.  Timing
+a run is the benchmark's job (``bench/run_bench.py``), not the CSV's.
 """
 
 from __future__ import annotations
@@ -90,14 +84,6 @@ def parse_cadence(text: str):
             f"cadence must be 'geometric' or an integer, got {text!r}") from None
 
 
-def parse_bool(text: str) -> bool:
-    """An INI truth value, read as ``ConfigParser.getboolean`` reads it."""
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
-    except KeyError:
-        raise ValueError(f"Not a boolean: {text}") from None
-
-
 def format_seeds(seeds) -> str:
     seeds = list(seeds)
     if len(seeds) > 1 and seeds == list(range(seeds[0], seeds[-1] + 1)):
@@ -118,7 +104,8 @@ def _setting(default, section: str, flag: str, parse=None, show=str, **cli):
 class RunConfig:
     """A run's settings, each listed once with its one default: a field
     gives its INI key ``section.name``, its CLI flag and its CSV header
-    line.  ``out_dir`` only says where files go, so it has no header line."""
+    line.  No setting times a run; that is the benchmark's job.
+    ``out_dir`` only says where files go, so it has no header line."""
 
     builtin: Optional[str] = _setting("benchmark", "problem", "--builtin",
                                       help="builtin problem name")
@@ -144,9 +131,6 @@ class RunConfig:
                                choices=ASSERTIONS)
     cadence: object = _setting("geometric", "logging", "--cadence", parse=parse_cadence,
                                help="'geometric' or an integer step")
-    timing: bool = _setting(False, "logging", "--timing", parse=parse_bool,
-                            show=lambda on: str(on).lower(), action="store_true",
-                            help="record wall-clock elapsed_ns (breaks byte-identity)")
     seeds: tuple = _setting((1,), "output", "--seeds", parse=parse_seeds,
                             show=format_seeds, help="e.g. 1..20 or 3,5,8")
     out_dir: str = _setting("out", "output", "--out", show=None, help="output directory")
@@ -508,8 +492,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
 
 def _add_solve_flags(p: argparse.ArgumentParser) -> None:
     """``--config`` and the flag of every ``RunConfig`` setting.  An absent
-    flag is None, also the ``store_true`` of ``--timing``, so the file's
-    value or the field's default stands."""
+    flag is None, so the file's value or the field's default stands."""
     p.add_argument("--config", help="key = value configuration file")
     for f in fields(RunConfig):
         p.add_argument(f.metadata["flag"], dest=f.name, default=None,
@@ -518,13 +501,13 @@ def _add_solve_flags(p: argparse.ArgumentParser) -> None:
 
 def _cfg_from_args(args) -> RunConfig:
     """The file's settings (or the defaults), overridden by every flag
-    given; a flag's text goes through its setting's parser, as the file's."""
+    given; a flag's value goes through its setting's parser, as the file's
+    text does (a ``type=int`` or ``float`` value passes through unchanged)."""
     cfg = load_config_file(args.config) if args.config else RunConfig()
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, f.name, f.metadata["parse"](value)
-                    if isinstance(value, str) else value)
+            setattr(cfg, f.name, f.metadata["parse"](value))
     return cfg
 
 

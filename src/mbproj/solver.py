@@ -47,7 +47,6 @@ points.  Whether it is computed changes no bit of the next points.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -206,7 +205,6 @@ class RunRecord(NamedTuple):
     dist_X: Optional[float]
     LN_k: Optional[float]
     beta_k: float
-    elapsed_ns: int
 
 
 @dataclass
@@ -626,9 +624,8 @@ def run(spec: ProblemSpec, config,
     computed row by row on the weighted running average: f_gap when the spec
     knows its optimum, max_violation and dist_X only when ``poly``, the rows
     of the spec's linear constraints, is given (X is their intersection
-    with Y, which the lemma checks also project onto);
-    ``elapsed_ns`` is 0, and no clock is read, unless ``config.timing`` is
-    set, when it counts from the start of the row's block.  Each row keeps
+    with Y, which the lemma checks also project onto).  ``run`` reads no
+    clock: a record holds results only.  Each row keeps
     the active set of its last dist_X projection, and its next log point's
     ``distance_oracle`` call starts from it and leaves its own there; the
     lemma checker keeps one per row the same way.  A warm start gives the
@@ -643,29 +640,23 @@ def run(spec: ProblemSpec, config,
     if config.assertions == "lemma-checks" and poly is None:
         raise ConfigError("lemma-checks mode requires the constraints' polyhedron")
     by_size = {}
-    for block in _size_blocks(sizes, config.variant):
+    for block in _size_blocks(sizes):
         for result in _run_block(spec, config, poly, block):
             by_size.setdefault(result.batch_size, []).append(result)
     return [result for size in sizes for result in by_size[size]]
 
 
-def _size_blocks(sizes, variant: str) -> list:
+def _size_blocks(sizes) -> list:
     """The sizes, widest first, cut into the blocks that ``run`` advances
     one after another.  A block pads every row to its widest N, so a
-    narrower size joins the block before it only while the columns the
-    block's pass may ask per iteration, padded, stay within ``PAD_FACTOR``
-    times those of its sizes alone: N per row for the parallel pass, and up
-    to N (N + 1) / 2 for the sequential one, whose t-th round from 0 asks
-    at most N - t, since every live row advances a column per round.  Each
-    seed adds one row at every size, so the seeds cancel."""
-    def asked(size):
-        return size if variant == "parallel" else size * (size + 1) // 2
-
+    narrower size joins the block before it only while the block's padded
+    columns stay within ``PAD_FACTOR`` times those of its sizes alone, at N
+    per row under either variant.  Each seed adds one row at every size, so
+    the seeds cancel."""
     blocks = []
     for size in sorted(sizes, reverse=True):
         block = blocks[-1] if blocks else None
-        if block and (len(block) + 1) * asked(block[0]) <= \
-                PAD_FACTOR * (sum(map(asked, block)) + asked(size)):
+        if block and (len(block) + 1) * block[0] <= PAD_FACTOR * (sum(block) + size):
             block.append(size)
         else:
             blocks.append([size])
@@ -707,8 +698,6 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
     records = [[] for _ in x]
     log_ks = _log_points(iterations, config.cadence)
     opt = spec.known_optimum
-    clock = time.perf_counter_ns if config.timing else (lambda: 0)
-    t0 = clock()
 
     for k in range(1, iterations + 1):
         v = objective_step(spec, x, alpha_schedule(spec.mu, k - 1))
@@ -760,8 +749,7 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
                 records[row].append(RunRecord(
                     seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_X=dist,
                     LN_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),
-                    beta_k=float(beta_k[row]),
-                    elapsed_ns=clock() - t0))
+                    beta_k=float(beta_k[row])))
 
     x_hat = weighted_sum / weight_total
     return [RunResult(seed=seed, batch_size=size, records=records[row],

@@ -14,6 +14,8 @@ change of the numbers, regenerate the file, and say why in CHANGES.md::
 
     PYTHONPATH=src python tests/test_csv_contract.py --write
 
+which prints every digest that moved, old -> new, and how many did not.
+
 The file records the numpy version and the platform it was written on; a
 failure names both next to the current ones.
 """
@@ -204,17 +206,31 @@ def test_every_pinned_command_is_run(pinned, workloads):
         f"{name}-seed{seed}" for name, seed in workload_runs(workloads))
 
 
+def flat_pins(pins: dict) -> dict:
+    """Every digest of a pinned file, by name: ``<command> csv``,
+    ``<command> console`` and ``<workload>-seed<s>``."""
+    flat = {f"{name} {kind}": digest
+            for name, both in pins["commands"].items()
+            for kind, digest in both.items()}
+    return {**flat, **pins["workloads"]}
+
+
 def write() -> None:
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         commands = {name: run_command(name, Path(tmp)) for name in COMMANDS}
         digests = {f"{name}-seed{seed}": run_workload(workloads, name, seed, Path(tmp))
                    for name, seed in workload_runs(workloads)}
+    old = flat_pins(json.loads(PINNED.read_text())) if PINNED.exists() else {}
+    new = flat_pins({"commands": commands, "workloads": digests})
+    moved = [pin for pin in sorted(new) if old.get(pin) != new[pin]]
+    for pin in moved:
+        print(f"{pin}: {old.get(pin, 'unpinned')[:8]} -> {new[pin][:8]}")
     PINNED.write_text(json.dumps({**environment(), "commands": commands,
                                   "workloads": digests},
                                  indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(commands)} command and {len(digests)} workload digests "
-          f"to {PINNED}")
+          f"to {PINNED}: {len(moved)} changed, {len(new) - len(moved)} the same")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ class TestSeedsAndConfig:
             "[problem]\nbuiltin = orthant2\n\n"
             "[solver]\nvariant = sequential\nbatch_size = 2\nbeta = 0.9\n"
             "iterations = 50\n\n"
-            "[logging]\ncadence = geometric\ntiming = false\n\n"
+            "[logging]\ncadence = geometric\n\n"
             "[output]\nseeds = 1..3\nout_dir = unused\n")
         cfg = load_config_file(path)
         assert cfg.builtin == "orthant2"
@@ -107,7 +107,7 @@ SETTING_TEXT = {
     "solver.delta": "0.2", "solver.ln_hint": "0.75", "solver.iterations": "50",
     "solver.sampler": "iid-uniform", "solver.init": "zero",
     "solver.assertions": "lemma-checks",
-    "logging.cadence": "5", "logging.timing": "true", "output.seeds": "2..4",
+    "logging.cadence": "5", "output.seeds": "2..4",
     "output.out_dir": "elsewhere",
 }
 
@@ -116,7 +116,7 @@ class TestOneOwnerPerSetting:
     """RunConfig's fields are the one list of a run's settings, so its INI
     keys, its flags and its CSV header cannot drift apart."""
 
-    def test_nineteen_fields_nineteen_flags(self):
+    def test_eighteen_fields_eighteen_flags(self):
         names = [f.name for f in fields(RunConfig)]
         assert names == [key.split(".")[1] for key in SETTING_TEXT]
         dests = [a.dest for a in _solve_parser()._actions
@@ -134,35 +134,55 @@ class TestOneOwnerPerSetting:
         assert from_file == load_config_file(path)
         assert getattr(from_file, name) != getattr(RunConfig(), name)
         action = next(a for a in parser._actions if a.dest == name)
-        argv = [action.option_strings[0]]
-        if action.nargs != 0:
-            argv.append(SETTING_TEXT[key])
+        argv = [action.option_strings[0], SETTING_TEXT[key]]
         from_flag = harness._cfg_from_args(parser.parse_args(argv))
         assert from_flag == from_file
         assert from_flag.echo_items() == from_file.echo_items()
-
-    def test_timing_in_file_survives_without_flag(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[problem]\nbuiltin = orthant2\n\n"
-                        "[logging]\ntiming = true\n")
-        out = tmp_path / "x"
-        code = main(["solve", "--config", str(path), "--N", "2", "--iters", "50",
-                     "--seeds", "1", "--out", str(out)])
-        assert code == EXIT_OK
-        comments, rows = read_csv(out / "run_seed1.csv")
-        assert "# logging.timing = true" in comments
-        assert rows[-1].elapsed_ns > 0
 
     def test_default_solve_header_is_pinned(self, tmp_path):
         out = tmp_path / "x"
         assert main(["solve", "--out", str(out)]) == EXIT_OK
         for name in ("run_seed1.csv", "aggregate.csv"):
             with open(out / name, "rb") as fh:
-                head = fh.read().split(b"\n")[:19]
+                head = fh.read().split(b"\n")[:18]
             assert head == DEFAULT_HEADER + [",".join(CSV_COLUMNS).encode()]
 
+    @pytest.mark.parametrize("given, code, message", [
+        ("flag", 2, "unrecognized arguments: --timing"),
+        ("ini-key", EXIT_CONFIG, "unknown key 'timing'"),
+        ("eight-columns", EXIT_WINDOW,
+         "has no column line 'seed,k,f_gap,max_violation,dist_X,LN_k,beta_k'"),
+    ], ids=["flag", "ini-key", "eight-columns"])
+    def test_timing_inputs_fail_loudly(self, tmp_path, capsys, given, code,
+                                       message):
+        # CSVs hold results only: the timing flag, its INI key and a CSV with
+        # the elapsed_ns column are rejected, each naming what it rejects
+        out = ["--out", str(tmp_path / "x")]
+        if given == "flag":
+            argv = ["solve", "--timing", *out]
+        elif given == "ini-key":
+            path = tmp_path / "run.ini"
+            path.write_text("[logging]\ntiming = true\n")
+            argv = ["solve", "--config", str(path), *out]
+        else:
+            ks = [2 ** j for j in range(15)] + [40000]
+            for seed in (1, 2):
+                (tmp_path / f"run_seed{seed}.csv").write_text(
+                    "# logging.timing = false\n"
+                    + ",".join(CSV_COLUMNS) + ",elapsed_ns\n"
+                    + "".join(f"{seed},{k},{1 / k},0,{1 / k},,1,0\n" for k in ks))
+            argv = ["rate-check", "--dir", str(tmp_path), "--k-min", "100",
+                    "--k-max", "40000"]
+        try:
+            got = main(argv)
+        except SystemExit as exc:             # argparse's own exit
+            got = exc.code
+        assert got == code
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
 
-# the 18 header lines of ``mbproj solve`` with every setting at its default
+
+# the 17 header lines of ``mbproj solve`` with every setting at its default
 DEFAULT_HEADER = [
     b"# problem.builtin = benchmark",
     b"# problem.instance = ",
@@ -180,7 +200,6 @@ DEFAULT_HEADER = [
     b"# solver.init = gaussian",
     b"# solver.assertions = off",
     b"# logging.cadence = geometric",
-    b"# logging.timing = false",
     b"# output.seeds = 1",
 ]
 
@@ -753,15 +772,6 @@ class TestSolveCommand:
             capsys.readouterr().err
         assert taken.read_text() == ""
 
-    def test_timing_flag_records_wall_clock(self, tmp_path):
-        out = tmp_path / "timed"
-        code = main(["solve", "--builtin", "orthant2", "--N", "2",
-                     "--iters", "50", "--seeds", "1", "--timing",
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        _, rows = read_csv(out / "run_seed1.csv")
-        assert rows[-1].elapsed_ns > 0
-
 
 class TestRateCheck:
     def synthetic_dir(self, tmp_path, curve, n_seeds=3):
@@ -770,7 +780,7 @@ class TestRateCheck:
         out = tmp_path / "synth"
         os.makedirs(out, exist_ok=True)
         for seed in cfg.seeds:
-            rows = [(seed, k, curve(k, seed), 0.0, curve(k, seed), None, 1.0, 0)
+            rows = [(seed, k, curve(k, seed), 0.0, curve(k, seed), None, 1.0)
                     for k in ks]
             write_csv(os.path.join(out, f"run_seed{seed}.csv"), cfg, rows)
         write_csv(os.path.join(out, "aggregate.csv"), cfg, [])
@@ -887,7 +897,7 @@ class TestRateCheck:
         # seeds 1 and 2 log the geometric grid up to 40000, seed 3 another
         # grid: its column cannot be averaged with theirs
         d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 / k)
-        rows = [(3, k, 1.0 / k, 0.0, 1.0 / k, None, 1.0, 0) for k in ks]
+        rows = [(3, k, 1.0 / k, 0.0, 1.0 / k, None, 1.0) for k in ks]
         write_csv(os.path.join(d, "run_seed3.csv"), RunConfig(seeds=(3,)), rows)
         assert main(["rate-check", "--dir", d, "--k-min", "100",
                      "--k-max", "40000"]) == EXIT_WINDOW
@@ -899,7 +909,7 @@ class TestRateCheck:
         ("", "no column line"),
         ("seed,k,f_gap\n1,1,0.5\n", "no column line"),
         (",".join(CSV_COLUMNS) + "\n1,1,0.5\n", "malformed row"),
-        (",".join(CSV_COLUMNS) + "\n1,1,x,0,0,,1,0\n", "malformed row"),
+        (",".join(CSV_COLUMNS) + "\n1,1,x,0,0,,1\n", "malformed row"),
     ], ids=["header-only", "empty", "other-columns", "short-row", "bad-cell"])
     def test_unreadable_seed_file_is_window_error(self, tmp_path, capsys, text,
                                                   cause):
@@ -1161,7 +1171,7 @@ class TestCsvRoundTrip:
     def test_empty_cells_render_and_parse(self, tmp_path):
         cfg = RunConfig(seeds=(1,))
         path = tmp_path / "t.csv"
-        write_csv(str(path), cfg, [RunRecord(1, 5, None, 0.25, None, None, 1.0, 0)])
+        write_csv(str(path), cfg, [RunRecord(1, 5, None, 0.25, None, None, 1.0)])
         _, rows = read_csv(str(path))
         assert rows[0].f_gap is None
         assert rows[0].dist_X is None
@@ -1174,7 +1184,7 @@ class TestCsvRoundTrip:
         # every cell round-trips exactly, an empty one as None
         cfg = RunConfig(builtin=builtin, n=4, m=6, variant=variant, batch_size=2,
                         beta_policy="adaptive" if variant == "parallel" else "fixed",
-                        iterations=40, cadence=3, seeds=(1, 2), timing=True)
+                        iterations=40, cadence=3, seeds=(1, 2))
         inst = harness.build_problem(cfg)
         results = solver_run(inst.spec, cfg, poly=inst.poly)
         for result in results:
@@ -1188,8 +1198,8 @@ class TestCsvRoundTrip:
 
     def test_aggregate_rows_nan_aware(self):
         per_seed = [
-            [RunRecord(1, 1, 1.0, 0.5, None, 0.4, 1.0, 0)],
-            [RunRecord(2, 1, 3.0, 1.5, None, None, 1.0, 0)],
+            [RunRecord(1, 1, 1.0, 0.5, None, 0.4, 1.0)],
+            [RunRecord(2, 1, 3.0, 1.5, None, None, 1.0)],
         ]
         (agg,) = aggregate_rows(per_seed)
         assert (agg.seed, agg.k) == (None, 1)

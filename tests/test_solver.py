@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import time
 import warnings
 
 import numpy as np
@@ -529,31 +530,29 @@ class TestRunLoop:
                         seeds=(9,))
         (r1,) = run(inst.spec, cfg, poly=inst.poly)
         (r2,) = run(inst.spec, cfg, poly=inst.poly)
-        # timing is off, so elapsed_ns is 0 and whole records match
         assert r1.records == r2.records
         np.testing.assert_array_equal(r1.final_x_hat, r2.final_x_hat)
 
-    @pytest.mark.parametrize("timing", [False, True])
-    def test_elapsed_ns_is_recorded_only_under_timing(self, timing, monkeypatch):
-        # with timing off no clock is read and every record holds 0; with
-        # it on, each row's times are positive and never go back
+    @pytest.mark.parametrize("block", ["solve", "sweep"])
+    def test_run_reads_no_clock(self, block, monkeypatch):
+        # a record holds results only: neither a solve block nor a block of
+        # mixed sizes reads a clock
+        reads = []
+        for name in ("perf_counter_ns", "perf_counter"):
+            monkeypatch.setattr(time, name, lambda name=name, clock=getattr(time, name):
+                                reads.append(name) or clock())
         inst = self.small_benchmark()
         cfg = RunConfig(variant="parallel", batch_size=2, beta=1.0,
-                        iterations=200, cadence=20, seeds=(1, 2), timing=timing)
-        reads = []
-        clock = solver.time.perf_counter_ns
-        monkeypatch.setattr(solver.time, "perf_counter_ns",
-                            lambda: reads.append(1) or clock())
-        results = run(inst.spec, cfg, poly=inst.poly)
+                        iterations=200, cadence=20, seeds=(1, 2))
+        if block == "solve":
+            results = run(inst.spec, cfg, poly=inst.poly)
+        else:
+            results = solver._run_block(inst.spec, dataclasses.replace(
+                cfg, variant="sequential"), inst.poly, (4, 1, 2))
         monkeypatch.undo()
-        for result in results:
-            times = [r.elapsed_ns for r in result.records]
-            assert len(times) == 10
-            if timing:
-                assert min(times) > 0 and times == sorted(times)
-            else:
-                assert set(times) == {0}
-        assert bool(reads) == timing
+        assert reads == []
+        assert [len(r.records) for r in results] == \
+            [10] * (2 if block == "solve" else 6)
 
     def test_single_batch_variants_bit_identical(self):
         inst = self.small_benchmark()
@@ -1466,7 +1465,7 @@ class TestPerRowStepsize:
         inst = make_polyhedral_benchmark(4, 8, seed=12)
         cfg = RunConfig(iterations=300, seeds=(1, 2), **policy)
         sizes = (8, 1)
-        blocks = len(solver._size_blocks(sizes, cfg.variant))
+        blocks = len(solver._size_blocks(sizes))
         assert blocks == 2
         run(inst.spec, cfg, poly=inst.poly, sizes=sizes)
         if cfg.beta_policy == "adaptive":
@@ -1526,25 +1525,33 @@ class TestBlockEqualsSizes:
         ("parallel", (1, 8, 64, 200), [[200, 64], [8], [1]]),
         ("parallel", (1, 2, 4, 8, 16, 32, 64, 128),
          [[128, 64, 32], [16, 8, 4], [2, 1]]),
-        ("sequential", (1, 2, 4), [[4, 2], [1]]),
+        ("sequential", (1, 2, 4), [[4, 2, 1]]),
         ("sequential", (2, 6, 1), [[6, 2], [1]]),
-        ("sequential", (1, 8, 64, 200), [[200], [64], [8], [1]]),
+        ("sequential", (1, 8, 64, 200), [[200, 64], [8], [1]]),
         ("sequential", (1, 2, 4, 8, 16, 32, 64, 128),
-         [[128, 64], [32, 16], [8, 4], [2, 1]]),
+         [[128, 64, 32], [16, 8, 4], [2, 1]]),
     ])
-    def test_blocks_bound_their_padding(self, variant, sizes, blocks):
+    def test_blocks_bound_their_padding(self, variant, sizes, blocks, monkeypatch):
         # each block asks at most PAD_FACTOR times the columns of its sizes
-        # alone, and the next narrower size would pass that bound
-        def asked(size):
-            return size if variant == "parallel" else size * (size + 1) // 2
-
-        assert solver._size_blocks(sizes, variant) == blocks
+        # alone, N per row, and the next narrower size would pass that
+        # bound; run cuts the sizes of either variant into these blocks
+        assert solver._size_blocks(sizes) == blocks
         for block, after in zip(blocks, blocks[1:] + [None]):
-            padded, real = len(block) * asked(block[0]), sum(map(asked, block))
+            padded, real = len(block) * block[0], sum(block)
             assert padded <= solver.PAD_FACTOR * real
             if after:
-                assert padded + asked(block[0]) > \
-                    solver.PAD_FACTOR * (real + asked(after[0]))
+                assert padded + block[0] > solver.PAD_FACTOR * (real + after[0])
+        handed = []
+
+        def spy(spec, config, poly, block):
+            handed.append(list(block))
+            return [solver.RunResult(seed, size, [], None, None)
+                    for size in block for seed in config.seeds]
+
+        monkeypatch.setattr(solver, "_run_block", spy)
+        inst = make_polyhedral_benchmark(2, 200, seed=12)
+        run(inst.spec, RunConfig(variant=variant), sizes=sizes)
+        assert handed == blocks
 
     @pytest.mark.parametrize("sizes", N_LISTS, ids=str)
     @pytest.mark.parametrize("sampler", Sampler.VARIANTS)
