@@ -32,10 +32,11 @@ Every projection is certified before it is returned: the KKT residuals
 (stationarity, primal violation, ball excess, negative multipliers,
 complementarity) must lie below ``TOL_METRIC`` times s = 1 + the largest
 coordinate of v or x in magnitude (s^2 for complementarity, a product of two
-lengths), or ``DistanceOracleError`` is raised with them; the method's last
-A x + b and the ball test's projection of x are shared, not recomputed.  An
-empty feasible set raises ``EmptyFeasibleSetError``.  The oracle is the
-reference metric of the harness and of the per-iteration inequality checks.
+lengths), or ``DistanceOracleError`` is raised with them.  The certificate
+computes A x + b and s from the point it certifies, not from the method's
+bookkeeping; only the ball test's projection of x is shared.  An empty
+feasible set raises ``EmptyFeasibleSetError``.  The oracle is the reference
+metric of the harness and of the per-iteration inequality checks.
 """
 
 from __future__ import annotations
@@ -136,10 +137,9 @@ def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
     """Projection of w onto {Ax + b <= 0} by the dual active-set method,
     warm-started from the linearly independent rows ``start``.
 
-    Returns (x, active, mu, s) with ``active`` sorted, x = w - A[active]^T mu,
-    mu >= 0, the active rows linearly independent and tight at x, and s =
-    A x + b (None if x was re-solved).  Raises ``EmptyFeasibleSetError``
-    when the polyhedron is empty.
+    Returns (x, active, mu) with ``active`` sorted, x = w - A[active]^T mu,
+    mu >= 0 and the active rows linearly independent and tight at x.
+    Raises ``EmptyFeasibleSetError`` when the polyhedron is empty.
     """
     A, b = poly.A, poly.b
     # the rows of start with their multipliers, dropping negative ones until
@@ -158,7 +158,7 @@ def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
             if not solved:
                 active = sorted(active)
                 x, mu = _solve_active(A, b, w, active)
-            return x, active, mu, s if solved else None
+            return x, active, mu
         a_p, mu_p, solved = A[p], 0.0, False
         while True:
             N = A[active]
@@ -196,11 +196,12 @@ def _norm(d: np.ndarray) -> float:   # np.linalg.norm's bits for 1-D d, cheaper
 
 
 def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, v, x, active, lam,
-             nu: float, scale: float, s, excess: float) -> None:
+             nu: float, excess: float) -> None:
     """Raise ``DistanceOracleError`` unless (x, lam, nu) satisfies the KKT
-    conditions of the projection of v within ``TOL_METRIC``, from the
-    residuals s = A x + b (None: not yet computed) and |P_Y(x) - x| at x."""
-    s = poly.A @ x + poly.b if s is None else s
+    conditions of the projection of v within ``TOL_METRIC``, given the ball
+    excess |P_Y(x) - x|; A x + b and the scale are computed here from x."""
+    s = poly.A @ x + poly.b
+    scale = 1.0 + max(float(np.abs(v).max()), float(np.abs(x).max()))
     grad = x - v + lam @ poly.A[active]
     comp = float(np.abs(lam * s[active]).max(initial=0.0))
     if nu > 0.0:
@@ -233,13 +234,13 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
     the final active set of an earlier call: the projection starts from it,
     and on return the list holds this projection's final active set.  The
     result does not depend on it (see the module docstring).  Certified as
-    the module docstring describes, from the residuals and ball projection
+    the module docstring describes, from x itself and the ball projection
     the method computed.  Raises ``EmptyFeasibleSetError`` when the set is
     empty and ``DistanceOracleError`` when the certificate fails.
     """
     v = as_point(v)
     scale = 1.0 + float(np.abs(v).max())
-    x, rows, lam, s = _project_polyhedron(poly, v, scale, active or ())
+    x, rows, lam = _project_polyhedron(poly, v, scale, active or ())
     nu, excess = 0.0, _norm(simple_set.project(x) - x)
     if not excess <= 0.0:
         c, radius = simple_set.center, simple_set.radius
@@ -252,24 +253,23 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
         # as close to the center as it gets; each step starts from the rows
         # of the step before
         lo, hi = 0.0, float(np.nextafter(1.0, 0.0))
-        y, rows, _, _ = project_toward_center(hi, rows)
+        y, rows, _ = project_toward_center(hi, rows)
         if _norm(y - c) > radius:
             raise EmptyFeasibleSetError(
                 "feasible set is empty: the ball does not meet the polyhedron")
         while lo < 0.5 * (lo + hi) < hi:
             mid = 0.5 * (lo + hi)
-            y, rows, _, _ = project_toward_center(mid, rows)
+            y, rows, _ = project_toward_center(mid, rows)
             if _norm(y - c) > radius:
                 lo = mid
             else:
                 hi = mid
-        x, rows, mu, s = project_toward_center(hi, rows)
+        x, rows, mu = project_toward_center(hi, rows)
         # 1 + 2 nu = 1 / (1 - theta) rescales the polyhedral multipliers
         nu = hi / (2.0 * (1.0 - hi))
         lam = mu / (1.0 - hi)
         excess = _norm(simple_set.project(x) - x)
-    _certify(poly, simple_set, v, x, rows, lam, nu,
-             max(scale, 1.0 + float(np.abs(x).max())), s, excess)
+    _certify(poly, simple_set, v, x, rows, lam, nu, excess)
     if active is not None:
         active[:] = rows
     return x

@@ -9,10 +9,12 @@ dist_X,LN_k,beta_k (a cell is empty when the metric is unavailable), from
 ``run`` through ``write_csv`` and ``read_csv`` to the aggregate and
 ``rate_check``.  CSV files carry the header as leading ``#`` comment lines;
 it echoes the settings that determine the numbers, with ``problem.n`` and
-``problem.m`` read from the built instance, and leaves out ``out_dir``.  A
-file holds results only, so its bytes are a function of the settings it
-echoes: repeated identical invocations write byte-identical files.  Timing
-a run is the benchmark's job (``bench/run_bench.py``), not the CSV's.
+``problem.m`` read from the built instance, leaves ``problem.builtin`` and
+``problem.problem_seed`` empty for an instance file, and leaves out
+``out_dir``.  A file holds results only, so its bytes are a function of the
+settings it echoes: repeated identical invocations write byte-identical
+files.  Timing a run is the benchmark's job (``bench/run_bench.py``), not
+the CSV's.
 """
 
 from __future__ import annotations
@@ -268,9 +270,12 @@ def _check_out_dir(path: str) -> None:
 def _write_results(cfg: RunConfig, instance: BenchmarkInstance, results) -> list:
     """Make ``cfg.out_dir`` and write a CSV per result, one seed's records
     as ``run`` made them, and the aggregate there, each headed by ``cfg``
-    with the instance's n and m; returns the paths."""
+    with the instance's n and m; returns the paths.  An instance file
+    determines the problem alone, so its header leaves ``builtin`` and
+    ``problem_seed`` empty."""
+    unused = dict(builtin=None, problem_seed=None) if cfg.instance else {}
     echo = replace(cfg, n=instance.spec.simple_set.dimension,
-                   m=instance.spec.constraints.size)
+                   m=instance.spec.constraints.size, **unused)
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed_rows, paths = [], []
     for result in results:

@@ -250,19 +250,19 @@ def _weighted_mean(weights: np.ndarray, dirs: np.ndarray, groups=()) -> np.ndarr
 
 
 def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
-                      violated: Optional[np.ndarray], groups=()) -> np.ndarray:
+                      groups=()) -> np.ndarray:
     """Alignment ratio L_N,k of each row's minibatch, shape (S,), per group
     of ``_Rows.groups`` on its real columns when there are any.  L_N,k =
     |avg of gplus / nsq * rows|^2 / avg of gplus^2 / nsq is at most 1
-    (mean-square inequality); it is NaN in the rows that ``violated``
-    leaves unmarked, whose batch is feasible (none when it is None).
-    L_N,k is scale-invariant, so a violated row whose gplus^2 / nsq all
-    underflow, giving 0/0, takes both terms from gplus divided by the row's
-    largest entry; the other rows are divided by 1, which keeps their bits."""
+    (mean-square inequality); it is NaN in a row whose real columns have
+    no positive gplus, whose batch is feasible.  L_N,k is scale-invariant,
+    so a violated row whose gplus^2 / nsq all underflow, giving 0/0, takes
+    both terms from gplus divided by the row's largest entry; the other
+    rows are divided by 1, which keeps their bits."""
     ln_k = np.empty(len(gplus))
     for part, size in groups or ((slice(None), gplus.shape[1]),):
         g, q = gplus[part, :size], nsq[part, :size]
-        live = True if violated is None else violated[part]
+        live = np.logical_or.reduce(g > 0.0, 1)
         den = np.add.reduce(g * g / q, 1) / size
         lost = live & (den == 0.0)
         if np.count_nonzero(lost):
@@ -270,8 +270,7 @@ def batch_diagnostics(gplus: np.ndarray, dirs: np.ndarray, nsq: np.ndarray,
             den = np.add.reduce(g * g / q, 1) / size
         mean_dir = _weighted_mean(g / q, dirs[part, :size])
         num = np.vecdot(mean_dir, mean_dir)
-        ln_k[part] = num / den if violated is None else \
-            np.where(live, num / np.where(live, den, 1.0), np.nan)
+        ln_k[part] = np.where(live, num / np.where(live, den, 1.0), np.nan)
     return ln_k
 
 
@@ -344,7 +343,9 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
 
     L_N,k is computed, by one ``batch_diagnostics`` call, where ``ratio``
     asks for it and wherever the adaptive rule, a declared ``ln_hint`` or
-    ``checker`` reads it; it changes no bit of the next points.  Returns
+    ``checker`` reads it; it changes no bit of the next points.  That call
+    finds the feasible rows from ``gplus`` itself; the pass masks them only
+    to keep their points, and only when some value is not positive.  Returns
     the next points, each row's L_N,k (NaN where the batch is feasible),
     or None for L_N,k where it was not computed, and the rows' stepsizes,
     ``beta`` itself unless the adaptive rule priced a row again.  An
@@ -357,15 +358,10 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ratio = ratio or adaptive or ln is not None or checker is not None
     if not hits:
         return v, np.full(len(v), np.nan) if ratio else None, beta
-    violated = None                   # every row, when it is None
-    if hits < active.size:
-        gplus = np.maximum(gvals, 0.0)
-        violated = np.logical_or.reduce(active, 1)
-    else:
-        gplus = gvals                 # every value is positive
+    partial = hits < active.size      # else every value is positive
+    gplus = np.maximum(gvals, 0.0) if partial else gvals
     nsq = _squared_norms(dirs, active)
-    ln_k = batch_diagnostics(gplus, dirs, nsq, violated, rows.groups) \
-        if ratio else None
+    ln_k = batch_diagnostics(gplus, dirs, nsq, rows.groups) if ratio else None
     if adaptive:
         beta = np.where(np.isnan(ln_k), beta, initial_beta(config) / ln_k)
     if ln is not None:
@@ -381,8 +377,8 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     # a feasible row's step, zero, is merged away below
     coef = beta[:, None] * gplus / nsq
     x_next = spec.simple_set.project(v - _weighted_mean(coef, dirs, rows.groups))
-    if violated is not None:
-        x_next = np.where(violated[:, None], x_next, v)
+    if partial:
+        x_next = np.where(np.logical_or.reduce(active, 1)[:, None], x_next, v)
     if checker is not None:
         checker.parallel(k, indices, v, x_next, gplus, dirs, nsq, beta, ln_k)
     return x_next, ln_k, beta
@@ -437,8 +433,7 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
         coef = beta[:, None] * gplus / nsq
         z_next = spec.simple_set.project(z - coef * dirs[:, 0])
         if checker is not None:
-            checker.chain_step(k, indices, first + j, z, z_next, gplus, dirs, nsq,
-                               beta)
+            checker.chain_step(k, indices, first + j, z, z_next, gplus, nsq, beta)
         z = z_next if stepped == count else np.where(active, z_next, z)
         start = [first + c + 1 if stepping and first + c + 1 < own else size
                  for c, stepping, own in zip(j.tolist(), active[:, 0].tolist(),
@@ -548,7 +543,7 @@ class _LemmaChecker:
                 te2.sum() - b * (2.0 - b * ln_k[row]) * gq.sum()) / size
                 - _sq(x[row] - y))
 
-    def chain_step(self, k, indices, column, z, z_next, gplus, dirs, nsq, beta):
+    def chain_step(self, k, indices, column, z, z_next, gplus, nsq, beta):
         """(1) for each row of a sequential round that steps from z to
         z_next at its ``column`` of ``indices``, and its term of (3)."""
         for row in np.flatnonzero(gplus[:, 0]):
@@ -751,7 +746,7 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
                     LN_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),
                     beta_k=float(beta_k[row])))
 
-    x_hat = weighted_sum / weight_total
+    # x_hat is the last log point's, k = iterations
     return [RunResult(seed=seed, batch_size=size, records=records[row],
                       final_x=x[row], final_x_hat=x_hat[row])
             for row, (seed, size) in enumerate(zip(rows.seeds, rows.sizes))]

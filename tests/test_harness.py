@@ -367,6 +367,25 @@ class TestSolveCommand:
         assert "--config" not in argv or str(tmp_path / "run.ini") in err
         assert not os.path.exists(tmp_path / "x")
 
+    def test_instance_file_header_leaves_builtin_empty(self, tmp_path):
+        # the file alone determines the problem: whatever --builtin and
+        # --problem-seed say, the header leaves both empty and the rows agree
+        path = tmp_path / "inst.txt"
+        save_instance(make_builtin("benchmark", n=3, m=4, seed=0), path)
+        files = []
+        for name, extra in (("given", ["--builtin", "orthonormal",
+                                       "--problem-seed", "3"]), ("default", [])):
+            out = tmp_path / name
+            assert main(["solve", "--instance", str(path), "--iters", "20",
+                         "--seeds", "1,2", "--out", str(out)] + extra) == EXIT_OK
+            files.append([read_csv(out / f) for f in
+                          ("run_seed1.csv", "run_seed2.csv", "aggregate.csv")])
+        for (head, rows), (other_head, other_rows) in zip(*files):
+            assert head == other_head and rows == other_rows
+            assert head[:5] == ["# problem.builtin = ", f"# problem.instance = {path}",
+                                "# problem.n = 3", "# problem.m = 4",
+                                "# problem.problem_seed = "]
+
     def test_bad_builtin_is_config_error(self, tmp_path):
         code = main(["solve", "--builtin", "nope", "--iters", "5",
                      "--out", str(tmp_path / "x")])

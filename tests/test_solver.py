@@ -141,7 +141,7 @@ def column_chain(spec, indices, v, beta, checker=None, k=0):
                 z - (beta[:, None] * gplus / nsq) * dirs[:, 0])
             if checker is not None:
                 checker.chain_step(k, indices, np.full(len(z), i), z, z_next,
-                                   gplus, dirs, nsq, beta)
+                                   gplus, nsq, beta)
             z = z_next if active.all() else np.where(active, z_next, z)
     if checker is not None:
         checker.chain_end(k, z)
@@ -397,7 +397,7 @@ class TestObjectiveStep:
 
 def one_seed_ratio(gplus, dirs, nsq):
     """L_N,k of one seed's violated batch through ``batch_diagnostics``."""
-    (ln_k,) = batch_diagnostics(gplus[None], dirs[None], nsq[None], None)
+    (ln_k,) = batch_diagnostics(gplus[None], dirs[None], nsq[None])
     return ln_k
 
 
@@ -423,6 +423,32 @@ class TestBatchQuantities:
         nsq = np.einsum("ij,ij->i", dirs, dirs)
         ln_k = one_seed_ratio(gplus, dirs, nsq)
         assert ln_k == pytest.approx(1.0, abs=1e-12)
+
+    def test_feasible_rows_read_from_real_columns(self):
+        # a block of sizes 4, 2 and 1, three rows each: every real column
+        # positive, a mix of zero and positive (at N = 1 a zero real column
+        # with positive pads) and every real column zero; a pad's value is
+        # junk, so only the real columns can decide which rows are NaN
+        rng = np.random.default_rng(24)
+        sizes, width = (4, 2, 1), 4
+        gplus = rng.uniform(0.1, 2.0, size=(9, width))
+        for g, size in enumerate(sizes):
+            gplus[3 * g + 1, :size] *= np.arange(size) % 2  # 0 at column 0
+            gplus[3 * g + 2, :size] = 0.0
+        dirs = rng.standard_normal((9, width, 3))
+        nsq = np.einsum("...j,...j->...", dirs, dirs)
+        groups = tuple((slice(3 * g, 3 * g + 3), size)
+                       for g, size in enumerate(sizes))
+        ln_k = batch_diagnostics(gplus, dirs, nsq, groups)
+        feasible = [not (gplus[row, :size] > 0.0).any()
+                    for part, size in groups for row in range(9)[part]]
+        assert feasible == [False, False, True, False, False, True,
+                            False, True, True]
+        np.testing.assert_array_equal(np.isnan(ln_k), feasible)
+        for part, size in groups:
+            alone = batch_diagnostics(gplus[part, :size], dirs[part, :size],
+                                      nsq[part, :size])
+            assert ln_k[part].tobytes() == alone.tobytes()
 
     def test_mean_square_identity(self):
         # |mean - w|^2 = avg |u_i - w|^2 - avg |u_j - mean|^2 for a point cloud
