@@ -4,9 +4,10 @@ constraint family, and an exact, certified distance-to-feasible-set oracle.
 ``PolyhedronSpec`` is the one owner of the rows A and b: it checks them once,
 and ``linear_family`` reads them from it for the solver's constraint oracle.
 
-``project_intersection`` computes the Euclidean projection of v onto
-{x : Ax + b <= 0} intersected with the ball Y (the whole space at radius
-inf).  The polyhedral part is the Goldfarb-Idnani dual active-set method
+``project_intersection`` computes the Euclidean projection of each row of
+an (R, n) block of points v onto {x : Ax + b <= 0} intersected with the
+ball Y (the whole space at radius inf); a 1-D point is the one-row case.
+The polyhedral part is the Goldfarb-Idnani dual active-set method
 with identity Hessian (Goldfarb & Idnani, Math. Programming 27, 1983): start
 at x = v with no active rows, add the most violated row, and drop an active
 row whose multiplier would turn negative on the way.  The active rows stay
@@ -14,7 +15,12 @@ linearly independent, so m > n is not degenerate, and a violated row in the
 span of the active ones with no multiplier to release proves the polyhedron
 empty.  When the polyhedral projection leaves the ball, the ball multiplier
 nu comes from bisection on the nonincreasing |P_P((v + 2 nu c)/(1 + 2 nu)) - c|
-= r, run in theta = 2 nu / (1 + 2 nu) over [0, 1).
+= r, run in theta = 2 nu / (1 + 2 nu) over [0, 1).  The method advances
+all of a block's rows at once, one step per row per outer step: one
+product X A^T + b finds each row's most violated row, one stacked solve
+over the rows' active sets, padded to a common width, prices each row's
+add or drop, and a finished row leaves the search.  The rows that leave
+the ball bisect together, each over its own interval.
 
 A projection can start from a warm active set, such as the final one of a
 nearby point: the method solves N N^T mu = N w + b_S for those rows,
@@ -26,22 +32,26 @@ step before.  On return the final active set is sorted and x = w - N^T mu
 is solved once more from it.  The projection is unique, and so, away from
 degenerate ties, is its active set; x then depends only on the point and
 that sorted set, not on the path the method took to it, so a warm and a cold
-start return the same bits.
+start return the same bits.  For the same reason the search's own rounding,
+which the padding and the other rows of a block change, is never returned:
+the returned x and multipliers of a row are solved from its sorted final
+set alone, unpadded, so a row of a block gets the bits of a call of its
+point alone.
 
 Every projection is certified before it is returned: the KKT residuals
 (stationarity, primal violation, ball excess, negative multipliers,
 complementarity) must lie below ``TOL_METRIC`` times s = 1 + the largest
 coordinate of v or x in magnitude (s^2 for complementarity, a product of two
-lengths), or ``DistanceOracleError`` is raised with them.  The certificate
-computes A x + b and s from the point it certifies, not from the method's
-bookkeeping; only the ball test's projection of x is shared.  An empty
-feasible set raises ``EmptyFeasibleSetError``.  The oracle is the reference
-metric of the harness and of the per-iteration inequality checks.
+lengths), checked for every row at once, or ``DistanceOracleError`` is
+raised with the first failing row's.  The certificate computes A x + b and
+s from the point it certifies, not from the method's bookkeeping; only the
+ball test's projection of x is shared.  An empty feasible set raises
+``EmptyFeasibleSetError``.  The oracle is the reference metric of the
+harness and of the per-iteration inequality checks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,151 +142,226 @@ def _solve_active(A, b, w, active):
     return w - mu @ N, mu
 
 
-def _project_polyhedron(poly: PolyhedronSpec, w: np.ndarray, scale: float,
-                        start=()):
-    """Projection of w onto {Ax + b <= 0} by the dual active-set method,
-    warm-started from the linearly independent rows ``start``.
+def _most_violated(A, b, X, scale):
+    """Each row of X's most violated row of A, and whether it is violated
+    above EPS times that row's entry of ``scale``."""
+    s = X @ A.T + b
+    p = s.argmax(axis=1)
+    return p, s[np.arange(len(X)), p] > EPS * scale
 
-    Returns (x, active, mu) with ``active`` sorted, x = w - A[active]^T mu,
-    mu >= 0 and the active rows linearly independent and tight at x.
-    Raises ``EmptyFeasibleSetError`` when the polyhedron is empty.
+
+def _project_polyhedron(poly: PolyhedronSpec, W: np.ndarray, scale: np.ndarray,
+                        starts):
+    """Projections of the rows of W, (R, n), onto {Ax + b <= 0} by the dual
+    active-set method, each warm-started from its own linearly independent
+    rows in ``starts`` and violated above EPS times its entry of ``scale``.
+
+    Returns (X, active, mu): X (R, n), and per row its sorted active rows and
+    their multipliers, with X[i] = W[i] - A[active[i]]^T mu[i], mu[i] >= 0
+    and the active rows linearly independent and tight at X[i].  Raises
+    ``EmptyFeasibleSetError`` when the polyhedron is empty.
     """
     A, b = poly.A, poly.b
-    # the rows of start with their multipliers, dropping negative ones until
-    # none is left: a dual feasible point to start from
-    active = sorted(start)
-    x, mu = _solve_active(A, b, w, active)
-    while (mu < 0.0).any():
-        active = [row for row, m in zip(active, mu) if m >= 0.0]
-        x, mu = _solve_active(A, b, w, active)
-    solved = True      # (x, mu) is _solve_active of the sorted active rows
+    count, n = W.shape
+    X, active, mu = np.empty_like(W), [], []
+    # each start with its multipliers, dropping negative ones until none is
+    # left: a dual feasible point to start from
+    for i, start in enumerate(starts):
+        rows = sorted(start)
+        X[i], lam = _solve_active(A, b, W[i], rows)
+        while (lam < 0.0).any():
+            rows = [row for row, m in zip(rows, lam) if m >= 0.0]
+            X[i], lam = _solve_active(A, b, W[i], rows)
+        active.append(rows)
+        mu.append(lam)
+    adding, live = _most_violated(A, b, X, scale)
+    if not live.any():
+        return X, active, mu
+    moved = live.copy()
+    # the live rows advance together: each row's active rows and multipliers
+    # in the order they joined, padded with 0 to n slots, and the multiplier
+    # of the row it is adding
+    size = np.array([len(rows) for rows in active], dtype=np.intp)
+    slots, lams = np.zeros((count, n), dtype=np.intp), np.zeros((count, n))
+    added = np.zeros(count)
+    for i, (rows, lam) in enumerate(zip(active, mu)):
+        slots[i, :size[i]], lams[i, :size[i]] = rows, lam
     # the method is finite; the cap only guards against cycling in rounding
     for _ in range(10 * (poly.m + poly.n)):
-        s = A @ x + b
-        p = int(s.argmax())
-        if s[p] <= EPS * scale:
-            if not solved:
-                active = sorted(active)
-                x, mu = _solve_active(A, b, w, active)
-            return x, active, mu
-        a_p, mu_p, solved = A[p], 0.0, False
-        while True:
-            N = A[active]
-            r = np.linalg.solve(N @ N.T, N @ a_p)
-            z = a_p - r @ N
-            zz = float(z @ z)
-            dependent = zz <= EPS * EPS    # a_p lies in the span of the active rows
-            full = np.inf if dependent else (float(a_p @ x) + b[p]) / zz
-            blocking = np.flatnonzero(r > EPS)
-            ratios = mu[blocking] / r[blocking]
-            partial = float(ratios.min(initial=np.inf))
-            t = min(full, partial)
-            if t == np.inf:
-                raise EmptyFeasibleSetError(
-                    f"feasible set is empty: row {p} is violated and in the "
-                    f"span of rows {sorted(active)} with no multiplier to release")
-            if not dependent:
-                x = x - t * z
-            mu = mu - t * r
-            mu_p += t
-            if full <= partial:
-                active.append(p)
-                mu = np.append(mu, mu_p)
-                break
-            k = int(blocking[ratios.argmin()])
-            del active[k]
-            mu = np.delete(mu, k)
-    raise DistanceOracleError(
-        f"active-set method did not terminate within {10 * (poly.m + poly.n)} steps",
-        residuals={})
-
-
-def _norm(d: np.ndarray) -> float:   # np.linalg.norm's bits for 1-D d, cheaper
-    return math.sqrt(d @ d)
-
-
-def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, v, x, active, lam,
-             nu: float, excess: float) -> None:
-    """Raise ``DistanceOracleError`` unless (x, lam, nu) satisfies the KKT
-    conditions of the projection of v within ``TOL_METRIC``, given the ball
-    excess |P_Y(x) - x|; A x + b and the scale are computed here from x."""
-    s = poly.A @ x + poly.b
-    scale = 1.0 + max(float(np.abs(v).max()), float(np.abs(x).max()))
-    grad = x - v + lam @ poly.A[active]
-    comp = float(np.abs(lam * s[active]).max(initial=0.0))
-    if nu > 0.0:
-        d = x - simple_set.center
-        grad = grad + 2.0 * nu * d
-        comp = max(comp, nu * abs(float(d @ d) - simple_set.radius ** 2))
-    residuals = {
-        "stationarity": _norm(grad),
-        "primal_violation": max(float(s.max()), 0.0),
-        "ball_excess": excess,
-        "negative_multiplier": max(-float(lam.min(initial=0.0)), 0.0),
-        "complementarity": comp,
-    }
-    # complementarity is a product of two lengths
-    bound = TOL_METRIC * scale
-    failed = {key: val for key, val in residuals.items()
-              if not val <= (bound * scale if key == "complementarity" else bound)}
-    if failed:
+        stepping = np.flatnonzero(live)
+        if not stepping.size:
+            break
+        # one stacked solve over the active sets, padded to a common width:
+        # a pad is a zero row of N, an identity row of N N^T, and solves to 0
+        held = size[stepping]
+        width = min(int(held.max()) + 1, n)
+        pad = np.arange(width) >= held[:, None]
+        N = A[slots[stepping, :width]]
+        N[pad] = 0.0
+        gram = N @ N.transpose(0, 2, 1)
+        gram[:, np.arange(width), np.arange(width)] += pad
+        p = adding[stepping]
+        a_p, x = A[p], X[stepping]
+        r = np.linalg.solve(gram, N @ a_p[:, :, None])[:, :, 0]
+        z = a_p - (r[:, None, :] @ N)[:, 0]
+        zz = np.vecdot(z, z)
+        dependent = zz <= EPS * EPS    # a_p lies in the span of the active rows
+        full = np.divide(np.vecdot(a_p, x) + b[p], zz,
+                         out=np.full(stepping.size, np.inf), where=~dependent)
+        ratios = np.divide(lams[stepping, :width], r, out=np.full_like(r, np.inf),
+                           where=r > EPS)
+        k = ratios.argmin(axis=1)
+        partial = ratios[np.arange(stepping.size), k]
+        t = np.minimum(full, partial)
+        if np.isinf(t).any():
+            i = stepping[np.argmax(np.isinf(t))]
+            raise EmptyFeasibleSetError(
+                f"feasible set is empty: row {adding[i]} is violated and in the "
+                f"span of rows {sorted(slots[i, :size[i]].tolist())} with no "
+                f"multiplier to release")
+        X[stepping] = x - np.where(dependent, 0.0, t)[:, None] * z
+        lams[stepping, :width] -= t[:, None] * r
+        added[stepping] += t
+        # a row that joins takes the next slot, and its point looks for the
+        # next violated row; a blocking row that leaves hands its slot and
+        # those after it to the rows after it
+        join = full <= partial
+        grow = stepping[join]
+        slots[grow, size[grow]], lams[grow, size[grow]] = adding[grow], added[grow]
+        size[grow] += 1
+        adding[grow], live[grow] = _most_violated(A, b, X[grow], scale[grow])
+        added[grow] = 0.0
+        drop = stepping[~join]
+        if drop.size:
+            column = np.arange(n)
+            source = np.minimum(column + (column >= k[~join][:, None]), n - 1)
+            slots[drop] = np.take_along_axis(slots[drop], source, axis=1)
+            lams[drop] = np.take_along_axis(lams[drop], source, axis=1)
+            size[drop] -= 1
+            slots[drop, size[drop]], lams[drop, size[drop]] = 0, 0.0
+    else:
         raise DistanceOracleError(
-            f"projection certificate failed ({', '.join(failed)} above "
-            f"{bound:g} at scale {scale:g}); residuals {residuals}",
-            residuals=residuals)
+            f"active-set method did not terminate within {10 * (poly.m + poly.n)} steps",
+            residuals={})
+    # the returned bits are solved from each moved row's sorted final set alone
+    for i in np.flatnonzero(moved):
+        active[i] = sorted(slots[i, :size[i]].tolist())
+        X[i], mu[i] = _solve_active(A, b, W[i], active[i])
+    return X, active, mu
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """|d| of each row of d, (..., n): one vecdot per row, so a row rounds
+    as np.linalg.norm of that row alone, whatever the number of rows."""
+    return np.sqrt(np.vecdot(d, d))
+
+
+def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, V, X, active, lam,
+             nu: np.ndarray, excess: np.ndarray) -> None:
+    """Raise ``DistanceOracleError``, naming the first failing row, unless
+    each row's (X[i], lam[i], nu[i]) satisfies the KKT conditions of the
+    projection of V[i] within ``TOL_METRIC``, given its ball excess
+    |P_Y(X[i]) - X[i]|; A x + b and the scale are computed here from X."""
+    s = X @ poly.A.T + poly.b
+    scale = 1.0 + np.maximum(np.abs(V).max(axis=1), np.abs(X).max(axis=1))
+    # each row's multipliers on its active rows, 0 on the others
+    full = np.zeros_like(s)
+    for i, (rows, mu) in enumerate(zip(active, lam)):
+        full[i, rows] = mu
+    grad = X - V + full @ poly.A
+    comp = np.abs(full * s).max(axis=1)
+    ball = np.flatnonzero(nu > 0.0)
+    if ball.size:
+        d = X[ball] - simple_set.center
+        grad[ball] += 2.0 * nu[ball, None] * d
+        comp[ball] = np.maximum(comp[ball], nu[ball] * np.abs(
+            np.vecdot(d, d) - simple_set.radius ** 2))
+    names = ("stationarity", "primal_violation", "ball_excess",
+             "negative_multiplier", "complementarity")
+    residuals = np.array([_norms(grad), np.maximum(s.max(axis=1), 0.0), excess,
+                          np.maximum(-full.min(axis=1), 0.0), comp])
+    bound = TOL_METRIC * scale
+    failed = ~(residuals <= bound)
+    # complementarity is a product of two lengths
+    failed[-1] = ~(comp <= bound * scale)
+    bad = failed.any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        row = dict(zip(names, residuals[:, i].tolist()))
+        raise DistanceOracleError(
+            f"projection certificate failed for point {i} "
+            f"({', '.join(np.compress(failed[:, i], names))} above "
+            f"{bound[i]:g} at scale {scale[i]:g}); residuals {row}", residuals=row)
 
 
 def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
                          v: np.ndarray, active: Optional[list] = None) -> np.ndarray:
-    """Exact Euclidean projection of v onto {Ax + b <= 0} intersect Y.
+    """Exact Euclidean projection of each row of v, (R, n), onto
+    {Ax + b <= 0} intersect Y; a 1-D point is one row, returned 1-D.
 
-    ``active``, when given, is a list of linearly independent rows, such as
-    the final active set of an earlier call: the projection starts from it,
-    and on return the list holds this projection's final active set.  The
-    result does not depend on it (see the module docstring).  Certified as
-    the module docstring describes, from x itself and the ball projection
-    the method computed.  Raises ``EmptyFeasibleSetError`` when the set is
-    empty and ``DistanceOracleError`` when the certificate fails.
+    ``active``, when given, holds one list of linearly independent rows per
+    row of v (for a 1-D point, the one list), such as the final active set
+    of an earlier call: each projection starts from its own, and on return
+    each list holds its row's final active set.  No row's result depends on
+    its start or on the other rows (see the module docstring).  Certified
+    as the module docstring describes, from x itself and the ball
+    projection the method computed.  Raises ``EmptyFeasibleSetError`` when
+    the set is empty and ``DistanceOracleError`` when a certificate fails.
     """
-    v = as_point(v)
-    scale = 1.0 + float(np.abs(v).max())
-    x, rows, lam = _project_polyhedron(poly, v, scale, active or ())
-    nu, excess = 0.0, _norm(simple_set.project(x) - x)
-    if not excess <= 0.0:
-        c, radius = simple_set.center, simple_set.radius
+    V = np.asarray(v, dtype=np.float64)
+    one = V.ndim == 1
+    if one:
+        V = V[None]
+    starts = [()] * len(V) if active is None else [active] if one else active
+    scale = 1.0 + np.abs(V).max(axis=1)
+    X, rows, lam = _project_polyhedron(poly, V, scale, starts)
+    nu, excess = np.zeros(len(V)), _norms(simple_set.project(X) - X)
+    ball = np.flatnonzero(~(excess <= 0.0))
+    if ball.size:
+        c, radius, w = simple_set.center, simple_set.radius, V[ball]
 
-        def project_toward_center(theta, start):
-            return _project_polyhedron(poly, (1.0 - theta) * v + theta * c, scale,
-                                       start)
+        def project_toward_center(theta, of, starts):
+            return _project_polyhedron(
+                poly, (1.0 - theta)[:, None] * w[of] + theta[:, None] * c,
+                scale[ball[of]], starts)
 
-        # the largest theta below 1: nu stays finite, and the projection is
-        # as close to the center as it gets; each step starts from the rows
-        # of the step before
-        lo, hi = 0.0, float(np.nextafter(1.0, 0.0))
-        y, rows, _ = project_toward_center(hi, rows)
-        if _norm(y - c) > radius:
+        # the rows that leave the ball bisect together, each over its own
+        # [lo, hi]; hi starts at the largest theta below 1: nu stays finite,
+        # and the projection is as close to the center as it gets.  Each
+        # step starts a row from its rows of the step before.
+        every = np.arange(ball.size)
+        lo, hi = np.zeros(ball.size), np.full(ball.size, np.nextafter(1.0, 0.0))
+        y, sets, _ = project_toward_center(hi, every, [rows[i] for i in ball])
+        if (_norms(y - c) > radius).any():
             raise EmptyFeasibleSetError(
                 "feasible set is empty: the ball does not meet the polyhedron")
-        while lo < 0.5 * (lo + hi) < hi:
+        while True:
             mid = 0.5 * (lo + hi)
-            y, rows, _ = project_toward_center(mid, rows)
-            if _norm(y - c) > radius:
-                lo = mid
-            else:
-                hi = mid
-        x, rows, mu = project_toward_center(hi, rows)
+            of = np.flatnonzero((lo < mid) & (mid < hi))
+            if not of.size:
+                break
+            y, moved, _ = project_toward_center(mid[of], of, [sets[j] for j in of])
+            for j, final in zip(of, moved):
+                sets[j] = final
+            out = _norms(y - c) > radius
+            lo[of[out]], hi[of[~out]] = mid[of[out]], mid[of[~out]]
+        X[ball], sets, mu = project_toward_center(hi, every, sets)
         # 1 + 2 nu = 1 / (1 - theta) rescales the polyhedral multipliers
-        nu = hi / (2.0 * (1.0 - hi))
-        lam = mu / (1.0 - hi)
-        excess = _norm(simple_set.project(x) - x)
-    _certify(poly, simple_set, v, x, rows, lam, nu, excess)
+        nu[ball] = hi / (2.0 * (1.0 - hi))
+        for j, i in enumerate(ball):
+            rows[i], lam[i] = sets[j], mu[j] / (1.0 - hi[j])
+        excess[ball] = _norms(simple_set.project(X[ball]) - X[ball])
+    _certify(poly, simple_set, V, X, rows, lam, nu, excess)
     if active is not None:
-        active[:] = rows
-    return x
+        for start, final in zip(starts, rows):
+            start[:] = final
+    return X[0] if one else X
 
 
 def distance_oracle(poly: PolyhedronSpec, simple_set: SimpleSet,
-                    v: np.ndarray, active: Optional[list] = None) -> float:
-    """Certified distance from v to the feasible intersection;
-    ``active`` as for ``project_intersection``."""
-    return _norm(project_intersection(poly, simple_set, v, active) - v)
+                    v: np.ndarray, active: Optional[list] = None):
+    """Certified distance from each row of v, (R, n), to the feasible
+    intersection, an (R,) array; a float for a 1-D point.  ``active`` as
+    for ``project_intersection``."""
+    d = _norms(project_intersection(poly, simple_set, v, active) - v)
+    return float(d) if d.ndim == 0 else d

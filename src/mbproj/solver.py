@@ -492,9 +492,11 @@ class _LemmaChecker:
 
     The parallel pass checks (1) at each violated column and (2) at y =
     P_X(v) of each violated row; the sequential pass checks (1) for each
-    step from z at y = P_X(z), and (3) at its first step's y.  So a violated
-    row, or a step, costs one ``project_intersection``, warm-started from
-    the row's last active set, and a row that takes no step costs none.
+    step from z at y = P_X(z), and (3) at its first step's y.  One
+    ``project_intersection`` call projects all of a parallel pass's
+    violated rows, or all of a sequential round's stepping rows, each
+    warm-started from the row's last active set; a row that takes no step
+    is not projected.
     Its certificate makes y feasible only to TOL_METRIC times its scale, so
     e is computed from ``poly``'s rows at y, not taken as 0, and y is then
     projected onto Y, which it leaves by rounding only.  TOL_ASSERT covers
@@ -508,10 +510,11 @@ class _LemmaChecker:
         # each sequential row's (y, |v - y|^2, decrease of (3) so far)
         self.chains = {}
 
-    def _nearest(self, row, v):
-        """y for row ``row``'s point v: P_Y of its certified P_X(v)."""
+    def _nearest(self, rows, v):
+        """y for the block's rows ``rows`` at their points v, one row each:
+        P_Y of their certified P_X(v), from one ``project_intersection``."""
         return self.simple_set.project(project_intersection(
-            self.poly, self.simple_set, v, self.active_sets[row]))
+            self.poly, self.simple_set, v, [self.active_sets[row] for row in rows]))
 
     def _excess(self, y, index):
         """e = max(0, g(y)) of the constraints ``index``."""
@@ -529,10 +532,10 @@ class _LemmaChecker:
 
     def parallel(self, k, indices, v, x, gplus, dirs, nsq, beta, ln_k):
         """(1) and (2) for each violated row of a parallel pass from v to x."""
-        for row in np.flatnonzero(~np.isnan(ln_k)):
+        violated = np.flatnonzero(~np.isnan(ln_k))
+        for row, y in zip(violated, self._nearest(violated, v[violated])):
             size, b = self.rows.sizes[row], beta[row]
             g, q = gplus[row, :size], nsq[row, :size]
-            y = self._nearest(row, v[row])
             t, start = b * g / q, _sq(v[row] - y)
             te2, gq = 2.0 * t * self._excess(y, indices[row, :size]), g * g / q
             z = v[row] - t[:, None] * dirs[row, :size] - y
@@ -546,10 +549,10 @@ class _LemmaChecker:
     def chain_step(self, k, indices, column, z, z_next, gplus, nsq, beta):
         """(1) for each row of a sequential round that steps from z to
         z_next at its ``column`` of ``indices``, and its term of (3)."""
-        for row in np.flatnonzero(gplus[:, 0]):
+        stepping = np.flatnonzero(gplus[:, 0])
+        for row, y in zip(stepping, self._nearest(stepping, z[stepping])):
             b, g, q = beta[row], gplus[row, 0], nsq[row, 0]
             index = indices[row, column[row]]
-            y = self._nearest(row, z[row])
             t, decrease = b * g / q, b * (2.0 - b) * g * g / q
             start = _sq(z[row] - y)
             self._check("single-step-decrease", k, row,
@@ -620,15 +623,17 @@ def run(spec: ProblemSpec, config,
     knows its optimum, max_violation and dist_X only when ``poly``, the rows
     of the spec's linear constraints, is given (X is their intersection
     with Y, which the lemma checks also project onto).  ``run`` reads no
-    clock: a record holds results only.  Each row keeps
-    the active set of its last dist_X projection, and its next log point's
-    ``distance_oracle`` call starts from it and leaves its own there; the
-    lemma checker keeps one per row the same way.  A warm start gives the
-    bits of a cold one (see ``geometry``), and a row reads only its own
-    sets.  The first non-finite iterate, constraint oracle fault (reported
-    with its batch indices), failed check or realized L_N,k above a declared
-    L_N aborts the whole call with ``SolverAbort``, which names k, the seed
-    and N.
+    clock: a record holds results only.  A log point makes one
+    ``distance_oracle`` call for the whole block; each row starts from the
+    active set of its own last dist_X projection and leaves its new one
+    there, and the lemma checker keeps one per row the same way.  A warm
+    start gives the bits of a cold one, and a row of a call the bits of a
+    call of its point alone (see ``geometry``).  max_violation stays one
+    call per row: a stacked product would round it differently.  The
+    first non-finite iterate, constraint oracle fault (reported with its
+    batch indices), failed check or realized L_N,k above a declared L_N
+    aborts the whole call with ``SolverAbort``, which names k, the seed and
+    N.
     """
     sizes = (config.batch_size,) if sizes is None else tuple(sizes)
     validate(config, spec, sizes)
@@ -732,6 +737,8 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
 
         if k in log_ks:
             x_hat = weighted_sum / weight_total
+            if poly is not None:
+                dists = distance_oracle(poly, spec.simple_set, x_hat, active_sets)
             for row, seed in enumerate(rows.seeds):
                 f_gap = None
                 if opt is not None:
@@ -739,8 +746,7 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
                 viol = dist = None
                 if poly is not None:
                     viol = max_violation(poly, x_hat[row])
-                    dist = distance_oracle(poly, spec.simple_set,
-                                           x_hat[row], active_sets[row])
+                    dist = float(dists[row])
                 records[row].append(RunRecord(
                     seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_X=dist,
                     LN_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),

@@ -8,7 +8,7 @@ from mbproj.geometry import (DistanceOracleError, EmptyFeasibleSetError,
                              PolyhedronSpec, distance_oracle, max_violation,
                              project_intersection)
 from mbproj.oracle import OracleError, SimpleSet
-from mbproj.problems import make_polyhedral_benchmark
+from mbproj.problems import make_orthant2, make_polyhedral_benchmark
 
 QUADRANT = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))  # x1 <= 0, x2 <= 0
 PLANE = SimpleSet.whole_space(2)
@@ -307,7 +307,8 @@ class TestWarmStart:
             x = project_intersection(poly, ball, v, active)
             cold = project_intersection(poly, ball, v)
             assert x.tobytes() == cold.tobytes()
-            assert certified[-2] is x
+            # the certified block is the one whose row is returned
+            assert x.base is certified[-2]
             assert active == sorted(active)
             assert_kkt(poly, ball, v, x)
 
@@ -374,3 +375,103 @@ class TestWarmStart:
         assert active
         with pytest.raises(EmptyFeasibleSetError, match="feasible set is empty"):
             project_intersection(empty, simple_set, v, list(active))
+
+
+class TestStackedRows:
+    """A block of points projects as its rows do alone: each row of one
+    stacked call has the bits of a one-row call from its own start, in x,
+    in distance and in final active set, whatever the other rows are."""
+
+    @staticmethod
+    def case(seed):
+        """A benchmark, points about x* (the first strictly feasible), a
+        ball Y about the origin that half of their polyhedral projections
+        leave, and the final active sets of far points, stale at these."""
+        inst = make_polyhedral_benchmark(10, 20, seed=seed)
+        poly, x_star = inst.poly, inst.spec.known_optimum.x_star
+        rng = np.random.default_rng(seed)
+        V = x_star + rng.standard_normal((12, 10)) * rng.uniform(0.1, 2.0, (12, 1))
+        V[0] = 0.5 * x_star
+        polyhedral = project_intersection(poly, SimpleSet.whole_space(10), V)
+        ball = SimpleSet.ball(np.zeros(10),
+                              float(np.median(np.linalg.norm(polyhedral, axis=1))))
+        leave = (ball.project(polyhedral) != polyhedral).any(axis=1)
+        assert 0 < np.count_nonzero(leave) < len(V)
+        stale = [[] for _ in V]
+        project_intersection(poly, ball, x_star + 3.0 * (V[::-1] - x_star), stale)
+        return poly, ball, V, stale
+
+    @staticmethod
+    def alone(poly, simple_set, V, starts):
+        """Each row's x bits, distance and final active set, one row a call."""
+        out = []
+        for v, start in zip(V, starts):
+            active = list(start)
+            x = project_intersection(poly, simple_set, v, active)
+            out.append((x.tobytes(), distance_oracle(poly, simple_set, v, list(start)),
+                        active))
+        return out
+
+    @staticmethod
+    def together(poly, simple_set, V, starts):
+        """The same of one stacked call for all of V's rows."""
+        active = [list(start) for start in starts]
+        X = project_intersection(poly, simple_set, V, active)
+        d = distance_oracle(poly, simple_set, V, [list(start) for start in starts])
+        assert X.shape == V.shape and d.shape == (len(V),)
+        return [(x.tobytes(), float(dist), rows) for x, dist, rows in zip(X, d, active)]
+
+    def assert_rows_alone(self, poly, simple_set, V, starts, seed):
+        want = self.alone(poly, simple_set, V, starts)
+        assert self.together(poly, simple_set, V, starts) == want
+        # a row's result does not depend on the other rows of its call
+        rng = np.random.default_rng(seed)
+        for rows in (rng.permutation(len(V)), rng.choice(len(V), 5, replace=False)):
+            assert self.together(poly, simple_set, V[rows],
+                                 [starts[i] for i in rows]) == [want[i] for i in rows]
+
+    @pytest.mark.parametrize("start", ["empty", "stale", "own"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_have_their_one_row_bits(self, seed, start):
+        poly, ball, V, stale = self.case(seed)
+        if start == "stale":
+            starts = stale
+            # some stale rows' multipliers are negative at their points
+            assert any(np.linalg.solve(poly.A[s] @ poly.A[s].T,
+                                       poly.A[s] @ v + poly.b[s]).min() < 0.0
+                       for s, v in zip(stale, V))
+        elif start == "own":
+            starts = [rows for _, _, rows in self.alone(poly, ball, V, [()] * len(V))]
+        else:
+            starts = [[] for _ in V]
+        self.assert_rows_alone(poly, ball, V, starts, seed)
+
+    @pytest.mark.parametrize("builtin", ["orthant2", "benchmark"])
+    def test_full_active_sets(self, builtin):
+        # vertices of the plane: n rows active, so the search pads to n
+        # slots at most, also at a step from a full set
+        inst = make_orthant2() if builtin == "orthant2" else \
+            make_polyhedral_benchmark(2, 8, seed=0)
+        plane = SimpleSet.whole_space(2)
+        V = 4.0 * np.random.default_rng(2).standard_normal((16, 2))
+        final = [[] for _ in V]
+        project_intersection(inst.poly, plane, V, final)
+        assert any(len(rows) == 2 for rows in final)
+        for starts in ([[] for _ in V], final[::-1]):
+            self.assert_rows_alone(inst.poly, plane, V, starts, seed=3)
+
+    def test_errors_raise_from_a_stacked_call(self, monkeypatch):
+        poly, ball, V, stale = self.case(0)
+        # row 0 reversed and pushed past it: the polyhedron is empty
+        empty = PolyhedronSpec(A=np.vstack([poly.A, -poly.A[:1]]),
+                               b=np.append(poly.b, 1.0 + poly.b[0]))
+        for simple_set in (ball, SimpleSet.whole_space(10)):
+            with pytest.raises(EmptyFeasibleSetError, match="feasible set is empty"):
+                project_intersection(empty, simple_set, V, [list(s) for s in stale])
+        # at TOL_METRIC 0 a strictly feasible point, its own projection, is
+        # still certified, and the first point that moves is named
+        monkeypatch.setattr(geometry, "TOL_METRIC", 0.0)
+        block = V[[0, 0, 5, 0, 7]]
+        with pytest.raises(DistanceOracleError, match="for point 2 ") as err:
+            distance_oracle(poly, ball, block)
+        assert max(err.value.residuals.values()) > 0.0

@@ -163,15 +163,15 @@ def round_starts(steps, size):
 
 class RecordingChecker(solver._LemmaChecker):
     """A lemma checker that also keeps copies of the (S, ...) arrays that
-    each sequential check is given, and counts its projections."""
+    each sequential check is given, and counts the rows it projects."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.seen, self.projections = [], 0
 
-    def _nearest(self, row, v):
-        self.projections += 1
-        return super()._nearest(row, v)
+    def _nearest(self, rows, v):
+        self.projections += len(rows)
+        return super()._nearest(rows, v)
 
     def chain_step(self, k, indices, column, *arrays):
         self.seen.append([np.array(a) for a in (indices, column, *arrays)])
@@ -734,25 +734,48 @@ class TestRunLoop:
                                    result.final_x_hat)
             assert result.records[-1].dist_X == cold > 0.0
 
+    @pytest.mark.parametrize("sizes, calls", [
+        ((1, 2, 4), [18] * 11),           # sweep-ln's shape: one block
+        ((1, 8), [6] * 11 + [6] * 11),   # two blocks, one after the other
+    ])
+    def test_one_distance_oracle_call_per_log_point(self, sizes, calls,
+                                                    monkeypatch):
+        # each log point projects all of a block's rows in one call
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        cfg = RunConfig(variant="parallel", beta_policy="fixed", beta=1.0,
+                        iterations=1000, seeds=tuple(range(1, 7)))
+        asked, oracle = [], solver.distance_oracle
+
+        def counted(poly, simple_set, v, active):
+            asked.append(len(v))
+            return oracle(poly, simple_set, v, active)
+
+        monkeypatch.setattr(solver, "distance_oracle", counted)
+        results = run(inst.spec, cfg, poly=inst.poly, sizes=sizes)
+        assert asked == calls
+        assert all(len(result.records) == 11 for result in results)
+
     @pytest.mark.parametrize("variant, pinned", [("parallel", 535), ("sequential", 850)])
     def test_lemma_checks_project_once_per_step(self, variant, pinned, monkeypatch):
-        # the checker asks one certified projection per violated row of a
-        # parallel pass and per step of a sequential one, and the records
-        # are those of a run without checks
+        # the checker projects one row per violated row of a parallel pass
+        # and per step of a sequential one, all of a pass's or a round's
+        # rows in one call, and the records are those of a run without checks
         inst = make_polyhedral_benchmark(50, 200, seed=0)
         cfg = RunConfig(variant=variant, batch_size=8,
                         beta_policy="fixed", beta=1.0, iterations=200,
                         seeds=(1, 2, 3), cadence=50, assertions="lemma-checks")
-        projections, steps = [0], [0]
+        projections, calls, steps, passes = [0], [0], [0], [0]
         project, norms = solver.project_intersection, solver._squared_norms
 
-        def counted_projections(*args):
-            projections[0] += 1
-            return project(*args)
+        def counted_projections(poly, simple_set, v, active):
+            projections[0] += len(v)
+            calls[0] += 1
+            return project(poly, simple_set, v, active)
 
         def counted_steps(dirs, active):
             # a pass's (S, N) or a round's (S, 1) mask of violated columns
             steps[0] += int(np.count_nonzero(active.any(axis=1)))
+            passes[0] += 1
             return norms(dirs, active)
 
         monkeypatch.setattr(solver, "project_intersection", counted_projections)
@@ -760,6 +783,7 @@ class TestRunLoop:
         checked = run(inst.spec, cfg, poly=inst.poly)
         monkeypatch.undo()
         assert projections[0] == steps[0] == pinned
+        assert calls[0] == passes[0] < pinned
         plain = run(inst.spec, dataclasses.replace(cfg, assertions="off"),
                     poly=inst.poly)
         for a, b in zip(checked, plain):
