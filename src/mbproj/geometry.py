@@ -19,8 +19,9 @@ nu comes from bisection on the nonincreasing |P_P((v + 2 nu c)/(1 + 2 nu)) - c|
 all of a block's rows at once, one step per row per outer step: one
 product X A^T + b finds each row's most violated row, one stacked solve
 over the rows' active sets, padded to a common width, prices each row's
-add or drop, and a finished row leaves the search.  The rows that leave
-the ball bisect together, each over its own interval.
+add or drop, and a finished row leaves the search.  A block of one row
+is not padded.  The rows that leave the ball bisect together, each over
+its own interval.
 
 A projection can start from a warm active set, such as the final one of a
 nearby point: the method solves N N^T mu = N w + b_S for those rows,
@@ -36,7 +37,10 @@ start return the same bits.  For the same reason the search's own rounding,
 which the padding and the other rows of a block change, is never returned:
 the returned x and multipliers of a row are solved from its sorted final
 set alone, unpadded, so a row of a block gets the bits of a call of its
-point alone.
+point alone.  These exact solves, of the starts and of the final sets, are
+stacked by set size: the rows whose sets have k rows make one solve of a
+(G, k, k) stack, whose products N N^T, N w and mu N are taken set by set,
+so each row rounds as a solve of its own set would.
 
 Every projection is certified before it is returned: the KKT residuals
 (stationarity, primal violation, ball excess, negative multipliers,
@@ -129,25 +133,36 @@ def linear_family(poly: PolyhedronSpec) -> ConstraintFamily:
     return ConstraintFamily(size=poly.m, batch=batch)
 
 
-def max_violation(poly: PolyhedronSpec, v: np.ndarray) -> float:
-    """Largest positive part over the linear constraints; 0 iff all satisfied."""
-    return float(max(np.max(poly.A @ v + poly.b), 0.0))
+def max_violation(poly: PolyhedronSpec, v: np.ndarray):
+    """Largest positive part over the linear constraints of each row of v,
+    (R, n), an (R,) array; a float for a 1-D point.  0 iff all satisfied.
+    One matrix-vector product per row, so a row rounds as ``A @ x + b`` of
+    that row alone, whatever the number of rows."""
+    V = np.asarray(v, dtype=np.float64)
+    viol = np.maximum((np.matmul(poly.A, np.atleast_2d(V)[:, :, None])[:, :, 0]
+                       + poly.b).max(axis=1), 0.0)
+    return float(viol[0]) if V.ndim == 1 else viol
 
 
-def _solve_active(A, b, w, active):
-    """The point x = w - A[active]^T mu at which the rows ``active``, linearly
-    independent, hold with equality, and their multipliers mu (none: w's bits)."""
-    N = A[active]
-    mu = np.linalg.solve(N @ N.T, N @ w + b[active])
-    return w - mu @ N, mu
+def _solve_active(A, b, W, S):
+    """The points X = W - A[S]^T mu at which the rows S[i] of each point
+    W[i], linearly independent, hold with equality, and their multipliers
+    mu: one stacked solve for the (G, k) sets S of one size k.  Each product
+    is one per set, so row i has the bits of a solve of its set alone."""
+    N = A[S]
+    mu = np.linalg.solve(N @ N.transpose(0, 2, 1),
+                         ((N @ W[:, :, None])[:, :, 0] + b[S])[..., None])[..., 0]
+    return W - (mu[:, None, :] @ N)[:, 0], mu
 
 
-def _most_violated(A, b, X, scale):
-    """Each row of X's most violated row of A, and whether it is violated
-    above EPS times that row's entry of ``scale``."""
-    s = X @ A.T + b
-    p = s.argmax(axis=1)
-    return p, s[np.arange(len(X)), p] > EPS * scale
+def _by_size(sets, rows):
+    """The rows ``rows`` grouped by the size of their sets, and each group's
+    sets as a (G, k) array."""
+    groups = {}
+    for i in rows:
+        groups.setdefault(len(sets[i]), []).append(i)
+    return [(np.array(idx), np.array([sets[i] for i in idx], dtype=np.intp))
+            for idx in groups.values()]
 
 
 def _project_polyhedron(poly: PolyhedronSpec, W: np.ndarray, scale: np.ndarray,
@@ -163,90 +178,122 @@ def _project_polyhedron(poly: PolyhedronSpec, W: np.ndarray, scale: np.ndarray,
     """
     A, b = poly.A, poly.b
     count, n = W.shape
-    X, active, mu = np.empty_like(W), [], []
+    X, active, mu = W.copy(), [sorted(start) for start in starts], [np.zeros(0)] * count
     # each start with its multipliers, dropping negative ones until none is
     # left: a dual feasible point to start from
-    for i, start in enumerate(starts):
-        rows = sorted(start)
-        X[i], lam = _solve_active(A, b, W[i], rows)
-        while (lam < 0.0).any():
-            rows = [row for row, m in zip(rows, lam) if m >= 0.0]
-            X[i], lam = _solve_active(A, b, W[i], rows)
-        active.append(rows)
-        mu.append(lam)
-    adding, live = _most_violated(A, b, X, scale)
-    if not live.any():
+    pending, solved = [i for i, rows in enumerate(active) if rows], []
+    while pending:
+        groups, pending = _by_size(active, pending), []
+        for idx, S in groups:
+            X[idx], lam = _solve_active(A, b, W[idx], S)
+            solved.append((idx, S, lam))
+            if (lam < 0.0).any():
+                for j in np.flatnonzero((lam < 0.0).any(axis=1)):
+                    i = int(idx[j])
+                    active[i] = [row for row, m in zip(active[i], lam[j].tolist())
+                                 if m >= 0.0]
+                    pending.append(i)
+            for i, m in zip(idx.tolist(), lam):
+                mu[i] = m
+    threshold = EPS * scale
+    if not np.count_nonzero((X @ A.T + b).max(axis=1) > threshold):
         return X, active, mu
-    moved = live.copy()
-    # the live rows advance together: each row's active rows and multipliers
-    # in the order they joined, padded with 0 to n slots, and the multiplier
-    # of the row it is adding
+    # slot 0 of each row holds the row it is adding, slots 1 to size its
+    # active rows, the latest to join first, and lams their multipliers,
+    # slot 0 the adding row's so far; a start's rows are filled in sorted,
+    # one group of a set size at a time, the last solve of a row last
+    slots, lams = np.zeros((count, n + 1), dtype=np.intp), np.zeros((count, n + 1))
+    for idx, S, lam in solved:
+        slots[idx, 1:S.shape[1] + 1], lams[idx, 1:S.shape[1] + 1] = S, lam
     size = np.array([len(rows) for rows in active], dtype=np.intp)
-    slots, lams = np.zeros((count, n), dtype=np.intp), np.zeros((count, n))
-    added = np.zeros(count)
-    for i, (rows, lam) in enumerate(zip(active, mu)):
-        slots[i, :size[i]], lams[i, :size[i]] = rows, lam
+    # the rows still searching advance together, compacted: each with its
+    # original row, point, slots, multipliers, size and threshold
+    origin, x, at = np.arange(count), X, np.arange(count)
+    joined, moved, AT, width = np.ones(count, dtype=bool), [], A.T, None
     # the method is finite; the cap only guards against cycling in rounding
-    for _ in range(10 * (poly.m + poly.n)):
-        stepping = np.flatnonzero(live)
-        if not stepping.size:
-            break
+    for step in range(10 * (poly.m + poly.n)):
+        # a row that joined looks for the next most violated row, and is done
+        # when none is violated above its threshold
+        s = x @ AT + b
+        np.copyto(slots[:, 0], s.argmax(axis=1), where=joined)
+        viol = s[at, slots[:, 0]]
+        done = joined & ~(viol > threshold)
+        if np.count_nonzero(done):
+            if step:
+                for j in np.flatnonzero(done):
+                    active[origin[j]] = sorted(slots[j, 1:size[j] + 1].tolist())
+                    moved.append(origin[j])
+            keep = ~done
+            if not np.count_nonzero(keep):
+                break
+            origin, x, slots, lams, size, threshold, viol = (
+                origin[keep], x[keep], slots[keep], lams[keep], size[keep],
+                threshold[keep], viol[keep])
+            at, width = np.arange(len(x)), None
         # one stacked solve over the active sets, padded to a common width:
         # a pad is a zero row of N, an identity row of N N^T, and solves to 0
-        held = size[stepping]
-        width = min(int(held.max()) + 1, n)
-        pad = np.arange(width) >= held[:, None]
-        N = A[slots[stepping, :width]]
-        N[pad] = 0.0
-        gram = N @ N.transpose(0, 2, 1)
-        gram[:, np.arange(width), np.arange(width)] += pad
-        p = adding[stepping]
-        a_p, x = A[p], X[stepping]
-        r = np.linalg.solve(gram, N @ a_p[:, :, None])[:, :, 0]
+        if width is None:      # the widest set, unless every row joined
+            width = int(size.max())
+            padded = size.min() < width
+        block = A[slots[:, :width + 1]]
+        a_p, N = block[:, 0], block[:, 1:]
+        if padded:
+            pad = np.arange(width) >= size[:, None]
+            N[pad] = 0.0
+        gram = block @ block.transpose(0, 2, 1)
+        if padded:
+            gram.reshape(len(x), -1)[:, width + 2::width + 2] += pad
+        r = np.linalg.solve(gram[:, 1:, 1:], gram[:, 1:, :1])[:, :, 0]
         z = a_p - (r[:, None, :] @ N)[:, 0]
         zz = np.vecdot(z, z)
         dependent = zz <= EPS * EPS    # a_p lies in the span of the active rows
-        full = np.divide(np.vecdot(a_p, x) + b[p], zz,
-                         out=np.full(stepping.size, np.inf), where=~dependent)
-        ratios = np.divide(lams[stepping, :width], r, out=np.full_like(r, np.inf),
-                           where=r > EPS)
-        k = ratios.argmin(axis=1)
-        partial = ratios[np.arange(stepping.size), k]
-        t = np.minimum(full, partial)
-        if np.isinf(t).any():
-            i = stepping[np.argmax(np.isinf(t))]
-            raise EmptyFeasibleSetError(
-                f"feasible set is empty: row {adding[i]} is violated and in the "
-                f"span of rows {sorted(slots[i, :size[i]].tolist())} with no "
-                f"multiplier to release")
-        X[stepping] = x - np.where(dependent, 0.0, t)[:, None] * z
-        lams[stepping, :width] -= t[:, None] * r
-        added[stepping] += t
-        # a row that joins takes the next slot, and its point looks for the
-        # next violated row; a blocking row that leaves hands its slot and
-        # those after it to the rows after it
-        join = full <= partial
-        grow = stepping[join]
-        slots[grow, size[grow]], lams[grow, size[grow]] = adding[grow], added[grow]
-        size[grow] += 1
-        adding[grow], live[grow] = _most_violated(A, b, X[grow], scale[grow])
-        added[grow] = 0.0
-        drop = stepping[~join]
-        if drop.size:
-            column = np.arange(n)
-            source = np.minimum(column + (column >= k[~join][:, None]), n - 1)
-            slots[drop] = np.take_along_axis(slots[drop], source, axis=1)
-            lams[drop] = np.take_along_axis(lams[drop], source, axis=1)
+        full = viol / np.maximum(zz, EPS * EPS)
+        lam = lams[:, 1:width + 1]
+        ratios = np.divide(lam, r, out=np.full_like(r, np.inf), where=r > EPS)
+        partial = ratios.min(axis=1, initial=np.inf)
+        if np.count_nonzero(dependent):
+            full[dependent] = np.inf
+            t = np.minimum(full, partial)
+            if np.isinf(t).any():
+                j = int(np.argmax(np.isinf(t)))
+                raise EmptyFeasibleSetError(
+                    f"feasible set is empty: row {slots[j, 0]} is violated and in "
+                    f"the span of rows {sorted(slots[j, 1:size[j] + 1].tolist())} "
+                    f"with no multiplier to release")
+            z[dependent] = 0.0
+        else:
+            t = np.minimum(full, partial)
+        x = x - t[:, None] * z
+        lam -= t[:, None] * r
+        lams[:, 0] += t
+        # a blocking row that leaves hands its slot and those after it to the
+        # rows after it; a row that joins shifts its slots one to the right,
+        # so the added row becomes slot 1 and slot 0 is free for the next
+        joined = full <= partial
+        if np.count_nonzero(joined) < len(x):
+            drop = np.flatnonzero(~joined)
+            column = np.arange(1, width + 1)
+            source = np.minimum(
+                column + (column > ratios[drop].argmin(axis=1)[:, None]), width)
+            slots[drop, 1:width + 1] = np.take_along_axis(slots[drop], source, axis=1)
+            lams[drop, 1:width + 1] = np.take_along_axis(lams[drop], source, axis=1)
             size[drop] -= 1
-            slots[drop, size[drop]], lams[drop, size[drop]] = 0, 0.0
+            width = None
+        np.copyto(slots[:, 1:], slots[:, :-1], where=joined[:, None])
+        np.copyto(lams[:, 1:], lams[:, :-1], where=joined[:, None])
+        np.copyto(lams[:, 0], 0.0, where=joined)
+        size += joined
+        if width is not None:
+            width += 1
     else:
         raise DistanceOracleError(
             f"active-set method did not terminate within {10 * (poly.m + poly.n)} steps",
             residuals={})
     # the returned bits are solved from each moved row's sorted final set alone
-    for i in np.flatnonzero(moved):
-        active[i] = sorted(slots[i, :size[i]].tolist())
-        X[i], mu[i] = _solve_active(A, b, W[i], active[i])
+    for idx, S in _by_size(active, moved):
+        X[idx], lam = _solve_active(A, b, W[idx], S)
+        for i, m in zip(idx.tolist(), lam):
+            mu[i] = m
     return X, active, mu
 
 
@@ -261,32 +308,32 @@ def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, V, X, active, lam,
     """Raise ``DistanceOracleError``, naming the first failing row, unless
     each row's (X[i], lam[i], nu[i]) satisfies the KKT conditions of the
     projection of V[i] within ``TOL_METRIC``, given its ball excess
-    |P_Y(X[i]) - X[i]|; A x + b and the scale are computed here from X."""
+    |P_Y(X[i]) - X[i]|; A x + b and the scale are computed here from X.
+    The multipliers enter an (R, m) matrix by one flat-index assignment."""
     s = X @ poly.A.T + poly.b
-    scale = 1.0 + np.maximum(np.abs(V).max(axis=1), np.abs(X).max(axis=1))
+    scale = 1.0 + np.abs(np.concatenate((V, X), axis=1)).max(axis=1)
     # each row's multipliers on its active rows, 0 on the others
-    full = np.zeros_like(s)
-    for i, (rows, mu) in enumerate(zip(active, lam)):
-        full[i, rows] = mu
+    full, m = np.zeros_like(s), poly.m
+    full.ravel()[[i * m + row for i, rows in enumerate(active) for row in rows]] = \
+        np.concatenate(lam)
     grad = X - V + full @ poly.A
     comp = np.abs(full * s).max(axis=1)
-    ball = np.flatnonzero(nu > 0.0)
-    if ball.size:
+    if np.count_nonzero(nu):
+        ball = np.flatnonzero(nu > 0.0)
         d = X[ball] - simple_set.center
         grad[ball] += 2.0 * nu[ball, None] * d
         comp[ball] = np.maximum(comp[ball], nu[ball] * np.abs(
             np.vecdot(d, d) - simple_set.radius ** 2))
-    names = ("stationarity", "primal_violation", "ball_excess",
-             "negative_multiplier", "complementarity")
-    residuals = np.array([_norms(grad), np.maximum(s.max(axis=1), 0.0), excess,
-                          np.maximum(-full.min(axis=1), 0.0), comp])
+    residuals = np.maximum(np.array([_norms(grad), s.max(axis=1), excess,
+                                     -full.min(axis=1), comp]), 0.0)
     bound = TOL_METRIC * scale
     failed = ~(residuals <= bound)
     # complementarity is a product of two lengths
     failed[-1] = ~(comp <= bound * scale)
-    bad = failed.any(axis=0)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        names = ("stationarity", "primal_violation", "ball_excess",
+                 "negative_multiplier", "complementarity")
         row = dict(zip(names, residuals[:, i].tolist()))
         raise DistanceOracleError(
             f"projection certificate failed for point {i} "

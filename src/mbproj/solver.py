@@ -531,20 +531,35 @@ class _LemmaChecker:
                 snapshot={"check": name, **snapshot, "slack": slack, **(extra or {})})
 
     def parallel(self, k, indices, v, x, gplus, dirs, nsq, beta, ln_k):
-        """(1) and (2) for each violated row of a parallel pass from v to x."""
+        """(1) and (2) for each violated row of a parallel pass from v to x,
+        computed for all of a group's violated rows at once, on their own
+        N columns, and reported at the first row that fails, (1) first."""
         violated = np.flatnonzero(~np.isnan(ln_k))
-        for row, y in zip(violated, self._nearest(violated, v[violated])):
-            size, b = self.rows.sizes[row], beta[row]
-            g, q = gplus[row, :size], nsq[row, :size]
-            t, start = b * g / q, _sq(v[row] - y)
-            te2, gq = 2.0 * t * self._excess(y, indices[row, :size]), g * g / q
-            z = v[row] - t[:, None] * dirs[row, :size] - y
-            slack = start - b * (2.0 - b) * gq + te2 - np.vecdot(z, z)
-            i = int(np.argmin(np.where(g > 0.0, slack, np.inf)))
-            self._check("single-step-decrease", k, row, slack[i], {"index": i})
-            self._check("batch-decrease", k, row, start + (
-                te2.sum() - b * (2.0 - b * ln_k[row]) * gq.sum()) / size
-                - _sq(x[row] - y))
+        nearest = self._nearest(violated, v[violated])
+        for part, size in self.rows.groups or ((slice(None), indices.shape[1]),):
+            # the group's violated rows are a run of the sorted ``violated``
+            lo, hi = np.searchsorted(violated, part.indices(len(ln_k))[:2])
+            if lo == hi:
+                continue
+            rows, y = violated[lo:hi], nearest[lo:hi]
+            index, b = indices[rows, :size], beta[rows, None]
+            g, q = gplus[rows, :size], nsq[rows, :size]
+            t, start = b * g / q, np.vecdot(v[rows] - y, v[rows] - y)
+            e = np.maximum(np.matmul(self.poly.A[index], y[:, :, None])[:, :, 0]
+                           + self.poly.b[index], 0.0)
+            te2, gq = 2.0 * t * e, g * g / q
+            z = v[rows, None] - t[:, :, None] * dirs[rows, :size] - y[:, None]
+            slack = start[:, None] - b * (2.0 - b) * gq + te2 - np.vecdot(z, z)
+            worst = np.argmin(np.where(g > 0.0, slack, np.inf), axis=1)
+            single = slack[np.arange(len(rows)), worst]
+            batch = start + (te2.sum(axis=1) - b[:, 0] * (2.0 - b[:, 0] * ln_k[rows])
+                             * gq.sum(axis=1)) / size - np.vecdot(x[rows] - y, x[rows] - y)
+            failed = (single < -TOL_ASSERT) | (batch < -TOL_ASSERT)
+            if np.count_nonzero(failed):
+                j = int(np.argmax(failed))
+                self._check("single-step-decrease", k, rows[j], single[j],
+                            {"index": int(worst[j])})
+                self._check("batch-decrease", k, rows[j], batch[j])
 
     def chain_step(self, k, indices, column, z, z_next, gplus, nsq, beta):
         """(1) for each row of a sequential round that steps from z to
@@ -626,14 +641,17 @@ def run(spec: ProblemSpec, config,
     clock: a record holds results only.  A log point makes one
     ``distance_oracle`` call for the whole block; each row starts from the
     active set of its own last dist_X projection and leaves its new one
-    there, and the lemma checker keeps one per row the same way.  A warm
-    start gives the bits of a cold one, and a row of a call the bits of a
-    call of its point alone (see ``geometry``).  max_violation stays one
-    call per row: a stacked product would round it differently.  The
-    first non-finite iterate, constraint oracle fault (reported with its
-    batch indices), failed check or realized L_N,k above a declared L_N
-    aborts the whole call with ``SolverAbort``, which names k, the seed and
-    N.
+    there, and the lemma checker keeps one per row the same way.  A row of
+    a call gets the bits of a call of its point alone.  Away from
+    degenerate ties a warm start gets the bits of a cold one; where the
+    final active set is not unique, a warm start can end on another set,
+    and dist_X can then differ from a cold recomputation in the last
+    places (see ``geometry``).  max_violation is one call per log point as
+    well, one matrix-vector product per row, so a row again gets the bits
+    of its point alone.  The first non-finite iterate, constraint oracle
+    fault (reported with its batch indices), failed check or realized
+    L_N,k above a declared L_N aborts the whole call with ``SolverAbort``,
+    which names k, the seed and N.
     """
     sizes = (config.batch_size,) if sizes is None else tuple(sizes)
     validate(config, spec, sizes)
@@ -739,14 +757,14 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
             x_hat = weighted_sum / weight_total
             if poly is not None:
                 dists = distance_oracle(poly, spec.simple_set, x_hat, active_sets)
+                viols = max_violation(poly, x_hat)
             for row, seed in enumerate(rows.seeds):
                 f_gap = None
                 if opt is not None:
                     f_gap = float(spec.objective.evaluate(x_hat[row])) - opt.f_star
                 viol = dist = None
                 if poly is not None:
-                    viol = max_violation(poly, x_hat[row])
-                    dist = float(dists[row])
+                    viol, dist = float(viols[row]), float(dists[row])
                 records[row].append(RunRecord(
                     seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_X=dist,
                     LN_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),

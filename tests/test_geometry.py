@@ -8,7 +8,7 @@ from mbproj.geometry import (DistanceOracleError, EmptyFeasibleSetError,
                              PolyhedronSpec, distance_oracle, max_violation,
                              project_intersection)
 from mbproj.oracle import OracleError, SimpleSet
-from mbproj.problems import make_orthant2, make_polyhedral_benchmark
+from mbproj.problems import BUILTINS, make_builtin, make_orthant2, make_polyhedral_benchmark
 
 QUADRANT = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))  # x1 <= 0, x2 <= 0
 PLANE = SimpleSet.whole_space(2)
@@ -110,6 +110,27 @@ class TestMaxViolation:
     def test_never_violated_row(self):
         poly = PolyhedronSpec(A=np.array([[1.0, 0.0]]), b=np.array([-1e6]))
         assert max_violation(poly, np.array([9.0, 9.0])) == 0.0
+
+
+    @pytest.mark.parametrize("builtin", sorted(BUILTINS))
+    def test_block_rows_have_their_one_row_bits(self, builtin):
+        # one matrix-vector product per row: each value of a block is the
+        # one-row value A @ x + b, bit for bit, feasible rows' 0 included
+        inst = make_builtin(builtin, n=10, m=20, seed=0)
+        poly, x_star = inst.poly, inst.spec.known_optimum.x_star
+        rng = np.random.default_rng(len(builtin))
+        V = x_star + rng.standard_normal((18, poly.n)) * rng.uniform(0.01, 3.0, (18, 1))
+        V[0] = 0.5 * x_star
+        want = np.array([max(np.max(poly.A @ v + poly.b), 0.0) for v in V])
+        got = max_violation(poly, V)
+        assert got.shape == (18,) and got.tobytes() == want.tobytes()
+        assert got[0] == 0.0 and got.max() > 0.0
+        for rows in (slice(5, 6), [3, 17, 0]):
+            assert max_violation(poly, V[rows]).tobytes() == want[rows].tobytes()
+
+    def test_a_point_gives_a_float(self):
+        assert type(max_violation(QUADRANT, np.array([3.0, 4.0]))) is float
+        assert type(max_violation(QUADRANT, np.array([-1.0, -1.0]))) is float
 
 
 class TestPolyhedronSpec:
@@ -475,3 +496,132 @@ class TestStackedRows:
         with pytest.raises(DistanceOracleError, match="for point 2 ") as err:
             distance_oracle(poly, ball, block)
         assert max(err.value.residuals.values()) > 0.0
+
+
+class TestStackedSolves:
+    """The exact solves of the starts and of the final sets, stacked by set
+    size, have the bits of the one-row solve x = w - N^T mu, N N^T mu =
+    N w + b_S, kept here as the reference."""
+
+    @staticmethod
+    def one_row(A, b, w, rows):
+        N = A[rows]
+        mu = np.linalg.solve(N @ N.T, N @ w + b[rows])
+        return w - mu @ N, mu
+
+    @staticmethod
+    def system(n, seed):
+        # 2n unit rows in general position: any n of them are independent
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((2 * n, n))
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        return A, -rng.uniform(0.1, 1.0, 2 * n), rng
+
+    def assert_one_row_bits(self, A, b, W, sets):
+        for idx, S in geometry._by_size(sets, range(len(sets))):
+            X, mu = geometry._solve_active(A, b, W[idx], S)
+            for i, x, lam in zip(idx, X, mu):
+                want_x, want_mu = self.one_row(A, b, W[i], sets[i])
+                assert x.tobytes() == want_x.tobytes()
+                assert lam.tobytes() == want_mu.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_every_set_size(self, n):
+        A, b, rng = self.system(n, seed=n)
+        for k in range(n + 1):
+            for count in (1, 2, 18):
+                W = 3.0 * rng.standard_normal((count, n))
+                sets = [sorted(rng.choice(2 * n, k, replace=False).tolist())
+                        for _ in range(count)]
+                self.assert_one_row_bits(A, b, W, sets)
+
+    @pytest.mark.parametrize("n", [2, 10, 50])
+    def test_mixed_sizes_in_one_call(self, n):
+        A, b, rng = self.system(n, seed=n + 1)
+        for count in range(1, 19):
+            W = 3.0 * rng.standard_normal((count, n))
+            sets = [sorted(rng.choice(2 * n, rng.integers(0, n + 1), replace=False).tolist())
+                    for _ in range(count)]
+            self.assert_one_row_bits(A, b, W, sets)
+
+    def test_one_stacked_solve_per_set_size(self, monkeypatch):
+        # an 18-row call, warm-started from the final sets of other points:
+        # the exact solves are one per set size, of the starts, of each
+        # round that drops negative multipliers, and of the final sets;
+        # every other solve is a step of the search, all rows at once
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        poly, x_star = inst.poly, inst.spec.known_optimum.x_star
+        rng = np.random.default_rng(5)
+        V = x_star + rng.standard_normal((18, 10)) * rng.uniform(0.1, 2.0, (18, 1))
+        plane = SimpleSet.whole_space(10)
+        starts = [[] for _ in V]
+        project_intersection(poly, plane, x_star + 1.5 * (V[::-1] - x_star), starts)
+        # the rounds of the warm start, each a set of sizes, by the drop rule
+        rounds, sets = [], [list(rows) for rows in starts]
+        while sets:
+            rounds.append({len(rows) for rows in sets})
+            again = []
+            for rows, v in zip(sets, V):
+                _, mu = self.one_row(poly.A, poly.b, v, rows)
+                if (mu < 0.0).any():
+                    again.append([row for row, m in zip(rows, mu) if m >= 0.0])
+            sets = again
+        assert len(rounds) > 1             # some start drops a row
+        solves, exact = [0], []
+        solve, solve_active = np.linalg.solve, geometry._solve_active
+
+        def counted(*args, **kwargs):
+            solves[0] += 1
+            return solve(*args, **kwargs)
+
+        def recorded(A, b, W, S):
+            exact.append(S.shape)
+            return solve_active(A, b, W, S)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        monkeypatch.setattr(geometry, "_solve_active", recorded)
+        final = [list(rows) for rows in starts]
+        project_intersection(poly, plane, V, final)
+        steps = solves[0] - len(exact)
+        sizes = {len(rows) for rows in starts} | {len(rows) for rows in final}
+        drops = sum(len(sizes_) for sizes_ in rounds[1:])
+        assert len(exact) <= 2 * len(sizes) + drops < 2 * len(V)
+        assert solves[0] <= 2 * len(sizes) + steps + drops
+        assert steps > 0
+
+
+class TestDegenerateTies:
+    """A corner of the cube where seven rows are tight in three dimensions:
+    each of the cube's six rows is given twice, and the row (1,1,1)/sqrt(3)
+    is tight at the corner (1,1,1).  The projection is unique but its
+    active set is not, so only a cold start is bound to the one-row bits;
+    a warm start may end on another set, a few ulps away."""
+
+    @staticmethod
+    def corner(seed):
+        eye = np.eye(3)
+        poly = PolyhedronSpec(A=np.vstack([eye, eye, -eye, -eye, np.full((1, 3), 3 ** -0.5)]),
+                              b=np.append(-np.ones(12), -np.sqrt(3.0)))
+        beyond = 1.0 + np.random.default_rng(seed).uniform(0.05, 2.0, (30, 3))
+        return poly, SimpleSet.whole_space(3), beyond
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cold_stacked_call_has_the_one_row_bits(self, seed):
+        poly, plane, V = self.corner(seed)
+        final = [[] for _ in V]
+        X = project_intersection(poly, plane, V, final)
+        for v, x, rows in zip(V, X, final):
+            alone = []
+            assert project_intersection(poly, plane, v, alone).tobytes() == x.tobytes()
+            assert alone == rows
+        assert np.abs(X - 1.0).max() <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_starts_stay_within_ulps(self, seed):
+        poly, plane, V = self.corner(seed)
+        cold, active, moved = project_intersection(poly, plane, V), [], 0
+        for v, x in zip(V, cold):
+            warm = project_intersection(poly, plane, v, active)
+            moved += warm.tobytes() != x.tobytes()
+            assert np.abs(warm - x).max() <= 16 * np.finfo(float).eps * (1.0 + np.abs(x).max())
+        assert moved < len(V)

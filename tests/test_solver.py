@@ -755,6 +755,24 @@ class TestRunLoop:
         assert asked == calls
         assert all(len(result.records) == 11 for result in results)
 
+    def test_one_max_violation_call_per_log_point(self, monkeypatch):
+        # a log point's max_violation is one call for the whole block, and
+        # each row's value has the bits of a call of its point alone
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        cfg = RunConfig(variant="parallel", beta_policy="fixed", beta=1.0,
+                        iterations=1000, seeds=tuple(range(1, 7)))
+        asked, violation = [], solver.max_violation
+
+        def counted(poly, v):
+            asked.append(v.shape)
+            return violation(poly, v)
+
+        monkeypatch.setattr(solver, "max_violation", counted)
+        results = run(inst.spec, cfg, poly=inst.poly, sizes=(1, 2, 4))
+        assert asked == [(18, 10)] * 11
+        final = [result.records[-1].max_violation for result in results]
+        assert final == [violation(inst.poly, result.final_x_hat) for result in results]
+
     @pytest.mark.parametrize("variant, pinned", [("parallel", 535), ("sequential", 850)])
     def test_lemma_checks_project_once_per_step(self, variant, pinned, monkeypatch):
         # the checker projects one row per violated row of a parallel pass
