@@ -37,10 +37,10 @@ start return the same bits.  For the same reason the search's own rounding,
 which the padding and the other rows of a block change, is never returned:
 the returned x and multipliers of a row are solved from its sorted final
 set alone, unpadded, so a row of a block gets the bits of a call of its
-point alone.  These exact solves, of the starts and of the final sets, are
-stacked by set size: the rows whose sets have k rows make one solve of a
-(G, k, k) stack, whose products N N^T, N w and mu N are taken set by set,
-so each row rounds as a solve of its own set would.
+point alone.  One routine makes these exact solves, of the starts and of
+the final sets, stacked by set size: the rows whose sets have k rows make
+one solve of a (G, k, k) stack, whose products N N^T, N w and mu N are
+taken set by set, so each row rounds as a solve of its own set would.
 
 Every projection is certified before it is returned: the KKT residuals
 (stationarity, primal violation, ball excess, negative multipliers,
@@ -61,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from .oracle import ConstraintFamily, OracleError, SimpleSet, as_point
+from .oracle import ConstraintFamily, OracleError, SimpleSet, as_point, row_norms
 
 TOL_METRIC = 1e-8   # certificate bound on the projection's KKT residuals
 TOL_ASSERT = 1e-7   # slack allowed by per-iteration inequality assertions
@@ -103,6 +103,8 @@ class PolyhedronSpec:
             raise OracleError("row count of A must match length of b")
         if b.size == 0:
             raise OracleError("a polyhedron needs at least one constraint row")
+        if not np.isfinite(b).all():
+            raise OracleError("every entry of b must be finite")
         norms = np.linalg.norm(A, axis=1)
         if not np.allclose(norms, 1.0, atol=1e-9):
             raise OracleError("every row of A must have unit Euclidean norm")
@@ -165,6 +167,20 @@ def _by_size(sets, rows):
             for idx in groups.values()]
 
 
+def _resolve(A, b, W, X, active, mu, rows) -> list:
+    """Solve X[i] and mu[i] of each row i of ``rows`` exactly from W[i] and
+    its own set active[i], one stacked ``_solve_active`` per set size;
+    returns the rows with a negative multiplier."""
+    negative = []
+    for idx, S in _by_size(active, rows):
+        X[idx], lam = _solve_active(A, b, W[idx], S)
+        for i, m in zip(idx.tolist(), lam):
+            mu[i] = m
+        if (lam < 0.0).any():
+            negative += idx[(lam < 0.0).any(axis=1)].tolist()
+    return negative
+
+
 def _project_polyhedron(poly: PolyhedronSpec, W: np.ndarray, scale: np.ndarray,
                         starts):
     """Projections of the rows of W, (R, n), onto {Ax + b <= 0} by the dual
@@ -174,37 +190,28 @@ def _project_polyhedron(poly: PolyhedronSpec, W: np.ndarray, scale: np.ndarray,
     Returns (X, active, mu): X (R, n), and per row its sorted active rows and
     their multipliers, with X[i] = W[i] - A[active[i]]^T mu[i], mu[i] >= 0
     and the active rows linearly independent and tight at X[i].  Raises
-    ``EmptyFeasibleSetError`` when the polyhedron is empty.
+    ``EmptyFeasibleSetError`` when the polyhedron is empty.  Every exact
+    solve, of a start or of a final set, is ``_resolve``'s.
     """
     A, b = poly.A, poly.b
     count, n = W.shape
     X, active, mu = W.copy(), [sorted(start) for start in starts], [np.zeros(0)] * count
     # each start with its multipliers, dropping negative ones until none is
     # left: a dual feasible point to start from
-    pending, solved = [i for i, rows in enumerate(active) if rows], []
+    pending = started = [i for i, rows in enumerate(active) if rows]
     while pending:
-        groups, pending = _by_size(active, pending), []
-        for idx, S in groups:
-            X[idx], lam = _solve_active(A, b, W[idx], S)
-            solved.append((idx, S, lam))
-            if (lam < 0.0).any():
-                for j in np.flatnonzero((lam < 0.0).any(axis=1)):
-                    i = int(idx[j])
-                    active[i] = [row for row, m in zip(active[i], lam[j].tolist())
-                                 if m >= 0.0]
-                    pending.append(i)
-            for i, m in zip(idx.tolist(), lam):
-                mu[i] = m
+        pending = _resolve(A, b, W, X, active, mu, pending)
+        for i in pending:
+            active[i] = [row for row, m in zip(active[i], mu[i].tolist()) if m >= 0.0]
     threshold = EPS * scale
     if not np.count_nonzero((X @ A.T + b).max(axis=1) > threshold):
         return X, active, mu
     # slot 0 of each row holds the row it is adding, slots 1 to size its
     # active rows, the latest to join first, and lams their multipliers,
-    # slot 0 the adding row's so far; a start's rows are filled in sorted,
-    # one group of a set size at a time, the last solve of a row last
+    # slot 0 the adding row's so far; a start's rows are filled in sorted
     slots, lams = np.zeros((count, n + 1), dtype=np.intp), np.zeros((count, n + 1))
-    for idx, S, lam in solved:
-        slots[idx, 1:S.shape[1] + 1], lams[idx, 1:S.shape[1] + 1] = S, lam
+    for idx, S in _by_size(active, started):
+        slots[idx, 1:S.shape[1] + 1], lams[idx, 1:S.shape[1] + 1] = S, [mu[i] for i in idx]
     size = np.array([len(rows) for rows in active], dtype=np.intp)
     # the rows still searching advance together, compacted: each with its
     # original row, point, slots, multipliers, size and threshold
@@ -290,17 +297,8 @@ def _project_polyhedron(poly: PolyhedronSpec, W: np.ndarray, scale: np.ndarray,
             f"active-set method did not terminate within {10 * (poly.m + poly.n)} steps",
             residuals={})
     # the returned bits are solved from each moved row's sorted final set alone
-    for idx, S in _by_size(active, moved):
-        X[idx], lam = _solve_active(A, b, W[idx], S)
-        for i, m in zip(idx.tolist(), lam):
-            mu[i] = m
+    _resolve(A, b, W, X, active, mu, moved)
     return X, active, mu
-
-
-def _norms(d: np.ndarray) -> np.ndarray:
-    """|d| of each row of d, (..., n): one vecdot per row, so a row rounds
-    as np.linalg.norm of that row alone, whatever the number of rows."""
-    return np.sqrt(np.vecdot(d, d))
 
 
 def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, V, X, active, lam,
@@ -324,7 +322,7 @@ def _certify(poly: PolyhedronSpec, simple_set: SimpleSet, V, X, active, lam,
         grad[ball] += 2.0 * nu[ball, None] * d
         comp[ball] = np.maximum(comp[ball], nu[ball] * np.abs(
             np.vecdot(d, d) - simple_set.radius ** 2))
-    residuals = np.maximum(np.array([_norms(grad), s.max(axis=1), excess,
+    residuals = np.maximum(np.array([row_norms(grad), s.max(axis=1), excess,
                                      -full.min(axis=1), comp]), 0.0)
     bound = TOL_METRIC * scale
     failed = ~(residuals <= bound)
@@ -362,7 +360,7 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
     starts = [()] * len(V) if active is None else [active] if one else active
     scale = 1.0 + np.abs(V).max(axis=1)
     X, rows, lam = _project_polyhedron(poly, V, scale, starts)
-    nu, excess = np.zeros(len(V)), _norms(simple_set.project(X) - X)
+    nu, excess = np.zeros(len(V)), row_norms(simple_set.project(X) - X)
     ball = np.flatnonzero(~(excess <= 0.0))
     if ball.size:
         c, radius, w = simple_set.center, simple_set.radius, V[ball]
@@ -379,7 +377,7 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
         every = np.arange(ball.size)
         lo, hi = np.zeros(ball.size), np.full(ball.size, np.nextafter(1.0, 0.0))
         y, sets, _ = project_toward_center(hi, every, [rows[i] for i in ball])
-        if (_norms(y - c) > radius).any():
+        if (row_norms(y - c) > radius).any():
             raise EmptyFeasibleSetError(
                 "feasible set is empty: the ball does not meet the polyhedron")
         while True:
@@ -390,14 +388,14 @@ def project_intersection(poly: PolyhedronSpec, simple_set: SimpleSet,
             y, moved, _ = project_toward_center(mid[of], of, [sets[j] for j in of])
             for j, final in zip(of, moved):
                 sets[j] = final
-            out = _norms(y - c) > radius
+            out = row_norms(y - c) > radius
             lo[of[out]], hi[of[~out]] = mid[of[out]], mid[of[~out]]
         X[ball], sets, mu = project_toward_center(hi, every, sets)
         # 1 + 2 nu = 1 / (1 - theta) rescales the polyhedral multipliers
         nu[ball] = hi / (2.0 * (1.0 - hi))
         for j, i in enumerate(ball):
             rows[i], lam[i] = sets[j], mu[j] / (1.0 - hi[j])
-        excess[ball] = _norms(simple_set.project(X[ball]) - X[ball])
+        excess[ball] = row_norms(simple_set.project(X[ball]) - X[ball])
     _certify(poly, simple_set, V, X, rows, lam, nu, excess)
     if active is not None:
         for start, final in zip(starts, rows):
@@ -410,5 +408,5 @@ def distance_oracle(poly: PolyhedronSpec, simple_set: SimpleSet,
     """Certified distance from each row of v, (R, n), to the feasible
     intersection, an (R,) array; a float for a 1-D point.  ``active`` as
     for ``project_intersection``."""
-    d = _norms(project_intersection(poly, simple_set, v, active) - v)
+    d = row_norms(project_intersection(poly, simple_set, v, active) - v)
     return float(d) if d.ndim == 0 else d

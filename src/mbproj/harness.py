@@ -257,9 +257,11 @@ def aggregate_rows(per_seed_rows) -> list:
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise ``ConfigError`` when ``path``, or the nearest of its ancestors
-    that exists, is not a directory, where no output directory can be
-    made; nothing is created."""
+    """Raise ``ConfigError`` when ``path`` is empty, or when it, or the
+    nearest of its ancestors that exists, is not a directory, where no
+    output directory can be made; nothing is created."""
+    if not path:
+        raise ConfigError("output path is empty")
     head = path
     while head and not os.path.exists(head):
         head = os.path.dirname(head)
@@ -456,7 +458,7 @@ def minibatch_sweep(cfg: RunConfig, n_list, c_hat: Optional[float] = None,
     instance = instance or build_problem(cfg)
     validate(cfg, instance.spec, n_list)
     out_dirs = {size: os.path.join(cfg.out_dir, f"N{size}") for size in n_list}
-    for path in out_dirs.values():
+    for path in (cfg.out_dir, *out_dirs.values()):
         _check_out_dir(path)
     gains = {}
     if c_hat is not None:
@@ -556,25 +558,24 @@ def main(argv=None) -> int:
                       f"+/- {fit.ci_half_width:.4f} over k in "
                       f"[{fit.k_lo:g}, {fit.k_hi:g}]{extra}")
             return EXIT_OK
-        if args.command == "sweep":
-            if args.batch_size is not None:
-                raise ConfigError("sweep takes its batch sizes from --N-list; drop --N")
-            cfg = _cfg_from_args(args)
-            try:
-                n_list = list(parse_int_list(args.n_list))
-            except ValueError:
-                raise ConfigError("--N-list must be comma-separated integers, "
-                                  f"got {args.n_list!r}") from None
-            _, rows = minibatch_sweep(cfg, n_list, c_hat=args.c_hat)
-            print("N,final_dist_mean,ci_lo,ci_hi,predicted_b,predicted_ratio,outside_theory")
-            for r in rows:
-                print(f"{r.batch_size},{r.final_dist_mean:.6e},{r.ci_lo:.6e},"
-                      f"{r.ci_hi:.6e},"
-                      f"{'' if r.predicted_b is None else format(r.predicted_b, '.6g')},"
-                      f"{'' if r.predicted_ratio is None else format(r.predicted_ratio, '.6g')},"
-                      f"{str(r.outside_theory).lower()}")
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        # sweep: argparse admits no other command
+        if args.batch_size is not None:
+            raise ConfigError("sweep takes its batch sizes from --N-list; drop --N")
+        cfg = _cfg_from_args(args)
+        try:
+            n_list = list(parse_int_list(args.n_list))
+        except ValueError:
+            raise ConfigError("--N-list must be comma-separated integers, "
+                              f"got {args.n_list!r}") from None
+        _, rows = minibatch_sweep(cfg, n_list, c_hat=args.c_hat)
+        print("N,final_dist_mean,ci_lo,ci_hi,predicted_b,predicted_ratio,outside_theory")
+        for r in rows:
+            print(f"{r.batch_size},{r.final_dist_mean:.6e},{r.ci_lo:.6e},"
+                  f"{r.ci_hi:.6e},"
+                  f"{'' if r.predicted_b is None else format(r.predicted_b, '.6g')},"
+                  f"{'' if r.predicted_ratio is None else format(r.predicted_ratio, '.6g')},"
+                  f"{str(r.outside_theory).lower()}")
+        return EXIT_OK
     except (ConfigError, OracleError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,11 +1,11 @@
 """Problem data model: objective, constraint family and simple-set oracles.
 
 A point is a 1-D float64 numpy array of a fixed dimension n.  The solver
-advances a block of S independent seeds at once, so the oracles it calls on
-every iteration take a leading seed axis: an (S, n) array holds one point per
-row, and ``SimpleSet.project`` treats a 1-D point as a single row.  The
-simple set is a ball, the whole space when its radius is infinite.  Arrays
-are treated as immutable by every routine in this package.  Oracles carry no
+advances a block of S independent seeds at once, so every oracle it calls
+takes a leading seed axis: an (S, n) array holds one point per row, and
+``SimpleSet.project`` treats a 1-D point as a single row.  The simple set
+is a ball, the whole space when its radius is infinite.  Arrays are
+treated as immutable by every routine in this package.  Oracles carry no
 mutable state; random state always lives with the caller.
 """
 
@@ -28,6 +28,12 @@ def as_point(v) -> np.ndarray:
     if a.ndim != 1:
         raise OracleError(f"expected a 1-D point, got shape {a.shape}")
     return a
+
+
+def row_norms(d: np.ndarray) -> np.ndarray:
+    """|d| of each row of d, (..., n): one vecdot per row, so a row rounds
+    as np.linalg.norm of that row alone, whatever the number of rows."""
+    return np.sqrt(np.vecdot(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +61,8 @@ class SimpleSet:
     @staticmethod
     def ball(center, radius: float) -> "SimpleSet":
         center = as_point(center)
+        if not np.isfinite(center).all():
+            raise OracleError("ball center must be finite")
         if not radius > 0:
             raise OracleError(f"ball radius must be positive, got {radius!r}")
         return SimpleSet(center, float(radius))
@@ -69,9 +77,7 @@ class SimpleSet:
         length overflows projects as e = d / max |d_i|, center + e * (radius
         / |e|), since d and e point the same way."""
         d = v - self.center
-        # one vecdot per row, so a row rounds as np.linalg.norm of that
-        # row alone, whatever the number of rows
-        r = np.sqrt(np.vecdot(d, d))
+        r = row_norms(d)
         inside = r <= self.radius
         if np.count_nonzero(inside) == inside.size:
             return v
@@ -83,7 +89,7 @@ class SimpleSet:
             lost &= finite
             scaled &= finite           # an infinite entry times radius / inf is invalid
             d = d / np.where(lost, top, 1.0)[..., None]
-            r = np.where(lost, np.sqrt(np.vecdot(d, d)), r)
+            r = np.where(lost, row_norms(d), r)
         # an inside row keeps scale 1: radius / 1 is inf in the whole
         # space, and inf times a zero entry is invalid
         scale = np.divide(self.radius, r, out=np.ones_like(r), where=scaled)
@@ -96,13 +102,11 @@ class SimpleSet:
 
 @dataclass(frozen=True)
 class ObjectiveOracle:
-    """Convex objective accessed through value and subgradient queries.
+    """Convex objective accessed through value and subgradient queries, both
+    row-wise: given an (S, n) array, ``evaluate`` returns one value per row,
+    shape (S,), and ``subgradient`` one subgradient per row, shape (S, n)."""
 
-    ``evaluate`` takes one point.  ``subgradient`` works row-wise: given an
-    (S, n) array it returns one subgradient per row, shape (S, n).
-    """
-
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     subgradient: Callable[[np.ndarray], np.ndarray]
 
 

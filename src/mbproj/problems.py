@@ -82,7 +82,7 @@ class BenchmarkInstance:
 def _quadratic_objective(center: np.ndarray) -> ObjectiveOracle:
     def evaluate(x):
         d = x - center
-        return 0.5 * float(d @ d)
+        return 0.5 * np.vecdot(d, d)
 
     def subgradient(x):
         return x - center

@@ -415,6 +415,7 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     # each row's next column, and size once it is done; a few Python ints
     # cost less to advance than numpy calls on (S,) arrays
     start = [0] * count
+    # skip the mask and the merge where they change nothing: ~3% per pass
     z, first, passed = v, 0, False
     while first < size:
         gvals, dirs = _checked_batch(spec, indices[:, first:], z)
@@ -638,17 +639,16 @@ def run(spec: ProblemSpec, config,
     knows its optimum, max_violation and dist_X only when ``poly``, the rows
     of the spec's linear constraints, is given (X is their intersection
     with Y, which the lemma checks also project onto).  ``run`` reads no
-    clock: a record holds results only.  A log point makes one
-    ``distance_oracle`` call for the whole block; each row starts from the
-    active set of its own last dist_X projection and leaves its new one
-    there, and the lemma checker keeps one per row the same way.  A row of
-    a call gets the bits of a call of its point alone.  Away from
+    clock: a record holds results only.  A log point asks each metric once
+    for the whole block, by one call each of the objective's ``evaluate``,
+    ``max_violation`` and ``distance_oracle``, and a row of a call gets the
+    bits of a call of its point alone.  Each row's distance starts from
+    the active set of its own last dist_X projection and leaves its new one
+    there, and the lemma checker keeps one per row the same way.  Away from
     degenerate ties a warm start gets the bits of a cold one; where the
     final active set is not unique, a warm start can end on another set,
     and dist_X can then differ from a cold recomputation in the last
-    places (see ``geometry``).  max_violation is one call per log point as
-    well, one matrix-vector product per row, so a row again gets the bits
-    of its point alone.  The first non-finite iterate, constraint oracle
+    places (see ``geometry``).  The first non-finite iterate, constraint oracle
     fault (reported with its batch indices), failed check or realized
     L_N,k above a declared L_N aborts the whole call with ``SolverAbort``,
     which names k, the seed and N.
@@ -755,20 +755,16 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
 
         if k in log_ks:
             x_hat = weighted_sum / weight_total
+            f_gaps = viols = dists = [None] * len(x)
+            if opt is not None:
+                f_gaps = (spec.objective.evaluate(x_hat) - opt.f_star).tolist()
             if poly is not None:
-                dists = distance_oracle(poly, spec.simple_set, x_hat, active_sets)
-                viols = max_violation(poly, x_hat)
-            for row, seed in enumerate(rows.seeds):
-                f_gap = None
-                if opt is not None:
-                    f_gap = float(spec.objective.evaluate(x_hat[row])) - opt.f_star
-                viol = dist = None
-                if poly is not None:
-                    viol, dist = float(viols[row]), float(dists[row])
-                records[row].append(RunRecord(
-                    seed=seed, k=k, f_gap=f_gap, max_violation=viol, dist_X=dist,
-                    LN_k=None if np.isnan(ln_k[row]) else float(ln_k[row]),
-                    beta_k=float(beta_k[row])))
+                dists = distance_oracle(poly, spec.simple_set, x_hat, active_sets).tolist()
+                viols = max_violation(poly, x_hat).tolist()
+            for kept, seed, f_gap, viol, dist, ln, beta in zip(
+                    records, rows.seeds, f_gaps, viols, dists, ln_k.tolist(), beta_k.tolist()):
+                kept.append(RunRecord(seed, k, f_gap, viol, dist,
+                                      None if math.isnan(ln) else ln, beta))
 
     # x_hat is the last log point's, k = iterations
     return [RunResult(seed=seed, batch_size=size, records=records[row],

@@ -1,6 +1,6 @@
 """numpy is the package's only runtime dependency, the package's modules
-import one another in one direction only, and every function reads every
-parameter it takes."""
+import one another in one direction only and only by public names, and
+every function reads every parameter it takes."""
 
 import ast
 import pathlib
@@ -40,6 +40,29 @@ def test_relative_imports_only_reach_lower_layers():
                 upward += [f"{path.name}:{node.lineno} {target}" for target in targets
                            if LAYERS.index(target.split(".")[0]) >= rank]
     assert not upward, upward
+
+
+def _private_imports(tree) -> list:
+    """(line, name) of each ``_``-prefixed name that ``tree`` imports from
+    another module of the package."""
+    return [(node.lineno, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_modules_import_only_public_names():
+    # a helper that two modules share is a public name of the lower one
+    private = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py"))
+               for line, name in _private_imports(
+                   ast.parse(path.read_text(), filename=str(path)))]
+    assert not private, private
+
+
+def test_private_import_check_sees_relative_imports_only():
+    tree = ast.parse("from .oracle import row_norms, _hidden\n"
+                     "from . import _module\n"
+                     "from numpy import _private\n")
+    assert _private_imports(tree) == [(1, "_hidden"), (2, "_module")]
 
 
 def test_problem_spec_has_one_builder():

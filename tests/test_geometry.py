@@ -138,6 +138,15 @@ class TestPolyhedronSpec:
         with pytest.raises(OracleError, match="unit"):
             PolyhedronSpec(A=np.array([[2.0, 0.0]]), b=np.array([0.0]))
 
+    def test_rejects_a_row_count_other_than_the_length_of_b(self):
+        with pytest.raises(OracleError, match="row count of A must match length of b"):
+            PolyhedronSpec(A=np.eye(2), b=np.zeros(3))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_b(self, entry):
+        with pytest.raises(OracleError, match="every entry of b must be finite"):
+            PolyhedronSpec(A=np.eye(2), b=np.array([entry, 0.0]))
+
     def test_rejects_no_rows(self):
         # the paper's problem always has functional constraints
         with pytest.raises(OracleError, match="at least one constraint row"):

@@ -603,10 +603,11 @@ class TestSolveCommand:
          lambda line: "xstar " + " ".join(repr(float(t) + 1e-3)
                                           for t in line.split()[1:])),
         ("anchor 0 0 100 misses the true anchor", "anchor", "anchor 0 0 100"),
+        ("unsupported set variant 'cube'", "set", "set cube"),
     ], ids=["b-nan", "short-center", "short-xstar", "short-anchor", "mu-nan",
             "misspelled-anchor", "repeated-mu", "fstar-without-xstar",
             "xstar-without-fstar", "false-mu", "false-Mg", "false-Mf",
-            "false-fstar", "false-xstar", "false-anchor"])
+            "false-fstar", "false-xstar", "false-anchor", "set-cube"])
     def test_malformed_instance_is_config_error(self, tmp_path, capsys, field,
                                                 key, text):
         # a saved 3x4 instance with one line edited; a false claim is one
@@ -790,16 +791,29 @@ class TestSolveCommand:
         assert f"output path {taken} exists and is not a directory" in \
             capsys.readouterr().err
         assert taken.read_text() == ""
+        # an empty path, from the flag or from the INI file, names no
+        # directory: nothing runs, and nothing appears in the working one
+        monkeypatch.chdir(tmp_path)
+        ini = tmp_path / "empty.ini"
+        ini.write_text("[output]\nout_dir =\n")
+        before = sorted(os.listdir(tmp_path))
+        for given in (["--out", ""], ["--config", str(ini)]):
+            assert main(argv + given) == EXIT_CONFIG
+            assert runs == []
+            assert "output path is empty" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestRateCheck:
-    def synthetic_dir(self, tmp_path, curve, n_seeds=3):
+    def synthetic_dir(self, tmp_path, curve, n_seeds=3, gap=None):
+        # f_gap follows ``gap`` where given, else ``curve`` as dist_X does
+        gap = gap or curve
         cfg = RunConfig(seeds=tuple(range(1, n_seeds + 1)))
         ks = [2 ** j for j in range(15)] + [40000]
         out = tmp_path / "synth"
         os.makedirs(out, exist_ok=True)
         for seed in cfg.seeds:
-            rows = [(seed, k, curve(k, seed), 0.0, curve(k, seed), None, 1.0)
+            rows = [(seed, k, gap(k, seed), 0.0, curve(k, seed), None, 1.0)
                     for k in ks]
             write_csv(os.path.join(out, f"run_seed{seed}.csv"), cfg, rows)
         write_csv(os.path.join(out, "aggregate.csv"), cfg, [])
@@ -879,6 +893,34 @@ class TestRateCheck:
             skipped += np.count_nonzero(np.isnan(slopes))
         if name == "crossing":
             assert skipped > 0 and all(f.truncated for f in fits)
+
+    def test_no_per_seed_file_rejected(self, tmp_path):
+        d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 / k)
+        for name in os.listdir(d):
+            if name.startswith("run_seed"):
+                os.remove(os.path.join(d, name))
+        with pytest.raises(WindowError, match="no per-seed CSV files"):
+            rate_check(d, 100, 40000)
+
+    def test_empty_f_gap_column_fits_dist_x_alone(self, tmp_path):
+        # a run without a known optimum logs f_gap empty
+        d = self.synthetic_dir(tmp_path, lambda k, s: 2.0 / k, gap=lambda k, s: None)
+        fits = rate_check(d, 100, 40000)
+        assert [fit.metric for fit in fits] == ["dist_X"]
+        assert fits[0].slope == pytest.approx(-1.0, abs=1e-10)
+
+    def test_fewer_than_two_usable_points_rejected(self, tmp_path):
+        # only k = 128 of the window lies above the metric floor
+        d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 if k == 128 else 1e-12)
+        with pytest.raises(WindowError, match="fewer than two usable points"):
+            rate_check(d, 100, 40000)
+
+    def test_no_complete_column_rejected(self, tmp_path):
+        # f_gap is empty, and seed 2 misses one dist_X
+        d = self.synthetic_dir(tmp_path, lambda k, s: None if (k, s) == (8, 2) else 1.0 / k,
+                               gap=lambda k, s: None)
+        with pytest.raises(WindowError, match="no complete metric columns"):
+            rate_check(d, 100, 40000)
 
     def test_narrow_window_rejected(self, tmp_path):
         d = self.synthetic_dir(tmp_path, lambda k, s: 1.0 / k)

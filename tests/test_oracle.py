@@ -77,6 +77,11 @@ class TestSimpleSet:
         with pytest.raises(OracleError, match="radius must be positive"):
             SimpleSet.ball(np.zeros(2), radius)
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_ball_center_must_be_finite(self, entry):
+        with pytest.raises(OracleError, match="ball center must be finite"):
+            SimpleSet.ball(np.array([entry, 0.0]), 1.0)
+
     def test_inside_point_unchanged(self):
         ball = SimpleSet.ball(np.ones(3), 2.0)
         v = np.array([1.5, 1.0, 0.5])
@@ -144,7 +149,7 @@ class TestSimpleSet:
 def single_index_steps(family, dimension=2):
     """Constraint 0's feasibility step through each pass, as callables
     ``(v, beta) -> (next point, positive parts seen)``."""
-    spec = ProblemSpec(objective=ObjectiveOracle(evaluate=lambda x: 0.0,
+    spec = ProblemSpec(objective=ObjectiveOracle(evaluate=lambda x: np.zeros(len(x)),
                                                  subgradient=lambda x: 0.0 * x),
                        constraints=family,
                        simple_set=SimpleSet.whole_space(dimension),
@@ -312,7 +317,7 @@ class TestProblemSpec:
         ({"known_optimum": KnownOptimum(f_star=0.0, x_star=np.zeros(3))}, "x_star"),
     ], ids=["mu-nan", "Mg-nan", "Mg-zero", "xstar-length"])
     def test_rejects_bad_constants_and_optimum(self, change, match):
-        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
+        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * np.vecdot(x, x),
                                     subgradient=lambda x: x)
         fields = dict(objective=objective,
                       constraints=linear_family(PolyhedronSpec(np.array([[1.0, 0.0]]),

@@ -27,7 +27,7 @@ def corner_spec(simple_set=None, constraints=None):
     A = np.eye(2)
     b = np.zeros(2)
     center = np.array([1.0, 1.0])
-    objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
+    objective = ObjectiveOracle(evaluate=lambda x: 0.5 * np.vecdot(x - center, x - center),
                                 subgradient=lambda x: x - center)
     return ProblemSpec(objective=objective,
                        constraints=constraints or linear_family(PolyhedronSpec(A, b)),
@@ -358,7 +358,7 @@ class TestSequentialUpdate:
 
 class TestObjectiveStep:
     def test_gradient_step_to_minimizer(self):
-        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
+        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * np.vecdot(x, x),
                                     subgradient=lambda x: x)
         spec = ProblemSpec(objective=objective,
                            constraints=never_violated(),
@@ -373,7 +373,7 @@ class TestObjectiveStep:
         np.testing.assert_array_equal(objective_step(spec, x, 0.0), x)
 
     def test_projection_applies(self):
-        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
+        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * np.vecdot(x, x),
                                     subgradient=lambda x: x)
         spec = ProblemSpec(objective=objective,
                            constraints=never_violated(),
@@ -386,7 +386,7 @@ class TestObjectiveStep:
     def test_subgradient_of_another_shape_raises(self, shape):
         # such a subgradient would broadcast over the (2, 3) block and run
         # on silently; the error names both shapes
-        objective = ObjectiveOracle(evaluate=lambda x: 0.0,
+        objective = ObjectiveOracle(evaluate=lambda x: np.zeros(len(x)),
                                     subgradient=lambda x: np.ones(shape))
         spec = ProblemSpec(objective=objective, constraints=never_violated(),
                            simple_set=SimpleSet.whole_space(3), mu=1.0, M_g=1.0)
@@ -680,7 +680,7 @@ class TestRunLoop:
     def test_never_violated_family_matches_plain_projected_gradient(self):
         center = np.array([0.7, -0.4, 1.1])
         objective = ObjectiveOracle(
-            evaluate=lambda x: 0.5 * float((x - center) @ (x - center)),
+            evaluate=lambda x: 0.5 * np.vecdot(x - center, x - center),
             subgradient=lambda x: x - center)
         ball = SimpleSet.ball(np.zeros(3), 5.0)
         spec = ProblemSpec(objective=objective,
@@ -754,6 +754,27 @@ class TestRunLoop:
         results = run(inst.spec, cfg, poly=inst.poly, sizes=sizes)
         assert asked == calls
         assert all(len(result.records) == 11 for result in results)
+
+    def test_one_objective_call_per_log_point(self):
+        # a log point evaluates the objective once for the whole block, and
+        # each row's f_gap has the bits of the one-point value 0.5 |d|^2
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        cfg = RunConfig(variant="parallel", beta_policy="fixed", beta=1.0,
+                        iterations=1000, seeds=tuple(range(1, 7)))
+        asked, evaluate = [], inst.spec.objective.evaluate
+
+        def counted(x):
+            asked.append(x.shape)
+            return evaluate(x)
+
+        spec = dataclasses.replace(inst.spec, objective=dataclasses.replace(
+            inst.spec.objective, evaluate=counted))
+        results = run(spec, cfg, poly=inst.poly, sizes=(1, 2, 4))
+        assert asked == [(18, 10)] * 11
+        opt = inst.spec.known_optimum
+        for result in results:
+            d = result.final_x_hat - inst.pull_center
+            assert result.records[-1].f_gap == 0.5 * float(d @ d) - opt.f_star
 
     def test_one_max_violation_call_per_log_point(self, monkeypatch):
         # a log point's max_violation is one call for the whole block, and
@@ -841,7 +862,7 @@ class TestRunLoop:
         # the objective step's point (-inf, -4) is outside the unit ball,
         # which hands it back non-finite, with no warning, so the run
         # aborts at k = 1
-        objective = ObjectiveOracle(evaluate=lambda x: 0.0,
+        objective = ObjectiveOracle(evaluate=lambda x: np.zeros(len(x)),
                                     subgradient=lambda x: x + [np.inf, 1.0])
         spec = ProblemSpec(objective=objective, constraints=never_violated(),
                            simple_set=SimpleSet.ball(np.zeros(2), 1.0),
@@ -858,7 +879,7 @@ class TestRunLoop:
     @pytest.mark.filterwarnings(
         "ignore:invalid value encountered in multiply:RuntimeWarning")
     def test_nonfinite_oracle_aborts_with_diagnostic(self):
-        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * float(x @ x),
+        objective = ObjectiveOracle(evaluate=lambda x: 0.5 * np.vecdot(x, x),
                                     subgradient=lambda x: x * np.inf)
         spec = ProblemSpec(objective=objective,
                            constraints=never_violated(),
@@ -928,6 +949,41 @@ class TestRunLoop:
         with pytest.raises(SolverAbort, match="k=1, seed 7") as info:
             run(spec, cfg, poly=poly)
         assert info.value.snapshot["seed"] == 7
+
+    def test_lemma_checks_catch_a_batch_decrease_alone(self):
+        # both steps of the pass from v = (3, 2) are exact projections, so
+        # (1) holds; an averaged point moved off the pass's (1.5, 1) breaks
+        # (2) alone
+        spec, poly = corner_spec(), PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
+        indices, v, beta = np.array([[0, 1]]), np.array([[3.0, 2.0]]), np.ones(1)
+        rows = plain_rows(indices)
+        checker = solver._LemmaChecker(poly, spec, rows)
+        x, ln_k, _ = parallel_feasibility_update(spec, indices, v, beta,
+                                                 RunConfig(beta=1.0), rows, checker)
+        np.testing.assert_array_equal(x, [[1.5, 1.0]])
+        gplus, dirs = solver._checked_batch(spec, indices, v)
+        with pytest.raises(SolverAbort, match="'batch-decrease'") as info:
+            checker.parallel(1, indices, v, x + 5.0, gplus, dirs, np.ones((1, 2)),
+                             beta, ln_k)
+        assert info.value.snapshot["check"] == "batch-decrease"
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_overflowing_step_aborts_naming_its_row(self, variant):
+        # the objective step takes seeds 1, 2 and 3 to x1 = 5.9, 7.2 and
+        # 2.4; the one constraint is violated by the largest float beyond
+        # x1 = 7 only, and beta = 1.5 times it overflows, so seed 2's step
+        # leaves no finite point
+        big = np.finfo(float).max
+        spec = batch_spec(lambda idx, v: (np.full(len(idx), big if v[0] > 7.0 else -1.0),
+                                          np.tile([0.6, 0.8], (len(idx), 1))))
+        cfg = RunConfig(variant=variant, batch_size=1, beta=1.5, iterations=5,
+                        cadence=5, seeds=(1, 2, 3))
+        with pytest.raises(SolverAbort, match="feasibility update produced a "
+                           "non-finite iterate at k=1, seed 2, N=1") as info:
+            run(spec, cfg)
+        assert info.value.snapshot["seed"] == 2
+        assert np.isfinite(info.value.snapshot["v"]).all()
 
     def test_single_constraint_exact_projection_slack_zero(self):
         # with beta = 1 on an affine constraint the step lands on the boundary,
@@ -1070,6 +1126,52 @@ class TestOracleFaults:
         x = self.faulty_pass(variant, "huge-finite")
         middle = [2.0, -4.0] if variant == "parallel" else [0.0, -4.0]
         np.testing.assert_array_equal(x, [self.BLOCK[0], middle, self.BLOCK[2]])
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_zero_row_on_a_satisfied_constraint_reads_as_one(self, variant):
+        # x1 <= 0 and x2 <= 0 with the row ``fill`` at each satisfied one:
+        # a zero row there gets the bits of any other row; the second seed
+        # violates neither constraint
+        def moved(fill):
+            spec = batch_spec(lambda idx, v: (
+                v[idx], np.where((v[idx] > 0.0)[:, None], np.eye(2)[idx], fill)),
+                size=2)
+            block = np.array([[3.0, -1.0], [-2.0, -1.5], [-0.5, 2.0], [1.5, 2.5]])
+            indices = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+            if variant == "parallel":
+                return parallel_feasibility_update(spec, indices, block, np.ones(4),
+                                                   RunConfig(beta=1.0),
+                                                   plain_rows(indices))[0]
+            return sequential_feasibility_update(spec, indices, block, np.ones(4),
+                                                 plain_rows(indices))
+
+        zero = moved([0.0, 0.0])
+        assert zero.tobytes() == moved([0.6, 0.8]).tobytes()
+        assert zero[1].tolist() == [-2.0, -1.5]
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    @pytest.mark.parametrize("wrong", ["values", "rows"])
+    def test_batch_of_the_wrong_shapes_raises(self, variant, wrong):
+        # a batch answers (S, k) values and (S, k, n) rows, or neither pass
+        # reads it
+        family = corner_spec().constraints
+
+        def batch(idx, v):
+            values, rows = family.batch(idx, v)
+            return (values[:, 0], rows) if wrong == "values" else (values, rows[..., :1])
+
+        spec = corner_spec(constraints=ConstraintFamily(size=2, batch=batch))
+        block, indices = np.ones((3, 2)), np.array([[0, 1]] * 3)
+        shapes = "(3,) and (3, 2, 2)" if wrong == "values" else "(3, 2) and (3, 2, 1)"
+        with pytest.raises(OracleError, match=re.escape(
+                f"constraint batch returned shapes {shapes} for indices (3, 2) "
+                f"at points (3, 2)")):
+            if variant == "parallel":
+                parallel_feasibility_update(spec, indices, block, np.ones(3),
+                                            RunConfig(beta=1.0), plain_rows(indices))
+            else:
+                sequential_feasibility_update(spec, indices, block, np.ones(3),
+                                              plain_rows(indices))
 
     def test_the_scan_leaves_a_zero_row_to_the_step(self):
         # the huge satisfied value sends the batch through the fault scan,
