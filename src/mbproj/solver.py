@@ -14,8 +14,8 @@ iterates are an (S, n) array with one row per (batch size N, seed) pair,
 and every step below works on that row axis.  The parallel pass is one
 vectorized step; the sequential pass is N chained steps per row, advanced
 in rounds vectorized over the rows: a round calls the constraint oracle
-once, from the least advanced row's next column on, and steps each row at
-its own next violated column.  A row's
+once, on the ``WINDOW`` columns from the least advanced live row's next
+column on, and steps each row at its own next violated column there.  A row's
 arithmetic does not depend on the other rows of its block, nor a
 constraint value on the width of the batch that asks it, so S = 1 and any
 larger block give the same numbers for it.
@@ -67,6 +67,10 @@ INDEX_BLOCK = 1024
 # a block of mixed batch sizes asks at most this many oracle columns per
 # column its sizes ask alone (see ``_size_blocks``)
 PAD_FACTOR = 1.75
+
+# a sequential round asks the oracle for at most this many columns per row
+# (see ``sequential_feasibility_update``)
+WINDOW = 32
 
 
 class ConfigError(ValueError):
@@ -304,8 +308,10 @@ def _checked_batch(spec: ProblemSpec, indices: np.ndarray, v: np.ndarray):
 
 def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Squared norms of the rows, shaped as the mask ``active`` of violated
-    constraints.  Only a zero row builds masks: on a violated constraint it
-    is an ``OracleFault``, elsewhere it reads as 1."""
+    constraints: a parallel pass's (S, N) or a sequential round's (S,) pick.
+    Only a zero row builds masks: on a violated constraint it is an
+    ``OracleFault`` naming the first such row of the block, elsewhere it
+    reads as 1."""
     # each (row, index) row reduced as a lone row would be; np.vecdot
     # rounds differently
     nsq = np.einsum("...j,...j->...", dirs, dirs)
@@ -313,7 +319,7 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
         zero = (nsq == 0.0) & active
         if zero.any():
             raise OracleFault("zero direction with positive violation: step undefined",
-                              int(np.argmax(zero.any(axis=1))))
+                              int(np.nonzero(zero)[0][0]))
         nsq = np.where(nsq > 0.0, nsq, 1.0)
     return nsq
 
@@ -384,10 +390,19 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     return x_next, ln_k, beta
 
 
+def _columns_after(size: int) -> np.ndarray:
+    """The (size + 1, size) table whose row s marks the columns at or after
+    s; row ``size`` marks none.  ``run`` builds it once per block: (N + 1) N
+    booleans, against the block's S * min(iterations, ``INDEX_BLOCK``) * N
+    drawn int64 indices."""
+    return np.arange(size) >= np.arange(size + 1)[:, None]
+
+
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                   v: np.ndarray, beta: np.ndarray, rows: _Rows,
                                   checker: Optional["_LemmaChecker"] = None,
-                                  k: int = 0) -> np.ndarray:
+                                  k: int = 0, after: Optional[np.ndarray] = None
+                                  ) -> np.ndarray:
     """Chained relaxed projection steps, one per sampled constraint.
 
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
@@ -395,50 +410,61 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     its current inner point and, if violated, steps by the parallel pass's
     expression at the row's own entry of the (S,) stepsizes ``beta`` and
     is projected onto the simple set.  A row's point moves only where it
-    steps, so one oracle call asks for every column ahead of it, and it
-    steps at the first one it violates; a row with none, or one that steps
-    at its own N-th column, is done, so a pad never steps.  A round makes
-    that call for all rows at once, from the least advanced live row's next
-    column, and a row picks only among the columns ahead of it, so a pass
-    takes at most one round more than its busiest row takes steps.  The
-    family's values depend only on index and point (``ConstraintFamily``),
-    so each row gets the bits of its column-by-column chain.  Every value
-    and row asked is checked as returned, so a column the row has passed,
-    or would reach at a later point, can raise its fault here.
-    ``checker`` (None when checks are off) checks each step and each row's
-    whole chain; ``k`` and ``rows`` label its reports.  Returns the final
-    inner points; an oracle fault raises ``OracleFault``.  Preconditions are
-    ``validate``'s.
+    steps, so one oracle call asks for the columns ahead of it, and it
+    steps at the first one it violates.  A round makes that call for all
+    rows at once, on the ``WINDOW`` columns from the least advanced live
+    row's next column on, and a row picks only among its columns there
+    that are ahead of it, by one lookup in ``after``, the block's
+    ``_columns_after`` table (built here when not given).  A live row that
+    violates none of them moves on to the window's end; a row whose next
+    column reaches its own N is done, so a pad never steps.  The pass ends
+    when every row is done, or when no row steps in a window that reaches
+    the block's width.  With N <= ``WINDOW`` a round asks every column
+    ahead, and a pass takes at most one round more than its busiest row
+    takes steps.  The family's values depend only on index and point
+    (``ConstraintFamily``), so each row gets the bits of its
+    column-by-column chain.  Every value and row asked is checked as
+    returned, so a column the row has passed, or would reach at a later
+    point, can raise its fault here.  ``checker`` (None when checks are
+    off) checks each step and each row's whole chain; ``k`` and ``rows``
+    label its reports.  Returns the final inner points; an oracle fault
+    raises ``OracleFault``.  Preconditions are ``validate``'s.
     """
     count, size = indices.shape
-    every, columns = np.arange(count), np.arange(size)
+    every, project = np.arange(count), spec.simple_set.project
+    after = _columns_after(size) if after is None else after
     # each row's next column, and size once it is done; a few Python ints
     # cost less to advance than numpy calls on (S,) arrays
     start = [0] * count
     # skip the mask and the merge where they change nothing: ~3% per pass
     z, first, passed = v, 0, False
     while first < size:
-        gvals, dirs = _checked_batch(spec, indices[:, first:], z)
+        end = first + WINDOW
+        gvals, dirs = _checked_batch(spec, indices[:, first:end], z)
         hit = gvals > 0.0
         if passed:                            # some row is past column ``first``
-            hit &= columns[first:size] >= np.array(start)[:, None]
+            hit &= after.take(start, axis=0)[:, first:end]
         j = hit.argmax(axis=1)                # 0 where a row violates none
-        active = hit[every, j][:, None]
+        active = hit[every, j]
         stepped = np.count_nonzero(active)
-        if not stepped:
+        if stepped:
+            d = dirs[every, j]
+            nsq = _squared_norms(d, active)
+            # 0 in a row that does not step, whose column j may be passed
+            gplus = gvals[every, j] * active
+            coef = beta * gplus / nsq
+            z_next = project(z - coef[:, None] * d)
+            if checker is not None:
+                checker.chain_step(k, indices, first + j, z, z_next,
+                                   gplus[:, None], nsq[:, None], beta)
+            z = z_next if stepped == count else np.where(active[:, None], z_next, z)
+        elif end >= size:
             break
-        # 0 in a row that does not step, whose column j may be passed
-        gplus = gvals[every, j][:, None] * active
-        dirs = dirs[every, j][:, None]
-        nsq = _squared_norms(dirs, active)
-        coef = beta[:, None] * gplus / nsq
-        z_next = spec.simple_set.project(z - coef * dirs[:, 0])
-        if checker is not None:
-            checker.chain_step(k, indices, first + j, z, z_next, gplus, nsq, beta)
-        z = z_next if stepped == count else np.where(active, z_next, z)
-        start = [first + c + 1 if stepping and first + c + 1 < own else size
-                 for c, stepping, own in zip(j.tolist(), active[:, 0].tolist(),
-                                             rows.sizes)]
+        # a row goes on after its step, or else after the window, and is
+        # done at its own N
+        start = [column if (column := first + c + 1 if stepping else end) < own
+                 else size
+                 for c, stepping, own in zip(j.tolist(), active.tolist(), rows.sizes)]
         first = min(start)
         passed = max(start) > first
     if checker is not None:
@@ -694,6 +720,7 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
     checker = _LemmaChecker(poly, spec, rows) \
         if config.assertions == "lemma-checks" else None
     variant, iterations = config.variant, config.iterations
+    after = _columns_after(width) if variant == "sequential" else None
 
     m, n = spec.constraints.size, spec.simple_set.dimension
     x = np.empty((len(rows.seeds), n))
@@ -738,7 +765,7 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
                     k in log_ks)
             else:
                 x = sequential_feasibility_update(
-                    spec, indices, v, beta_k, rows, checker, k)
+                    spec, indices, v, beta_k, rows, checker, k, after)
         except OracleFault as exc:
             where, snapshot = rows.at(k, exc.row)
             raise SolverAbort(

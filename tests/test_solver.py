@@ -150,15 +150,25 @@ def column_chain(spec, indices, v, beta, checker=None, k=0):
 
 def round_starts(steps, size):
     """The column each round of the sequential pass asks from, given the
-    columns where each row steps in its own column chain: a row is live
-    until a round finds no violated column ahead of it, or until it steps
-    at column ``size`` - 1, and a round asks from the least advanced live
-    row's next column.  Its length is the number of rounds."""
-    starts = [[0] + [column + 1 for column in stepped] for stepped in steps]
-    rounds = [len(stepped) + (not stepped or stepped[-1] < size - 1)
-              for stepped in steps]
-    return [min(row[t] for row, live in zip(starts, rounds) if t < live)
-            for t in range(max(rounds))]
+    columns where each row steps in its own column chain: a round asks the
+    ``solver.WINDOW`` columns from the least advanced live row's next
+    column, where each live row steps at its next stepped column, or else
+    moves on to the window's end; a row is done once its next column
+    reaches ``size``, and the pass ends when no row steps in a window that
+    reaches ``size``.  Its length is the number of rounds."""
+    ahead = [list(stepped) for stepped in steps]
+    at, starts = [0] * len(steps), []
+    while min(at) < size:
+        first = min(at)
+        end = first + solver.WINDOW
+        starts.append(first)
+        live = [row for row, column in enumerate(at) if column < size]
+        stepping = [row for row in live if ahead[row] and ahead[row][0] < end]
+        for row in live:
+            at[row] = ahead[row].pop(0) + 1 if row in stepping else end
+        if not stepping and end >= size:
+            break
+    return starts
 
 
 class RecordingChecker(solver._LemmaChecker):
@@ -209,6 +219,23 @@ class TestPolyakStep:
         with pytest.raises(OracleError, match="zero direction"):
             sequential_feasibility_update(spec, np.array([[0]]), np.ones((1, 2)),
                                           np.ones(1), plain_rows(np.array([[0]])))
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_zero_direction_names_its_row(self, variant):
+        # every constraint is violated, and only beyond x1 = 5, in the
+        # third row, is its row zero: a pass's (S, N) mask and a round's
+        # (S,) pick both name that row
+        spec = batch_spec(lambda idx, v: (np.ones(len(idx)), np.tile(
+            [0.0, 0.0] if v[0] > 5.0 else [1.0, 0.0], (len(idx), 1))))
+        indices = np.zeros((3, 2), dtype=np.int64)
+        v, rows = np.array([[1.0, 1.0], [2.0, 2.0], [6.0, 6.0]]), plain_rows(indices)
+        with pytest.raises(OracleFault, match="zero direction") as info:
+            if variant == "parallel":
+                parallel_feasibility_update(spec, indices, v, np.ones(3),
+                                            RunConfig(beta=1.0), rows)
+            else:
+                sequential_feasibility_update(spec, indices, v, np.ones(3), rows)
+        assert info.value.row == 2
 
 
 class TestParallelUpdate:
@@ -812,8 +839,10 @@ class TestRunLoop:
             return project(poly, simple_set, v, active)
 
         def counted_steps(dirs, active):
-            # a pass's (S, N) or a round's (S, 1) mask of violated columns
-            steps[0] += int(np.count_nonzero(active.any(axis=1)))
+            # a pass's (S, N) mask of violated columns or a round's (S,)
+            # mask of stepping rows
+            steps[0] += int(np.count_nonzero(active if active.ndim == 1
+                                             else active.any(axis=1)))
             passes[0] += 1
             return norms(dirs, active)
 
@@ -966,6 +995,27 @@ class TestRunLoop:
             checker.parallel(1, indices, v, x + 5.0, gplus, dirs, np.ones((1, 2)),
                              beta, ln_k)
         assert info.value.snapshot["check"] == "batch-decrease"
+
+    def test_lemma_checks_catch_a_chain_decrease_alone(self):
+        # every step of the pass from (4, -1) is an exact projection, so (1)
+        # holds; a chain end moved off the pass's points breaks (3) in both
+        # rows, and the report names row 1, whose first step, at column 0,
+        # comes a round before row 0's, past the first window
+        width = 2 * solver.WINDOW + 5
+        indices = np.ones((2, width), dtype=np.int64)
+        indices[0, solver.WINDOW + 8] = indices[1, 0] = 0
+        v = np.array([[4.0, -1.0], [4.0, -1.0]])
+        spec, poly = corner_spec(), PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
+
+        class MovedEnd(solver._LemmaChecker):
+            def chain_end(self, k, z):
+                super().chain_end(k, z + 5.0)
+
+        checker = MovedEnd(poly, spec, plain_rows(indices))
+        with pytest.raises(SolverAbort, match="'chain-decrease'") as info:
+            sequential_feasibility_update(spec, indices, v, np.ones(2),
+                                          plain_rows(indices), checker, k=1)
+        assert info.value.snapshot["seed"] == 1
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
@@ -1413,7 +1463,8 @@ class TestBlockEqualsSeeds:
                                                    pass_checker, k=7)
             assert np.array_equal(z_pass, np.concatenate([z for z, _, _ in own]))
             starts = round_starts([stepped for _, stepped, _ in own], size)
-            assert [a.tolist() for a in asked] == [idx[:, i:].tolist() for i in starts]
+            assert [a.tolist() for a in asked] == \
+                [idx[:, i:i + solver.WINDOW].tolist() for i in starts]
             if checks == "off":
                 continue
             # one step check per round where some row steps, then one chain
@@ -1435,9 +1486,10 @@ class TestBlockEqualsSeeds:
 
 class TestSequentialRounds:
     """The sequential pass moves each row along its own chain: a round
-    steps every live row at its own next violated column, so the oracle
-    calls are the busiest row's steps plus one, not one per column that
-    some row violates."""
+    asks the ``solver.WINDOW`` columns from the least advanced live row's
+    next column and steps every live row at its own next violated column
+    there, so with N <= ``WINDOW`` the oracle calls are the busiest row's
+    steps plus one, not one per column that some row violates."""
 
     # x1 <= 0 is constraint 0 and x2 <= 0 constraint 1; from (4, -1) a row
     # violates only its index-0 columns, and from (4, 4) its first index-0
@@ -1468,6 +1520,8 @@ class TestSequentialRounds:
         z = sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
                                           plain_rows(indices))
         assert len(asked) == calls
+        assert [a.tolist() for a in asked] == [indices[:, i:i + solver.WINDOW].tolist()
+                                               for i in round_starts(steps, 4)]
         np.testing.assert_array_equal(z, np.concatenate([point for point, _ in chains]))
 
     # the first row steps at column 0 and then at column 1 of [0, 1, 1];
@@ -1519,6 +1573,115 @@ class TestSequentialRounds:
             sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
                                           plain_rows(indices))
         assert info.value.row == 1
+
+    # seven rows of five columns whose next columns spread over the first
+    # round: rows 2, 3 and 5 land at (0, -1) at their columns 1, 2 and 3
+    # and step off it at their next column in the second round, row 1 ends
+    # at its last column there, and rows 0, 4 and 6 step at column 0
+    WIDE = (np.array([[0, 1, 1, 1, 1], [1, 1, 1, 1, 0], [1, 0, 1, 1, 1], [1, 1, 0, 1, 1],
+                      [1, 1, 1, 1, 1], [1, 1, 1, 0, 1], [0, 0, 1, 0, 1]]),
+            np.array([[4.0, 4.0], [4.0, -1.0], [4.0, -1.0], [4.0, -1.0],
+                      [-1.0, 4.0], [4.0, -1.0], [4.0, 4.0]]))
+
+    def test_passed_columns_of_a_wide_block_are_not_read(self):
+        # the second round asks from column 1 while the landed rows are
+        # past it, and every column they have passed reads violated there:
+        # none is stepped on, and each row is its own chain alone
+        indices, v = self.WIDE
+        spec = corner_spec(constraints=self.at_landing(1.0))
+        recorded, asked, values = recording_family(spec)
+        z = sequential_feasibility_update(recorded, indices, v, np.ones(len(v)),
+                                          plain_rows(indices))
+        assert [a.shape[1] for a in asked] == [5, 4, 3]
+        assert (values[1][1] > 0.0).all()
+        assert values[1][2, 0] > 0.0 and (values[1][3, :2] > 0.0).all() \
+            and (values[1][5, :3] > 0.0).all()
+        np.testing.assert_array_equal(z, [[0.0, 0.0], [0.0, -1.0], [0.0, -2.0], [0.0, -2.0],
+                                          [-1.0, 0.0], [0.0, -2.0], [0.0, 0.0]])
+        for row in range(len(v)):
+            alone = sequential_feasibility_update(spec, indices[row:row + 1],
+                                                  v[row:row + 1], np.ones(1),
+                                                  plain_rows(indices[row:row + 1]))
+            chain, _ = column_chain(spec, indices[row:row + 1], v[row:row + 1],
+                                    np.ones(1))
+            assert np.array_equal(z[row:row + 1], alone)
+            assert np.array_equal(alone, chain)
+
+    def test_a_wide_blocks_passed_columns_fault_names_its_row(self):
+        # only row 3 lands at (0, -1), at its last column in the first
+        # round; the second round asks its passed columns there
+        indices = np.array([[0, 1, 1, 1, 1], [1, 1, 1, 1, 1], [0, 0, 1, 0, 1],
+                            [1, 1, 1, 1, 0], [1, 0, 1, 1, 1], [0, 0, 0, 0, 1]])
+        v = np.array([[4.0, 4.0], [-1.0, 4.0], [4.0, 4.0], [4.0, -1.0],
+                      [4.0, 4.0], [-1.0, 4.0]])
+        spec = corner_spec(constraints=self.at_landing(np.nan))
+        with pytest.raises(OracleFault, match="non-finite") as info:
+            sequential_feasibility_update(spec, indices, v, np.ones(len(v)),
+                                          plain_rows(indices))
+        assert info.value.row == 3
+
+    def test_a_window_without_steps_moves_on(self):
+        # from (4, -1) the one violated column, at WINDOW + 8, lies past the
+        # first window: no row steps there, and the next round asks from
+        # the window's end
+        width = 2 * solver.WINDOW + 5
+        indices = np.ones((2, width), dtype=np.int64)
+        indices[0, solver.WINDOW + 8] = 0
+        v = np.array([[4.0, -1.0], [-1.0, -1.0]])
+        spec, asked, _ = recording_family(corner_spec())
+        z = sequential_feasibility_update(spec, indices, v, np.ones(2),
+                                          plain_rows(indices))
+        assert [a.tolist() for a in asked] == [
+            indices[:, i:i + solver.WINDOW].tolist()
+            for i in (0, solver.WINDOW, solver.WINDOW + 9)]
+        assert round_starts([[solver.WINDOW + 8], []], width) == \
+            [0, solver.WINDOW, solver.WINDOW + 9]
+        np.testing.assert_array_equal(z, [[0.0, -1.0], [-1.0, -1.0]])
+
+    @pytest.mark.parametrize("checks", ["off", "lemma-checks"])
+    @pytest.mark.parametrize("size", [1, solver.WINDOW - 1, solver.WINDOW + 3,
+                                      2 * solver.WINDOW + 5])
+    def test_chains_past_the_window_are_the_column_chains(self, size, checks):
+        # rows at x* moved by 0.05, 0.3 and 1: the block and each row
+        # alone return the rows' column chains and ask at most WINDOW
+        # columns a call, from where ``round_starts`` says, and the
+        # checker sees, row by row, the checks of the row's chain
+        inst = make_polyhedral_benchmark(20, 60, seed=0)
+        rng = np.random.default_rng(size)
+        v = inst.spec.simple_set.project(inst.spec.known_optimum.x_star + np.array(
+            [0.05, 0.3, 1.0])[:, None] * rng.standard_normal((3, 20)))
+        indices = rng.integers(0, 60, (3, size))
+
+        def checker(count):
+            return None if checks == "off" else RecordingChecker(
+                inst.poly, inst.spec, solver._Rows(tuple(range(count)), (size,) * count))
+
+        chains = []
+        for row in range(len(v)):
+            chain_checker = checker(1)
+            z, stepped = column_chain(inst.spec, indices[row:row + 1], v[row:row + 1],
+                                      np.ones(1), chain_checker, k=3)
+            chains.append((z, stepped, chain_checker))
+        for rows in [slice(None)] + [slice(r, r + 1) for r in range(len(v))]:
+            idx, own, pass_checker = indices[rows], chains[rows], checker(len(v[rows]))
+            spec, asked, _ = recording_family(inst.spec)
+            z = sequential_feasibility_update(spec, idx, v[rows], np.ones(len(idx)),
+                                              plain_rows(idx), pass_checker, k=3)
+            assert np.array_equal(z, np.concatenate([z for z, _, _ in own]))
+            assert max(a.shape[1] for a in asked) <= solver.WINDOW
+            starts = round_starts([stepped for _, stepped, _ in own], size)
+            assert [a.tolist() for a in asked] == \
+                [idx[:, i:i + solver.WINDOW].tolist() for i in starts]
+            if checks == "off":
+                continue
+            *rounds, chain = pass_checker.seen
+            for row, (_, stepped, chain_checker) in enumerate(own):
+                took = [[a[row:row + 1] for a in seen] for seen in rounds
+                        if seen[4][row, 0] > 0.0]
+                assert len(took) == len(stepped) == len(chain_checker.seen) - 1
+                took.append([a[row:row + 1] for a in chain])
+                for got, want in zip(took, chain_checker.seen):
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestPerRowStepsize:
