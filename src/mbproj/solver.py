@@ -7,7 +7,8 @@ constraint independently at the common point, averages the results and
 projects onto the simple set; the sequential variant chains the steps,
 re-evaluating each constraint at the current inner point and projecting after
 every step.  Both track the quadratically weighted running average of the
-iterates, on which all reported metrics are computed.
+iterates, on which all reported metrics are computed, a flush of log points
+at a time (see ``run``).
 
 One kernel, ``run``, advances a block of S independent rows at once: the
 iterates are an (S, n) array with one row per (batch size N, seed) pair,
@@ -71,6 +72,10 @@ PAD_FACTOR = 1.75
 # a sequential round asks the oracle for at most this many columns per row
 # (see ``sequential_feasibility_update``)
 WINDOW = 32
+
+# a flush of log points stacks R rows while R n (n + 1) floats, the size of
+# the distance oracle's search gathers, stay within this budget (see ``run``)
+LOG_FLOATS = 8192
 
 
 class ConfigError(ValueError):
@@ -665,19 +670,22 @@ def run(spec: ProblemSpec, config,
     knows its optimum, max_violation and dist_X only when ``poly``, the rows
     of the spec's linear constraints, is given (X is their intersection
     with Y, which the lemma checks also project onto).  ``run`` reads no
-    clock: a record holds results only.  A log point asks each metric once
-    for the whole block, by one call each of the objective's ``evaluate``,
-    ``max_violation`` and ``distance_oracle``, and a row of a call gets the
-    bits of a call of its point alone.  Each row's distance starts from
-    the active set of its own last dist_X projection and leaves its new one
-    there, and the lemma checker keeps one per row the same way.  Away from
-    degenerate ties a warm start gets the bits of a cold one; where the
-    final active set is not unique, a warm start can end on another set,
-    and dist_X can then differ from a cold recomputation in the last
-    places (see ``geometry``).  The first non-finite iterate, constraint oracle
+    clock: a record holds results only.  A log point keeps x_hat, ``LN_k``
+    and ``beta_k`` pending; a flush, at k = iterations or where one more
+    point would take R n (n + 1), for the R stacked rows, past
+    ``LOG_FLOATS``, evaluates them in k order by one call each of the
+    objective's ``evaluate``, ``max_violation`` and ``distance_oracle``, and
+    a row of a call gets the bits of a call of its point alone.  A stacked
+    row's distance starts from its seed row's active set at the previous
+    flush's last point, whose rows leave their new ones there, and the
+    lemma checker keeps one set per row.  Away from degenerate ties a warm
+    start gets the bits of a cold one; where the final active set is not
+    unique, dist_X can differ in the last places from a cold recomputation
+    (see ``geometry``).  The first non-finite iterate, constraint oracle
     fault (reported with its batch indices), failed check or realized
     L_N,k above a declared L_N aborts the whole call with ``SolverAbort``,
-    which names k, the seed and N.
+    which names k, the seed and N; a metric oracle's error surfaces at its
+    flush, so such an abort before that flush is raised instead.
     """
     sizes = (config.batch_size,) if sizes is None else tuple(sizes)
     validate(config, spec, sizes)
@@ -741,6 +749,7 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
     active_sets = [[] for _ in x]
     weight_total = 0                   # exact integer sum of (j+1)^2, j=1..k
     records = [[] for _ in x]
+    pending = []                       # log points not yet evaluated
     log_ks = _log_points(iterations, config.cadence)
     opt = spec.known_optimum
 
@@ -782,16 +791,28 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
 
         if k in log_ks:
             x_hat = weighted_sum / weight_total
-            f_gaps = viols = dists = [None] * len(x)
-            if opt is not None:
-                f_gaps = (spec.objective.evaluate(x_hat) - opt.f_star).tolist()
-            if poly is not None:
-                dists = distance_oracle(poly, spec.simple_set, x_hat, active_sets).tolist()
-                viols = max_violation(poly, x_hat).tolist()
-            for kept, seed, f_gap, viol, dist, ln, beta in zip(
-                    records, rows.seeds, f_gaps, viols, dists, ln_k.tolist(), beta_k.tolist()):
-                kept.append(RunRecord(seed, k, f_gap, viol, dist,
-                                      None if math.isnan(ln) else ln, beta))
+            pending.append((k, x_hat, ln_k.tolist(), beta_k.tolist()))
+            if k == iterations or (len(pending) + 1) * len(x) * n * (n + 1) > LOG_FLOATS:
+                stacked = np.concatenate([point[1] for point in pending])
+                f_gaps = viols = dists = [None] * len(stacked)
+                if opt is not None:
+                    f_gaps = (spec.objective.evaluate(stacked) - opt.f_star).tolist()
+                if poly is not None:
+                    # each stacked row starts from its seed row's set at the
+                    # previous flush's last point, whose rows leave theirs
+                    starts = [list(start) for start in active_sets * len(pending)]
+                    dists = distance_oracle(poly, spec.simple_set, stacked, starts).tolist()
+                    active_sets = starts[-len(x):]
+                    viols = max_violation(poly, stacked).tolist()
+                # each zip stops at the end of ``records`` before it reads
+                # ``metrics`` again, so it takes one point's rows
+                metrics = zip(f_gaps, viols, dists)
+                for k_at, _, lns, betas in pending:
+                    for kept, seed, ln, beta, (f_gap, viol, dist) in zip(
+                            records, rows.seeds, lns, betas, metrics):
+                        kept.append(RunRecord(seed, k_at, f_gap, viol, dist,
+                                              None if math.isnan(ln) else ln, beta))
+                pending = []
 
     # x_hat is the last log point's, k = iterations
     return [RunResult(seed=seed, batch_size=size, records=records[row],

@@ -93,6 +93,9 @@ COMMANDS = {
     "sequential-iid": [
         "sweep", "--variant", "sequential", "--sampler", "iid-uniform",
         "--N-list", "1,2,4,8", *SMALL],
+    # 40 log points of 9 rows, which ``run`` evaluates in several flushes
+    "parallel-sweep-dense-cadence": [
+        "sweep", "--N-list", "1,2,4", "--cadence", "5", *SMALL],
     "c-hat-benchmark": ["sweep", "--c-hat", "5", "--N-list", "1,2,4", *SMALL],
     "c-hat-duplicated": [
         "sweep", "--builtin", "duplicated", "--n", "5", "--m", "8",

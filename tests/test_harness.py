@@ -12,7 +12,7 @@ from mbproj.harness import (CSV_COLUMNS, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER,
                             minibatch_sweep, parse_int_list, parse_seeds,
                             rate_check, read_csv,
                             solve_experiment, write_csv)
-from mbproj import geometry, harness, problems
+from mbproj import geometry, harness, problems, solver
 from mbproj.problems import (make_builtin, make_polyhedral_benchmark,
                              predicted_gain, save_instance)
 from mbproj.solver import ConfigError, RunRecord, run as solver_run
@@ -233,6 +233,20 @@ class TestEveryChoiceRuns:
 
 
 class TestSolveCommand:
+    def test_distance_oracle_error_exits_3_with_one_line(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # a certificate failure raised in a flush of log points stops the
+        # run: exit 3, its one stderr line, and no output directory
+        def failing(poly, simple_set, v, active):
+            raise geometry.DistanceOracleError("certificate failed", residuals={})
+
+        monkeypatch.setattr(solver, "distance_oracle", failing)
+        code = main(["solve", "--iters", "20", "--seeds", "1,2",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err == "distance oracle: certificate failed\n"
+        assert not os.path.exists(tmp_path / "x")
+
     def test_orthant2_end_to_end(self, tmp_path):
         # the harness smoke configuration: parallel batches of 2 on the corner
         # problem, 10^4 iterations, 20 seeds

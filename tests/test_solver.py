@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mbproj.geometry import PolyhedronSpec, distance_oracle, linear_family
+from mbproj.geometry import (DistanceOracleError, PolyhedronSpec, distance_oracle,
+                             linear_family)
 from mbproj.oracle import (ConstraintFamily, KnownOptimum, ObjectiveOracle,
                            OracleError, ProblemSpec, SimpleSet)
 from mbproj.problems import (exact_ln_linear, make_duplicated_benchmark,
@@ -750,8 +751,9 @@ class TestRunLoop:
         assert np.linalg.norm(x_hat - result.final_x_hat) <= 1e-10
 
     def test_warm_started_dist_x_equals_a_cold_oracle(self):
-        # each seed's log points start the oracle from that seed's previous
-        # active set; the last one still equals a cold call bit for bit
+        # each stacked row starts the oracle from its seed's active set at
+        # the previous flush's last point; the last one still equals a cold
+        # call bit for bit
         inst = make_polyhedral_benchmark(10, 20, seed=0)
         cfg = RunConfig(variant="sequential", batch_size=4,
                         beta_policy="fixed", beta=1.0, iterations=300,
@@ -761,16 +763,26 @@ class TestRunLoop:
                                    result.final_x_hat)
             assert result.records[-1].dist_X == cold > 0.0
 
+    # sweep-ln's shape: 1000 iterations log 11 points of 6 seeds per size,
+    # and a point of 18 rows of n = 10 is 1980 floats, so LOG_FLOATS = 8192
+    # flushes four points at a time
+    SWEEP_LN = dict(variant="parallel", beta_policy="fixed", beta=1.0,
+                    iterations=1000, seeds=tuple(range(1, 7)))
+
+    def sweep_ln_ks(self):
+        ks = sorted(solver._log_points(1000, "geometric"))
+        assert len(ks) == 11
+        return ks
+
     @pytest.mark.parametrize("sizes, calls", [
-        ((1, 2, 4), [18] * 11),           # sweep-ln's shape: one block
-        ((1, 8), [6] * 11 + [6] * 11),   # two blocks, one after the other
+        ((1, 2, 4), [72, 72, 54]),        # sweep-ln's shape: one block
+        ((1, 8), [66, 66]),               # two blocks, one after the other
     ])
-    def test_one_distance_oracle_call_per_log_point(self, sizes, calls,
-                                                    monkeypatch):
-        # each log point projects all of a block's rows in one call
+    def test_one_distance_oracle_call_per_flush(self, sizes, calls, monkeypatch):
+        # a flush projects all of its pending log points' rows in one call,
+        # and each row gets its records in k order
         inst = make_polyhedral_benchmark(10, 20, seed=0)
-        cfg = RunConfig(variant="parallel", beta_policy="fixed", beta=1.0,
-                        iterations=1000, seeds=tuple(range(1, 7)))
+        cfg = RunConfig(**self.SWEEP_LN)
         asked, oracle = [], solver.distance_oracle
 
         def counted(poly, simple_set, v, active):
@@ -780,14 +792,14 @@ class TestRunLoop:
         monkeypatch.setattr(solver, "distance_oracle", counted)
         results = run(inst.spec, cfg, poly=inst.poly, sizes=sizes)
         assert asked == calls
-        assert all(len(result.records) == 11 for result in results)
+        for result in results:
+            assert [record.k for record in result.records] == self.sweep_ln_ks()
 
-    def test_one_objective_call_per_log_point(self):
-        # a log point evaluates the objective once for the whole block, and
-        # each row's f_gap has the bits of the one-point value 0.5 |d|^2
+    def test_one_objective_call_per_flush(self):
+        # a flush evaluates the objective once for all of its points' rows,
+        # and each row's f_gap has the bits of the one-point value 0.5 |d|^2
         inst = make_polyhedral_benchmark(10, 20, seed=0)
-        cfg = RunConfig(variant="parallel", beta_policy="fixed", beta=1.0,
-                        iterations=1000, seeds=tuple(range(1, 7)))
+        cfg = RunConfig(**self.SWEEP_LN)
         asked, evaluate = [], inst.spec.objective.evaluate
 
         def counted(x):
@@ -797,18 +809,18 @@ class TestRunLoop:
         spec = dataclasses.replace(inst.spec, objective=dataclasses.replace(
             inst.spec.objective, evaluate=counted))
         results = run(spec, cfg, poly=inst.poly, sizes=(1, 2, 4))
-        assert asked == [(18, 10)] * 11
+        assert asked == [(72, 10), (72, 10), (54, 10)]
         opt = inst.spec.known_optimum
         for result in results:
+            assert [record.k for record in result.records] == self.sweep_ln_ks()
             d = result.final_x_hat - inst.pull_center
             assert result.records[-1].f_gap == 0.5 * float(d @ d) - opt.f_star
 
-    def test_one_max_violation_call_per_log_point(self, monkeypatch):
-        # a log point's max_violation is one call for the whole block, and
-        # each row's value has the bits of a call of its point alone
+    def test_one_max_violation_call_per_flush(self, monkeypatch):
+        # a flush's max_violation is one call for all of its points' rows,
+        # and each row's value has the bits of a call of its point alone
         inst = make_polyhedral_benchmark(10, 20, seed=0)
-        cfg = RunConfig(variant="parallel", beta_policy="fixed", beta=1.0,
-                        iterations=1000, seeds=tuple(range(1, 7)))
+        cfg = RunConfig(**self.SWEEP_LN)
         asked, violation = [], solver.max_violation
 
         def counted(poly, v):
@@ -817,9 +829,111 @@ class TestRunLoop:
 
         monkeypatch.setattr(solver, "max_violation", counted)
         results = run(inst.spec, cfg, poly=inst.poly, sizes=(1, 2, 4))
-        assert asked == [(18, 10)] * 11
+        assert asked == [(72, 10), (72, 10), (54, 10)]
+        for result in results:
+            assert [record.k for record in result.records] == self.sweep_ln_ks()
         final = [result.records[-1].max_violation for result in results]
         assert final == [violation(inst.poly, result.final_x_hat) for result in results]
+
+    def test_a_flush_holds_the_points_that_fit_the_budget(self, monkeypatch):
+        # P pending points flush exactly when P + 1 would take their rows
+        # past LOG_FLOATS, and a point past it alone flushes alone; the
+        # records do not depend on where the flushes fall
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        cfg = RunConfig(**self.SWEEP_LN)
+        point = 18 * 10 * 11
+        asked, oracle = [], solver.distance_oracle
+
+        def counted(poly, simple_set, v, active):
+            asked.append(len(v))
+            return oracle(poly, simple_set, v, active)
+
+        monkeypatch.setattr(solver, "distance_oracle", counted)
+        expected = None
+        for budget, calls in [(1, [18] * 11), (point, [18] * 11),
+                              (2 * point - 1, [18] * 11),
+                              (2 * point, [36] * 5 + [18]),
+                              (3 * point - 1, [36] * 5 + [18]),
+                              (3 * point, [54] * 3 + [36]),
+                              (11 * point, [198])]:
+            monkeypatch.setattr(solver, "LOG_FLOATS", budget)
+            asked.clear()
+            records = [result.records
+                       for result in run(inst.spec, cfg, poly=inst.poly, sizes=(1, 2, 4))]
+            assert asked == calls, budget
+            expected = expected or records
+            assert records == expected, budget
+
+    def test_metric_dense_calls_hold_one_point(self, monkeypatch):
+        # the memory guard: at 50x200 a point of 3 rows is 7650 floats, so
+        # every metric call of metric-dense's shape holds one point's rows
+        inst = make_polyhedral_benchmark(50, 200, seed=0)
+        cfg = RunConfig(variant="sequential", batch_size=8, beta_policy="fixed",
+                        beta=1.0, iterations=300, seeds=(1, 2, 3), cadence=50)
+        asked = {"evaluate": [], "distance_oracle": [], "max_violation": []}
+        oracle, violation = solver.distance_oracle, solver.max_violation
+        evaluate = inst.spec.objective.evaluate
+
+        def counted_evaluate(x):
+            asked["evaluate"].append(len(x))
+            return evaluate(x)
+
+        def counted_oracle(poly, simple_set, v, active):
+            asked["distance_oracle"].append(len(v))
+            return oracle(poly, simple_set, v, active)
+
+        def counted_violation(poly, v):
+            asked["max_violation"].append(len(v))
+            return violation(poly, v)
+
+        monkeypatch.setattr(solver, "distance_oracle", counted_oracle)
+        monkeypatch.setattr(solver, "max_violation", counted_violation)
+        spec = dataclasses.replace(inst.spec, objective=dataclasses.replace(
+            inst.spec.objective, evaluate=counted_evaluate))
+        results = run(spec, cfg, poly=inst.poly)
+        assert asked == {name: [3] * 6 for name in asked}
+        for result in results:
+            assert [record.k for record in result.records] == [50, 100, 150, 200, 250, 300]
+
+    def test_a_metric_error_surfaces_at_its_flush(self, monkeypatch):
+        # a distance oracle error propagates from run at the flush that
+        # meets it: here the one flush, at k = iterations, of all 8 points
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        cfg = RunConfig(variant="parallel", batch_size=2, beta_policy="fixed",
+                        beta=1.0, iterations=100, seeds=(1, 2))
+        asked = []
+
+        def failing(poly, simple_set, v, active):
+            asked.append(len(v))
+            raise DistanceOracleError("certificate failed", residuals={})
+
+        monkeypatch.setattr(solver, "distance_oracle", failing)
+        with pytest.raises(DistanceOracleError, match="certificate failed"):
+            run(inst.spec, cfg, poly=inst.poly)
+        assert asked == [2 * 8]
+
+    def test_an_abort_before_a_flush_is_reported(self, monkeypatch):
+        # log points 1 and 2 are pending when the objective step fails at
+        # k = 3: the abort is reported, and the failing oracle never runs
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        cfg = RunConfig(variant="parallel", batch_size=2, beta_policy="fixed",
+                        beta=1.0, iterations=100, seeds=(1, 2))
+        asked, steps, subgradient = [], [], inst.spec.objective.subgradient
+
+        def failing(poly, simple_set, v, active):
+            asked.append(len(v))
+            raise DistanceOracleError("certificate failed", residuals={})
+
+        def poisoned(x):
+            steps.append(len(steps) + 1)
+            return np.full_like(x, np.nan) if len(steps) == 3 else subgradient(x)
+
+        monkeypatch.setattr(solver, "distance_oracle", failing)
+        spec = dataclasses.replace(inst.spec, objective=dataclasses.replace(
+            inst.spec.objective, subgradient=poisoned))
+        with pytest.raises(SolverAbort, match=r"objective step .* at k=3, seed 1"):
+            run(spec, cfg, poly=inst.poly)
+        assert asked == []
 
     @pytest.mark.parametrize("variant, pinned", [("parallel", 535), ("sequential", 850)])
     def test_lemma_checks_project_once_per_step(self, variant, pinned, monkeypatch):
