@@ -11,6 +11,7 @@ mutable state; random state always lives with the caller.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -45,7 +46,10 @@ class SimpleSet:
     """The simple set Y: the closed ball of ``center`` and ``radius``, whose
     exact Euclidean projection is cheap.  An infinite radius makes Y the
     whole space, the other set that the builtins and the instance format
-    can name; ``ball`` is the checked constructor."""
+    can name; ``ball`` is the checked constructor.  ``project`` tests a row
+    against the ball by its squared length and ``limit``, the exact
+    threshold for the rounded square root, so a call whose rows are all
+    inside takes no square root."""
 
     center: np.ndarray
     radius: float
@@ -53,6 +57,23 @@ class SimpleSet:
     @property
     def dimension(self) -> int:
         return self.center.size
+
+    @functools.cached_property
+    def limit(self) -> float:
+        """The largest float q whose rounded square root is at most
+        ``radius``, infinite for the whole space, computed once per ball.  A
+        correctly rounded square root is monotone, so q <= limit holds
+        exactly when sqrt(q) <= radius, and neither holds for a NaN."""
+        limit = self.radius
+        if limit < math.inf:
+            # radius**2 rounds to within a few steps of that q: step down
+            # past it, then up to it
+            limit *= self.radius
+            while math.sqrt(limit) > self.radius:
+                limit = math.nextafter(limit, 0.0)
+            while math.sqrt(up := math.nextafter(limit, math.inf)) <= self.radius:
+                limit = up
+        return limit
 
     @staticmethod
     def whole_space(dimension: int) -> "SimpleSet":
@@ -71,16 +92,21 @@ class SimpleSet:
         """Exact Euclidean projection of each row of ``v``, shape (..., n);
         a 1-D point is one row.  Rows already inside are returned unchanged,
         and ``v`` itself when every row is inside; in the whole space, that
-        is every row without a NaN.  A row with a NaN, or an infinite entry,
-        comes back non-finite with no warning (the latter at scale 1, not at
-        its finite limit), so a run aborts on it; a finite row whose squared
-        length overflows projects as e = d / max |d_i|, center + e * (radius
-        / |e|), since d and e point the same way."""
+        is every row without a NaN.  A row is inside where its squared
+        length q = d . d, d = v - center, is at most ``limit``, which is
+        exactly where |d| = sqrt(q) is at most ``radius`` (see ``limit``),
+        so only a call with a row outside takes a square root.
+        A row with a NaN, or an infinite entry, comes back non-finite with
+        no warning (the latter at scale 1, not at its finite limit), so a
+        run aborts on it; a finite row whose squared length overflows
+        projects as e = d / max |d_i|, center + e * (radius / |e|), since d
+        and e point the same way."""
         d = v - self.center
-        r = row_norms(d)
-        inside = r <= self.radius
+        q = np.vecdot(d, d)
+        inside = q <= self.limit
         if np.count_nonzero(inside) == inside.size:
             return v
+        r = np.sqrt(q)
         scaled = ~inside
         lost = np.isinf(r)
         if lost.any():  # a finite row's square overflowed: project d / max |d_i|

@@ -74,8 +74,9 @@ PAD_FACTOR = 1.75
 WINDOW = 32
 
 # a flush of log points stacks R rows while R n (n + 1) floats, the size of
-# the distance oracle's search gathers, stay within this budget (see ``run``)
-LOG_FLOATS = 8192
+# the distance oracle's search gathers, stay within this budget (see ``run``):
+# at 50x200, 12 rows of n = 50, a call's traced peak is about 0.29 MB
+LOG_FLOATS = 32768
 
 
 class ConfigError(ValueError):
@@ -341,7 +342,9 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     projected onto the simple set, in one step expression for every rule,
     each row's step scaled by its own entry of the (S,) stepsizes
     ``beta``.  A row whose batch is feasible keeps its point, and ``v``
-    itself is returned when every row's is.  The run settings ``config``
+    itself is returned when every row's is; where only some rows are
+    feasible, their points are copied into the array that ``project``
+    returned, in place, which is never ``v``.  The run settings ``config``
     are read by the names ``beta_policy``, ``delta`` and ``ln_hint``.
     Under the adaptive rule only, each violated row's stepsize is priced
     again, as ``initial_beta`` over its realized L_N,k, before its step; a
@@ -388,8 +391,8 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     # a feasible row's step, zero, is merged away below
     coef = beta[:, None] * gplus / nsq
     x_next = spec.simple_set.project(v - _weighted_mean(coef, dirs, rows.groups))
-    if partial:
-        x_next = np.where(np.logical_or.reduce(active, 1)[:, None], x_next, v)
+    if partial:                       # project's array is fresh, never v
+        np.copyto(x_next, v, where=~np.logical_or.reduce(active, 1)[:, None])
     if checker is not None:
         checker.parallel(k, indices, v, x_next, gplus, dirs, nsq, beta, ln_k)
     return x_next, ln_k, beta
@@ -428,7 +431,10 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     ahead, and a pass takes at most one round more than its busiest row
     takes steps.  The family's values depend only on index and point
     (``ConstraintFamily``), so each row gets the bits of its
-    column-by-column chain.  Every value and row asked is checked as
+    column-by-column chain.  A row that does not step in a round keeps its
+    point: where some other row steps, it is copied, in place, into the
+    array that ``project`` returned for the round, which is never ``v``.
+    Every value and row asked is checked as
     returned, so a column the row has passed, or would reach at a later
     point, can raise its fault here.  ``checker`` (None when checks are
     off) checks each step and each row's whole chain; ``k`` and ``rows``
@@ -462,7 +468,9 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
             if checker is not None:
                 checker.chain_step(k, indices, first + j, z, z_next,
                                    gplus[:, None], nsq[:, None], beta)
-            z = z_next if stepped == count else np.where(active[:, None], z_next, z)
+            if stepped < count:               # project's array is fresh
+                np.copyto(z_next, z, where=~active[:, None])
+            z = z_next
         elif end >= size:
             break
         # a row goes on after its step, or else after the window, and is

@@ -72,6 +72,68 @@ class TestSimpleSet:
         assert lone.tobytes() == v[0].tobytes()
         np.testing.assert_allclose(out[[1, 3]], [[0.6, 0.8], [0.3, 0.4]], atol=1e-15)
 
+    RADII = [1e-300, 0.1, 1.0, 3.7, 1e154, 1e200, 1.7e308, math.inf]
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_the_limit_is_the_square_root_test(self, radius):
+        # q <= limit exactly where sqrt(q) <= radius: at the limit and its
+        # two neighbours, at radius**2 (which may overflow), 0, inf and NaN,
+        # both in Python floats and as numpy compares them
+        limit = SimpleSet.ball(np.zeros(2), radius).limit
+        probes = [limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf),
+                  radius * radius, 0.0, math.inf, math.nan]
+        for q in probes:
+            assert (q <= limit) == (math.sqrt(q) <= radius), q
+        q = np.array(probes)
+        assert (q <= limit).tolist() == (np.sqrt(q) <= radius).tolist() == \
+            [math.sqrt(p) <= radius for p in probes]
+
+    @staticmethod
+    def sqrt_project(ball, v):
+        """The projection as computed with a square root per call: a row is
+        inside where |d| = sqrt(d . d) is at most the radius."""
+        d = v - ball.center
+        r = np.sqrt(np.vecdot(d, d))
+        inside = r <= ball.radius
+        if np.count_nonzero(inside) == inside.size:
+            return v
+        scaled, lost = ~inside, np.isinf(r)
+        if lost.any():
+            top = np.max(np.abs(d), axis=-1)
+            finite = np.isfinite(top)
+            lost &= finite
+            scaled &= finite
+            d = d / np.where(lost, top, 1.0)[..., None]
+            r = np.where(lost, np.sqrt(np.vecdot(d, d)), r)
+        scale = np.divide(ball.radius, r, out=np.ones_like(r), where=scaled)
+        return np.where(inside[..., None], v, ball.center + d * scale[..., None])
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (3.0, -1.0)])
+    @pytest.mark.parametrize("radius", RADII)
+    def test_projection_keeps_the_square_root_bits(self, radius, center):
+        # rows on the sphere, a step inside or outside it, just projected
+        # onto it, and with NaN, infinite or overflowing entries: each row
+        # alone, and the block, get the bits of the square-root test
+        ball = SimpleSet.ball(np.array(center), radius)
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal((40, 2))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        size = radius if radius < math.inf else 1.0
+        rows = [ball.center + s * u for s in
+                (size, math.nextafter(size, 0.0), math.nextafter(size, math.inf),
+                 0.5 * size)]
+        with np.errstate(over="ignore"):
+            rows.append(self.sqrt_project(ball, ball.center + 2.0 * size * u))
+            axis = [math.sqrt(ball.limit), radius, math.nextafter(radius, math.inf)]
+            rows.append(ball.center + np.array([[x, 0.0] for x in axis]))
+            rows.append(np.array([[math.nan, 0.0], [math.inf, 1.0], [-math.inf, math.inf],
+                                  [1e200, 1e200], [-1.7e308, 1.7e308], [0.0, 0.0]]))
+            block = np.concatenate(rows)
+            assert ball.project(block).tobytes() == self.sqrt_project(ball, block).tobytes()
+            for v in block:
+                assert ball.project(v).tobytes() == self.sqrt_project(ball, v).tobytes()
+                assert (ball.project(v) is v) == (self.sqrt_project(ball, v) is v)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
     def test_ball_radius_must_be_positive(self, radius):
         with pytest.raises(OracleError, match="radius must be positive"):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -384,6 +385,44 @@ class TestSequentialUpdate:
             solver.validate(cfg, corner_spec())
 
 
+class TestInPlaceMerges:
+    """Both passes merge the rows that keep their points into the array that
+    ``SimpleSet.project`` returned, in place: never into the caller's v."""
+
+    @staticmethod
+    def block():
+        """A unit ball about 0 and two rows for the corner constraints: a
+        feasible point just projected onto the sphere, outside the ball by
+        rounding, so projecting it again moves it, and a violated point."""
+        ball = SimpleSet.ball(np.zeros(2), 1.0)
+        points = ball.project(-1.0 - 3.0 * np.random.default_rng(0).random((200, 2)))
+        moved = (ball.project(points) != points).any(axis=1)
+        assert moved.any()
+        return corner_spec(simple_set=ball), np.array([points[np.argmax(moved)],
+                                                       [0.5, 0.25]])
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_a_row_that_keeps_its_point_keeps_its_bits(self, variant):
+        # the first row holds both of its constraints, the second steps at
+        # each: the merged result keeps the first row's bits, not those of
+        # its projection, and v keeps its bytes
+        spec, v = self.block()
+        before, indices = v.tobytes(), np.array([[0, 1], [0, 1]])
+        if variant == "parallel":
+            x, ln_k, _ = parallel_feasibility_update(spec, indices, v, np.ones(2),
+                                                     RunConfig(beta=1.0),
+                                                     plain_rows(indices))
+            assert np.isnan(ln_k[0]) and not np.isnan(ln_k[1])
+        else:
+            x = sequential_feasibility_update(spec, indices, v, np.ones(2),
+                                              plain_rows(indices))
+        assert v.tobytes() == before
+        assert x is not v
+        assert x[0].tobytes() == v[0].tobytes()
+        # the mean of the two steps, or the chain's two steps
+        assert x[1].tolist() == ([0.25, 0.125] if variant == "parallel" else [0.0, 0.0])
+
+
 class TestObjectiveStep:
     def test_gradient_step_to_minimizer(self):
         objective = ObjectiveOracle(evaluate=lambda x: 0.5 * np.vecdot(x, x),
@@ -764,8 +803,8 @@ class TestRunLoop:
             assert result.records[-1].dist_X == cold > 0.0
 
     # sweep-ln's shape: 1000 iterations log 11 points of 6 seeds per size,
-    # and a point of 18 rows of n = 10 is 1980 floats, so LOG_FLOATS = 8192
-    # flushes four points at a time
+    # and a point of 18 rows of n = 10 is 1980 floats, so LOG_FLOATS = 32768
+    # flushes all 11 points at once
     SWEEP_LN = dict(variant="parallel", beta_policy="fixed", beta=1.0,
                     iterations=1000, seeds=tuple(range(1, 7)))
 
@@ -775,7 +814,7 @@ class TestRunLoop:
         return ks
 
     @pytest.mark.parametrize("sizes, calls", [
-        ((1, 2, 4), [72, 72, 54]),        # sweep-ln's shape: one block
+        ((1, 2, 4), [198]),               # sweep-ln's shape: one block
         ((1, 8), [66, 66]),               # two blocks, one after the other
     ])
     def test_one_distance_oracle_call_per_flush(self, sizes, calls, monkeypatch):
@@ -809,7 +848,7 @@ class TestRunLoop:
         spec = dataclasses.replace(inst.spec, objective=dataclasses.replace(
             inst.spec.objective, evaluate=counted))
         results = run(spec, cfg, poly=inst.poly, sizes=(1, 2, 4))
-        assert asked == [(72, 10), (72, 10), (54, 10)]
+        assert asked == [(198, 10)]
         opt = inst.spec.known_optimum
         for result in results:
             assert [record.k for record in result.records] == self.sweep_ln_ks()
@@ -829,7 +868,7 @@ class TestRunLoop:
 
         monkeypatch.setattr(solver, "max_violation", counted)
         results = run(inst.spec, cfg, poly=inst.poly, sizes=(1, 2, 4))
-        assert asked == [(72, 10), (72, 10), (54, 10)]
+        assert asked == [(198, 10)]
         for result in results:
             assert [record.k for record in result.records] == self.sweep_ln_ks()
         final = [result.records[-1].max_violation for result in results]
@@ -864,36 +903,42 @@ class TestRunLoop:
             expected = expected or records
             assert records == expected, budget
 
-    def test_metric_dense_calls_hold_one_point(self, monkeypatch):
+    def test_metric_dense_calls_hold_four_points(self, monkeypatch):
         # the memory guard: at 50x200 a point of 3 rows is 7650 floats, so
-        # every metric call of metric-dense's shape holds one point's rows
+        # every metric call of metric-dense's shape holds at most four
+        # points' rows, and none traces a peak above 0.4 MB
         inst = make_polyhedral_benchmark(50, 200, seed=0)
         cfg = RunConfig(variant="sequential", batch_size=8, beta_policy="fixed",
-                        beta=1.0, iterations=300, seeds=(1, 2, 3), cadence=50)
+                        beta=1.0, iterations=600, seeds=(1, 2, 3), cadence=50)
         asked = {"evaluate": [], "distance_oracle": [], "max_violation": []}
-        oracle, violation = solver.distance_oracle, solver.max_violation
-        evaluate = inst.spec.objective.evaluate
+        peaks = []
 
-        def counted_evaluate(x):
-            asked["evaluate"].append(len(x))
-            return evaluate(x)
+        def counted(name, metric, at):         # the points are argument ``at``
+            def call(*args):
+                asked[name].append(len(args[at]))
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                out = metric(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                return out
+            return call
 
-        def counted_oracle(poly, simple_set, v, active):
-            asked["distance_oracle"].append(len(v))
-            return oracle(poly, simple_set, v, active)
-
-        def counted_violation(poly, v):
-            asked["max_violation"].append(len(v))
-            return violation(poly, v)
-
-        monkeypatch.setattr(solver, "distance_oracle", counted_oracle)
-        monkeypatch.setattr(solver, "max_violation", counted_violation)
+        monkeypatch.setattr(solver, "distance_oracle",
+                            counted("distance_oracle", solver.distance_oracle, 2))
+        monkeypatch.setattr(solver, "max_violation",
+                            counted("max_violation", solver.max_violation, 1))
+        evaluate = counted("evaluate", inst.spec.objective.evaluate, 0)
         spec = dataclasses.replace(inst.spec, objective=dataclasses.replace(
-            inst.spec.objective, evaluate=counted_evaluate))
-        results = run(spec, cfg, poly=inst.poly)
-        assert asked == {name: [3] * 6 for name in asked}
+            inst.spec.objective, evaluate=evaluate))
+        tracemalloc.start()
+        try:
+            results = run(spec, cfg, poly=inst.poly)
+        finally:
+            tracemalloc.stop()
+        assert asked == {name: [12, 12, 12] for name in asked}
+        assert len(peaks) == 9 and max(peaks) <= 0.4e6
         for result in results:
-            assert [record.k for record in result.records] == [50, 100, 150, 200, 250, 300]
+            assert [record.k for record in result.records] == list(range(50, 601, 50))
 
     def test_a_metric_error_surfaces_at_its_flush(self, monkeypatch):
         # a distance oracle error propagates from run at the flush that
