@@ -84,23 +84,34 @@ class ConfigError(ValueError):
 
 
 class SolverAbort(RuntimeError):
-    """Run aborted: a non-finite iterate, a constraint oracle fault, a failed
-    per-iteration check, or a realized batch ratio L_N,k above the declared
-    L_N.  The message and the snapshot name the failing row's ``k``,
-    ``seed`` and ``batch_size``."""
+    """Run aborted at a ``_RowFault``: a non-finite iterate, a constraint
+    oracle fault, a failed per-iteration check, or a realized batch ratio
+    L_N,k above the declared L_N.  Its one site names the row's ``k``,
+    ``seed`` and ``batch_size``, in the message and then the snapshot."""
 
     def __init__(self, message: str, snapshot: Optional[dict] = None):
         super().__init__(message)
         self.snapshot = snapshot or {}
 
 
-class OracleFault(OracleError):
-    """A feasibility pass met a non-finite value or direction, or a zero
-    direction on a violated constraint; ``row`` is the seed's row."""
+class _RowFault(Exception):
+    """A failed step or check of the block's ``row``, reported by ``run``:
+    ``head`` and ``tail`` are the text before and after the row's label,
+    ``keys`` the snapshot's keys after the label's."""
+
+    def __init__(self, row: int, head: str, tail: str, keys: dict):
+        super().__init__(head + tail)
+        self.row, self.head, self.tail, self.keys = row, head, tail, keys
+
+
+class OracleFault(OracleError, _RowFault):
+    """A feasibility pass or a lemma check met a non-finite value or
+    direction, or a zero direction on a violated constraint, at the block's
+    ``row``; its snapshot's keys are the row's batch ``indices``."""
 
     def __init__(self, message: str, row: int):
         super().__init__(message)
-        self.row = row
+        self.row, self.head, self.tail = row, "constraint oracle fault", f": {message}"
 
 
 def alpha_schedule(mu: float, index: int) -> float:
@@ -240,12 +251,6 @@ class _Rows(NamedTuple):
     sizes: tuple
     groups: tuple = ()
 
-    def at(self, k: int, row: int):
-        """The text and the snapshot keys that name ``row`` at iteration k."""
-        seed, size = self.seeds[row], self.sizes[row]
-        return (f"k={k}, seed {seed}, N={size}",
-                {"seed": seed, "batch_size": size, "k": k})
-
 
 def _weighted_mean(weights: np.ndarray, dirs: np.ndarray, groups=()) -> np.ndarray:
     """Mean of each row's rows ``dirs`` (S, N, n) under ``weights`` (S, N),
@@ -333,7 +338,7 @@ def _squared_norms(dirs: np.ndarray, active: np.ndarray) -> np.ndarray:
 def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                 v: np.ndarray, beta: np.ndarray, config, rows: _Rows,
                                 checker: Optional["_LemmaChecker"] = None,
-                                k: int = 0, ratio: bool = True):
+                                ratio: bool = True):
     """One parallel minibatch feasibility pass, row by row at its point.
 
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
@@ -349,11 +354,11 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     Under the adaptive rule only, each violated row's stepsize is priced
     again, as ``initial_beta`` over its realized L_N,k, before its step; a
     feasible row keeps its entry.  An L_N,k above a declared ``ln_hint`` by
-    more than a relative ``LN_RTOL`` raises ``SolverAbort`` before the
+    more than a relative ``LN_RTOL`` raises a ``_RowFault`` before the
     step.  ``checker`` (None when checks are off) verifies the decrease
-    inequalities; ``k`` and ``rows`` label the reports, and the groups of
-    ``rows`` give a block of mixed batch sizes, whose pads are asked and
-    checked as the columns they repeat (see the module docstring).
+    inequalities; the groups of ``rows`` give a block of mixed batch sizes,
+    whose pads are asked and checked as the columns they repeat (see the
+    module docstring).
 
     L_N,k is computed, by one ``batch_diagnostics`` call, where ``ratio``
     asks for it and wherever the adaptive rule, a declared ``ln_hint`` or
@@ -382,19 +387,17 @@ def parallel_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
         over = ln_k > ln * (1.0 + LN_RTOL)
         if over.any():
             row = int(np.argmax(over))
-            where, snapshot = rows.at(k, row)
-            raise SolverAbort(
-                f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N "
-                f"{ln:g} at {where} (beta {beta[row]:g})",
-                snapshot={**snapshot, "ln_k": float(ln_k[row]), "ln": ln,
-                          "beta": float(beta[row])})
+            raise _RowFault(
+                row, f"realized L_N,k {ln_k[row]:g} exceeds the declared L_N {ln:g}",
+                f" (beta {beta[row]:g})",
+                {"ln_k": float(ln_k[row]), "ln": ln, "beta": float(beta[row])})
     # a feasible row's step, zero, is merged away below
     coef = beta[:, None] * gplus / nsq
     x_next = spec.simple_set.project(v - _weighted_mean(coef, dirs, rows.groups))
     if partial:                       # project's array is fresh, never v
         np.copyto(x_next, v, where=~np.logical_or.reduce(active, 1)[:, None])
     if checker is not None:
-        checker.parallel(k, indices, v, x_next, gplus, dirs, nsq, beta, ln_k)
+        checker.parallel(indices, v, x_next, gplus, dirs, nsq, beta, ln_k)
     return x_next, ln_k, beta
 
 
@@ -409,8 +412,7 @@ def _columns_after(size: int) -> np.ndarray:
 def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
                                   v: np.ndarray, beta: np.ndarray, rows: _Rows,
                                   checker: Optional["_LemmaChecker"] = None,
-                                  k: int = 0, after: Optional[np.ndarray] = None
-                                  ) -> np.ndarray:
+                                  after: Optional[np.ndarray] = None) -> np.ndarray:
     """Chained relaxed projection steps, one per sampled constraint.
 
     ``indices`` (S, N) holds one minibatch per row of ``v`` (S, n).  Each
@@ -434,12 +436,11 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
     column-by-column chain.  A row that does not step in a round keeps its
     point: where some other row steps, it is copied, in place, into the
     array that ``project`` returned for the round, which is never ``v``.
-    Every value and row asked is checked as
-    returned, so a column the row has passed, or would reach at a later
-    point, can raise its fault here.  ``checker`` (None when checks are
-    off) checks each step and each row's whole chain; ``k`` and ``rows``
-    label its reports.  Returns the final inner points; an oracle fault
-    raises ``OracleFault``.  Preconditions are ``validate``'s.
+    Every value and row asked is checked as returned, so a column the row
+    has passed, or would reach at a later point, can raise its fault here.
+    ``checker`` (None when checks are off) checks each step and each row's
+    whole chain.  Returns the final inner points; an oracle fault raises
+    ``OracleFault``.  Preconditions are ``validate``'s.
     """
     count, size = indices.shape
     every, project = np.arange(count), spec.simple_set.project
@@ -466,7 +467,7 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
             coef = beta * gplus / nsq
             z_next = project(z - coef[:, None] * d)
             if checker is not None:
-                checker.chain_step(k, indices, first + j, z, z_next,
+                checker.chain_step(indices, first + j, z, z_next,
                                    gplus[:, None], nsq[:, None], beta)
             if stepped < count:               # project's array is fresh
                 np.copyto(z_next, z, where=~active[:, None])
@@ -481,7 +482,7 @@ def sequential_feasibility_update(spec: ProblemSpec, indices: np.ndarray,
         first = min(start)
         passed = max(start) > first
     if checker is not None:
-        checker.chain_end(k, z)
+        checker.chain_end(z)
     return z
 
 
@@ -509,10 +510,18 @@ def _sq(d: np.ndarray) -> float:
     return float(d @ d)
 
 
+def _check(name, row, slack, **extra):
+    """A ``_RowFault`` of the block's ``row`` unless the ``slack`` rhs - lhs
+    of inequality ``name`` is at least -TOL_ASSERT."""
+    if slack < -TOL_ASSERT:
+        raise _RowFault(row, f"iteration inequality '{name}' violated",
+                        f" (slack {slack:.3e})", {"check": name, "slack": slack, **extra})
+
+
 class _LemmaChecker:
     """Checks the decrease inequalities of both feasibility passes on a
     polyhedral problem, row by row of the block ``rows`` on each row's own
-    N columns, and aborts with a snapshot at the first that fails.
+    N columns, and raises a ``_RowFault`` at the first that fails.
 
     A step on a violated constraint g, of value g+ and subgradient row d at
     v, goes to z = v - t d, t = beta g+ / |d|^2.  For any y, convexity gives
@@ -536,15 +545,15 @@ class _LemmaChecker:
     ``project_intersection`` call projects all of a parallel pass's
     violated rows, or all of a sequential round's stepping rows, each
     warm-started from the row's last active set; a row that takes no step
-    is not projected.
-    Its certificate makes y feasible only to TOL_METRIC times its scale, so
-    e is computed from ``poly``'s rows at y, not taken as 0, and y is then
-    projected onto Y, which it leaves by rounding only.  TOL_ASSERT covers
-    the rounding of the squares.
+    is not projected.  Only these projections read ``poly``: their
+    certificate makes y feasible only to TOL_METRIC times its scale, so e
+    is asked of the family at y (``_checked_batch``), not taken as 0, and
+    y is then projected onto Y, which it leaves by rounding only.
+    TOL_ASSERT covers the rounding of the squares.
     """
 
     def __init__(self, poly: PolyhedronSpec, spec: ProblemSpec, rows: _Rows):
-        self.poly, self.simple_set, self.rows = poly, spec.simple_set, rows
+        self.poly, self.spec, self.rows = poly, spec, rows
         # each row's last active set: its next projection starts from it
         self.active_sets = [[] for _ in rows.seeds]
         # each sequential row's (y, |v - y|^2, decrease of (3) so far)
@@ -553,24 +562,20 @@ class _LemmaChecker:
     def _nearest(self, rows, v):
         """y for the block's rows ``rows`` at their points v, one row each:
         P_Y of their certified P_X(v), from one ``project_intersection``."""
-        return self.simple_set.project(project_intersection(
-            self.poly, self.simple_set, v, [self.active_sets[row] for row in rows]))
+        return self.spec.simple_set.project(project_intersection(
+            self.poly, self.spec.simple_set, v, [self.active_sets[row] for row in rows]))
 
-    def _excess(self, y, index):
-        """e = max(0, g(y)) of the constraints ``index``."""
-        return np.maximum(self.poly.A[index] @ y + self.poly.b[index], 0.0)
+    def _excess(self, rows, index, y):
+        """e = max(0, g(y)) of the constraints ``index`` (R, N) at the points
+        y (R, n) of the block's ``rows``; a fault names the block's row."""
+        try:
+            gvals, _ = _checked_batch(self.spec, index, y)
+        except OracleFault as fault:
+            fault.row = int(rows[fault.row])
+            raise
+        return np.maximum(gvals, 0.0)
 
-    def _check(self, name, k, row, slack, extra=None):
-        """Abort unless the ``slack`` rhs - lhs of inequality ``name`` is
-        at least -TOL_ASSERT."""
-        if slack < -TOL_ASSERT:
-            where, snapshot = self.rows.at(k, row)
-            raise SolverAbort(
-                f"iteration inequality '{name}' violated at {where} "
-                f"(slack {slack:.3e})",
-                snapshot={"check": name, **snapshot, "slack": slack, **(extra or {})})
-
-    def parallel(self, k, indices, v, x, gplus, dirs, nsq, beta, ln_k):
+    def parallel(self, indices, v, x, gplus, dirs, nsq, beta, ln_k):
         """(1) and (2) for each violated row of a parallel pass from v to x,
         computed for all of a group's violated rows at once, on their own
         N columns, and reported at the first row that fails, (1) first."""
@@ -582,12 +587,9 @@ class _LemmaChecker:
             if lo == hi:
                 continue
             rows, y = violated[lo:hi], nearest[lo:hi]
-            index, b = indices[rows, :size], beta[rows, None]
-            g, q = gplus[rows, :size], nsq[rows, :size]
-            t, start = b * g / q, np.vecdot(v[rows] - y, v[rows] - y)
-            e = np.maximum(np.matmul(self.poly.A[index], y[:, :, None])[:, :, 0]
-                           + self.poly.b[index], 0.0)
-            te2, gq = 2.0 * t * e, g * g / q
+            b, g, q = beta[rows, None], gplus[rows, :size], nsq[rows, :size]
+            t, start, gq = b * g / q, np.vecdot(v[rows] - y, v[rows] - y), g * g / q
+            te2 = 2.0 * t * self._excess(rows, indices[rows, :size], y)
             z = v[rows, None] - t[:, :, None] * dirs[rows, :size] - y[:, None]
             slack = start[:, None] - b * (2.0 - b) * gq + te2 - np.vecdot(z, z)
             worst = np.argmin(np.where(g > 0.0, slack, np.inf), axis=1)
@@ -597,30 +599,31 @@ class _LemmaChecker:
             failed = (single < -TOL_ASSERT) | (batch < -TOL_ASSERT)
             if np.count_nonzero(failed):
                 j = int(np.argmax(failed))
-                self._check("single-step-decrease", k, rows[j], single[j],
-                            {"index": int(worst[j])})
-                self._check("batch-decrease", k, rows[j], batch[j])
+                _check("single-step-decrease", rows[j], single[j], index=int(worst[j]))
+                _check("batch-decrease", rows[j], batch[j])
 
-    def chain_step(self, k, indices, column, z, z_next, gplus, nsq, beta):
+    def chain_step(self, indices, column, z, z_next, gplus, nsq, beta):
         """(1) for each row of a sequential round that steps from z to
         z_next at its ``column`` of ``indices``, and its term of (3)."""
         stepping = np.flatnonzero(gplus[:, 0])
-        for row, y in zip(stepping, self._nearest(stepping, z[stepping])):
+        nearest = self._nearest(stepping, z[stepping])
+        index = indices[stepping, column[stepping], None]
+        firsts = np.array([self.chains[row][0] if row in self.chains else y
+                           for row, y in zip(stepping, nearest)])
+        excess = [self._excess(stepping, index, at)[:, 0] for at in (nearest, firsts)]
+        for row, y, e, e_first in zip(stepping, nearest, *excess):
             b, g, q = beta[row], gplus[row, 0], nsq[row, 0]
-            index = indices[row, column[row]]
             t, decrease = b * g / q, b * (2.0 - b) * g * g / q
             start = _sq(z[row] - y)
-            self._check("single-step-decrease", k, row,
-                        start - decrease + 2.0 * t * self._excess(y, index)
-                        - _sq(z_next[row] - y), {"index": int(column[row])})
+            _check("single-step-decrease", row, start - decrease + 2.0 * t * e
+                   - _sq(z_next[row] - y), index=int(column[row]))
             first, start, total = self.chains.get(row, (y, start, 0.0))
-            self.chains[row] = (first, start,
-                                total + decrease - 2.0 * t * self._excess(first, index))
+            self.chains[row] = (first, start, total + decrease - 2.0 * t * e_first)
 
-    def chain_end(self, k, z):
+    def chain_end(self, z):
         """(3) for each row of the sequential pass that stepped, ending at z."""
         for row, (y, start, total) in self.chains.items():
-            self._check("chain-decrease", k, row, start - total - _sq(z[row] - y))
+            _check("chain-decrease", row, start - total - _sq(z[row] - y))
         self.chains = {}
 
 
@@ -636,16 +639,14 @@ def _log_points(iterations: int, cadence) -> set:
     return ks | {iterations}
 
 
-def _abort_if_nonfinite(points: np.ndarray, what: str, k: int, rows: _Rows,
-                        name: str, before: np.ndarray) -> None:
-    """Abort on the first row of the (S, n) ``points`` with a non-finite
-    entry; ``run`` asks only when their sum of squares is not finite."""
+def _abort_if_nonfinite(points: np.ndarray, what: str, name: str, before: np.ndarray):
+    """A ``_RowFault`` of the first row of the (S, n) ``points`` with a
+    non-finite entry; ``run`` asks only when their sum of squares is not."""
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
-        where, snapshot = rows.at(k, row)
-        raise SolverAbort(f"{what} produced a non-finite iterate at {where}",
-                          snapshot={**snapshot, name: before[row]})
+        raise _RowFault(row, f"{what} produced a non-finite iterate", "",
+                        {name: before[row]})
 
 
 def run(spec: ProblemSpec, config,
@@ -691,9 +692,10 @@ def run(spec: ProblemSpec, config,
     unique, dist_X can differ in the last places from a cold recomputation
     (see ``geometry``).  The first non-finite iterate, constraint oracle
     fault (reported with its batch indices), failed check or realized
-    L_N,k above a declared L_N aborts the whole call with ``SolverAbort``,
-    which names k, the seed and N; a metric oracle's error surfaces at its
-    flush, so such an abort before that flush is raised instead.
+    L_N,k above a declared L_N is a ``_RowFault``, which aborts the whole
+    call as the one ``SolverAbort``, naming k, the seed and N; a metric
+    oracle's error surfaces at its flush, so such an abort before that
+    flush is raised instead.
     """
     sizes = (config.batch_size,) if sizes is None else tuple(sizes)
     validate(config, spec, sizes)
@@ -762,10 +764,6 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
     opt = spec.known_optimum
 
     for k in range(1, iterations + 1):
-        v = objective_step(spec, x, alpha_schedule(spec.mu, k - 1))
-        if not math.isfinite(np.vdot(v, v)):
-            _abort_if_nonfinite(v, "objective step", k, rows, "x", x)
-
         slot = (k - 1) % INDEX_BLOCK
         if slot == 0:
             count = min(INDEX_BLOCK, iterations - k + 1)
@@ -776,22 +774,23 @@ def _run_block(spec: ProblemSpec, config, poly: Optional[PolyhedronSpec],
                 drawn[row, :count, size:] = drawn[row, :count, size - 1:size]
         indices = drawn[:, slot]
         try:
+            v = objective_step(spec, x, alpha_schedule(spec.mu, k - 1))
+            if not math.isfinite(np.vdot(v, v)):
+                _abort_if_nonfinite(v, "objective step", "x", x)
             if variant == "parallel":
                 x, ln_k, beta_k = parallel_feasibility_update(
-                    spec, indices, v, beta_k, config, rows, checker, k,
-                    k in log_ks)
+                    spec, indices, v, beta_k, config, rows, checker, k in log_ks)
             else:
-                x = sequential_feasibility_update(
-                    spec, indices, v, beta_k, rows, checker, k, after)
-        except OracleFault as exc:
-            where, snapshot = rows.at(k, exc.row)
-            raise SolverAbort(
-                f"constraint oracle fault at {where}: {exc}",
-                snapshot={**snapshot, "indices":
-                          indices[exc.row, :rows.sizes[exc.row]]}) from exc
-
-        if not math.isfinite(np.vdot(x, x)):
-            _abort_if_nonfinite(x, "feasibility update", k, rows, "v", v)
+                x = sequential_feasibility_update(spec, indices, v, beta_k, rows,
+                                                  checker, after)
+            if not math.isfinite(np.vdot(x, x)):
+                _abort_if_nonfinite(x, "feasibility update", "v", v)
+        except _RowFault as fault:
+            seed, size = rows.seeds[fault.row], rows.sizes[fault.row]
+            keys = {"indices": indices[fault.row, :size]} \
+                if isinstance(fault, OracleFault) else fault.keys
+            raise SolverAbort(f"{fault.head} at k={k}, seed {seed}, N={size}{fault.tail}",
+                              {"seed": seed, "batch_size": size, "k": k, **keys}) from fault
 
         weight = (k + 1) * (k + 1)
         weight_total += weight

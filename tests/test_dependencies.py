@@ -65,17 +65,41 @@ def test_private_import_check_sees_relative_imports_only():
     assert _private_imports(tree) == [(1, "_hidden"), (2, "_module")]
 
 
-def test_problem_spec_has_one_builder():
-    # every instance, builtin or file, gets its constants and optimum from
-    # the one function that calls ``ProblemSpec(``
+def _call_sites(name: str) -> list:
+    """``module.function`` of each top-level definition of the package
+    that calls ``name(``, once per call."""
     sites = []
     for path in sorted(SRC.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             sites += [f"{path.stem}.{getattr(top, 'name', top.lineno)}"
                       for node in ast.walk(top) if isinstance(node, ast.Call)
                       and getattr(node.func, "id", getattr(node.func, "attr", None))
-                      == "ProblemSpec"]
+                      == name]
+    return sites
+
+
+def test_problem_spec_has_one_builder():
+    # every instance, builtin or file, gets its constants and optimum from
+    # the one function that calls ``ProblemSpec(``
+    sites = _call_sites("ProblemSpec")
     assert sites == ["problems._build_instance"], sites
+
+
+def test_solver_abort_has_one_site():
+    # a failed step or check raises its row's fault, and the block's loop
+    # alone labels it with k, the seed and N
+    sites = _call_sites("SolverAbort")
+    assert sites == ["solver._run_block"], sites
+
+
+def test_solver_reads_no_polyhedron_rows():
+    # the solver asks the constraints of the spec's family, and X of the
+    # geometry's oracles: no ``.A`` or ``.b`` is read in it
+    path = SRC / "solver.py"
+    reads = [f"{path.name}:{node.lineno} .{node.attr}"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in ("A", "b")]
+    assert not reads, reads
 
 
 def _unread_parameters(tree) -> list:

@@ -147,6 +147,10 @@ class TestPolyhedronSpec:
         with pytest.raises(OracleError, match="every entry of b must be finite"):
             PolyhedronSpec(A=np.eye(2), b=np.array([entry, 0.0]))
 
+    def test_rejects_a_b_that_is_not_a_vector(self):
+        with pytest.raises(OracleError, match=r"expected a 1-D point, got shape \(2, 1\)"):
+            PolyhedronSpec(A=np.eye(2), b=np.zeros((2, 1)))
+
     def test_rejects_no_rows(self):
         # the paper's problem always has functional constraints
         with pytest.raises(OracleError, match="at least one constraint row"):

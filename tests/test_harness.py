@@ -359,20 +359,28 @@ class TestSolveCommand:
         ["solve", "--iters", "5", "--config", "[problem]\nn = 4\n[problem]\nm = 6\n"],
         ["solve", "--iters", "5", "--config", "[problem]\nbuiltin\n"],
         ["solve", "--iters", "5", "--config", "[output]\nout_dir = a%b\n"],
+        ["solve", "--config", None],
+        ["solve", "--cadence", "0"],
+        ["sweep", "--N-list", "1,2", "--cadence", "0"],
+        ["solve", "--beta-policy", "adaptive", "--delta", "1.5"],
+        ["solve", "--beta-policy", "adaptive", "--delta", "0"],
     ], ids=["N0", "N-above-m", "iters0", "no-seeds", "extrapolated-no-hint",
             "sequential-beta2", "sweep-N-above-m",
             "negative-seed", "negative-problem-seed", "repeated-seed",
             "sweep-repeated-N", "empty-seeds", "ini-no-section",
-            "ini-repeated-section", "ini-no-equals", "ini-bare-percent"])
+            "ini-repeated-section", "ini-no-equals", "ini-bare-percent",
+            "missing-config", "cadence0", "sweep-cadence0", "delta-above-1",
+            "delta0"])
     def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, argv):
         # solver.validate is the one gate; it runs before the out directory
         # is created, and a sweep passes every N through it first.  A
         # --config value here is the text of a file, written out before the
-        # call
+        # call, or None for a file that does not exist
         if "--config" in argv:
             at = argv.index("--config") + 1
             ini = tmp_path / "run.ini"
-            ini.write_text(argv[at])
+            if argv[at] is not None:
+                ini.write_text(argv[at])
             argv = argv[:at] + [str(ini)] + argv[at + 1:]
         code = main(argv + ["--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
@@ -692,12 +700,17 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--builtin", "duplicated", "--m", "0"],
-    ], ids=["duplicated-m0"])
+        ["--builtin", "benchmark", "--n", "1"],
+        ["--builtin", "benchmark", "--m", "0"],
+        ["--builtin", "orthonormal", "--n", "3"],
+    ], ids=["duplicated-m0", "benchmark-n1", "benchmark-m0", "orthonormal-n3"])
     def test_unbuildable_builtin_size_is_config_error(self, tmp_path, capsys, argv):
         code = main(["solve", "--iters", "5", "--seeds", "1",
                      "--out", str(tmp_path / "x")] + argv)
         assert code == EXIT_CONFIG
-        assert "need" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: need") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "x")
 
     def test_empty_feasible_set_is_config_error(self, tmp_path, capsys):
         # x1 <= 0 and x1 >= 1 in a radius-10 ball: building the problem

@@ -144,6 +144,10 @@ class TestSimpleSet:
         with pytest.raises(OracleError, match="ball center must be finite"):
             SimpleSet.ball(np.array([entry, 0.0]), 1.0)
 
+    def test_ball_center_must_be_one_point(self):
+        with pytest.raises(OracleError, match=r"expected a 1-D point, got shape \(2, 1\)"):
+            SimpleSet.ball(np.zeros((2, 1)), 1.0)
+
     def test_inside_point_unchanged(self):
         ball = SimpleSet.ball(np.ones(3), 2.0)
         v = np.array([1.5, 1.0, 0.5])

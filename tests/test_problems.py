@@ -160,6 +160,12 @@ class TestExactLN:
         poly = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
         assert exact_ln_linear(poly, 2) == pytest.approx(0.5, abs=1e-10)
 
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_batch_size_must_lie_in_one_to_m(self, size):
+        poly = PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
+        with pytest.raises(OracleError, match=f"batch size {size} out of range for m=2"):
+            exact_ln_linear(poly, size)
+
     def test_duplicated_rows_reach_one(self):
         poly = PolyhedronSpec(A=np.array([[1.0, 0.0], [1.0, 0.0]]),
                               b=np.zeros(2))

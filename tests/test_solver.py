@@ -125,7 +125,7 @@ def counted_diagnostics(monkeypatch, label=lambda: None):
     return calls
 
 
-def column_chain(spec, indices, v, beta, checker=None, k=0):
+def column_chain(spec, indices, v, beta, checker=None):
     """The sequential pass one column at a time, each seed at its own
     stepsize of the (S,) ``beta``: the i-th step asks the oracle for every
     seed's i-th index at its current inner point, and the checker checks
@@ -142,11 +142,11 @@ def column_chain(spec, indices, v, beta, checker=None, k=0):
             z_next = spec.simple_set.project(
                 z - (beta[:, None] * gplus / nsq) * dirs[:, 0])
             if checker is not None:
-                checker.chain_step(k, indices, np.full(len(z), i), z, z_next,
+                checker.chain_step(indices, np.full(len(z), i), z, z_next,
                                    gplus, nsq, beta)
             z = z_next if active.all() else np.where(active, z_next, z)
     if checker is not None:
-        checker.chain_end(k, z)
+        checker.chain_end(z)
     return z, stepped
 
 
@@ -185,13 +185,13 @@ class RecordingChecker(solver._LemmaChecker):
         self.projections += len(rows)
         return super()._nearest(rows, v)
 
-    def chain_step(self, k, indices, column, *arrays):
+    def chain_step(self, indices, column, *arrays):
         self.seen.append([np.array(a) for a in (indices, column, *arrays)])
-        super().chain_step(k, indices, column, *arrays)
+        super().chain_step(indices, column, *arrays)
 
-    def chain_end(self, k, z):
+    def chain_end(self, z):
         self.seen.append([np.array(z)])
-        super().chain_end(k, z)
+        super().chain_end(z)
 
 
 class TestPolyakStep:
@@ -1086,6 +1086,10 @@ class TestRunLoop:
         with pytest.raises(ConfigError, match="iterations"):
             run(inst.spec, cfg)
 
+    def test_seed_list_must_be_nonempty(self):
+        with pytest.raises(ConfigError, match="seed list must be nonempty"):
+            solver.validate(RunConfig(seeds=()), corner_spec())
+
     def test_lemma_checks_require_the_polyhedron(self):
         inst = self.small_benchmark()
         cfg = RunConfig(variant="parallel", batch_size=2,
@@ -1150,10 +1154,11 @@ class TestRunLoop:
                                                  RunConfig(beta=1.0), rows, checker)
         np.testing.assert_array_equal(x, [[1.5, 1.0]])
         gplus, dirs = solver._checked_batch(spec, indices, v)
-        with pytest.raises(SolverAbort, match="'batch-decrease'") as info:
-            checker.parallel(1, indices, v, x + 5.0, gplus, dirs, np.ones((1, 2)),
+        with pytest.raises(solver._RowFault, match="'batch-decrease'") as info:
+            checker.parallel(indices, v, x + 5.0, gplus, dirs, np.ones((1, 2)),
                              beta, ln_k)
-        assert info.value.snapshot["check"] == "batch-decrease"
+        assert info.value.keys["check"] == "batch-decrease"
+        assert info.value.row == 0
 
     def test_lemma_checks_catch_a_chain_decrease_alone(self):
         # every step of the pass from (4, -1) is an exact projection, so (1)
@@ -1167,14 +1172,14 @@ class TestRunLoop:
         spec, poly = corner_spec(), PolyhedronSpec(A=np.eye(2), b=np.zeros(2))
 
         class MovedEnd(solver._LemmaChecker):
-            def chain_end(self, k, z):
-                super().chain_end(k, z + 5.0)
+            def chain_end(self, z):
+                super().chain_end(z + 5.0)
 
         checker = MovedEnd(poly, spec, plain_rows(indices))
-        with pytest.raises(SolverAbort, match="'chain-decrease'") as info:
+        with pytest.raises(solver._RowFault, match="'chain-decrease'") as info:
             sequential_feasibility_update(spec, indices, v, np.ones(2),
-                                          plain_rows(indices), checker, k=1)
-        assert info.value.snapshot["seed"] == 1
+                                          plain_rows(indices), checker)
+        assert info.value.row == 1
 
     @pytest.mark.parametrize("variant", ["parallel", "sequential"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
@@ -1429,6 +1434,85 @@ class TestOracleFaults:
         assert info.value.row == 1
 
 
+def doubled_family(poly):
+    """A family of 2m constraints over ``poly``: index w is row w mod m, so
+    its indices are not the polyhedron's rows, while X is unchanged."""
+    rows = linear_family(poly)
+    return ConstraintFamily(size=2 * poly.m,
+                            batch=lambda idx, v: rows.batch(idx % poly.m, v))
+
+
+class TestLemmaChecksAskTheFamily:
+    """The lemma checks read each constraint's value at y from the spec's
+    family, as the passes do, never from the polyhedron's rows, and a fault
+    the family raises there names the block's row."""
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_checks_run_on_a_family_whose_indices_are_not_rows(self, variant):
+        inst = make_polyhedral_benchmark(10, 20, seed=0)
+        spec = dataclasses.replace(inst.spec, constraints=doubled_family(inst.poly))
+        cfg = RunConfig(variant=variant, batch_size=4, beta=1.0, iterations=200,
+                        cadence=20, seeds=(1, 2, 3), assertions="lemma-checks")
+        checked = run(spec, cfg, poly=inst.poly)     # must not abort
+        plain = run(spec, dataclasses.replace(cfg, assertions="off"), poly=inst.poly)
+        for a, b in zip(checked, plain, strict=True):
+            assert a.records == b.records
+            assert a.final_x_hat.tobytes() == b.final_x_hat.tobytes()
+
+    @staticmethod
+    def nan_inside_x():
+        """The corner problem, X the quadrant x1, x2 <= 0, through a family
+        of four indices, w reading row w mod 2, that returns NaN at every
+        point of X (to 1e-9): only the checks, which ask it at y in X,
+        meet the NaN."""
+        def batch(idx, v):
+            rows = idx % 2
+            inside = (v <= 1e-9).all(axis=1)[:, None]
+            return (np.where(inside, np.nan, np.take_along_axis(v, rows, axis=1)),
+                    np.eye(2)[rows])
+
+        return (corner_spec(constraints=ConstraintFamily(size=4, batch=batch)),
+                PolyhedronSpec(A=np.eye(2), b=np.zeros(2)))
+
+    def test_parallel_check_fault_names_the_block_row(self):
+        # row 0's batch, rows 0 and 0 at x1 = -1, is feasible; row 1's,
+        # rows 1 and 1 at x2 = 2, is violated, and only it is projected
+        spec, poly = self.nan_inside_x()
+        indices, v = np.array([[0, 2], [3, 1]]), np.array([[-1.0, 5.0], [3.0, 2.0]])
+        gvals, dirs = solver._checked_batch(spec, indices, v)
+        gplus, nsq = np.maximum(gvals, 0.0), np.ones(indices.shape)
+        ln_k = batch_diagnostics(gplus, dirs, nsq)
+        assert np.isnan(ln_k[0]) and not np.isnan(ln_k[1])
+        checker = solver._LemmaChecker(poly, spec, plain_rows(indices))
+        with pytest.raises(OracleFault, match="non-finite") as info:
+            checker.parallel(indices, v, v, gplus, dirs, nsq, np.ones(2), ln_k)
+        assert info.value.row == 1
+
+    def test_chain_step_fault_names_the_block_row(self):
+        # only row 1 steps, at its column 1, index 3, which reads x2 = 2
+        spec, poly = self.nan_inside_x()
+        indices, z = np.array([[0, 2], [0, 3]]), np.array([[-1.0, 5.0], [3.0, 2.0]])
+        checker = solver._LemmaChecker(poly, spec, plain_rows(indices))
+        with pytest.raises(OracleFault, match="non-finite") as info:
+            checker.chain_step(indices, np.array([0, 1]), z, z - [0.0, 2.0],
+                               np.array([[0.0], [2.0]]), np.ones((2, 1)), np.ones(2))
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("variant", ["parallel", "sequential"])
+    def test_a_check_fault_aborts_the_run_at_its_row(self, variant):
+        # seeds 7 and 3 start at x0 = 0; the first step lands at (4, 4),
+        # outside X, where the pass's values are finite, and the checks'
+        # projection at the origin meets the NaN in the first row
+        spec, poly = self.nan_inside_x()
+        cfg = RunConfig(variant=variant, batch_size=2, beta=1.0, iterations=5,
+                        seeds=(7, 3), init="zero", assertions="lemma-checks")
+        with pytest.raises(SolverAbort, match="constraint oracle fault at k=1, "
+                           "seed 7, N=2: constraint oracle returned a non-finite "
+                           "value") as info:
+            run(spec, cfg, poly=poly)
+        assert set(info.value.snapshot) == {"seed", "batch_size", "k", "indices"}
+
+
 class TestDeclaredLN:
     """A declared L_N is a run-time claim: a batch ratio above it aborts, the
     exact bound never does."""
@@ -1610,7 +1694,7 @@ class TestBlockEqualsSeeds:
             chain_checker = checker(1)
             z, stepped = column_chain(inst.spec, indices[row:row + 1],
                                       v[row:row + 1], np.full(1, beta),
-                                      chain_checker, k=7)
+                                      chain_checker)
             chains.append((z, stepped, chain_checker))
         for rows in [slice(None)] + [slice(r, r + 1) for r in range(len(v))]:
             idx, points, own = indices[rows], v[rows], chains[rows]
@@ -1619,7 +1703,7 @@ class TestBlockEqualsSeeds:
             z_pass = sequential_feasibility_update(spec, idx, points,
                                                    np.full(len(points), beta),
                                                    plain_rows(idx),
-                                                   pass_checker, k=7)
+                                                   pass_checker)
             assert np.array_equal(z_pass, np.concatenate([z for z, _, _ in own]))
             starts = round_starts([stepped for _, stepped, _ in own], size)
             assert [a.tolist() for a in asked] == \
@@ -1819,13 +1903,13 @@ class TestSequentialRounds:
         for row in range(len(v)):
             chain_checker = checker(1)
             z, stepped = column_chain(inst.spec, indices[row:row + 1], v[row:row + 1],
-                                      np.ones(1), chain_checker, k=3)
+                                      np.ones(1), chain_checker)
             chains.append((z, stepped, chain_checker))
         for rows in [slice(None)] + [slice(r, r + 1) for r in range(len(v))]:
             idx, own, pass_checker = indices[rows], chains[rows], checker(len(v[rows]))
             spec, asked, _ = recording_family(inst.spec)
             z = sequential_feasibility_update(spec, idx, v[rows], np.ones(len(idx)),
-                                              plain_rows(idx), pass_checker, k=3)
+                                              plain_rows(idx), pass_checker)
             assert np.array_equal(z, np.concatenate([z for z, _, _ in own]))
             assert max(a.shape[1] for a in asked) <= solver.WINDOW
             starts = round_starts([stepped for _, stepped, _ in own], size)
@@ -2255,16 +2339,28 @@ class TestRatioReaders:
     @pytest.mark.parametrize("reader", list(READERS))
     def test_batch_diagnostics_runs_where_read(self, reader, monkeypatch):
         inst = self.INSTANCES["benchmark"][0]()
-        spec, asked, values = recording_family(inst.spec)
-        # the pass asks the family once per iteration, before any ratio
-        calls = counted_diagnostics(monkeypatch, label=lambda: len(asked))
+        # iteration k is the one whose objective step asked last, so each
+        # ask of the family and each ratio is labelled with its k: the pass
+        # asks once per iteration, before any ratio, and the lemma checks
+        # ask again only where the pass's batch is violated
+        spec, seen = recording(inst.spec)
+        spec, _, values = recording_family(spec)
+        asked_at, batch = [], spec.constraints.batch
+
+        def labelled(indices, v):
+            asked_at.append(len(seen))
+            return batch(indices, v)
+
+        spec = dataclasses.replace(spec, constraints=dataclasses.replace(
+            spec.constraints, batch=labelled))
+        calls = counted_diagnostics(monkeypatch, label=lambda: len(seen))
         settings = dict(self.READERS[reader])
         if "ln_hint" in settings:
             settings["ln_hint"] = exact_ln_linear(inst.poly, 4)
         cfg = RunConfig(variant="parallel", batch_size=4, beta=1.0,
                         iterations=300, seeds=(1, 2), **settings)
         results = run(spec, cfg, poly=inst.poly)
-        violated = {k for k, g in enumerate(values, 1) if (g > 0.0).any()}
+        violated = {k for k, g in zip(asked_at, values, strict=True) if (g > 0.0).any()}
         logged = {r.k for r in results[0].records}
         assert violated & logged and violated - logged
         assert calls == sorted(violated if settings else violated & logged)
